@@ -121,14 +121,37 @@ let select_sel env pred card =
 (* NDV capped by current cardinality. *)
 let key_ndv env card c = Float.min (Float.max 1. card) (ndv env c)
 
-let join_card env ~kind ~pred ~left ~right =
+(* Selectivity of a residual conjunct of an inner/cross join between
+   inputs with columns [lcols] and [rcols]. When the conjunct is a
+   disjunction, the normalizer pushed its implied per-side filters
+   ({!Expr.implied_disjunction}) below the join, where they were already
+   charged; the disjunction implies them, so its selectivity here is
+   conditioned on theirs: P(or | implied) = P(or) / P(implied), at most 1. *)
+let residual_sel env card ~lcols ~rcols conj =
+  let s = conjunct_sel env card conj in
+  let implied_sel cols =
+    match
+      Expr.implied_disjunction (fun e -> Registry.Col_set.subset (Expr.cols e) cols) conj
+    with
+    | Some d -> conjunct_sel env card d
+    | None -> 1.
+  in
+  let below = implied_sel lcols *. implied_sel rcols in
+  if below > 0. then Float.min 1. (s /. below) else s
+
+let join_card env ~kind ~pred ~left ~right ~lcols ~rcols =
   let equi = Expr.equi_pairs pred in
   let lcard = Float.max left 1. and rcard = Float.max right 1. in
   let other_conjs =
     List.filter (fun c -> Expr.as_col_eq c = None) (Expr.conjuncts pred)
   in
   let other_sel =
-    List.fold_left (fun acc c -> acc *. conjunct_sel env (lcard *. rcard) c) 1. other_conjs
+    let sel =
+      match kind with
+      | Relop.Inner | Relop.Cross -> residual_sel env ~lcols ~rcols
+      | Relop.Semi | Relop.Anti_semi | Relop.Left_outer -> conjunct_sel env
+    in
+    List.fold_left (fun acc c -> acc *. sel (lcard *. rcard) c) 1. other_conjs
   in
   match kind with
   | Relop.Inner | Relop.Cross ->
@@ -182,8 +205,10 @@ let group_card env ~keys ~input =
     in
     Float.max 1. (Float.min prod (Float.max 1. (input /. 2.)))
 
-(** Estimate the cardinality of an operator given its children's estimates. *)
-let of_op env (op : Relop.op) (children : props list) : props =
+(** Estimate the cardinality of an operator given its children's estimates
+    and output column sets. *)
+let of_op env (op : Relop.op) ~(child_cols : Registry.Col_set.t list)
+    (children : props list) : props =
   let child n = (List.nth children n).card in
   match op with
   | Relop.Get { table; _ } ->
@@ -193,7 +218,9 @@ let of_op env (op : Relop.op) (children : props list) : props =
   | Relop.Select pred -> { card = Float.max 1. (child 0 *. select_sel env pred (child 0)) }
   | Relop.Project _ -> { card = child 0 }
   | Relop.Join { kind; pred } ->
-    { card = join_card env ~kind ~pred ~left:(child 0) ~right:(child 1) }
+    { card =
+        join_card env ~kind ~pred ~left:(child 0) ~right:(child 1)
+          ~lcols:(List.nth child_cols 0) ~rcols:(List.nth child_cols 1) }
   | Relop.Group_by { keys; _ } -> { card = group_card env ~keys ~input:(child 0) }
   | Relop.Sort { limit = Some n; _ } -> { card = Float.min (child 0) (float_of_int n) }
   | Relop.Sort _ -> { card = child 0 }
@@ -202,7 +229,8 @@ let of_op env (op : Relop.op) (children : props list) : props =
 
 (** Estimate over a whole tree (used outside the MEMO). *)
 let rec of_tree env (t : Relop.t) : props =
-  of_op env t.op (List.map (of_tree env) t.children)
+  of_op env t.op ~child_cols:(List.map Relop.output_col_set t.children)
+    (List.map (of_tree env) t.children)
 
 (** Row width in bytes of a projected column set. *)
 let width_of_cols reg cols =

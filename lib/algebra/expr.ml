@@ -54,6 +54,26 @@ let conjoin_opt = function
   | [] -> None
   | l -> Some (conjoin l)
 
+let rec disjuncts = function
+  | Bin (Or, a, b) -> disjuncts a @ disjuncts b
+  | e -> [ e ]
+
+let disjoin = function
+  | [] -> Lit (Value.Bool false)
+  | e :: rest -> List.fold_left (fun acc d -> Bin (Or, acc, d)) e rest
+
+(** [implied_disjunction covered e]: for [e = OR_i D_i], the weaker
+    predicate [OR_i (conjuncts of D_i satisfying covered)], which [e]
+    implies. [None] unless [e] is a disjunction and every disjunct keeps at
+    least one conjunct. Used to push per-side filters below a join whose
+    residual is [e], and to condition [e]'s selectivity on them. *)
+let implied_disjunction covered e =
+  match disjuncts e with
+  | [] | [ _ ] -> None
+  | ds ->
+    let parts = List.map (fun d -> List.filter covered (conjuncts d)) ds in
+    if List.mem [] parts then None else Some (disjoin (List.map conjoin parts))
+
 (** Set of column ids referenced by an expression. *)
 let rec cols_acc acc = function
   | Col c -> Registry.Col_set.add c acc

@@ -4,8 +4,16 @@
 
     Passes, in order:
     1. constant folding,
+    1b. common-conjunct factoring of disjunctions
+       ([(A AND B) OR (A AND C)] -> [A AND (B OR C)], absorption
+       [A OR (A AND B)] -> [A]), so a join key repeated in every disjunct
+       (TPC-H Q19) becomes an equi-join conjunct,
     2. predicate pushdown (splitting conjuncts across joins, turning cross
        products with residual equality predicates into inner joins),
+    2b. implied per-side disjunctions: below an inner/cross join whose
+       residual is [OR_i D_i], each side also gets [OR_i (D_i's conjuncts
+       on that side)] as an extra filter (Q7's nation pair, Q19's part and
+       lineitem ranges),
     3. equality transitivity closure + constant propagation (the paper's
        "join transitivity closure detection" that enables the early
        filtering of lineitem by part in Q20),
@@ -73,25 +81,84 @@ let rec fold_tree t =
   in
   { op; children }
 
+(* -- 1b. common-conjunct factoring --
+
+   [(A AND B) OR (A AND C)] -> [A AND (B OR C)], and absorption when a
+   disjunct is only the shared part: [A OR (A AND B)] -> [A]. Both are
+   identities of Kleene three-valued logic, so they hold with NULLs and may
+   be applied to any predicate, at any join kind. A disjunction with no
+   shared conjunct keeps its shape. *)
+
+let mem_expr c cs = List.exists (Expr.equal c) cs
+
+(* First occurrence of each structurally-equal conjunct, in order. *)
+let dedup conjs =
+  List.rev (List.fold_left (fun acc c -> if mem_expr c acc then acc else c :: acc) [] conjs)
+
+let rec factor_expr (e : Expr.t) : Expr.t =
+  match e with
+  | Expr.Bin (Expr.And, a, b) -> Expr.Bin (Expr.And, factor_expr a, factor_expr b)
+  | Expr.Bin (Expr.Or, _, _) ->
+    let ds = List.map Expr.conjuncts (Expr.disjuncts e) in
+    let common =
+      dedup (List.filter (fun c -> List.for_all (mem_expr c) ds) (List.hd ds))
+    in
+    if common = [] then map_disjuncts e
+    else begin
+      let rests = List.map (List.filter (fun c -> not (mem_expr c common))) ds in
+      let common = List.map factor_expr common in
+      if List.mem [] rests then Expr.conjoin common
+      else
+        Expr.conjoin (common @ [ factor_expr (Expr.disjoin (List.map Expr.conjoin rests)) ])
+    end
+  | _ -> e
+
+and map_disjuncts = function
+  | Expr.Bin (Expr.Or, a, b) -> Expr.Bin (Expr.Or, map_disjuncts a, map_disjuncts b)
+  | d -> factor_expr d
+
+let rec factor_tree t =
+  let children = List.map factor_tree t.children in
+  let op =
+    match t.op with
+    | Select p -> Select (factor_expr p)
+    | Join { kind; pred } -> Join { kind; pred = factor_expr pred }
+    | op -> op
+  in
+  { op; children }
+
 (* -- 2. predicate pushdown -- *)
 
 let covered set e = Registry.Col_set.subset (Expr.cols e) set
 
 (** Push the pending conjuncts [conjs] into [t] as deep as possible;
-    conjuncts that cannot descend materialize as a Select on top. *)
-let rec push t conjs : Relop.t =
+    conjuncts that cannot descend materialize as a Select on top. Repeated
+    conjuncts are kept once, so re-running [push] never stacks a filter.
+
+    With [~imply:true] (pass 2b), an inner/cross join whose residual holds
+    a disjunction also pushes the disjunction's implied per-side filter
+    ({!Expr.implied_disjunction}) into each side; the disjunction itself
+    stays at the join. Semi, anti-semi and left-outer joins get no implied
+    filters; anti-semi and left-outer joins keep the left rows that fail
+    their predicate, so a left filter would be unsound there. *)
+let rec push ?(imply = false) t conjs : Relop.t =
+  let push = push ~imply in
+  let conjs = dedup conjs in
   match t.op, t.children with
   | Select p, [ child ] -> push child (Expr.conjuncts p @ conjs)
-  | Join { kind = (Inner | Cross) as kind; pred }, [ l; r ] ->
+  | Join { kind = Inner | Cross; pred }, [ l; r ] ->
     let all =
-      List.filter (fun c -> not (is_true c)) (Expr.conjuncts pred @ conjs)
+      dedup (List.filter (fun c -> not (is_true c)) (Expr.conjuncts pred @ conjs))
     in
     let lcols = output_col_set l and rcols = output_col_set r in
     let to_l, rest = List.partition (covered lcols) all in
     let to_r, residual = List.partition (covered rcols) rest in
-    let l' = push l to_l and r' = push r to_r in
+    let implied cols =
+      if imply then List.filter_map (Expr.implied_disjunction (covered cols)) residual
+      else []
+    in
+    let l' = push l (to_l @ implied lcols) and r' = push r (to_r @ implied rcols) in
     let kind' = if residual = [] then Cross else Inner in
-    ignore kind;
     mk (Join { kind = kind'; pred = Expr.conjoin residual }) [ l'; r' ]
   | Join { kind = (Semi | Anti_semi) as kind; pred }, [ l; r ] ->
     (* Pending conjuncts only ever reference left outputs here. Split the
@@ -629,7 +696,9 @@ let normalize ?(obs = Obs.null) ?(eliminate = true) (reg : Registry.t)
     t'
   in
   let t = pass "fold_constants" fold_tree t in
+  let t = pass "factor_disjunction" factor_tree t in
   let t = pass "push_predicates" (fun t -> push t []) t in
+  let t = pass "imply_disjunction" (fun t -> push ~imply:true t []) t in
   let t = pass "derive_predicates" close_region t in
   (* place newly derived predicates deeply *)
   let t = pass "push_predicates" (fun t -> push t []) t in

@@ -116,7 +116,8 @@ let card_of_op t (op : op) (children : int array) : float =
        | Physop.Union_op -> Relop.Union_all
        | Physop.Const_empty cols -> Relop.Empty cols)
   in
-  (Cardinality.of_op env logical child_props).Cardinality.card
+  let child_cols = Array.to_list (Array.map (fun c -> (props t c).cols) children) in
+  (Cardinality.of_op env logical ~child_cols child_props).Cardinality.card
 
 let width_of_cols t cols =
   Registry.Col_set.fold (fun c acc -> acc +. Registry.width t.reg c) cols 0.

@@ -22,6 +22,7 @@ let () =
       ("union", Test_union.suite);
       ("hints", Test_hints.suite);
       ("e2e", Test_e2e.suite);
+      ("disjunction", Test_disjunction.suite);
       ("fuzz", Test_fuzz.suite);
       ("par", Test_par.suite);
       ("plancache", Test_plancache.suite);

@@ -70,6 +70,26 @@ let test_empty_is_zero () =
   Alcotest.(check (float 0.)) "contradiction" 0.
     (estimate "SELECT c_custkey FROM customer WHERE 1 = 0")
 
+(* Q7's nation pair: the normalizer pushes (n_name = 'FRANCE' OR n_name =
+   'GERMANY') below the join on both sides, so the join's residual OR must
+   be conditioned on those filters rather than charged again *)
+let nation_pair =
+  "SELECT n1.n_name, n2.n_name FROM nation n1, nation n2 \
+   WHERE (n1.n_name = 'FRANCE' AND n2.n_name = 'GERMANY') \
+      OR (n1.n_name = 'GERMANY' AND n2.n_name = 'FRANCE')"
+
+let test_residual_or_not_double_counted () =
+  check_q "nation pair (residual OR)" nation_pair 1.5;
+  (* the pushed filters and the conditioned residual together charge the
+     OR exactly once: same estimate as the un-normalized Select over the
+     cross product *)
+  let sh = Fixtures.shell () in
+  let r = Algebra.Algebrizer.of_sql sh nation_pair in
+  let env = { Cardinality.reg = r.Algebrizer.reg; shell = sh } in
+  let raw = (Cardinality.of_tree env r.Algebrizer.tree).Cardinality.card in
+  Alcotest.(check (float 1e-9)) "normalized == un-normalized estimate" raw
+    (estimate nation_pair)
+
 let suite =
   [ t "base table exact" test_base_table;
     t "date range filter" test_range_filter;
@@ -80,4 +100,5 @@ let suite =
     t "conjunctive filters" test_selective_conjunction;
     t "filters shrink estimates" test_estimates_monotone;
     t "semi join bounded by left" test_semi_join_bounded_by_left;
-    t "contradiction estimates zero" test_empty_is_zero ]
+    t "contradiction estimates zero" test_empty_is_zero;
+    t "residual OR not double-counted" test_residual_or_not_double_counted ]

@@ -189,6 +189,169 @@ let test_idempotent () =
          (Relop.size n1) (Relop.size n2))
     Tpch.Queries.all
 
+(* -- disjunctions: common-conjunct factoring and implied per-side filters -- *)
+
+let ( &&& ) a b = Expr.Bin (Expr.And, a, b)
+let ( ||| ) a b = Expr.Bin (Expr.Or, a, b)
+let gt c k = Expr.Bin (Expr.Gt, Expr.Col c, Expr.Lit (Catalog.Value.Int k))
+
+let expr =
+  Alcotest.testable
+    (fun ppf e -> Format.pp_print_string ppf (Expr.to_string_with string_of_int e))
+    Expr.equal
+
+let test_factor_common () =
+  let a = gt 1 0 and b = gt 2 0 and c = gt 3 0 in
+  Alcotest.check expr "(A and B) or (A and C)" (a &&& (b ||| c))
+    (Normalize.factor_expr ((a &&& b) ||| (a &&& c)));
+  Alcotest.check expr "shared conjunct in any position" (a &&& (b ||| c))
+    (Normalize.factor_expr ((b &&& a) ||| (a &&& c)));
+  Alcotest.check expr "three disjuncts" (a &&& ((b ||| c) ||| gt 4 0))
+    (Normalize.factor_expr ((a &&& b) ||| (c &&& a) ||| (gt 4 0 &&& a)));
+  let no_common = b ||| (c ||| a) in
+  Alcotest.check expr "no shared conjunct: shape kept" no_common
+    (Normalize.factor_expr no_common)
+
+let test_factor_absorption () =
+  let a = gt 1 0 and b = gt 2 0 and c = gt 3 0 in
+  Alcotest.check expr "A or (A and B)" a (Normalize.factor_expr (a ||| (a &&& b)));
+  Alcotest.check expr "(A and B) or A" a (Normalize.factor_expr ((a &&& b) ||| a));
+  Alcotest.check expr "(A and C) or (A and B and C)" (a &&& c)
+    (Normalize.factor_expr ((a &&& c) ||| (a &&& b &&& c)))
+
+let is_or = function Expr.Bin (Expr.Or, _, _) -> true | _ -> false
+
+(* the conjuncts of the filter sitting directly on the scan of [table] *)
+let scan_filter table tr =
+  List.concat_map
+    (fun (s : Relop.t) ->
+       match s.Relop.op, s.Relop.children with
+       | Relop.Select p, [ { Relop.op = Relop.Get { table = t; _ }; _ } ]
+         when String.lowercase_ascii t = table ->
+         Expr.conjuncts p
+       | _ -> [])
+    (find_ops is_select tr)
+
+let has_equi_join tr =
+  List.exists
+    (fun (j : Relop.t) ->
+       match j.Relop.op with
+       | Relop.Join { kind = Relop.Inner; pred } -> Expr.equi_pairs pred <> []
+       | _ -> false)
+    (find_ops (function Relop.Join _ -> true | _ -> false) tr)
+
+let q19 () = (Option.get (Tpch.Queries.find "Q19")).Tpch.Queries.sql
+
+let test_q19_implied_filters () =
+  let tr = norm (q19 ()) in
+  Alcotest.(check bool) "p_partkey = l_partkey factored into an equi join" true
+    (has_equi_join tr);
+  Alcotest.(check bool) "implied OR filter on part" true
+    (List.exists is_or (scan_filter "part" tr));
+  Alcotest.(check bool) "implied OR filter on lineitem" true
+    (List.exists is_or (scan_filter "lineitem" tr));
+  Alcotest.(check bool) "shared single-table conjuncts sank to lineitem" true
+    (List.exists
+       (function Expr.Bin (Expr.Eq, _, Expr.Lit (Catalog.Value.String "DELIVER IN PERSON")) -> true
+               | _ -> false)
+       (scan_filter "lineitem" tr))
+
+let test_no_implied_without_cover () =
+  (* the second disjunct has no customer conjunct: nothing is implied for
+     customer, while orders gets (o_totalprice > 100 OR o_orderstatus = 'F') *)
+  let tr =
+    norm
+      "SELECT c_name FROM customer, orders WHERE c_custkey = o_custkey \
+       AND ((c_acctbal > 0 AND o_totalprice > 100) OR o_orderstatus = 'F')"
+  in
+  Alcotest.(check int) "no filter on customer" 0 (List.length (scan_filter "customer" tr));
+  Alcotest.(check bool) "OR filter on orders" true
+    (List.exists is_or (scan_filter "orders" tr))
+
+let count_ors tr = List.length (List.filter is_or (all_conjuncts tr))
+
+let test_no_implied_across_outer_and_anti () =
+  let loj =
+    norm
+      "SELECT c_name, o_orderkey FROM customer LEFT OUTER JOIN orders \
+       ON c_custkey = o_custkey \
+       AND ((c_acctbal > 0 AND o_totalprice > 100) OR (c_acctbal < 0 AND o_totalprice < 50))"
+  in
+  Alcotest.(check int) "left-outer: only the ON disjunction" 1 (count_ors loj);
+  let loj_where =
+    norm
+      "SELECT c_name, o_orderkey FROM customer LEFT OUTER JOIN orders \
+       ON c_custkey = o_custkey \
+       WHERE (c_acctbal > 0 AND o_totalprice > 100) OR (c_acctbal < 0 AND o_totalprice IS NULL)"
+  in
+  Alcotest.(check int) "left-outer: WHERE disjunction stays above" 1 (count_ors loj_where);
+  let anti =
+    norm
+      "SELECT c_name FROM customer WHERE NOT EXISTS (SELECT o_orderkey FROM orders \
+       WHERE o_custkey = c_custkey \
+       AND ((o_totalprice > 100 AND c_acctbal > 0) OR (o_totalprice < 50 AND c_acctbal < 0)))"
+  in
+  Alcotest.(check int) "anti-semi: only the join disjunction" 1 (count_ors anti);
+  Alcotest.(check bool) "anti-semi: customer unfiltered" false
+    (List.exists is_or (scan_filter "customer" anti))
+
+(* every Select/Join predicate along a root-to-leaf path, with the path's
+   conjuncts so far: a filter stacked twice shows up as a repeat *)
+let repeated_filters tr =
+  let rec go seen (n : Relop.t) =
+    let here =
+      match n.Relop.op with
+      | Relop.Select p | Relop.Join { pred = p; _ } -> Expr.conjuncts p
+      | _ -> []
+    in
+    let rec dups seen = function
+      | [] -> []
+      | c :: rest ->
+        (if List.exists (Expr.equal c) seen then [ c ] else []) @ dups (c :: seen) rest
+    in
+    dups seen here @ List.concat_map (go (here @ seen)) n.Relop.children
+  in
+  go [] tr
+
+let test_disjunction_idempotent () =
+  let sh = Fixtures.shell () in
+  List.iter
+    (fun (id, sql) ->
+       let r = Algebra.Algebrizer.of_sql sh sql in
+       let reg = r.Algebrizer.reg in
+       let n1 = Normalize.normalize reg sh r.Algebrizer.tree in
+       let obs = Obs.create () in
+       let n2 = Normalize.normalize ~obs reg sh n1 in
+       Alcotest.(check bool) (id ^ ": normalize (normalize t) = normalize t") true (n1 = n2);
+       Alcotest.(check int) (id ^ ": no filter stacked twice") 0
+         (List.length (repeated_filters n1));
+       List.iter
+         (fun rule ->
+            Alcotest.(check (float 0.)) (id ^ ": second pass fires no " ^ rule) 0.
+              (Obs.counter obs ("normalize.rule." ^ rule)))
+         [ "factor_disjunction"; "imply_disjunction"; "push_predicates" ])
+    [ ("Q7", (Option.get (Tpch.Queries.find "Q7")).Tpch.Queries.sql);
+      ("Q19", q19 ());
+      ("nested", "SELECT c_name FROM customer, orders, lineitem \
+                  WHERE (c_custkey = o_custkey AND o_orderkey = l_orderkey \
+                         AND c_acctbal > 0 AND l_quantity > 10) \
+                     OR (c_custkey = o_custkey AND o_orderkey = l_orderkey \
+                         AND c_acctbal < 0 AND o_totalprice > 100 AND l_quantity < 5)") ]
+
+let test_rule_counters () =
+  let counters sql =
+    let sh = Fixtures.shell () in
+    let r = Algebra.Algebrizer.of_sql sh sql in
+    let obs = Obs.create () in
+    ignore (Normalize.normalize ~obs r.Algebrizer.reg sh r.Algebrizer.tree);
+    (Obs.counter obs "normalize.rule.factor_disjunction",
+     Obs.counter obs "normalize.rule.imply_disjunction")
+  in
+  Alcotest.(check (pair (float 0.) (float 0.))) "Q19 fires both passes" (1., 1.)
+    (counters (q19 ()));
+  Alcotest.(check (pair (float 0.) (float 0.))) "Q3 fires neither" (0., 0.)
+    (counters (Option.get (Tpch.Queries.find "Q3")).Tpch.Queries.sql)
+
 let suite =
   [ t "constant folding" test_constant_folding;
     t "boolean folding" test_boolean_folding;
@@ -206,4 +369,11 @@ let suite =
     t "join kept on non-PK equality" test_no_elimination_non_pk;
     t "semi-join pushed through group-by (Q20)" test_semi_join_through_groupby;
     t "output columns preserved" test_output_cols_preserved;
-    t "idempotent on workload" test_idempotent ]
+    t "idempotent on workload" test_idempotent;
+    t "disjunction: common conjunct factored" test_factor_common;
+    t "disjunction: absorption" test_factor_absorption;
+    t "disjunction: Q19 implied filters on part and lineitem" test_q19_implied_filters;
+    t "disjunction: nothing implied for an uncovered side" test_no_implied_without_cover;
+    t "disjunction: no rewrite across left-outer / anti-semi" test_no_implied_across_outer_and_anti;
+    t "disjunction: idempotent, no stacked filters" test_disjunction_idempotent;
+    t "disjunction: named pass counters" test_rule_counters ]
