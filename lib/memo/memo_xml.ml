@@ -4,9 +4,33 @@
     The encoding carries the full search space: the column registry (with
     NDVs, so the PDW side can reason about group-by and join key
     distinctness), every group with its statistics (global cardinality Y
-    and row width w), and every logical and physical group expression. *)
+    and row width w), and every logical and physical group expression.
+
+    Scalar expressions are interned. The serial optimizer copies a join
+    predicate onto every Join, HashJoin and MergeJoin variant of a group, so
+    a MEMO carries the same few dozen predicates many hundreds of times.
+    [<memo>] therefore holds a [<scalars>] table of [<s id="i">] entries,
+    one per distinct scalar, and a group expression refers to an entry by
+    index: [pred="i"] on the [<expr>], [e="i"] on a [<def>] or [<sk>], and
+    [arg="i"] on an [<agg>]. Two scalars share an entry exactly when their
+    encodings are byte-identical, so [Float 0.] and [Float (-0.)] (equal
+    under [=] and under [Hashtbl.hash]) stay apart. On import the table is
+    decoded once, and every expression that refers to an entry shares the
+    same [Expr.t] value.
+
+    Group ids are written densely, in group order, so exporting an
+    imported MEMO reproduces the document byte for byte.
+
+    Malformed input of any kind raises {!Xml.Xml_error}. *)
 
 open Algebra
+
+let bad what s = raise (Xml.Xml_error (Printf.sprintf "bad %s %S" what s))
+
+let int_of s = match int_of_string_opt s with Some i -> i | None -> bad "integer" s
+let float_of s = match float_of_string_opt s with Some f -> f | None -> bad "float" s
+let int_attr n name = int_of (Xml.attr n name)
+let float_attr n name = float_of (Xml.attr n name)
 
 (* -- scalar expression encoding -- *)
 
@@ -32,11 +56,11 @@ let value_to_attrs (v : Catalog.Value.t) =
 let value_of_node n =
   match Xml.attr n "t" with
   | "null" -> Catalog.Value.Null
-  | "int" -> Catalog.Value.Int (int_of_string (Xml.attr n "v"))
-  | "float" -> Catalog.Value.Float (float_of_string (Xml.attr n "v"))
+  | "int" -> Catalog.Value.Int (int_attr n "v")
+  | "float" -> Catalog.Value.Float (float_attr n "v")
   | "str" -> Catalog.Value.String (Xml.attr n "v")
   | "bool" -> Catalog.Value.Bool (Xml.attr n "v" = "1")
-  | "date" -> Catalog.Value.Date (int_of_string (Xml.attr n "v"))
+  | "date" -> Catalog.Value.Date (int_attr n "v")
   | t -> raise (Xml.Xml_error ("unknown value type " ^ t))
 
 let binop_name = function
@@ -111,7 +135,7 @@ let rec expr_to_xml (e : Expr.t) : Xml.node =
 let rec expr_of_xml (n : Xml.node) : Expr.t =
   let kids () = List.filter (fun c -> c.Xml.tag = "e") n.Xml.children in
   match Xml.attr n "k" with
-  | "col" -> Expr.Col (int_of_string (Xml.attr n "id"))
+  | "col" -> Expr.Col (int_attr n "id")
   | "lit" -> Expr.Lit (value_of_node n)
   | "bin" ->
     (match kids () with
@@ -162,38 +186,9 @@ let rec expr_of_xml (n : Xml.node) : Expr.t =
      | _ -> raise (Xml.Xml_error "cast expects 1 child"))
   | k -> raise (Xml.Xml_error ("unknown expression kind " ^ k))
 
-let agg_to_xml (a : Expr.agg_def) =
-  Xml.node
-    ~attrs:
-      [ ("out", string_of_int a.Expr.agg_out);
-        ("f", agg_name a.Expr.agg_func);
-        ("distinct", if a.Expr.agg_distinct then "1" else "0") ]
-    ~children:(match a.Expr.agg_arg with Some e -> [ expr_to_xml e ] | None -> [])
-    "agg"
-
-let agg_of_xml n =
-  { Expr.agg_out = int_of_string (Xml.attr n "out");
-    agg_func = agg_of_name (Xml.attr n "f");
-    agg_distinct = Xml.attr n "distinct" = "1";
-    agg_arg =
-      (match n.Xml.children with
-       | [ e ] -> Some (expr_of_xml e)
-       | [] -> None
-       | _ -> raise (Xml.Xml_error "agg expects at most 1 child")) }
-
-let sort_key_to_xml (k : Relop.sort_key) =
-  Xml.node ~attrs:[ ("desc", if k.Relop.desc then "1" else "0") ]
-    ~children:[ expr_to_xml k.Relop.key ] "sk"
-
-let sort_key_of_xml n =
-  match n.Xml.children with
-  | [ e ] -> { Relop.key = expr_of_xml e; desc = Xml.attr n "desc" = "1" }
-  | _ -> raise (Xml.Xml_error "sk expects 1 child")
-
 let ints_to_attr l = String.concat "," (List.map string_of_int l)
 let ints_of_attr s =
-  if s = "" then []
-  else List.map int_of_string (String.split_on_char ',' s)
+  if s = "" then [] else List.map int_of (String.split_on_char ',' s)
 
 let join_kind_name = function
   | Relop.Inner -> "inner" | Relop.Cross -> "cross" | Relop.Semi -> "semi"
@@ -204,46 +199,128 @@ let join_kind_of_name = function
   | "antisemi" -> Relop.Anti_semi | "leftouter" -> Relop.Left_outer
   | s -> raise (Xml.Xml_error ("unknown join kind " ^ s))
 
+(* -- the scalar table -- *)
+
+(* scalars by physical identity: the serial optimizer copies one predicate
+   value onto every join variant, so most lookups stop here *)
+module Seen = Hashtbl.Make (struct
+    type t = Expr.t
+    let equal = ( == )
+    let hash = Hashtbl.hash
+  end)
+
+(** Export side: the distinct scalars seen so far, keyed by their encoded
+    bytes, in order of first appearance. *)
+type interner = {
+  ids : (string, int) Hashtbl.t;
+  seen : string Seen.t;
+  buf : Buffer.t;
+  mutable entries : Xml.node list;   (** reversed *)
+}
+
+let interner () =
+  { ids = Hashtbl.create 64; seen = Seen.create 64; buf = Buffer.create 512; entries = [] }
+
+(** The table index of [e], as an attribute value. *)
+let intern t (e : Expr.t) =
+  match Seen.find_opt t.seen e with
+  | Some id -> id
+  | None ->
+    let node = expr_to_xml e in
+    Buffer.clear t.buf;
+    Xml.to_buffer t.buf node;
+    let key = Buffer.contents t.buf in
+    let id =
+      match Hashtbl.find_opt t.ids key with
+      | Some id -> id
+      | None ->
+        let id = Hashtbl.length t.ids in
+        Hashtbl.add t.ids key id;
+        t.entries <- Xml.node ~attrs:[ ("id", string_of_int id) ] ~children:[ node ] "s"
+                     :: t.entries;
+        id
+    in
+    let id = string_of_int id in
+    Seen.add t.seen e id;
+    id
+
+let scalars_of_node n : Expr.t array =
+  Array.of_list
+    (List.mapi
+       (fun i s ->
+          if int_attr s "id" <> i then raise (Xml.Xml_error "scalar ids must be dense and ordered");
+          match s.Xml.children with
+          | [ e ] -> expr_of_xml e
+          | _ -> raise (Xml.Xml_error "s expects 1 child"))
+       (Xml.children_named n "s"))
+
+(** The scalar that attribute [name] of [n] refers to. *)
+let scalar_ref (table : Expr.t array) n name =
+  let i = int_attr n name in
+  if i < 0 || i >= Array.length table then
+    raise (Xml.Xml_error (Printf.sprintf "dangling scalar reference %d" i));
+  table.(i)
+
 (* -- operator encoding -- *)
 
-let defs_to_children defs =
+let agg_to_xml t (a : Expr.agg_def) =
+  Xml.node
+    ~attrs:
+      ([ ("out", string_of_int a.Expr.agg_out);
+         ("f", agg_name a.Expr.agg_func);
+         ("distinct", if a.Expr.agg_distinct then "1" else "0") ]
+       @ match a.Expr.agg_arg with Some e -> [ ("arg", intern t e) ] | None -> [])
+    "agg"
+
+let agg_of_xml table n =
+  { Expr.agg_out = int_attr n "out";
+    agg_func = agg_of_name (Xml.attr n "f");
+    agg_distinct = Xml.attr n "distinct" = "1";
+    agg_arg =
+      (match Xml.attr_opt n "arg" with
+       | Some _ -> Some (scalar_ref table n "arg")
+       | None -> None) }
+
+let sort_key_to_xml t (k : Relop.sort_key) =
+  Xml.node ~attrs:[ ("desc", if k.Relop.desc then "1" else "0"); ("e", intern t k.Relop.key) ]
+    "sk"
+
+let sort_key_of_xml table n =
+  { Relop.key = scalar_ref table n "e"; desc = Xml.attr n "desc" = "1" }
+
+let defs_to_children t defs =
   List.map
-    (fun (c, e) ->
-       Xml.node ~attrs:[ ("out", string_of_int c) ] ~children:[ expr_to_xml e ] "def")
+    (fun (c, e) -> Xml.node ~attrs:[ ("out", string_of_int c); ("e", intern t e) ] "def")
     defs
 
-let defs_of_node n =
+let defs_of_node table n =
   List.map
-    (fun d ->
-       match d.Xml.children with
-       | [ e ] -> (int_of_string (Xml.attr d "out"), expr_of_xml e)
-       | _ -> raise (Xml.Xml_error "def expects 1 child"))
+    (fun d -> (int_attr d "out", scalar_ref table d "e"))
     (Xml.children_named n "def")
 
-let op_to_xml (op : Memo_def.op) (children : int list) : Xml.node =
+let op_to_xml t (op : Memo_def.op) (children : int list) : Xml.node =
   let mk name ?(attrs = []) ?(body = []) () =
     Xml.node
       ~attrs:(("op", name) :: ("children", ints_to_attr children) :: attrs)
       ~children:body "expr"
   in
-  let pred_child p = [ Xml.node ~children:[ expr_to_xml p ] "pred" ] in
+  let pred p = ("pred", intern t p) in
+  let join name kind p = mk name ~attrs:[ ("kind", join_kind_name kind); pred p ] () in
+  let limit_attr = function Some l -> [ ("limit", string_of_int l) ] | None -> [] in
   match op with
   | Memo_def.Logical l ->
     (match l with
      | Relop.Get { table; alias; cols } ->
        mk "Get" ~attrs:[ ("table", table); ("alias", alias);
                          ("cols", ints_to_attr (Array.to_list cols)) ] ()
-     | Relop.Select p -> mk "Select" ~body:(pred_child p) ()
-     | Relop.Project defs -> mk "Project" ~body:(defs_to_children defs) ()
-     | Relop.Join { kind; pred } ->
-       mk "Join" ~attrs:[ ("kind", join_kind_name kind) ] ~body:(pred_child pred) ()
+     | Relop.Select p -> mk "Select" ~attrs:[ pred p ] ()
+     | Relop.Project defs -> mk "Project" ~body:(defs_to_children t defs) ()
+     | Relop.Join { kind; pred } -> join "Join" kind pred
      | Relop.Group_by { keys; aggs } ->
        mk "GroupBy" ~attrs:[ ("keys", ints_to_attr keys) ]
-         ~body:(List.map agg_to_xml aggs) ()
+         ~body:(List.map (agg_to_xml t) aggs) ()
      | Relop.Sort { keys; limit } ->
-       mk "Sort"
-         ~attrs:(match limit with Some l -> [ ("limit", string_of_int l) ] | None -> [])
-         ~body:(List.map sort_key_to_xml keys) ()
+       mk "Sort" ~attrs:(limit_attr limit) ~body:(List.map (sort_key_to_xml t) keys) ()
      | Relop.Union_all -> mk "UnionAll" ()
      | Relop.Empty cols -> mk "Empty" ~attrs:[ ("cols", ints_to_attr cols) ] ())
   | Memo_def.Physical p ->
@@ -251,39 +328,31 @@ let op_to_xml (op : Memo_def.op) (children : int list) : Xml.node =
      | Physop.Table_scan { table; alias; cols } ->
        mk "TableScan" ~attrs:[ ("table", table); ("alias", alias);
                                ("cols", ints_to_attr (Array.to_list cols)) ] ()
-     | Physop.Filter e -> mk "Filter" ~body:(pred_child e) ()
-     | Physop.Compute defs -> mk "Compute" ~body:(defs_to_children defs) ()
-     | Physop.Hash_join { kind; pred } ->
-       mk "HashJoin" ~attrs:[ ("kind", join_kind_name kind) ] ~body:(pred_child pred) ()
-     | Physop.Merge_join { kind; pred } ->
-       mk "MergeJoin" ~attrs:[ ("kind", join_kind_name kind) ] ~body:(pred_child pred) ()
-     | Physop.Nl_join { kind; pred } ->
-       mk "NestedLoopJoin" ~attrs:[ ("kind", join_kind_name kind) ] ~body:(pred_child pred) ()
+     | Physop.Filter e -> mk "Filter" ~attrs:[ pred e ] ()
+     | Physop.Compute defs -> mk "Compute" ~body:(defs_to_children t defs) ()
+     | Physop.Hash_join { kind; pred } -> join "HashJoin" kind pred
+     | Physop.Merge_join { kind; pred } -> join "MergeJoin" kind pred
+     | Physop.Nl_join { kind; pred } -> join "NestedLoopJoin" kind pred
      | Physop.Hash_agg { keys; aggs } ->
        mk "HashAggregate" ~attrs:[ ("keys", ints_to_attr keys) ]
-         ~body:(List.map agg_to_xml aggs) ()
+         ~body:(List.map (agg_to_xml t) aggs) ()
      | Physop.Stream_agg { keys; aggs } ->
        mk "StreamAggregate" ~attrs:[ ("keys", ints_to_attr keys) ]
-         ~body:(List.map agg_to_xml aggs) ()
+         ~body:(List.map (agg_to_xml t) aggs) ()
      | Physop.Sort_op { keys; limit } ->
-       mk "PhysicalSort"
-         ~attrs:(match limit with Some l -> [ ("limit", string_of_int l) ] | None -> [])
-         ~body:(List.map sort_key_to_xml keys) ()
+       mk "PhysicalSort" ~attrs:(limit_attr limit)
+         ~body:(List.map (sort_key_to_xml t) keys) ()
      | Physop.Union_op -> mk "PhysUnionAll" ()
      | Physop.Const_empty cols -> mk "ConstEmpty" ~attrs:[ ("cols", ints_to_attr cols) ] ())
 
-let op_of_xml (n : Xml.node) : Memo_def.op * int array =
+let op_of_xml table (n : Xml.node) : Memo_def.op * int array =
   let children = Array.of_list (ints_of_attr (Xml.attr n "children")) in
-  let pred () =
-    match (Xml.child n "pred").Xml.children with
-    | [ e ] -> expr_of_xml e
-    | _ -> raise (Xml.Xml_error "pred expects 1 child")
-  in
-  let aggs () = List.map agg_of_xml (Xml.children_named n "agg") in
-  let sort_keys () = List.map sort_key_of_xml (Xml.children_named n "sk") in
+  let pred () = scalar_ref table n "pred" in
+  let aggs () = List.map (agg_of_xml table) (Xml.children_named n "agg") in
+  let sort_keys () = List.map (sort_key_of_xml table) (Xml.children_named n "sk") in
   let keys () = ints_of_attr (Xml.attr n "keys") in
   let cols_arr () = Array.of_list (ints_of_attr (Xml.attr n "cols")) in
-  let limit () = Option.map int_of_string (Xml.attr_opt n "limit") in
+  let limit () = Option.map int_of (Xml.attr_opt n "limit") in
   let kind () = join_kind_of_name (Xml.attr n "kind") in
   let op =
     match Xml.attr n "op" with
@@ -291,7 +360,7 @@ let op_of_xml (n : Xml.node) : Memo_def.op * int array =
       Memo_def.Logical (Relop.Get { table = Xml.attr n "table"; alias = Xml.attr n "alias";
                                 cols = cols_arr () })
     | "Select" -> Memo_def.Logical (Relop.Select (pred ()))
-    | "Project" -> Memo_def.Logical (Relop.Project (defs_of_node n))
+    | "Project" -> Memo_def.Logical (Relop.Project (defs_of_node table n))
     | "Join" -> Memo_def.Logical (Relop.Join { kind = kind (); pred = pred () })
     | "GroupBy" -> Memo_def.Logical (Relop.Group_by { keys = keys (); aggs = aggs () })
     | "Sort" -> Memo_def.Logical (Relop.Sort { keys = sort_keys (); limit = limit () })
@@ -302,7 +371,7 @@ let op_of_xml (n : Xml.node) : Memo_def.op * int array =
       Memo_def.Physical (Physop.Table_scan { table = Xml.attr n "table";
                                          alias = Xml.attr n "alias"; cols = cols_arr () })
     | "Filter" -> Memo_def.Physical (Physop.Filter (pred ()))
-    | "Compute" -> Memo_def.Physical (Physop.Compute (defs_of_node n))
+    | "Compute" -> Memo_def.Physical (Physop.Compute (defs_of_node table n))
     | "HashJoin" -> Memo_def.Physical (Physop.Hash_join { kind = kind (); pred = pred () })
     | "MergeJoin" -> Memo_def.Physical (Physop.Merge_join { kind = kind (); pred = pred () })
     | "NestedLoopJoin" -> Memo_def.Physical (Physop.Nl_join { kind = kind (); pred = pred () })
@@ -323,7 +392,9 @@ let source_to_attrs = function
     [ ("src", "base"); ("table", table); ("salias", alias); ("column", column) ]
   | Registry.Derived d -> [ ("src", "derived"); ("desc", d) ]
 
-let export (m : Memo_def.t) : Xml.node =
+(** The XML document for [m], and the number of distinct scalars in its
+    table. *)
+let export (m : Memo_def.t) : Xml.node * int =
   let cols = ref [] in
   for id = Registry.count m.Memo_def.reg - 1 downto 0 do
     let info = Registry.info m.Memo_def.reg id in
@@ -344,46 +415,60 @@ let export (m : Memo_def.t) : Xml.node =
         "col"
       :: !cols
   done;
+  (* live groups are numbered densely, in group order *)
+  let dense = Array.make m.Memo_def.ngroups (-1) in
+  let live = ref 0 in
+  Memo_def.iter_groups m (fun g ->
+      dense.(g.Memo_def.gid) <- !live;
+      incr live);
+  let group_ref gid = dense.(Memo_def.find m gid) in
+  let scalars = interner () in
   let groups = ref [] in
   Memo_def.iter_groups m (fun g ->
       let exprs =
         List.map
           (fun (e : Memo_def.gexpr) ->
-             op_to_xml e.Memo_def.op
-               (List.map (fun c -> Memo_def.find m c) (Array.to_list e.Memo_def.children)))
+             op_to_xml scalars e.Memo_def.op
+               (List.map group_ref (Array.to_list e.Memo_def.children)))
           (List.rev g.Memo_def.exprs)
       in
       groups :=
         Xml.node
           ~attrs:
-            [ ("id", string_of_int g.Memo_def.gid);
+            [ ("id", string_of_int (group_ref g.Memo_def.gid));
               ("card", Printf.sprintf "%h" g.Memo_def.props.Memo_def.card);
               ("width", Printf.sprintf "%h" g.Memo_def.props.Memo_def.width);
               ("cols", ints_to_attr (Registry.Col_set.elements g.Memo_def.props.Memo_def.cols)) ]
           ~children:exprs "group"
         :: !groups);
-  Xml.node
-    ~attrs:[ ("root", string_of_int (Memo_def.root m));
-             ("nodes", string_of_int (Catalog.Shell_db.node_count m.Memo_def.shell)) ]
-    ~children:(Xml.node ~children:!cols "columns" :: List.rev !groups)
-    "memo"
+  ( Xml.node
+      ~attrs:[ ("root", string_of_int (group_ref m.Memo_def.root));
+               ("nodes", string_of_int (Catalog.Shell_db.node_count m.Memo_def.shell)) ]
+      ~children:
+        (Xml.node ~children:!cols "columns"
+         :: Xml.node ~children:(List.rev scalars.entries) "scalars"
+         :: List.rev !groups)
+      "memo",
+    Hashtbl.length scalars.ids )
 
 let export_string ?(obs = Obs.null) m =
-  let s = Xml.to_string (export m) in
+  let node, nscalars = export m in
+  let s = Xml.to_string node in
   Obs.add obs "memo_xml.bytes" (String.length s);
   Obs.add obs "memo_xml.export.groups" (Memo_def.live_groups m);
   Obs.add obs "memo_xml.export.exprs" (Memo_def.total_exprs m);
+  Obs.add obs "memo_xml.export.scalars" nscalars;
   s
 
-(** Rebuild a MEMO (and a fresh registry) from its XML encoding. Group ids
-    are remapped densely; the logical properties are taken from the file,
-    not re-derived. *)
-let import (shell : Catalog.Shell_db.t) (n : Xml.node) : Memo_def.t =
+(** Rebuild a MEMO (and a fresh registry) from its XML encoding; also
+    returns the number of scalars decoded from the table. The logical
+    properties are taken from the file, not re-derived. *)
+let import (shell : Catalog.Shell_db.t) (n : Xml.node) : Memo_def.t * int =
   if n.Xml.tag <> "memo" then raise (Xml.Xml_error "expected <memo>");
   let reg = Registry.create () in
   List.iter
     (fun c ->
-       let id = int_of_string (Xml.attr c "id") in
+       let id = int_attr c "id" in
        let source =
          match Xml.attr c "src" with
          | "base" ->
@@ -393,63 +478,53 @@ let import (shell : Catalog.Shell_db.t) (n : Xml.node) : Memo_def.t =
        in
        let id' =
          Registry.fresh reg ~name:(Xml.attr c "name") ~ty:(ty_of_string (Xml.attr c "type"))
-           ~width:(float_of_string (Xml.attr c "width")) source
+           ~width:(float_attr c "width") source
        in
        if id' <> id then raise (Xml.Xml_error "column ids must be dense and ordered");
-       let ndv = float_of_string (Xml.attr c "ndv") in
+       let ndv = float_attr c "ndv" in
        if ndv > 0. then Registry.set_stats reg id (Catalog.Col_stats.make ~ndv ()))
     (Xml.child n "columns").Xml.children;
+  let scalars = scalars_of_node (Xml.child n "scalars") in
   let m = Memo_def.create reg shell in
   let group_nodes = Xml.children_named n "group" in
-  (* map original ids -> dense ids *)
-  let idmap = Hashtbl.create 64 in
-  List.iteri
-    (fun i g -> Hashtbl.replace idmap (int_of_string (Xml.attr g "id")) i)
-    group_nodes;
-  let remap gid =
-    match Hashtbl.find_opt idmap gid with
-    | Some i -> i
-    | None -> raise (Xml.Xml_error (Printf.sprintf "dangling group reference %d" gid))
+  let ngroups = List.length group_nodes in
+  let group_ref gid =
+    if gid < 0 || gid >= ngroups then
+      raise (Xml.Xml_error (Printf.sprintf "dangling group reference %d" gid));
+    gid
   in
-  (* create empty groups with given props *)
-  List.iter
-    (fun g ->
-       ignore g;
-       let gid = m.Memo_def.ngroups in
-       (if gid >= Array.length m.Memo_def.groups then begin
-           let bigger = Array.make (max 64 (2 * Array.length m.Memo_def.groups)) m.Memo_def.groups.(0) in
-           Array.blit m.Memo_def.groups 0 bigger 0 m.Memo_def.ngroups;
-           m.Memo_def.groups <- bigger
-         end);
+  (* create every group first: an expression may refer to a later one *)
+  List.iteri
+    (fun gid gnode ->
+       if int_attr gnode "id" <> gid then
+         raise (Xml.Xml_error "group ids must be dense and ordered");
+       Memo_def.grow m;
        m.Memo_def.groups.(gid) <-
          { Memo_def.gid; exprs = []; explored = false; merged_into = None;
-           props = { Memo_def.cols = Registry.Col_set.empty; card = 0.; width = 0. } };
+           props = { Memo_def.cols = Registry.Col_set.of_list (ints_of_attr (Xml.attr gnode "cols"));
+                     card = float_attr gnode "card";
+                     width = float_attr gnode "width" } };
        m.Memo_def.ngroups <- gid + 1)
     group_nodes;
   List.iteri
-    (fun i gnode ->
-       let g = m.Memo_def.groups.(i) in
-       g.Memo_def.props <-
-         { Memo_def.cols = Registry.Col_set.of_list (ints_of_attr (Xml.attr gnode "cols"));
-           card = float_of_string (Xml.attr gnode "card");
-           width = float_of_string (Xml.attr gnode "width") };
+    (fun gid gnode ->
        let exprs =
          List.map
            (fun enode ->
-              let op, children = op_of_xml enode in
-              let children = Array.map remap children in
-              Hashtbl.replace m.Memo_def.dedup
-                (op, Array.to_list children) i;
+              let op, children = op_of_xml scalars enode in
+              let children = Array.map group_ref children in
+              Hashtbl.replace m.Memo_def.dedup (op, Array.to_list children) gid;
               { Memo_def.op; children })
            (Xml.children_named gnode "expr")
        in
-       g.Memo_def.exprs <- List.rev exprs)
+       m.Memo_def.groups.(gid).Memo_def.exprs <- List.rev exprs)
     group_nodes;
-  m.Memo_def.root <- remap (int_of_string (Xml.attr n "root"));
-  m
+  m.Memo_def.root <- group_ref (int_attr n "root");
+  (m, Array.length scalars)
 
 let import_string ?(obs = Obs.null) shell s =
-  let m = import shell (Xml.parse s) in
+  let m, nscalars = import shell (Xml.parse s) in
   Obs.add obs "memo_xml.import.groups" (Memo_def.live_groups m);
   Obs.add obs "memo_xml.import.exprs" (Memo_def.total_exprs m);
+  Obs.add obs "memo_xml.import.scalars" nscalars;
   m

@@ -114,7 +114,11 @@ let unescape s =
     let i = ref 0 in
     while !i < n do
       if s.[!i] = '&' then begin
-        let j = try String.index_from s !i ';' with Not_found -> n - 1 in
+        let j =
+          match String.index_from_opt s !i ';' with
+          | Some j -> j
+          | None -> raise (Xml_error "unterminated entity in attribute value")
+        in
         let ent = String.sub s (!i + 1) (j - !i - 1) in
         (match ent with
          | "amp" -> Buffer.add_char b '&'
@@ -207,15 +211,16 @@ let rec parse_element c : node =
       end else begin
         (* text content is ignored (the MEMO format carries data in
            attributes only) *)
-        if peek_char c = Some '<' then begin
+        match peek_char c with
+        | None -> error c (Printf.sprintf "unexpected end of input in <%s>" tag)
+        | Some '<' ->
           children := parse_element c :: !children;
           read_children ()
-        end else begin
+        | Some _ ->
           while c.pos < String.length c.s && c.s.[c.pos] <> '<' do
             c.pos <- c.pos + 1
           done;
           read_children ()
-        end
       end
     in
     read_children ();

@@ -113,6 +113,173 @@ let test_xml_registry_roundtrip () =
     Alcotest.(check string) "label" (Registry.label reg1 id) (Registry.label reg2 id)
   done
 
+(* -- scalar interning -- *)
+
+let serial_memo sh sql =
+  let r = Algebra.Algebrizer.of_sql sh sql in
+  let tr = Normalize.normalize r.Algebrizer.reg sh r.Algebrizer.tree in
+  (Serialopt.Optimizer.optimize r.Algebrizer.reg sh tr).Serialopt.Optimizer.memo
+
+let query id = (Option.get (Tpch.Queries.find id)).Tpch.Queries.sql
+
+(* a real interchange document: 8 nodes, SF 0.01 *)
+let xml_8_nodes =
+  let w = lazy (Opdw.Workload.tpch ~node_count:8 ~sf:0.01 ()) in
+  fun id ->
+    let r = Opdw.optimize (Lazy.force w).Opdw.Workload.shell (query id) in
+    Option.get r.Opdw.memo_xml
+
+let test_xml_export_fixpoint () =
+  let sh = Fixtures.shell () in
+  List.iter
+    (fun q ->
+       let xml = Memo.Memo_xml.export_string (serial_memo sh q.Tpch.Queries.sql) in
+       let xml' = Memo.Memo_xml.export_string (Memo.Memo_xml.import_string sh xml) in
+       Alcotest.(check bool) ("export . import . export = export: " ^ q.Tpch.Queries.id)
+         true (String.equal xml xml'))
+    Tpch.Queries.all
+
+let scalar_entries xml =
+  List.map
+    (fun s -> Memo.Xml.to_string (List.hd s.Memo.Xml.children))
+    (Memo.Xml.child (Memo.Xml.parse xml) "scalars").Memo.Xml.children
+
+let test_xml_scalars_distinct () =
+  let m = serial_memo (Fixtures.shell ()) (query "Q9") in
+  let entries = scalar_entries (Memo.Memo_xml.export_string m) in
+  Alcotest.(check bool) "Q9 has a scalar table" true (List.length entries > 10);
+  Alcotest.(check int) "no two byte-identical entries"
+    (List.length entries) (List.length (List.sort_uniq String.compare entries))
+
+let join_pred = function
+  | Memo.Logical (Relop.Join { pred; _ })
+  | Memo.Physical
+      ( Memo.Physop.Hash_join { pred; _ } | Memo.Physop.Merge_join { pred; _ }
+      | Memo.Physop.Nl_join { pred; _ } ) -> Some pred
+  | _ -> None
+
+let test_xml_import_shares () =
+  let sh = Fixtures.shell () in
+  let m = serial_memo sh (query "Q9") in
+  let m2 = Memo.Memo_xml.import_string sh (Memo.Memo_xml.export_string m) in
+  let pairs = ref 0 in
+  Memo.iter_groups m2 (fun g ->
+      let preds = List.filter_map (fun e -> join_pred e.Memo.op) g.Memo.exprs in
+      List.iteri
+        (fun i a ->
+           List.iteri
+             (fun j b ->
+                if i < j && Expr.equal a b then begin
+                  incr pairs;
+                  if a != b then Alcotest.fail "equal predicates not shared after import"
+                end)
+             preds)
+        preds);
+  Alcotest.(check bool) "some group carries a predicate twice" true (!pairs > 0)
+
+(* 0. and -0. are equal under [=] and [Hashtbl.hash] but encode differently;
+   NaN is unequal to itself but encodes the same every time *)
+let test_xml_float_signs () =
+  let sh = Fixtures.shell () in
+  let r = Algebra.Algebrizer.of_sql sh "SELECT c_acctbal FROM customer" in
+  let reg = r.Algebrizer.reg in
+  let bal = List.hd (Relop.output_cols r.Algebrizer.tree) in
+  let gt x = Expr.Bin (Expr.Gt, Expr.Col bal, Expr.Lit (Catalog.Value.Float x)) in
+  let tree =
+    List.fold_left (fun t x -> Relop.select (gt x) t) r.Algebrizer.tree [ 0.; -0.; Float.nan ]
+  in
+  let m = Memo.of_tree reg sh tree in
+  let xml = Memo.Memo_xml.export_string m in
+  let has_float e =
+    let needle = "t=\"float\"" in
+    let n = String.length needle in
+    let rec go i = i + n <= String.length e && (String.sub e i n = needle || go (i + 1)) in
+    go 0
+  in
+  let float_entries = List.filter has_float (scalar_entries xml) in
+  Alcotest.(check int) "one scalar entry per float literal" 3 (List.length float_entries);
+  let m2 = Memo.Memo_xml.import_string sh xml in
+  let lits = ref [] in
+  Memo.iter_groups m2 (fun g ->
+      List.iter
+        (fun e ->
+           match e.Memo.op with
+           | Memo.Logical (Relop.Select (Expr.Bin (_, _, Expr.Lit (Catalog.Value.Float x)))) ->
+             lits := Printf.sprintf "%h" x :: !lits
+           | _ -> ())
+        g.Memo.exprs);
+  Alcotest.(check (list string)) "both zero signs and NaN survive"
+    [ "-0x0p+0"; "0x0p+0"; "nan" ] (List.sort compare !lits);
+  Alcotest.(check bool) "re-export is byte-identical" true
+    (String.equal xml (Memo.Memo_xml.export_string m2))
+
+let test_xml_size_guard () =
+  let bytes = String.length (xml_8_nodes "Q9") in
+  if bytes >= 256 * 1024 then Alcotest.failf "Q9 MEMO XML is %d bytes (limit 256 KiB)" bytes
+
+(* -- malformed interchange documents -- *)
+
+let imports_or_xml_error xml =
+  match Memo.Memo_xml.import_string (Fixtures.shell ()) xml with
+  | _ -> true
+  | exception Memo.Xml.Xml_error _ -> true
+  | exception e -> QCheck.Test.fail_reportf "untyped %s" (Printexc.to_string e)
+
+let replace_first ~sub ~by s =
+  let n = String.length sub in
+  let rec find i =
+    if i + n > String.length s then Alcotest.failf "%S not in the document" sub
+    else if String.sub s i n = sub then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
+let test_xml_malformed () =
+  let xml = xml_8_nodes "Q3" in
+  List.iter
+    (fun (what, sub, by) ->
+       match Memo.Memo_xml.import_string (Fixtures.shell ()) (replace_first ~sub ~by xml) with
+       | _ -> Alcotest.failf "%s: imported" what
+       | exception Memo.Xml.Xml_error _ -> ()
+       | exception e -> Alcotest.failf "%s: untyped %s" what (Printexc.to_string e))
+    [ ("attribute ending in &", "name=\"c_custkey\"", "name=\"c_custkey&\"");
+      ("non-integer group id", "<group id=\"0\"", "<group id=\"x\"");
+      ("non-integer root", "root=\"", "root=\"r");
+      ("bad card", "card=\"", "card=\"zz");
+      ("non-integer children", "children=\"\"", "children=\"a,b\"");
+      ("negative scalar reference", "pred=\"0\"", "pred=\"-1\"");
+      ("out-of-range scalar reference", "pred=\"0\"", "pred=\"99999\"");
+      ("non-dense scalar ids", "<s id=\"0\"", "<s id=\"7\"") ]
+
+let prop_xml_mutations =
+  let xml = lazy (xml_8_nodes "Q3") in
+  let gen =
+    let open QCheck.Gen in
+    let byte = oneof [ oneofl [ '&'; '<'; '>'; '"'; '/'; ','; '-'; '.'; '0'; '9'; ' ' ]; char ] in
+    let edit = pair nat byte in
+    oneof
+      [ map (fun cut -> `Cut cut) nat;
+        map (fun edits -> `Mutate edits) (list_size (int_range 1 4) edit) ]
+  in
+  let print = function
+    | `Cut i -> Printf.sprintf "truncate at %d" i
+    | `Mutate edits ->
+      String.concat "; " (List.map (fun (i, c) -> Printf.sprintf "byte %d := %C" i c) edits)
+  in
+  QCheck.Test.make ~name:"truncated or mutated MEMO XML imports or raises Xml_error"
+    ~count:300 (QCheck.make ~print gen)
+    (fun change ->
+       let xml = Lazy.force xml in
+       let n = String.length xml in
+       imports_or_xml_error
+         (match change with
+          | `Cut i -> String.sub xml 0 (i mod n)
+          | `Mutate edits ->
+            let b = Bytes.of_string xml in
+            List.iter (fun (i, c) -> Bytes.set b (i mod n) c) edits;
+            Bytes.to_string b))
+
 (* random expression encode/decode *)
 let arb_expr =
   let open QCheck.Gen in
@@ -169,7 +336,8 @@ let test_xml_errors () =
   in
   fails "<a><b></a>";
   fails "<a";
-  fails "<a attr></a>"
+  fails "<a attr></a>";
+  fails "<a><b/>"
 
 let suite =
   [ t "insert dedup" test_insert_dedup;
@@ -180,6 +348,13 @@ let suite =
     t "width property" test_width;
     t "memo XML round trip (counts/props)" test_xml_roundtrip_counts;
     t "memo XML registry round trip" test_xml_registry_roundtrip;
+    t "memo XML export is a fixpoint of import (all queries)" test_xml_export_fixpoint;
+    t "memo XML scalar table has no duplicates (Q9)" test_xml_scalars_distinct;
+    t "memo XML import shares equal predicates" test_xml_import_shares;
+    t "memo XML keeps 0., -0. and NaN apart" test_xml_float_signs;
+    t "memo XML size guard (Q9, 8 nodes, SF 0.01)" test_xml_size_guard;
+    t "malformed memo XML raises Xml_error" test_xml_malformed;
+    QCheck_alcotest.to_alcotest prop_xml_mutations;
     QCheck_alcotest.to_alcotest prop_expr_xml_roundtrip;
     t "XML attribute escaping" test_xml_escape;
     t "XML parse errors" test_xml_errors ]

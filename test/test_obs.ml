@@ -1,8 +1,9 @@
 (* Unit tests for the Obs instrumentation library: span nesting and timing
    (against a fake clock), counter accumulation across re-entries, sink
    event delivery, and the disabled-context no-op guarantees.  Also the
-   MEMO XML round-trip property: export/import preserves the group and
-   expression counts, as reported by the memo_xml.* counters. *)
+   MEMO XML round-trip property: export/import preserves the group,
+   expression and distinct-scalar counts, as reported by the memo_xml.*
+   counters. *)
 
 let feq = Alcotest.float 1e-9
 
@@ -139,6 +140,8 @@ let prop_xml_roundtrip_counts =
          QCheck.Test.fail_report ("group count drift: " ^ q.Test_fuzz.sql);
        if c "memo_xml.export.exprs" <> c "memo_xml.import.exprs" then
          QCheck.Test.fail_report ("expr count drift: " ^ q.Test_fuzz.sql);
+       if c "memo_xml.export.scalars" <> c "memo_xml.import.scalars" then
+         QCheck.Test.fail_report ("scalar count drift: " ^ q.Test_fuzz.sql);
        true)
 
 let suite =
