@@ -92,10 +92,10 @@ let move_names p =
   List.map Dms.Op.name (Pdwopt.Pplan.moves p) |> String.concat ", "
 
 (* execute a plan, returning (rows, simulated seconds, dms seconds) *)
-let execute (w : Opdw.Workload.t) (p : Pdwopt.Pplan.t) =
+let execute ?observe (w : Opdw.Workload.t) (p : Pdwopt.Pplan.t) =
   let app = w.Opdw.Workload.app in
   Engine.Appliance.reset_account app;
-  let res = Engine.Appliance.run_pplan app p in
+  let res = Engine.Appliance.run_pplan ?observe app p in
   let a = app.Engine.Appliance.account in
   (List.length res.Engine.Local.rows, a.Engine.Appliance.sim_time,
    a.Engine.Appliance.dms_time)
@@ -969,14 +969,14 @@ let e16 () =
                    else Fault.seeded ~seed ~rate ()
                  in
                  let app = w.Opdw.Workload.app in
-                 let ctx =
-                   Opdw.Chaos.create ~options ~fault w.Opdw.Workload.shell app
+                 let el =
+                   Topology.Elastic.create ~options ~fault w.Opdw.Workload.shell app
                  in
                  Engine.Appliance.reset_account app;
-                 (match Opdw.Chaos.run ctx (query id) with
+                 (match Topology.Elastic.run el (query id) with
                   | _ ->
                     incr ok;
-                    let a = (Opdw.Chaos.app ctx).Engine.Appliance.account in
+                    let a = (Topology.Elastic.app el).Engine.Appliance.account in
                     let fault_free = List.assoc id base in
                     slowdowns :=
                       (a.Engine.Appliance.sim_time /. Float.max 1e-12 fault_free)
@@ -1353,13 +1353,12 @@ let e20 () =
     contras;
   (* part 3: soundness and tightness of the static bounds against actual
      execution -- every operator's observed cardinality must land inside
-     [lo, hi] (the engine's assert-bounds oracle counts violations), and
+     [lo, hi] (the assert-bounds observer counts violations), and
      the root's hi shows how loose the interval arithmetic gets *)
   Printf.printf
     "\npart 3: static [lo, hi] vs execution (assert-bounds oracle)\n\n";
   Printf.printf "%-7s %-12s %-12s %-12s %-10s\n" "query" "root hi" "observed"
     "tight (x)" "violations";
-  let app = w.Opdw.Workload.app in
   let violations_total = ref 0 and tightness = ref [] in
   List.iter
     (fun (q : Tpch.Queries.t) ->
@@ -1369,9 +1368,11 @@ let e20 () =
          Analysis.context ~shell:w.Opdw.Workload.shell
            ~reg:r.Opdw.memo.Memo.reg ~nodes
        in
-       Engine.Appliance.set_bounds app (Some (Analysis.group_bounds actx plan));
-       let rows, _, _ = execute w plan in
-       let v = app.Engine.Appliance.bound_violations in
+       let observe, violations =
+         Analysis.bounds_observer (Analysis.group_bounds actx plan)
+       in
+       let rows, _, _ = execute ~observe w plan in
+       let v = violations () in
        violations_total := !violations_total + v;
        (* hi at the root, clamped by the client TOP if one exists (Return
           nodes are not limit-clamped by the abstract domain) *)
@@ -1398,7 +1399,6 @@ let e20 () =
        rowf "%-7s %-12.4g %-12d %-12.3g %-10d\n" q.Tpch.Queries.id hi rows
          tight v)
     Tpch.Queries.all;
-  Engine.Appliance.set_bounds app None;
   recordi "E20" "bound_violations_total" !violations_total;
   record "E20" "tightness_geomean_x" (geomean !tightness);
   Printf.printf
@@ -1429,24 +1429,27 @@ let e21 () =
       ~dms_time:oc.Opdw.Feedback.observed_dms
   in
   let measure ~bounds q =
-    if bounds then begin
-      (* R11 soundness gate for the refined statistics: executed row
-         counts must stay inside the analyzer's static bounds *)
-      let r =
-        Opdw.optimize ~options:(Opdw.Feedback.options fb)
-          ~cache:(Opdw.Feedback.plan_cache fb)
-          ~calibration:(Opdw.Feedback.epoch fb) shell q.Tpch.Queries.sql
-      in
-      let actx =
-        Analysis.context ~shell ~reg:r.Opdw.memo.Memo.reg ~nodes
-      in
-      Engine.Appliance.set_bounds app
-        (Some (Analysis.group_bounds actx (Opdw.plan r)))
-    end;
-    let e = err (Opdw.Feedback.run fb q.Tpch.Queries.sql) in
-    let v = if bounds then app.Engine.Appliance.bound_violations else 0 in
-    if bounds then Engine.Appliance.set_bounds app None;
-    (e, v)
+    let observe, violations =
+      if not bounds then (None, fun () -> 0)
+      else begin
+        (* R11 soundness gate for the refined statistics: executed row
+           counts must stay inside the analyzer's static bounds *)
+        let r =
+          Opdw.optimize ~options:(Opdw.Feedback.options fb)
+            ~cache:(Opdw.Feedback.plan_cache fb)
+            ~calibration:(Opdw.Feedback.epoch fb) shell q.Tpch.Queries.sql
+        in
+        let actx =
+          Analysis.context ~shell ~reg:r.Opdw.memo.Memo.reg ~nodes
+        in
+        let observe, violations =
+          Analysis.bounds_observer (Analysis.group_bounds actx (Opdw.plan r))
+        in
+        (Some observe, violations)
+      end
+    in
+    let e = err (Opdw.Feedback.run ?observe fb q.Tpch.Queries.sql) in
+    (e, violations ())
   in
   let before = List.map (fun q -> fst (measure ~bounds:false q)) Tpch.Queries.all in
   let cal = Opdw.Feedback.calibrate fb in

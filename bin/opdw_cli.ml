@@ -386,17 +386,23 @@ let run nodes sf query sql file seed budget limit jobs no_cache check assert_bou
   let app = w.Opdw.Workload.app in
   Engine.Appliance.set_pool app pool;
   Engine.Appliance.set_check app check;
-  if assert_bounds then begin
-    (* pre-compile (through the same cache, so the governed run below hits)
-       to derive the static bounds table before any execution *)
-    let r0 = Opdw.optimize ~options ?cache ~pool w.Opdw.Workload.shell text in
-    let actx =
-      Analysis.context ~shell:w.Opdw.Workload.shell ~reg:r0.Opdw.memo.Memo.reg
-        ~nodes:options.Opdw.pdw.Pdwopt.Enumerate.nodes
-    in
-    Engine.Appliance.set_bounds app
-      (Some (Analysis.group_bounds actx (Opdw.plan r0)))
-  end;
+  (* --assert-bounds: pre-compile (through the same cache, so the run
+     below hits) to derive the static bounds table before any execution;
+     the violation count is ours, so it survives a node-loss replan *)
+  let observe, violations =
+    if not assert_bounds then (None, fun () -> 0)
+    else begin
+      let r0 = Opdw.optimize ~options ?cache ~pool w.Opdw.Workload.shell text in
+      let actx =
+        Analysis.context ~shell:w.Opdw.Workload.shell ~reg:r0.Opdw.memo.Memo.reg
+          ~nodes:options.Opdw.pdw.Pdwopt.Enumerate.nodes
+      in
+      let observe, violations =
+        Analysis.bounds_observer ~obs (Analysis.group_bounds actx (Opdw.plan r0))
+      in
+      (Some observe, violations)
+    end
+  in
   let chaos = chaos || fault_schedule <> None in
   let feedback = feedback || feedback_log <> None in
   if feedback && (chaos || elastic) then begin
@@ -417,7 +423,7 @@ let run nodes sf query sql file seed budget limit jobs no_cache check assert_bou
       let fb =
         Opdw.Feedback.create ?cache ~options ~check ~log w.Opdw.Workload.shell app
       in
-      let once () = Opdw.Feedback.run ~obs fb text in
+      let once () = Opdw.Feedback.run ~obs ?observe fb text in
       let oc = ref (once ()) in
       for _ = 2 to max 1 repeat do oc := once () done;
       (match feedback_log with
@@ -426,10 +432,9 @@ let run nodes sf query sql file seed budget limit jobs no_cache check assert_bou
       fb_info := Some (fb, !oc);
       ((!oc).Opdw.Feedback.res, (!oc).Opdw.Feedback.rows, app)
     end
-    else if elastic then begin
-      (* the elastic driver subsumes chaos (crash -> decommission + replan)
-         and additionally keys every plan under the topology epoch and
-         harvests the workload for the re-distribution advisor *)
+    else if chaos || elastic then begin
+      (* the elastic driver serves chaos (crash -> decommission + replan);
+         --elastic adds the topology summary line below *)
       let fault =
         match fault_schedule with
         | Some f -> Fault.load_schedule f
@@ -439,29 +444,13 @@ let run nodes sf query sql file seed budget limit jobs no_cache check assert_bou
       let el = Topology.Elastic.create ?cache ~options ~fault w.Opdw.Workload.shell app in
       let once () =
         Engine.Appliance.reset_account (Topology.Elastic.app el);
-        Topology.Elastic.run ~obs el text
+        Topology.Elastic.run ~obs ?observe el text
       in
       let rr = ref (once ()) in
       for _ = 2 to max 1 repeat do rr := once () done;
-      el_info := Some el;
+      if elastic then el_info := Some el;
       let r, res = !rr in
       (r, res, Topology.Elastic.app el)
-    end
-    else if chaos then begin
-      let fault =
-        match fault_schedule with
-        | Some f -> Fault.load_schedule f
-        | None -> Fault.seeded ~seed:fault_seed ~rate:fault_rate ()
-      in
-      let ctx = Opdw.Chaos.create ?cache ~options ~fault w.Opdw.Workload.shell app in
-      let once () =
-        Engine.Appliance.reset_account (Opdw.Chaos.app ctx);
-        Opdw.Chaos.run ~obs ctx text
-      in
-      let rr = ref (once ()) in
-      for _ = 2 to max 1 repeat do rr := once () done;
-      let r, res = !rr in
-      (r, res, Opdw.Chaos.app ctx)
     end
     else begin
       (* every non-chaos statement goes through the resource governor:
@@ -475,7 +464,7 @@ let run nodes sf query sql file seed budget limit jobs no_cache check assert_bou
            plus gate/breaker counters, so --repeat rounds report
            per-iteration numbers *)
         Opdw.Governed.reset gov;
-        match Opdw.Governed.run ~obs gov text with
+        match Opdw.Governed.run ~obs ?observe gov text with
         | Opdw.Governed.Returned (r, res) -> (r, res)
         | oc ->
           Printf.eprintf "statement not executed: %s\n"
@@ -546,7 +535,7 @@ let run nodes sf query sql file seed budget limit jobs no_cache check assert_bou
     Printf.printf "(%d rounds; execution used %d domains; plan cache %s)\n" repeat
       (Par.jobs pool) (if no_cache then "off" else "on");
   if assert_bounds then begin
-    let v = app.Engine.Appliance.bound_violations in
+    let v = violations () in
     Printf.printf "assert-bounds: %d operator(s) outside static bounds\n" v;
     if v > 0 then exit 1
   end;
@@ -903,24 +892,26 @@ let calibrate nodes sf all query sql file seed budget jobs feedback_log
      every executed operator is checked against them (the R11 soundness
      gate for the refined statistics) *)
   let measure ~bounds (id, text) =
-    if bounds then begin
-      let r0 =
-        Opdw.optimize ~options:(Opdw.Feedback.options fb)
-          ~cache:(Opdw.Feedback.plan_cache fb)
-          ~calibration:(Opdw.Feedback.epoch fb) shell text
-      in
-      let actx =
-        Analysis.context ~shell ~reg:r0.Opdw.memo.Memo.reg
-          ~nodes:options.Opdw.pdw.Pdwopt.Enumerate.nodes
-      in
-      Engine.Appliance.set_bounds app
-        (Some (Analysis.group_bounds actx (Opdw.plan r0)))
-    end;
-    let oc = Opdw.Feedback.run fb text in
-    if bounds then begin
-      violations := !violations + app.Engine.Appliance.bound_violations;
-      Engine.Appliance.set_bounds app None
-    end;
+    let observe, seen =
+      if not bounds then (None, fun () -> 0)
+      else begin
+        let r0 =
+          Opdw.optimize ~options:(Opdw.Feedback.options fb)
+            ~cache:(Opdw.Feedback.plan_cache fb)
+            ~calibration:(Opdw.Feedback.epoch fb) shell text
+        in
+        let actx =
+          Analysis.context ~shell ~reg:r0.Opdw.memo.Memo.reg
+            ~nodes:options.Opdw.pdw.Pdwopt.Enumerate.nodes
+        in
+        let observe, seen =
+          Analysis.bounds_observer (Analysis.group_bounds actx (Opdw.plan r0))
+        in
+        (Some observe, seen)
+      end
+    in
+    let oc = Opdw.Feedback.run ?observe fb text in
+    violations := !violations + seen ();
     (id,
      Opdw.Feedback.model_error oc.Opdw.Feedback.res
        ~dms_time:oc.Opdw.Feedback.observed_dms)

@@ -977,6 +977,20 @@ let group_bounds ctx p =
     (annotate ctx p);
   tbl
 
+(* The ±0.5 slack makes the integral comparison robust to float
+   accumulation; synthetic nodes (group -1) are never in a [group_bounds]
+   table, so they go unchecked. *)
+let bounds_observer ?(obs = Obs.null) (tbl : (int, float * float) Hashtbl.t) =
+  let violations = ref 0 in
+  let observe (n : Pdwopt.Pplan.t) observed =
+    match Hashtbl.find_opt tbl n.Pdwopt.Pplan.group with
+    | Some (lo, hi) when observed < lo -. 0.5 || observed > hi +. 0.5 ->
+      incr violations;
+      Obs.add obs "analysis.bound_violations" 1
+    | _ -> ()
+  in
+  (observe, fun () -> !violations)
+
 (* ===================== rendering ===================== *)
 
 let card_str v = if Float.is_finite v then Printf.sprintf "%.6g" v else "inf"

@@ -112,6 +112,17 @@ val annotate : ctx -> Pdwopt.Pplan.t -> (Pdwopt.Pplan.t * node_info) list
     runtime oracle. *)
 val group_bounds : ctx -> Pdwopt.Pplan.t -> (int, float * float) Hashtbl.t
 
+(** The [--assert-bounds] runtime oracle over a {!group_bounds} table:
+    returns an observer for the engine's [run_pplan ~observe] hook and the
+    number of executed operators it has seen so far whose observed global
+    rows fell outside their group's [lo, hi] (with ±0.5 slack). Operators
+    whose group is not in the table are skipped. Each violation also bumps
+    the [analysis.bound_violations] counter in [obs]. The count belongs to
+    the caller, not to the appliance, so it survives a node-loss replan. *)
+val bounds_observer :
+  ?obs:Obs.t -> (int, float * float) Hashtbl.t ->
+  (Pdwopt.Pplan.t -> float -> unit) * (unit -> int)
+
 (* -- rendering -- *)
 
 (** Human-readable annotated plan (the [analyze] subcommand). *)

@@ -510,25 +510,24 @@ let explain (r : result) : string =
     (Dsql.Generate.to_string r.dsql)
 
 (** Execute the chosen plan on an appliance; returns the client result.
-    When [obs] is given it is attached to the appliance for the duration,
-    so per-DMS-op and per-node executor counters land under an [execute]
-    span. When [cache] is given and the appliance's {!Check} gate rejects
-    the plan, the plan's cache entry is evicted before {!Check.Invalid}
-    propagates — a poisoned entry must not be served on the next hit. *)
-let run ?(obs = Obs.null) ?(cache : cache option) (app : Engine.Appliance.t)
-    (r : result) : Engine.Local.rset =
-  Engine.Appliance.set_obs app obs;
-  Fun.protect
-    ~finally:(fun () -> Engine.Appliance.set_obs app Obs.null)
-    (fun () ->
-       try Obs.with_span obs "execute" (fun () -> Engine.Appliance.run_pplan app (plan r))
-       with Check.Invalid _ as e ->
-         (match cache, r.fingerprint with
-          | Some c, Some fp ->
-            if Plancache.remove_invalid c fp then
-              Obs.add obs "plancache.evictions_invalid" 1
-          | _ -> ());
-         raise e)
+    [obs], [token] and [observe] are forwarded to
+    {!Engine.Appliance.run_pplan}, with the executor's counters under an
+    [execute] span. When [cache] is given and the appliance's {!Check}
+    gate rejects the plan, the plan's cache entry is evicted before
+    {!Check.Invalid} propagates — a poisoned entry must not be served on
+    the next hit. *)
+let run ?(obs = Obs.null) ?(cache : cache option) ?token ?observe
+    (app : Engine.Appliance.t) (r : result) : Engine.Local.rset =
+  try
+    Obs.with_span obs "execute" (fun () ->
+        Engine.Appliance.run_pplan ~obs ?token ?observe app (plan r))
+  with Check.Invalid _ as e ->
+    (match cache, r.fingerprint with
+     | Some c, Some fp ->
+       if Plancache.remove_invalid c fp then
+         Obs.add obs "plancache.evictions_invalid" 1
+     | _ -> ());
+    raise e
 
 (** Execute the baseline (parallelized best serial) plan. *)
 let run_baseline (app : Engine.Appliance.t) (r : result) : Engine.Local.rset option =
@@ -541,76 +540,9 @@ let run_reference (app : Engine.Appliance.t) (r : result) : Engine.Local.rset op
 (** The query's output columns (display name, column id). *)
 let output_columns (r : result) = r.algebrized.Algebra.Algebrizer.output
 
-(* alias for use inside [Chaos], whose own [run] shadows the name *)
+(* alias for use inside the drivers below, whose own [run] shadows the
+   name *)
 let execute_result = run
-
-module Chaos = struct
-  (** Fault-tolerant statement driver: the optimize→check→execute loop
-      with graceful degradation. Statements run under the context's fault
-      plan; recoverable faults are retried inside the engine, and a
-      {!Fault.Node_crash} escalates here — the dead node is
-      decommissioned, the statement is re-optimized against the
-      (N-1)-node shell catalog (the plan-cache fingerprint carries the
-      live-node set, so stale-topology entries cannot hit) and
-      re-executed. Subsequent statements keep running on the survivors. *)
-
-  type t = {
-    mutable shell : Catalog.Shell_db.t;
-    mutable app : Engine.Appliance.t;
-    mutable options : options;
-    cache : cache option;
-    fault : Fault.plan;
-    max_replans : int;
-  }
-
-  let create ?cache ?(max_replans = 8) ?options ~(fault : Fault.plan)
-      (shell : Catalog.Shell_db.t) (app : Engine.Appliance.t) : t =
-    let options =
-      match options with
-      | Some o -> o
-      | None -> default_options ~node_count:(Catalog.Shell_db.node_count shell)
-    in
-    { shell; app; options; cache; fault; max_replans }
-
-  let app t = t.app
-  let shell t = t.shell
-  let nodes t = t.app.Engine.Appliance.nodes
-
-  let run ?(obs = Obs.null) (t : t) (sql : string) : result * Engine.Local.rset =
-    let rec go replans =
-      Engine.Appliance.set_fault t.app t.fault;
-      let live = Engine.Appliance.live_nodes t.app in
-      let r =
-        optimize ~obs ~options:t.options ?cache:t.cache ~live_nodes:live
-          ~pool:t.app.Engine.Appliance.pool t.shell sql
-      in
-      match execute_result ~obs ?cache:t.cache t.app r with
-      | rows -> (r, rows)
-      | exception Fault.Injected ({ Fault.site = Fault.Node_crash; _ } as failure) ->
-        if nodes t <= 1 || replans >= t.max_replans then
-          raise (Fault.Exhausted { failure; attempts = replans + 1 });
-        Obs.add obs "fault.replan_statements" 1;
-        let app' =
-          Obs.with_span obs "fault.replan" @@ fun () ->
-          (* attach obs for the decommission itself so its fault.replans /
-             recovery-cost counters land under this span *)
-          Engine.Appliance.set_obs t.app obs;
-          let app' = Engine.Appliance.decommission t.app ~node:failure.Fault.node in
-          Engine.Appliance.set_obs t.app Obs.null;
-          Engine.Appliance.set_obs app' Obs.null;
-          app'
-        in
-        t.app <- app';
-        t.shell <- app'.Engine.Appliance.shell;
-        let n = app'.Engine.Appliance.nodes in
-        t.options <-
-          { t.options with
-            pdw = { t.options.pdw with Pdwopt.Enumerate.nodes = n };
-            baseline = { t.options.baseline with Baseline.nodes = n } };
-        go (replans + 1)
-    in
-    go 0
-end
 
 module Governed = struct
   (** The resource-governed statement driver: every statement passes
@@ -692,7 +624,7 @@ module Governed = struct
       bookkeeping: hard failures ({!Fault.Exhausted}, {!Check.Invalid})
       count against the statement's fingerprint; deadline trips do not —
       a slow statement under a tight deadline is load, not poison. *)
-  let run ?(obs = Obs.null) (t : t) (sql : string) : outcome =
+  let run ?(obs = Obs.null) ?observe (t : t) (sql : string) : outcome =
     let key = statement_key sql in
     let admitted =
       Governor.Gate.try_admit ~obs t.gate @@ fun () ->
@@ -722,14 +654,11 @@ module Governed = struct
                   in
                   Governor.add_deadline token ~clock:sim ~deadline:(sim () +. d)
                 | None -> ());
-               Engine.Appliance.set_token t.app token;
-               Fun.protect
-                 ~finally:(fun () ->
-                     Engine.Appliance.set_token t.app Governor.none)
-                 (fun () ->
-                    let rows = execute_result ~obs ?cache:t.cache t.app r in
-                    Governor.Breaker.success t.breaker key;
-                    Returned (r, rows)))
+               let rows =
+                 execute_result ~obs ?cache:t.cache ~token ?observe t.app r
+               in
+               Governor.Breaker.success t.breaker key;
+               Returned (r, rows))
         with
         | Governor.Cancelled { reason; _ } -> Timed_out reason
         | Fault.Exhausted { failure; attempts } ->
@@ -818,9 +747,9 @@ module Feedback = struct
     let m = (plan r).Pdwopt.Pplan.dms_cost and s = dms_time in
     if m <= 0. || s <= 0. then 1. else Float.max (m /. s) (s /. m)
 
-  (* registry column ids -> catalog (table, column) names; derived columns
-     (aggregate outputs, computed projections) have no catalog statistics
-     object to refine and are dropped *)
+  (* registry column ids -> catalog (table, column) names, sorted; derived
+     columns (aggregate outputs, computed projections) have no catalog
+     statistics object to refine and are dropped *)
   let cols_of_ids (reg : Algebra.Registry.t) ids =
     List.filter_map
       (fun id ->
@@ -831,6 +760,38 @@ module Feedback = struct
          | exception Invalid_argument _ -> None)
       ids
     |> List.sort_uniq compare
+
+  (** The feedback harvest of one executed result (DESIGN.md §13): an
+      observer for {!Opdw.run}'s [observe] hook recording, for every
+      executed Serial operator, what its estimate said against what
+      actually flowed, and the recorded observations in plan order. The
+      observer also forwards every call to [observe]. *)
+  let harvest ?observe (r : result) =
+    let reg = r.memo.Memo.reg in
+    let acc = ref [] in
+    let harvest (p : Pdwopt.Pplan.t) actual =
+      (match p.Pdwopt.Pplan.op with
+       | Pdwopt.Pplan.Serial op ->
+         let open Memo.Physop in
+         let of_pred pred = Algebra.Registry.Col_set.elements (Algebra.Expr.cols pred) in
+         let table, cols =
+           match op with
+           | Table_scan { table; _ } -> (Some (String.lowercase_ascii table), [])
+           | Filter pred
+           | Hash_join { pred; _ } | Merge_join { pred; _ } | Nl_join { pred; _ } ->
+             (None, of_pred pred)
+           | Hash_agg { keys; _ } | Stream_agg { keys; _ } -> (None, keys)
+           | Compute _ | Sort_op _ | Union_op | Const_empty _ -> (None, [])
+         in
+         acc :=
+           { Log.o_group = p.Pdwopt.Pplan.group; o_op = name op; o_table = table;
+             o_cols = cols_of_ids reg cols; o_est = p.Pdwopt.Pplan.rows;
+             o_actual = actual }
+           :: !acc
+       | _ -> ());
+      Option.iter (fun f -> f p actual) observe
+    in
+    (harvest, fun () -> List.rev !acc)
 
   let dms_observations (acct : Engine.Appliance.account) =
     (* sample lists are built newest-first in the caller domain; reverse to
@@ -858,7 +819,7 @@ module Feedback = struct
       appliance account is reset per run, so [observed_sim] is this
       statement's simulated cost. Degraded (Anytime/Fallback) results are
       executed but never recorded as LKG ({!Store.observe}). *)
-  let run ?(obs = Obs.null) (t : t) (sql : string) : run_outcome =
+  let run ?(obs = Obs.null) ?observe (t : t) (sql : string) : run_outcome =
     let key = statement_key sql in
     let compiled =
       optimize ~obs ~options:t.options ~cache:t.cache ~check:t.check
@@ -878,31 +839,16 @@ module Feedback = struct
     in
     let fp_run = Option.value r.fingerprint ~default:fp in
     Engine.Appliance.reset_account t.app;
-    let samples = ref [] in
-    Engine.Appliance.set_harvest t.app (Some samples);
+    let observe, ops = harvest ?observe r in
     let wall0 = Obs.default_clock () in
-    let rows =
-      Fun.protect
-        ~finally:(fun () -> Engine.Appliance.set_harvest t.app None)
-        (fun () -> execute_result ~obs ~cache:t.cache t.app r)
-    in
+    let rows = execute_result ~obs ~cache:t.cache ~observe t.app r in
     let wall = Obs.default_clock () -. wall0 in
     let acct = t.app.Engine.Appliance.account in
     let sim = acct.Engine.Appliance.sim_time in
     let dms = acct.Engine.Appliance.dms_time in
-    let reg = r.memo.Memo.reg in
-    let ops =
-      List.rev_map
-        (fun (s : Engine.Appliance.op_sample) ->
-           { Log.o_group = s.Engine.Appliance.h_group; o_op = s.Engine.Appliance.h_op;
-             o_table = Option.map String.lowercase_ascii s.Engine.Appliance.h_table;
-             o_cols = cols_of_ids reg s.Engine.Appliance.h_cols;
-             o_est = s.Engine.Appliance.h_est; o_actual = s.Engine.Appliance.h_actual })
-        !samples
-    in
     let degraded = r.degraded <> None in
     Log.append t.log
-      { Log.r_statement = key; r_fingerprint = fp_run; r_ops = ops;
+      { Log.r_statement = key; r_fingerprint = fp_run; r_ops = ops ();
         r_dms = dms_observations acct; r_sim = sim; r_wall = wall;
         r_degraded = degraded };
     let store_outcome =

@@ -175,14 +175,21 @@ val plan : result -> Pdwopt.Pplan.t
     (paper Fig. 7 style). *)
 val explain : result -> string
 
-(** Execute the chosen plan on an appliance; returns the client result.
-    Byte/time accounting accumulates in the appliance's account; with
-    [obs], per-DMS-op and per-node executor counters are recorded under an
-    [execute] span. With [cache], a plan the appliance's {!Check} gate
-    refuses is evicted from the cache (counter
+(** Execute the chosen plan on an appliance as one statement; returns the
+    client result. Byte/time accounting accumulates in the appliance's
+    account. The statement's state is passed as values and forwarded to
+    {!Engine.Appliance.run_pplan}: with [obs], per-DMS-op and per-node
+    executor counters are recorded under an [execute] span; [token] is
+    polled once per injectable step; [observe] sees every executed
+    Serial/Move operator with its observed global rows, in plan order.
+    Nothing is left armed on the appliance afterwards, whether the
+    statement returns or raises. With [cache], a plan the appliance's
+    {!Check} gate refuses is evicted from the cache (counter
     [plancache.evictions_invalid]) before {!Check.Invalid} propagates. *)
 val run :
-  ?obs:Obs.t -> ?cache:cache -> Engine.Appliance.t -> result -> Engine.Local.rset
+  ?obs:Obs.t -> ?cache:cache -> ?token:Governor.token ->
+  ?observe:(Pdwopt.Pplan.t -> float -> unit) ->
+  Engine.Appliance.t -> result -> Engine.Local.rset
 
 (** Execute the parallelized-best-serial baseline plan, if one exists. *)
 val run_baseline : Engine.Appliance.t -> result -> Engine.Local.rset option
@@ -193,43 +200,6 @@ val run_reference : Engine.Appliance.t -> result -> Engine.Local.rset option
 
 (** The query's output columns: (display name, registry column id). *)
 val output_columns : result -> (string * int) list
-
-(** Fault-tolerant statement driver (chaos mode): runs statements under a
-    {!Fault.plan} through the optimize→check→execute loop. Recoverable
-    faults (DMS transfer, temp-table write, control transient, straggler)
-    are retried inside the engine with simulated backoff; a
-    {!Fault.Node_crash} decommissions the dead node and re-optimizes the
-    statement against the surviving (N-1)-node shell catalog. For any
-    fault plan that does not exhaust retry/replan budgets, result rows are
-    identical to the fault-free run. *)
-module Chaos : sig
-  type t
-
-  (** [create ?cache ?max_replans ?options ~fault shell app] — [app] must
-      be the appliance built from [shell]. [max_replans] (default 8)
-      bounds node losses tolerated per statement before
-      {!Fault.Exhausted}. The given plan [cache] is shared across
-      topologies safely: fingerprints carry the live-node set. *)
-  val create :
-    ?cache:cache -> ?max_replans:int -> ?options:options ->
-    fault:Fault.plan -> Catalog.Shell_db.t -> Engine.Appliance.t -> t
-
-  (** The current appliance — replaced by a fresh (N-1)-node one after
-      each node loss; its account carries across (see
-      {!Engine.Appliance.decommission}). *)
-  val app : t -> Engine.Appliance.t
-
-  (** The current shell catalog (rebuilt on node loss). *)
-  val shell : t -> Catalog.Shell_db.t
-
-  (** Surviving compute-node count. *)
-  val nodes : t -> int
-
-  (** Optimize and execute one statement under the fault plan. Raises
-      {!Fault.Exhausted} when a step's retry budget or the replan budget
-      is exceeded — never returns wrong rows. *)
-  val run : ?obs:Obs.t -> t -> string -> result * Engine.Local.rset
-end
 
 (** The resource-governed statement driver: admission control, statement
     deadlines, cooperative cancellation, anytime/fallback degradation and
@@ -277,8 +247,11 @@ module Governed : sig
       binding errors (the caller's malformed SQL) propagate as the usual
       exceptions; governor pressure and engine failures come back as
       outcomes. Hard failures ([Exhausted]/[Invalid]) count against the
-      statement's breaker; deadline trips do not. *)
-  val run : ?obs:Obs.t -> t -> string -> outcome
+      statement's breaker; deadline trips do not. [observe] is forwarded
+      to {!Opdw.run}. *)
+  val run :
+    ?obs:Obs.t -> ?observe:(Pdwopt.Pplan.t -> float -> unit) -> t -> string ->
+    outcome
 
   (** The one shared per-iteration metric reset: appliance account
       (sim clock + [fault.*] tallies) plus gate and breaker counters.
@@ -355,12 +328,26 @@ module Feedback : sig
     store_outcome : Fbk.Store.outcome;
   }
 
-  (** Optimize, (possibly) fall back to LKG, execute with the harvest
-      armed, append to the log, record in the store. Emits
-      [feedback.regressions] / [feedback.quarantines] /
-      [feedback.fallbacks] counters into [obs]. The appliance account is
-      reset per run, so [observed_sim] is this statement's cost. *)
-  val run : ?obs:Obs.t -> t -> string -> run_outcome
+  (** The feedback harvest of one executed result: an observer for
+      {!Opdw.run}'s [observe] hook that records every executed Serial
+      operator's estimated vs observed global rows (with the columns its
+      predicates/keys constrain, mapped to catalog names via the result's
+      registry), and a function returning the observations recorded so
+      far, in plan order. The observer forwards every call to [observe].
+      {!run} and {!Topology.Elastic.run} both harvest through it. *)
+  val harvest :
+    ?observe:(Pdwopt.Pplan.t -> float -> unit) -> result ->
+    (Pdwopt.Pplan.t -> float -> unit) * (unit -> Fbk.Log.op_obs list)
+
+  (** Optimize, (possibly) fall back to LKG, execute through {!harvest},
+      append to the log, record in the store. [observe] also sees every
+      executed operator. Emits [feedback.regressions] /
+      [feedback.quarantines] / [feedback.fallbacks] counters into [obs].
+      The appliance account is reset per run, so [observed_sim] is this
+      statement's cost. *)
+  val run :
+    ?obs:Obs.t -> ?observe:(Pdwopt.Pplan.t -> float -> unit) -> t -> string ->
+    run_outcome
 
   type calibration = {
     refined : Fbk.Misses.miss list;  (** columns whose statistics were rebuilt *)

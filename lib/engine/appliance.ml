@@ -89,19 +89,6 @@ let samples_of account (c : Dms.Calibrate.component) =
 
 (* -- the appliance -- *)
 
-(** One executed operator's estimate-vs-observed cardinality sample
-    (feedback harvest). [h_cols] are registry column ids of the columns
-    the operator's predicates/keys constrain; the caller maps them back to
-    catalog (table, column) names with the plan's registry. *)
-type op_sample = {
-  h_group : int;            (** MEMO group of the operator (-1 if internal) *)
-  h_op : string;            (** physical operator name *)
-  h_table : string option;  (** scanned table, for scans *)
-  h_cols : int list;        (** registry column ids, sorted *)
-  h_est : float;            (** optimizer's global row estimate *)
-  h_actual : float;         (** observed global rows *)
-}
-
 type t = {
   shell : Catalog.Shell_db.t;
   nodes : int;
@@ -116,9 +103,6 @@ type t = {
           bit-identical: both are computed from (bytes, rows) volumes and
           operator cardinalities only. *)
   account : account;
-  mutable obs : Obs.t;
-      (** observability context for per-DMS-op and executor counters;
-          [Obs.null] by default, swapped per-query via {!set_obs} *)
   mutable pool : Par.t;
       (** domain pool executing per-compute-node shards of each serial
           step concurrently (the paper's "each DSQL step runs on all N
@@ -143,38 +127,16 @@ type t = {
           plan-traversal order); reset by {!begin_statement} *)
   mutable cur_step : int;     (** step id the recovery wrapper is executing *)
   mutable cur_attempt : int;  (** execution attempt of that step (0 = first) *)
-  mutable token : Governor.token;
-      (** statement cancellation token, polled once per injectable step in
-          the caller domain (never inside the pool fan-out, so the
-          simulated clock stays bit-identical at any [--jobs]);
-          {!Governor.none} by default *)
-  mutable bounds : (int, float * float) Hashtbl.t option;
-      (** static cardinality bounds per memo group ([--assert-bounds]):
-          after each Serial/Move node executes, the observed global row
-          count is checked against the analyzer's [lo, hi] interval for
-          the node's group; [None] (the default) disables the check *)
-  mutable bound_violations : int;
-      (** operators whose observed rows fell outside the static bounds
-          since [bounds] was last set *)
-  mutable harvest : op_sample list ref option;
-      (** feedback harvest (DESIGN.md §13): when armed, every executed
-          Serial operator appends an estimate-vs-observed cardinality
-          sample to the ref (caller domain, bottom-up plan order, so the
-          list is deterministic at any [--jobs]); [None] disables *)
 }
 
-let create ?(hw = default_hw) ?(obs = Obs.null) ?(pool = Par.sequential)
-    ?(check = true) ?(engine = Rset.Row) (shell : Catalog.Shell_db.t) : t =
+let create ?(hw = default_hw) ?(pool = Par.sequential) ?(check = true)
+    ?(engine = Rset.Row) (shell : Catalog.Shell_db.t) : t =
   let nodes = Catalog.Shell_db.node_count shell in
   { shell; nodes; hw; engine;
     storage = Array.init nodes (fun _ -> Hashtbl.create 16);
-    account = fresh_account (); obs; pool; check;
+    account = fresh_account (); pool; check;
     fault = Fault.none; epoch = 0; live = List.init nodes Fun.id;
-    step_no = 0; cur_step = 0; cur_attempt = 0; token = Governor.none;
-    bounds = None; bound_violations = 0; harvest = None }
-
-(** Attach an observability context (typically per executed query). *)
-let set_obs t obs = t.obs <- obs
+    step_no = 0; cur_step = 0; cur_attempt = 0 }
 
 (** Attach a domain pool for multicore shard execution (typically one pool
     per process, shared across appliances). *)
@@ -191,23 +153,8 @@ let set_check t check = t.check <- check
 (** Attach a fault-injection plan ({!Fault.none} disables injection). *)
 let set_fault t fault = t.fault <- fault
 
-(** Attach a statement cancellation token ({!Governor.none} disables
-    polling). The caller is responsible for resetting it to
-    {!Governor.none} when the statement finishes. *)
-let set_token t token = t.token <- token
-
 (** Original node ids still alive (current node index -> original id). *)
 let live_nodes t = t.live
-
-(** Arm (or disarm, with [None]) the static-bounds assertion for the next
-    statements; resets the violation tally. *)
-let set_bounds t bounds =
-  t.bounds <- bounds;
-  t.bound_violations <- 0
-
-(** Arm (or disarm, with [None]) the feedback cardinality harvest for the
-    next statements. Samples accumulate in the given ref, newest first. *)
-let set_harvest t harvest = t.harvest <- harvest
 
 let reset_account t = assign_account ~dst:t.account (fresh_account ())
 
@@ -283,24 +230,24 @@ let stream_rows (d : dstream) : rows = (Rset.to_local (stream_rset d)).Local.row
 
 let fault_active t = t.fault.Fault.mode <> Fault.Off
 
-let note_injection t (site : Fault.site) =
+let note_injection ~obs t (site : Fault.site) =
   t.account.injected <- t.account.injected + 1;
-  if Obs.enabled t.obs then begin
-    Obs.add t.obs "fault.injected" 1;
-    Obs.add t.obs ("fault.injected." ^ Fault.site_name site) 1
+  if Obs.enabled obs then begin
+    Obs.add obs "fault.injected" 1;
+    Obs.add obs ("fault.injected." ^ Fault.site_name site) 1
   end
 
-let fail_at t (site : Fault.site) (node : int) =
-  note_injection t site;
+let fail_at ~obs t (site : Fault.site) (node : int) =
+  note_injection ~obs t site;
   raise (Fault.Injected { Fault.site; epoch = t.epoch; step = t.cur_step; node })
 
 (** Raise {!Fault.Injected} if the plan fires [site] at the step/attempt
     the recovery wrapper is currently executing. For node-less sites. *)
-let inject_point (t : t) (site : Fault.site) =
+let inject_point ?(obs = Obs.null) (t : t) (site : Fault.site) =
   if fault_active t
      && Fault.fires t.fault ~site ~epoch:t.epoch ~step:t.cur_step ~node:(-1)
           ~attempt:t.cur_attempt
-  then fail_at t site (-1)
+  then fail_at ~obs t site (-1)
 
 (** [with_recovery t f] runs one injectable step [f] under the retry
     policy: a recoverable {!Fault.Injected} charges exponential backoff to
@@ -308,14 +255,17 @@ let inject_point (t : t) (site : Fault.site) =
     re-execution idempotent — e.g. drop the step's temp table), up to the
     policy's retry budget, after which {!Fault.Exhausted} is raised.
     {!Fault.Node_crash} is not retryable here: it propagates to the caller
-    (the statement must be re-optimized against the surviving nodes). *)
-let with_recovery ?(on_retry = fun () -> ()) (t : t) (f : unit -> 'a) : 'a =
+    (the statement must be re-optimized against the surviving nodes).
+    [token] is the statement's cancellation token, polled before the step;
+    [obs] receives the [fault.*] counters. *)
+let with_recovery ?(on_retry = fun () -> ()) ?(obs = Obs.null)
+    ?(token = Governor.none) (t : t) (f : unit -> 'a) : 'a =
   (* Cooperative cancellation at step granularity, in the caller domain
      only (sim_time is read/updated here, never in pool workers, so a
      simulated-clock deadline trips at the same step at any --jobs).
      Raising between steps is safe: executor temp state unwinds with the
      exception and half-written temps are dropped with it. *)
-  Governor.poll ~where:"engine.step" t.token;
+  Governor.poll ~where:"engine.step" token;
   let step = t.step_no in
   t.step_no <- step + 1;
   if not (fault_active t) then begin
@@ -334,7 +284,7 @@ let with_recovery ?(on_retry = fun () -> ()) (t : t) (f : unit -> 'a) : 'a =
       | v ->
         if k > 0 then begin
           t.account.recovered <- t.account.recovered + 1;
-          if Obs.enabled t.obs then Obs.add t.obs "fault.recovered" 1
+          if Obs.enabled obs then Obs.add obs "fault.recovered" 1
         end;
         v
       | exception (Fault.Injected failure as e) ->
@@ -346,12 +296,12 @@ let with_recovery ?(on_retry = fun () -> ()) (t : t) (f : unit -> 'a) : 'a =
           t.account.sim_time <- t.account.sim_time +. pause;
           t.account.backoff_time <- t.account.backoff_time +. pause;
           t.account.retries <- t.account.retries + 1;
-          if Obs.enabled t.obs then begin
-            Obs.add t.obs "fault.retries" 1;
-            Obs.addf t.obs "fault.backoff_seconds" pause
+          if Obs.enabled obs then begin
+            Obs.add obs "fault.retries" 1;
+            Obs.addf obs "fault.backoff_seconds" pause
           end;
           on_retry ();
-          Obs.with_span t.obs "fault.retry" (fun () -> attempt (k + 1))
+          Obs.with_span obs "fault.retry" (fun () -> attempt (k + 1))
         end
     in
     attempt 0
@@ -374,7 +324,7 @@ let target_time hw ~write_bytes ~write_rows =
 
 (* record calibration samples and advance the clock; per-node component
    volumes are summarized by their max (homogeneity assumption) *)
-let account_move t ~opname ~hashed ~per_node_read ~per_node_net ~per_node_write =
+let account_move ~obs t ~opname ~hashed ~per_node_read ~per_node_net ~per_node_write =
   let a = t.account in
   let hw = t.hw in
   (* max over nodes of max(read, net) = max(max reads, max nets), so the
@@ -404,12 +354,12 @@ let account_move t ~opname ~hashed ~per_node_read ~per_node_net ~per_node_write 
   a.dms_time <- a.dms_time +. step;
   a.moves <- a.moves + 1;
   (* per-DMS-op volume per cost component (reader / network / writer) *)
-  if Obs.enabled t.obs then begin
+  if Obs.enabled obs then begin
     let sum l = List.fold_left (fun (b, r) (b', r') -> (b +. b', r +. r')) (0., 0.) l in
     let rbytes, _ = sum per_node_read in
     let nbytes, nrows = sum per_node_net in
     let wbytes, _ = sum per_node_write in
-    let c name v = Obs.addf t.obs (Printf.sprintf "engine.dms.%s.%s" opname name) v in
+    let c name v = Obs.addf obs (Printf.sprintf "engine.dms.%s.%s" opname name) v in
     c "moves" 1.;
     c "seconds" step;
     c "reader.bytes" rbytes;
@@ -460,7 +410,8 @@ let project_stream (d : dstream) (cols : int list) : dstream =
 let empty_rs (layout : int list) = Rset.Rows { Local.layout = layout; rows = [] }
 
 (** Execute one DMS operation on a stream (routing + accounting). *)
-let run_move_inner (t : t) (kind : Dms.Op.kind) ~(cols : int list) (input : dstream) : dstream =
+let run_move_inner ~obs (t : t) (kind : Dms.Op.kind) ~(cols : int list) (input : dstream) :
+    dstream =
   let n = t.nodes in
   let input = project_stream input cols in
   let vol = Rset.vol in
@@ -487,7 +438,7 @@ let run_move_inner (t : t) (kind : Dms.Op.kind) ~(cols : int list) (input : dstr
     let out =
       Array.init n (fun i -> concat (List.map (fun ps -> ps.(i)) per_source))
     in
-    account_move t ~opname:(Dms.Op.name kind) ~hashed:true
+    account_move ~obs t ~opname:(Dms.Op.name kind) ~hashed:true
       ~per_node_read:(List.map vol sources)
       ~per_node_net:(List.map vol sources)
       ~per_node_write:(Array.to_list (Array.map vol out));
@@ -495,7 +446,7 @@ let run_move_inner (t : t) (kind : Dms.Op.kind) ~(cols : int list) (input : dstr
       dist = Dms.Distprop.Hashed hash_cols }
   | Dms.Op.Partition_move ->
     let all = concat (Array.to_list input.per_node) in
-    account_move t ~opname:(Dms.Op.name kind) ~hashed:false
+    account_move ~obs t ~opname:(Dms.Op.name kind) ~hashed:false
       ~per_node_read:(Array.to_list (Array.map vol input.per_node))
       ~per_node_net:(Array.to_list (Array.map vol input.per_node))
       ~per_node_write:[ vol all ];
@@ -503,7 +454,7 @@ let run_move_inner (t : t) (kind : Dms.Op.kind) ~(cols : int list) (input : dstr
       dist = Dms.Distprop.Single_node }
   | Dms.Op.Control_node_move | Dms.Op.Replicated_broadcast ->
     let rs = input.control in
-    account_move t ~opname:(Dms.Op.name kind) ~hashed:false
+    account_move ~obs t ~opname:(Dms.Op.name kind) ~hashed:false
       ~per_node_read:[ vol rs ]
       ~per_node_net:[ vol rs ]
       ~per_node_write:(List.init n (fun _ -> vol rs));
@@ -511,7 +462,7 @@ let run_move_inner (t : t) (kind : Dms.Op.kind) ~(cols : int list) (input : dstr
       dist = Dms.Distprop.Replicated }
   | Dms.Op.Broadcast ->
     let all = concat (Array.to_list input.per_node) in
-    account_move t ~opname:(Dms.Op.name kind) ~hashed:false
+    account_move ~obs t ~opname:(Dms.Op.name kind) ~hashed:false
       ~per_node_read:(Array.to_list (Array.map vol input.per_node))
       ~per_node_net:[ vol all ]
       ~per_node_write:(List.init n (fun _ -> vol all));
@@ -526,7 +477,7 @@ let run_move_inner (t : t) (kind : Dms.Op.kind) ~(cols : int list) (input : dstr
           end
           else empty_rs cols)
     in
-    account_move t ~opname:(Dms.Op.name kind) ~hashed:true
+    account_move ~obs t ~opname:(Dms.Op.name kind) ~hashed:true
       ~per_node_read:(Array.to_list (Array.map vol input.per_node))
       ~per_node_net:[ zero ]
       ~per_node_write:(Array.to_list (Array.map vol out));
@@ -546,8 +497,8 @@ let run_move_inner (t : t) (kind : Dms.Op.kind) ~(cols : int list) (input : dstr
       | Dms.Distprop.Replicated -> [ vol all ]
       | _ -> Array.to_list (Array.map vol input.per_node)
     in
-    account_move t ~opname:(Dms.Op.name kind) ~hashed:false ~per_node_read:reads ~per_node_net:reads
-      ~per_node_write:[ vol all ];
+    account_move ~obs t ~opname:(Dms.Op.name kind) ~hashed:false ~per_node_read:reads
+      ~per_node_net:reads ~per_node_write:[ vol all ];
     { layout = cols; per_node = Array.make n (empty_rs cols); control = all;
       dist = Dms.Distprop.Single_node }
 
@@ -555,10 +506,11 @@ let run_move_inner (t : t) (kind : Dms.Op.kind) ~(cols : int list) (input : dstr
     mid-move, or the destination temp-table write can fail. Both fire
     after accounting — the failed attempt's work is on the clock, and the
     recovery wrapper's retry re-runs (and re-charges) the move. *)
-let run_move (t : t) (kind : Dms.Op.kind) ~(cols : int list) (input : dstream) : dstream =
-  let out = run_move_inner t kind ~cols input in
-  inject_point t Fault.Dms_transfer;
-  inject_point t Fault.Temp_write;
+let run_move ?(obs = Obs.null) (t : t) (kind : Dms.Op.kind) ~(cols : int list)
+    (input : dstream) : dstream =
+  let out = run_move_inner ~obs t kind ~cols input in
+  inject_point ~obs t Fault.Dms_transfer;
+  inject_point ~obs t Fault.Temp_write;
   out
 
 (* -- serial step execution -- *)
@@ -583,17 +535,18 @@ let shard_exec (t : t) ~(node : int) ?stats (op : Memo.Physop.t)
          (List.map Rset.to_batch inputs))
 
 (* merge per-shard executor stats into the Obs counters (caller domain) *)
-let note_exec_stats t (stats : Local.exec_stats list) =
-  if Obs.enabled t.obs then begin
+let note_exec_stats ~obs (stats : Local.exec_stats list) =
+  if Obs.enabled obs then begin
     let total = Local.fresh_stats () in
     List.iter (fun s -> Local.merge_stats ~into:total s) stats;
-    Obs.add t.obs "engine.rows_scanned" total.Local.rows_scanned;
-    Obs.add t.obs "engine.batches" total.Local.batches;
-    Obs.add t.obs "engine.join_probe_rows" total.Local.probe_rows
+    Obs.add obs "engine.rows_scanned" total.Local.rows_scanned;
+    Obs.add obs "engine.batches" total.Local.batches;
+    Obs.add obs "engine.join_probe_rows" total.Local.probe_rows
   end
 
 (** Execute a serial operator on every node holding data. *)
-let run_serial (t : t) (op : Memo.Physop.t) (children : dstream list) : dstream =
+let run_serial ?(obs = Obs.null) (t : t) (op : Memo.Physop.t) (children : dstream list) :
+    dstream =
   let on_control =
     List.exists (fun c -> c.dist = Dms.Distprop.Single_node) children
     || (children = []
@@ -616,20 +569,20 @@ let run_serial (t : t) (op : Memo.Physop.t) (children : dstream list) : dstream 
              raise (Local.Exec_error "mixed control/distributed serial step"))
         children
     in
-    let stats = if Obs.enabled t.obs then Some (Local.fresh_stats ()) else None in
+    let stats = if Obs.enabled obs then Some (Local.fresh_stats ()) else None in
     let r = shard_exec t ~node:0 ?stats op inputs in
-    (match stats with Some s -> note_exec_stats t [ s ] | None -> ());
+    (match stats with Some s -> note_exec_stats ~obs [ s ] | None -> ());
     let step =
       serial_step_time t op
         (float_of_int (Rset.count r))
         (List.map (fun i -> float_of_int (Rset.count i)) inputs)
     in
     t.account.sim_time <- t.account.sim_time +. step;
-    if Obs.enabled t.obs then begin
-      Obs.addf t.obs "engine.serial.node_seconds" step;
-      Obs.addf t.obs (Printf.sprintf "engine.serial.%s.node_seconds" (Memo.Physop.name op)) step
+    if Obs.enabled obs then begin
+      Obs.addf obs "engine.serial.node_seconds" step;
+      Obs.addf obs (Printf.sprintf "engine.serial.%s.node_seconds" (Memo.Physop.name op)) step
     end;
-    inject_point t Fault.Control_transient;
+    inject_point ~obs t Fault.Control_transient;
     { layout = Rset.layout r; per_node = Array.make t.nodes (empty_rs []);
       control = r; dist = Dms.Distprop.Single_node }
   end
@@ -647,7 +600,7 @@ let run_serial (t : t) (op : Memo.Physop.t) (children : dstream list) : dstream 
         else first_crash (node + 1)
       in
       match first_crash 0 with
-      | Some node -> fail_at t Fault.Node_crash node
+      | Some node -> fail_at ~obs t Fault.Node_crash node
       | None -> ()
     end;
     (* every node executes its shard concurrently on the domain pool; the
@@ -655,7 +608,7 @@ let run_serial (t : t) (op : Memo.Physop.t) (children : dstream list) : dstream 
        own result slot (including a private stats record), so the fan-out
        is race-free and [outs] / [steps] come back in node order — the
        simulated clock below is bit-identical to the sequential walk *)
-    let want_stats = Obs.enabled t.obs in
+    let want_stats = Obs.enabled obs in
     let node_results =
       Par.parallel_map t.pool
         (fun node ->
@@ -678,7 +631,7 @@ let run_serial (t : t) (op : Memo.Physop.t) (children : dstream list) : dstream 
         (Array.init t.nodes Fun.id)
     in
     let outs = Array.map (fun (r, _, _) -> r) node_results in
-    note_exec_stats t
+    note_exec_stats ~obs
       (Array.to_list node_results
        |> List.filter_map (fun (_, _, s) -> s));
     let max_step = ref 0. in
@@ -695,20 +648,18 @@ let run_serial (t : t) (op : Memo.Physop.t) (children : dstream list) : dstream 
                  ~attempt:t.cur_attempt
              with
              | Some factor when factor > 0. ->
-               note_injection t Fault.Straggler;
+               note_injection ~obs t Fault.Straggler;
                step *. factor
              | _ -> step
          in
          if step > !max_step then max_step := step)
       node_results;
     t.account.sim_time <- t.account.sim_time +. !max_step;
-    if Obs.enabled t.obs then begin
-      Obs.add t.obs "par.tasks" t.nodes;
-      Obs.set t.obs "par.jobs" (float_of_int (Par.jobs t.pool))
-    end;
-    if Obs.enabled t.obs then begin
-      Obs.addf t.obs "engine.serial.node_seconds" !max_step;
-      Obs.addf t.obs (Printf.sprintf "engine.serial.%s.node_seconds" (Memo.Physop.name op))
+    if Obs.enabled obs then begin
+      Obs.add obs "par.tasks" t.nodes;
+      Obs.set obs "par.jobs" (float_of_int (Par.jobs t.pool));
+      Obs.addf obs "engine.serial.node_seconds" !max_step;
+      Obs.addf obs (Printf.sprintf "engine.serial.%s.node_seconds" (Memo.Physop.name op))
         !max_step
     end;
     let layout = Rset.layout outs.(0) in
@@ -718,13 +669,10 @@ let run_serial (t : t) (op : Memo.Physop.t) (children : dstream list) : dstream 
 
 (* -- full distributed plan execution -- *)
 
-(* [--assert-bounds]: check an executed operator's observed global row
-   count against the analyzer's static [lo, hi] for its memo group
-   (DESIGN.md §12). The observed count follows the distribution: a hashed
-   stream's rows sum across nodes, a replicated stream counts one copy, a
-   control-resident stream counts the control payload. Split-introduced
-   internal operators carry group -1 and have no static bounds. The ±0.5
-   slack makes the integral comparison robust to float accumulation. *)
+(* An executed operator's observed global row count. It follows the
+   distribution: a hashed stream's rows sum across nodes, a replicated
+   stream counts one copy, a control-resident stream counts the control
+   payload. *)
 let observed_rows (d : dstream) =
   match d.dist with
   | Dms.Distprop.Single_node -> float_of_int (Rset.count d.control)
@@ -732,70 +680,60 @@ let observed_rows (d : dstream) =
   | Dms.Distprop.Hashed _ ->
     Array.fold_left (fun a r -> a +. float_of_int (Rset.count r)) 0. d.per_node
 
-let assert_bounds (t : t) (p : Pdwopt.Pplan.t) (d : dstream) : dstream =
-  (match t.bounds with
-   | None -> ()
-   | Some tbl ->
-     if p.Pdwopt.Pplan.group >= 0 then
-       (match Hashtbl.find_opt tbl p.Pdwopt.Pplan.group with
-        | None -> ()
-        | Some (lo, hi) ->
-          let observed = observed_rows d in
-          if observed < lo -. 0.5 || observed > hi +. 0.5 then begin
-            t.bound_violations <- t.bound_violations + 1;
-            Obs.add t.obs "analysis.bound_violations" 1
-          end));
-  d
-
-(* Feedback harvest (DESIGN.md §13): record what this serial operator's
-   estimate said against what actually flowed. Runs in the caller domain
-   after the operator's (recovered) execution, so the sample order is the
-   deterministic bottom-up plan traversal at any [--jobs]. *)
-let harvest_op (t : t) (p : Pdwopt.Pplan.t) (op : Memo.Physop.t) (d : dstream) =
-  match t.harvest with
-  | None -> ()
-  | Some acc ->
-    let open Memo.Physop in
-    let of_set s = Algebra.Registry.Col_set.elements s in
-    let table, cols =
-      match op with
-      | Table_scan { table; _ } -> (Some table, [])
-      | Filter pred -> (None, of_set (Algebra.Expr.cols pred))
-      | Hash_join { pred; _ } | Merge_join { pred; _ } | Nl_join { pred; _ } ->
-        (None, of_set (Algebra.Expr.cols pred))
-      | Hash_agg { keys; _ } | Stream_agg { keys; _ } -> (None, List.sort_uniq compare keys)
-      | Compute _ | Sort_op _ | Union_op | Const_empty _ -> (None, [])
-    in
-    acc :=
-      { h_group = p.Pdwopt.Pplan.group; h_op = Memo.Physop.name op; h_table = table;
-        h_cols = cols; h_est = p.Pdwopt.Pplan.rows; h_actual = observed_rows d }
-      :: !acc
-
 (** Execute a PDW plan on the appliance. Returns the final client result
-    (rows + layout); accounting accumulates in [t.account].
+    (rows + layout); accounting accumulates in [t.account]. The statement's
+    state comes in as values: [obs] receives the executor, DMS and fault
+    counters, [token] is polled once per injectable step, and [observe]
+    is called after each (recovered) Serial/Move operator with the
+    operator and its observed global rows — in the caller domain, in
+    bottom-up plan order, so the call sequence is deterministic at any
+    [--jobs].
 
     Unless {!set_check} disabled it, the plan is first passed through the
     static analyzer's execution-soundness rules; an invalid plan raises
     {!Check.Invalid} instead of executing — the simulated substrate would
     otherwise silently run it and return wrong rows (the real engine
     rejects such plans). *)
-let rec run_pplan (t : t) (p : Pdwopt.Pplan.t) : Local.rset =
+let run_pplan ?(obs = Obs.null) ?(token = Governor.none) ?observe (t : t)
+    (p : Pdwopt.Pplan.t) : Local.rset =
   if t.check then begin
-    match Check.validate_exec ~obs:t.obs ~shell:t.shell p with
+    match Check.validate_exec ~obs ~shell:t.shell p with
     | [] -> ()
     | vs -> raise (Check.Invalid vs)
   end;
   begin_statement t;
+  let step f = with_recovery ~obs ~token t f in
+  let observed (p : Pdwopt.Pplan.t) (d : dstream) =
+    (match observe with Some f -> f p (observed_rows d) | None -> ());
+    d
+  in
+  let rec exec_node (p : Pdwopt.Pplan.t) : dstream =
+    match p.Pdwopt.Pplan.op, p.Pdwopt.Pplan.children with
+    | Pdwopt.Pplan.Serial op, children ->
+      let children = List.map exec_node children in
+      (* serial steps and moves recompute over immutable input streams, so
+         re-execution after a failure is idempotent with no cleanup *)
+      let d =
+        Obs.with_span obs ("engine.op." ^ Memo.Physop.name op) @@ fun () ->
+        step (fun () -> run_serial ~obs t op children)
+      in
+      observed p { d with dist = p.Pdwopt.Pplan.dist }
+    | Pdwopt.Pplan.Move { kind; cols }, [ c ] ->
+      let child = exec_node c in
+      observed p (step (fun () -> run_move ~obs t kind ~cols child))
+    | Pdwopt.Pplan.Move _, _ -> raise (Local.Exec_error "Move expects one child")
+    | Pdwopt.Pplan.Return _, _ -> raise (Local.Exec_error "nested Return")
+  in
   match p.Pdwopt.Pplan.op with
   | Pdwopt.Pplan.Return { sort; limit } ->
     let child =
       match p.Pdwopt.Pplan.children with
-      | [ c ] -> exec_node t c
+      | [ c ] -> exec_node c
       | _ -> raise (Local.Exec_error "Return expects one child")
     in
     (* the gather is itself an injectable step (control-node transient);
        it is pure over [child], so a retry just recomputes the result *)
-    with_recovery t @@ fun () ->
+    step @@ fun () ->
     let all = stream_rset child in
     (* streamed gather: network accounting only, no temp table *)
     (match child.dist with
@@ -805,9 +743,9 @@ let rec run_pplan (t : t) (p : Pdwopt.Pplan.t) : Local.rset =
        let step = (b *. t.hw.network_byte) +. (r *. t.hw.network_row) in
        t.account.sim_time <- t.account.sim_time +. step;
        t.account.bytes_moved <- t.account.bytes_moved +. b;
-       Obs.addf t.obs "engine.return.bytes" b;
-       Obs.addf t.obs "engine.return.rows" r);
-    inject_point t Fault.Control_transient;
+       Obs.addf obs "engine.return.bytes" b;
+       Obs.addf obs "engine.return.rows" r);
+    inject_point ~obs t Fault.Control_transient;
     let rset = Rset.to_local all in
     if sort = [] then
       (match limit with
@@ -815,44 +753,11 @@ let rec run_pplan (t : t) (p : Pdwopt.Pplan.t) : Local.rset =
        | None -> rset)
     else Local.sort_rows ~keys:sort ?limit rset
   | _ ->
-    let d = exec_node t p in
+    let d = exec_node p in
     { Local.layout = d.layout; rows = stream_rows d }
-
-and exec_node (t : t) (p : Pdwopt.Pplan.t) : dstream =
-  match p.Pdwopt.Pplan.op with
-  | Pdwopt.Pplan.Serial op ->
-    let children = List.map (exec_node t) p.Pdwopt.Pplan.children in
-    (* serial steps and moves recompute over immutable input streams, so
-       re-execution after a failure is idempotent with no cleanup *)
-    let d =
-      Obs.with_span t.obs ("engine.op." ^ Memo.Physop.name op) @@ fun () ->
-      with_recovery t (fun () -> run_serial t op children)
-    in
-    let d = assert_bounds t p { d with dist = p.Pdwopt.Pplan.dist } in
-    harvest_op t p op d;
-    d
-  | Pdwopt.Pplan.Move { kind; cols } ->
-    let child =
-      match p.Pdwopt.Pplan.children with
-      | [ c ] -> exec_node t c
-      | _ -> raise (Local.Exec_error "Move expects one child")
-    in
-    assert_bounds t p (with_recovery t (fun () -> run_move t kind ~cols child))
-  | Pdwopt.Pplan.Return _ ->
-    raise (Local.Exec_error "nested Return")
 
 (* -- graceful degradation: node loss -- *)
 
-(** [decommission t ~node] builds a fresh [(nodes - 1)]-node appliance
-    after compute node [node] (current index) died: a new shell catalog
-    with the same schemas/statistics, every table reloaded and
-    re-partitioned mod the surviving count (hash shards are recovered from
-    the appliance's mirrored copies — the simulated substrate keeps the
-    full logical contents), the account carried over plus a recovery
-    charge of re-partitioning every hash-distributed table at DMS rates.
-    The replan [epoch] is bumped so fault draws restart, and [live] drops
-    the dead node's original id — callers key plan-cache fingerprints on
-    it so stale-topology plans cannot be served. *)
 (* catalog tables sorted by name, so shell reconstruction (and its
    stats_version assignment) is deterministic for shrink, grow and re-key *)
 let sorted_tables (shell : Catalog.Shell_db.t) =
@@ -870,7 +775,18 @@ let move_rates (hw : hw) : Dms.Cost.move_rates =
     r_network_byte = hw.network_byte; r_network_row = hw.network_row;
     r_writer_byte = hw.writer_byte; r_writer_row = hw.writer_row }
 
-let decommission (t : t) ~(node : int) : t =
+(** [decommission t ~node] builds a fresh [(nodes - 1)]-node appliance
+    after compute node [node] (current index) died: a new shell catalog
+    with the same schemas/statistics, every table reloaded and
+    re-partitioned mod the surviving count (hash shards are recovered from
+    the appliance's mirrored copies — the simulated substrate keeps the
+    full logical contents), the account carried over plus a recovery
+    charge of re-partitioning every hash-distributed table at DMS rates.
+    The replan [epoch] is bumped so fault draws restart, and [live] drops
+    the dead node's original id — callers key plan-cache fingerprints on
+    it so stale-topology plans cannot be served. The [fault.replans] and
+    [fault.recovery_seconds] counters go to [obs]. *)
+let decommission ?(obs = Obs.null) (t : t) ~(node : int) : t =
   if t.nodes <= 1 then
     (* structured, not [invalid_arg]: losing the last compute node is a
        fault-plane outcome (the appliance cannot serve), and storm drivers
@@ -893,9 +809,8 @@ let decommission (t : t) ~(node : int) : t =
          (Catalog.Shell_db.add_table shell' ~stats:tbl.Catalog.Shell_db.stats
             tbl.Catalog.Shell_db.schema tbl.Catalog.Shell_db.dist))
     tables;
-  let t' = create ~hw:t.hw ~obs:t.obs ~pool:t.pool ~check:t.check ~engine:t.engine shell' in
+  let t' = create ~hw:t.hw ~pool:t.pool ~check:t.check ~engine:t.engine shell' in
   t'.fault <- t.fault;
-  t'.token <- t.token;
   t'.epoch <- t.epoch + 1;
   t'.live <- List.filteri (fun i _ -> i <> node) t.live;
   (* reload user data; the re-partition of every hash-distributed table is
@@ -937,9 +852,9 @@ let decommission (t : t) ~(node : int) : t =
   t'.account.bytes_moved <- t'.account.bytes_moved +. !moved_bytes;
   t'.account.rows_moved <- t'.account.rows_moved +. !moved_rows;
   t'.account.replans <- t'.account.replans + 1;
-  if Obs.enabled t.obs then begin
-    Obs.add t.obs "fault.replans" 1;
-    Obs.addf t.obs "fault.recovery_seconds" recovery
+  if Obs.enabled obs then begin
+    Obs.add obs "fault.replans" 1;
+    Obs.addf obs "fault.recovery_seconds" recovery
   end;
   t'
 
@@ -984,9 +899,8 @@ let begin_move (t : t) ~(node_count : int) ~(live : int list)
          (Catalog.Shell_db.add_table shell' ~stats:tbl.Catalog.Shell_db.stats
             tbl.Catalog.Shell_db.schema (dist_of tbl)))
     tables;
-  let t' = create ~hw:t.hw ~obs:t.obs ~pool:t.pool ~check:t.check ~engine:t.engine shell' in
+  let t' = create ~hw:t.hw ~pool:t.pool ~check:t.check ~engine:t.engine shell' in
   t'.fault <- t.fault;
-  t'.token <- t.token;
   t'.epoch <- t.epoch + 1;
   t'.live <- live;
   let pending =
@@ -1046,7 +960,7 @@ let copy_step (m : move) : unit =
             else first_crash (node + 1)
           in
           match first_crash 0 with
-          | Some node -> fail_at ts Fault.Node_crash node
+          | Some node -> fail_at ~obs:Obs.null ts Fault.Node_crash node
           | None -> ()
         end;
         let tbl = Catalog.Shell_db.find_exn ts.shell name in
@@ -1087,7 +1001,7 @@ let copy_step (m : move) : unit =
                     ~node ~attempt:ts.cur_attempt
                 with
                 | Some f when f > 0. ->
-                  note_injection ts Fault.Straggler;
+                  note_injection ~obs:Obs.null ts Fault.Straggler;
                   if f > !factor then factor := f
                 | _ -> ()
               done;
@@ -1121,10 +1035,6 @@ let flip_move (m : move) : t =
   tt.account.dms_time <- tt.account.dms_time +. m.m_seconds;
   tt.account.bytes_moved <- tt.account.bytes_moved +. m.m_bytes;
   tt.account.rows_moved <- tt.account.rows_moved +. m.m_rows;
-  if Obs.enabled ts.obs then begin
-    Obs.add ts.obs "topology.moves" 1;
-    Obs.addf ts.obs "topology.move_seconds" m.m_seconds
-  end;
   tt
 
 (** Abandon an in-flight move: the shadow appliance's half-built

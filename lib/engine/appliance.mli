@@ -50,19 +50,6 @@ type account = {
 (** Calibration samples recorded for one DMS component. *)
 val samples_of : account -> Dms.Calibrate.component -> Dms.Calibrate.sample list
 
-(** One executed operator's estimate-vs-observed cardinality sample
-    (feedback harvest, DESIGN.md §13). [h_cols] are registry column ids;
-    the caller maps them back to catalog (table, column) names with the
-    plan's registry. *)
-type op_sample = {
-  h_group : int;            (** MEMO group of the operator (-1 if internal) *)
-  h_op : string;            (** physical operator name *)
-  h_table : string option;  (** scanned table, for scans *)
-  h_cols : int list;        (** registry column ids, sorted *)
-  h_est : float;            (** optimizer's global row estimate *)
-  h_actual : float;         (** observed global rows *)
-}
-
 type t = {
   shell : Catalog.Shell_db.t;
   nodes : int;
@@ -70,7 +57,6 @@ type t = {
   storage : (string, Rset.t) Hashtbl.t array;
   mutable engine : Rset.engine;
   account : account;
-  mutable obs : Obs.t;
   mutable pool : Par.t;
   mutable check : bool;
   mutable fault : Fault.plan;
@@ -79,18 +65,11 @@ type t = {
   mutable step_no : int;
   mutable cur_step : int;
   mutable cur_attempt : int;
-  mutable token : Governor.token;
-  mutable bounds : (int, float * float) Hashtbl.t option;
-  mutable bound_violations : int;
-  mutable harvest : op_sample list ref option;
 }
 
 val create :
-  ?hw:hw -> ?obs:Obs.t -> ?pool:Par.t -> ?check:bool -> ?engine:Rset.engine ->
+  ?hw:hw -> ?pool:Par.t -> ?check:bool -> ?engine:Rset.engine ->
   Catalog.Shell_db.t -> t
-
-(** Attach an observability context (typically per executed query). *)
-val set_obs : t -> Obs.t -> unit
 
 (** Attach a domain pool for multicore shard execution (typically one pool
     per process, shared across appliances). *)
@@ -107,29 +86,8 @@ val set_check : t -> bool -> unit
 (** Attach a fault-injection plan ({!Fault.none} disables injection). *)
 val set_fault : t -> Fault.plan -> unit
 
-(** Attach a statement cancellation token ({!Governor.none} disables
-    polling). The caller is responsible for resetting it to
-    {!Governor.none} when the statement finishes. *)
-val set_token : t -> Governor.token -> unit
-
 (** Original node ids still alive (current node index -> original id). *)
 val live_nodes : t -> int list
-
-(** Arm (or disarm, with [None]) the static cardinality-bounds assertion
-    ([--assert-bounds]): a per-memo-group [lo, hi] table (see
-    {!Analysis.group_bounds}); after each executed Serial/Move operator
-    the observed global row count is checked against its group's interval
-    and each violation bumps [bound_violations] and the
-    [analysis.bound_violations] counter. Resets the tally. Decommissioned
-    replacements do not inherit the table (the bounds were derived for the
-    old topology's statistics). *)
-val set_bounds : t -> (int, float * float) Hashtbl.t option -> unit
-
-(** Arm (or disarm, with [None]) the feedback cardinality harvest: every
-    executed Serial operator appends an {!op_sample} to the ref (newest
-    first). Samples are recorded in the caller domain in bottom-up plan
-    order, so the list is deterministic at any [--jobs]. *)
-val set_harvest : t -> op_sample list ref option -> unit
 
 val reset_account : t -> unit
 
@@ -172,27 +130,49 @@ val stream_rset : dstream -> Rset.t
 val stream_rows : dstream -> rows
 
 (** Draw the fault plan at an injection site; raises a step failure when
-    the draw fires. *)
-val inject_point : t -> Fault.site -> unit
+    the draw fires. An injected fault is counted in [obs]. *)
+val inject_point : ?obs:Obs.t -> t -> Fault.site -> unit
 
 (** Run [f] with step-level recovery: transient step failures re-execute
     [f] (with simulated backoff accounting) up to the fault plan's retry
-    budget; node crashes escalate. [on_retry] runs before each retry. *)
-val with_recovery : ?on_retry:(unit -> unit) -> t -> (unit -> 'a) -> 'a
+    budget; node crashes escalate. [on_retry] runs before each retry.
+    [token] (default {!Governor.none}) is polled before the step, in the
+    caller domain; [obs] receives the [fault.*] counters. *)
+val with_recovery :
+  ?on_retry:(unit -> unit) -> ?obs:Obs.t -> ?token:Governor.token -> t ->
+  (unit -> 'a) -> 'a
 
 (** Execute one DMS data-movement operation on a stream, accounting reader,
-    network, and writer time against the simulated clock. *)
-val run_move : t -> Dms.Op.kind -> cols:int list -> dstream -> dstream
+    network, and writer time against the simulated clock (per-DMS-op
+    volumes go to [obs]). *)
+val run_move : ?obs:Obs.t -> t -> Dms.Op.kind -> cols:int list -> dstream -> dstream
 
 (** Execute one serial operator on every node holding data. *)
-val run_serial : t -> Memo.Physop.t -> dstream list -> dstream
+val run_serial : ?obs:Obs.t -> t -> Memo.Physop.t -> dstream list -> dstream
 
-(** Execute a PDW plan on the appliance. Returns the final client result
-    (rows + layout); accounting accumulates in [account]. Unless
-    {!set_check} disabled it, the plan is first passed through the static
-    analyzer's execution-soundness rules; an invalid plan raises
-    {!Check.Invalid} instead of executing. *)
-val run_pplan : t -> Pdwopt.Pplan.t -> Local.rset
+(** Execute a PDW plan on the appliance as one self-contained statement.
+    Returns the final client result (rows + layout); accounting
+    accumulates in [account]. The statement's state is passed as values,
+    so nothing needs resetting afterwards:
+    - [obs] receives the per-DMS-op, per-node executor and [fault.*]
+      counters;
+    - [token] (default {!Governor.none}) is polled once per injectable
+      step in the caller domain, so a simulated-clock deadline trips at
+      the same step at any [--jobs];
+    - [observe] is called after each (recovered) Serial/Move operator with
+      the operator and its observed global rows (summed over nodes for a
+      hashed stream, one copy for a replicated one), in the caller domain
+      in bottom-up plan order — the call sequence is identical at any
+      [--jobs]. Rows are only counted when an observer is given. The
+      feedback harvest ({!Opdw.Feedback.harvest}) and the [--assert-bounds]
+      oracle ({!Analysis.bounds_observer}) are both such observers.
+
+    Unless {!set_check} disabled it, the plan is first passed through the
+    static analyzer's execution-soundness rules; an invalid plan raises
+    {!Check.Invalid} instead of executing (no operator is observed). *)
+val run_pplan :
+  ?obs:Obs.t -> ?token:Governor.token -> ?observe:(Pdwopt.Pplan.t -> float -> unit) ->
+  t -> Pdwopt.Pplan.t -> Local.rset
 
 (** The reader+network+writer pipeline rates of an appliance's hardware,
     in the shape {!Dms.Cost.repartition_seconds} prices topology moves
@@ -207,8 +187,9 @@ val move_rates : hw -> Dms.Cost.move_rates
     fault draws restart, and [live] drops the dead node's original id.
     Decommissioning the last compute node raises {!Fault.Exhausted} (the
     appliance cannot serve — a fault-plane outcome, not a caller bug);
-    an out-of-range [node] raises [Invalid_argument]. *)
-val decommission : t -> node:int -> t
+    an out-of-range [node] raises [Invalid_argument]. The [fault.replans]
+    and [fault.recovery_seconds] counters go to [obs]. *)
+val decommission : ?obs:Obs.t -> t -> node:int -> t
 
 (** An in-flight phased topology move (DESIGN.md §14): the new layout is
     copy-built into a shadow appliance one table per priced, injectable

@@ -232,13 +232,17 @@ end
 (* -- the elastic statement driver -- *)
 
 module Elastic = struct
-  (** Serves statements chaos-style (node crashes decommission + replan)
-      while harvesting the workload into a {!Feedback.Log} for the
-      advisor, and executes topology changes as phased moves that keep
-      serving: [between] callbacks run admitted statements against the old
-      layout between copy steps, a node crash mid-move aborts the
-      half-built target (the source stays bit-identical), composes with
-      decommission, and restarts the move on the survivors. Every compiled
+  (** The fault-tolerant statement driver: serves statements under a
+      {!Fault.plan} (recoverable faults are retried inside the engine; a
+      node crash decommissions the dead node and replans the statement on
+      the survivors, so for any plan within the retry/replan budgets the
+      rows equal the fault-free run's) while harvesting the workload into
+      a {!Feedback.Log} for the advisor, and executes topology changes as
+      phased moves that keep serving: [between] callbacks run admitted
+      statements against the old layout between copy steps, a node crash
+      mid-move aborts the half-built target (the source stays
+      bit-identical), composes with decommission, and restarts the move
+      on the survivors. Every compiled
       plan carries the appliance's replan epoch as the plan-cache
       fingerprint's topology epoch (v6). *)
 
@@ -282,24 +286,26 @@ module Elastic = struct
         Opdw.pdw = { t.options.Opdw.pdw with Pdwopt.Enumerate.nodes = n };
         baseline = { t.options.Opdw.baseline with Baseline.nodes = n } }
 
-  (* registry column ids -> catalog (table, column) names; derived columns
-     have no catalog object and are dropped *)
-  let cols_of_ids (reg : Algebra.Registry.t) ids =
-    List.filter_map
-      (fun id ->
-         match (Algebra.Registry.info reg id).Algebra.Registry.source with
-         | Algebra.Registry.Base { table; column; _ } ->
-           Some (String.lowercase_ascii table, String.lowercase_ascii column)
-         | Algebra.Registry.Derived _ -> None
-         | exception Invalid_argument _ -> None)
-      ids
-    |> List.sort_uniq compare
+  (* a node crash escalated out of the engine: decommission the dead node
+     (its [fault.replans] / recovery-cost counters land in the driver's
+     [obs], under a [fault.replan] span) and switch to the survivors;
+     {!Fault.Exhausted} past the budgets *)
+  let replan ~obs (t : t) ~replans (failure : Fault.failure) =
+    if nodes t <= 1 || replans >= t.max_replans then
+      raise (Fault.Exhausted { failure; attempts = replans + 1 });
+    install t
+      (Obs.with_span obs "fault.replan" @@ fun () ->
+       Engine.Appliance.decommission ~obs t.app ~node:failure.Fault.node)
 
   (** Optimize and execute one statement under the fault plan, appending
-      the harvested per-operator observations to the driver's log. A node
-      crash decommissions and re-optimizes on the survivors (PR 4's
-      replan); raises {!Fault.Exhausted} past the budgets. *)
-  let run ?(obs = Obs.null) (t : t) (sql : string) : Opdw.result * Engine.Local.rset =
+      the harvested per-operator observations ({!Opdw.Feedback.harvest})
+      to the driver's log. Recoverable faults are retried inside the
+      engine; a node crash decommissions the dead node and re-optimizes
+      the statement on the survivors; raises {!Fault.Exhausted} past the
+      budgets. [observe] sees the first attempt's operators only: a
+      replanned attempt runs a different plan than the caller's. *)
+  let run ?(obs = Obs.null) ?observe (t : t) (sql : string) :
+      Opdw.result * Engine.Local.rset =
     let rec go replans =
       Engine.Appliance.set_fault t.app t.fault;
       let r =
@@ -308,46 +314,25 @@ module Elastic = struct
           ~topology:t.app.Engine.Appliance.epoch
           ~pool:t.app.Engine.Appliance.pool t.shell sql
       in
-      let samples = ref [] in
-      Engine.Appliance.set_harvest t.app (Some samples);
+      let observe, ops =
+        Opdw.Feedback.harvest ?observe:(if replans = 0 then observe else None) r
+      in
       let sim0 = t.app.Engine.Appliance.account.Engine.Appliance.sim_time in
       let wall0 = Obs.default_clock () in
-      match
-        Fun.protect
-          ~finally:(fun () -> Engine.Appliance.set_harvest t.app None)
-          (fun () -> Opdw.run ~obs ?cache:t.cache t.app r)
-      with
+      match Opdw.run ~obs ?cache:t.cache ~observe t.app r with
       | rows ->
-        let reg = r.Opdw.memo.Memo.reg in
-        let ops =
-          List.rev_map
-            (fun (s : Engine.Appliance.op_sample) ->
-               { Feedback.Log.o_group = s.Engine.Appliance.h_group;
-                 o_op = s.Engine.Appliance.h_op;
-                 o_table = Option.map String.lowercase_ascii s.Engine.Appliance.h_table;
-                 o_cols = cols_of_ids reg s.Engine.Appliance.h_cols;
-                 o_est = s.Engine.Appliance.h_est;
-                 o_actual = s.Engine.Appliance.h_actual })
-            !samples
-        in
         Feedback.Log.append t.log
           { Feedback.Log.r_statement = Opdw.Feedback.statement_key sql;
             r_fingerprint = Option.value r.Opdw.fingerprint ~default:"";
-            r_ops = ops;
+            r_ops = ops ();
             r_dms = [];  (* λ re-fitting is the Feedback driver's job *)
             r_sim = t.app.Engine.Appliance.account.Engine.Appliance.sim_time -. sim0;
             r_wall = Obs.default_clock () -. wall0;
             r_degraded = r.Opdw.degraded <> None };
         (r, rows)
       | exception Fault.Injected ({ Fault.site = Fault.Node_crash; _ } as failure) ->
-        if nodes t <= 1 || replans >= t.max_replans then
-          raise (Fault.Exhausted { failure; attempts = replans + 1 });
+        replan ~obs t ~replans failure;
         Obs.add obs "fault.replan_statements" 1;
-        Engine.Appliance.set_obs t.app obs;
-        let app' = Engine.Appliance.decommission t.app ~node:failure.Fault.node in
-        Engine.Appliance.set_obs t.app Obs.null;
-        Engine.Appliance.set_obs app' Obs.null;
-        install t app';
         go (replans + 1)
     in
     go 0
@@ -380,9 +365,7 @@ module Elastic = struct
       in
       match outcome with
       | `Done ->
-        (* read the accrued cost before the flip consumes the move; the
-           appliance's own obs is reset to null around every served
-           statement, so the driver's obs carries the topology counters *)
+        (* read the accrued cost before the flip consumes the move *)
         let seconds = m.Engine.Appliance.m_seconds in
         let app' = Engine.Appliance.flip_move m in
         install t app';
@@ -404,13 +387,7 @@ module Elastic = struct
       | `Crashed failure ->
         Engine.Appliance.abort_move m;
         Obs.add obs "topology.aborted_moves" 1;
-        if nodes t <= 1 || replans >= t.max_replans then
-          raise (Fault.Exhausted { failure; attempts = replans + 1 });
-        Engine.Appliance.set_obs t.app obs;
-        let app' = Engine.Appliance.decommission t.app ~node:failure.Fault.node in
-        Engine.Appliance.set_obs t.app Obs.null;
-        Engine.Appliance.set_obs app' Obs.null;
-        install t app';
+        replan ~obs t ~replans failure;
         attempt (replans + 1)
     in
     attempt 0

@@ -48,3 +48,9 @@ let algebrize_normalize sql =
   let r = Algebra.Algebrizer.of_sql sh sql in
   let t = Algebra.Normalize.normalize r.Algebra.Algebrizer.reg sh r.Algebra.Algebrizer.tree in
   (r, t)
+
+(* Serial and Move operators of a plan: one [run_pplan ~observe] call each *)
+let rec executed_ops (p : Pdwopt.Pplan.t) =
+  List.fold_left (fun a c -> a + executed_ops c)
+    (match p.Pdwopt.Pplan.op with Pdwopt.Pplan.Return _ -> 0 | _ -> 1)
+    p.Pdwopt.Pplan.children

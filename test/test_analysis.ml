@@ -387,19 +387,17 @@ let test_fold_bit_identity () =
 
 let test_assert_bounds_workload () =
   let app = Fixtures.app () in
-  Fun.protect
-    ~finally:(fun () -> Engine.Appliance.set_bounds app None)
-    (fun () ->
-       List.iter
-         (fun (q : Tpch.Queries.t) ->
-            let r = Opdw.optimize (Fixtures.shell ()) q.Tpch.Queries.sql in
-            Engine.Appliance.set_bounds app
-              (Some (Analysis.group_bounds (ctx_of r) (Opdw.plan r)));
-            ignore (Opdw.run app r);
-            Alcotest.(check int)
-              (q.Tpch.Queries.id ^ ": no bound violations") 0
-              app.Engine.Appliance.bound_violations)
-         Tpch.Queries.all)
+  List.iter
+    (fun (q : Tpch.Queries.t) ->
+       let r = Opdw.optimize (Fixtures.shell ()) q.Tpch.Queries.sql in
+       let observe, violations =
+         Analysis.bounds_observer (Analysis.group_bounds (ctx_of r) (Opdw.plan r))
+       in
+       ignore (Opdw.run ~observe app r);
+       Alcotest.(check int)
+         (q.Tpch.Queries.id ^ ": no bound violations") 0
+         (violations ()))
+    Tpch.Queries.all
 
 let test_assert_bounds_detects_corruption () =
   let app = Fixtures.app () in
@@ -412,13 +410,45 @@ let test_assert_bounds_detects_corruption () =
     List.iter walk n.Pdwopt.Pplan.children
   in
   walk (Opdw.plan r);
-  Fun.protect
-    ~finally:(fun () -> Engine.Appliance.set_bounds app None)
-    (fun () ->
-       Engine.Appliance.set_bounds app (Some tbl);
-       ignore (Opdw.run app r);
-       Alcotest.(check bool) "violations detected" true
-         (app.Engine.Appliance.bound_violations > 0))
+  let observe, violations = Analysis.bounds_observer tbl in
+  ignore (Opdw.run ~observe app r);
+  Alcotest.(check bool) "violations detected" true (violations () > 0)
+
+(* the count belongs to the caller: a violation observed before a node
+   crash survives the decommission + replan (the replacement appliance
+   starts from a clean slate, so a count kept on it would read 0) *)
+let test_assert_bounds_survive_replan () =
+  let w = Opdw.Workload.tpch ~node_count:4 ~sf:0.001 () in
+  let shell = w.Opdw.Workload.shell in
+  let r = Opdw.optimize shell q3_sql in
+  let tbl = Hashtbl.create 8 in
+  let rec walk (n : Pdwopt.Pplan.t) =
+    if n.Pdwopt.Pplan.group >= 0 then
+      Hashtbl.replace tbl n.Pdwopt.Pplan.group (0., 0.);
+    List.iter walk n.Pdwopt.Pplan.children
+  in
+  walk (Opdw.plan r);
+  let oracle = Engine.Local.canonical (Opdw.run w.Opdw.Workload.app r) in
+  let check_bounds, violations = Analysis.bounds_observer tbl in
+  let seen = ref 0 in
+  let observe p rows = incr seen; check_bounds p rows in
+  (* step 0 is the first Serial operator; a node crash is drawn only at a
+     distributed Serial step, so the first such step after it crashes *)
+  let fault =
+    Fault.schedule (List.init 4 (fun k -> Fault.event ~node:0 Fault.Node_crash (k + 1)))
+  in
+  let el = Topology.Elastic.create ~fault shell w.Opdw.Workload.app in
+  let _, rows = Topology.Elastic.run ~observe el q3_sql in
+  Alcotest.(check int) "one replan" 1
+    (Topology.Elastic.app el).Engine.Appliance.account.Engine.Appliance.replans;
+  Alcotest.(check bool) "rows survive the replan" true
+    (Engine.Local.canonical rows = oracle);
+  Alcotest.(check bool) "first attempt observed before the crash" true (!seen >= 1);
+  Alcotest.(check bool) "pre-crash violations counted" true (violations () >= 1);
+  (* the crash cut the first attempt short, and the replanned attempt (a
+     different plan on 3 nodes) is not observed *)
+  Alcotest.(check bool) "only the interrupted first attempt observed" true
+    (!seen < Fixtures.executed_ops (Opdw.plan r))
 
 let suite =
   [ t "typed-expression checker" test_infer_and_check_expr;
@@ -435,4 +465,5 @@ let suite =
     t "contradiction folds to ConstEmpty" test_fold_to_const_empty;
     t "fold on/off bit-identity" test_fold_bit_identity;
     t "assert-bounds: workload clean" test_assert_bounds_workload;
-    t "assert-bounds: detects corruption" test_assert_bounds_detects_corruption ]
+    t "assert-bounds: detects corruption" test_assert_bounds_detects_corruption;
+    t "assert-bounds: violations survive a replan" test_assert_bounds_survive_replan ]

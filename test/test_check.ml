@@ -269,6 +269,39 @@ let test_appliance_refusal () =
        Alcotest.(check bool) "gate off: plan executes" true
          (List.length res.Engine.Local.rows >= 0))
 
+(* statement state is a value, not appliance state: a statement that raises
+   [Check.Invalid] inside [Opdw.run] leaves nothing armed that the next
+   statement on the same appliance could inherit *)
+let test_observer_is_per_statement () =
+  let app = Fixtures.app () in
+  let r = optimize_raw agg_sql in
+  let bad_plan =
+    mutate_first
+      (fun n ->
+         match n.Pdwopt.Pplan.op, n.Pdwopt.Pplan.dist with
+         | Pdwopt.Pplan.Serial _, Dms.Distprop.Hashed (_ :: _) ->
+           Some { n with Pdwopt.Pplan.dist = Dms.Distprop.Hashed [ 999_999 ] }
+         | _ -> None)
+      (Opdw.plan r)
+  in
+  let bad = { r with Opdw.pdw = { r.Opdw.pdw with Pdwopt.Optimizer.plan = bad_plan } } in
+  let counter () =
+    let calls = ref [] in
+    ((fun (p : Pdwopt.Pplan.t) rows -> calls := (p.Pdwopt.Pplan.group, rows) :: !calls),
+     calls)
+  in
+  let observe1, first = counter () in
+  (match Opdw.run ~observe:observe1 app bad with
+   | _ -> Alcotest.fail "appliance executed an invalid plan"
+   | exception Check.Invalid _ -> ());
+  Alcotest.(check int) "refused statement observed nothing" 0 (List.length !first);
+  let observe2, second = counter () in
+  let good = Opdw.optimize (Fixtures.shell ()) q3_sql in
+  ignore (Opdw.run ~observe:observe2 app good);
+  Alcotest.(check int) "second counter sees exactly its own operators"
+    (Fixtures.executed_ops (Opdw.plan good)) (List.length !second);
+  Alcotest.(check int) "first counter unchanged" 0 (List.length !first)
+
 let suite =
   [ t "rule catalog" test_rule_catalog;
     t "agg plan validates clean" test_clean_agg;
@@ -283,4 +316,6 @@ let suite =
     t "mutation: DSQL missing return" test_mut_dsql_no_return;
     t "mutation: DSQL duplicate id" test_mut_dsql_dup_id;
     t "mutation: DSQL temp schema" test_mut_dsql_schema;
-    t "appliance refuses invalid plans" test_appliance_refusal ]
+    t "appliance refuses invalid plans" test_appliance_refusal;
+    t "observer is per statement, not appliance state"
+      test_observer_is_per_statement ]

@@ -247,10 +247,10 @@ let prop_random_parity =
 let chaos_once engine sql =
   let w = Opdw.Workload.tpch ~node_count:4 ~sf:0.002 ~engine () in
   let fault = Fault.seeded ~seed:11 ~rate:0.25 () in
-  let ctx = Opdw.Chaos.create ~fault w.Opdw.Workload.shell w.Opdw.Workload.app in
-  let r, res = Opdw.Chaos.run ctx sql in
+  let ctx = Topology.Elastic.create ~fault w.Opdw.Workload.shell w.Opdw.Workload.app in
+  let r, res = Topology.Elastic.run ctx sql in
   let cols = List.map snd (Opdw.output_columns r) in
-  let a = (Opdw.Chaos.app ctx).Engine.Appliance.account in
+  let a = (Topology.Elastic.app ctx).Engine.Appliance.account in
   (Engine.Local.canonical ~cols res, a.Engine.Appliance.sim_time,
    a.Engine.Appliance.injected, a.Engine.Appliance.retries)
 

@@ -39,13 +39,13 @@ let chaos ?cache fault sql =
         Engine.Appliance.reset_account app)
   @@ fun () ->
   Engine.Appliance.reset_account app;
-  let ctx = Opdw.Chaos.create ?cache ~fault wl.Opdw.Workload.shell app in
-  let r, res = Opdw.Chaos.run ctx sql in
+  let ctx = Topology.Elastic.create ?cache ~fault wl.Opdw.Workload.shell app in
+  let r, res = Topology.Elastic.run ctx sql in
   let cols = List.map snd (Opdw.output_columns r) in
   (* snapshot the account: the finally above resets the live record *)
-  let a = (Opdw.Chaos.app ctx).Engine.Appliance.account in
+  let a = (Topology.Elastic.app ctx).Engine.Appliance.account in
   let acct = { a with Engine.Appliance.injected = a.Engine.Appliance.injected } in
-  (Engine.Local.canonical ~cols res, acct, Opdw.Chaos.nodes ctx)
+  (Engine.Local.canonical ~cols res, acct, Topology.Elastic.nodes ctx)
 
 (* -- the pure plane: names, backoff, schedules, draws -- *)
 

@@ -231,11 +231,11 @@ let test_bounds_sound_after_refinement () =
     Analysis.context ~shell ~reg:r.Opdw.memo.Memo.reg
       ~nodes:(Fb.options fb).Opdw.pdw.Pdwopt.Enumerate.nodes
   in
-  Engine.Appliance.set_bounds app (Some (Analysis.group_bounds actx (Opdw.plan r)));
-  ignore (Fb.run fb sql);
-  Alcotest.(check int) "no bound violations post-refinement" 0
-    app.Engine.Appliance.bound_violations;
-  Engine.Appliance.set_bounds app None
+  let observe, violations =
+    Analysis.bounds_observer (Analysis.group_bounds actx (Opdw.plan r))
+  in
+  ignore (Fb.run ~observe fb sql);
+  Alcotest.(check int) "no bound violations post-refinement" 0 (violations ())
 
 let test_regression_falls_back_to_lkg () =
   let w = fresh_workload () in
@@ -285,6 +285,48 @@ let test_plan_identity_across_jobs () =
   Alcotest.(check bool) "simulated time bit-identical" true (s1 = s4);
   Alcotest.(check bool) "re-fitted λs bit-identical" true (l1 = l4)
 
+(* one harvest: the feedback and elastic drivers log the same statement's
+   per-operator observations through the same observer *)
+let test_one_harvest () =
+  let w = fresh_workload () in
+  let shell = w.Opdw.Workload.shell and app = w.Opdw.Workload.app in
+  let sql = sql_of "Q3" in
+  let fb = Fb.create shell app in
+  let oc = Fb.run fb sql in
+  let el = Topology.Elastic.create ~fault:Fault.none shell app in
+  let r, _ = Topology.Elastic.run el sql in
+  Alcotest.(check string) "same plan" (Opdw.explain oc.Fb.res) (Opdw.explain r);
+  let ops log =
+    match List.rev (Log.records log) with
+    | last :: _ -> last.Log.r_ops
+    | [] -> Alcotest.fail "no record appended"
+  in
+  let fb_ops = ops (Fb.log fb) in
+  Alcotest.(check bool) "harvested something" true (fb_ops <> []);
+  Alcotest.(check bool) "identical r_ops" true (fb_ops = ops (Topology.Elastic.log el))
+
+(* the observer is called in the caller domain in plan order: the call
+   sequence is identical at any --jobs *)
+let test_observer_sequence_across_jobs () =
+  let calls jobs =
+    Par.with_pool ~jobs @@ fun pool ->
+    let w = fresh_workload () in
+    Engine.Appliance.set_pool w.Opdw.Workload.app pool;
+    let r = Opdw.optimize w.Opdw.Workload.shell (sql_of "Q3") in
+    let reg = r.Opdw.memo.Memo.reg in
+    let seen = ref [] in
+    let observe (p : Pdwopt.Pplan.t) rows =
+      seen :=
+        (p.Pdwopt.Pplan.group, Pdwopt.Pplan.op_to_string reg p.Pdwopt.Pplan.op, rows)
+        :: !seen
+    in
+    ignore (Opdw.run ~observe w.Opdw.Workload.app r);
+    List.rev !seen
+  in
+  let c1 = calls 1 in
+  Alcotest.(check bool) "observer called" true (c1 <> []);
+  Alcotest.(check bool) "same call sequence at jobs 1 vs 4" true (c1 = calls 4)
+
 let suite =
   [ t "store: hysteresis / quarantine / fallback" test_store_hysteresis;
     t "store: degraded never LKG" test_store_degraded_never_lkg;
@@ -296,4 +338,6 @@ let suite =
     t "loop: calibration shrinks model error" test_calibrate_improves_model_error;
     t "loop: bounds stay sound after refinement" test_bounds_sound_after_refinement;
     t "loop: regression falls back to LKG" test_regression_falls_back_to_lkg;
-    t "loop: plan identity at jobs 1 vs 4" test_plan_identity_across_jobs ]
+    t "loop: plan identity at jobs 1 vs 4" test_plan_identity_across_jobs;
+    t "harvest: feedback and elastic log identical ops" test_one_harvest;
+    t "harvest: observer sequence at jobs 1 vs 4" test_observer_sequence_across_jobs ]

@@ -117,6 +117,29 @@ let test_recommission_grows_online () =
   Alcotest.(check (list string)) "rows identical on the wider topology" base
     (run_fresh app4 join_sql)
 
+(* the move counters have one home, the driver's obs: one grow reports
+   each exactly once (counted as sink events, not summed values) *)
+let test_grow_reports_move_counters_once () =
+  let wl = workload () in
+  let events = Hashtbl.create 8 in
+  let sink = function
+    | Obs.Metric (_, name, _) ->
+      Hashtbl.replace events name
+        (1 + Option.value (Hashtbl.find_opt events name) ~default:0)
+    | _ -> ()
+  in
+  let obs = Obs.create ~sink () in
+  let el =
+    Topology.Elastic.create ~fault:Fault.none wl.Opdw.Workload.shell wl.Opdw.Workload.app
+  in
+  Topology.Elastic.grow ~obs el ~nodes:4;
+  let count name = Option.value (Hashtbl.find_opt events name) ~default:0 in
+  Alcotest.(check int) "topology.applied_moves once" 1 (count "topology.applied_moves");
+  Alcotest.(check int) "topology.move_seconds once" 1 (count "topology.move_seconds");
+  Alcotest.(check bool) "move seconds are the accrued copy cost" true
+    (Obs.counter obs "topology.move_seconds" > 0.);
+  Alcotest.(check int) "grown to 4 nodes" 4 (Topology.Elastic.nodes el)
+
 let test_redistribute_rekeys_online () =
   let wl = workload ~node_count:4 () in
   let app = wl.Opdw.Workload.app in
@@ -368,6 +391,7 @@ let suite =
     t "last-node decommission is a structured fault"
       test_last_node_decommission_structured;
     t "recommission grows online to oracle rows" test_recommission_grows_online;
+    t "one grow reports the move counters once" test_grow_reports_move_counters_once;
     t "redistribute re-keys online, lower modelled cost"
       test_redistribute_rekeys_online;
     t "aborted move leaves the catalog bit-identical" test_abort_bit_identical;
