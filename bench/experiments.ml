@@ -1436,8 +1436,7 @@ let e21 () =
            counts must stay inside the analyzer's static bounds *)
         let r =
           Opdw.optimize ~options:(Opdw.Feedback.options fb)
-            ~cache:(Opdw.Feedback.plan_cache fb)
-            ~calibration:(Opdw.Feedback.epoch fb) shell q.Tpch.Queries.sql
+            ~cache:(Opdw.Feedback.plan_cache fb) shell q.Tpch.Queries.sql
         in
         let actx =
           Analysis.context ~shell ~reg:r.Opdw.memo.Memo.reg ~nodes

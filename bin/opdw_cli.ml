@@ -897,8 +897,7 @@ let calibrate nodes sf all query sql file seed budget jobs feedback_log
       else begin
         let r0 =
           Opdw.optimize ~options:(Opdw.Feedback.options fb)
-            ~cache:(Opdw.Feedback.plan_cache fb)
-            ~calibration:(Opdw.Feedback.epoch fb) shell text
+            ~cache:(Opdw.Feedback.plan_cache fb) shell text
         in
         let actx =
           Analysis.context ~shell ~reg:r0.Opdw.memo.Memo.reg
@@ -1029,7 +1028,7 @@ let planstore nodes sf all query sql file seed budget jobs runs
     if inject_regression && i = 2 then begin
       (* adversarial stats skew, applied after the LKG is recorded: the
          optimizer now believes the table is tiny, recompiles (set_stats
-         bumps stats_version, re-keying fingerprint v5) and picks a plan
+         bumps stats_version, re-keying the fingerprint) and picks a plan
          that regresses against the LKG *)
       match Catalog.Shell_db.find shell skew_table with
       | None ->

@@ -12,8 +12,9 @@ type t = {
   tables : (string, table) Hashtbl.t;
   node_count : int;  (** number of compute nodes in the appliance topology *)
   mutable stats_version : int;
-      (** bumped on every catalog/statistics change; cached compilation
-          artifacts (e.g. the plan cache) key on it for invalidation *)
+      (** bumped on every catalog/statistics change and strictly above the
+          source's in a {!derive}d shell; cached compilation artifacts
+          (e.g. the plan cache) key on it for invalidation *)
 }
 
 let create ~node_count = { tables = Hashtbl.create 16; node_count; stats_version = 0 }
@@ -52,13 +53,34 @@ let update_col_stats t name col stats =
     t.stats_version <- t.stats_version + 1
   | None -> invalid_arg (Printf.sprintf "Shell_db.update_col_stats: unknown table %s" name)
 
-(** Bump [stats_version] with no content change — marks an atomic catalog
-    flip (e.g. a topology move committing) so version-keyed consumers
-    (plan cache, plan store) observe that the layout changed even though
-    every table object is unchanged. *)
+(** Bump [stats_version] with no content change — marks a catalog-wide
+    change the tables do not show (e.g. a feedback calibration re-fitting
+    the cost model) so version-keyed consumers (plan cache, plan store)
+    re-key every statement. *)
 let touch t = t.stats_version <- t.stats_version + 1
 
 let tables t = Hashtbl.fold (fun _ tbl acc -> tbl :: acc) t.tables []
+
+(** The tables in name order, for deterministic iteration. *)
+let sorted_tables t =
+  List.sort (fun a b -> compare a.schema.Schema.name b.schema.Schema.name) (tables t)
+
+(** [derive ?node_count ?dist_of src] is a new shell sharing [src]'s
+    schema and statistics objects, on [node_count] (default [src]'s)
+    compute nodes, each table distributed by [dist_of] (default
+    unchanged). Tables are added in name order, and the version is one
+    above [src]'s, so versions rise strictly along a lineage of derived
+    shells and stay deterministic (there is no global counter). [src] is
+    not mutated. *)
+let derive ?node_count ?(dist_of = fun tbl -> tbl.dist) src =
+  let t =
+    create ~node_count:(Option.value node_count ~default:src.node_count)
+  in
+  List.iter
+    (fun tbl -> ignore (add_table t ~stats:tbl.stats tbl.schema (dist_of tbl)))
+    (sorted_tables src);
+  t.stats_version <- src.stats_version + 1;
+  t
 
 let row_count tbl = Tbl_stats.row_count tbl.stats
 

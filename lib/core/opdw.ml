@@ -38,7 +38,7 @@ type options = {
           under a small exploration budget *)
   governor : Governor.limits;
       (** statement deadline / memo-size budget; {!Governor.no_limits} by
-          default. Part of the plan-cache fingerprint (v3). *)
+          default. Part of the plan-cache fingerprint. *)
 }
 
 let default_options ~node_count = {
@@ -316,8 +316,7 @@ let baseline_stage opts reg shell
     [obs] context to collect the per-stage span tree and counters; pass a
     [cache] to skip serial + PDW optimization on repeated queries. *)
 let optimize ?(obs = Obs.null) ?(options : options option) ?(cache : cache option)
-    ?(check = true) ?(live_nodes : int list option) ?(token = Governor.none)
-    ?(pool = Par.sequential) ?(calibration = 0) ?(topology = 0)
+    ?(check = true) ?(token = Governor.none) ?(pool = Par.sequential)
     (shell : Catalog.Shell_db.t) (sql : string) : result =
   let opts =
     match options with
@@ -469,7 +468,7 @@ let optimize ?(obs = Obs.null) ?(options : options option) ?(cache : cache optio
     | Some c ->
       let fp =
         Obs.with_span obs "plancache" @@ fun () ->
-        Plancache.fingerprint ?live_nodes ~calibration ~topology ~shell ~serial:opts.serial
+        Plancache.fingerprint ~shell ~serial:opts.serial
           ~pdw:opts.pdw ~baseline:opts.baseline ~via_xml:opts.via_xml
           ~seed_collocated:opts.seed_collocated ~governor:opts.governor
           normalized
@@ -637,8 +636,7 @@ module Governed = struct
             (* compile on the appliance's pool too: with the leveled
                wavefront, `--jobs` covers compilation, not just shard
                execution *)
-            optimize ~obs ~options:t.options ?cache:t.cache ~check:t.check
-              ~live_nodes:(Engine.Appliance.live_nodes t.app) ~token
+            optimize ~obs ~options:t.options ?cache:t.cache ~check:t.check ~token
               ~pool:t.app.Engine.Appliance.pool t.shell sql
           in
           (* compilation can overlap across gate slots; execution of the
@@ -694,7 +692,7 @@ module Feedback = struct
       {!calibrate} folds the log back into the shell catalog (histogram
       refinement for columns whose estimates missed by more than the
       threshold; λ re-fit from the observed DMS volumes) and bumps the
-      calibration epoch, which re-keys every fingerprint (v5). If a
+      shell's version, which re-keys every fingerprint. If a
       recompiled plan then regresses against the LKG past the hysteresis
       thresholds, its fingerprint is quarantined and {!run} automatically
       falls back to the LKG plan. *)
@@ -714,7 +712,7 @@ module Feedback = struct
     store : result Store.t;
     miss_threshold : float;   (** estimation-error factor that flags a column *)
     refine_buckets : int;     (** histogram resolution of refined statistics *)
-    mutable epoch : int;      (** calibration epoch, part of fingerprint v5 *)
+    mutable epoch : int;      (** calibration passes so far *)
   }
 
   let create ?cache ?options ?(check = true) ?(regress_factor = 1.2)
@@ -823,12 +821,11 @@ module Feedback = struct
     let key = statement_key sql in
     let compiled =
       optimize ~obs ~options:t.options ~cache:t.cache ~check:t.check
-        ~live_nodes:(Engine.Appliance.live_nodes t.app)
-        ~pool:t.app.Engine.Appliance.pool ~calibration:t.epoch t.shell sql
+        ~pool:t.app.Engine.Appliance.pool t.shell sql
     in
     let fp = Option.get compiled.fingerprint in
     (* pre-execution regression fallback: a quarantined fingerprint is
-       never run again (until a calibration epoch re-keys it); the
+       never run again (until a calibration re-keys it); the
        last-known-good plan runs in its place *)
     let r, fellback =
       match Store.resolve t.store ~statement:key ~fingerprint:fp with
@@ -902,9 +899,9 @@ module Feedback = struct
       install it in the driver's options. Both folds are pure functions of
       the log (λs are always fitted against {!Dms.Cost.default_lambdas} as
       the base, not compounded), so the same log yields bit-identical
-      refined stats and λs at any [--jobs]. Bumps the calibration epoch;
-      every statement recompiles on its next run (stats_version and the
-      epoch both re-key fingerprint v5). *)
+      refined stats and λs at any [--jobs]. Bumps the calibration epoch
+      and {!Catalog.Shell_db.touch}es the shell, so every statement
+      recompiles on its next run even when nothing was refined. *)
   let calibrate ?(obs = Obs.null) (t : t) : calibration =
     let recs = Log.records t.log in
     let misses = Misses.columns ~threshold:t.miss_threshold recs in
@@ -931,6 +928,7 @@ module Feedback = struct
       { t.options with
         pdw = { t.options.pdw with Pdwopt.Enumerate.lambdas };
         baseline = { t.options.baseline with Baseline.lambdas } };
+    Catalog.Shell_db.touch t.shell;
     t.epoch <- t.epoch + 1;
     Obs.add obs "feedback.calibrations" 1;
     Obs.add obs "feedback.refined_columns" (List.length refined);

@@ -42,8 +42,7 @@ type options = {
       (** statement deadline (wall seconds), execution deadline (simulated
           seconds, interpreted by {!Governed}), and memo-size budget;
           {!Governor.no_limits} by default. Part of the plan-cache
-          fingerprint (since v3; v5 additionally carries the feedback
-          calibration epoch). *)
+          fingerprint. *)
 }
 
 (** Defaults for an appliance with [node_count] compute nodes: full
@@ -119,8 +118,12 @@ val cache : ?capacity:int -> unit -> cache
     Pass a [cache] to memoize the compiled tail: a fingerprint hit skips
     serial exploration, the XML interchange, PDW enumeration, DSQL
     generation and baseline parallelization, returning the previously
-    compiled plans. Reports [plancache.hit] / [plancache.miss] /
-    [plancache.evict] counters into [obs].
+    compiled plans. The fingerprint is the normalized tree, [options] and
+    [shell]'s node count and [stats_version]; every catalog change
+    (statistics, a calibration, a derived shell after a decommission or a
+    topology move) raises the version, so stale plans miss. Reports
+    [plancache.hit] / [plancache.miss] / [plancache.evict] counters into
+    [obs].
 
     [check] (default [true]) runs the {!Check} static analyzer over the
     chosen plan and its DSQL steps (a [check] stage after [dsql_generate])
@@ -130,11 +133,6 @@ val cache : ?capacity:int -> unit -> cache
     not re-run the analyzer (an invalid plan raises before admission, so
     a poisoned tail is never cached here; {!run} evicts entries the
     appliance rejects at execution time).
-
-    [live_nodes] is the appliance's surviving-node set (original node
-    ids, see {!Engine.Appliance.live_nodes}); it extends the plan-cache
-    fingerprint so plans compiled before a node loss cannot be served
-    against the shrunken topology. Defaults to all nodes alive.
 
     [token] threads cooperative cancellation through serial exploration
     and the PDW enumeration. With [options.governor.deadline] set, a
@@ -148,24 +146,10 @@ val cache : ?capacity:int -> unit -> cache
     [pool] parallelizes compilation itself: serial exploration's rule
     matching and the PDW enumeration's leveled wavefront both fan out on
     it. The chosen plan — fingerprint, costs, DSQL text — is bit-identical
-    at any pool size (default: the shared sequential pool).
-
-    [calibration] (default 0) is the feedback calibration epoch carried in
-    fingerprint v5; the {!Feedback} driver bumps it on every
-    {!Feedback.calibrate} so plans from different calibration states never
-    alias in the cache or the plan store.
-
-    [topology] (default 0) is the topology epoch carried in fingerprint
-    v6: an online topology move (grow / re-key — see
-    {!Engine.Appliance.recommission} / [redistribute]) rebuilds the shell
-    catalog, whose fresh [stats_version] could otherwise alias a pre-move
-    fingerprint at an equal node count. Pass the appliance's replan
-    [epoch] (monotone across decommissions and phased moves); the
-    {!Topology.Elastic} driver does. *)
+    at any pool size (default: the shared sequential pool). *)
 val optimize :
   ?obs:Obs.t -> ?options:options -> ?cache:cache -> ?check:bool ->
-  ?live_nodes:int list -> ?token:Governor.token -> ?pool:Par.t ->
-  ?calibration:int -> ?topology:int ->
+  ?token:Governor.token -> ?pool:Par.t ->
   Catalog.Shell_db.t -> string -> result
 
 (** The chosen distributed plan (rooted at the final Return operation). *)
@@ -267,8 +251,8 @@ end
     last-known-good {!Feedback.Store} keyed by plan-cache fingerprint.
     {!Feedback.calibrate} folds the log back into the shell catalog
     (histogram refinement for columns missed by more than the threshold;
-    λ re-fit from observed DMS volumes) and bumps the calibration epoch
-    (fingerprint v5). A recompiled plan that regresses against the LKG
+    λ re-fit from observed DMS volumes) and bumps the shell's version, which
+    re-keys every fingerprint. A recompiled plan that regresses against the LKG
     past the hysteresis thresholds (observed sim > [regress_factor] × LKG
     for [streak_limit] consecutive runs) is quarantined, and {!Feedback.run}
     automatically falls back to the LKG plan. Degraded (Anytime/Fallback)
@@ -360,9 +344,9 @@ module Feedback : sig
       every column whose estimates missed by more than [miss_threshold]
       (full-resolution rebuild from the true shards — widening-only, so
       R11 analysis bounds stay sound), re-fit λs from observed DMS
-      volumes, install them in the driver's options, and bump the
-      calibration epoch (stats_version and the epoch both re-key
-      fingerprint v5, so every statement recompiles on its next run). A
+      volumes, install them in the driver's options, bump the calibration
+      epoch and {!Catalog.Shell_db.touch} the shell (so every statement
+      recompiles on its next run, even when nothing was refined). A
       pure function of the log: the same log yields bit-identical refined
       stats and λs at any [--jobs]. *)
   val calibrate : ?obs:Obs.t -> t -> calibration

@@ -17,9 +17,9 @@
     - the appliance topology (node count) and the serial/PDW/baseline
       option records, including λ constants and §3.1 hints — any knob
       that steers plan choice re-keys the entry;
-    - the shell database's [stats_version], bumped on every
-      [set_stats]/[add_table] — statistics updates invalidate by missing,
-      not by flushing.
+    - the shell database's [stats_version], bumped on every catalog
+      change and raised in every derived shell (decommission, topology
+      move) — catalog changes invalidate by missing, not by flushing.
 
     Keys are the full canonical payload (no hashing), so false hits are
     impossible by construction. All operations take an internal mutex, so
@@ -213,52 +213,30 @@ let hint (t, h) =
   Printf.sprintf "%s=%s" (String.lowercase_ascii t)
     (match h with `Broadcast -> "B" | `Shuffle -> "S")
 
-(** The cache key for one optimization request: canonical tree render plus
-    every knob the pipeline's plan choice depends on. [live_nodes] is the
-    appliance's surviving-node set (original node ids) — after a node loss
-    the topology differs even at an equal node count's worth of knobs, so
-    plans compiled for the old topology must miss, not hit (v2 of the
-    key). Defaults to all of [shell]'s nodes alive. [governor] carries the
-    statement deadline / memo-budget knobs (v3): a plan compiled under a
-    tight budget explores a different space than a full-budget one, so the
-    two must never alias — even though degraded results are additionally
-    refused admission outright (see {!note_degraded}). v4 adds the PDW
-    [fold_empty] analysis knob: a plan compiled with contradiction-driven
-    folding off must not be served when folding is on (or vice versa) —
-    the two agree only when no group is proven empty, which the
-    fingerprint cannot know. v5 adds the feedback [calibration] epoch
-    (default 0): feedback-driven calibration re-fits λs and refines
-    histograms between runs of the {e same} catalog object graph, and the
-    epoch re-keys every statement after a calibration pass even when a
-    statement's plan happens to be insensitive to the refreshed inputs —
-    the plan store compares observed costs per fingerprint, so plans from
-    different calibration states must never alias. v6 adds the [topology]
-    epoch (default 0): an online topology move (grow / re-key) rebuilds
-    the shell catalog, and the rebuilt shell's [stats_version] restarts
-    near the table count — without the epoch, a plan compiled against the
-    pre-move layout could alias a post-move fingerprint at an equal node
-    count (a re-key changes no knob the key otherwise carries). The
-    appliance's replan epoch is monotone across decommissions and phased
-    moves, so it is the natural value to pass. *)
-let fingerprint ?live_nodes ?(governor = Governor.no_limits) ?(calibration = 0)
-    ?(topology = 0)
+(** The cache key for one optimization request: the canonical tree
+    render, every option the pipeline's plan choice depends on (serial,
+    PDW including hints and λs, baseline, XML interchange, seeding, and
+    the [governor] budgets — a tight-budget plan explores a different
+    space, so it must never alias a full-budget one), and the shell the
+    plan was compiled against, as its node count and [stats_version]. A
+    plan is a pure function of these three (paper §2.2: the shell is all
+    the compiler sees of the appliance). Every catalog change raises the
+    version: statistics updates, a feedback calibration
+    ({!Catalog.Shell_db.touch}), and the new shell that a decommission or
+    a topology move {!Catalog.Shell_db.derive}s, whose version starts
+    above its source's — so along one appliance's lineage no two layouts
+    share a version. *)
+let fingerprint ?(governor = Governor.no_limits)
     ~(shell : Catalog.Shell_db.t)
     ~(serial : Serialopt.Optimizer.options) ~(pdw : Pdwopt.Enumerate.opts)
     ~(baseline : Baseline.opts) ~(via_xml : bool) ~(seed_collocated : bool)
     (normalized : Algebra.Relop.t) : string =
-  let live =
-    match live_nodes with
-    | Some l -> l
-    | None -> List.init (Catalog.Shell_db.node_count shell) Fun.id
-  in
   let fopt = function None -> "-" | Some f -> Printf.sprintf "%h" f in
   let iopt = function None -> "-" | Some i -> string_of_int i in
   String.concat "|"
-    [ Printf.sprintf "v6;nodes=%d;live=%s;stats=%d;cal=%d;topo=%d"
+    [ Printf.sprintf "v7;nodes=%d;stats=%d"
         (Catalog.Shell_db.node_count shell)
-        (String.concat "," (List.map string_of_int live))
-        (Catalog.Shell_db.stats_version shell)
-        calibration topology;
+        (Catalog.Shell_db.stats_version shell);
       Printf.sprintf "serial=%d,%b,%b" serial.Serialopt.Optimizer.task_budget
         serial.Serialopt.Optimizer.enable_merge_join
         serial.Serialopt.Optimizer.enable_stream_agg;

@@ -119,9 +119,6 @@ type t = {
   mutable epoch : int;
       (** replan epoch: 0 at creation, bumped by {!decommission}; part of
           every fault-draw coordinate so post-replan execution redraws *)
-  mutable live : int list;
-      (** original node ids still alive, in current-node-index order;
-          [List.init nodes Fun.id] until a node is decommissioned *)
   mutable step_no : int;
       (** injectable steps started in the current statement (deterministic
           plan-traversal order); reset by {!begin_statement} *)
@@ -135,7 +132,7 @@ let create ?(hw = default_hw) ?(pool = Par.sequential) ?(check = true)
   { shell; nodes; hw; engine;
     storage = Array.init nodes (fun _ -> Hashtbl.create 16);
     account = fresh_account (); pool; check;
-    fault = Fault.none; epoch = 0; live = List.init nodes Fun.id;
+    fault = Fault.none; epoch = 0;
     step_no = 0; cur_step = 0; cur_attempt = 0 }
 
 (** Attach a domain pool for multicore shard execution (typically one pool
@@ -152,9 +149,6 @@ let set_check t check = t.check <- check
 
 (** Attach a fault-injection plan ({!Fault.none} disables injection). *)
 let set_fault t fault = t.fault <- fault
-
-(** Original node ids still alive (current node index -> original id). *)
-let live_nodes t = t.live
 
 let reset_account t = assign_account ~dst:t.account (fresh_account ())
 
@@ -758,15 +752,6 @@ let run_pplan ?(obs = Obs.null) ?(token = Governor.none) ?observe (t : t)
 
 (* -- graceful degradation: node loss -- *)
 
-(* catalog tables sorted by name, so shell reconstruction (and its
-   stats_version assignment) is deterministic for shrink, grow and re-key *)
-let sorted_tables (shell : Catalog.Shell_db.t) =
-  List.sort
-    (fun (a : Catalog.Shell_db.table) (b : Catalog.Shell_db.table) ->
-       compare a.Catalog.Shell_db.schema.Catalog.Schema.name
-         b.Catalog.Shell_db.schema.Catalog.Schema.name)
-    (Catalog.Shell_db.tables shell)
-
 (* the reader+network+writer pipeline rates of this appliance's hardware,
    in the shape the shared {!Dms.Cost.repartition_seconds} helper prices
    shrink, grow, and re-key moves with *)
@@ -782,10 +767,10 @@ let move_rates (hw : hw) : Dms.Cost.move_rates =
     the appliance's mirrored copies — the simulated substrate keeps the
     full logical contents), the account carried over plus a recovery
     charge of re-partitioning every hash-distributed table at DMS rates.
-    The replan [epoch] is bumped so fault draws restart, and [live] drops
-    the dead node's original id — callers key plan-cache fingerprints on
-    it so stale-topology plans cannot be served. The [fault.replans] and
-    [fault.recovery_seconds] counters go to [obs]. *)
+    The new shell is {!Catalog.Shell_db.derive}d, so its version is above
+    the old one's and plans compiled for the old topology miss the plan
+    cache. The replan [epoch] is bumped so fault draws restart. The
+    [fault.replans] and [fault.recovery_seconds] counters go to [obs]. *)
 let decommission ?(obs = Obs.null) (t : t) ~(node : int) : t =
   if t.nodes <= 1 then
     (* structured, not [invalid_arg]: losing the last compute node is a
@@ -799,20 +784,11 @@ let decommission ?(obs = Obs.null) (t : t) ~(node : int) : t =
            attempts = 1 });
   if node < 0 || node >= t.nodes then
     invalid_arg "Appliance.decommission: no such node";
-  (* same tables, (N-1)-node topology; iterate sorted by name so shell
-     construction (and stats_version assignment) is deterministic *)
-  let tables = sorted_tables t.shell in
-  let shell' = Catalog.Shell_db.create ~node_count:(t.nodes - 1) in
-  List.iter
-    (fun (tbl : Catalog.Shell_db.table) ->
-       ignore
-         (Catalog.Shell_db.add_table shell' ~stats:tbl.Catalog.Shell_db.stats
-            tbl.Catalog.Shell_db.schema tbl.Catalog.Shell_db.dist))
-    tables;
+  let tables = Catalog.Shell_db.sorted_tables t.shell in
+  let shell' = Catalog.Shell_db.derive ~node_count:(t.nodes - 1) t.shell in
   let t' = create ~hw:t.hw ~pool:t.pool ~check:t.check ~engine:t.engine shell' in
   t'.fault <- t.fault;
   t'.epoch <- t.epoch + 1;
-  t'.live <- List.filteri (fun i _ -> i <> node) t.live;
   (* reload user data; the re-partition of every hash-distributed table is
      the recovery work, charged at reader+network+writer rates *)
   let moved_bytes = ref 0. and moved_rows = ref 0. in
@@ -877,32 +853,24 @@ type move = {
       (** simulated copy cost accrued, charged to the clock at the flip *)
 }
 
-(** [begin_move t ~node_count ~live ~dist_of] opens a phased move to a
+(** [begin_move t ~node_count ~dist_of] opens a phased move to a
     [node_count]-node topology with distribution layout [dist_of] (given
     each current table, return its target distribution). Builds the shadow
-    shell and appliance at [t]'s next replan epoch; tables whose physical
-    layout is unchanged transfer for free immediately (replicated copies
-    are mirrored and identically keyed hash shards at an equal node count
-    are shared by reference — payloads are immutable); every other table
-    becomes a pending priced copy step. [t] itself is not mutated. *)
-let begin_move (t : t) ~(node_count : int) ~(live : int list)
+    shell ({!Catalog.Shell_db.derive}d from [t]'s) and appliance at [t]'s
+    next replan epoch; tables whose physical layout is unchanged transfer
+    for free immediately (replicated copies are mirrored and identically
+    keyed hash shards at an equal node count are shared by reference —
+    payloads are immutable); every other table becomes a pending priced
+    copy step. [t] itself is not mutated. *)
+let begin_move (t : t) ~(node_count : int)
     ~(dist_of : Catalog.Shell_db.table -> Catalog.Distribution.t) : move =
   if node_count < 1 then
     invalid_arg "Appliance.begin_move: need at least one compute node";
-  if List.length live <> node_count then
-    invalid_arg "Appliance.begin_move: live-node list does not match node_count";
-  let tables = sorted_tables t.shell in
-  let shell' = Catalog.Shell_db.create ~node_count in
-  List.iter
-    (fun (tbl : Catalog.Shell_db.table) ->
-       ignore
-         (Catalog.Shell_db.add_table shell' ~stats:tbl.Catalog.Shell_db.stats
-            tbl.Catalog.Shell_db.schema (dist_of tbl)))
-    tables;
+  let tables = Catalog.Shell_db.sorted_tables t.shell in
+  let shell' = Catalog.Shell_db.derive ~node_count ~dist_of t.shell in
   let t' = create ~hw:t.hw ~pool:t.pool ~check:t.check ~engine:t.engine shell' in
   t'.fault <- t.fault;
   t'.epoch <- t.epoch + 1;
-  t'.live <- live;
   let pending =
     List.filter_map
       (fun (tbl : Catalog.Shell_db.table) ->
@@ -1017,19 +985,18 @@ let copy_step (m : move) : unit =
     m.m_pending <- rest
 
 (** Atomically commit a fully copied move: one injectable control-node
-    step (the catalog flip), a [stats_version] bump on the new shell, the
-    source's account carried into the shadow appliance plus the move's
-    accrued copy cost, and the new topology returned. Statements admitted
-    before the flip executed against the old layout on [m_source]; the
-    caller switches new statements to the returned appliance (whose bumped
-    replan epoch re-keys plan-cache fingerprints — v6 carries it). *)
+    step (the catalog flip), the source's account carried into the shadow
+    appliance plus the move's accrued copy cost, and the new topology
+    returned. Statements admitted before the flip executed against the
+    old layout on [m_source]; the caller switches new statements to the
+    returned appliance, whose derived shell re-keys plan-cache
+    fingerprints. *)
 let flip_move (m : move) : t =
   if m.m_pending <> [] then
     invalid_arg "Appliance.flip_move: pending table copies remain";
   let ts = m.m_source and tt = m.m_target in
   (* the flip itself runs on the control node and is injectable *)
   with_recovery ts (fun () -> inject_point ts Fault.Control_transient);
-  Catalog.Shell_db.touch tt.shell;
   assign_account ~dst:tt.account ts.account;
   tt.account.sim_time <- tt.account.sim_time +. m.m_seconds;
   tt.account.dms_time <- tt.account.dms_time +. m.m_seconds;
@@ -1048,16 +1015,11 @@ let abort_move (m : move) : unit =
 (** [recommission t ~nodes] grows the appliance to [nodes] compute nodes
     (the inverse of {!decommission}) as one complete phased move: every
     hash-distributed table is re-partitioned onto the wider topology at
-    {!Dms.Cost.repartition_seconds} rates, then the catalog flips. New
-    node ids continue after the highest original id ever used, so a
-    re-grown appliance never aliases a decommissioned node's id in [live]
-    (plan-cache fingerprints distinguish the topologies). *)
+    {!Dms.Cost.repartition_seconds} rates, then the catalog flips. *)
 let recommission (t : t) ~(nodes : int) : t =
   if nodes <= t.nodes then
     invalid_arg "Appliance.recommission: node count must grow";
-  let next = 1 + List.fold_left max (-1) t.live in
-  let live = t.live @ List.init (nodes - t.nodes) (fun i -> next + i) in
-  let m = begin_move t ~node_count:nodes ~live ~dist_of:(fun tbl -> tbl.Catalog.Shell_db.dist) in
+  let m = begin_move t ~node_count:nodes ~dist_of:(fun tbl -> tbl.Catalog.Shell_db.dist) in
   (try while m.m_pending <> [] do copy_step m done
    with e -> abort_move m; raise e);
   flip_move m
@@ -1076,7 +1038,7 @@ let redistribute (t : t) ~(table : string) ~(cols : string list) : t =
   if cols = [] then invalid_arg "Appliance.redistribute: empty distribution key";
   let key = String.lowercase_ascii table in
   let m =
-    begin_move t ~node_count:t.nodes ~live:t.live
+    begin_move t ~node_count:t.nodes
       ~dist_of:(fun (x : Catalog.Shell_db.table) ->
           if String.lowercase_ascii x.Catalog.Shell_db.schema.Catalog.Schema.name = key
           then Catalog.Distribution.Hash_partitioned cols

@@ -61,7 +61,6 @@ type t = {
   mutable check : bool;
   mutable fault : Fault.plan;
   mutable epoch : int;
-  mutable live : int list;
   mutable step_no : int;
   mutable cur_step : int;
   mutable cur_attempt : int;
@@ -85,9 +84,6 @@ val set_check : t -> bool -> unit
 
 (** Attach a fault-injection plan ({!Fault.none} disables injection). *)
 val set_fault : t -> Fault.plan -> unit
-
-(** Original node ids still alive (current node index -> original id). *)
-val live_nodes : t -> int list
 
 val reset_account : t -> unit
 
@@ -183,8 +179,9 @@ val move_rates : hw -> Dms.Cost.move_rates
     after compute node [node] (current index) died: same schemas and
     statistics, every table re-partitioned mod the surviving count, the
     account carried over plus a recovery charge of re-partitioning every
-    hash-distributed table at DMS rates. The replan epoch is bumped so
-    fault draws restart, and [live] drops the dead node's original id.
+    hash-distributed table at DMS rates. The new shell is
+    {!Catalog.Shell_db.derive}d, so plans compiled for the old topology
+    miss the plan cache; the replan epoch is bumped so fault draws restart.
     Decommissioning the last compute node raises {!Fault.Exhausted} (the
     appliance cannot serve — a fault-plane outcome, not a caller bug);
     an out-of-range [node] raises [Invalid_argument]. The [fault.replans]
@@ -209,11 +206,12 @@ type move = {
 
 (** Open a phased move to a [node_count]-node topology with distribution
     layout [dist_of] (given each current table, return its target
-    distribution). Unchanged-layout tables transfer for free immediately;
+    distribution). The target shell is {!Catalog.Shell_db.derive}d from
+    the source's. Unchanged-layout tables transfer for free immediately;
     every other table becomes a pending priced copy step. The source
     appliance is not mutated. *)
 val begin_move :
-  t -> node_count:int -> live:int list ->
+  t -> node_count:int ->
   dist_of:(Catalog.Shell_db.table -> Catalog.Distribution.t) -> move
 
 (** Copy-build the next pending table into the shadow appliance as one
@@ -227,10 +225,10 @@ val begin_move :
 val copy_step : move -> unit
 
 (** Atomically commit a fully copied move: one injectable control-node
-    step, a [stats_version] bump on the new shell, the source account
-    carried over plus the move's accrued copy cost. Returns the new
-    appliance (bumped replan epoch — fingerprint v6 carries it). Raises
-    [Invalid_argument] if pending copies remain. *)
+    step, the source account carried over plus the move's accrued copy
+    cost. Returns the new appliance, whose derived shell re-keys
+    plan-cache fingerprints. Raises [Invalid_argument] if pending copies
+    remain. *)
 val flip_move : move -> t
 
 (** Abandon an in-flight move: half-built partitions are dropped; the
@@ -238,9 +236,7 @@ val flip_move : move -> t
 val abort_move : move -> unit
 
 (** [recommission t ~nodes] grows the appliance to [nodes] compute nodes
-    (the inverse of {!decommission}) as one complete phased move. New node
-    ids continue after the highest id ever used, so a re-grown appliance
-    never aliases a decommissioned node's id in [live]. *)
+    (the inverse of {!decommission}) as one complete phased move. *)
 val recommission : t -> nodes:int -> t
 
 (** [redistribute t ~table ~cols] changes [table]'s distribution key to

@@ -127,6 +127,12 @@ module Log = struct
     let fail fmt =
       Printf.ksprintf (fun m -> raise (Parse_error (Printf.sprintf "line %d: %s" !lineno m))) fmt
     in
+    (* Scanf raises End_of_file on a truncated line *)
+    let scan what f =
+      try f () with
+      | Scanf.Scan_failure m | Failure m -> fail "bad %s: %s" what m
+      | End_of_file -> fail "bad %s: truncated line" what
+    in
     String.split_on_char '\n' text
     |> List.iter (fun line ->
         incr lineno;
@@ -141,43 +147,40 @@ module Log = struct
             (match kw with
              | "record" ->
                finish ();
-               (try
-                  Scanf.sscanf line "record %S %S %h %h %d"
-                    (fun stmt fp sim wall deg ->
-                       cur :=
-                         Some
-                           ( { r_statement = stmt; r_fingerprint = fp; r_ops = [];
-                               r_dms = []; r_sim = sim; r_wall = wall;
-                               r_degraded = deg <> 0 },
-                             [], [] ))
-                with Scanf.Scan_failure m | Failure m -> fail "bad record: %s" m)
+               scan "record" (fun () ->
+                   Scanf.sscanf line "record %S %S %h %h %d"
+                     (fun stmt fp sim wall deg ->
+                        cur :=
+                          Some
+                            ( { r_statement = stmt; r_fingerprint = fp; r_ops = [];
+                                r_dms = []; r_sim = sim; r_wall = wall;
+                                r_degraded = deg <> 0 },
+                              [], [] )))
              | "op" ->
                (match !cur with
                 | None -> fail "op line outside a record"
                 | Some (r, ops, dms) ->
-                  (try
-                     Scanf.sscanf line "op %d %S %S %h %h %s"
-                       (fun group op table est actual cols ->
-                          let o =
-                            { o_group = group; o_op = op;
-                              o_table = (if table = "" then None else Some table);
-                              o_cols = decode_cols cols; o_est = est; o_actual = actual }
-                          in
-                          cur := Some (r, o :: ops, dms))
-                   with Scanf.Scan_failure m | Failure m -> fail "bad op: %s" m))
+                  scan "op" (fun () ->
+                      Scanf.sscanf line "op %d %S %S %h %h %s"
+                        (fun group op table est actual cols ->
+                           let o =
+                             { o_group = group; o_op = op;
+                               o_table = (if table = "" then None else Some table);
+                               o_cols = decode_cols cols; o_est = est; o_actual = actual }
+                           in
+                           cur := Some (r, o :: ops, dms))))
              | "dms" ->
                (match !cur with
                 | None -> fail "dms line outside a record"
                 | Some (r, ops, dms) ->
-                  (try
-                     Scanf.sscanf line "dms %s %h %h"
-                       (fun comp bytes seconds ->
-                          match component_of_name comp with
-                          | None -> fail "unknown DMS component %S" comp
-                          | Some c ->
-                            let d = { d_component = c; d_bytes = bytes; d_seconds = seconds } in
-                            cur := Some (r, ops, d :: dms))
-                   with Scanf.Scan_failure m | Failure m -> fail "bad dms: %s" m))
+                  scan "dms" (fun () ->
+                      Scanf.sscanf line "dms %s %h %h"
+                        (fun comp bytes seconds ->
+                           match component_of_name comp with
+                           | None -> fail "unknown DMS component %S" comp
+                           | Some c ->
+                             let d = { d_component = c; d_bytes = bytes; d_seconds = seconds } in
+                             cur := Some (r, ops, d :: dms))))
              | _ -> fail "unknown keyword %S" kw));
     finish ();
     t

@@ -12,9 +12,9 @@
     - {!Elastic}: the statement driver that serves queries while topology
       moves ({!Engine.Appliance.begin_move} phases) are in flight —
       statements admitted mid-move execute against the old layout until
-      the atomic flip, node crashes compose with decommission + move
-      restart, and every compiled plan carries the topology epoch
-      (plan-cache fingerprint v6). *)
+      the atomic flip, and node crashes compose with decommission + move
+      restart. Every move and decommission derives a new shell catalog,
+      so plans compiled for an old layout miss the plan cache. *)
 
 (* -- deterministic skewed workload source -- *)
 
@@ -139,28 +139,13 @@ module Advisor = struct
   (* a hypothetical shell: same schemas/statistics, distribution keys of
      the named tables overridden *)
   let hypothetical (shell : Catalog.Shell_db.t) (overrides : (string * string list) list) =
-    let shell' =
-      Catalog.Shell_db.create ~node_count:(Catalog.Shell_db.node_count shell)
-    in
-    List.iter
-      (fun (tbl : Catalog.Shell_db.table) ->
-         let name =
-           String.lowercase_ascii tbl.Catalog.Shell_db.schema.Catalog.Schema.name
-         in
-         let dist =
-           match List.assoc_opt name overrides with
-           | Some cols -> Catalog.Distribution.Hash_partitioned cols
-           | None -> tbl.Catalog.Shell_db.dist
-         in
-         ignore
-           (Catalog.Shell_db.add_table shell' ~stats:tbl.Catalog.Shell_db.stats
-              tbl.Catalog.Shell_db.schema dist))
-      (List.sort
-         (fun (a : Catalog.Shell_db.table) (b : Catalog.Shell_db.table) ->
-            compare a.Catalog.Shell_db.schema.Catalog.Schema.name
-              b.Catalog.Shell_db.schema.Catalog.Schema.name)
-         (Catalog.Shell_db.tables shell));
-    shell'
+    Catalog.Shell_db.derive shell ~dist_of:(fun (tbl : Catalog.Shell_db.table) ->
+        let name =
+          String.lowercase_ascii tbl.Catalog.Shell_db.schema.Catalog.Schema.name
+        in
+        match List.assoc_opt name overrides with
+        | Some cols -> Catalog.Distribution.Hash_partitioned cols
+        | None -> tbl.Catalog.Shell_db.dist)
 
   (** [advise shell log] replays the log's distinct statements (weighted
       by observed frequency) against candidate distribution-key
@@ -242,9 +227,7 @@ module Elastic = struct
       statements against the old layout between copy steps, a node crash
       mid-move aborts the half-built target (the source stays
       bit-identical), composes with decommission, and restarts the move
-      on the survivors. Every compiled
-      plan carries the appliance's replan epoch as the plan-cache
-      fingerprint's topology epoch (v6). *)
+      on the survivors. *)
 
   type t = {
     mutable shell : Catalog.Shell_db.t;
@@ -272,7 +255,8 @@ module Elastic = struct
   let log t = t.log
   let options t = t.options
 
-  (** The topology epoch every compiled plan is keyed under. *)
+  (** The appliance's replan epoch: decommissions and committed moves so
+      far. *)
   let epoch t = t.app.Engine.Appliance.epoch
 
   (* switch the driver to a replacement appliance (decommission result or
@@ -310,8 +294,6 @@ module Elastic = struct
       Engine.Appliance.set_fault t.app t.fault;
       let r =
         Opdw.optimize ~obs ~options:t.options ?cache:t.cache
-          ~live_nodes:(Engine.Appliance.live_nodes t.app)
-          ~topology:t.app.Engine.Appliance.epoch
           ~pool:t.app.Engine.Appliance.pool t.shell sql
       in
       let observe, ops =
@@ -399,12 +381,7 @@ module Elastic = struct
     phased ?obs ?between t (fun (app : Engine.Appliance.t) ->
         if nodes <= app.Engine.Appliance.nodes then
           invalid_arg "Topology.Elastic.grow: node count must grow";
-        let next = 1 + List.fold_left max (-1) app.Engine.Appliance.live in
-        let live =
-          app.Engine.Appliance.live
-          @ List.init (nodes - app.Engine.Appliance.nodes) (fun i -> next + i)
-        in
-        Engine.Appliance.begin_move app ~node_count:nodes ~live
+        Engine.Appliance.begin_move app ~node_count:nodes
           ~dist_of:(fun tbl -> tbl.Catalog.Shell_db.dist))
 
   (** Re-key [table] online to hash-partitioning on [cols]. *)
@@ -413,7 +390,7 @@ module Elastic = struct
     phased ?obs ?between t (fun (app : Engine.Appliance.t) ->
         ignore (Catalog.Shell_db.find_exn app.Engine.Appliance.shell table);
         Engine.Appliance.begin_move app
-          ~node_count:app.Engine.Appliance.nodes ~live:app.Engine.Appliance.live
+          ~node_count:app.Engine.Appliance.nodes
           ~dist_of:(fun (x : Catalog.Shell_db.table) ->
               if String.lowercase_ascii x.Catalog.Shell_db.schema.Catalog.Schema.name = key
               then Catalog.Distribution.Hash_partitioned cols

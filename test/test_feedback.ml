@@ -123,6 +123,27 @@ let test_log_rejects_garbage () =
   rejects "unknown component"
     "# opdw feedback log v1\nrecord \"q\" \"fp\" 0x0p+0 0x0p+0 0\ndms warp 0x1p+3 0x1p-9\nend\n"
 
+(* a line cut short is a Parse_error naming the line, not an End_of_file
+   escaping from Scanf *)
+let test_log_rejects_truncated () =
+  let header = "# opdw feedback log v1\n" in
+  let record = "record \"q\" \"fp\" 0x0p+0 0x0p+0 0\n" in
+  let rejects what ~line text =
+    match Log.of_string (header ^ text) with
+    | _ -> Alcotest.fail ("accepted " ^ what)
+    | exception Log.Parse_error m ->
+      let prefix = Printf.sprintf "line %d:" line in
+      Alcotest.(check string) (what ^ " names its line") prefix
+        (String.sub m 0 (min (String.length m) (String.length prefix)))
+  in
+  rejects "record with only a statement" ~line:2 "record \"a\"\n";
+  rejects "record without the degraded flag" ~line:2
+    "record \"a\" \"b\" 0x1p0 0x1p0\n";
+  rejects "op without its estimates" ~line:3 (record ^ "op 1 \"Filter\"\n");
+  rejects "op without its observed rows" ~line:3
+    (record ^ "op 1 \"Filter\" \"\" 0x1p0\n");
+  rejects "dms without seconds" ~line:3 (record ^ "dms network 0x1p+3\n")
+
 (* -- miss detection -- *)
 
 let test_misses_columns () =
@@ -224,8 +245,7 @@ let test_bounds_sound_after_refinement () =
   ignore (Fb.run fb sql);
   ignore (Fb.calibrate fb);
   let r =
-    Opdw.optimize ~options:(Fb.options fb) ~cache:(Fb.plan_cache fb)
-      ~calibration:(Fb.epoch fb) shell sql
+    Opdw.optimize ~options:(Fb.options fb) ~cache:(Fb.plan_cache fb) shell sql
   in
   let actx =
     Analysis.context ~shell ~reg:r.Opdw.memo.Memo.reg
@@ -340,4 +360,5 @@ let suite =
     t "loop: regression falls back to LKG" test_regression_falls_back_to_lkg;
     t "loop: plan identity at jobs 1 vs 4" test_plan_identity_across_jobs;
     t "harvest: feedback and elastic log identical ops" test_one_harvest;
-    t "harvest: observer sequence at jobs 1 vs 4" test_observer_sequence_across_jobs ]
+    t "harvest: observer sequence at jobs 1 vs 4" test_observer_sequence_across_jobs;
+    t "log: truncated lines are parse errors" test_log_rejects_truncated ]

@@ -1,5 +1,7 @@
-(* The plan cache: LRU mechanics, fingerprint sensitivity (statistics
-   version, knobs, hints, topology), and the two end-to-end properties —
+(* The plan cache: LRU mechanics, fingerprint sensitivity (every option,
+   and every catalog change along an appliance's lineage — statistics,
+   calibration, decommission, grow, re-key), and the two end-to-end
+   properties —
    a cache hit returns plans structurally equal to a fresh optimization,
    and the multicore appliance matches sequential execution exactly. *)
 
@@ -35,11 +37,11 @@ let test_add_refresh () =
 
 (* -- fingerprint sensitivity -- *)
 
-let fingerprint_of ?live_nodes ?(serial = Serialopt.Optimizer.default_options)
+let fingerprint_of ?(serial = Serialopt.Optimizer.default_options)
     ?(pdw = Pdwopt.Enumerate.default_opts) ?(baseline = Baseline.default_opts)
-    ?(via_xml = true) ?(seed_collocated = false) shell normalized =
-  Opdw.Plancache.fingerprint ?live_nodes ~shell ~serial ~pdw ~baseline ~via_xml
-    ~seed_collocated normalized
+    ?(via_xml = true) ?(seed_collocated = false) ?governor shell normalized =
+  Opdw.Plancache.fingerprint ~shell ~serial ~pdw ~baseline ~via_xml
+    ~seed_collocated ?governor normalized
 
 let test_fingerprint_sensitivity () =
   let w = Lazy.force w in
@@ -89,15 +91,127 @@ let test_fingerprint_sensitivity () =
     Opdw.optimize shell
       "SELECT o_orderkey FROM orders, customer WHERE o_custkey = c_custkey AND c_acctbal > 1000"
   in
-  differs "tree re-keys" (fingerprint_of shell r2.Opdw.normalized);
-  (* losing a node re-keys: a plan compiled for 4 live nodes must not be
-     served after node 3 is decommissioned (compare against a fresh base —
-     the stats bump above already moved the original one) *)
-  let base2 = fingerprint_of shell tree in
-  Alcotest.(check bool) "live-node set re-keys" false
-    (String.equal base2 (fingerprint_of ~live_nodes:[ 0; 1; 2 ] shell tree));
-  Alcotest.(check string) "explicit full live set == default" base2
-    (fingerprint_of ~live_nodes:[ 0; 1; 2; 3 ] shell tree)
+  differs "tree re-keys" (fingerprint_of shell r2.Opdw.normalized)
+
+(* -- what re-keys: one table -- *)
+
+let rekey_sql = "SELECT o_orderkey FROM orders, customer WHERE o_custkey = c_custkey"
+
+(* Every field of [Opdw.options], changed alone, re-keys. The record
+   patterns below are exhaustive (missing fields are a compile error), so
+   a knob added later must be listed here, and then fails unless the
+   fingerprint carries it. *)
+let test_every_option_rekeys () =
+  let shell = (Lazy.force w).Opdw.Workload.shell in
+  let tree = (Opdw.optimize shell rekey_sql).Opdw.normalized in
+  let ({ Opdw.serial; pdw; baseline; via_xml; seed_collocated; governor } as o) =
+    Opdw.default_options ~node_count:4
+  in
+  let { Serialopt.Optimizer.task_budget; enable_merge_join; enable_stream_agg } = serial in
+  let { Pdwopt.Enumerate.nodes; lambdas; serial_tiebreak; prune; max_options_per_group;
+        hints; fold_empty } = pdw in
+  let { Baseline.nodes = base_nodes; lambdas = base_lambdas } = baseline in
+  let { Governor.deadline; sim_deadline; max_memo_groups } = governor in
+  let other (l : Dms.Cost.lambdas) = { l with Dms.Cost.l_network = 2. *. l.Dms.Cost.l_network } in
+  let seconds = function None -> Some 1. | Some s -> Some (s +. 1.) in
+  let fp (o : Opdw.options) =
+    fingerprint_of ~serial:o.Opdw.serial ~pdw:o.Opdw.pdw ~baseline:o.Opdw.baseline
+      ~via_xml:o.Opdw.via_xml ~seed_collocated:o.Opdw.seed_collocated
+      ~governor:o.Opdw.governor shell tree
+  in
+  let ser f = { o with Opdw.serial = f serial } in
+  let pdw_ f = { o with Opdw.pdw = f pdw } in
+  let base f = { o with Opdw.baseline = f baseline } in
+  let gov f = { o with Opdw.governor = f governor } in
+  let variants =
+    [ ("serial.task_budget", ser (fun s -> { s with task_budget = task_budget + 1 }));
+      ("serial.enable_merge_join",
+       ser (fun s -> { s with enable_merge_join = not enable_merge_join }));
+      ("serial.enable_stream_agg",
+       ser (fun s -> { s with enable_stream_agg = not enable_stream_agg }));
+      ("pdw.nodes", pdw_ (fun p -> { p with nodes = nodes * 2 }));
+      ("pdw.lambdas", pdw_ (fun p -> { p with lambdas = other lambdas }));
+      ("pdw.serial_tiebreak",
+       pdw_ (fun p -> { p with serial_tiebreak = not serial_tiebreak }));
+      ("pdw.prune", pdw_ (fun p -> { p with prune = not prune }));
+      ("pdw.max_options_per_group",
+       pdw_ (fun p -> { p with max_options_per_group = max_options_per_group + 1 }));
+      ("pdw.hints", pdw_ (fun p -> { p with hints = ("orders", `Broadcast) :: hints }));
+      ("pdw.fold_empty", pdw_ (fun p -> { p with fold_empty = not fold_empty }));
+      ("baseline.nodes", base (fun b -> { b with Baseline.nodes = base_nodes * 2 }));
+      ("baseline.lambdas", base (fun b -> { b with Baseline.lambdas = other base_lambdas }));
+      ("via_xml", { o with Opdw.via_xml = not via_xml });
+      ("seed_collocated", { o with Opdw.seed_collocated = not seed_collocated });
+      ("governor.deadline", gov (fun g -> { g with deadline = seconds deadline }));
+      ("governor.sim_deadline", gov (fun g -> { g with sim_deadline = seconds sim_deadline }));
+      ("governor.max_memo_groups",
+       gov (fun g ->
+           { g with max_memo_groups = Some (1 + Option.value max_memo_groups ~default:0) })) ]
+  in
+  Alcotest.(check int) "all 17 option values" 17 (List.length variants);
+  let keyed = ("defaults", fp o) :: List.map (fun (name, o') -> (name, fp o')) variants in
+  List.iteri
+    (fun i (a, fa) ->
+       List.iteri
+         (fun j (b, fb) ->
+            if i < j && String.equal fa fb then
+              Alcotest.failf "%s and %s share a fingerprint" a b)
+         keyed)
+    keyed
+
+(* Each catalog change yields a fingerprint never seen before, including a
+   calibration that refines nothing, a grow back to the original node
+   count, and a second re-key that restores the original layout: versions
+   rise strictly along the appliance's lineage. *)
+let test_catalog_changes_rekey () =
+  let wl = Opdw.Workload.tpch ~node_count:3 ~sf:0.001 () in
+  let cache = Opdw.cache () and seen = ref [] in
+  let fresh what ?options shell =
+    match (Opdw.optimize ~cache ?options shell rekey_sql).Opdw.fingerprint with
+    | Some fp ->
+      Alcotest.(check bool) (what ^ " yields a new fingerprint") false (List.mem fp !seen);
+      seen := fp :: !seen
+    | None -> Alcotest.fail "expected a fingerprint when a cache is armed"
+  in
+  let shell = wl.Opdw.Workload.shell in
+  fresh "the base catalog" shell;
+  let orders = Catalog.Shell_db.find_exn shell "orders" in
+  Catalog.Shell_db.set_stats shell "orders" orders.Catalog.Shell_db.stats;
+  fresh "set_stats" shell;
+  Catalog.Shell_db.update_col_stats shell "orders" "o_custkey"
+    (Option.get (Catalog.Shell_db.col_stats orders "o_custkey"));
+  fresh "update_col_stats" shell;
+  let fb = Opdw.Feedback.create ~cache shell wl.Opdw.Workload.app in
+  let options = Opdw.Feedback.options fb in
+  let cal = Opdw.Feedback.calibrate fb in
+  Alcotest.(check int) "nothing refined" 0 (List.length cal.Opdw.Feedback.refined);
+  Alcotest.(check bool) "options unchanged" true (options = Opdw.Feedback.options fb);
+  fresh "a calibration that refines nothing" ~options shell;
+  let app = Engine.Appliance.decommission wl.Opdw.Workload.app ~node:2 in
+  fresh "a decommission" app.Engine.Appliance.shell;
+  let app = Engine.Appliance.recommission app ~nodes:3 in
+  fresh "a grow" app.Engine.Appliance.shell;
+  let app = Engine.Appliance.redistribute app ~table:"orders" ~cols:[ "o_custkey" ] in
+  fresh "a re-key" app.Engine.Appliance.shell;
+  let app = Engine.Appliance.redistribute app ~table:"orders" ~cols:[ "o_orderkey" ] in
+  Alcotest.(check int) "re-keys keep the node count" 3 app.Engine.Appliance.nodes;
+  fresh "a second re-key" app.Engine.Appliance.shell
+
+(* two workloads built independently from the same inputs, and taken
+   through the same lineage, key identically: versions come from the
+   lineage, not from a process-wide counter *)
+let test_independent_workloads_key_equal () =
+  let cache = Opdw.cache () in
+  let fp shell = (Opdw.optimize ~cache shell rekey_sql).Opdw.fingerprint in
+  let a = Opdw.Workload.tpch ~node_count:3 ~sf:0.001 ()
+  and b = Opdw.Workload.tpch ~node_count:3 ~sf:0.001 () in
+  Alcotest.(check (option string)) "same inputs, same fingerprint"
+    (fp a.Opdw.Workload.shell) (fp b.Opdw.Workload.shell);
+  let shrink (wl : Opdw.Workload.t) =
+    (Engine.Appliance.decommission wl.Opdw.Workload.app ~node:0).Engine.Appliance.shell
+  in
+  Alcotest.(check (option string)) "same lineage, same fingerprint"
+    (fp (shrink a)) (fp (shrink b))
 
 let test_cache_hit_counters () =
   let w = Lazy.force w in
@@ -222,6 +336,10 @@ let suite =
   [ Alcotest.test_case "LRU eviction order" `Quick test_lru_eviction;
     Alcotest.test_case "add refreshes existing key" `Quick test_add_refresh;
     Alcotest.test_case "fingerprint sensitivity" `Quick test_fingerprint_sensitivity;
+    Alcotest.test_case "every option field re-keys" `Quick test_every_option_rekeys;
+    Alcotest.test_case "every catalog change re-keys" `Quick test_catalog_changes_rekey;
+    Alcotest.test_case "independent equal workloads key equal" `Quick
+      test_independent_workloads_key_equal;
     Alcotest.test_case "hit/miss counters" `Quick test_cache_hit_counters;
     Alcotest.test_case "remove_invalid evicts and counts" `Quick test_remove_invalid;
     Alcotest.test_case "appliance rejection evicts the cache entry" `Quick

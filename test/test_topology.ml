@@ -107,8 +107,6 @@ let test_recommission_grows_online () =
   let sim0 = app.Engine.Appliance.account.Engine.Appliance.sim_time in
   let app4 = Engine.Appliance.recommission app ~nodes:4 in
   Alcotest.(check int) "grown to 4 nodes" 4 app4.Engine.Appliance.nodes;
-  Alcotest.(check (list int)) "new ids continue after the old"
-    [ 0; 1; 2; 3 ] app4.Engine.Appliance.live;
   Alcotest.(check int) "topology epoch bumped" 1 app4.Engine.Appliance.epoch;
   Alcotest.(check int) "shell rebuilt at the new width" 4
     (Catalog.Shell_db.node_count app4.Engine.Appliance.shell);
@@ -170,7 +168,7 @@ let test_abort_bit_identical () =
   let sv0 = Catalog.Shell_db.stats_version shell in
   let fp0 = fp () and snap0 = storage_snapshot app in
   let m =
-    Engine.Appliance.begin_move app ~node_count:3 ~live:[ 0; 1; 2 ]
+    Engine.Appliance.begin_move app ~node_count:3
       ~dist_of:(fun tbl -> tbl.Catalog.Shell_db.dist)
   in
   Alcotest.(check bool) "hash tables pend as priced copy steps" true
@@ -223,24 +221,96 @@ let test_exhausted_move_aborts_clean () =
   Alcotest.(check (list string)) "old layout keeps serving" base
     (run_fresh app join_sql)
 
-(* fingerprint v6: the topology epoch re-keys plans — two layouts that
-   agree on every other knob (node count, live set, stats version) must
-   never alias across a move *)
-let test_fingerprint_topology_epoch () =
-  let wl = workload () in
-  let cache = Opdw.cache () in
-  let fp topology =
-    match
-      (Opdw.optimize ~cache ~topology wl.Opdw.Workload.shell join_sql).Opdw.fingerprint
-    with
-    | Some fp -> fp
-    | None -> Alcotest.fail "expected a fingerprint when a cache is armed"
+(* -- the shell-derivation helper -- *)
+
+let orders_on_custkey (tbl : Catalog.Shell_db.table) =
+  if tbl.Catalog.Shell_db.schema.Catalog.Schema.name = "orders" then
+    Catalog.Distribution.Hash_partitioned [ "o_custkey" ]
+  else tbl.Catalog.Shell_db.dist
+
+(* deriving a shell leaves the source bit-identical and gives the derived
+   one a higher version, the override and the node count *)
+let test_derive_shell () =
+  let src = (workload ()).Opdw.Workload.shell in
+  let snapshot sh =
+    Marshal.to_string
+      ( Catalog.Shell_db.stats_version sh,
+        Catalog.Shell_db.node_count sh,
+        List.map
+          (fun (t : Catalog.Shell_db.table) ->
+             (t.Catalog.Shell_db.schema, t.Catalog.Shell_db.dist, t.Catalog.Shell_db.stats))
+          (Catalog.Shell_db.sorted_tables sh) )
+      []
   in
-  let fp0 = fp 0 and fp1 = fp 1 in
-  Alcotest.(check bool) "v6 header" true
-    (String.length fp0 > 3 && String.sub fp0 0 3 = "v6;");
-  Alcotest.(check bool) "epochs never alias" true (fp0 <> fp1);
-  Alcotest.(check bool) "same epoch hits" true (fp0 = fp 0)
+  let before = snapshot src in
+  let d = Catalog.Shell_db.derive src ~node_count:5 ~dist_of:orders_on_custkey in
+  Alcotest.(check bool) "source bit-identical" true (before = snapshot src);
+  Alcotest.(check bool) "version above the source's" true
+    (Catalog.Shell_db.stats_version d > Catalog.Shell_db.stats_version src);
+  Alcotest.(check int) "node count applied" 5 (Catalog.Shell_db.node_count d);
+  let dist sh name = (Catalog.Shell_db.find_exn sh name).Catalog.Shell_db.dist in
+  Alcotest.(check bool) "override applied" true
+    (dist d "orders" = Catalog.Distribution.Hash_partitioned [ "o_custkey" ]);
+  Alcotest.(check bool) "other tables keep their distribution" true
+    (dist d "lineitem" = dist src "lineitem");
+  let names sh =
+    List.map
+      (fun (t : Catalog.Shell_db.table) -> t.Catalog.Shell_db.schema.Catalog.Schema.name)
+      (Catalog.Shell_db.sorted_tables sh)
+  in
+  Alcotest.(check (list string)) "same tables" (names src) (names d);
+  List.iter
+    (fun name ->
+       Alcotest.(check (float 0.)) (name ^ " statistics carried")
+         (Catalog.Shell_db.row_count (Catalog.Shell_db.find_exn src name))
+         (Catalog.Shell_db.row_count (Catalog.Shell_db.find_exn d name)))
+    (names src);
+  let same = Catalog.Shell_db.derive src in
+  Alcotest.(check int) "node count defaults to the source's"
+    (Catalog.Shell_db.node_count src) (Catalog.Shell_db.node_count same);
+  Alcotest.(check bool) "distribution defaults to the source's" true
+    (dist same "orders" = dist src "orders")
+
+(* a move aborted mid-copy and restarted — on the same source, or on the
+   survivors after a decommission — commits a shell that never serves a
+   plan compiled on the source *)
+let test_restarted_move_never_serves_source_plans () =
+  let wl = workload ~node_count:3 () in
+  let cache = Opdw.cache () in
+  let fp (app : Engine.Appliance.t) =
+    Option.get (Opdw.optimize ~cache app.Engine.Appliance.shell join_sql).Opdw.fingerprint
+  in
+  let misses () = (Opdw.Plancache.stats cache).Opdw.Plancache.misses in
+  let rekey (app : Engine.Appliance.t) =
+    Engine.Appliance.begin_move app ~node_count:app.Engine.Appliance.nodes
+      ~dist_of:orders_on_custkey
+  in
+  let abort_after_one_step app =
+    let m = rekey app in
+    Engine.Appliance.copy_step m;
+    Engine.Appliance.abort_move m
+  in
+  let complete app =
+    let m = rekey app in
+    while m.Engine.Appliance.m_pending <> [] do Engine.Appliance.copy_step m done;
+    Engine.Appliance.flip_move m
+  in
+  let src = wl.Opdw.Workload.app in
+  let source_fp = fp src in
+  abort_after_one_step src;
+  Alcotest.(check string) "the aborted move leaves the source's key" source_fp (fp src);
+  let m0 = misses () in
+  let restarted = complete src in
+  Alcotest.(check bool) "restarted on the source: new key" true (fp restarted <> source_fp);
+  Alcotest.(check int) "restarted on the source: compiled afresh" (m0 + 1) (misses ());
+  abort_after_one_step src;
+  let survivors = Engine.Appliance.decommission src ~node:2 in
+  let survivors_fp = fp survivors in
+  let m1 = misses () in
+  let restarted = complete survivors in
+  Alcotest.(check bool) "restarted on the survivors: new key" true
+    (not (List.mem (fp restarted) [ source_fp; survivors_fp ]));
+  Alcotest.(check int) "restarted on the survivors: compiled afresh" (m1 + 1) (misses ())
 
 (* -- the advisor + elastic driver end to end -- *)
 
@@ -397,7 +467,10 @@ let suite =
     t "aborted move leaves the catalog bit-identical" test_abort_bit_identical;
     t "exhausted move aborts clean and keeps serving"
       test_exhausted_move_aborts_clean;
-    t "fingerprint v6 keys the topology epoch" test_fingerprint_topology_epoch;
+    t "derived shell: source untouched, version above, overrides applied"
+      test_derive_shell;
+    t "restarted move never serves a plan compiled on the source"
+      test_restarted_move_never_serves_source_plans;
     t "elastic storm: grow + advisor re-key, availability 1.0"
       test_elastic_storm_grow_and_rekey;
     QCheck_alcotest.to_alcotest prop_topology_determinism ]
