@@ -439,10 +439,10 @@ let chain_query k =
 
 let e8 () =
   section "E8" "Optimizer scalability: chain joins, with/without pruning (Fig. 4, 06.ii)";
-  Printf.printf "%-7s %-8s %-8s %-8s | %-22s | %-24s\n" "" "" "" ""
+  Printf.printf "%-7s %-8s %-8s %-8s | %-14s | %-19s\n" "" "" "" ""
     "pruned (paper)" "unpruned (ablation)";
-  Printf.printf "%-7s %-8s %-8s %-8s | %-10s %-11s | %-10s %-13s\n" "tables" "groups"
-    "exprs" "enum'd" "kept opts" "time (ms)" "kept opts" "time (ms)";
+  Printf.printf "%-7s %-8s %-8s %-8s | %-14s | %-19s\n" "tables" "groups"
+    "exprs" "enum'd" "kept opts" "kept opts";
   List.iter
     (fun k ->
        let sh = chain_shell k ~node_count:8 in
@@ -460,28 +460,20 @@ let e8 () =
        let exprs = int_of_float (Obs.counter sobs "serial.memo.exprs") in
        let run prune =
          let obs = Obs.create () in
-         let t0 = Sys.time () in
          let opts = { Pdwopt.Enumerate.default_opts with Pdwopt.Enumerate.prune } in
          ignore (Pdwopt.Optimizer.optimize ~obs ~opts m);
-         let dt = (Sys.time () -. t0) *. 1000. in
          (int_of_float (Obs.counter obs "pdw.options_kept"),
-          int_of_float (Obs.counter obs "pdw.exprs_enumerated"), dt)
+          int_of_float (Obs.counter obs "pdw.exprs_enumerated"))
        in
-       let kept_p, enum_p, t_p = run true in
-       let kept_u, _, t_u = if k <= 6 then run false else (-1, -1, nan) in
+       let kept_p, enum_p = run true in
+       let kept_u = if k <= 6 then Some (fst (run false)) else None in
        recordi "E8" (Printf.sprintf "chain%d.memo_groups" k) groups;
        recordi "E8" (Printf.sprintf "chain%d.memo_exprs" k) exprs;
        recordi "E8" (Printf.sprintf "chain%d.pdw_enumerated" k) enum_p;
        recordi "E8" (Printf.sprintf "chain%d.kept_pruned" k) kept_p;
-       record "E8" (Printf.sprintf "chain%d.ms_pruned" k) t_p;
-       if kept_u >= 0 then begin
-         recordi "E8" (Printf.sprintf "chain%d.kept_unpruned" k) kept_u;
-         record "E8" (Printf.sprintf "chain%d.ms_unpruned" k) t_u
-       end;
-       rowf "%-7d %-8d %-8d %-8d | %-10d %-11.1f | %-10s %-13s\n" k groups exprs
-         enum_p kept_p t_p
-         (if kept_u < 0 then "-" else string_of_int kept_u)
-         (if Float.is_nan t_u then "-" else Printf.sprintf "%.1f" t_u))
+       Option.iter (recordi "E8" (Printf.sprintf "chain%d.kept_unpruned" k)) kept_u;
+       rowf "%-7d %-8d %-8d %-8d | %-14d | %-19s\n" k groups exprs enum_p kept_p
+         (match kept_u with Some n -> string_of_int n | None -> "-"))
     [ 2; 3; 4; 5; 6; 7; 8 ];
   Printf.printf
     "\npaper sec. 3.2: naive enumeration cannot scale; bounding each group to\n\
@@ -491,128 +483,67 @@ let e8 () =
 (* E9: repeated-workload throughput (plan cache + multicore appliance) *)
 (* ------------------------------------------------------------------ *)
 
+(* run [p] at jobs 1, 2, 4 and 8 and record, per pool size, whether the
+   simulated clock and the byte/row accounting equal the jobs-1 run bit for
+   bit (per-node shard times combine with the same max/sum rules) *)
+let jobs_identity exp (app : Engine.Appliance.t) p =
+  Printf.printf "%-6s %-14s %-12s\n" "jobs" "sim time (s)" "identical";
+  let account jobs =
+    Par.with_pool ~jobs @@ fun pool ->
+    Engine.Appliance.set_pool app pool;
+    Fun.protect ~finally:(fun () -> Engine.Appliance.set_pool app Par.sequential)
+    @@ fun () ->
+    Engine.Appliance.reset_account app;
+    ignore (Engine.Appliance.run_pplan app p);
+    let a = app.Engine.Appliance.account in
+    (a.Engine.Appliance.sim_time, a.Engine.Appliance.bytes_moved,
+     a.Engine.Appliance.rows_moved)
+  in
+  let base = account 1 in
+  List.iter
+    (fun jobs ->
+       let ((sim, _, _) as acct) = if jobs = 1 then base else account jobs in
+       let identical = acct = base in
+       recordi exp (Printf.sprintf "jobs%d_accounting_identical" jobs)
+         (if identical then 1 else 0);
+       rowf "%-6d %-14.6g %-12b\n" jobs sim identical)
+    [ 1; 2; 4; 8 ]
+
 let e9 () =
-  section "E9" "Repeated-workload throughput: plan cache + multicore appliance";
-  let now = Unix.gettimeofday in
-  (* -- part 1: plan cache, cold vs warm optimization latency -- *)
+  section "E9" "Repeated workload: plan cache + multicore appliance";
+  (* -- part 1: plan cache, one cold round then warm rounds -- *)
   let w = workload ~nodes:8 ~sf:0.01 in
   let ids = [ "Q3"; "Q5"; "Q10"; "Q20"; "P2" ] in
   let cache = Opdw.cache () in
-  let time_optimize sql =
-    let t0 = now () in
-    let r = Opdw.optimize ~cache w.Opdw.Workload.shell sql in
-    (now () -. t0, r)
-  in
-  (* per-statement split: compile wall (cold optimize) vs execute wall, so
-     compile-bound and execute-bound regimes are distinguishable *)
-  Printf.printf "%-6s %-16s %-16s\n" "query" "compile (ms)" "execute (ms)";
-  let cold =
-    List.fold_left
-      (fun acc id ->
-         let dt, r = time_optimize (query id) in
-         let t0 = now () in
-         ignore (Engine.Appliance.run_pplan w.Opdw.Workload.app (Opdw.plan r));
-         let et = now () -. t0 in
-         record "E9" (Printf.sprintf "%s.compile_wall_ms" id) (dt *. 1000.);
-         record "E9" (Printf.sprintf "%s.execute_wall_ms" id) (et *. 1000.);
-         rowf "%-6s %-16.2f %-16.2f\n" id (dt *. 1000.) (et *. 1000.);
-         acc +. dt)
-      0. ids
-  in
   let rounds = 20 in
-  let warm = ref 0. in
-  for _ = 1 to rounds do
-    List.iter (fun id -> warm := !warm +. fst (time_optimize (query id))) ids
+  for _ = 0 to rounds do
+    List.iter (fun id -> ignore (Opdw.optimize ~cache w.Opdw.Workload.shell (query id))) ids
   done;
-  let nq = float_of_int (List.length ids) in
-  let cold_lat = cold /. nq in
-  let warm_lat = !warm /. (nq *. float_of_int rounds) in
   let cs = Opdw.Plancache.stats cache in
-  record "E9" "cold_ms_per_query" (cold_lat *. 1000.);
-  record "E9" "warm_ms_per_query" (warm_lat *. 1000.);
-  record "E9" "warm_speedup_x" (cold_lat /. Float.max 1e-12 warm_lat);
-  record "E9" "cold_qps" (1. /. Float.max 1e-12 cold_lat);
-  record "E9" "warm_qps" (1. /. Float.max 1e-12 warm_lat);
   recordi "E9" "plancache_hits" cs.Opdw.Plancache.hits;
   recordi "E9" "plancache_misses" cs.Opdw.Plancache.misses;
-  Printf.printf
-    "plan cache (%d queries, %d warm rounds): cold %.2f ms/query, warm %.3f ms/query\n\
-     -> warm optimization latency %.1fx lower (%.0f -> %.0f plans/s); %d hits / %d misses\n"
-    (List.length ids) rounds (cold_lat *. 1000.) (warm_lat *. 1000.)
-    (cold_lat /. Float.max 1e-12 warm_lat) (1. /. cold_lat) (1. /. warm_lat)
-    cs.Opdw.Plancache.hits cs.Opdw.Plancache.misses;
-  (* -- part 2: multicore appliance, wall-clock vs jobs -- *)
+  Printf.printf "plan cache (%d queries, 1 cold + %d warm rounds): %d hits / %d misses\n"
+    (List.length ids) rounds cs.Opdw.Plancache.hits cs.Opdw.Plancache.misses;
+  (* -- part 2: multicore appliance, accounting vs jobs -- *)
   let w2 = workload ~nodes:8 ~sf:0.02 in
-  let r = optimize w2 (query "Q5") in
-  let p = Opdw.plan r in
-  let app = w2.Opdw.Workload.app in
-  let reps = 3 in
-  let cores = Par.default_jobs () in
-  recordi "E9" "cores" cores;
-  Printf.printf
-    "\nmulticore appliance (Q5, sf 0.02, 8 nodes, %d DSQL moves; %d reps; %d cores):\n"
-    (Pdwopt.Pplan.move_count p) reps cores;
-  Printf.printf "%-6s %-14s %-12s %-14s %-12s\n" "jobs" "wall (s)" "speedup"
-    "sim time (s)" "identical";
-  let base_wall = ref nan and base_acct = ref (nan, nan, nan) in
-  List.iter
-    (fun jobs ->
-       (* bracketed pool: shut down even if an execution raises *)
-       let wall =
-         Par.with_pool ~jobs @@ fun pool ->
-         Engine.Appliance.set_pool app pool;
-         let t0 = now () in
-         for _ = 1 to reps do
-           Engine.Appliance.reset_account app;
-           ignore (Engine.Appliance.run_pplan app p)
-         done;
-         now () -. t0
-       in
-       Engine.Appliance.set_pool app Par.sequential;
-       let a = app.Engine.Appliance.account in
-       let acct =
-         (a.Engine.Appliance.sim_time, a.Engine.Appliance.bytes_moved,
-          a.Engine.Appliance.rows_moved)
-       in
-       if jobs = 1 then begin
-         base_wall := wall;
-         base_acct := acct
-       end;
-       let identical = acct = !base_acct in
-       record "E9" (Printf.sprintf "jobs%d_wall_seconds" jobs) wall;
-       record "E9" (Printf.sprintf "jobs%d_speedup_x" jobs) (!base_wall /. wall);
-       recordi "E9" (Printf.sprintf "jobs%d_accounting_identical" jobs)
-         (if identical then 1 else 0);
-       rowf "%-6d %-14.4f %-12.2f %-14.6g %-12b\n" jobs wall (!base_wall /. wall)
-         a.Engine.Appliance.sim_time identical)
-    [ 1; 2; 4; 8 ];
-  Engine.Appliance.set_pool app Par.sequential;
+  let p = Opdw.plan (optimize w2 (query "Q5")) in
+  Printf.printf "\nmulticore appliance (Q5, sf 0.02, 8 nodes, %d DSQL moves):\n"
+    (Pdwopt.Pplan.move_count p);
+  jobs_identity "E9" w2.Opdw.Workload.app p;
   Printf.printf
     "\nsimulated response time and byte/row accounting are bit-identical at every\n\
-     jobs setting (per-node shard times combine with the same max/sum rules);\n\
-     wall-clock speedup tracks the physical core count (%d here).\n"
-    cores
+     jobs setting; wall-clock speedups are perfbench's to measure.\n"
 
 (* ------------------------------------------------------------------ *)
-(* E19: parallel plan enumeration -- compile wall-clock vs jobs        *)
+(* E19: parallel plan enumeration -- plan identity vs jobs            *)
 (* ------------------------------------------------------------------ *)
 
 let e19 () =
   section "E19"
-    "Parallel plan enumeration: compile wall-clock vs jobs (chain joins)";
-  let now = Unix.gettimeofday in
-  let cores = Par.default_jobs () in
-  recordi "E19" "cores" cores;
+    "Parallel plan enumeration: plan identity vs jobs (chain joins)";
   let jobs_list = [ 1; 2; 4 ] in
-  let chains = [ 6; 7; 8 ] in
-  let reps = 3 in
-  Printf.printf
-    "chain joins (E8 shapes), %d reps each (best-of); %d physical cores\n\n"
-    reps cores;
-  Printf.printf "%-7s %-6s %-14s %-10s %-11s %-10s\n" "tables" "jobs"
-    "compile (ms)" "speedup" "kept opts" "identical";
-  (* per-jobs speedups across chains, for the geomean *)
-  let speedups : (int, float list ref) Hashtbl.t = Hashtbl.create 4 in
+  Printf.printf "chain joins (E8 shapes)\n\n";
+  Printf.printf "%-7s %-6s %-11s %-10s\n" "tables" "jobs" "kept opts" "identical";
   List.iter
     (fun k ->
        let sh = chain_shell k ~node_count:8 in
@@ -623,59 +554,30 @@ let e19 () =
        in
        let sres = Serialopt.Optimizer.optimize r.Algebra.Algebrizer.reg sh tr in
        (* optimization mutates the memo (merging, registry ids), so every
-          timed run re-imports a fresh memo from the serial optimizer's XML
+          run re-imports a fresh memo from the serial optimizer's XML
           export -- the same round-trip `Opdw.optimize` performs *)
        let xml = Memo.Memo_xml.export_string sres.Serialopt.Optimizer.memo in
        let run jobs =
          Par.with_pool ~jobs @@ fun pool ->
-         let best = ref infinity and out = ref None in
-         for _ = 1 to reps do
-           let m = Memo.Memo_xml.import_string sh xml in
-           let obs = Obs.create () in
-           let t0 = now () in
-           let res = Pdwopt.Optimizer.optimize ~obs ~pool m in
-           let dt = (now () -. t0) *. 1000. in
-           if dt < !best then best := dt;
-           out :=
-             Some
-               (Pdwopt.Pplan.to_string m.Memo.reg res.Pdwopt.Optimizer.plan,
-                res.Pdwopt.Optimizer.plan.Pdwopt.Pplan.dms_cost,
-                int_of_float (Obs.counter obs "pdw.options_kept"))
-         done;
-         (!best, Option.get !out)
+         let m = Memo.Memo_xml.import_string sh xml in
+         let obs = Obs.create () in
+         let res = Pdwopt.Optimizer.optimize ~obs ~pool m in
+         (Pdwopt.Pplan.to_string m.Memo.reg res.Pdwopt.Optimizer.plan,
+          res.Pdwopt.Optimizer.plan.Pdwopt.Pplan.dms_cost,
+          int_of_float (Obs.counter obs "pdw.options_kept"))
        in
-       let base_ms, (base_txt, base_cost, base_kept) = run 1 in
+       let base = run 1 in
        List.iter
          (fun jobs ->
-            let ms, (txt, cost, kept) =
-              if jobs = 1 then (base_ms, (base_txt, base_cost, base_kept))
-              else run jobs
-            in
-            let sx = base_ms /. Float.max 1e-9 ms in
-            let identical =
-              txt = base_txt && cost = base_cost && kept = base_kept
-            in
-            record "E19" (Printf.sprintf "chain%d.jobs%d.compile_ms" k jobs) ms;
-            record "E19" (Printf.sprintf "chain%d.jobs%d.speedup_x" k jobs) sx;
+            let ((_, _, kept) as out) = if jobs = 1 then base else run jobs in
+            let identical = out = base in
             recordi "E19" (Printf.sprintf "chain%d.jobs%d.kept" k jobs) kept;
             recordi "E19"
               (Printf.sprintf "chain%d.jobs%d.identical" k jobs)
               (if identical then 1 else 0);
-            (match Hashtbl.find_opt speedups jobs with
-             | Some l -> l := sx :: !l
-             | None -> Hashtbl.replace speedups jobs (ref [ sx ]));
-            rowf "%-7d %-6d %-14.1f %-10.2f %-11d %-10b\n" k jobs ms sx kept
-              identical)
+            rowf "%-7d %-6d %-11d %-10b\n" k jobs kept identical)
          jobs_list)
-    chains;
-  Printf.printf "\n";
-  List.iter
-    (fun jobs ->
-       let g = geomean !(Hashtbl.find speedups jobs) in
-       record "E19" (Printf.sprintf "jobs%d.speedup_x" jobs) g;
-       Printf.printf "jobs %d: geomean compile speedup %.2fx over chains 6-8\n"
-         jobs g)
-    jobs_list;
+    [ 6; 7; 8 ];
   Printf.printf
     "\nthe enumeration runs as a leveled wavefront over the memo's dependency\n\
      levels (DESIGN.md sec. 11); the chosen plan, its cost, and the kept-option\n\
@@ -886,48 +788,22 @@ let e13 () =
      appliance is large enough).\n"
 
 (* ------------------------------------------------------------------ *)
-(* E15: static plan-validity analyzer overhead (lib/check)             *)
+(* E15: static plan-validity analyzer over the workload (lib/check)    *)
 (* ------------------------------------------------------------------ *)
 
 let e15 () =
-  section "E15" "Static plan-validity analyzer: pipeline overhead over the workload";
+  section "E15" "Static plan-validity analyzer over the workload";
   let w = workload ~nodes:8 ~sf:0.005 in
-  let options = Opdw.default_options ~node_count:8 in
-  ignore (optimize ~options w (query "Q1"));  (* warm up datagen + code paths *)
-  let reps = 3 in
-  let time check =
-    (* no plan cache, so every repetition pays the full pipeline (the
-       analyzer included when [check]) *)
-    let t0 = Sys.time () in
-    for _ = 1 to reps do
-      List.iter
-        (fun q ->
-           ignore
-             (Opdw.optimize ~options ~check w.Opdw.Workload.shell
-                q.Tpch.Queries.sql))
-        Tpch.Queries.all
-    done;
-    (Sys.time () -. t0) /. float_of_int reps
-  in
-  ignore (time true);  (* one throwaway round against jit/cache drift *)
-  let off = time false in
-  let on_ = time true in
-  let overhead = (on_ -. off) /. off in
+  (* the analyzer gates every compiled plan: an invalid one raises
+     Check.Invalid out of Opdw.optimize *)
+  List.iter (fun q -> ignore (optimize w q.Tpch.Queries.sql)) Tpch.Queries.all;
   let nq = List.length Tpch.Queries.all in
-  record "E15" "queries" (float_of_int nq);
-  record "E15" "rules" (float_of_int (List.length Check.rules));
-  record "E15" "optimize_nocheck_seconds" off;
-  record "E15" "optimize_check_seconds" on_;
-  record "E15" "overhead_fraction" overhead;
-  rowf "%d-query workload, %d rules, %d repetitions (plan cache off)\n" nq
-    (List.length Check.rules) reps;
-  rowf "  optimize, analyzer off:  %.4f s\n" off;
-  rowf "  optimize, analyzer on:   %.4f s\n" on_;
-  rowf "  overhead:                %.2f%% (budget: 5%%)\n" (100. *. overhead);
+  recordi "E15" "queries" nq;
+  recordi "E15" "rules" (List.length Check.rules);
+  rowf "%d-query workload: every plan passes all %d rules\n" nq (List.length Check.rules);
   Printf.printf
     "\nthe analyzer re-derives every distribution bottom-up and re-prices\n\
-     every movement, yet stays a small fraction of optimization itself -\n\
-     cheap enough to gate every compiled plan in production.\n"
+     every movement; its cost per statement is perfbench's check.validate_ms.\n"
 
 (* ------------------------------------------------------------------ *)
 (* E16: availability and latency under injected faults (chaos sweep)  *)
@@ -1017,19 +893,11 @@ let e16 () =
      re-partitioning that follows a node loss.\n"
 
 (* ------------------------------------------------------------------ *)
-(* E17: latency and availability under the resource governor           *)
+(* E17: statement outcomes and availability under the resource governor *)
 (* ------------------------------------------------------------------ *)
 
-(* nearest-rank percentile over a sorted array *)
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then Float.nan
-  else
-    let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) rank))
-
 let e17 () =
-  section "E17" "Statement latency and availability under the resource governor";
+  section "E17" "Statement outcomes and availability under the resource governor";
   let w = workload ~nodes:8 ~sf:0.005 in
   let app = w.Opdw.Workload.app in
   let ids = [ "Q1"; "Q3"; "Q5"; "Q10"; "Q12"; "Q20" ] in
@@ -1048,17 +916,18 @@ let e17 () =
       ids
   in
   Printf.printf
-    "\n%d statements (%s mix) per cell, 4 driver domains; wall-clock latency\n\
-     per statement through the governed entry point:\n"
+    "\n%d statements (%s mix) per cell, 4 driver domains, through the\n\
+     governed entry point; limits are on the MEMO size and the simulated\n\
+     clock only, so every cell is deterministic:\n"
     statements (String.concat "," ids);
-  Printf.printf "%-16s %-6s %-9s %-9s %-9s %-9s %-9s %-8s %-6s\n" "governance"
-    "width" "p50_ms" "p95_ms" "p99_ms" "degraded" "rejected" "timeout" "avail";
+  Printf.printf "%-16s %-6s %-9s %-9s %-8s %-6s\n" "governance"
+    "width" "degraded" "rejected" "timeout" "avail";
   let configs =
     [ ("ungoverned", Governor.no_limits);
       ("memo8",
        { Governor.no_limits with Governor.max_memo_groups = Some 8 });
       ("memo8_deadline",
-       { Governor.deadline = Some 0.05; sim_deadline = Some 0.002;
+       { Governor.deadline = None; sim_deadline = Some 0.001;
          max_memo_groups = Some 8 }) ]
   in
   Par.with_pool ~jobs:4 @@ fun pool ->
@@ -1079,19 +948,12 @@ let e17 () =
             in
             Opdw.Governed.reset gov;
             let outcomes =
-              Par.parallel_map pool
-                (fun id ->
-                   let t0 = Unix.gettimeofday () in
-                   let oc = Opdw.Governed.run gov (query id) in
-                   (id, oc, Unix.gettimeofday () -. t0))
-                stmts
+              Par.parallel_map pool (fun id -> (id, Opdw.Governed.run gov (query id))) stmts
             in
-            let lat = Array.map (fun (_, _, dt) -> dt *. 1000.) outcomes in
-            Array.sort compare lat;
             let degraded = ref 0 and rejected = ref 0 and timeout = ref 0 in
             let wrong = ref 0 in
             Array.iter
-              (fun (id, oc, _) ->
+              (fun (id, oc) ->
                  match oc with
                  | Opdw.Governed.Returned (r, res) ->
                    if r.Opdw.degraded <> None then incr degraded;
@@ -1108,27 +970,22 @@ let e17 () =
               float_of_int (statements - !wrong) /. float_of_int statements
             in
             let frac n = float_of_int !n /. float_of_int statements in
-            let p50 = percentile lat 50. and p95 = percentile lat 95. in
-            let p99 = percentile lat 99. in
             let key k = Printf.sprintf "%s.width%d.%s" label width k in
-            record "E17" (key "p50_ms") p50;
-            record "E17" (key "p95_ms") p95;
-            record "E17" (key "p99_ms") p99;
             record "E17" (key "degraded_frac") (frac degraded);
             record "E17" (key "rejected_frac") (frac rejected);
             record "E17" (key "timeout_frac") (frac timeout);
             record "E17" (key "availability") avail;
-            rowf "%-16s %-6d %-9.2f %-9.2f %-9.2f %-9.2f %-9.2f %-8.2f %-6.2f\n"
-              label width p50 p95 p99 (frac degraded) (frac rejected)
-              (frac timeout) avail)
+            rowf "%-16s %-6d %-9.2f %-9.2f %-8.2f %-6.2f\n" label width
+              (frac degraded) (frac rejected) (frac timeout) avail)
          [ 1; 2; 4; 8 ])
     configs;
   Printf.printf
     "\nevery answered statement returned rows identical to the ungoverned\n\
      fault-free oracle; refusals are structured outcomes, not errors.\n\
-     Under deadlines the tail (p99) is bounded by deadline + a constant:\n\
-     degradation extracts the anytime best-so-far plan or the baseline\n\
-     fallback, both of which pass the static analyzer and skip the cache.\n"
+     A statement over the simulated deadline ends as a structured timeout,\n\
+     never as wrong rows; a memo-budget trip degrades to the anytime\n\
+     best-so-far plan or the baseline fallback, both of which pass the\n\
+     static analyzer and skip the cache.\n"
 
 (* ------------------------------------------------------------------ *)
 (* E18: vectorized columnar executor — scale-factor and jobs sweeps    *)
@@ -1137,116 +994,52 @@ let e17 () =
 let e18 () =
   section "E18"
     "Columnar local executor: row vs columnar engines across scale factors";
-  let now = Unix.gettimeofday in
-  let parse_sfs s =
-    String.split_on_char ',' s |> List.filter (( <> ) "") |> List.map float_of_string
-  in
-  (* override the sweep with e.g. OPDW_E18_SFS=0.01,0.1,1 for big runs *)
-  let sfs =
-    match Sys.getenv_opt "OPDW_E18_SFS" with
-    | Some s -> parse_sfs s
-    | None -> [ 0.01; 0.05; 0.1 ]
-  in
+  let sfs = [ 0.01; 0.05; 0.1 ] in
   let qids = [ "Q1"; "Q3"; "Q6" ] in
   let nodes = 8 in
   let sf_key sf = Printf.sprintf "sf%g" sf in
   Printf.printf
     "per-node execution only (optimization excluded); both engines run the\n\
      identical plans over identically sharded data.\n\n";
-  Printf.printf "%-8s %-5s %-12s %-12s %-9s %-8s %-10s\n" "sf" "query"
-    "row (s)" "col (s)" "speedup" "rows" "sim equal";
-  let speedups = ref [] in
+  Printf.printf "%-8s %-5s %-8s %-10s\n" "sf" "query" "rows" "sim equal";
   List.iter
     (fun sf ->
        (* fresh workloads per engine: identical generated data, shards, stats *)
-       let time_engine engine =
+       let run_engine engine =
          let w = Opdw.Workload.tpch ~node_count:nodes ~sf ~engine () in
          let app = w.Opdw.Workload.app in
          List.map
            (fun id ->
               let r = Opdw.optimize w.Opdw.Workload.shell (query id) in
-              let p = Opdw.plan r in
-              ignore (Engine.Appliance.run_pplan app p) (* warm-up *);
               Engine.Appliance.reset_account app;
-              let t0 = now () in
-              let res = Engine.Appliance.run_pplan app p in
-              let wall = now () -. t0 in
-              (id, wall, app.Engine.Appliance.account.Engine.Appliance.sim_time,
+              let res = Engine.Appliance.run_pplan app (Opdw.plan r) in
+              (id, app.Engine.Appliance.account.Engine.Appliance.sim_time,
                Engine.Local.canonical res))
            qids
        in
-       let rows = time_engine Engine.Rset.Row in
-       let cols = time_engine Engine.Rset.Columnar in
+       let rows = run_engine Engine.Rset.Row in
+       let cols = run_engine Engine.Rset.Columnar in
        List.iter2
-         (fun (id, wr, simr, resr) (_, wc, simc, resc) ->
-            let speedup = wr /. Float.max 1e-9 wc in
-            let rows_equal = resr = resc and sim_equal = simr = simc in
-            if not rows_equal then
+         (fun (id, simr, resr) (_, simc, resc) ->
+            let sim_equal = simr = simc in
+            if resr <> resc then
               failwith (Printf.sprintf "E18: %s rows differ across engines at sf %g" id sf);
-            speedups := speedup :: !speedups;
             let k fmt = Printf.sprintf "%s.%s.%s" (sf_key sf) id fmt in
-            record "E18" (k "row_wall_seconds") wr;
-            record "E18" (k "columnar_wall_seconds") wc;
-            record "E18" (k "speedup_x") speedup;
             recordi "E18" (k "result_rows") (List.length resr);
             recordi "E18" (k "sim_identical") (if sim_equal then 1 else 0);
-            rowf "%-8g %-5s %-12.4f %-12.4f %-9.2f %-8d %-10b\n" sf id wr wc
-              speedup (List.length resr) sim_equal)
+            rowf "%-8g %-5s %-8d %-10b\n" sf id (List.length resr) sim_equal)
          rows cols)
     sfs;
-  record "E18" "geomean_speedup_x" (geomean !speedups);
-  Printf.printf "\ngeomean columnar speedup over the sweep: %.2fx\n"
-    (geomean !speedups);
-  (* -- part 2: wall clock vs --jobs on the columnar engine; the simulated
+  (* -- part 2: the columnar engine under a domain pool; the simulated
      clock and byte/row accounting must not move -- *)
-  let sf_jobs = match sfs with [] -> 0.05 | l -> List.nth l (List.length l - 1) in
+  let sf_jobs = List.nth sfs (List.length sfs - 1) in
   let w = Opdw.Workload.tpch ~node_count:nodes ~sf:sf_jobs
       ~engine:Engine.Rset.Columnar () in
-  let app = w.Opdw.Workload.app in
-  let r = optimize w (query "Q9") in
-  let p = Opdw.plan r in
-  let cores = Par.default_jobs () in
-  recordi "E18" "cores" cores;
-  Printf.printf
-    "\ncolumnar engine, Q9 at sf %g, wall clock vs jobs (%d physical cores):\n"
-    sf_jobs cores;
-  Printf.printf "%-6s %-14s %-12s %-14s %-12s\n" "jobs" "wall (s)" "speedup"
-    "sim time (s)" "identical";
-  let base_wall = ref nan and base_acct = ref (nan, nan, nan) in
-  List.iter
-    (fun jobs ->
-       let wall =
-         Par.with_pool ~jobs @@ fun pool ->
-         Engine.Appliance.set_pool app pool;
-         let t0 = now () in
-         Engine.Appliance.reset_account app;
-         ignore (Engine.Appliance.run_pplan app p);
-         now () -. t0
-       in
-       Engine.Appliance.set_pool app Par.sequential;
-       let a = app.Engine.Appliance.account in
-       let acct =
-         (a.Engine.Appliance.sim_time, a.Engine.Appliance.bytes_moved,
-          a.Engine.Appliance.rows_moved)
-       in
-       if jobs = 1 then begin
-         base_wall := wall;
-         base_acct := acct
-       end;
-       let identical = acct = !base_acct in
-       record "E18" (Printf.sprintf "jobs%d_wall_seconds" jobs) wall;
-       record "E18" (Printf.sprintf "jobs%d_speedup_x" jobs) (!base_wall /. wall);
-       recordi "E18" (Printf.sprintf "jobs%d_accounting_identical" jobs)
-         (if identical then 1 else 0);
-       rowf "%-6d %-14.4f %-12.2f %-14.6g %-12b\n" jobs wall (!base_wall /. wall)
-         a.Engine.Appliance.sim_time identical)
-    [ 1; 2; 4; 8 ];
+  Printf.printf "\ncolumnar engine, Q9 at sf %g, accounting vs jobs:\n" sf_jobs;
+  jobs_identity "E18" w.Opdw.Workload.app (Opdw.plan (optimize w (query "Q9")));
   Printf.printf
     "\nresult rows and the simulated clock are engine- and jobs-independent;\n\
-     only the wall clock moves. Columnar batches turn per-shard work into\n\
-     tight loops over typed columns, so the gap widens with the scale factor.\n"
-
-(* ------------------------------------------------------------------ *)
+     the engines' wall-clock gap is perfbench's engine.run_ms to measure.\n"
 
 (* ------------------------------------------------------------------ *)
 (* E20: abstract-interpretation analyzer -- contradiction pruning and  *)
@@ -1256,7 +1049,6 @@ let e18 () =
 let e20 () =
   section "E20"
     "Abstract interpretation: contradiction pruning and bound tightness";
-  let now = Unix.gettimeofday in
   let nodes = 4 and sf = 0.01 in
   let w = workload ~nodes ~sf in
   let opts ~fold =
@@ -1266,53 +1058,34 @@ let e20 () =
   (* compile unchecked: with folding off a contradictory plan would (by
      design) be rejected by the R12 check gate *)
   let compile ~fold sql =
-    let reps = 3 in
-    let best = ref infinity and out = ref None in
-    for _ = 1 to reps do
-      let obs = Obs.create () in
-      let t0 = now () in
-      let r =
-        Opdw.optimize ~obs ~options:(opts ~fold) ~check:false
-          w.Opdw.Workload.shell sql
-      in
-      let dt = (now () -. t0) *. 1000. in
-      if dt < !best then best := dt;
-      out :=
-        Some (r, Obs.counter obs "pdw.exprs_enumerated",
-              Obs.counter obs "analysis.empty_groups")
-    done;
-    let r, exprs, empty = Option.get !out in
-    (!best, r, exprs, empty)
+    let obs = Obs.create () in
+    let r =
+      Opdw.optimize ~obs ~options:(opts ~fold) ~check:false w.Opdw.Workload.shell sql
+    in
+    (r, Obs.counter obs "pdw.exprs_enumerated", Obs.counter obs "analysis.empty_groups")
   in
   (* part 1: live workload -- folding must be plan-identity-preserving *)
   Printf.printf
     "part 1: full %d-query workload, fold_empty on vs off (nodes=%d sf=%g)\n\n"
     (List.length Tpch.Queries.all) nodes sf;
   let identical = ref 0 and exprs_on = ref 0. and exprs_off = ref 0. in
-  let ms_on = ref 0. and ms_off = ref 0. in
   List.iter
     (fun (q : Tpch.Queries.t) ->
-       let m1, r1, x1, _ = compile ~fold:true q.Tpch.Queries.sql in
-       let m0, r0, x0, _ = compile ~fold:false q.Tpch.Queries.sql in
+       let r1, x1, _ = compile ~fold:true q.Tpch.Queries.sql in
+       let r0, x0, _ = compile ~fold:false q.Tpch.Queries.sql in
        let reg = r1.Opdw.memo.Memo.reg in
        if Pdwopt.Pplan.to_string reg (Opdw.plan r1)
           = Pdwopt.Pplan.to_string reg (Opdw.plan r0)
        then incr identical;
        exprs_on := !exprs_on +. x1;
-       exprs_off := !exprs_off +. x0;
-       ms_on := !ms_on +. m1;
-       ms_off := !ms_off +. m0)
+       exprs_off := !exprs_off +. x0)
     Tpch.Queries.all;
   recordi "E20" "workload.identical_plans" !identical;
   recordi "E20" "workload.queries" (List.length Tpch.Queries.all);
   record "E20" "workload.exprs_fold_on" !exprs_on;
   record "E20" "workload.exprs_fold_off" !exprs_off;
-  record "E20" "workload.compile_ms_fold_on" !ms_on;
-  record "E20" "workload.compile_ms_fold_off" !ms_off;
-  Printf.printf
-    "identical plans: %d/%d; exprs enumerated %.0f (on) vs %.0f (off);\n\
-     compile %.1f ms (on) vs %.1f ms (off)\n\n"
-    !identical (List.length Tpch.Queries.all) !exprs_on !exprs_off !ms_on !ms_off;
+  Printf.printf "identical plans: %d/%d; exprs enumerated %.0f (on) vs %.0f (off)\n\n"
+    !identical (List.length Tpch.Queries.all) !exprs_on !exprs_off;
   (* part 2: contradiction-heavy queries the normalizer cannot fold (the
      predicates are satisfiable syntactically; only catalog min/max
      refutes them), so pruning is entirely the analyzer's work *)
@@ -1329,25 +1102,22 @@ let e20 () =
   in
   Printf.printf
     "part 2: stats-refuted queries (catalog proves the filter empty)\n\n";
-  Printf.printf "%-7s %-11s %-12s %-10s %-10s %-10s %-8s\n" "query"
-    "exprs (on)" "exprs (off)" "prune" "ms (on)" "ms (off)" "plan sz";
+  Printf.printf "%-7s %-11s %-12s %-10s %-8s\n" "query"
+    "exprs (on)" "exprs (off)" "prune" "plan sz";
   List.iter
     (fun (name, sql) ->
-       let m1, r1, x1, empty = compile ~fold:true sql in
-       let m0, r0, x0, _ = compile ~fold:false sql in
+       let r1, x1, empty = compile ~fold:true sql in
+       let r0, x0, _ = compile ~fold:false sql in
        let reduction = x0 /. Float.max 1. x1 in
        record "E20" (name ^ ".exprs_fold_on") x1;
        record "E20" (name ^ ".exprs_fold_off") x0;
        record "E20" (name ^ ".prune_x") reduction;
-       record "E20" (name ^ ".compile_ms_fold_on") m1;
-       record "E20" (name ^ ".compile_ms_fold_off") m0;
        record "E20" (name ^ ".empty_groups") empty;
        recordi "E20" (name ^ ".plan_size_fold_on")
          (Pdwopt.Pplan.size (Opdw.plan r1));
        recordi "E20" (name ^ ".plan_size_fold_off")
          (Pdwopt.Pplan.size (Opdw.plan r0));
-       rowf "%-7s %-11.0f %-12.0f %-10.1f %-10.2f %-10.2f %d vs %d\n" name x1
-         x0 reduction m1 m0
+       rowf "%-7s %-11.0f %-12.0f %-10.1f %d vs %d\n" name x1 x0 reduction
          (Pdwopt.Pplan.size (Opdw.plan r1))
          (Pdwopt.Pplan.size (Opdw.plan r0)))
     contras;

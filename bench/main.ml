@@ -1,108 +1,17 @@
-(* Benchmark entry point.
+(* Benchmark entry point: runs the experiments and writes their records to
+   BENCH_results.json. Every record is a pure function of the experiments'
+   seeds, so the committed file is a golden file (timing lives in
+   perfbench/).
 
-   Modes:
-     bench/main.exe                 run all experiments (E1..E22), then the
-                                    bechamel micro-benchmarks
-     bench/main.exe --tables [Ek]   experiments only (optionally just one);
-                                    writes BENCH_results.json
-     bench/main.exe --micro         micro-benchmarks only *)
-
-open Bechamel
-open Toolkit
-
-let workload = lazy (Opdw.Workload.tpch ~node_count:8 ~sf:0.005 ())
-
-let q id = (Option.get (Tpch.Queries.find id)).Tpch.Queries.sql
-
-let prepared id =
-  let w = Lazy.force workload in
-  let r = Opdw.optimize w.Opdw.Workload.shell (q id) in
-  (w, r)
-
-(* one Test.make per pipeline stage *)
-let micro_tests () =
-  let w = Lazy.force workload in
-  let sh = w.Opdw.Workload.shell in
-  let parse_q20 =
-    Test.make ~name:"parse Q20" (Staged.stage (fun () -> Sqlfront.Parser.parse (q "Q20")))
-  in
-  let algebrize_q20 =
-    Test.make ~name:"algebrize+normalize Q20"
-      (Staged.stage (fun () ->
-           let r = Algebra.Algebrizer.of_sql sh (q "Q20") in
-           Algebra.Normalize.normalize r.Algebra.Algebrizer.reg sh r.Algebra.Algebrizer.tree))
-  in
-  let serial_q3 =
-    let r = Algebra.Algebrizer.of_sql sh (q "Q3") in
-    let tr = Algebra.Normalize.normalize r.Algebra.Algebrizer.reg sh r.Algebra.Algebrizer.tree in
-    Test.make ~name:"serial optimize Q3"
-      (Staged.stage (fun () -> Serialopt.Optimizer.optimize r.Algebra.Algebrizer.reg sh tr))
-  in
-  let xml_roundtrip =
-    let r = Algebra.Algebrizer.of_sql sh (q "Q3") in
-    let tr = Algebra.Normalize.normalize r.Algebra.Algebrizer.reg sh r.Algebra.Algebrizer.tree in
-    let m = (Serialopt.Optimizer.optimize r.Algebra.Algebrizer.reg sh tr).Serialopt.Optimizer.memo in
-    Test.make ~name:"MEMO XML export+import Q3"
-      (Staged.stage (fun () ->
-           Memo.Memo_xml.import_string sh (Memo.Memo_xml.export_string m)))
-  in
-  let pdw_q5 =
-    let r = Algebra.Algebrizer.of_sql sh (q "Q5") in
-    let tr = Algebra.Normalize.normalize r.Algebra.Algebrizer.reg sh r.Algebra.Algebrizer.tree in
-    let m = (Serialopt.Optimizer.optimize r.Algebra.Algebrizer.reg sh tr).Serialopt.Optimizer.memo in
-    Test.make ~name:"PDW enumerate Q5"
-      (Staged.stage (fun () -> Pdwopt.Optimizer.optimize m))
-  in
-  let dsql_q20 =
-    let _, r = prepared "Q20" in
-    Test.make ~name:"DSQL generation Q20"
-      (Staged.stage (fun () ->
-           Dsql.Generate.generate r.Opdw.memo.Memo.reg (Opdw.plan r)))
-  in
-  let exec_q6 =
-    let w, r = prepared "Q6" in
-    Test.make ~name:"execute Q6 on appliance"
-      (Staged.stage (fun () -> Opdw.run w.Opdw.Workload.app r))
-  in
-  let exec_q3 =
-    let w, r = prepared "Q3" in
-    Test.make ~name:"execute Q3 on appliance"
-      (Staged.stage (fun () -> Opdw.run w.Opdw.Workload.app r))
-  in
-  let full_pipeline =
-    Test.make ~name:"full pipeline P1 (parse..dsql)"
-      (Staged.stage (fun () -> Opdw.optimize sh (q "P1")))
-  in
-  [ parse_q20; algebrize_q20; serial_q3; xml_roundtrip; pdw_q5; dsql_q20; exec_q6;
-    exec_q3; full_pipeline ]
-
-let run_micro () =
-  print_endline "\n== bechamel micro-benchmarks ==";
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) () in
-  let grouped = Test.make_grouped ~name:"opdw" (micro_tests ()) in
-  let raw = Benchmark.all cfg instances grouped in
-  let results =
-    Analyze.all (Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |])
-      Instance.monotonic_clock raw
-  in
-  Hashtbl.iter
-    (fun name ols ->
-       match Analyze.OLS.estimates ols with
-       | Some [ t ] -> Printf.printf "%-45s %14.1f ns/run\n%!" name t
-       | _ -> Printf.printf "%-45s (no estimate)\n%!" name)
-    results
+     bench/main.exe [--tables] [Ek ...]   all of E1..E22, or just the ids *)
 
 let () =
-  let args = Array.to_list Sys.argv in
-  match args with
-  | _ :: "--micro" :: _ -> run_micro ()
-  | _ :: "--tables" :: rest ->
-    (match rest with
-     | [] -> Experiments.all ()
-     | ids -> List.iter Experiments.by_id ids);
-    Experiments.write_results "BENCH_results.json"
-  | _ ->
-    Experiments.all ();
-    Experiments.write_results "BENCH_results.json";
-    run_micro ()
+  let ids =
+    match Array.to_list Sys.argv with
+    | _ :: "--tables" :: ids | _ :: ids -> ids
+    | [] -> []
+  in
+  (match ids with
+   | [] -> Experiments.all ()
+   | ids -> List.iter Experiments.by_id ids);
+  Experiments.write_results "BENCH_results.json"

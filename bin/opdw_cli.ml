@@ -101,11 +101,27 @@ let print_profile obs =
 
 (* -- common options -- *)
 
+(* [base] restricted to the values [ok] accepts: an out-of-range number is
+   a usage error naming the option (exit 124), like a malformed one *)
+let checked base ~expected ok =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected %s, got %s" expected s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let probability =
+  checked Arg.float ~expected:"a probability in [0, 1]" (fun p -> p >= 0. && p <= 1.)
+
 let nodes_t =
-  Arg.(value & opt int 8 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of compute nodes.")
+  Arg.(value & opt (checked int ~expected:"a node count >= 1" (fun n -> n >= 1)) 8
+       & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of compute nodes.")
 
 let sf_t =
-  Arg.(value & opt float 0.01 & info [ "sf" ] ~docv:"SF" ~doc:"TPC-H scale factor (1.0 = full size).")
+  Arg.(value & opt (checked float ~expected:"a scale factor > 0" (fun sf -> sf > 0.)) 0.01
+       & info [ "sf" ] ~docv:"SF" ~doc:"TPC-H scale factor (1.0 = full size).")
 
 let query_t =
   Arg.(value & opt (some string) None
@@ -176,7 +192,7 @@ let fault_seed_t =
                $(b,--jobs).")
 
 let fault_rate_t =
-  Arg.(value & opt float 0.05
+  Arg.(value & opt probability 0.05
        & info [ "fault-rate" ] ~docv:"P"
          ~doc:"Per-site fault probability per step attempt (chaos mode); node \
                crashes fire at P/8.")
@@ -249,12 +265,12 @@ let memo_budget_t =
                pressure, unlike wall-clock deadlines).")
 
 let max_concurrent_t =
-  Arg.(value & opt int 4
+  Arg.(value & opt (checked int ~expected:"a gate width >= 1" (fun n -> n >= 1)) 4
        & info [ "max-concurrent" ] ~docv:"N"
          ~doc:"Admission gate width: statements optimizing/executing at once.")
 
 let queue_limit_t =
-  Arg.(value & opt int 16
+  Arg.(value & opt (checked int ~expected:"a queue depth >= 0" (fun n -> n >= 0)) 16
        & info [ "queue-limit" ] ~docv:"N"
          ~doc:"FIFO admission queue depth; a statement arriving beyond it is \
                rejected with a structured answer, not an error.")
@@ -1299,7 +1315,7 @@ let topology_cmd =
                  accepted only on a strict modelled-cost win).")
   in
   let t_fault_rate_t =
-    Arg.(value & opt float 0.
+    Arg.(value & opt probability 0.
          & info [ "fault-rate" ] ~docv:"P"
            ~doc:"Per-site fault probability per step attempt during the storm \
                  and inside the move steps (default 0: fault-free).")
