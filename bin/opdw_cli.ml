@@ -1209,7 +1209,7 @@ let topology action nodes sf statements zipf_seed zipf_skew grow max_tables
      skewed head dominates the harvested log (what the advisor keys on) *)
   let bundle = Array.of_list Tpch.Queries.all in
   let storm =
-    Topology.Zipf.storm ~seed:zipf_seed ~s:zipf_skew ~length:(max 1 statements)
+    Topology.Zipf.storm ~seed:zipf_seed ~s:zipf_skew ~length:statements
       (Array.length bundle)
     |> List.map (fun k -> bundle.(k))
   in
@@ -1287,7 +1287,7 @@ let topology_cmd =
                  online re-key moves while still serving, then drain the rest.")
   in
   let statements_t =
-    Arg.(value & opt int 48
+    Arg.(value & opt (checked int ~expected:"a storm length >= 1" (fun n -> n >= 1)) 48
          & info [ "statements" ] ~docv:"N"
            ~doc:"Storm length (Zipf-ranked picks over the bundled workload queries).")
   in
@@ -1309,7 +1309,7 @@ let topology_cmd =
                  (ignored unless M exceeds the current node count).")
   in
   let max_tables_t =
-    Arg.(value & opt int 2
+    Arg.(value & opt (checked int ~expected:"a table budget >= 0" (fun n -> n >= 0)) 2
          & info [ "max-tables" ] ~docv:"K"
            ~doc:"Advisor budget: at most K tables re-keyed (greedy, each \
                  accepted only on a strict modelled-cost win).")

@@ -26,6 +26,11 @@ type t = {
 
 let create () = { next = 0; infos = Hashtbl.create 64; stats = Hashtbl.create 64 }
 
+(** An independent fork: the same columns and statistics, and the next
+    {!fresh} id equal to the source's. Allocating in one never shows in
+    the other. *)
+let copy t = { next = t.next; infos = Hashtbl.copy t.infos; stats = Hashtbl.copy t.stats }
+
 let fresh t ~name ~ty ~width source =
   let id = t.next in
   t.next <- t.next + 1;

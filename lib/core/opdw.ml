@@ -312,33 +312,27 @@ let baseline_stage opts reg shell
          with Baseline.Cannot_parallelize _ -> None)
       | None -> None)
 
-(** Run the full optimization pipeline on a SQL string. Pass an enabled
-    [obs] context to collect the per-stage span tree and counters; pass a
-    [cache] to skip serial + PDW optimization on repeated queries. *)
-let optimize ?(obs = Obs.null) ?(options : options option) ?(cache : cache option)
-    ?(check = true) ?(token = Governor.none) ?(pool = Par.sequential)
-    (shell : Catalog.Shell_db.t) (sql : string) : result =
-  let opts =
-    match options with
-    | Some o -> o
-    | None -> default_options ~node_count:(Catalog.Shell_db.node_count shell)
-  in
-  (* Arm the per-statement compile deadline here (the single arming site:
-     [Governed] passes the knob through rather than arming the token
-     itself). A dead [Governor.none] token gets a live replacement so the
-     knob works for direct [optimize] callers too. *)
-  let token =
-    match opts.governor.Governor.deadline with
-    | None -> token
-    | Some d ->
-      let token =
-        if token == Governor.none then Governor.create () else token
-      in
-      Governor.add_deadline token ~clock:Governor.wall_clock
-        ~deadline:(Governor.wall_clock () +. d);
-      token
-  in
-  Obs.with_span obs "pipeline" @@ fun () ->
+(** A statement after the distribution-independent half of the pipeline:
+    the SQL Server side of Fig. 2, which never reads a distribution key
+    (unless [seed_collocated] is on). {!place} finishes it on a shell. *)
+type explored = {
+  e_options : options;   (** [options] with the statement's hints applied *)
+  e_query : Sqlfront.Ast.query;
+  e_algebrized : Algebra.Algebrizer.result;
+  e_normalized : Algebra.Relop.t;
+  e_serial : Serialopt.Optimizer.result;
+  e_memo_xml : string option;
+  e_memo : Memo.t;
+  e_empty : (int -> bool) option;   (** analyzer-proven empty groups *)
+}
+
+let resolve_options shell = function
+  | Some o -> o
+  | None -> default_options ~node_count:(Catalog.Shell_db.node_count shell)
+
+(* parse, §3.1 hint handling, algebrize, normalize: the part of the
+   explore half the plan-cache fingerprint is computed from *)
+let front obs (opts : options) shell sql =
   let query = Stage.run obs parse_stage sql in
   (* §3.1 query hints adjust the optimization strategy *)
   let opts =
@@ -362,103 +356,175 @@ let optimize ?(obs = Obs.null) ?(options : options option) ?(cache : cache optio
       pdw = { opts.pdw with Pdwopt.Enumerate.hints = dist_hints } }
   in
   let algebrized = Stage.run obs (algebrize_stage shell) query in
-  let reg = algebrized.Algebra.Algebrizer.reg in
   let normalized =
-    Stage.run obs (normalize_stage reg shell) algebrized.Algebra.Algebrizer.tree
+    Stage.run obs
+      (normalize_stage algebrized.Algebra.Algebrizer.reg shell)
+      algebrized.Algebra.Algebrizer.tree
   in
+  (opts, query, algebrized, normalized)
+
+(* the rest of the explore half: seeding, serial exploration, the XML
+   round trip and the empty-group analysis *)
+let explore_front obs token pool shell
+    ((opts : options), query, (algebrized : Algebra.Algebrizer.result), normalized) =
+  let reg = algebrized.Algebra.Algebrizer.reg in
+  let seeds =
+    if opts.seed_collocated then
+      match collocated_seed reg shell normalized with
+      | Some s -> [ s ]
+      | None -> []
+    else []
+  in
+  let serial =
+    Stage.run obs
+      (serial_stage opts.serial seeds token opts.governor.Governor.max_memo_groups
+         pool reg shell)
+      normalized
+  in
+  let memo_xml, memo =
+    if opts.via_xml then
+      Stage.run obs (memo_xml_stage shell) serial.Serialopt.Optimizer.memo
+    else (None, serial.Serialopt.Optimizer.memo)
+  in
+  let empty = Stage.run obs (analyze_stage shell opts.pdw) memo in
+  { e_options = opts; e_query = query; e_algebrized = algebrized;
+    e_normalized = normalized; e_serial = serial; e_memo_xml = memo_xml;
+    e_memo = memo; e_empty = empty }
+
+(* the place half: baseline, PDW enumeration, DSQL and check on [shell],
+   returning the unit the plan cache memoizes *)
+let place_tail obs check token pool shell (e : explored) =
+  let opts = e.e_options and serial = e.e_serial in
+  let reg = e.e_algebrized.Algebra.Algebrizer.reg in
+  (* The enumeration reads distribution keys through the memo's shell and
+     allocates aggregation-split columns in its registry, so it runs on a
+     memo rebound to [shell] with a forked registry: placing never touches
+     [e]'s registry, and every placement allocates the ids a fresh compile
+     would. The groups stay shared; the enumeration's only write to them
+     (step 03's merge) is idempotent. *)
+  let memo =
+    { e.e_memo with Memo.shell; reg = Algebra.Registry.copy e.e_memo.Memo.reg }
+  in
+  (* The baseline runs before the PDW enumeration so its plan can seed
+     the enumeration's fixed cost upper bound (and so a fallback after a
+     mid-enumeration cancellation reuses it instead of recomputing). It
+     allocates no registry columns. *)
+  let baseline_plan =
+    Stage.run obs (baseline_stage opts.baseline reg shell)
+      serial.Serialopt.Optimizer.best
+  in
+  let upper_bound =
+    Option.map
+      (fun (b : Pdwopt.Pplan.t) ->
+         (* margin: strictly above the baseline's cost, so the enumerated
+            plan that matches or beats the baseline is never pruned even
+            under float rounding *)
+         (b.Pdwopt.Pplan.dms_cost *. (1. +. 1e-9)) +. 1e-9)
+      baseline_plan
+  in
+  match
+    let pdw =
+      Stage.run obs (pdw_stage opts.pdw token pool upper_bound e.e_empty) memo
+    in
+    let dsql = Stage.run obs (dsql_stage memo.Memo.reg) pdw.Pdwopt.Optimizer.plan in
+    if check then
+      Stage.run obs
+        (check_stage shell opts.pdw memo.Memo.reg)
+        (pdw.Pdwopt.Optimizer.plan, dsql);
+    (pdw, dsql)
+  with
+  | pdw, dsql ->
+    let degraded =
+      if serial.Serialopt.Optimizer.interrupted <> None then Some Anytime
+      else None
+    in
+    ( { c_serial = serial; c_memo_xml = e.e_memo_xml; c_memo = memo; c_pdw = pdw;
+        c_dsql = dsql; c_baseline = baseline_plan },
+      degraded )
+  | exception (Governor.Cancelled _ as cancelled) ->
+    (* The PDW enumeration was interrupted: degrade to the §3.2 baseline
+       — the best serial plan parallelized greedily (already computed
+       above). The fallback runs to completion even on an expired token
+       (none of its stages poll), so the degradation overhead is a
+       bounded constant. *)
+    Obs.with_span obs "governor.fallback" @@ fun () ->
+    (match baseline_plan with
+     | None ->
+       (* nothing to degrade to: surface the cancellation itself *)
+       raise cancelled
+     | Some plan ->
+       let dsql = Stage.run obs (dsql_stage reg) plan in
+       (* a degraded plan must still prove itself: the check stage runs
+          unconditionally here, even when the caller disabled [check] *)
+       Stage.run obs (check_stage shell opts.pdw reg) (plan, dsql);
+       let body =
+         match plan.Pdwopt.Pplan.children with
+         | [ body ] -> body
+         | _ -> plan
+       in
+       let pdw =
+         { Pdwopt.Optimizer.plan;
+           options_at_root = [ (body.Pdwopt.Pplan.dist, body) ];
+           options = Hashtbl.create 1;
+           stats =
+             { Pdwopt.Enumerate.pdw_exprs_enumerated = 0; options_kept = 0;
+               groups_processed = 0; enforcer_moves = 0; par_levels = 0;
+               par_groups = 0 };
+           derived = Pdwopt.Derive.derive memo }
+       in
+       ( { c_serial = serial; c_memo_xml = e.e_memo_xml; c_memo = memo;
+           c_pdw = pdw; c_dsql = dsql; c_baseline = baseline_plan },
+         Some Fallback ))
+
+let assemble obs ~query ~algebrized ~normalized tail degraded fingerprint =
+  if degraded <> None then Obs.add obs "governor.degraded" 1;
+  { query; algebrized; normalized; serial = tail.c_serial;
+    memo_xml = tail.c_memo_xml; memo = tail.c_memo; pdw = tail.c_pdw;
+    dsql = tail.c_dsql; baseline_plan = tail.c_baseline; fingerprint; degraded }
+
+(** The explore half on its own: parse, hints, algebrize, normalize,
+    serial exploration, the optional XML round trip and the empty-group
+    analysis. *)
+let explore ~options shell sql : explored =
+  let obs = Obs.null in
+  explore_front obs Governor.none Par.sequential shell (front obs options shell sql)
+
+(** The place half on its own: finish an explored statement on [shell]. *)
+let place shell (e : explored) : result =
+  let obs = Obs.null in
+  let tail, degraded = place_tail obs true Governor.none Par.sequential shell e in
+  assemble obs ~query:e.e_query ~algebrized:e.e_algebrized
+    ~normalized:e.e_normalized tail degraded None
+
+(** Run the full optimization pipeline on a SQL string: {!place} after
+    {!explore}. Pass an enabled [obs] context to collect the per-stage
+    span tree and counters; pass a [cache] to skip everything after
+    normalization on repeated queries. *)
+let optimize ?(obs = Obs.null) ?(options : options option) ?(cache : cache option)
+    ?(check = true) ?(token = Governor.none) ?(pool = Par.sequential)
+    (shell : Catalog.Shell_db.t) (sql : string) : result =
+  let opts = resolve_options shell options in
+  (* Arm the per-statement compile deadline here (the single arming site:
+     [Governed] passes the knob through rather than arming the token
+     itself). A dead [Governor.none] token gets a live replacement so the
+     knob works for direct [optimize] callers too. *)
+  let token =
+    match opts.governor.Governor.deadline with
+    | None -> token
+    | Some d ->
+      let token =
+        if token == Governor.none then Governor.create () else token
+      in
+      Governor.add_deadline token ~clock:Governor.wall_clock
+        ~deadline:(Governor.wall_clock () +. d);
+      token
+  in
+  Obs.with_span obs "pipeline" @@ fun () ->
+  let ((opts, query, algebrized, normalized) as fr) = front obs opts shell sql in
   (* everything below normalization is a pure function of (normalized tree,
      knobs, statistics) — exactly what the plan-cache fingerprint keys on *)
-  let compile_tail () : compiled_tail * degradation option =
-    let seeds =
-      if opts.seed_collocated then
-        match collocated_seed reg shell normalized with
-        | Some s -> [ s ]
-        | None -> []
-      else []
-    in
-    let serial =
-      Stage.run obs
-        (serial_stage opts.serial seeds token opts.governor.Governor.max_memo_groups
-           pool reg shell)
-        normalized
-    in
-    let memo_xml, memo =
-      if opts.via_xml then
-        Stage.run obs (memo_xml_stage shell) serial.Serialopt.Optimizer.memo
-      else (None, serial.Serialopt.Optimizer.memo)
-    in
-    (* The baseline runs before the PDW enumeration so its plan can seed
-       the enumeration's fixed cost upper bound (and so a fallback after a
-       mid-enumeration cancellation reuses it instead of recomputing). It
-       allocates no registry columns, so the hoist does not shift the ids
-       the enumeration's aggregation splits allocate. *)
-    let baseline_plan =
-      Stage.run obs (baseline_stage opts.baseline reg shell)
-        serial.Serialopt.Optimizer.best
-    in
-    let upper_bound =
-      Option.map
-        (fun (b : Pdwopt.Pplan.t) ->
-           (* margin: strictly above the baseline's cost, so the enumerated
-              plan that matches or beats the baseline is never pruned even
-              under float rounding *)
-           (b.Pdwopt.Pplan.dms_cost *. (1. +. 1e-9)) +. 1e-9)
-        baseline_plan
-    in
-    match
-      let empty = Stage.run obs (analyze_stage shell opts.pdw) memo in
-      let pdw =
-        Stage.run obs (pdw_stage opts.pdw token pool upper_bound empty) memo
-      in
-      let dsql = Stage.run obs (dsql_stage memo.Memo.reg) pdw.Pdwopt.Optimizer.plan in
-      if check then
-        Stage.run obs
-          (check_stage shell opts.pdw memo.Memo.reg)
-          (pdw.Pdwopt.Optimizer.plan, dsql);
-      (pdw, dsql)
-    with
-    | pdw, dsql ->
-      let degraded =
-        if serial.Serialopt.Optimizer.interrupted <> None then Some Anytime
-        else None
-      in
-      ( { c_serial = serial; c_memo_xml = memo_xml; c_memo = memo; c_pdw = pdw;
-          c_dsql = dsql; c_baseline = baseline_plan },
-        degraded )
-    | exception (Governor.Cancelled _ as cancelled) ->
-      (* The PDW enumeration was interrupted: degrade to the §3.2 baseline
-         — the best serial plan parallelized greedily (already computed
-         above). The fallback runs to completion even on an expired token
-         (none of its stages poll), so the degradation overhead is a
-         bounded constant. *)
-      Obs.with_span obs "governor.fallback" @@ fun () ->
-      (match baseline_plan with
-       | None ->
-         (* nothing to degrade to: surface the cancellation itself *)
-         raise cancelled
-       | Some plan ->
-         let dsql = Stage.run obs (dsql_stage reg) plan in
-         (* a degraded plan must still prove itself: the check stage runs
-            unconditionally here, even when the caller disabled [check] *)
-         Stage.run obs (check_stage shell opts.pdw reg) (plan, dsql);
-         let body =
-           match plan.Pdwopt.Pplan.children with
-           | [ body ] -> body
-           | _ -> plan
-         in
-         let pdw =
-           { Pdwopt.Optimizer.plan;
-             options_at_root = [ (body.Pdwopt.Pplan.dist, body) ];
-             options = Hashtbl.create 1;
-             stats =
-               { Pdwopt.Enumerate.pdw_exprs_enumerated = 0; options_kept = 0;
-                 groups_processed = 0; enforcer_moves = 0; par_levels = 0;
-                 par_groups = 0 };
-             derived = Pdwopt.Derive.derive memo }
-         in
-         ( { c_serial = serial; c_memo_xml = memo_xml; c_memo = memo;
-             c_pdw = pdw; c_dsql = dsql; c_baseline = baseline_plan },
-           Some Fallback ))
+  let compile_tail () =
+    place_tail obs check token pool shell (explore_front obs token pool shell fr)
   in
   let tail, degraded, fingerprint =
     match cache with
@@ -493,10 +559,7 @@ let optimize ?(obs = Obs.null) ?(options : options option) ?(cache : cache optio
             Obs.add obs "plancache.evictions_degraded" 1);
          (tail, degraded, Some fp))
   in
-  if degraded <> None then Obs.add obs "governor.degraded" 1;
-  { query; algebrized; normalized; serial = tail.c_serial;
-    memo_xml = tail.c_memo_xml; memo = tail.c_memo; pdw = tail.c_pdw;
-    dsql = tail.c_dsql; baseline_plan = tail.c_baseline; fingerprint; degraded }
+  assemble obs ~query ~algebrized ~normalized tail degraded fingerprint
 
 (** The chosen distributed plan. *)
 let plan r = r.pdw.Pdwopt.Optimizer.plan
@@ -617,7 +680,9 @@ module Governed = struct
       Printf.sprintf "exhausted(%s after %d attempts)" reason attempts
     | Invalid msg -> Printf.sprintf "invalid(%s)" msg
 
-  let statement_key sql = String.lowercase_ascii (String.trim sql)
+  (* the trimmed text, unfolded: a literal's case is part of the
+     statement, and only the lexer knows where literals are *)
+  let statement_key sql = String.trim sql
 
   (** Optimize and execute one statement under full governance. Breaker
       bookkeeping: hard failures ({!Fault.Exhausted}, {!Check.Invalid})

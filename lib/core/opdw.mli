@@ -105,15 +105,56 @@ type cache = compiled_tail Plancache.t
     LRU eviction). *)
 val cache : ?capacity:int -> unit -> cache
 
+(** A statement after the explore half of the pipeline: everything the
+    paper's SQL Server process does before the MEMO crosses to PDW (§3,
+    Fig. 2). None of it reads a distribution key, except the §3.1
+    collocated seeding when [seed_collocated] is on, so one explored
+    statement can be {!place}d on any shell that differs from the one it
+    was explored on only in distribution keys. *)
+type explored = {
+  e_options : options;
+      (** the [options] it was explored with, the statement's hints
+          applied (FORCE ORDER in [serial], BROADCAST / SHUFFLE in [pdw]) *)
+  e_query : Sqlfront.Ast.query;
+  e_algebrized : Algebra.Algebrizer.result;
+  e_normalized : Algebra.Relop.t;
+  e_serial : Serialopt.Optimizer.result;
+  e_memo_xml : string option;      (** the interchange XML (when [via_xml]) *)
+  e_memo : Memo.t;                 (** the MEMO the place half enumerates *)
+  e_empty : (int -> bool) option;
+      (** groups the analyzer proved empty (when [fold_empty] is on) *)
+}
+
+(** The explore half: parse, hint handling, algebrize, normalize, serial
+    exploration, the optional XML round trip and the analyzer's
+    empty-group pass, sequentially and without instrumentation.
+    [options.governor.max_memo_groups] cuts the exploration as in
+    {!optimize}; a wall deadline in [options.governor] is armed only by
+    {!optimize}. *)
+val explore : options:options -> Catalog.Shell_db.t -> string -> explored
+
+(** The place half: the §3.2 baseline, the PDW enumeration, DSQL
+    generation and the static check, all on [shell], sequentially and
+    without instrumentation. The enumeration runs on the explored MEMO rebound to [shell]
+    with a forked registry, so placing never changes the explored
+    statement: it may be placed any number of times, on shells with
+    different distribution keys, and each placement equals
+    [optimize ~options:e.e_options shell sql] bit for bit (cost, plan and
+    DSQL text). Degradation and the fallback behave as in {!optimize};
+    [fingerprint] is [None]. *)
+val place : Catalog.Shell_db.t -> explored -> result
+
 (** Run the full optimization pipeline on a SQL string against a shell
-    database. Raises {!Sqlfront.Parser.Parse_error},
+    database: {!place} on [shell] after {!explore} on [shell], one code
+    path. Raises {!Sqlfront.Parser.Parse_error},
     {!Algebra.Algebrizer.Unsupported} / [Resolve_error], or
     {!Pdwopt.Optimizer.No_plan} on invalid input.
 
     Pass an enabled [obs] context ({!Obs.create}) to collect a per-stage
     span tree (parse, algebrize, normalize, serial_optimize, memo_xml,
-    pdw_optimize, dsql_generate, baseline_parallelize) with each stage's
-    counters; the default {!Obs.null} makes instrumentation free.
+    analyze, baseline_parallelize, pdw_optimize, dsql_generate, check)
+    with each stage's counters; the default {!Obs.null} makes
+    instrumentation free.
 
     Pass a [cache] to memoize the compiled tail: a fingerprint hit skips
     serial exploration, the XML interchange, PDW enumeration, DSQL
@@ -296,7 +337,9 @@ module Feedback : sig
   (** The driver's current options ({!calibrate} installs re-fitted λs). *)
   val options : t -> options
 
-  (** The plan store's per-statement key (normalized SQL text). *)
+  (** The per-statement key of the plan store, the circuit breaker and
+      the workload log: the SQL text trimmed, and otherwise unchanged,
+      so replaying it runs exactly the statement that ran. *)
   val statement_key : string -> string
 
   (** Symmetric model-vs-sim cost error of one executed plan, always

@@ -147,16 +147,40 @@ module Advisor = struct
         | Some cols -> Catalog.Distribution.Hash_partitioned cols
         | None -> tbl.Catalog.Shell_db.dist)
 
+  (* the tables a statement reads, lower-cased like the override names:
+     the only tables whose distribution keys its plan can depend on *)
+  let tables_read (t : Algebra.Relop.t) =
+    let rec go acc (n : Algebra.Relop.t) =
+      let acc =
+        match n.Algebra.Relop.op with
+        | Algebra.Relop.Get { table; _ } -> String.lowercase_ascii table :: acc
+        | _ -> acc
+      in
+      List.fold_left go acc n.Algebra.Relop.children
+    in
+    List.sort_uniq compare (go [] t)
+
   (** [advise shell log] replays the log's distinct statements (weighted
       by observed frequency) against candidate distribution-key
-      assignments — compiling each statement with the full pipeline and
-      summing the chosen plans' modelled DMS cost under the λ model — and
-      greedily accepts up to [max_tables] (default 2) single-table key
-      changes, each only if it {e strictly} lowers the cumulative cost.
-      Pure replay: nothing is executed and [shell] is not mutated.
+      assignments — summing the chosen plans' modelled DMS cost under the
+      λ model — and greedily accepts up to [max_tables] (default 2)
+      single-table key changes, each only if it {e strictly} lowers the
+      cumulative cost. Pure replay: nothing is executed and [shell] is not
+      mutated.
+
+      The replay follows the paper's split (§3): each statement is
+      explored once on [shell] ({!Opdw.explore}), and a candidate only
+      re-runs the place half ({!Opdw.place}) on its hypothetical shell.
+      A statement's cost is memoized on the candidate keys of the tables
+      it reads, so a candidate re-places only the statements that read
+      its table. With [seed_collocated] on, exploration reads
+      distribution keys, so a candidate re-explores too. Every priced
+      plan still passes the static checker.
+
       [options] should be the driver's current options (node count, λs);
-      the XML interchange is forced off (a cost replay does not need
-      it). *)
+      the XML interchange is forced off (a cost replay does not need it),
+      and so are the governor's limits (a wall deadline would make the
+      advice depend on host speed, and degraded plans would be priced). *)
   let advise ?(max_tables = 2) ?options (shell : Catalog.Shell_db.t)
       (log : Feedback.Log.t) : advice =
     let options =
@@ -166,16 +190,43 @@ module Advisor = struct
         | None ->
           Opdw.default_options ~node_count:(Catalog.Shell_db.node_count shell)
       in
-      { o with Opdw.via_xml = false }
+      { o with Opdw.via_xml = false; governor = Governor.no_limits }
     in
     let stmts = statements log in
+    (* per statement: its count, and its cost under a set of overrides,
+       memoized on the overrides of the tables it reads *)
+    let priced =
+      List.map
+        (fun (sql, count) ->
+           let e = Opdw.explore ~options shell sql in
+           let tables = tables_read e.Opdw.e_normalized in
+           let memo = Hashtbl.create 8 in
+           let cost overrides =
+             let own = List.filter (fun (tab, _) -> List.mem tab tables) overrides in
+             match Hashtbl.find_opt memo own with
+             | Some cost -> cost
+             | None ->
+               let shell', e =
+                 if own = [] then (shell, e)
+                 else begin
+                   let shell' = hypothetical shell own in
+                   ( shell',
+                     if options.Opdw.seed_collocated then
+                       Opdw.explore ~options shell' sql
+                     else e )
+                 end
+               in
+               let cost = (Opdw.plan (Opdw.place shell' e)).Pdwopt.Pplan.dms_cost in
+               Hashtbl.replace memo own cost;
+               cost
+           in
+           (count, cost))
+        stmts
+    in
     let cost_with overrides =
-      let shell' = hypothetical shell overrides in
       List.fold_left
-        (fun acc (sql, count) ->
-           let r = Opdw.optimize ~options shell' sql in
-           acc +. (float_of_int count *. (Opdw.plan r).Pdwopt.Pplan.dms_cost))
-        0. stmts
+        (fun acc (count, cost) -> acc +. (float_of_int count *. cost overrides))
+        0. priced
     in
     let baseline = cost_with [] in
     let accepted = ref [] and proposals = ref [] and current = ref baseline in

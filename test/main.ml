@@ -30,4 +30,5 @@ let () =
       ("governor", Test_governor.suite);
       ("analysis", Test_analysis.suite);
       ("feedback", Test_feedback.suite);
-      ("topology", Test_topology.suite) ]
+      ("topology", Test_topology.suite);
+      ("split", Test_split.suite) ]

@@ -365,6 +365,121 @@ let test_elastic_storm_grow_and_rekey () =
   Alcotest.(check bool) "epoch advanced by the moves" true
     (Topology.Elastic.epoch el >= 2)
 
+(* -- the advisor against a reference replay -- *)
+
+(* the advisor's greedy search written out with a full [Opdw.optimize] per
+   statement per candidate: what [advise] computed before it explored each
+   statement once and re-placed it per candidate *)
+let reference_advise ?(max_tables = 2) (options : Opdw.options) shell log =
+  let options =
+    { options with Opdw.via_xml = false; governor = Governor.no_limits }
+  in
+  let stmts = Topology.Advisor.statements log in
+  let cost_with overrides =
+    let shell' = Topology.Advisor.hypothetical shell overrides in
+    List.fold_left
+      (fun acc (sql, count) ->
+         acc
+         +. (float_of_int count
+             *. (Opdw.plan (Opdw.optimize ~options shell' sql)).Pdwopt.Pplan.dms_cost))
+      0. stmts
+  in
+  let baseline = cost_with [] in
+  let accepted = ref [] and proposals = ref [] and current = ref baseline in
+  List.iter
+    (fun (tab, _, cols) ->
+       if List.length !accepted < max_tables then begin
+         let cur_key =
+           match Catalog.Shell_db.find shell tab with
+           | Some { Catalog.Shell_db.dist = Catalog.Distribution.Hash_partitioned k; _ } -> k
+           | _ -> []
+         in
+         let best =
+           List.fold_left
+             (fun best col ->
+                if [ col ] = cur_key then best
+                else
+                  let cost = cost_with (!accepted @ [ (tab, [ col ]) ]) in
+                  match best with
+                  | Some (_, c) when c <= cost -> best
+                  | _ -> Some (col, cost))
+             None cols
+         in
+         match best with
+         | Some (col, cost) when cost < !current ->
+           accepted := !accepted @ [ (tab, [ col ]) ];
+           proposals :=
+             { Topology.Advisor.p_table = tab; p_from = cur_key; p_cols = [ col ];
+               p_before = !current; p_after = cost }
+             :: !proposals;
+           current := cost
+         | _ -> ()
+       end)
+    (Topology.Advisor.candidates shell log);
+  { Topology.Advisor.a_statements = stmts; a_baseline = baseline;
+    a_proposed = !current; a_proposals = List.rev !proposals }
+
+(* every float in hex, so equal strings mean bit-equal advice *)
+let advice_to_string (a : Topology.Advisor.advice) =
+  Printf.sprintf "%d statements, %h -> %h: %s"
+    (List.length a.Topology.Advisor.a_statements)
+    a.Topology.Advisor.a_baseline a.Topology.Advisor.a_proposed
+    (String.concat "; "
+       (List.map
+          (fun (p : Topology.Advisor.proposal) ->
+             Printf.sprintf "%s [%s] -> [%s] %h -> %h" p.Topology.Advisor.p_table
+               (String.concat "," p.Topology.Advisor.p_from)
+               (String.concat "," p.Topology.Advisor.p_cols)
+               p.Topology.Advisor.p_before p.Topology.Advisor.p_after)
+          a.Topology.Advisor.a_proposals))
+
+(* an elastic instance that has served a 24-statement Zipf storm on 4
+   nodes *)
+let served_storm =
+  lazy
+    (let wl = workload ~node_count:4 () in
+     let el =
+       Topology.Elastic.create ~cache:(Opdw.cache ()) ~fault:Fault.none
+         wl.Opdw.Workload.shell wl.Opdw.Workload.app
+     in
+     let bundle = Array.of_list Tpch.Queries.all in
+     List.iter
+       (fun k -> ignore (Topology.Elastic.run el bundle.(k).Tpch.Queries.sql))
+       (Topology.Zipf.storm ~seed:3 ~length:24 (Array.length bundle));
+     el)
+
+let test_advise_matches_reference () =
+  let el = Lazy.force served_storm in
+  let shell = Topology.Elastic.shell el and log = Topology.Elastic.log el in
+  let options = Topology.Elastic.options el in
+  let advice = Topology.Elastic.advise el in
+  Alcotest.(check bool) "the storm's advice proposes a re-key" true
+    (advice.Topology.Advisor.a_proposals <> []);
+  Alcotest.(check string) "advise = full-optimize greedy replay"
+    (advice_to_string (reference_advise options shell log))
+    (advice_to_string advice);
+  let seeded = { options with Opdw.seed_collocated = true } in
+  Alcotest.(check string) "with collocated seeding too"
+    (advice_to_string (reference_advise seeded shell log))
+    (advice_to_string (Topology.Advisor.advise ~options:seeded shell log))
+
+(* the serving options' governor limits must not reach the replay: a
+   wall deadline would make the advice depend on host speed, a memo budget
+   would price degraded plans *)
+let test_advise_ignores_governor_limits () =
+  let el = Lazy.force served_storm in
+  let shell = Topology.Elastic.shell el and log = Topology.Elastic.log el in
+  let options = Topology.Elastic.options el in
+  let unlimited = advice_to_string (Topology.Advisor.advise ~options shell log) in
+  List.iter
+    (fun (what, governor) ->
+       Alcotest.(check string) what unlimited
+         (advice_to_string
+            (Topology.Advisor.advise ~options:{ options with Opdw.governor } shell log)))
+    [ ("wall deadline 1e-6 s", { Governor.no_limits with Governor.deadline = Some 1e-6 });
+      ("memo budget 4 groups",
+       { Governor.no_limits with Governor.max_memo_groups = Some 4 }) ]
+
 (* -- property: a random grow / re-key / shrink sequence under a random
       fault seed reproduces rows and accounting at any --jobs -- *)
 
@@ -473,4 +588,7 @@ let suite =
       test_restarted_move_never_serves_source_plans;
     t "elastic storm: grow + advisor re-key, availability 1.0"
       test_elastic_storm_grow_and_rekey;
+    t "advise = full-optimize greedy replay" test_advise_matches_reference;
+    t "advise ignores the serving governor limits"
+      test_advise_ignores_governor_limits;
     QCheck_alcotest.to_alcotest prop_topology_determinism ]
