@@ -13,6 +13,7 @@ type op =
 
 type gexpr = {
   op : op;
+  oid : int;               (** interned id of [op]: equal ops share one *)
   children : int array;    (** group ids (canonicalize through [find]) *)
 }
 
@@ -36,13 +37,15 @@ type t = {
   shell : Catalog.Shell_db.t;
   mutable groups : group array;     (** index = gid; grows *)
   mutable ngroups : int;
-  dedup : (op * int list, int) Hashtbl.t;  (** expr -> owning group *)
+  ops : (op, int) Hashtbl.t;         (** op -> oid, by structural equality *)
+  dedup : (int * int list, int) Hashtbl.t;
+      (** (oid, canonical child ids) -> owning group *)
   mutable root : int;
 }
 
 let create reg shell =
   { reg; shell; groups = Array.make 64 { gid = -1; exprs = []; props = { cols = Registry.Col_set.empty; card = 0.; width = 0. }; explored = false; merged_into = None };
-    ngroups = 0; dedup = Hashtbl.create 256; root = -1 }
+    ngroups = 0; ops = Hashtbl.create 256; dedup = Hashtbl.create 256; root = -1 }
 
 (** Canonical group id (groups can be merged when a transformation proves
     two groups equivalent). *)
@@ -124,8 +127,23 @@ let width_of_cols t cols =
 
 (* -- insertion -- *)
 
-let key_of t op children =
-  (op, List.map (fun c -> find t c) (Array.to_list children))
+(* Operators are interned once: every later comparison of an expression
+   (the dedup table here, the rule-application set of exploration) is on
+   the integer [oid], never on the operator itself. [intern] and
+   [add_expr] are the only writers of [ops], [dedup] and [oid]s. *)
+let intern t op =
+  match Hashtbl.find_opt t.ops op with
+  | Some oid -> oid
+  | None ->
+    let oid = Hashtbl.length t.ops in
+    Hashtbl.add t.ops op oid;
+    oid
+
+(* [children] must already be canonical. *)
+let add_expr t gid op oid children =
+  let g = t.groups.(gid) in
+  g.exprs <- { op; oid; children } :: g.exprs;
+  Hashtbl.replace t.dedup (oid, Array.to_list children) gid
 
 let grow t =
   if t.ngroups >= Array.length t.groups then begin
@@ -134,19 +152,19 @@ let grow t =
     t.groups <- bigger
   end
 
-let new_group t op children =
+(** Append an empty group with the given properties; returns its id. *)
+let add_group t props =
   grow t;
   let gid = t.ngroups in
+  t.groups.(gid) <- { gid; exprs = []; props; explored = false; merged_into = None };
+  t.ngroups <- gid + 1;
+  gid
+
+let new_group t op oid children =
   let cols = cols_of_op t op children in
   let card = card_of_op t op children in
-  let g =
-    { gid; exprs = [ { op; children } ];
-      props = { cols; card; width = width_of_cols t cols };
-      explored = false; merged_into = None }
-  in
-  t.groups.(gid) <- g;
-  t.ngroups <- t.ngroups + 1;
-  Hashtbl.replace t.dedup (key_of t op children) gid;
+  let gid = add_group t { cols; card; width = width_of_cols t cols } in
+  add_expr t gid op oid children;
   gid
 
 (** Merge group [b] into group [a] (they were proven equivalent). *)
@@ -168,20 +186,24 @@ let merge_groups t a b =
     merged. *)
 let insert ?target t op (children : int array) : int =
   let children = Array.map (fun c -> find t c) children in
-  let key = key_of t op children in
-  match Hashtbl.find_opt t.dedup key, target with
+  let oid = intern t op in
+  match Hashtbl.find_opt t.dedup (oid, Array.to_list children), target with
   | Some g, None -> find t g
   | Some g, Some tgt ->
     let g = find t g and tgt = find t tgt in
     if g <> tgt then merge_groups t tgt g;
     find t tgt
-  | None, None -> new_group t op children
+  | None, None -> new_group t op oid children
   | None, Some tgt ->
     let tgt = find t tgt in
-    let g = t.groups.(tgt) in
-    g.exprs <- { op; children } :: g.exprs;
-    Hashtbl.replace t.dedup key tgt;
+    add_expr t tgt op oid children;
     tgt
+
+(** Restore an expression read from an interchange file into group [gid]
+    (created by {!add_group}), interning its operator like {!insert} does,
+    so the rebuilt MEMO carries the same dedup keys as the one exported.
+    No merging or property derivation: the file is taken as is. *)
+let restore_expr t gid op children = add_expr t gid op (intern t op) children
 
 (** Insert a whole logical operator tree; returns its group. *)
 let rec insert_tree t (tree : Relop.t) : int =

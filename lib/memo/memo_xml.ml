@@ -498,26 +498,19 @@ let import (shell : Catalog.Shell_db.t) (n : Xml.node) : Memo_def.t * int =
     (fun gid gnode ->
        if int_attr gnode "id" <> gid then
          raise (Xml.Xml_error "group ids must be dense and ordered");
-       Memo_def.grow m;
-       m.Memo_def.groups.(gid) <-
-         { Memo_def.gid; exprs = []; explored = false; merged_into = None;
-           props = { Memo_def.cols = Registry.Col_set.of_list (ints_of_attr (Xml.attr gnode "cols"));
-                     card = float_attr gnode "card";
-                     width = float_attr gnode "width" } };
-       m.Memo_def.ngroups <- gid + 1)
+       ignore
+         (Memo_def.add_group m
+            { Memo_def.cols = Registry.Col_set.of_list (ints_of_attr (Xml.attr gnode "cols"));
+              card = float_attr gnode "card";
+              width = float_attr gnode "width" }))
     group_nodes;
   List.iteri
     (fun gid gnode ->
-       let exprs =
-         List.map
-           (fun enode ->
-              let op, children = op_of_xml scalars enode in
-              let children = Array.map group_ref children in
-              Hashtbl.replace m.Memo_def.dedup (op, Array.to_list children) gid;
-              { Memo_def.op; children })
-           (Xml.children_named gnode "expr")
-       in
-       m.Memo_def.groups.(gid).Memo_def.exprs <- List.rev exprs)
+       List.iter
+         (fun enode ->
+            let op, children = op_of_xml scalars enode in
+            Memo_def.restore_expr m gid op (Array.map group_ref children))
+         (Xml.children_named gnode "expr"))
     group_nodes;
   m.Memo_def.root <- group_ref (int_attr n "root");
   (m, Array.length scalars)

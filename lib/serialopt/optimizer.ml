@@ -43,27 +43,14 @@ let classify_join conjs =
 let nontrivial_conjuncts pred =
   List.filter (fun c -> not (is_true_pred c)) (Expr.conjuncts pred)
 
-(* Structural identity of a group expression, for the applied-rules set.
-   Hashing the expression (the old scheme) made a hash collision silently
-   skip a transformation and shrink the search space; this renders the
-   operator (constructor, join kind, predicate with explicit column ids)
-   and the canonical child group ids instead, so distinct expressions can
-   never alias. *)
-let gexpr_key (m : Memo.t) (e : gexpr) : string =
-  let col c = "#" ^ string_of_int c in
-  let op_s =
-    match e.op with
-    | Logical (Relop.Join { kind = _; pred } as l) ->
-      (* op_name spells the join kind (Join/CrossJoin/SemiJoin/...) *)
-      Printf.sprintf "%s(%s)" (Relop.op_name l) (Expr.to_string_with col pred)
-    | Logical (Relop.Select pred) ->
-      Printf.sprintf "Select(%s)" (Expr.to_string_with col pred)
-    | Logical l -> Relop.op_name l
-    | Physical p -> "phys:" ^ Memo.Physop.name p
-  in
-  Printf.sprintf "%s(%s)" op_s
-    (String.concat ","
-       (List.map (fun c -> string_of_int (Memo.find m c)) (Array.to_list e.children)))
+type rule = Commute | Assoc
+
+(* Identity of a rule application: the rule, the canonical group, the
+   interned operator ([Memo.intern] keys operators by structural equality,
+   so distinct expressions never share an oid) and the canonical child
+   groups. Oids are assigned only by [Memo.insert], which runs in the
+   sequential apply phase, so discovery reads them without writing. *)
+type applied_key = rule * int * int * int * int
 
 (* Exploration runs in generations, each split into two phases so the rule
    *matching* parallelizes on the domain pool while every memo mutation
@@ -71,12 +58,12 @@ let gexpr_key (m : Memo.t) (e : gexpr) : string =
 
    - {b discovery} (parallel, read-only): each live group is scanned
      against the generation-start snapshot of the memo — pattern matches,
-     canonical child ids, dedup keys. The union-find is fully
+     canonical child ids, applied keys. The union-find is fully
      path-compressed before the fan-out, so worker-side [Memo.find] calls
      are pure reads. Each group yields its candidate list; flattening in
      group order gives the same candidate order at any pool size.
    - {b apply} (sequential): candidates run in that order under the same
-     per-candidate dedup-key / task-budget / governor checks the old
+     per-candidate applied-key / task-budget / governor checks the old
      interleaved sweep performed. Inserts made by earlier candidates are
      visible to later ones, exactly as before; candidates those inserts
      would newly enable are picked up by the next generation's snapshot.
@@ -102,14 +89,11 @@ let explore (m : Memo.t) ~pool ~budget ~(token : Governor.token)
         | _ -> ()));
     !interrupted <> None
   in
-  let applied : (string, unit) Hashtbl.t = Hashtbl.create 256 in
-  let key rule gid (e : gexpr) =
-    Printf.sprintf "%s/%d/%s" rule gid (gexpr_key m e)
-  in
-  (* Discovery for one group: candidates as (dedup key, apply closure).
+  let applied : (applied_key, unit) Hashtbl.t = Hashtbl.create 256 in
+  (* Discovery for one group: candidates as (applied key, apply closure).
      Read-only against the memo; the closures only touch the memo when the
      sequential apply phase runs them. *)
-  let discover g : (string * (unit -> unit)) list =
+  let discover g : (applied_key * (unit -> unit)) list =
     let out = ref [] in
     List.iter
       (fun (e : gexpr) ->
@@ -118,17 +102,17 @@ let explore (m : Memo.t) ~pool ~budget ~(token : Governor.token)
            when Array.length e.children = 2 ->
            let g1 = Memo.find m e.children.(0) and g2 = Memo.find m e.children.(1) in
            let candidate rule (f : unit -> unit) =
-             let k = key rule g e in
+             let k = (rule, g, e.oid, g1, g2) in
              if not (Hashtbl.mem applied k) then out := (k, f) :: !out
            in
            (* commutativity *)
-           candidate "commute" (fun () ->
+           candidate Commute (fun () ->
                ignore
                  (Memo.insert ~target:g m
                     (Logical (Relop.Join { kind; pred }))
                     [| g2; g1 |]));
            (* left associativity: (A x B) x C -> A x (B x C) *)
-           candidate "assoc" (fun () ->
+           candidate Assoc (fun () ->
                List.iter
                  (fun (lop, lchildren) ->
                     match lop with

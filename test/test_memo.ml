@@ -139,6 +139,25 @@ let test_xml_export_fixpoint () =
          true (String.equal xml xml'))
     Tpch.Queries.all
 
+(* Import goes through the MEMO's own interning: every imported expression
+   is found again under its own group, and re-inserting it adds nothing. *)
+let test_xml_import_dedup () =
+  let sh = Fixtures.shell () in
+  List.iter
+    (fun q ->
+       let m = serial_memo sh q.Tpch.Queries.sql in
+       let m2 = Memo.Memo_xml.import_string sh (Memo.Memo_xml.export_string m) in
+       let groups = Memo.ngroups m2 and keys = Hashtbl.length m2.Memo.dedup in
+       Memo.iter_groups m2 (fun g ->
+           List.iter
+             (fun (e : Memo.gexpr) ->
+                Alcotest.(check int) (q.Tpch.Queries.id ^ ": re-insert finds its group")
+                  g.Memo.gid (Memo.insert m2 e.Memo.op e.Memo.children))
+             g.Memo.exprs);
+       Alcotest.(check (pair int int)) (q.Tpch.Queries.id ^ ": groups, dedup keys unchanged")
+         (groups, keys) (Memo.ngroups m2, Hashtbl.length m2.Memo.dedup))
+    Tpch.Queries.all
+
 let scalar_entries xml =
   List.map
     (fun s -> Memo.Xml.to_string (List.hd s.Memo.Xml.children))
@@ -357,4 +376,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_xml_mutations;
     QCheck_alcotest.to_alcotest prop_expr_xml_roundtrip;
     t "XML attribute escaping" test_xml_escape;
-    t "XML parse errors" test_xml_errors ]
+    t "XML parse errors" test_xml_errors;
+    t "memo XML import re-inserts into its own groups (all queries)" test_xml_import_dedup ]

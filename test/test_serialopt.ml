@@ -164,6 +164,108 @@ let test_sort_enforcer_at_root () =
   Alcotest.(check bool) "top-level sort present" true
     (match p.Serialopt.Plan.op with Memo.Physop.Sort_op _ -> true | _ -> false)
 
+(* Two inner joins over the same children whose predicates differ only in
+   a literal that prints the same ([Value.to_sql] uses %g, and [Int 1] and
+   [Float 1.] both print "1") are distinct MEMO expressions, so each must
+   get its own commute: the rule-application set is keyed on interned
+   operator ids, not on a printed form. *)
+let test_commute_each_distinct_literal () =
+  let m =
+    let sh = Fixtures.shell () in
+    let r = Algebra.Algebrizer.of_sql sh "SELECT c_custkey, o_orderkey FROM customer, orders" in
+    Memo.of_tree r.Algebrizer.reg sh r.Algebrizer.tree
+  in
+  let get table =
+    let found = ref None in
+    Memo.iter_groups m (fun g ->
+        List.iter
+          (fun (e : Memo.gexpr) ->
+             match e.Memo.op with
+             | Memo.Logical (Relop.Get { table = t; _ }) when t = table -> found := Some g.Memo.gid
+             | _ -> ())
+          g.Memo.exprs);
+    Option.get !found
+  in
+  let gc = get "customer" and go = get "orders" in
+  let col g = Registry.Col_set.min_elt (Memo.props m g).Memo.cols in
+  let join lit =
+    Memo.Logical
+      (Relop.Join
+         { kind = Relop.Inner;
+           pred =
+             Expr.Bin
+               ( Expr.And,
+                 Expr.Bin (Expr.Eq, Expr.Col (col gc), Expr.Col (col go)),
+                 Expr.Bin (Expr.Gt, Expr.Col (col gc), Expr.Lit lit) ) })
+  in
+  let lits = Catalog.Value.[ Float 1.0000001; Float 1.0000002; Int 1; Float 1. ] in
+  Alcotest.(check int) "the literals print alike" 1
+    (List.length (List.sort_uniq compare (List.map Catalog.Value.to_sql lits)));
+  let g = Memo.insert m (join (List.hd lits)) [| gc; go |] in
+  List.iter (fun l -> ignore (Memo.insert ~target:g m (join l) [| gc; go |])) (List.tl lits);
+  ignore
+    (Serialopt.Optimizer.explore m ~pool:Par.sequential ~budget:1000 ~token:Governor.none
+       ~max_memo_groups:None);
+  List.iteri
+    (fun i l ->
+       let commuted =
+         List.exists
+           (fun (e : Memo.gexpr) ->
+              e.Memo.op = join l
+              && Array.map (Memo.find m) e.Memo.children = [| Memo.find m go; Memo.find m gc |])
+           (Memo.exprs m g)
+       in
+       Alcotest.(check bool) (Printf.sprintf "commuted join present for literal %d" i) true
+         commuted)
+    lits
+
+(* Exploration counters of every workload statement at 8 nodes, SF 0.01:
+   any change to the applied candidate set moves one of them. *)
+let pinned_counters =
+  [ (* id, serial.tasks, serial.memo.groups, serial.memo.exprs *)
+    ("P1", 4, 5, 14);
+    ("F3", 4, 5, 14);
+    ("P2", 16, 7, 32);
+    ("Q1", 0, 5, 11);
+    ("Q2", 696, 46, 770);
+    ("Q3", 16, 12, 43);
+    ("Q4", 0, 9, 20);
+    ("Q5", 960, 41, 1304);
+    ("Q6", 0, 4, 8);
+    ("Q7", 574, 38, 669);
+    ("Q8", 526, 53, 826);
+    ("Q9", 1294, 42, 1622);
+    ("Q10", 36, 15, 73);
+    ("Q11", 36, 19, 77);
+    ("Q12", 4, 7, 19);
+    ("Q13", 0, 9, 20);
+    ("Q14", 4, 6, 16);
+    ("Q15", 16, 15, 50);
+    ("Q16", 4, 11, 27);
+    ("Q17", 40, 11, 75);
+    ("Q18", 16, 14, 49);
+    ("Q19", 4, 7, 18);
+    ("Q20", 8, 18, 48);
+    ("Q21", 36, 23, 91);
+    ("Q22", 4, 13, 30) ]
+
+let test_pinned_counters () =
+  let w = Opdw.Workload.tpch ~node_count:8 ~sf:0.01 () in
+  Alcotest.(check (list string)) "every workload statement is pinned"
+    (List.map (fun q -> q.Tpch.Queries.id) Tpch.Queries.all)
+    (List.map (fun (id, _, _, _) -> id) pinned_counters);
+  List.iter
+    (fun (id, tasks, groups, exprs) ->
+       let obs = Obs.create () in
+       ignore
+         (Opdw.optimize ~obs w.Opdw.Workload.shell
+            (Option.get (Tpch.Queries.find id)).Tpch.Queries.sql);
+       let got name = int_of_float (Obs.counter obs name) in
+       Alcotest.(check (list int)) (id ^ ": tasks, groups, exprs")
+         [ tasks; groups; exprs ]
+         [ got "serial.tasks"; got "serial.memo.groups"; got "serial.memo.exprs" ])
+    pinned_counters
+
 let suite =
   [ t "join commutativity" test_commute_generates_both_orders;
     t "join associativity grows the space" test_assoc_generates_orders;
@@ -175,4 +277,6 @@ let suite =
     t "seeding merges into root" test_seeding_merges_root;
     t "cumulative costs monotone" test_cost_consistency;
     t "whole workload plannable" test_workload_all_plannable;
-    t "sort enforcer at root" test_sort_enforcer_at_root ]
+    t "sort enforcer at root" test_sort_enforcer_at_root;
+    t "commute each join whose literal prints alike" test_commute_each_distinct_literal;
+    t "exploration counters pinned (8 nodes, SF 0.01)" test_pinned_counters ]
