@@ -824,10 +824,17 @@ let transfer ctx shape (cs : env list) ~sort_mult ~partial_agg : env =
 (* ===================== MEMO-level analysis ===================== *)
 
 (* The meet over every expression of a group: each one is a sound
-   over-approximation of the same relation, so their meet is too. A group
-   reached again while in progress (a recursion back-edge) yields top. *)
-let analyze_memo ctx (m : Memo.t) : (int, env) Hashtbl.t =
+   over-approximation of the same relation, so their meet is too. It is
+   taken over the group's distinct (shape, canonical children) pairs: a
+   logical join and its hash, merge and nested-loop variants are one pair,
+   a repeat reads the same memoized child envs, and [meet_env] keeps its
+   accumulator when met again with a term already in it, so evaluating
+   each pair once changes nothing. A group reached again while in progress (a
+   recursion back-edge) yields top. Returns the envs and the number of
+   transfer evaluations. *)
+let analyze_memo ctx (m : Memo.t) : (int, env) Hashtbl.t * int =
   let state : (int, env option) Hashtbl.t = Hashtbl.create 64 in
+  let evals = ref 0 in
   let rec genv gid =
     let gid = Memo.find m gid in
     match Hashtbl.find_opt state gid with
@@ -835,38 +842,40 @@ let analyze_memo ctx (m : Memo.t) : (int, env) Hashtbl.t =
     | Some None -> top_env
     | None ->
       Hashtbl.replace state gid None;
-      let shapes =
-        List.map (fun (l, ch) -> (shape_of_relop l, ch)) (Memo.logical_exprs m gid)
-        @ List.map (fun (p, ch) -> (shape_of_physop p, ch)) (Memo.physical_exprs m gid)
+      let seen = Hashtbl.create 16 in
+      let acc = ref None in
+      let visit shape ch =
+        let ch = Array.to_list (Array.map (Memo.find m) ch) in
+        if not (Hashtbl.mem seen (ch, shape)) then begin
+          Hashtbl.add seen (ch, shape) ();
+          incr evals;
+          let e = transfer ctx shape (List.map genv ch) ~sort_mult:1. ~partial_agg:false in
+          acc := Some (match !acc with None -> e | Some a -> meet_env a e)
+        end
       in
-      let e =
-        match shapes with
-        | [] -> top_env
-        | (s0, ch0) :: rest ->
-          let eval (s, ch) =
-            transfer ctx s
-              (List.map genv (Array.to_list ch))
-              ~sort_mult:1. ~partial_agg:false
-          in
-          List.fold_left (fun acc sc -> meet_env acc (eval sc)) (eval (s0, ch0)) rest
-      in
+      List.iter (fun (l, ch) -> visit (shape_of_relop l) ch) (Memo.logical_exprs m gid);
+      List.iter (fun (p, ch) -> visit (shape_of_physop p) ch) (Memo.physical_exprs m gid);
+      let e = Option.value !acc ~default:top_env in
       Hashtbl.replace state gid (Some e);
       e
   in
   Memo.iter_groups m (fun g -> ignore (genv g.Memo.gid));
   let out = Hashtbl.create (Hashtbl.length state) in
   Hashtbl.iter (fun gid e -> match e with Some e -> Hashtbl.add out gid e | None -> ()) state;
-  out
+  (out, !evals)
 
-let memo_env ctx m gid =
-  let envs = analyze_memo ctx m in
-  match Hashtbl.find_opt envs (Memo.find m gid) with Some e -> e | None -> top_env
+let memo_env ctx m =
+  let envs, _ = analyze_memo ctx m in
+  fun gid ->
+    match Hashtbl.find_opt envs (Memo.find m gid) with Some e -> e | None -> top_env
+
+let memo_evals ctx m = snd (analyze_memo ctx m)
 
 (* Computed eagerly and sequentially (Memo.find path-compresses, which must
    not race with enumeration workers); the closure only reads an immutable
    array, so it is safe to share across domains. *)
 let empty_groups ctx (m : Memo.t) : int -> bool =
-  let envs = analyze_memo ctx m in
+  let envs, _ = analyze_memo ctx m in
   let n = Memo.ngroups m in
   let arr = Array.make (Stdlib.max n 1) false in
   for gid = 0 to n - 1 do

@@ -78,9 +78,15 @@ val check_temp_cols : Registry.t -> (int * string) list -> type_error list
 (* -- MEMO-level analysis (drives contradiction folding) -- *)
 
 (** Abstract environment of a MEMO group: the meet over all the group's
-    expressions (each a sound over-approximation of the same relation).
-    Memoized per canonical group id; recursion back-edges yield top. *)
+    expressions (each a sound over-approximation of the same relation),
+    evaluated once per distinct (shape, canonical children) pair.
+    Recursion back-edges yield top. [memo_env ctx m] analyzes the whole
+    MEMO once; the returned function looks a group up by any of its ids. *)
 val memo_env : ctx -> Memo.t -> int -> env
+
+(** Transfer evaluations one MEMO-level pass makes: the number of distinct
+    (shape, canonical children) pairs over all groups. *)
+val memo_evals : ctx -> Memo.t -> int
 
 (** [empty_groups ctx m] returns a predicate over group ids that is [true]
     exactly for groups proven empty (cardinality upper bound 0). The table

@@ -469,8 +469,7 @@ let place_tail obs check token pool shell (e : explored) =
            stats =
              { Pdwopt.Enumerate.pdw_exprs_enumerated = 0; options_kept = 0;
                groups_processed = 0; enforcer_moves = 0; par_levels = 0;
-               par_groups = 0 };
-           derived = Pdwopt.Derive.derive memo }
+               par_groups = 0 } }
        in
        ( { c_serial = serial; c_memo_xml = e.e_memo_xml; c_memo = memo;
            c_pdw = pdw; c_dsql = dsql; c_baseline = baseline_plan },

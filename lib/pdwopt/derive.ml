@@ -27,12 +27,6 @@ let required t gid =
   | Some s -> s
   | None -> Registry.Col_set.empty
 
-let add_interesting t gid cols =
-  if cols <> [] then begin
-    let cur = interesting t gid in
-    if not (List.mem cols cur) then Hashtbl.replace t.interesting gid (cols :: cur)
-  end
-
 let local_refs_of_op (op : Memo.op) : Registry.Col_set.t =
   match op with
   | Logical l -> Relop.local_refs { Relop.op = l; children = [] }
@@ -81,63 +75,118 @@ let expr_interesting (m : Memo.t) (e : gexpr) : (int * int list list) list =
     [ (c, singles @ full) ]
   | _ -> []
 
+(* Derivation runs as one program per live group, built once before the
+   fixpoint from the group's expressions in MEMO order. The expressions of
+   a group (a join, its commuted copy, its hash/merge/NL variants) mostly
+   share their children and their interesting lists, and a repeat of a
+   step already taken earlier in the same visit is a no-op, so the
+   program keeps only each step's first occurrence, in the original
+   order. The interesting lists therefore grow in exactly the order the
+   per-expression walk produces (that order feeds the enforcer's target
+   order and the tie-breaking between equal-cost options). *)
+type step =
+  | Add of int * int list
+      (** an expression's own interesting list for a child *)
+  | Pass of int * Registry.Col_set.t
+      (** the group's lists down to a child, filtered by the child's
+          columns *)
+
+type program = {
+  gid : int;
+  steps : step array;
+  kids : (int * Registry.Col_set.t * Registry.Col_set.t) array;
+      (** per distinct child: the local column refs of every expression
+          above it, and its columns *)
+}
+
+(* A repeated [Pass] to a child reads the group's own lists again, which
+   only an [Add] into the group itself (a group that is its own child) can
+   have grown since the first one: after such an [Add], the next [Pass] to
+   every child is emitted anew. *)
+let program (m : Memo.t) (g : Memo.group) : program =
+  let gid = g.Memo.gid in
+  let added = Hashtbl.create 16 and passed = Hashtbl.create 8 in
+  let kid_refs = Hashtbl.create 8 in
+  let steps = ref [] and kids = ref [] in
+  List.iter
+    (fun (e : gexpr) ->
+       List.iter
+         (fun (child, lists) ->
+            List.iter
+              (fun l ->
+                 if not (Hashtbl.mem added (child, l)) then begin
+                   Hashtbl.add added (child, l) ();
+                   steps := Add (child, l) :: !steps;
+                   if child = gid then Hashtbl.reset passed
+                 end)
+              lists)
+         (expr_interesting m e);
+       let refs = local_refs_of_op e.op in
+       Array.iter
+         (fun c ->
+            let c = Memo.find m c in
+            if not (Hashtbl.mem passed c) then begin
+              Hashtbl.add passed c ();
+              steps := Pass (c, (Memo.props m c).cols) :: !steps
+            end;
+            match Hashtbl.find_opt kid_refs c with
+            | Some r -> Hashtbl.replace kid_refs c (Registry.Col_set.union r refs)
+            | None ->
+              Hashtbl.add kid_refs c refs;
+              kids := c :: !kids)
+         e.children)
+    (Memo.exprs m gid);
+  { gid;
+    steps = Array.of_list (List.rev !steps);
+    kids =
+      Array.of_list
+        (List.rev_map
+           (fun c -> (c, Hashtbl.find kid_refs c, (Memo.props m c).cols))
+           !kids) }
+
 (** Run the full derivation (fixpoint over the DAG). *)
 let derive (m : Memo.t) : t =
   let t = { interesting = Hashtbl.create 64; required = Hashtbl.create 64 } in
   (* seed: root must deliver all its output columns *)
   let root = Memo.root m in
   Hashtbl.replace t.required root (Memo.props m root).cols;
+  let programs = ref [] in
+  Memo.iter_groups m (fun g -> programs := program m g :: !programs);
+  let programs = Array.of_list (List.rev !programs) in
   let changed = ref true in
+  let add c l =
+    let cur = interesting t c in
+    if not (List.mem l cur) then begin
+      Hashtbl.replace t.interesting c (l :: cur);
+      changed := true
+    end
+  in
+  let run p =
+    let req_here = required t p.gid in
+    Array.iter
+      (function
+        | Add (c, l) -> add c l
+        (* interesting properties of this group flow to children that
+           cover them (movement below a pass-through is equivalent) *)
+        | Pass (c, ccols) ->
+          List.iter
+            (fun l -> if List.for_all (fun x -> Registry.Col_set.mem x ccols) l then add c l)
+            (interesting t p.gid))
+      p.steps;
+    (* required columns: the group's own plus what its operators read *)
+    Array.iter
+      (fun (c, refs, ccols) ->
+         let down = Registry.Col_set.inter (Registry.Col_set.union req_here refs) ccols in
+         let cur = required t c in
+         if not (Registry.Col_set.subset down cur) then begin
+           Hashtbl.replace t.required c (Registry.Col_set.union cur down);
+           changed := true
+         end)
+      p.kids
+  in
   while !changed do
     changed := false;
-    Memo.iter_groups m (fun g ->
-        let gid = g.Memo.gid in
-        let req_here = required t gid in
-        List.iter
-          (fun (e : gexpr) ->
-             (* interesting columns contributed by this expression *)
-             List.iter
-               (fun (child, lists) ->
-                  List.iter
-                    (fun l ->
-                       let cur = interesting t child in
-                       if not (List.mem l cur) then begin
-                         add_interesting t child l;
-                         changed := true
-                       end)
-                    lists)
-               (expr_interesting m e);
-             (* interesting properties of this group flow to children that
-                cover them (movement below a pass-through is equivalent) *)
-             Array.iter
-               (fun c ->
-                  let c = Memo.find m c in
-                  let ccols = (Memo.props m c).cols in
-                  List.iter
-                    (fun l ->
-                       if List.for_all (fun x -> Registry.Col_set.mem x ccols) l then begin
-                         let cur = interesting t c in
-                         if not (List.mem l cur) then begin
-                           add_interesting t c l;
-                           changed := true
-                         end
-                       end)
-                    (interesting t gid))
-               e.children;
-             (* required columns *)
-             let need = Registry.Col_set.union req_here (local_refs_of_op e.op) in
-             Array.iter
-               (fun c ->
-                  let c = Memo.find m c in
-                  let ccols = (Memo.props m c).cols in
-                  let down = Registry.Col_set.inter need ccols in
-                  let cur = required t c in
-                  if not (Registry.Col_set.subset down cur) then begin
-                    Hashtbl.replace t.required c (Registry.Col_set.union cur down);
-                    changed := true
-                  end)
-               e.children)
-          (Memo.exprs m gid))
+    Array.iter run programs
   done;
   t
 

@@ -10,7 +10,6 @@ type result = {
   options : (int, (Dms.Distprop.t * Pplan.t) list) Hashtbl.t;
       (** kept options per group (the augmented MEMO of Fig. 3c) *)
   stats : Enumerate.stats;
-  derived : Derive.t;
 }
 
 exception No_plan of string
@@ -120,18 +119,19 @@ let optimize ?(obs = Obs.null) ?(opts = Enumerate.default_opts)
     (m : Memo.t) : result =
   (* 02-03: preprocessing *)
   preprocess_merge m;
-  (* 04: top-down property derivation *)
-  let derived = Derive.derive m in
-  (* 05-07: bottom-up enumeration, leveled wavefront over [pool] *)
-  let ctx = Enumerate.create_ctx ~token ~pool ?upper_bound ?empty m derived opts in
   let root = Memo.root m in
-  let options = Enumerate.optimize_group ctx root in
-  (* A finite bound can starve the root when the best distributed plan
-     genuinely costs more than the seed (e.g. movement-heavy unions whose
-     branches must be aligned): retry unbounded. The retry condition
-     depends only on the bounded result, so it fires identically at any
-     pool size. *)
+  (* 04: top-down property derivation *)
+  let derived = Obs.with_span obs "pdw.derive" (fun () -> Derive.derive m) in
+  (* 05-07: bottom-up enumeration, leveled wavefront over [pool] *)
   let ctx, options =
+    Obs.with_span obs "pdw.enumerate" @@ fun () ->
+    let ctx = Enumerate.create_ctx ~token ~pool ?upper_bound ?empty m derived opts in
+    let options = Enumerate.optimize_group ctx root in
+    (* A finite bound can starve the root when the best distributed plan
+       genuinely costs more than the seed (e.g. movement-heavy unions whose
+       branches must be aligned): retry unbounded. The retry condition
+       depends only on the bounded result, so it fires identically at any
+       pool size. *)
     if options = [] && upper_bound <> None then begin
       let ctx = Enumerate.create_ctx ~token ~pool ?empty m derived opts in
       (ctx, Enumerate.optimize_group ctx root)
@@ -172,4 +172,4 @@ let optimize ?(obs = Obs.null) ?(opts = Enumerate.default_opts)
   in
   report_obs obs ctx derived m plan;
   { plan; options_at_root = options; options = Enumerate.options_table ctx;
-    stats = Enumerate.stats_of ctx; derived }
+    stats = Enumerate.stats_of ctx }

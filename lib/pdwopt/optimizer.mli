@@ -7,7 +7,6 @@ type result = {
   options : (int, (Dms.Distprop.t * Pplan.t) list) Hashtbl.t;
       (** kept options per group (the augmented MEMO of Fig. 3c) *)
   stats : Enumerate.stats;
-  derived : Derive.t;
 }
 
 exception No_plan of string

@@ -9,6 +9,12 @@ let tpch_columnar : Opdw.Workload.t Lazy.t =
   lazy (Opdw.Workload.tpch ~node_count:4 ~sf:0.002 ~engine:Engine.Rset.Columnar ())
 
 let shell () = (Lazy.force tpch_workload).Opdw.Workload.shell
+
+(* the shell the pinned per-statement counters and digests are taken at:
+   8 nodes, SF 0.01 *)
+let pinned_shell : Catalog.Shell_db.t Lazy.t =
+  lazy (Opdw.Workload.tpch ~node_count:8 ~sf:0.01 ()).Opdw.Workload.shell
+
 let app () = (Lazy.force tpch_workload).Opdw.Workload.app
 
 (* a small 2-table schema with explicit stats, no data *)

@@ -319,6 +319,105 @@ let test_empty_groups_on_contradiction () =
   Memo.iter_groups m2 (fun g -> if empty2 g.Memo.gid then any := true);
   Alcotest.(check bool) "no empty groups in a live query" false !any
 
+(* Every group's MEMO-level env (each column's interval, nullable, valued,
+   and the cardinality bounds) as one digest, all groups from one pass. *)
+let env_digest ctx (m : Memo.t) =
+  let env = Analysis.memo_env ctx m in
+  let value = function
+    | None -> "-"
+    | Some Catalog.Value.Null -> "N"
+    | Some (Catalog.Value.Int i) -> Printf.sprintf "i%d" i
+    | Some (Catalog.Value.Float f) -> Printf.sprintf "f%h" f
+    | Some (Catalog.Value.String s) -> Printf.sprintf "s%S" s
+    | Some (Catalog.Value.Bool b) -> Printf.sprintf "b%B" b
+    | Some (Catalog.Value.Date d) -> Printf.sprintf "d%d" d
+  in
+  let b = Buffer.create 4096 in
+  Memo.iter_groups m (fun g ->
+      let e = env g.Memo.gid in
+      Printf.bprintf b "g%d:%h,%h" g.Memo.gid e.Analysis.lo e.Analysis.hi;
+      Registry.Col_map.iter
+        (fun c (iv : Analysis.iv) ->
+           Printf.bprintf b " %d[%s,%s]%B%B" c (value iv.Analysis.lo)
+             (value iv.Analysis.hi) iv.Analysis.nullable iv.Analysis.valued)
+        e.Analysis.ivs;
+      Buffer.add_char b ';');
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* 8 nodes, SF 0.01, over the MEMO the empty-group pass ran on *)
+let pinned_envs =
+  [ ("P1", "d798ce9e06291e9aa46955f3db73bdcf");
+    ("F3", "910bd2c122638366d52a82a019cd62ea");
+    ("P2", "8298ce0b588d43115203e1f87963bb32");
+    ("Q1", "1f4b7bfec7688a334eda1b7a2ce8171e");
+    ("Q2", "9136d5d6ccf7e276a39b8fccc28da81b");
+    ("Q3", "9c9759a296dd7508c5508d035cef4d1e");
+    ("Q4", "78e7724a7cd49af6dec959301c8b2cf2");
+    ("Q5", "9434bb7bb7c7f055cbe8d6bdbf8bfd84");
+    ("Q6", "7ea4d783ffb4ce6c609c7c5f1d790680");
+    ("Q7", "02051adb8703b635757290aa13935f97");
+    ("Q8", "96d89b34f89ec26cbd1a4a0babfaed8b");
+    ("Q9", "1e98935feba96d1f4a3e59eeac9f9ffa");
+    ("Q10", "1d1763d625477e2c5fac50e419d9c1d3");
+    ("Q11", "65ec6a423c80d7aac832586324d19163");
+    ("Q12", "e1ba939299284f63579f617af628953c");
+    ("Q13", "e0fdd6dfc5ff6aaf907bfd2aeaea5f5a");
+    ("Q14", "37f7e78702dc4f9f098354a82966d3d2");
+    ("Q15", "6050b070097da047d24e024a5ee4d080");
+    ("Q16", "04036036bce7b99e89f81eadeb9a415c");
+    ("Q17", "99544d69c1c686d5f164e2a94220c2e4");
+    ("Q18", "b4cf35c4aab789e24b3acd6949d7bb5c");
+    ("Q19", "8e2b6abfcf266bb270dee593b722ac04");
+    ("Q20", "4ccb7fe5903fd8bdfa711867193c7979");
+    ("Q21", "ef3c8d7df179d1b7959a823bd092ebc4");
+    ("Q22", "af1c98cea50ec66def27b2550a3562e3") ]
+
+let test_memo_envs_pinned () =
+  let sh = Lazy.force Fixtures.pinned_shell in
+  let options = Opdw.default_options ~node_count:8 in
+  Alcotest.(check (list string)) "every workload statement is pinned"
+    (List.map (fun q -> q.Tpch.Queries.id) Tpch.Queries.all)
+    (List.map fst pinned_envs);
+  List.iter
+    (fun (id, digest) ->
+       let e = Opdw.explore ~options sh (Option.get (Tpch.Queries.find id)).Tpch.Queries.sql in
+       let m = e.Opdw.e_memo in
+       let ctx = Analysis.context ~shell:sh ~reg:m.Memo.reg ~nodes:8 in
+       Alcotest.(check string) (id ^ ": group envs") digest (env_digest ctx m))
+    pinned_envs
+
+(* One evaluation per distinct (shape, canonical children) pair: [g]'s
+   logical Select and physical Filter carry the same predicate, and their
+   children were distinct groups until a merge made them one. *)
+let test_memo_meet_dedup () =
+  let sh = Fixtures.shell () in
+  let r = Algebrizer.of_sql sh "SELECT c_custkey FROM customer WHERE c_custkey > 0" in
+  let reg = r.Algebrizer.reg in
+  let rec find_op f (t : Relop.t) =
+    match f t.Relop.op with
+    | Some x -> Some x
+    | None -> List.find_map (find_op f) t.Relop.children
+  in
+  let find f = Option.get (find_op f r.Algebrizer.tree) in
+  let get_op = find (function Relop.Get _ as op -> Some op | _ -> None) in
+  let pred = find (function Relop.Select p -> Some p | _ -> None) in
+  let m = Memo.create reg sh in
+  let a = Memo.insert m (Memo.Logical get_op) [||] in
+  let b =
+    Memo.insert m
+      (Memo.Logical (Relop.Empty (Registry.Col_set.elements (Memo.props m a).Memo.cols)))
+      [||]
+  in
+  let g = Memo.insert m (Memo.Logical (Relop.Select pred)) [| a |] in
+  ignore (Memo.insert ~target:g m (Memo.Physical (Memo.Physop.Filter pred)) [| b |]);
+  Memo.merge_groups m a b;
+  m.Memo.root <- g;
+  let ctx = Analysis.context ~shell:sh ~reg ~nodes:4 in
+  (* [a]: Get and Empty; [g]: one filter over [a] *)
+  Alcotest.(check int) "distinct pairs evaluated" 3 (Analysis.memo_evals ctx m);
+  Alcotest.(check bool) "the merged-in Empty refutes the scan" true
+    (Analysis.is_empty (Analysis.memo_env ctx m g))
+
 let has_const_empty p =
   let found = ref false in
   let rec walk (n : Pdwopt.Pplan.t) =
@@ -466,4 +565,6 @@ let suite =
     t "fold on/off bit-identity" test_fold_bit_identity;
     t "assert-bounds: workload clean" test_assert_bounds_workload;
     t "assert-bounds: detects corruption" test_assert_bounds_detects_corruption;
-    t "assert-bounds: violations survive a replan" test_assert_bounds_survive_replan ]
+    t "assert-bounds: violations survive a replan" test_assert_bounds_survive_replan;
+    t "memo envs pinned (8 nodes, SF 0.01)" test_memo_envs_pinned;
+    t "memo meet: one evaluation per distinct pair" test_memo_meet_dedup ]

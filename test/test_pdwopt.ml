@@ -207,6 +207,125 @@ let test_whole_workload_planned () =
          (Pdwopt.Pplan.size pres.Pdwopt.Optimizer.plan > 0))
     Tpch.Queries.all
 
+(* -- step 04: derivation results pinned per statement -- *)
+
+(* Every live group's interesting lists (order included) and required
+   set, as one digest. *)
+let derive_digest (m : Memo.t) =
+  let d = Pdwopt.Derive.derive m in
+  let b = Buffer.create 4096 in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Memo.iter_groups m (fun g ->
+      let gid = g.Memo.gid in
+      Printf.bprintf b "g%d:" gid;
+      List.iter (fun l -> Printf.bprintf b "[%s]" (ints l)) (Pdwopt.Derive.interesting d gid);
+      Printf.bprintf b "|%s;"
+        (ints (Registry.Col_set.elements (Pdwopt.Derive.required d gid))));
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* 8 nodes, SF 0.01, over the MEMO the enumeration ran on *)
+let pinned_derive =
+  [ ("P1", "d1ae6b28221bee3f189e3c1fd7b58aa4");
+    ("F3", "5c18c2c7ab88361e60ba32add099d785");
+    ("P2", "40d244d1f7f6f446e93c130b10344d79");
+    ("Q1", "f28a4171b3b528eaa5605857d79b4709");
+    ("Q2", "77b8762466d23df7534ff87104bc81de");
+    ("Q3", "6dd6ffab49fbef28cb3b2b35de41325d");
+    ("Q4", "cc33764d2dec61f1b49b5673aa770a66");
+    ("Q5", "82e0984aaab29c98bcb68670a09e31f7");
+    ("Q6", "5a35713703fb89c34e67fb0f8e8d2bda");
+    ("Q7", "09a53fa6c6d4989e867b13ac3f8ce9e1");
+    ("Q8", "fdcf92d5260b6fee4ee284d789d2c957");
+    ("Q9", "03d65e2f0378f27bf155034b01c0f104");
+    ("Q10", "adebe599a39d1fb383bab29b4ccddd4d");
+    ("Q11", "a39026384452c6f1e8e859e4007712c1");
+    ("Q12", "e512f201b7bca02daaacdb0844b65f71");
+    ("Q13", "15c9c07f4b96ed89580d043e729bf1e3");
+    ("Q14", "7630f5a4a0db650c491fb6fd11e05a14");
+    ("Q15", "c80573a8830a091a7159a981e5bf00ff");
+    ("Q16", "ab4e1ad83f5a1ad66d1212b3fcf5d8fb");
+    ("Q17", "97307bf90c9387e320d4ef726d665636");
+    ("Q18", "cb0bfbb7b049ff2374dae55dfe61fb3e");
+    ("Q19", "2e98ad96715f102e1bb96ce4e62c926f");
+    ("Q20", "ae13ea7e22df6f3cf9935c7502db9b3f");
+    ("Q21", "e08568d164f2334b1fffbc83a6000b0f");
+    ("Q22", "5a43c5aeab2a388a8910b4a1aa06053b") ]
+
+let test_derive_pinned () =
+  let sh = Lazy.force Fixtures.pinned_shell in
+  Alcotest.(check (list string)) "every workload statement is pinned"
+    (List.map (fun q -> q.Tpch.Queries.id) Tpch.Queries.all)
+    (List.map fst pinned_derive);
+  List.iter
+    (fun (id, digest) ->
+       let r = Opdw.optimize sh (Option.get (Tpch.Queries.find id)).Tpch.Queries.sql in
+       Alcotest.(check string) (id ^ ": interesting + required") digest
+         (derive_digest r.Opdw.memo))
+    pinned_derive
+
+(* A group that is its own child: [g] = Select(scan) | GroupBy[k1](g) |
+   Select'(scan), and a later group GroupBy[k2](scan). The self GroupBy
+   adds [k1] to [g] between the two pass-throughs to [scan], so the second
+   pass must still run in the same round: [scan] receives [k1] before
+   [k2] does. *)
+let test_derive_self_child () =
+  let sh = Fixtures.shell () in
+  let r = Algebrizer.of_sql sh "SELECT c_custkey, c_nationkey FROM customer" in
+  let reg = r.Algebrizer.reg in
+  let rec get (t : Relop.t) =
+    match t.Relop.op, t.Relop.children with
+    | Relop.Get _, _ -> t.Relop.op
+    | _, c :: _ -> get c
+    | _, [] -> Alcotest.fail "no Get in the tree"
+  in
+  let get_op = get r.Algebrizer.tree in
+  let col label =
+    match get_op with
+    | Relop.Get { cols; _ } ->
+      List.find (fun c -> Registry.label reg c = label) (Array.to_list cols)
+    | _ -> assert false
+  in
+  let k1 = col "customer.c_custkey" and k2 = col "customer.c_nationkey" in
+  let positive c = Expr.Bin (Expr.Gt, Expr.Col c, Expr.Lit (Catalog.Value.Int 0)) in
+  let m = Memo.create reg sh in
+  let scan = Memo.insert m (Memo.Logical get_op) [||] in
+  let g = Memo.insert m (Memo.Logical (Relop.Select (positive k1))) [| scan |] in
+  ignore
+    (Memo.insert ~target:g m
+       (Memo.Logical (Relop.Group_by { keys = [ k1 ]; aggs = [] })) [| g |]);
+  ignore (Memo.insert ~target:g m (Memo.Logical (Relop.Select (positive k2))) [| scan |]);
+  let h =
+    Memo.insert m (Memo.Logical (Relop.Group_by { keys = [ k2 ]; aggs = [] })) [| scan |]
+  in
+  m.Memo.root <- g;
+  let d = Pdwopt.Derive.derive m in
+  let labels gid =
+    List.map (List.map (Registry.label reg)) (Pdwopt.Derive.interesting d gid)
+  in
+  Alcotest.(check (list (list string))) "scan: k1 passed down before k2 added"
+    [ [ "customer.c_nationkey" ]; [ "customer.c_custkey" ] ] (labels scan);
+  Alcotest.(check (list (list string))) "g: its own group-by key"
+    [ [ "customer.c_custkey" ] ] (labels g);
+  Alcotest.(check (list (list string))) "h: nothing above it" [] (labels h)
+
+(* Step 04 and steps 05-07 are spans of their own under [pdw_optimize]. *)
+let test_derive_enumerate_spans () =
+  let obs = Obs.create () in
+  ignore
+    (Opdw.optimize ~obs (Fixtures.shell ())
+       (Option.get (Tpch.Queries.find "Q3")).Tpch.Queries.sql);
+  let rec walk parent acc (s : Obs.span) =
+    let acc =
+      if s.Obs.name = "pdw.derive" || s.Obs.name = "pdw.enumerate" then
+        (parent, s.Obs.name, s.Obs.calls) :: acc
+      else acc
+    in
+    List.fold_left (walk s.Obs.name) acc s.Obs.children
+  in
+  Alcotest.(check (list (triple string string int))) "one entry each, under pdw_optimize"
+    [ ("pdw_optimize", "pdw.derive", 1); ("pdw_optimize", "pdw.enumerate", 1) ]
+    (List.sort compare (List.fold_left (walk "") [] (Obs.roots obs)))
+
 let suite =
   [ t "interesting join columns derived" test_derive_interesting_join_cols;
     t "required columns derived" test_derive_required_cols;
@@ -223,4 +342,7 @@ let suite =
     t "pruning ablation" test_pruning_off_explodes;
     t "Return at root with order" test_return_is_root;
     t "PDW beats parallelized-serial (§3.2)" test_three_way_join_order_changes;
-    t "whole workload planned" test_whole_workload_planned ]
+    t "whole workload planned" test_whole_workload_planned;
+    t "derivation pinned (8 nodes, SF 0.01)" test_derive_pinned;
+    t "derivation: a group that is its own child" test_derive_self_child;
+    t "derive and enumerate spans" test_derive_enumerate_spans ]

@@ -250,7 +250,7 @@ let pinned_counters =
     ("Q22", 4, 13, 30) ]
 
 let test_pinned_counters () =
-  let w = Opdw.Workload.tpch ~node_count:8 ~sf:0.01 () in
+  let sh = Lazy.force Fixtures.pinned_shell in
   Alcotest.(check (list string)) "every workload statement is pinned"
     (List.map (fun q -> q.Tpch.Queries.id) Tpch.Queries.all)
     (List.map (fun (id, _, _, _) -> id) pinned_counters);
@@ -258,7 +258,7 @@ let test_pinned_counters () =
     (fun (id, tasks, groups, exprs) ->
        let obs = Obs.create () in
        ignore
-         (Opdw.optimize ~obs w.Opdw.Workload.shell
+         (Opdw.optimize ~obs sh
             (Option.get (Tpch.Queries.find id)).Tpch.Queries.sql);
        let got name = int_of_float (Obs.counter obs name) in
        Alcotest.(check (list int)) (id ^ ": tasks, groups, exprs")
