@@ -1139,7 +1139,7 @@ let e20 () =
            ~reg:r.Opdw.memo.Memo.reg ~nodes
        in
        let observe, violations =
-         Analysis.bounds_observer (Analysis.group_bounds actx plan)
+         Check.bounds_observer (Check.group_bounds actx plan)
        in
        let rows, _, _ = execute ~observe w plan in
        let v = violations () in
@@ -1153,12 +1153,12 @@ let e20 () =
                 match n.Pdwopt.Pplan.op with
                 | Pdwopt.Pplan.Return _ -> true
                 | _ -> false)
-             (Analysis.annotate actx plan)
+             (Check.annotate actx plan)
          in
          match plan.Pdwopt.Pplan.op with
          | Pdwopt.Pplan.Return { limit = Some l; _ } ->
-           Float.min info.Analysis.card_hi (float_of_int l)
-         | _ -> info.Analysis.card_hi
+           Float.min info.Check.card_hi (float_of_int l)
+         | _ -> info.Check.card_hi
        in
        let tight = hi /. Float.max 1. (float_of_int rows) in
        tightness := tight :: !tightness;
@@ -1212,7 +1212,7 @@ let e21 () =
           Analysis.context ~shell ~reg:r.Opdw.memo.Memo.reg ~nodes
         in
         let observe, violations =
-          Analysis.bounds_observer (Analysis.group_bounds actx (Opdw.plan r))
+          Check.bounds_observer (Check.group_bounds actx (Opdw.plan r))
         in
         (Some observe, violations)
       end

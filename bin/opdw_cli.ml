@@ -39,31 +39,14 @@ let resolve_sql query_id sql_arg file =
        exit 1)
   | None, Some sql, _ -> sql
   | None, None, Some f ->
-    let ic = open_in f in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
+    (* reads to EOF (no length probe, so a directory fails the read);
+       the channel is closed on every path *)
+    In_channel.with_open_text f (fun ic ->
+        try In_channel.input_all ic
+        with Sys_error msg -> raise (Sys_error (f ^ ": " ^ msg)))
   | None, None, None ->
     prerr_endline "give a query: positional SQL, --query ID, or --file F";
     exit 1
-
-(* minimal JSON string escaping for --json output modes *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\t' -> Buffer.add_string b "\\t"
-       | '\r' -> Buffer.add_string b "\\r"
-       | c when Char.code c < 32 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 (* -- observability -- *)
 
@@ -385,6 +368,18 @@ let compare_engines_run ~nodes ~sf ~options ~check ~pool text =
     (if sim_ok then "identical" else "DIFFERS") sim_r sim_c;
   if not (rows_ok && sim_ok) then exit 1
 
+(* the --assert-bounds oracle over [r]'s plan: an observer checking every
+   executed operator against its static bounds, and its violation count *)
+let bounds_oracle ?obs ~(options : Opdw.options) shell (r : Opdw.result) =
+  let actx =
+    Analysis.context ~shell ~reg:r.Opdw.memo.Memo.reg
+      ~nodes:options.Opdw.pdw.Pdwopt.Enumerate.nodes
+  in
+  let observe, violations =
+    Check.bounds_observer ?obs (Check.group_bounds actx (Opdw.plan r))
+  in
+  (Some observe, violations)
+
 let run nodes sf query sql file seed budget limit jobs no_cache check assert_bounds
     repeat chaos elastic fault_seed fault_rate fault_schedule feedback feedback_log
     deadline_ms sim_deadline_ms memo_budget max_concurrent queue_limit breaker
@@ -407,17 +402,9 @@ let run nodes sf query sql file seed budget limit jobs no_cache check assert_bou
      the violation count is ours, so it survives a node-loss replan *)
   let observe, violations =
     if not assert_bounds then (None, fun () -> 0)
-    else begin
-      let r0 = Opdw.optimize ~options ?cache ~pool w.Opdw.Workload.shell text in
-      let actx =
-        Analysis.context ~shell:w.Opdw.Workload.shell ~reg:r0.Opdw.memo.Memo.reg
-          ~nodes:options.Opdw.pdw.Pdwopt.Enumerate.nodes
-      in
-      let observe, violations =
-        Analysis.bounds_observer ~obs (Analysis.group_bounds actx (Opdw.plan r0))
-      in
-      (Some observe, violations)
-    end
+    else
+      bounds_oracle ~obs ~options w.Opdw.Workload.shell
+        (Opdw.optimize ~options ?cache ~pool w.Opdw.Workload.shell text)
   in
   let chaos = chaos || fault_schedule <> None in
   let feedback = feedback || feedback_log <> None in
@@ -769,8 +756,8 @@ let check_queries nodes sf all query sql file seed budget json =
        its rule id, message and offending subtree rendering *)
     let vio (v : Check.violation) =
       Printf.sprintf "{\"rule\": \"%s\", \"message\": \"%s\", \"subtree\": \"%s\"}"
-        (json_escape v.Check.rule) (json_escape v.Check.message)
-        (json_escape v.Check.subtree)
+        (Check.json_escape v.Check.rule) (Check.json_escape v.Check.message)
+        (Check.json_escape v.Check.subtree)
     in
     print_endline
       ("["
@@ -778,7 +765,7 @@ let check_queries nodes sf all query sql file seed budget json =
            (List.map
               (fun (id, _, _, vs) ->
                  Printf.sprintf "\n  {\"query\": \"%s\", \"valid\": %b, \"violations\": [%s]}"
-                   (json_escape id) (vs = [])
+                   (Check.json_escape id) (vs = [])
                    (String.concat ", " (List.map vio vs)))
               reports)
        ^ "\n]")
@@ -838,9 +825,9 @@ let analyze nodes sf all query sql file seed budget json =
          in
          let bad =
            List.exists
-             (fun ((_ : Pdwopt.Pplan.t), (i : Analysis.node_info)) ->
-                i.Analysis.contradiction <> None || i.Analysis.type_errors <> [])
-             (Analysis.annotate actx plan)
+             (fun ((_ : Pdwopt.Pplan.t), (i : Check.node_info)) ->
+                i.Check.contradiction <> None || i.Check.type_errors <> [])
+             (Check.annotate actx plan)
          in
          if bad then incr flagged;
          (id, bad, actx, plan))
@@ -853,14 +840,14 @@ let analyze nodes sf all query sql file seed budget json =
            (List.map
               (fun (id, bad, actx, plan) ->
                  Printf.sprintf "\n  {\"query\": \"%s\", \"clean\": %b, \"nodes\": %s}"
-                   (json_escape id) (not bad) (Analysis.render_json actx plan))
+                   (Check.json_escape id) (not bad) (Check.render_json actx plan))
               reports)
        ^ "\n]")
   else begin
     List.iter
       (fun (id, bad, actx, plan) ->
          Printf.printf "== %s%s ==\n%s\n" id (if bad then " FLAGGED" else "")
-           (Analysis.render actx plan))
+           (Check.render actx plan))
       reports;
     Printf.printf "%d/%d plans clean\n" (List.length targets - !flagged)
       (List.length targets)
@@ -910,20 +897,10 @@ let calibrate nodes sf all query sql file seed budget jobs feedback_log
   let measure ~bounds (id, text) =
     let observe, seen =
       if not bounds then (None, fun () -> 0)
-      else begin
-        let r0 =
-          Opdw.optimize ~options:(Opdw.Feedback.options fb)
-            ~cache:(Opdw.Feedback.plan_cache fb) shell text
-        in
-        let actx =
-          Analysis.context ~shell ~reg:r0.Opdw.memo.Memo.reg
-            ~nodes:options.Opdw.pdw.Pdwopt.Enumerate.nodes
-        in
-        let observe, seen =
-          Analysis.bounds_observer (Analysis.group_bounds actx (Opdw.plan r0))
-        in
-        (Some observe, seen)
-      end
+      else
+        bounds_oracle ~options shell
+          (Opdw.optimize ~options:(Opdw.Feedback.options fb)
+             ~cache:(Opdw.Feedback.plan_cache fb) shell text)
     in
     let oc = Opdw.Feedback.run ?observe fb text in
     violations := !violations + seen ();
@@ -953,7 +930,7 @@ let calibrate nodes sf all query sql file seed budget jobs feedback_log
         (fun (id, b) (_, a) ->
            Printf.sprintf
              "\n  {\"query\": \"%s\", \"error_before\": %.6g, \"error_after\": %.6g}"
-             (json_escape id) b a)
+             (Check.json_escape id) b a)
         before after
     in
     let refined =
@@ -961,8 +938,8 @@ let calibrate nodes sf all query sql file seed budget jobs feedback_log
         (fun (m : Opdw.Feedback.Misses.miss) ->
            Printf.sprintf
              "{\"table\": \"%s\", \"column\": \"%s\", \"worst\": %.6g, \"ops\": %d}"
-             (json_escape m.Opdw.Feedback.Misses.m_table)
-             (json_escape m.Opdw.Feedback.Misses.m_column)
+             (Check.json_escape m.Opdw.Feedback.Misses.m_table)
+             (Check.json_escape m.Opdw.Feedback.Misses.m_column)
              m.Opdw.Feedback.Misses.m_worst m.Opdw.Feedback.Misses.m_ops)
         cal.Opdw.Feedback.refined
     in
@@ -1102,7 +1079,7 @@ let planstore nodes sf all query sql file seed budget jobs runs
            in
            Printf.sprintf
              "\n  {\"query\": \"%s\", \"lkg\": %s, \"quarantined\": [%s]}"
-             (json_escape id) lkg (String.concat ", " quarantined))
+             (Check.json_escape id) lkg (String.concat ", " quarantined))
         (Opdw.Feedback.Store.statements store)
     in
     Printf.printf
@@ -1378,5 +1355,7 @@ let () =
       Printf.eprintf "bad fault schedule: %s\n" msg; 1
     | Opdw.Feedback.Log.Parse_error msg ->
       Printf.eprintf "bad feedback log: %s\n" msg; 1
+    | Sys_error msg ->
+      Printf.eprintf "file error: %s\n" msg; 1
   in
   exit code

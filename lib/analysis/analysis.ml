@@ -346,8 +346,6 @@ let iv_to_string iv =
       (match iv.hi with Some v -> Value.to_string v | None -> "+inf")
       (if iv.nullable then "?" else "")
 
-let pp_iv ppf iv = Format.pp_print_string ppf (iv_to_string iv)
-
 type env = { ivs : iv Registry.Col_map.t; lo : float; hi : float }
 
 let top_env = { ivs = Registry.Col_map.empty; lo = 0.; hi = Float.infinity }
@@ -515,9 +513,7 @@ and func_iv env f args =
     in
     (* add_years/add_months/(+) are monotone in the date argument *)
     { lo = shift x.lo; hi = shift x.hi; nullable = x.nullable; valued = x.valued }
-  | _ ->
-    let nullable = List.exists (fun a -> (aeval env a).nullable) args in
-    { top_iv with nullable = nullable || true }
+  | _ -> top_iv
 
 (* ===================== predicate refinement ===================== *)
 
@@ -670,7 +666,6 @@ let seed_scan ctx ~table ~cols =
       hi = rows }
 
 let group_out ctx keys aggs (c : env) ~partial =
-  ignore keys;
   let agg_iv (a : Expr.agg_def) =
     let arg = match a.Expr.agg_arg with Some e -> aeval c e | None -> top_iv in
     match a.Expr.agg_func with
@@ -886,35 +881,15 @@ let empty_groups ctx (m : Memo.t) : int -> bool =
   done;
   fun gid -> gid >= 0 && gid < n && arr.(gid)
 
-(* ===================== plan-level analysis ===================== *)
-
-type node_info = {
-  card_lo : float;
-  card_hi : float;
-  out_env : env;
-  contradiction : string option;
-  type_errors : type_error list;
-}
+(* ===================== plan operators ===================== *)
 
 (* Serial operators execute per node: a local TOP under a hashed
-   distribution can emit up to [limit] rows on each node, and an
-   aggregation whose grouping the input distribution cannot satisfy
-   locally is the partial half of a split (matching Enumerate.split_aggs
-   and the executor's per-node semantics). *)
-let serial_sem ctx (node : Pdwopt.Pplan.t) (op : Memo.Physop.t) (cenvs : env list) =
-  let child_dist =
-    match node.Pdwopt.Pplan.children with
-    | [ ch ] -> Some ch.Pdwopt.Pplan.dist
-    | _ -> None
-  in
-  let partial_agg =
-    match op, child_dist with
-    | (Memo.Physop.Hash_agg { keys; _ } | Memo.Physop.Stream_agg { keys; _ }), Some d ->
-      Dms.Distprop.groupby_local ~keys d = None
-    | _ -> false
-  in
+   distribution can emit up to [limit] rows on each node, and the partial
+   half of an aggregation split emits its groups per node (matching
+   Enumerate.split_aggs and the executor's per-node semantics). *)
+let physop_transfer ctx (op : Memo.Physop.t) (cenvs : env list) ~dist ~partial_agg =
   let sort_mult =
-    match node.Pdwopt.Pplan.dist with
+    match (dist : Dms.Distprop.t) with
     | Dms.Distprop.Hashed _ -> float_of_int ctx.nodes
     | Dms.Distprop.Replicated | Dms.Distprop.Single_node -> 1.
   in
@@ -929,179 +904,3 @@ let serial_sem ctx (node : Pdwopt.Pplan.t) (op : Memo.Physop.t) (cenvs : env lis
     | _ -> None
   in
   (out, contradiction)
-
-type atree = { anode : Pdwopt.Pplan.t; ainfo : node_info; akids : atree list }
-
-let rec build ctx (n : Pdwopt.Pplan.t) : env * atree =
-  let kids = List.map (build ctx) n.Pdwopt.Pplan.children in
-  let cenvs = List.map fst kids in
-  let out, contradiction, type_errors =
-    match n.Pdwopt.Pplan.op with
-    | Pdwopt.Pplan.Serial op ->
-      let out, contra = serial_sem ctx n op cenvs in
-      (out, contra, check_physop ctx.reg op)
-    | Pdwopt.Pplan.Move _ ->
-      ((match cenvs with [ c ] -> c | _ -> top_env), None, [])
-    | Pdwopt.Pplan.Return { sort; limit } ->
-      let terrs = List.concat_map (fun k -> check_expr ctx.reg k.Relop.key) sort in
-      let out =
-        match cenvs with
-        | [ c ] ->
-          (match limit with
-           | None -> c
-           | Some n ->
-             let n = float_of_int n in
-             { c with lo = Float.min c.lo n; hi = Float.min c.hi n })
-        | _ -> top_env
-      in
-      (out, None, terrs)
-  in
-  let info =
-    { card_lo = out.lo; card_hi = out.hi; out_env = out; contradiction; type_errors }
-  in
-  (out, { anode = n; ainfo = info; akids = List.map snd kids })
-
-let rec flatten t acc =
-  (t.anode, t.ainfo) :: List.fold_right flatten t.akids acc
-
-let annotate ctx p =
-  let _, t = build ctx p in
-  flatten t []
-
-let group_bounds ctx p =
-  let tbl : (int, float * float) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun ((n : Pdwopt.Pplan.t), info) ->
-       match n.Pdwopt.Pplan.op with
-       | Pdwopt.Pplan.Return _ -> () (* TOP applies after the gather, not at exec *)
-       | _ ->
-         let g = n.Pdwopt.Pplan.group in
-         if g >= 0 then
-           let lo, hi =
-             match Hashtbl.find_opt tbl g with
-             | Some (l, h) -> (Float.max l info.card_lo, Float.min h info.card_hi)
-             | None -> (info.card_lo, info.card_hi)
-           in
-           Hashtbl.replace tbl g (lo, hi))
-    (annotate ctx p);
-  tbl
-
-(* The ±0.5 slack makes the integral comparison robust to float
-   accumulation; synthetic nodes (group -1) are never in a [group_bounds]
-   table, so they go unchecked. *)
-let bounds_observer ?(obs = Obs.null) (tbl : (int, float * float) Hashtbl.t) =
-  let violations = ref 0 in
-  let observe (n : Pdwopt.Pplan.t) observed =
-    match Hashtbl.find_opt tbl n.Pdwopt.Pplan.group with
-    | Some (lo, hi) when observed < lo -. 0.5 || observed > hi +. 0.5 ->
-      incr violations;
-      Obs.add obs "analysis.bound_violations" 1
-    | _ -> ()
-  in
-  (observe, fun () -> !violations)
-
-(* ===================== rendering ===================== *)
-
-let card_str v = if Float.is_finite v then Printf.sprintf "%.6g" v else "inf"
-
-(* Refined (non-top) column intervals worth showing, stable order. *)
-let notable_ivs env =
-  Registry.Col_map.fold
-    (fun c iv acc -> if iv = top_iv then acc else (c, iv) :: acc)
-    env.ivs []
-  |> List.rev
-
-let render ctx p =
-  let buf = Buffer.create 1024 in
-  let rec go indent (t : atree) =
-    let n = t.anode and i = t.ainfo in
-    Buffer.add_string buf
-      (Printf.sprintf "%s%s  {%s, rows=%.0f, bounds=[%s, %s]}\n" indent
-         (Pdwopt.Pplan.op_to_string ctx.reg n.Pdwopt.Pplan.op)
-         (Dms.Distprop.short_string n.Pdwopt.Pplan.dist)
-         n.Pdwopt.Pplan.rows (card_str i.card_lo) (card_str i.card_hi));
-    (match i.contradiction with
-     | Some pred ->
-       Buffer.add_string buf
-         (Printf.sprintf "%s  !! contradiction: %s\n" indent pred)
-     | None -> ());
-    List.iter
-      (fun (te : type_error) ->
-         Buffer.add_string buf
-           (Printf.sprintf "%s  !! type error: %s: %s\n" indent te.expr te.reason))
-      i.type_errors;
-    List.iter (go (indent ^ "  ")) t.akids
-  in
-  let _, t = build ctx p in
-  go "" t;
-  Buffer.contents buf
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-       match ch with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | '\r' -> Buffer.add_string buf "\\r"
-       | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_num v =
-  if Float.is_finite v then
-    if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-    else Printf.sprintf "%.17g" v
-  else "null"
-
-let render_json ctx p =
-  let nodes = annotate ctx p in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[";
-  List.iteri
-    (fun idx ((n : Pdwopt.Pplan.t), (i : node_info)) ->
-       if idx > 0 then Buffer.add_string buf ",";
-       Buffer.add_string buf
-         (Printf.sprintf
-            "\n  {\"op\": \"%s\", \"dist\": \"%s\", \"group\": %d, \"rows\": %s, \
-             \"lo\": %s, \"hi\": %s"
-            (json_escape (Pdwopt.Pplan.op_to_string ctx.reg n.Pdwopt.Pplan.op))
-            (json_escape (Dms.Distprop.short_string n.Pdwopt.Pplan.dist))
-            n.Pdwopt.Pplan.group (json_num n.Pdwopt.Pplan.rows) (json_num i.card_lo)
-            (json_num i.card_hi));
-       (match i.contradiction with
-        | Some c ->
-          Buffer.add_string buf (Printf.sprintf ", \"contradiction\": \"%s\"" (json_escape c))
-        | None -> ());
-       if i.type_errors <> [] then begin
-         Buffer.add_string buf ", \"type_errors\": [";
-         List.iteri
-           (fun j (te : type_error) ->
-              if j > 0 then Buffer.add_string buf ", ";
-              Buffer.add_string buf
-                (Printf.sprintf "{\"expr\": \"%s\", \"reason\": \"%s\"}" (json_escape te.expr)
-                   (json_escape te.reason)))
-           i.type_errors;
-         Buffer.add_string buf "]"
-       end;
-       let cols = notable_ivs i.out_env in
-       if cols <> [] then begin
-         Buffer.add_string buf ", \"cols\": {";
-         List.iteri
-           (fun j (c, iv) ->
-              if j > 0 then Buffer.add_string buf ", ";
-              let label =
-                try Registry.label ctx.reg c with Invalid_argument _ -> Printf.sprintf "#%d" c
-              in
-              Buffer.add_string buf
-                (Printf.sprintf "\"%s\": \"%s\"" (json_escape label) (json_escape (iv_to_string iv))))
-           cols;
-         Buffer.add_string buf "}"
-       end;
-       Buffer.add_string buf "}")
-    nodes;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf

@@ -1,11 +1,9 @@
-(** Abstract-interpretation plan analyzer (DESIGN.md §12).
-
-    Three cooperating bottom-up passes over plans — a typed-expression
-    checker, a per-column range/null abstract domain, and a contradiction
-    detector — sharing one walk. The analyzer is a second, independent
-    opinion on every plan: it derives sound per-node cardinality bounds
-    [lo, hi] from the shell catalog and flags type-unsound expressions and
-    provably-empty (contradictory) subtrees.
+(** Abstract-interpretation domain (DESIGN.md §12): a typed-expression
+    checker, a per-column range/null abstract domain with per-relation
+    cardinality bounds [lo, hi], and contradiction detection, plus the
+    MEMO-level pass that proves groups empty. The plan-level interpreter
+    that runs this domain over a distributed plan, together with the
+    distribution and cost audits, is {!Check}.
 
     Soundness contract: every bound is an over-approximation of the exact
     query semantics on any database consistent with the shell catalog's
@@ -39,18 +37,22 @@ type iv = {
 }
 
 val top_iv : iv
-val pp_iv : Format.formatter -> iv -> unit
 val iv_to_string : iv -> string
 
 (** Abstract state of a relation: per-column intervals plus global
     cardinality bounds. [hi <= 0.] means provably empty. *)
 type env = { ivs : iv Registry.Col_map.t; lo : float; hi : float }
 
+(** No constraint: unknown columns, [0, +inf) rows. *)
+val top_env : env
+
 val is_empty : env -> bool
 
 (* -- analysis context -- *)
 
-type ctx
+(** The inputs every transfer reads: the shell catalog seeds scans, the
+    registry types expressions, and [nodes] bounds per-node operators. *)
+type ctx = { shell : Shell_db.t; reg : Registry.t; nodes : int }
 
 val context : shell:Shell_db.t -> reg:Registry.t -> nodes:int -> ctx
 
@@ -94,47 +96,13 @@ val memo_evals : ctx -> Memo.t -> int
     share across domains. *)
 val empty_groups : ctx -> Memo.t -> (int -> bool)
 
-(* -- plan-level analysis -- *)
+(* -- plan operators -- *)
 
-(** Per-node verdict of the analyzer. *)
-type node_info = {
-  card_lo : float;        (** sound lower bound on global output rows *)
-  card_hi : float;        (** sound upper bound (may be [infinity]) *)
-  out_env : env;          (** abstract output state *)
-  contradiction : string option;
-      (** a predicate whose abstract evaluation is bottom while its inputs
-          are not provably empty — the subtree should have been folded *)
-  type_errors : type_error list;
-}
-
-(** Annotate every node of a distributed plan, preorder (node first, then
-    children left to right). Aggregation nodes are analyzed partial- or
-    final-aware from their input distribution, matching the executor. *)
-val annotate : ctx -> Pdwopt.Pplan.t -> (Pdwopt.Pplan.t * node_info) list
-
-(** Fold the annotations into a per-MEMO-group bounds table
-    [group -> (lo, hi)] (meet over plan nodes sharing a group; synthetic
-    nodes, [group < 0], are skipped). Feeds the engine's [--assert-bounds]
-    runtime oracle. *)
-val group_bounds : ctx -> Pdwopt.Pplan.t -> (int, float * float) Hashtbl.t
-
-(** The [--assert-bounds] runtime oracle over a {!group_bounds} table:
-    returns an observer for the engine's [run_pplan ~observe] hook and the
-    number of executed operators it has seen so far whose observed global
-    rows fell outside their group's [lo, hi] (with ±0.5 slack). Operators
-    whose group is not in the table are skipped. Each violation also bumps
-    the [analysis.bound_violations] counter in [obs]. The count belongs to
-    the caller, not to the appliance, so it survives a node-loss replan. *)
-val bounds_observer :
-  ?obs:Obs.t -> (int, float * float) Hashtbl.t ->
-  (Pdwopt.Pplan.t -> float -> unit) * (unit -> int)
-
-(* -- rendering -- *)
-
-(** Human-readable annotated plan (the [analyze] subcommand). *)
-val render : ctx -> Pdwopt.Pplan.t -> string
-
-(** JSON rendering of the annotated plan: a list of node objects with op,
-    group, estimated rows, derived bounds, column ranges, and any type
-    errors or contradictions. *)
-val render_json : ctx -> Pdwopt.Pplan.t -> string
+(** [physop_transfer ctx op child_envs ~dist ~partial_agg]: the abstract
+    output of serial operator [op] run per node under the declared output
+    distribution [dist], as the partial half of an aggregation split when
+    [partial_agg]; plus the predicate of a filter or join the domain
+    refutes over non-empty inputs (a contradiction left unfolded). *)
+val physop_transfer :
+  ctx -> Memo.Physop.t -> env list -> dist:Dms.Distprop.t -> partial_agg:bool ->
+  env * string option

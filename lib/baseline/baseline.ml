@@ -38,24 +38,6 @@ let apply_move o reg kind (p : Pdwopt.Pplan.t) layout =
     dms_cost = p.Pdwopt.Pplan.dms_cost +. move_cost o kind ~rows:p.Pdwopt.Pplan.rows ~width;
     serial_cost = p.Pdwopt.Pplan.serial_cost }
 
-let scan_dist (shell : Catalog.Shell_db.t) table (cols : int array) : Dms.Distprop.t =
-  match Catalog.Shell_db.find shell table with
-  | None -> Dms.Distprop.Hashed []
-  | Some tbl ->
-    (match tbl.Catalog.Shell_db.dist with
-     | Catalog.Distribution.Replicated -> Dms.Distprop.Replicated
-     | Catalog.Distribution.Hash_partitioned names ->
-       let schema = tbl.Catalog.Shell_db.schema in
-       let ids =
-         List.filter_map
-           (fun n ->
-              match Catalog.Schema.find_col schema n with
-              | Some i when i < Array.length cols -> Some cols.(i)
-              | _ -> None)
-           names
-       in
-       Dms.Distprop.Hashed ids)
-
 exception Cannot_parallelize of string
 
 (** Parallelize a serial plan over the appliance layout. *)
@@ -77,7 +59,7 @@ let parallelize ?(opts = default_opts) (reg : Registry.t) (shell : Catalog.Shell
     in
     match p.Serialopt.Plan.op, children with
     | Physop.Table_scan { table; cols; _ }, [] ->
-      mk p.Serialopt.Plan.op (scan_dist shell table cols) []
+      mk p.Serialopt.Plan.op (Pdwopt.Enumerate.scan_dist shell table cols) []
     | (Physop.Filter _ | Physop.Compute _ | Physop.Sort_op _), [ c ] ->
       mk p.Serialopt.Plan.op c.Pdwopt.Pplan.dist [ c ]
     | Physop.Const_empty _, [] -> mk p.Serialopt.Plan.op Dms.Distprop.Replicated []

@@ -7,11 +7,14 @@
    annotations, cost fields and the DSQL step list are exactly what is
    being audited.
 
-   The distribution check is compositional: each node's declared [dist] is
-   verified against its children's *declared* distributions, with scans
-   anchored at the shell database. If every node passes, a simple induction
-   gives whole-plan soundness; if a node lies, the violation is reported at
-   that node instead of cascading up the tree. *)
+   One recursion interprets a plan over a product domain: per node, the
+   distribution audit (R0-R4), the cost audit (R5-R6) and, optionally, the
+   abstract env of {!Analysis} (R10-R12). The distribution audit is
+   compositional: each node's declared [dist] is verified against its
+   children's *declared* distributions, with scans anchored at the shell
+   database. If every node passes, a simple induction gives whole-plan
+   soundness; if a node lies, the violation is reported at that node
+   instead of cascading up the tree. *)
 
 open Algebra
 
@@ -100,10 +103,6 @@ let subtree_string ?(max_depth = 4) (p : Pdwopt.Pplan.t) =
   go 0 p;
   Buffer.contents b
 
-let pp_violation ppf v =
-  Format.fprintf ppf "@[<v 2>[%s] %s@,%a@]" v.rule v.message
-    Format.pp_print_text v.subtree
-
 let to_string vs =
   String.concat "\n"
     (List.map
@@ -115,7 +114,9 @@ let to_string vs =
 
 (* base-table distribution from the shell database; unknown tables and
    unprojected partition columns degrade to Hashed [] ("distributed,
-   unknown partitioning"), exactly as the producers do *)
+   unknown partitioning"), exactly as the producers do. Deliberately not
+   Enumerate.scan_dist: R1 audits the producers against a derivation of
+   its own. *)
 let scan_dist shell (table : string) (cols : int array) : Dms.Distprop.t =
   match Catalog.Shell_db.find shell table with
   | None -> Dms.Distprop.Hashed []
@@ -169,21 +170,33 @@ let union_dist (l : Dms.Distprop.t) (r : Dms.Distprop.t) : Dms.Distprop.t option
 let layout_of (p : Pdwopt.Pplan.t) : int list option =
   try Some (Pdwopt.Pplan.output_layout p) with Invalid_argument _ -> None
 
-(* -- the tree walk (R0-R6) -- *)
+(* -- the plan interpreter (R0-R6, R10-R12) -- *)
+
+type node_info = {
+  card_lo : float;
+  card_hi : float;
+  out_env : Analysis.env;
+  contradiction : string option;
+  type_errors : Analysis.type_error list;
+}
+
+type annotated = { depth : int; node : Pdwopt.Pplan.t; info : node_info }
 
 type ctx = {
   shell : Catalog.Shell_db.t;
-  cost : cost_model option;
-  mutable acc : violation list;  (** collected in reverse *)
+  costs : bool;                  (** R5 *)
+  cost : cost_model option;      (** R6 *)
+  env : Analysis.ctx option;     (** the abstract-env component (R10-R12) *)
+  mutable acc : violation list;  (** R0-R6, collected in reverse preorder *)
   mutable recomputed : float;    (** sum of recomputed move costs (R6) *)
   mutable recompute_ok : bool;   (** every per-move R6 check passed *)
 }
 
+let violation rule node fmt =
+  Printf.ksprintf (fun message -> { rule; message; subtree = subtree_string node }) fmt
+
 let add ctx rule node fmt =
-  Printf.ksprintf
-    (fun message ->
-       ctx.acc <- { rule; message; subtree = subtree_string node } :: ctx.acc)
-    fmt
+  Printf.ksprintf (fun message -> ctx.acc <- violation rule node "%s" message :: ctx.acc) fmt
 
 let deq = Dms.Distprop.equal
 let dshort = Dms.Distprop.short_string
@@ -247,11 +260,38 @@ let check_move ctx (p : Pdwopt.Pplan.t) kind cols (c : Pdwopt.Pplan.t) =
         delta eb (Dms.Op.name kind) c.Pdwopt.Pplan.rows (Float.max 1. sum)
     end
 
-(* R0 + R1 + R2: one Serial node. [from_agg] carries the group-by keys of
-   an enclosing aggregate (propagated through Moves), legitimizing the
-   partial half of the local/global aggregation split, whose input is by
-   construction not co-located on the keys. *)
-let check_serial ctx ~from_agg (p : Pdwopt.Pplan.t) (sop : Memo.Physop.t)
+(* R1 + R2: one aggregate over its input [c]. Returns whether it is the
+   partial half of a local/global split (its grouping is not local on [c]'s
+   declared distribution), the one bit R2 and the bounds transfer read. Only
+   an enclosing aggregate with the same keys ([from_agg]) legitimizes it. *)
+let check_agg ctx ~from_agg (p : Pdwopt.Pplan.t) keys (c : Pdwopt.Pplan.t) =
+  let declared = p.Pdwopt.Pplan.dist in
+  match Dms.Distprop.groupby_local ~keys c.Pdwopt.Pplan.dist with
+  | Some d ->
+    if not (deq declared d) then
+      add ctx r1 p "local group-by over %s produces %s, plan declares %s"
+        (dshort c.Pdwopt.Pplan.dist) (dshort d) (dshort declared);
+    false
+  | None ->
+    (match from_agg with
+     | Some gkeys when gkeys = keys ->
+       (* emits per-node partial groups, so it passes the input
+          distribution through; the global half above re-derives normally *)
+       if not (deq declared c.Pdwopt.Pplan.dist) then
+         add ctx r1 p
+           "partial aggregate passes its input distribution %s through, \
+            plan declares %s"
+           (dshort c.Pdwopt.Pplan.dist) (dshort declared)
+     | _ ->
+       add ctx r2 p
+         "group-by on keys [%s] over a %s input is not local and no \
+          enclosing global aggregate re-groups it; a movement or \
+          local/global split is missing"
+         (ids keys) (dshort c.Pdwopt.Pplan.dist));
+    true
+
+(* R0 + R1 + R2: one non-aggregate Serial node (or a malformed aggregate) *)
+let check_serial ctx (p : Pdwopt.Pplan.t) (sop : Memo.Physop.t)
     (children : Pdwopt.Pplan.t list) =
   let declared = p.Pdwopt.Pplan.dist in
   let arity what n =
@@ -306,31 +346,6 @@ let check_serial ctx ~from_agg (p : Pdwopt.Pplan.t) (sop : Memo.Physop.t)
               (dshort l.Pdwopt.Pplan.dist) (dshort r.Pdwopt.Pplan.dist)
               (dshort d) (dshort declared))
      | _ -> ())
-  | (Memo.Physop.Hash_agg { keys; _ } | Memo.Physop.Stream_agg { keys; _ }), [ c ]
-    -> begin
-      match Dms.Distprop.groupby_local ~keys c.Pdwopt.Pplan.dist with
-      | Some d ->
-        if not (deq declared d) then
-          add ctx r1 p "local group-by over %s produces %s, plan declares %s"
-            (dshort c.Pdwopt.Pplan.dist) (dshort d) (dshort declared)
-      | None ->
-        (match from_agg with
-         | Some gkeys when gkeys = keys ->
-           (* the partial (local) half of a split: emits per-node partial
-              groups, so it passes the input distribution through; the
-              global half above re-derives normally *)
-           if not (deq declared c.Pdwopt.Pplan.dist) then
-             add ctx r1 p
-               "partial aggregate passes its input distribution %s through, \
-                plan declares %s"
-               (dshort c.Pdwopt.Pplan.dist) (dshort declared)
-         | _ ->
-           add ctx r2 p
-             "group-by on keys [%s] over a %s input is not local and no \
-              enclosing global aggregate re-groups it; a movement or \
-              local/global split is missing"
-             (ids keys) (dshort c.Pdwopt.Pplan.dist))
-    end
   | Memo.Physop.Union_op, [ l; r ] ->
     (match union_dist l.Pdwopt.Pplan.dist r.Pdwopt.Pplan.dist with
      | None ->
@@ -343,9 +358,8 @@ let check_serial ctx ~from_agg (p : Pdwopt.Pplan.t) (sop : Memo.Physop.t)
          add ctx r1 p "union of %s / %s produces %s, plan declares %s"
            (dshort l.Pdwopt.Pplan.dist) (dshort r.Pdwopt.Pplan.dist)
            (dshort d) (dshort declared))
-  | (Memo.Physop.Filter _ | Memo.Physop.Sort_op _ | Memo.Physop.Compute _), _ ->
-    arity (Memo.Physop.name sop) 1
-  | (Memo.Physop.Hash_agg _ | Memo.Physop.Stream_agg _), _ ->
+  | ( Memo.Physop.Filter _ | Memo.Physop.Sort_op _ | Memo.Physop.Compute _
+    | Memo.Physop.Hash_agg _ | Memo.Physop.Stream_agg _ ), _ ->
     arity (Memo.Physop.name sop) 1
   | ( Memo.Physop.Hash_join _ | Memo.Physop.Merge_join _ | Memo.Physop.Nl_join _
     | Memo.Physop.Union_op ), _ ->
@@ -362,54 +376,90 @@ let check_costs ctx (p : Pdwopt.Pplan.t) =
   fin "row estimate" p.Pdwopt.Pplan.rows;
   fin "cumulative DMS cost" p.Pdwopt.Pplan.dms_cost;
   fin "cumulative serial cost" p.Pdwopt.Pplan.serial_cost;
-  let tol v = (1e-6 *. Float.abs v) +. 1e-9 in
-  let cd =
-    List.fold_left (fun a (c : Pdwopt.Pplan.t) -> a +. c.Pdwopt.Pplan.dms_cost) 0.
+  let monotone what (cost : Pdwopt.Pplan.t -> float) =
+    let c = List.fold_left (fun a ch -> a +. cost ch) 0. p.Pdwopt.Pplan.children in
+    if cost p < c -. ((1e-6 *. Float.abs c) +. 1e-9) then
+      add ctx r5 p "cumulative %s cost %.6g is below its children's %.6g" what (cost p) c
+  in
+  monotone "DMS" (fun n -> n.Pdwopt.Pplan.dms_cost);
+  monotone "serial" (fun n -> n.Pdwopt.Pplan.serial_cost)
+
+(* The env component of one node, from its children's envs. A Move only
+   relocates rows; the Return gathers to the control node, where it runs
+   the client ORDER BY / TOP once, as a single-node sort. *)
+let node_info actx (p : Pdwopt.Pplan.t) ~partial cenvs =
+  let serial op ~dist ~partial_agg =
+    let env, contradiction =
+      Analysis.physop_transfer actx op cenvs ~dist ~partial_agg
+    in
+    (env, contradiction, Analysis.check_physop actx.Analysis.reg op)
+  in
+  let out_env, contradiction, type_errors =
+    match p.Pdwopt.Pplan.op with
+    | Pdwopt.Pplan.Serial op -> serial op ~dist:p.Pdwopt.Pplan.dist ~partial_agg:partial
+    | Pdwopt.Pplan.Move _ ->
+      ((match cenvs with [ c ] -> c | _ -> Analysis.top_env), None, [])
+    | Pdwopt.Pplan.Return { sort; limit } ->
+      serial (Memo.Physop.Sort_op { keys = sort; limit })
+        ~dist:Dms.Distprop.Single_node ~partial_agg:false
+  in
+  { card_lo = out_env.Analysis.lo; card_hi = out_env.Analysis.hi; out_env;
+    contradiction; type_errors }
+
+(* The one recursion over the plan: the node's own audits in preorder (they
+   read only the children's declared fields), then the children, then, with
+   the env component on, the node's env from theirs, returned with the
+   subtree's annotations in preorder. [from_agg] is inherited. *)
+let rec interp ctx ~depth ~from_agg (p : Pdwopt.Pplan.t) =
+  let partial, child_flag =
+    match p.Pdwopt.Pplan.op, p.Pdwopt.Pplan.children with
+    | Pdwopt.Pplan.Return _, [ _ ] ->
+      if depth > 0 then add ctx r0 p "Return operator below the plan root";
+      if not (deq p.Pdwopt.Pplan.dist Dms.Distprop.Single_node) then
+        add ctx r1 p "Return gathers to the control node (S), plan declares %s"
+          (dshort p.Pdwopt.Pplan.dist);
+      (false, None)
+    | Pdwopt.Pplan.Return _, _ ->
+      add ctx r0 p "Return expects 1 child, has %d"
+        (List.length p.Pdwopt.Pplan.children);
+      (false, None)
+    | Pdwopt.Pplan.Move { kind; cols }, [ c ] ->
+      check_move ctx p kind cols c;
+      (false, from_agg)
+    | Pdwopt.Pplan.Move _, _ ->
+      add ctx r0 p "Move expects 1 child, has %d"
+        (List.length p.Pdwopt.Pplan.children);
+      (false, from_agg)
+    | Pdwopt.Pplan.Serial
+        (Memo.Physop.Hash_agg { keys; _ } | Memo.Physop.Stream_agg { keys; _ }),
+      [ c ] ->
+      (check_agg ctx ~from_agg p keys c, Some keys)
+    | Pdwopt.Pplan.Serial
+        ((Memo.Physop.Hash_agg { keys; _ } | Memo.Physop.Stream_agg { keys; _ }) as sop),
+      children ->
+      check_serial ctx p sop children;
+      (false, Some keys)
+    | Pdwopt.Pplan.Serial sop, children ->
+      check_serial ctx p sop children;
+      (false, None)
+  in
+  if ctx.costs then check_costs ctx p;
+  let kids =
+    List.map (interp ctx ~depth:(depth + 1) ~from_agg:child_flag)
       p.Pdwopt.Pplan.children
   in
-  if p.Pdwopt.Pplan.dms_cost < cd -. tol cd then
-    add ctx r5 p "cumulative DMS cost %.6g is below its children's %.6g"
-      p.Pdwopt.Pplan.dms_cost cd;
-  let cs =
-    List.fold_left
-      (fun a (c : Pdwopt.Pplan.t) -> a +. c.Pdwopt.Pplan.serial_cost)
-      0. p.Pdwopt.Pplan.children
-  in
-  if p.Pdwopt.Pplan.serial_cost < cs -. tol cs then
-    add ctx r5 p "cumulative serial cost %.6g is below its children's %.6g"
-      p.Pdwopt.Pplan.serial_cost cs
+  match ctx.env with
+  | None -> None
+  | Some actx ->
+    let kids = List.filter_map Fun.id kids in
+    let info = node_info actx p ~partial (List.map fst kids) in
+    Some (info.out_env, { depth; node = p; info } :: List.concat_map snd kids)
 
-let rec walk ctx ~root ~costs ~from_agg (p : Pdwopt.Pplan.t) =
-  (match p.Pdwopt.Pplan.op, p.Pdwopt.Pplan.children with
-   | Pdwopt.Pplan.Return _, [ _ ] ->
-     if not root then add ctx r0 p "Return operator below the plan root";
-     if not (deq p.Pdwopt.Pplan.dist Dms.Distprop.Single_node) then
-       add ctx r1 p "Return gathers to the control node (S), plan declares %s"
-         (dshort p.Pdwopt.Pplan.dist)
-   | Pdwopt.Pplan.Return _, _ ->
-     add ctx r0 p "Return expects 1 child, has %d"
-       (List.length p.Pdwopt.Pplan.children)
-   | Pdwopt.Pplan.Move { kind; cols }, [ c ] -> check_move ctx p kind cols c
-   | Pdwopt.Pplan.Move _, _ ->
-     add ctx r0 p "Move expects 1 child, has %d"
-       (List.length p.Pdwopt.Pplan.children)
-   | Pdwopt.Pplan.Serial sop, children -> check_serial ctx ~from_agg p sop children);
-  if costs then check_costs ctx p;
-  let child_flag =
-    match p.Pdwopt.Pplan.op with
-    | Pdwopt.Pplan.Serial
-        (Memo.Physop.Hash_agg { keys; _ } | Memo.Physop.Stream_agg { keys; _ }) ->
-      Some keys
-    | Pdwopt.Pplan.Move _ -> from_agg  (* forwarded through the split's Move *)
-    | _ -> None
-  in
-  List.iter
-    (walk ctx ~root:false ~costs ~from_agg:child_flag)
-    p.Pdwopt.Pplan.children
-
-let check_plan ~costs ~shell ~cost (p : Pdwopt.Pplan.t) : ctx =
-  let ctx = { shell; cost; acc = []; recomputed = 0.; recompute_ok = true } in
-  walk ctx ~root:true ~costs ~from_agg:None p;
+(* Runs the pass: the R0-R6 violations (preorder, then R6's root
+   reconciliation) and, with [env], every node's annotation in preorder. *)
+let interpret ?cost ?env ~costs ~shell (p : Pdwopt.Pplan.t) =
+  let ctx = { shell; costs; cost; env; acc = []; recomputed = 0.; recompute_ok = true } in
+  let annotations = Option.fold ~none:[] ~some:snd (interp ctx ~depth:0 ~from_agg:None p) in
   (* R6 root reconciliation: the plan's total DMS cost is exactly the sum
      of its movement costs (the Return contributes nothing, paper §2.3) *)
   (match cost with
@@ -422,7 +472,39 @@ let check_plan ~costs ~shell ~cost (p : Pdwopt.Pplan.t) : ctx =
           costs %.6g"
          total ctx.recomputed
    | _ -> ());
-  ctx
+  (List.rev ctx.acc, annotations)
+
+(* The estimator floors every estimate at 1 row (empty inputs, folded
+   branches), so a derived upper bound of 0 still admits estimates of a few
+   rows: tolerate max(1, hi) plus a small additive slack for unions over
+   folded branches. The bounds themselves are sound; only the comparison
+   against the *estimator* is slack. *)
+let est_within ~lo ~hi est =
+  est <= Float.max 1. hi +. 8. +. (1e-6 *. hi) && est >= (lo *. (1. -. 1e-6)) -. 1.
+
+(* R10-R12 over the annotations, in preorder *)
+let env_violations annotations =
+  List.concat_map
+    (fun { node; info = i; _ } ->
+       List.map
+         (fun (te : Analysis.type_error) ->
+            violation r10 node "%s: %s" te.Analysis.expr te.Analysis.reason)
+         i.type_errors
+       @ (match i.contradiction with
+          | Some pred -> [ violation r12 node "contradictory predicate left unfolded: %s" pred ]
+          | None -> [])
+       @
+       match node.Pdwopt.Pplan.op with
+       | Pdwopt.Pplan.Return _ ->
+         (* the optimizer's Return reports the child's rows, not the
+            TOP-clamped count; the runtime oracle covers the gather *)
+         []
+       | _ ->
+         if est_within ~lo:i.card_lo ~hi:i.card_hi node.Pdwopt.Pplan.rows then []
+         else
+           [ violation r11 node "row estimate %.6g outside derived bounds [%.6g, %.6g]"
+               node.Pdwopt.Pplan.rows i.card_lo i.card_hi ])
+    annotations
 
 (* -- DSQL rules (R7-R9) -- *)
 
@@ -463,7 +545,8 @@ let collect_moves (p : Pdwopt.Pplan.t) : (Dms.Op.kind * int list) list =
    | _ -> go p);
   List.rev !acc
 
-let check_dsql acc (p : Pdwopt.Pplan.t) (d : Dsql.Generate.plan) =
+let check_dsql (p : Pdwopt.Pplan.t) (d : Dsql.Generate.plan) =
+  let acc = ref [] in
   let steps = d.Dsql.Generate.steps in
   let v rule step fmt =
     Printf.ksprintf
@@ -558,48 +641,151 @@ let check_dsql acc (p : Pdwopt.Pplan.t) (d : Dsql.Generate.plan) =
              v r10 (Some s) "%s: %s" te.Analysis.expr te.Analysis.reason)
           (Analysis.check_temp_cols d.Dsql.Generate.reg cols)
       | Dsql.Generate.Return_step _ -> ())
-    steps
+    steps;
+  List.rev !acc
 
-(* -- R10-R12: the abstract-interpretation pass (DESIGN.md §12) -- *)
+(* -- plan-level views of the annotations -- *)
 
-(* The estimator floors every estimate at 1 row (empty inputs, folded
-   branches), so a derived upper bound of 0 still admits estimates of a few
-   rows: tolerate max(1, hi) plus a small additive slack for unions over
-   folded branches. The bounds themselves are sound; only the comparison
-   against the *estimator* is slack. *)
-let est_within ~lo ~hi est =
-  est <= Float.max 1. hi +. 8. +. (1e-6 *. hi) && est >= (lo *. (1. -. 1e-6)) -. 1.
+let annotations (actx : Analysis.ctx) p =
+  snd (interpret ~env:actx ~costs:false ~shell:actx.Analysis.shell p)
 
-let check_analysis acc ~shell (cm : cost_model) (p : Pdwopt.Pplan.t) =
-  let actx = Analysis.context ~shell ~reg:cm.reg ~nodes:cm.nodes in
-  let v rule node fmt =
-    Printf.ksprintf
-      (fun message -> acc := { rule; message; subtree = subtree_string node } :: !acc)
-      fmt
-  in
+let annotate actx p = List.map (fun a -> (a.node, a.info)) (annotations actx p)
+
+let group_bounds actx p =
+  let tbl : (int, float * float) Hashtbl.t = Hashtbl.create 16 in
   List.iter
-    (fun ((node : Pdwopt.Pplan.t), (i : Analysis.node_info)) ->
+    (fun { node = n; info; _ } ->
+       match n.Pdwopt.Pplan.op with
+       | Pdwopt.Pplan.Return _ -> () (* TOP applies after the gather, not at exec *)
+       | _ ->
+         let g = n.Pdwopt.Pplan.group in
+         if g >= 0 then
+           let lo, hi =
+             match Hashtbl.find_opt tbl g with
+             | Some (l, h) -> (Float.max l info.card_lo, Float.min h info.card_hi)
+             | None -> (info.card_lo, info.card_hi)
+           in
+           Hashtbl.replace tbl g (lo, hi))
+    (annotations actx p);
+  tbl
+
+(* The ±0.5 slack makes the integral comparison robust to float
+   accumulation; synthetic nodes (group -1) are never in a [group_bounds]
+   table, so they go unchecked. *)
+let bounds_observer ?(obs = Obs.null) (tbl : (int, float * float) Hashtbl.t) =
+  let violations = ref 0 in
+  let observe (n : Pdwopt.Pplan.t) observed =
+    match Hashtbl.find_opt tbl n.Pdwopt.Pplan.group with
+    | Some (lo, hi) when observed < lo -. 0.5 || observed > hi +. 0.5 ->
+      incr violations;
+      Obs.add obs "analysis.bound_violations" 1
+    | _ -> ()
+  in
+  (observe, fun () -> !violations)
+
+let card_str v = if Float.is_finite v then Printf.sprintf "%.6g" v else "inf"
+
+let render (actx : Analysis.ctx) p =
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun { depth; node = n; info = i } ->
+       let indent = String.make (2 * depth) ' ' in
+       Buffer.add_string buf
+         (Printf.sprintf "%s%s  {%s, rows=%.0f, bounds=[%s, %s]}\n" indent
+            (Pdwopt.Pplan.op_to_string actx.Analysis.reg n.Pdwopt.Pplan.op)
+            (Dms.Distprop.short_string n.Pdwopt.Pplan.dist)
+            n.Pdwopt.Pplan.rows (card_str i.card_lo) (card_str i.card_hi));
+       (match i.contradiction with
+        | Some pred ->
+          Buffer.add_string buf
+            (Printf.sprintf "%s  !! contradiction: %s\n" indent pred)
+        | None -> ());
        List.iter
          (fun (te : Analysis.type_error) ->
-            v r10 node "%s: %s" te.Analysis.expr te.Analysis.reason)
-         i.Analysis.type_errors;
-       (match i.Analysis.contradiction with
-        | Some pred -> v r12 node "contradictory predicate left unfolded: %s" pred
+            Buffer.add_string buf
+              (Printf.sprintf "%s  !! type error: %s: %s\n" indent te.Analysis.expr
+                 te.Analysis.reason))
+         i.type_errors)
+    (annotations actx p);
+  Buffer.contents buf
+
+let json_escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun ch ->
+       match ch with
+       | '"' -> Buffer.add_string buf "\\\""
+       | '\\' -> Buffer.add_string buf "\\\\"
+       | '\n' -> Buffer.add_string buf "\\n"
+       | '\t' -> Buffer.add_string buf "\\t"
+       | '\r' -> Buffer.add_string buf "\\r"
+       | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+       | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let json_num v =
+  if Float.is_finite v then
+    if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+    else Printf.sprintf "%.17g" v
+  else "null"
+
+(* Refined (non-top) column intervals worth showing, stable order. *)
+let notable_ivs (env : Analysis.env) =
+  Registry.Col_map.fold
+    (fun c iv acc -> if iv = Analysis.top_iv then acc else (c, iv) :: acc)
+    env.Analysis.ivs []
+  |> List.rev
+
+let render_json (actx : Analysis.ctx) p =
+  let reg = actx.Analysis.reg in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "[";
+  List.iteri
+    (fun idx { node = n; info = i; _ } ->
+       if idx > 0 then Buffer.add_string buf ",";
+       Buffer.add_string buf
+         (Printf.sprintf
+            "\n  {\"op\": \"%s\", \"dist\": \"%s\", \"group\": %d, \"rows\": %s, \
+             \"lo\": %s, \"hi\": %s"
+            (json_escape (Pdwopt.Pplan.op_to_string reg n.Pdwopt.Pplan.op))
+            (json_escape (Dms.Distprop.short_string n.Pdwopt.Pplan.dist))
+            n.Pdwopt.Pplan.group (json_num n.Pdwopt.Pplan.rows) (json_num i.card_lo)
+            (json_num i.card_hi));
+       (match i.contradiction with
+        | Some c ->
+          Buffer.add_string buf (Printf.sprintf ", \"contradiction\": \"%s\"" (json_escape c))
         | None -> ());
-       (match node.Pdwopt.Pplan.op with
-        | Pdwopt.Pplan.Return _ ->
-          (* the optimizer's Return reports the child's rows, not the
-             TOP-clamped count; the runtime oracle covers the gather *)
-          ()
-        | _ ->
-          if
-            not
-              (est_within ~lo:i.Analysis.card_lo ~hi:i.Analysis.card_hi
-                 node.Pdwopt.Pplan.rows)
-          then
-            v r11 node "row estimate %.6g outside derived bounds [%.6g, %.6g]"
-              node.Pdwopt.Pplan.rows i.Analysis.card_lo i.Analysis.card_hi))
-    (Analysis.annotate actx p)
+       if i.type_errors <> [] then begin
+         Buffer.add_string buf ", \"type_errors\": [";
+         List.iteri
+           (fun j (te : Analysis.type_error) ->
+              if j > 0 then Buffer.add_string buf ", ";
+              Buffer.add_string buf
+                (Printf.sprintf "{\"expr\": \"%s\", \"reason\": \"%s\"}"
+                   (json_escape te.Analysis.expr) (json_escape te.Analysis.reason)))
+           i.type_errors;
+         Buffer.add_string buf "]"
+       end;
+       let cols = notable_ivs i.out_env in
+       if cols <> [] then begin
+         Buffer.add_string buf ", \"cols\": {";
+         List.iteri
+           (fun j (c, iv) ->
+              if j > 0 then Buffer.add_string buf ", ";
+              let label =
+                try Registry.label reg c with Invalid_argument _ -> Printf.sprintf "#%d" c
+              in
+              Buffer.add_string buf
+                (Printf.sprintf "\"%s\": \"%s\"" (json_escape label)
+                   (json_escape (Analysis.iv_to_string iv))))
+           cols;
+         Buffer.add_string buf "}"
+       end;
+       Buffer.add_string buf "}")
+    (annotations actx p);
+  Buffer.add_string buf "\n]\n";
+  Buffer.contents buf
 
 (* -- entry points -- *)
 
@@ -609,11 +795,16 @@ let report obs ~rules_run vs =
 
 let validate ?(obs = Obs.null) ?cost ?dsql ~shell (p : Pdwopt.Pplan.t) :
   violation list =
-  let ctx = check_plan ~costs:true ~shell ~cost p in
-  let acc = ref ctx.acc in
-  (match cost with None -> () | Some cm -> check_analysis acc ~shell cm p);
-  (match dsql with None -> () | Some d -> check_dsql acc p d);
-  let vs = List.rev !acc in
+  let env =
+    Option.map
+      (fun (cm : cost_model) -> Analysis.context ~shell ~reg:cm.reg ~nodes:cm.nodes)
+      cost
+  in
+  let audit, annotations = interpret ?cost ?env ~costs:true ~shell p in
+  let vs =
+    audit @ env_violations annotations
+    @ match dsql with None -> [] | Some d -> check_dsql p d
+  in
   let rules_run =
     6 + (if cost = None then 0 else 4) + if dsql = None then 0 else 3
   in
@@ -621,7 +812,6 @@ let validate ?(obs = Obs.null) ?cost ?dsql ~shell (p : Pdwopt.Pplan.t) :
   vs
 
 let validate_exec ?(obs = Obs.null) ~shell (p : Pdwopt.Pplan.t) : violation list =
-  let ctx = check_plan ~costs:false ~shell ~cost:None p in
-  let vs = List.rev ctx.acc in
+  let vs, _ = interpret ~costs:false ~shell p in
   report obs ~rules_run:5 vs;
   vs

@@ -43,7 +43,10 @@
       derives from the shell catalog (see {!Analysis}).
     - [R12.contradiction] (needs a {!cost_model}): no predicate whose
       abstract evaluation is bottom survives in the plan — such subtrees
-      must have been folded to a constant-empty operator. *)
+      must have been folded to a constant-empty operator.
+
+    R0–R6 and R10–R12 come from one bottom-up pass over the plan, which
+    the plan-level views below ({!annotate}, {!render}, ...) also read. *)
 
 type violation = {
   rule : string;      (** rule id, e.g. ["R1.dist-rederive"] *)
@@ -89,7 +92,53 @@ val validate :
 val validate_exec :
   ?obs:Obs.t -> shell:Catalog.Shell_db.t -> Pdwopt.Pplan.t -> violation list
 
-val pp_violation : Format.formatter -> violation -> unit
-
 (** All violations, one block per violation, for error messages. *)
 val to_string : violation list -> string
+
+(** {1 Plan-level views of the abstract interpretation} *)
+
+(** Per-node verdict of the analyzer. *)
+type node_info = {
+  card_lo : float;        (** sound lower bound on global output rows *)
+  card_hi : float;        (** sound upper bound (may be [infinity]) *)
+  out_env : Analysis.env; (** abstract output state *)
+  contradiction : string option;
+      (** a predicate whose abstract evaluation is bottom while its inputs
+          are not provably empty — the subtree should have been folded *)
+  type_errors : Analysis.type_error list;
+}
+
+(** Annotate every node of a distributed plan, preorder (node first, then
+    children left to right). An aggregation node is analyzed as the
+    partial half of a split exactly when the distribution audit finds its
+    grouping non-local on its input, matching the executor. *)
+val annotate : Analysis.ctx -> Pdwopt.Pplan.t -> (Pdwopt.Pplan.t * node_info) list
+
+(** Fold the annotations into a per-MEMO-group bounds table
+    [group -> (lo, hi)] (meet over plan nodes sharing a group; synthetic
+    nodes, [group < 0], are skipped). Feeds the engine's [--assert-bounds]
+    runtime oracle. *)
+val group_bounds : Analysis.ctx -> Pdwopt.Pplan.t -> (int, float * float) Hashtbl.t
+
+(** The [--assert-bounds] runtime oracle over a {!group_bounds} table:
+    returns an observer for the engine's [run_pplan ~observe] hook and the
+    number of executed operators it has seen so far whose observed global
+    rows fell outside their group's [lo, hi] (with ±0.5 slack). Operators
+    whose group is not in the table are skipped. Each violation also bumps
+    the [analysis.bound_violations] counter in [obs]. The count belongs to
+    the caller, not to the appliance, so it survives a node-loss replan. *)
+val bounds_observer :
+  ?obs:Obs.t -> (int, float * float) Hashtbl.t ->
+  (Pdwopt.Pplan.t -> float -> unit) * (unit -> int)
+
+(** Human-readable annotated plan (the [analyze] subcommand). *)
+val render : Analysis.ctx -> Pdwopt.Pplan.t -> string
+
+(** JSON rendering of the annotated plan: a list of node objects with op,
+    group, estimated rows, derived bounds, column ranges, and any type
+    errors or contradictions. *)
+val render_json : Analysis.ctx -> Pdwopt.Pplan.t -> string
+
+(** Minimal JSON string escaping (quotes, backslashes, control
+    characters), for the [--json] output modes. *)
+val json_escape : string -> string

@@ -161,7 +161,7 @@ val run_serial : ?obs:Obs.t -> t -> Memo.Physop.t -> dstream list -> dstream
       in bottom-up plan order — the call sequence is identical at any
       [--jobs]. Rows are only counted when an observer is given. The
       feedback harvest ({!Opdw.Feedback.harvest}) and the [--assert-bounds]
-      oracle ({!Analysis.bounds_observer}) are both such observers.
+      oracle ({!Check.bounds_observer}) are both such observers.
 
     Unless {!set_check} disabled it, the plan is first passed through the
     static analyzer's execution-soundness rules; an invalid plan raises

@@ -212,8 +212,9 @@ let split_aggs reg keys (aggs : Expr.agg_def list) : split option =
 
 (* -- enumeration -- *)
 
-let scan_dist ctx (table : string) (cols : int array) : Dms.Distprop.t =
-  match Catalog.Shell_db.find ctx.m.Memo.shell table with
+let scan_dist (shell : Catalog.Shell_db.t) (table : string) (cols : int array) :
+  Dms.Distprop.t =
+  match Catalog.Shell_db.find shell table with
   | None -> Dms.Distprop.Hashed []
   | Some tbl ->
     (match tbl.Catalog.Shell_db.dist with
@@ -283,7 +284,7 @@ let enumerate_expr ctx st lookup gid gprops acc idx
   in
   match op, Array.to_list children with
   | Physop.Table_scan { table; cols; _ }, [] ->
-    let dist = scan_dist ctx table cols in
+    let dist = scan_dist ctx.m.Memo.shell table cols in
     add_option ctx st acc (mk_serial op dist [])
   | Physop.Const_empty _, [] ->
     add_option ctx st acc (mk_serial ~rows:0. op Dms.Distprop.Replicated []);

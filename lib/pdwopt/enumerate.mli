@@ -72,6 +72,11 @@ val create_ctx :
   ?empty:(int -> bool) ->
   Memo.t -> Derive.t -> opts -> ctx
 
+(** Distribution of a scan of [table] projecting [cols] (registry ids in
+    schema order); an unknown table or an unprojected partition column
+    degrades to [Hashed []]. Shared by the enumeration and the baseline. *)
+val scan_dist : Catalog.Shell_db.t -> string -> int array -> Dms.Distprop.t
+
 (** The per-group kept options (augmented MEMO), for inspection. *)
 val options_table : ctx -> (int, (Dms.Distprop.t * Pplan.t) list) Hashtbl.t
 

@@ -106,14 +106,14 @@ let test_annotate_clean () =
   List.iter
     (fun sql ->
        let r = optimize_raw sql in
-       let infos = Analysis.annotate (ctx_of r) (Opdw.plan r) in
+       let infos = Check.annotate (ctx_of r) (Opdw.plan r) in
        List.iter
-         (fun ((n : Pdwopt.Pplan.t), (i : Analysis.node_info)) ->
-            Alcotest.(check bool) "no type errors" true (i.Analysis.type_errors = []);
+         (fun ((n : Pdwopt.Pplan.t), (i : Check.node_info)) ->
+            Alcotest.(check bool) "no type errors" true (i.Check.type_errors = []);
             Alcotest.(check bool) "no contradiction" true
-              (i.Analysis.contradiction = None);
+              (i.Check.contradiction = None);
             Alcotest.(check bool) "bounds ordered" true
-              (i.Analysis.card_lo <= i.Analysis.card_hi);
+              (i.Check.card_lo <= i.Check.card_hi);
             (* the estimator must sit inside the derived interval (modulo its
                own 1-row floor); Return rows are not limit-clamped upstream *)
             match n.Pdwopt.Pplan.op with
@@ -121,16 +121,16 @@ let test_annotate_clean () =
             | _ ->
               Alcotest.(check bool)
                 (Printf.sprintf "rows %g within [%g, %g]" n.Pdwopt.Pplan.rows
-                   i.Analysis.card_lo i.Analysis.card_hi)
+                   i.Check.card_lo i.Check.card_hi)
                 true
-                (n.Pdwopt.Pplan.rows <= Float.max 1. i.Analysis.card_hi +. 9.
-                 && n.Pdwopt.Pplan.rows >= i.Analysis.card_lo -. 1.))
+                (n.Pdwopt.Pplan.rows <= Float.max 1. i.Check.card_hi +. 9.
+                 && n.Pdwopt.Pplan.rows >= i.Check.card_lo -. 1.))
          infos)
     [ agg_sql; q3_sql; filter_sql ]
 
 let test_scan_bounds_exact () =
   let r = optimize_raw filter_sql in
-  let infos = Analysis.annotate (ctx_of r) (Opdw.plan r) in
+  let infos = Check.annotate (ctx_of r) (Opdw.plan r) in
   let scan =
     List.find_opt
       (fun ((n : Pdwopt.Pplan.t), _) ->
@@ -143,15 +143,15 @@ let test_scan_bounds_exact () =
   | None -> Alcotest.fail "no scan in the plan"
   | Some (n, i) ->
     Alcotest.(check (float 1e-9)) "scan lo is the catalog row count"
-      n.Pdwopt.Pplan.rows i.Analysis.card_lo;
+      n.Pdwopt.Pplan.rows i.Check.card_lo;
     Alcotest.(check (float 1e-9)) "scan hi is the catalog row count"
-      n.Pdwopt.Pplan.rows i.Analysis.card_hi
+      n.Pdwopt.Pplan.rows i.Check.card_hi
 
 (* -- mutation matrix: R10 (types), R11 (bounds), R12 (contradiction) -- *)
 
 (* a1: join keys of incompatible types (agg_sql's unused join is eliminated
    by the optimizer, so mutate Q3's real joins) *)
-let test_mut_join_key_types () =
+let mut_join_key_types () =
   let r = optimize_raw q3_sql in
   let reg = r.Opdw.memo.Memo.reg in
   let scol = col_of_ty reg Catalog.Types.Tstring in
@@ -170,10 +170,13 @@ let test_mut_join_key_types () =
          | _ -> None)
       (Opdw.plan r)
   in
-  expect_rules ~rules:[ "R10.types" ] (validate_full r bad)
+  validate_full r bad
+
+let test_mut_join_key_types () =
+  expect_rules ~rules:[ "R10.types" ] (mut_join_key_types ())
 
 (* a2: SUM over a string column *)
-let test_mut_sum_over_string () =
+let mut_sum_over_string () =
   let r = optimize_raw agg_sql in
   let reg = r.Opdw.memo.Memo.reg in
   let scol = col_of_ty reg Catalog.Types.Tstring in
@@ -196,10 +199,13 @@ let test_mut_sum_over_string () =
          | _ -> None)
       (Opdw.plan r)
   in
-  expect_rules ~rules:[ "R10.types" ] (validate_full r bad)
+  validate_full r bad
+
+let test_mut_sum_over_string () =
+  expect_rules ~rules:[ "R10.types" ] (mut_sum_over_string ())
 
 (* a3: scan claiming more rows than the catalog holds *)
-let test_mut_rows_above_bound () =
+let mut_rows_above_bound () =
   let r = optimize_raw agg_sql in
   let bad =
     mutate_first
@@ -210,11 +216,14 @@ let test_mut_rows_above_bound () =
          | _ -> None)
       (Opdw.plan r)
   in
-  expect_rules ~rules:[ "R11.bounds" ] (validate_full r bad)
+  validate_full r bad
+
+let test_mut_rows_above_bound () =
+  expect_rules ~rules:[ "R11.bounds" ] (mut_rows_above_bound ())
 
 (* a4: non-monotone estimate — a filter claiming far more rows than its
    child can produce *)
-let test_mut_rows_non_monotone () =
+let mut_rows_non_monotone () =
   let r = optimize_raw q3_sql in
   let bad =
     mutate_first
@@ -226,10 +235,13 @@ let test_mut_rows_non_monotone () =
          | _ -> None)
       (Opdw.plan r)
   in
-  expect_rules ~rules:[ "R11.bounds" ] (validate_full r bad)
+  validate_full r bad
+
+let test_mut_rows_non_monotone () =
+  expect_rules ~rules:[ "R11.bounds" ] (mut_rows_non_monotone ())
 
 (* a5: a contradictory range filter left unfolded in the plan *)
-let test_mut_contradictory_filter () =
+let mut_contradictory_filter () =
   let r = optimize_raw filter_sql in
   let bad =
     mutate_first
@@ -254,11 +266,14 @@ let test_mut_contradictory_filter () =
          | _ -> None)
       (Opdw.plan r)
   in
-  expect_rules ~rules:[ "R12.contradiction" ] (validate_full r bad)
+  validate_full r bad
+
+let test_mut_contradictory_filter () =
+  expect_rules ~rules:[ "R12.contradiction" ] (mut_contradictory_filter ())
 
 (* a6: nullability violation — IS NULL demanded of a column the catalog
    proves never null (a primary key) *)
-let test_mut_null_of_nonnullable () =
+let mut_null_of_nonnullable () =
   let r = optimize_raw filter_sql in
   let bad =
     mutate_first
@@ -277,10 +292,13 @@ let test_mut_null_of_nonnullable () =
          | _ -> None)
       (Opdw.plan r)
   in
-  expect_rules ~rules:[ "R12.contradiction" ] (validate_full r bad)
+  validate_full r bad
+
+let test_mut_null_of_nonnullable () =
+  expect_rules ~rules:[ "R12.contradiction" ] (mut_null_of_nonnullable ())
 
 (* a7: DSQL temp schema carrying one emitted name at two incompatible types *)
-let test_mut_dsql_temp_types () =
+let mut_dsql_temp_types () =
   let r = optimize_raw agg_sql in
   let reg = r.Opdw.memo.Memo.reg in
   let d = r.Opdw.dsql in
@@ -300,9 +318,11 @@ let test_mut_dsql_temp_types () =
   in
   if not !hit then Alcotest.fail "no DMS step with incompatible col pair";
   let bad = { d with Dsql.Generate.steps = bad_steps } in
-  expect_rules ~rules:[ "R10.types" ]
-    (Check.validate ~cost:(cost_of r) ~dsql:bad ~shell:(Fixtures.shell ())
-       (Opdw.plan r))
+  Check.validate ~cost:(cost_of r) ~dsql:bad ~shell:(Fixtures.shell ())
+    (Opdw.plan r)
+
+let test_mut_dsql_temp_types () =
+  expect_rules ~rules:[ "R10.types" ] (mut_dsql_temp_types ())
 
 (* -- memo-level analysis and contradiction-driven folding -- *)
 
@@ -490,7 +510,7 @@ let test_assert_bounds_workload () =
     (fun (q : Tpch.Queries.t) ->
        let r = Opdw.optimize (Fixtures.shell ()) q.Tpch.Queries.sql in
        let observe, violations =
-         Analysis.bounds_observer (Analysis.group_bounds (ctx_of r) (Opdw.plan r))
+         Check.bounds_observer (Check.group_bounds (ctx_of r) (Opdw.plan r))
        in
        ignore (Opdw.run ~observe app r);
        Alcotest.(check int)
@@ -509,7 +529,7 @@ let test_assert_bounds_detects_corruption () =
     List.iter walk n.Pdwopt.Pplan.children
   in
   walk (Opdw.plan r);
-  let observe, violations = Analysis.bounds_observer tbl in
+  let observe, violations = Check.bounds_observer tbl in
   ignore (Opdw.run ~observe app r);
   Alcotest.(check bool) "violations detected" true (violations () > 0)
 
@@ -528,7 +548,7 @@ let test_assert_bounds_survive_replan () =
   in
   walk (Opdw.plan r);
   let oracle = Engine.Local.canonical (Opdw.run w.Opdw.Workload.app r) in
-  let check_bounds, violations = Analysis.bounds_observer tbl in
+  let check_bounds, violations = Check.bounds_observer tbl in
   let seen = ref 0 in
   let observe p rows = incr seen; check_bounds p rows in
   (* step 0 is the first Serial operator; a node crash is drawn only at a

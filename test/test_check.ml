@@ -91,7 +91,7 @@ let test_clean_baseline () =
 
 (* m1: splice out the deepest movement; its consumer now sees an input with
    the wrong distribution *)
-let test_mut_splice_move () =
+let mut_splice_move () =
   let r = optimize_raw agg_sql in
   let bad =
     mutate_first
@@ -101,12 +101,14 @@ let test_mut_splice_move () =
          | _ -> None)
       (Opdw.plan r)
   in
-  expect_rules ~rules:[ "R1.dist-rederive"; "R2.dist-local-op" ]
-    (Check.validate ~shell:(Fixtures.shell ()) bad)
+  Check.validate ~shell:(Fixtures.shell ()) bad
+
+let test_mut_splice_move () =
+  expect_rules ~rules:[ "R1.dist-rederive"; "R2.dist-local-op" ] (mut_splice_move ())
 
 (* m2: re-point a Shuffle at different hash columns while keeping the node's
    declared distribution *)
-let test_mut_shuffle_cols () =
+let mut_shuffle_cols () =
   let r = optimize_raw agg_sql in
   let bad =
     mutate_first
@@ -121,11 +123,13 @@ let test_mut_shuffle_cols () =
          | _ -> None)
       (Opdw.plan r)
   in
-  expect_rules ~rules:[ "R3.move-applicability" ]
-    (Check.validate ~shell:(Fixtures.shell ()) bad)
+  Check.validate ~shell:(Fixtures.shell ()) bad
+
+let test_mut_shuffle_cols () =
+  expect_rules ~rules:[ "R3.move-applicability" ] (mut_shuffle_cols ())
 
 (* m5: drop a hash column from the movement's carried projection *)
-let test_mut_move_layout () =
+let mut_move_layout () =
   let r = optimize_raw agg_sql in
   let bad =
     mutate_first
@@ -140,11 +144,13 @@ let test_mut_move_layout () =
          | _ -> None)
       (Opdw.plan r)
   in
-  expect_rules ~rules:[ "R4.move-layout" ]
-    (Check.validate ~shell:(Fixtures.shell ()) bad)
+  Check.validate ~shell:(Fixtures.shell ()) bad
+
+let test_mut_move_layout () =
+  expect_rules ~rules:[ "R4.move-layout" ] (mut_move_layout ())
 
 (* m6: flip a serial operator's declared hash distribution *)
-let test_mut_serial_dist () =
+let mut_serial_dist () =
   let r = optimize_raw agg_sql in
   let bad =
     mutate_first
@@ -155,11 +161,13 @@ let test_mut_serial_dist () =
          | _ -> None)
       (Opdw.plan r)
   in
-  expect_rules ~rules:[ "R1.dist-rederive"; "R2.dist-local-op" ]
-    (Check.validate ~shell:(Fixtures.shell ()) bad)
+  Check.validate ~shell:(Fixtures.shell ()) bad
+
+let test_mut_serial_dist () =
+  expect_rules ~rules:[ "R1.dist-rederive"; "R2.dist-local-op" ] (mut_serial_dist ())
 
 (* m4: a root claiming to cost less than its children *)
-let test_mut_root_cost () =
+let mut_root_cost () =
   let r = optimize_raw agg_sql in
   let p = Opdw.plan r in
   let child_dms =
@@ -169,8 +177,10 @@ let test_mut_root_cost () =
   if child_dms <= 0. then
     Alcotest.fail "plan has no movement cost to corrupt";
   let bad = { p with Pdwopt.Pplan.dms_cost = 0. } in
-  expect_rules ~rules:[ "R5.cost-monotone" ]
-    (Check.validate ~shell:(Fixtures.shell ()) bad)
+  Check.validate ~shell:(Fixtures.shell ()) bad
+
+let test_mut_root_cost () =
+  expect_rules ~rules:[ "R5.cost-monotone" ] (mut_root_cost ())
 
 (* -- DSQL mutations -- *)
 
@@ -183,17 +193,20 @@ let validate_dsql r p d =
 
 (* m3: swap the first two steps; ids are no longer sequential and the Return
    step no longer trails *)
-let test_mut_dsql_swap () =
+let mut_dsql_swap () =
   let r, p, d = dsql_of agg_sql in
   let bad =
     match d.Dsql.Generate.steps with
     | a :: b :: rest -> { d with Dsql.Generate.steps = b :: a :: rest }
     | _ -> Alcotest.fail "need at least two DSQL steps"
   in
-  expect_rules ~rules:[ "R7.dsql-steps" ] (validate_dsql r p bad)
+  validate_dsql r p bad
+
+let test_mut_dsql_swap () =
+  expect_rules ~rules:[ "R7.dsql-steps" ] (mut_dsql_swap ())
 
 (* m7: drop the trailing Return step *)
-let test_mut_dsql_no_return () =
+let mut_dsql_no_return () =
   let r, p, d = dsql_of agg_sql in
   let bad =
     { d with
@@ -202,10 +215,13 @@ let test_mut_dsql_no_return () =
           (function Dsql.Generate.Return_step _ -> false | _ -> true)
           d.Dsql.Generate.steps }
   in
-  expect_rules ~rules:[ "R7.dsql-steps" ] (validate_dsql r p bad)
+  validate_dsql r p bad
+
+let test_mut_dsql_no_return () =
+  expect_rules ~rules:[ "R7.dsql-steps" ] (mut_dsql_no_return ())
 
 (* m9: duplicate a step id *)
-let test_mut_dsql_dup_id () =
+let mut_dsql_dup_id () =
   let r, p, d = dsql_of agg_sql in
   let bad =
     { d with
@@ -217,11 +233,14 @@ let test_mut_dsql_dup_id () =
             | s -> s)
           d.Dsql.Generate.steps }
   in
-  expect_rules ~rules:[ "R7.dsql-steps" ] (validate_dsql r p bad)
+  validate_dsql r p bad
+
+let test_mut_dsql_dup_id () =
+  expect_rules ~rules:[ "R7.dsql-steps" ] (mut_dsql_dup_id ())
 
 (* m8: corrupt a temp-table column id; the DMS step schema no longer matches
    the movement that fills it *)
-let test_mut_dsql_schema () =
+let mut_dsql_schema () =
   let r, p, d = dsql_of agg_sql in
   let hit = ref false in
   let bad =
@@ -237,7 +256,10 @@ let test_mut_dsql_schema () =
           d.Dsql.Generate.steps }
   in
   if not !hit then Alcotest.fail "no DMS step to corrupt";
-  expect_rules ~rules:[ "R9.dsql-schema" ] (validate_dsql r p bad)
+  validate_dsql r p bad
+
+let test_mut_dsql_schema () =
+  expect_rules ~rules:[ "R9.dsql-schema" ] (mut_dsql_schema ())
 
 (* -- appliance refusal (satellite: the engine will not run an invalid plan) -- *)
 
@@ -302,6 +324,133 @@ let test_observer_is_per_statement () =
     (Fixtures.executed_ops (Opdw.plan good)) (List.length !second);
   Alcotest.(check int) "first counter unchanged" 0 (List.length !first)
 
+(* m10: splice out the global half of Q1's local/global aggregation split,
+   so the Compute above it reads the Shuffle directly: the partial
+   aggregate below the Shuffle is no longer re-grouped by an enclosing
+   global aggregate *)
+let q1_shell =
+  lazy (Opdw.Workload.tpch ~node_count:8 ~sf:0.002 ()).Opdw.Workload.shell
+
+let mut_global_agg () =
+  let shell = Lazy.force q1_shell in
+  let q1 = Option.get (Tpch.Queries.find "Q1") in
+  let r = Opdw.optimize ~check:false shell q1.Tpch.Queries.sql in
+  let bad =
+    mutate_first
+      (fun n ->
+         match n.Pdwopt.Pplan.op, n.Pdwopt.Pplan.children with
+         | ( Pdwopt.Pplan.Serial
+               (Memo.Physop.Hash_agg _ | Memo.Physop.Stream_agg _),
+             [ ({ Pdwopt.Pplan.op = Pdwopt.Pplan.Move _; _ } as move) ] ) ->
+           Some move
+         | _ -> None)
+      (Opdw.plan r)
+  in
+  (shell, bad)
+
+let test_mut_global_agg () =
+  let shell, bad = mut_global_agg () in
+  let rules vs = List.map (fun v -> v.Check.rule) vs in
+  Alcotest.(check (list string)) "validate" [ "R2.dist-local-op" ]
+    (rules (Check.validate ~shell bad));
+  Alcotest.(check (list string)) "validate_exec" [ "R2.dist-local-op" ]
+    (rules (Check.validate_exec ~shell bad))
+
+(* Every mutant's exact ordered [(rule, message)] list: a change to the
+   check that drops, duplicates or reorders a violation fails here even
+   when the mutant's rule id is still somewhere in the list. *)
+let pinned_violations =
+  [
+    ( "spliced-out movement", mut_splice_move,
+      [ ("R2.dist-local-op",
+         "group-by on keys [2] over a H(0) input is not local and no enclosing global aggregate re-groups it; a movement or local/global split is missing") ] );
+    ( "shuffle hash columns", mut_shuffle_cols,
+      [ ("R3.move-applicability",
+         "Shuffle over H(0) produces H(1002), but the plan declares H(2)");
+        ("R4.move-layout",
+         "hash columns [1002] are not carried by the moved stream (cols [2,18])") ] );
+    ( "movement layout", mut_move_layout,
+      [ ("R4.move-layout",
+         "hash columns [2] are not carried by the moved stream (cols [18])") ] );
+    ( "serial distribution", mut_serial_dist,
+      [ ("R1.dist-rederive",
+         "local group-by over R produces R, plan declares H(0)");
+        ("R1.dist-rederive",
+         "scan of orders is H(0) on the appliance, plan declares R") ] );
+    ( "root cost", mut_root_cost,
+      [ ("R5.cost-monotone",
+         "cumulative DMS cost 0 is below its children's 3.78e-08") ] );
+    ( "DSQL step order", mut_dsql_swap,
+      [ ("R7.dsql-steps",
+         "step at position 0 carries id 1 (want sequential ids)");
+        ("R7.dsql-steps",
+         "step at position 1 carries id 0 (want sequential ids)");
+        ("R7.dsql-steps",
+         "the last step must be the Return step");
+        ("R8.dsql-temp-defined",
+         "references TEMP_ID_1 before any step fills it") ] );
+    ( "DSQL missing return", mut_dsql_no_return,
+      [ ("R7.dsql-steps",
+         "no Return step") ] );
+    ( "DSQL duplicate id", mut_dsql_dup_id,
+      [ ("R7.dsql-steps",
+         "step at position 1 carries id 0 (want sequential ids)") ] );
+    ( "DSQL temp schema", mut_dsql_schema,
+      [ ("R9.dsql-schema",
+         "temp-table schema covers columns [1002,18], movement carries [2,18]");
+        ("R10.types",
+         "o_orderstatus: temp column o_orderstatus maps to unknown column #1002") ] );
+    ( "join key types", Test_analysis.mut_join_key_types,
+      [ ("R11.bounds",
+         "row estimate 10 outside derived bounds [0, 0]");
+        ("R11.bounds",
+         "row estimate 470.856 outside derived bounds [0, 0]");
+        ("R11.bounds",
+         "row estimate 470.856 outside derived bounds [0, 0]");
+        ("R11.bounds",
+         "row estimate 941.712 outside derived bounds [0, 0]");
+        ("R10.types",
+         "(customer.c_name = customer.c_custkey): comparison between incompatible types varchar and int");
+        ("R12.contradiction",
+         "contradictory predicate left unfolded: (customer.c_name = customer.c_custkey)");
+        ("R11.bounds",
+         "row estimate 266.664 outside derived bounds [0, 0]") ] );
+    ( "SUM over string", Test_analysis.mut_sum_over_string,
+      [ ("R10.types",
+         "orders.o_orderstatus: SUM over non-numeric type varchar");
+        ("R10.types",
+         "partial17: SUM of type varchar assigned to column declared float") ] );
+    ( "rows above bound", Test_analysis.mut_rows_above_bound,
+      [ ("R11.bounds",
+         "row estimate 4000 outside derived bounds [3000, 3000]") ] );
+    ( "non-monotone rows", Test_analysis.mut_rows_non_monotone,
+      [ ("R11.bounds",
+         "row estimate 120380 outside derived bounds [0, 12028]") ] );
+    ( "contradictory filter", Test_analysis.mut_contradictory_filter,
+      [ ("R11.bounds",
+         "row estimate 3000 outside derived bounds [0, 0]");
+        ("R12.contradiction",
+         "contradictory predicate left unfolded: ((orders.o_orderkey < 5) AND (orders.o_orderkey > 10))");
+        ("R11.bounds",
+         "row estimate 3000 outside derived bounds [0, 0]") ] );
+    ( "IS NULL of non-nullable", Test_analysis.mut_null_of_nonnullable,
+      [ ("R11.bounds",
+         "row estimate 3000 outside derived bounds [0, 0]");
+        ("R12.contradiction",
+         "contradictory predicate left unfolded: (orders.o_orderkey IS NULL)");
+        ("R11.bounds",
+         "row estimate 3000 outside derived bounds [0, 0]") ] );
+    ( "DSQL temp schema types", Test_analysis.mut_dsql_temp_types,
+      [ ("R10.types",
+         "o_orderstatus: temp column o_orderstatus emitted with conflicting types varchar and float") ] ) ]
+
+let test_pinned_violations () =
+  List.iter
+    (fun (name, mutant, want) ->
+       Alcotest.(check (list (pair string string))) name want
+         (List.map (fun v -> (v.Check.rule, v.Check.message)) (mutant ())))
+    pinned_violations
+
 let suite =
   [ t "rule catalog" test_rule_catalog;
     t "agg plan validates clean" test_clean_agg;
@@ -318,4 +467,6 @@ let suite =
     t "mutation: DSQL temp schema" test_mut_dsql_schema;
     t "appliance refuses invalid plans" test_appliance_refusal;
     t "observer is per statement, not appliance state"
-      test_observer_is_per_statement ]
+      test_observer_is_per_statement;
+    t "mutation: spliced-out global aggregate" test_mut_global_agg;
+    t "mutants: exact ordered violations" test_pinned_violations ]

@@ -252,7 +252,7 @@ let test_bounds_sound_after_refinement () =
       ~nodes:(Fb.options fb).Opdw.pdw.Pdwopt.Enumerate.nodes
   in
   let observe, violations =
-    Analysis.bounds_observer (Analysis.group_bounds actx (Opdw.plan r))
+    Check.bounds_observer (Check.group_bounds actx (Opdw.plan r))
   in
   ignore (Fb.run ~observe fb sql);
   Alcotest.(check int) "no bound violations post-refinement" 0 (violations ())
