@@ -941,27 +941,27 @@ let e17 () =
             let options =
               { (Opdw.default_options ~node_count:8) with Opdw.governor = limits }
             in
-            let gov =
-              Opdw.Governed.create ~cache:(Opdw.cache ()) ~options
+            let d =
+              Opdw.Driver.create ~cache:(Opdw.cache ()) ~options
                 ~max_concurrent:width ~queue_limit:statements
                 ~breaker_threshold:0 w.Opdw.Workload.shell app
             in
-            Opdw.Governed.reset gov;
+            Opdw.Driver.reset d;
             let outcomes =
-              Par.parallel_map pool (fun id -> (id, Opdw.Governed.run gov (query id))) stmts
+              Par.parallel_map pool (fun id -> (id, Opdw.Driver.run d (query id))) stmts
             in
             let degraded = ref 0 and rejected = ref 0 and timeout = ref 0 in
             let wrong = ref 0 in
             Array.iter
               (fun (id, oc) ->
                  match oc with
-                 | Opdw.Governed.Returned (r, res) ->
+                 | Opdw.Driver.Returned { res = r; rows; _ } ->
                    if r.Opdw.degraded <> None then incr degraded;
-                   if canonical r res <> List.assoc id oracle then incr wrong
-                 | Opdw.Governed.Rejected _ -> incr rejected
-                 | Opdw.Governed.Timed_out _ -> incr timeout
-                 | Opdw.Governed.Shed _ | Opdw.Governed.Exhausted _
-                 | Opdw.Governed.Invalid _ -> ())
+                   if canonical r rows <> List.assoc id oracle then incr wrong
+                 | Opdw.Driver.Rejected _ -> incr rejected
+                 | Opdw.Driver.Timed_out _ -> incr timeout
+                 | Opdw.Driver.Shed _ | Opdw.Driver.Exhausted _
+                 | Opdw.Driver.Invalid _ -> ())
               outcomes;
             (* availability: every statement either answers with oracle rows
                or is refused with a structured outcome — wrong rows are the
@@ -1193,10 +1193,11 @@ let e21 () =
   (* -- part A: one feedback pass over the whole workload -- *)
   let w = fresh () in
   let shell = w.Opdw.Workload.shell and app = w.Opdw.Workload.app in
-  let fb = Opdw.Feedback.create w.Opdw.Workload.shell app in
-  let err (oc : Opdw.Feedback.run_outcome) =
-    Opdw.Feedback.model_error oc.Opdw.Feedback.res
-      ~dms_time:oc.Opdw.Feedback.observed_dms
+  let d = Opdw.Driver.create ~cache:(Opdw.cache ()) w.Opdw.Workload.shell app in
+  (* one statement from a zeroed account, its cost the whole account *)
+  let serve ?observe d sql =
+    Opdw.Driver.reset d;
+    Opdw.Driver.returned (Opdw.Driver.run ?observe d sql)
   in
   let measure ~bounds q =
     let observe, violations =
@@ -1204,24 +1205,20 @@ let e21 () =
       else begin
         (* R11 soundness gate for the refined statistics: executed row
            counts must stay inside the analyzer's static bounds *)
-        let r =
-          Opdw.optimize ~options:(Opdw.Feedback.options fb)
-            ~cache:(Opdw.Feedback.plan_cache fb) shell q.Tpch.Queries.sql
-        in
-        let actx =
-          Analysis.context ~shell ~reg:r.Opdw.memo.Memo.reg ~nodes
-        in
         let observe, violations =
-          Check.bounds_observer (Check.group_bounds actx (Opdw.plan r))
+          Opdw.bounds_oracle
+            (Opdw.optimize ~options:(Opdw.Driver.options d)
+               ?cache:(Opdw.Driver.cache d) shell q.Tpch.Queries.sql)
         in
         (Some observe, violations)
       end
     in
-    let e = err (Opdw.Feedback.run ?observe fb q.Tpch.Queries.sql) in
-    (e, violations ())
+    let s = serve ?observe d q.Tpch.Queries.sql in
+    (Opdw.Feedback.model_error s.Opdw.Driver.res ~dms_time:s.Opdw.Driver.observed_dms,
+     violations ())
   in
   let before = List.map (fun q -> fst (measure ~bounds:false q)) Tpch.Queries.all in
-  let cal = Opdw.Feedback.calibrate fb in
+  let cal = Opdw.Feedback.calibrate d in
   let after_v = List.map (measure ~bounds:true) Tpch.Queries.all in
   let after = List.map fst after_v in
   let violations = List.fold_left (fun a (_, v) -> a + v) 0 after_v in
@@ -1253,30 +1250,30 @@ let e21 () =
   (* -- part B: adversarial stats skew, LKG fallback bounds the damage -- *)
   let w = fresh () in
   let shell = w.Opdw.Workload.shell in
-  let fb = Opdw.Feedback.create shell w.Opdw.Workload.app in
+  let d = Opdw.Driver.create ~regress_factor:1.2 shell w.Opdw.Workload.app in
   let sql = query "Q3" in
-  let oc1 = Opdw.Feedback.run fb sql in
+  let oc1 = serve d sql in
   let tbl = Catalog.Shell_db.find_exn shell "lineitem" in
   Catalog.Shell_db.set_stats shell "lineitem"
     { tbl.Catalog.Shell_db.stats with Catalog.Tbl_stats.row_count = 10. };
-  let oracle = Engine.Local.canonical oc1.Opdw.Feedback.rows in
+  let oracle = Engine.Local.canonical oc1.Opdw.Driver.rows in
   let matched = ref 1 and recover_round = ref 0 in
   Printf.printf
     "\nregression scenario (Q3, lineitem stats corrupted after round 1):\n";
-  let describe i (oc : Opdw.Feedback.run_outcome) =
+  let describe i (oc : Opdw.Driver.served) =
     rowf "round %d: %-13s sim %.4gs%s\n" i
-      (Opdw.Feedback.Store.outcome_name oc.Opdw.Feedback.store_outcome)
-      oc.Opdw.Feedback.observed_sim
-      (if oc.Opdw.Feedback.fellback then "  (LKG fallback)" else "")
+      (Opdw.Feedback.Store.outcome_name (Option.get oc.Opdw.Driver.store_outcome))
+      oc.Opdw.Driver.observed_sim
+      (if oc.Opdw.Driver.fellback then "  (LKG fallback)" else "")
   in
   describe 1 oc1;
   for i = 2 to 4 do
-    let oc = Opdw.Feedback.run fb sql in
+    let oc = serve d sql in
     describe i oc;
-    if Engine.Local.canonical oc.Opdw.Feedback.rows = oracle then incr matched;
-    if oc.Opdw.Feedback.fellback && !recover_round = 0 then recover_round := i
+    if Engine.Local.canonical oc.Opdw.Driver.rows = oracle then incr matched;
+    if oc.Opdw.Driver.fellback && !recover_round = 0 then recover_round := i
   done;
-  let store = Opdw.Feedback.store fb in
+  let store = Option.get (Opdw.Driver.store d) in
   let availability = float_of_int !matched /. 4. in
   recordi "E21" "regression.regressions" (Opdw.Feedback.Store.regressions store);
   recordi "E21" "regression.fallbacks" (Opdw.Feedback.Store.fallbacks store);
@@ -1380,7 +1377,7 @@ let e22 () =
             record "E22" (tag ^ ".modelled_cost_frozen") advice.Topology.Advisor.a_baseline;
             record "E22" (tag ^ ".modelled_cost_moved") advice.Topology.Advisor.a_proposed;
             record "E22" (tag ^ ".observed_dms_reduction_x") reduction;
-            recordi "E22" (tag ^ ".final_nodes") (Topology.Elastic.nodes el);
+            recordi "E22" (tag ^ ".final_nodes") (Opdw.Driver.nodes el);
             rowf "%-6g %-6d %-13.3f %-8g %-8g %-14.4g %.3gx\n" rate seed avail
               applied aborted move_sim reduction)
          [ 1; 2; 3 ])

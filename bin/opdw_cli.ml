@@ -183,12 +183,12 @@ let fault_rate_t =
 let elastic_t =
   Arg.(value & flag
        & info [ "elastic" ]
-         ~doc:"Execute through the elastic topology driver: statements are \
-               served chaos-style (node crashes decommission + replan on the \
-               survivors), every plan is keyed under the current topology \
-               epoch, and the workload is harvested for the re-distribution \
-               advisor (see the $(b,topology) subcommand). Faults fire only \
-               with $(b,--chaos) or $(b,--fault-schedule).")
+         ~doc:"Serve chaos-style (node crashes decommission + replan on the \
+               survivors, every plan keyed under the current topology epoch) \
+               and print the topology summary line: epoch, live nodes and \
+               harvested workload records (see the $(b,topology) \
+               subcommand). Faults fire only with $(b,--chaos) or \
+               $(b,--fault-schedule).")
 
 let fault_schedule_t =
   Arg.(value & opt (some string) None
@@ -202,11 +202,11 @@ let fault_schedule_t =
 let feedback_t =
   Arg.(value & flag
        & info [ "feedback" ]
-         ~doc:"Execute through the feedback driver: harvest observed per-operator \
-               cardinalities and DMS volumes into a feedback log, record each \
-               plan's observed cost in the last-known-good plan store, and fall \
-               back to the LKG plan automatically when a recompiled plan's \
-               fingerprint is quarantined after repeated regressions.")
+         ~doc:"Attach the last-known-good plan store: record each plan's \
+               observed cost, fall back to the LKG plan automatically when a \
+               recompiled plan's fingerprint is quarantined after repeated \
+               regressions, and print the feedback summary line. Composes \
+               with $(b,--chaos) / $(b,--elastic) and the governor flags.")
 
 let feedback_log_t =
   Arg.(value & opt (some string) None
@@ -368,18 +368,6 @@ let compare_engines_run ~nodes ~sf ~options ~check ~pool text =
     (if sim_ok then "identical" else "DIFFERS") sim_r sim_c;
   if not (rows_ok && sim_ok) then exit 1
 
-(* the --assert-bounds oracle over [r]'s plan: an observer checking every
-   executed operator against its static bounds, and its violation count *)
-let bounds_oracle ?obs ~(options : Opdw.options) shell (r : Opdw.result) =
-  let actx =
-    Analysis.context ~shell ~reg:r.Opdw.memo.Memo.reg
-      ~nodes:options.Opdw.pdw.Pdwopt.Enumerate.nodes
-  in
-  let observe, violations =
-    Check.bounds_observer ?obs (Check.group_bounds actx (Opdw.plan r))
-  in
-  (Some observe, violations)
-
 let run nodes sf query sql file seed budget limit jobs no_cache check assert_bounds
     repeat chaos elastic fault_seed fault_rate fault_schedule feedback feedback_log
     deadline_ms sim_deadline_ms memo_budget max_concurrent queue_limit breaker
@@ -389,7 +377,8 @@ let run nodes sf query sql file seed budget limit jobs no_cache check assert_bou
   let limits = limits_of ~deadline_ms ~sim_deadline_ms ~memo_budget in
   let options = { (options_of ~nodes ~seed ~budget) with Opdw.governor = limits } in
   let obs = make_obs ~profile ~debug in
-  let cache = make_cache no_cache in
+  let chaos = chaos || fault_schedule <> None in
+  let feedback = feedback || feedback_log <> None in
   (* the bracket shuts the pool down even if optimization or execution
      raises, so an error mid-run cannot leak live domains *)
   Par.with_pool ~jobs:(if jobs <= 0 then Par.default_jobs () else jobs)
@@ -397,91 +386,62 @@ let run nodes sf query sql file seed budget limit jobs no_cache check assert_bou
   let app = w.Opdw.Workload.app in
   Engine.Appliance.set_pool app pool;
   Engine.Appliance.set_check app check;
-  (* --assert-bounds: pre-compile (through the same cache, so the run
+  (* one driver, every flag a policy on it: admission gate, breaker and
+     deadlines always; the plan store with --feedback; the fault plan
+     (crash -> decommission + replan) with --chaos / --elastic *)
+  let fault =
+    if not (chaos || elastic) then None
+    else
+      Some
+        (match fault_schedule with
+         | Some f -> Fault.load_schedule f
+         | None ->
+           Fault.seeded ~seed:fault_seed ~rate:(if chaos then fault_rate else 0.) ())
+  in
+  let log =
+    match feedback_log with
+    | Some f when Sys.file_exists f -> Opdw.Feedback.Log.load f
+    | _ -> Opdw.Feedback.Log.create ()
+  in
+  let d =
+    Opdw.Driver.create ?cache:(make_cache no_cache) ~options ~check ~max_concurrent
+      ~queue_limit ~breaker_threshold:breaker
+      ?regress_factor:(if feedback then Some 1.2 else None) ~log ?fault
+      w.Opdw.Workload.shell app
+  in
+  (* --assert-bounds: pre-compile (through the driver's cache, so the run
      below hits) to derive the static bounds table before any execution;
      the violation count is ours, so it survives a node-loss replan *)
   let observe, violations =
     if not assert_bounds then (None, fun () -> 0)
     else
-      bounds_oracle ~obs ~options w.Opdw.Workload.shell
-        (Opdw.optimize ~options ?cache ~pool w.Opdw.Workload.shell text)
+      let observe, violations =
+        Opdw.bounds_oracle ~obs
+          (Opdw.optimize ~options ?cache:(Opdw.Driver.cache d) ~pool
+             w.Opdw.Workload.shell text)
+      in
+      (Some observe, violations)
   in
-  let chaos = chaos || fault_schedule <> None in
-  let feedback = feedback || feedback_log <> None in
-  if feedback && (chaos || elastic) then begin
-    prerr_endline "--feedback and --chaos/--elastic are mutually exclusive";
-    exit 1
-  end;
-  (* the feedback driver and its last outcome, kept for the summary below *)
-  let fb_info = ref None in
-  (* the elastic driver, kept for the topology summary line below *)
-  let el_info = ref None in
-  let r, res, app =
-    if feedback then begin
-      let log =
-        match feedback_log with
-        | Some f when Sys.file_exists f -> Opdw.Feedback.Log.load f
-        | _ -> Opdw.Feedback.Log.create ()
-      in
-      let fb =
-        Opdw.Feedback.create ?cache ~options ~check ~log w.Opdw.Workload.shell app
-      in
-      let once () = Opdw.Feedback.run ~obs ?observe fb text in
-      let oc = ref (once ()) in
-      for _ = 2 to max 1 repeat do oc := once () done;
-      (match feedback_log with
-       | Some f -> Opdw.Feedback.Log.save (Opdw.Feedback.log fb) f
-       | None -> ());
-      fb_info := Some (fb, !oc);
-      ((!oc).Opdw.Feedback.res, (!oc).Opdw.Feedback.rows, app)
-    end
-    else if chaos || elastic then begin
-      (* the elastic driver serves chaos (crash -> decommission + replan);
-         --elastic adds the topology summary line below *)
-      let fault =
-        match fault_schedule with
-        | Some f -> Fault.load_schedule f
-        | None ->
-          Fault.seeded ~seed:fault_seed ~rate:(if chaos then fault_rate else 0.) ()
-      in
-      let el = Topology.Elastic.create ?cache ~options ~fault w.Opdw.Workload.shell app in
-      let once () =
-        Engine.Appliance.reset_account (Topology.Elastic.app el);
-        Topology.Elastic.run ~obs ?observe el text
-      in
-      let rr = ref (once ()) in
-      for _ = 2 to max 1 repeat do rr := once () done;
-      if elastic then el_info := Some el;
-      let r, res = !rr in
-      (r, res, Topology.Elastic.app el)
-    end
-    else begin
-      (* every non-chaos statement goes through the resource governor:
-         admission gate, deadline token, degradation ladder, breaker *)
-      let gov =
-        Opdw.Governed.create ?cache ~options ~check ~max_concurrent ~queue_limit
-          ~breaker_threshold:breaker w.Opdw.Workload.shell app
-      in
-      let once () =
-        (* the shared reset path: account (sim clock + fault.* tallies)
-           plus gate/breaker counters, so --repeat rounds report
-           per-iteration numbers *)
-        Opdw.Governed.reset gov;
-        match Opdw.Governed.run ~obs ?observe gov text with
-        | Opdw.Governed.Returned (r, res) -> (r, res)
-        | oc ->
-          Printf.eprintf "statement not executed: %s\n"
-            (Opdw.Governed.outcome_to_string oc);
-          exit 1
-      in
-      (* --repeat: re-optimize (through the cache) and re-execute; the extra
-         rounds exercise plan-cache hits and the multicore appliance *)
-      let rr = ref (once ()) in
-      for _ = 2 to max 1 repeat do rr := once () done;
-      let r, res = !rr in
-      (r, res, app)
-    end
+  let once () =
+    (* the shared reset path: account (sim clock + fault.* tallies) plus
+       gate/breaker counters, so --repeat rounds report per-iteration
+       numbers *)
+    Opdw.Driver.reset d;
+    match Opdw.Driver.run ~obs ?observe d text with
+    | Opdw.Driver.Returned s -> s
+    | oc ->
+      Printf.eprintf "statement not executed: %s\n" (Opdw.Driver.outcome_to_string oc);
+      exit 1
   in
+  (* --repeat: re-optimize (through the cache) and re-execute; the extra
+     rounds exercise plan-cache hits and the multicore appliance *)
+  let last = ref (once ()) in
+  for _ = 2 to max 1 repeat do last := once () done;
+  (match feedback_log with
+   | Some f -> Opdw.Feedback.Log.save (Opdw.Driver.log d) f
+   | None -> ());
+  let s = !last in
+  let r = s.Opdw.Driver.res and res = s.Opdw.Driver.rows and app = Opdw.Driver.app d in
   let names = List.map fst (Opdw.output_columns r) in
   print_endline (String.concat " | " names);
   List.iteri
@@ -494,9 +454,9 @@ let run nodes sf query sql file seed budget limit jobs no_cache check assert_bou
   let total = List.length res.Engine.Local.rows in
   if total > limit then Printf.printf "... (%d rows total)\n" total;
   (match r.Opdw.degraded with
-   | Some d ->
+   | Some g ->
      Printf.printf "plan degraded: %s (governor pressure; plan still check-valid)\n"
-       (Opdw.degradation_to_string d)
+       (Opdw.degradation_to_string g)
    | None -> ());
   let a = app.Engine.Appliance.account in
   Printf.printf
@@ -515,25 +475,22 @@ let run nodes sf query sql file seed budget limit jobs no_cache check assert_bou
     | cs ->
       List.iter (fun (k, v) -> Printf.printf "  %-28s %.6g\n" k v) cs
   end;
-  (match !el_info with
-   | Some el ->
-     Printf.printf
-       "elastic: topology epoch %d; %d/%d nodes alive; %d workload record(s) harvested\n"
-       (Topology.Elastic.epoch el) (Topology.Elastic.nodes el) nodes
-       (Opdw.Feedback.Log.length (Topology.Elastic.log el))
-   | None -> ());
-  (match !fb_info with
-   | Some (fb, oc) ->
-     let s = Opdw.Feedback.store fb in
+  if elastic then
+    Printf.printf
+      "elastic: topology epoch %d; %d/%d nodes alive; %d workload record(s) harvested\n"
+      (Opdw.Driver.epoch d) (Opdw.Driver.nodes d) nodes
+      (Opdw.Feedback.Log.length (Opdw.Driver.log d));
+  (match Opdw.Driver.store d, s.Opdw.Driver.store_outcome with
+   | Some store, Some outcome ->
      Printf.printf
        "feedback: %d log record(s); model error %.4g; outcome %s%s; \
         %d regression(s), %d fallback(s)\n"
-       (Opdw.Feedback.Log.length (Opdw.Feedback.log fb))
-       (Opdw.Feedback.model_error r ~dms_time:oc.Opdw.Feedback.observed_dms)
-       (Opdw.Feedback.Store.outcome_name oc.Opdw.Feedback.store_outcome)
-       (if oc.Opdw.Feedback.fellback then " (served LKG fallback)" else "")
-       (Opdw.Feedback.Store.regressions s) (Opdw.Feedback.Store.fallbacks s)
-   | None -> ());
+       (Opdw.Feedback.Log.length (Opdw.Driver.log d))
+       (Opdw.Feedback.model_error r ~dms_time:s.Opdw.Driver.observed_dms)
+       (Opdw.Feedback.Store.outcome_name outcome)
+       (if s.Opdw.Driver.fellback then " (served LKG fallback)" else "")
+       (Opdw.Feedback.Store.regressions store) (Opdw.Feedback.Store.fallbacks store)
+   | _ -> ());
   if repeat > 1 then
     Printf.printf "(%d rounds; execution used %d domains; plan cache %s)\n" repeat
       (Par.jobs pool) (if no_cache then "off" else "on");
@@ -551,10 +508,7 @@ let run nodes sf query sql file seed budget limit jobs no_cache check assert_bou
       Printf.printf "plan cache: %s\n"
         (Opdw.Plancache.stats_to_string (Opdw.Plancache.stats c))
     in
-    match !fb_info, cache with
-    | Some (fb, _), _ -> pr (Opdw.Feedback.plan_cache fb)
-    | None, Some c -> pr c
-    | None, None -> ()
+    Option.iter pr (Opdw.Driver.cache d)
   end;
   print_profile obs
 
@@ -625,25 +579,25 @@ let overload nodes sf query statements jobs deadline_ms sim_deadline_ms memo_bud
   Par.with_pool ~jobs:(if jobs <= 0 then Par.default_jobs () else jobs)
   @@ fun pool ->
   Engine.Appliance.set_pool app pool;
-  let gov =
-    Opdw.Governed.create ~cache:(Opdw.cache ()) ~options ~check:true
+  let d =
+    Opdw.Driver.create ~cache:(Opdw.cache ()) ~options ~check:true
       ~max_concurrent ~queue_limit ~breaker_threshold:breaker
       w.Opdw.Workload.shell app
   in
-  Opdw.Governed.reset gov;
+  Opdw.Driver.reset d;
   (* The storm: every statement races through the one governed entry point.
      Par's caller-participation pool handles the nested fan-out (statement
      level here, appliance shard level inside execution) without deadlock;
      gate waiters block on a condition, not a pool slot. *)
   let outcomes =
-    Par.parallel_map pool (fun (id, sql) -> (id, Opdw.Governed.run gov sql)) stmts
+    Par.parallel_map pool (fun (id, sql) -> (id, Opdw.Driver.run d sql)) stmts
   in
   let returned = ref 0 and degraded = ref 0 and rejected = ref 0 and shed = ref 0 in
   let timed_out = ref 0 and exhausted = ref 0 and invalid = ref 0 and wrong = ref 0 in
   Array.iter
     (fun (id, oc) ->
        match oc with
-       | Opdw.Governed.Returned (r, res) ->
+       | Opdw.Driver.Returned { res = r; rows = res; _ } ->
          incr returned;
          if r.Opdw.degraded <> None then incr degraded;
          if render_rows res <> Hashtbl.find oracle id then begin
@@ -653,16 +607,16 @@ let overload nodes sf query statements jobs deadline_ms sim_deadline_ms memo_bud
               | Some d -> Printf.sprintf " (degraded: %s)" (Opdw.degradation_to_string d)
               | None -> "")
          end
-       | Opdw.Governed.Rejected _ -> incr rejected
-       | Opdw.Governed.Shed _ -> incr shed
-       | Opdw.Governed.Timed_out _ -> incr timed_out
-       | Opdw.Governed.Exhausted _ -> incr exhausted
-       | Opdw.Governed.Invalid msg ->
+       | Opdw.Driver.Rejected _ -> incr rejected
+       | Opdw.Driver.Shed _ -> incr shed
+       | Opdw.Driver.Timed_out _ -> incr timed_out
+       | Opdw.Driver.Exhausted _ -> incr exhausted
+       | Opdw.Driver.Invalid vs ->
          incr invalid;
-         Printf.eprintf "INVALID plan for %s: %s\n" id msg)
+         Printf.eprintf "INVALID plan for %s: %s\n" id (Check.to_string vs))
     outcomes;
-  let gs = Governor.Gate.stats (Opdw.Governed.gate gov) in
-  let bs = Governor.Breaker.stats (Opdw.Governed.breaker gov) in
+  let gs = Governor.Gate.stats (Opdw.Driver.gate d) in
+  let bs = Governor.Breaker.stats (Opdw.Driver.breaker d) in
   Printf.printf
     "%d statements: %d returned (%d degraded), %d rejected, %d shed, %d timed out, \
      %d exhausted, %d invalid, %d wrong-row\n"
@@ -888,33 +842,35 @@ let calibrate nodes sf all query sql file seed budget jobs feedback_log
     | Some f when Sys.file_exists f -> Opdw.Feedback.Log.load f
     | _ -> Opdw.Feedback.Log.create ()
   in
-  let fb = Opdw.Feedback.create ~options ~log shell app in
+  let d = Opdw.Driver.create ~cache:(Opdw.cache ()) ~options ~log shell app in
   let violations = ref 0 in
-  (* one measured execution through the feedback driver; with [bounds] the
-     abstract interpreter's static cardinality bounds are derived first and
-     every executed operator is checked against them (the R11 soundness
-     gate for the refined statistics) *)
+  (* one measured execution, its cost from a zeroed account; with [bounds]
+     the abstract interpreter's static cardinality bounds are derived first
+     and every executed operator is checked against them (the R11
+     soundness gate for the refined statistics) *)
   let measure ~bounds (id, text) =
     let observe, seen =
       if not bounds then (None, fun () -> 0)
       else
-        bounds_oracle ~options shell
-          (Opdw.optimize ~options:(Opdw.Feedback.options fb)
-             ~cache:(Opdw.Feedback.plan_cache fb) shell text)
+        let observe, seen =
+          Opdw.bounds_oracle
+            (Opdw.optimize ~options:(Opdw.Driver.options d)
+               ?cache:(Opdw.Driver.cache d) shell text)
+        in
+        (Some observe, seen)
     in
-    let oc = Opdw.Feedback.run ?observe fb text in
+    Opdw.Driver.reset d;
+    let s = Opdw.Driver.returned (Opdw.Driver.run ?observe d text) in
     violations := !violations + seen ();
-    (id,
-     Opdw.Feedback.model_error oc.Opdw.Feedback.res
-       ~dms_time:oc.Opdw.Feedback.observed_dms)
+    (id, Opdw.Feedback.model_error s.Opdw.Driver.res ~dms_time:s.Opdw.Driver.observed_dms)
   in
   (* pass 1: harvest observations and per-query model error under the seed
      statistics; calibrate; pass 2: re-measure under the refined catalog *)
   let before = List.map (measure ~bounds:false) targets in
-  let cal = Opdw.Feedback.calibrate fb in
+  let cal = Opdw.Feedback.calibrate d in
   let after = List.map (measure ~bounds:true) targets in
   (match feedback_log with
-   | Some f -> Opdw.Feedback.Log.save (Opdw.Feedback.log fb) f
+   | Some f -> Opdw.Feedback.Log.save (Opdw.Driver.log d) f
    | None -> ());
   let g_before = geomean (List.map snd before)
   and g_after = geomean (List.map snd after) in
@@ -1011,7 +967,7 @@ let planstore nodes sf all query sql file seed budget jobs runs
   Par.with_pool ~jobs:(if jobs <= 0 then Par.default_jobs () else jobs)
   @@ fun pool ->
   Engine.Appliance.set_pool app pool;
-  let fb = Opdw.Feedback.create ~options shell app in
+  let d = Opdw.Driver.create ~options ~regress_factor:1.2 shell app in
   let rounds = max (if inject_regression then 4 else 1) runs in
   (* oracle rows per query from round 1 (the plan that becomes LKG);
      availability = fraction of answered rounds returning oracle rows *)
@@ -1033,30 +989,31 @@ let planstore nodes sf all query sql file seed budget jobs runs
     end;
     List.iter
       (fun (id, text) ->
-         let oc = Opdw.Feedback.run fb text in
-         let rendered = render_rows oc.Opdw.Feedback.rows in
+         Opdw.Driver.reset d;
+         let s = Opdw.Driver.returned (Opdw.Driver.run d text) in
+         let rendered = render_rows s.Opdw.Driver.rows in
          incr answered;
          (match Hashtbl.find_opt oracle id with
           | None -> Hashtbl.add oracle id rendered; incr matched
           | Some o -> if rendered = o then incr matched);
          round_lines :=
            Printf.sprintf "round %d: %-5s %-13s sim %.4gs  plan %s%s" i id
-             (Opdw.Feedback.Store.outcome_name oc.Opdw.Feedback.store_outcome)
-             oc.Opdw.Feedback.observed_sim
-             (match (oc.Opdw.Feedback.res).Opdw.fingerprint with
+             (Opdw.Feedback.Store.outcome_name (Option.get s.Opdw.Driver.store_outcome))
+             s.Opdw.Driver.observed_sim
+             (match s.Opdw.Driver.res.Opdw.fingerprint with
               | Some fp -> fp_digest fp
               | None -> "-")
-             (if oc.Opdw.Feedback.fellback then "  (LKG fallback)" else "")
+             (if s.Opdw.Driver.fellback then "  (LKG fallback)" else "")
            :: !round_lines)
       targets
   done;
-  let store = Opdw.Feedback.store fb in
+  let store = Option.get (Opdw.Driver.store d) in
   let availability = float_of_int !matched /. float_of_int (max 1 !answered) in
   let stmt_id stmt =
     (* map the store's statement key (normalized SQL) back to a query id *)
     match
       List.find_opt
-        (fun (_, text) -> Opdw.Feedback.statement_key text = stmt)
+        (fun (_, text) -> Opdw.Driver.statement_key text = stmt)
         targets
     with
     | Some (id, _) -> id
@@ -1211,7 +1168,7 @@ let topology action nodes sf statements zipf_seed zipf_skew grow max_tables
          with the second half served between copy steps (old layout until
          each flip), and whatever remains drains after *)
       serve (List.length !queue / 2);
-      if grow > Topology.Elastic.nodes el then
+      if grow > Opdw.Driver.nodes el then
         Topology.Elastic.grow ~obs ~between:serve_one el ~nodes:grow;
       let advice = Topology.Elastic.advise ~max_tables el in
       Topology.Elastic.apply ~obs ~between:serve_one el advice;
@@ -1244,7 +1201,7 @@ let topology action nodes sf statements zipf_seed zipf_skew grow max_tables
      %d nodes, epoch %d\n"
     !matched !served
     (float_of_int !matched /. float_of_int (max 1 !served))
-    (Topology.Elastic.nodes el) (Topology.Elastic.epoch el);
+    (Opdw.Driver.nodes el) (Opdw.Driver.epoch el);
   (match Obs.counters_prefixed obs "topology." with
    | [] -> ()
    | cs -> List.iter (fun (k, v) -> Printf.printf "  %-28s %.6g\n" k v) cs);

@@ -23,8 +23,8 @@ module Stage = Stage
 module Plancache = Plancache
 
 (* the feedback library (log / misses / lambda-fit / plan store), aliased
-   so the engine-facing [Feedback] driver module below can re-export it
-   under its own name *)
+   so the [Driver] and [Feedback] modules below can re-export it under
+   their own names *)
 module Fbk = Feedback
 
 type options = {
@@ -504,7 +504,7 @@ let optimize ?(obs = Obs.null) ?(options : options option) ?(cache : cache optio
     (shell : Catalog.Shell_db.t) (sql : string) : result =
   let opts = resolve_options shell options in
   (* Arm the per-statement compile deadline here (the single arming site:
-     [Governed] passes the knob through rather than arming the token
+     [Driver] passes the knob through rather than arming the token
      itself). A dead [Governor.none] token gets a live replacement so the
      knob works for direct [optimize] callers too. *)
   let token =
@@ -601,71 +601,210 @@ let run_reference (app : Engine.Appliance.t) (r : result) : Engine.Local.rset op
 (** The query's output columns (display name, column id). *)
 let output_columns (r : result) = r.algebrized.Algebra.Algebrizer.output
 
-(* alias for use inside the drivers below, whose own [run] shadows the
-   name *)
+(** The [--assert-bounds] oracle over [r]'s plan: an observer for {!run}'s
+    [observe] hook checking every executed operator against the static
+    cardinality bounds the abstract interpreter derives for it on the
+    shell the plan was placed on, and the violation count so far. *)
+let bounds_oracle ?obs (r : result) =
+  let shell = r.memo.Memo.shell in
+  let actx =
+    Analysis.context ~shell ~reg:r.memo.Memo.reg
+      ~nodes:(Catalog.Shell_db.node_count shell)
+  in
+  Check.bounds_observer ?obs (Check.group_bounds actx (plan r))
+
+(* -- the feedback harvest: what one execution observed, as log records -- *)
+
+(* registry column ids -> catalog (table, column) names, sorted; derived
+   columns (aggregate outputs, computed projections) have no catalog
+   statistics object to refine and are dropped *)
+let cols_of_ids (reg : Algebra.Registry.t) ids =
+  List.filter_map
+    (fun id ->
+       match (Algebra.Registry.info reg id).Algebra.Registry.source with
+       | Algebra.Registry.Base { table; column; _ } ->
+         Some (String.lowercase_ascii table, String.lowercase_ascii column)
+       | Algebra.Registry.Derived _ -> None
+       | exception Invalid_argument _ -> None)
+    ids
+  |> List.sort_uniq compare
+
+let harvest ?observe (r : result) =
+  let reg = r.memo.Memo.reg in
+  let acc = ref [] in
+  let harvest (p : Pdwopt.Pplan.t) actual =
+    (match p.Pdwopt.Pplan.op with
+     | Pdwopt.Pplan.Serial op ->
+       let open Memo.Physop in
+       let of_pred pred = Algebra.Registry.Col_set.elements (Algebra.Expr.cols pred) in
+       let table, cols =
+         match op with
+         | Table_scan { table; _ } -> (Some (String.lowercase_ascii table), [])
+         | Filter pred
+         | Hash_join { pred; _ } | Merge_join { pred; _ } | Nl_join { pred; _ } ->
+           (None, of_pred pred)
+         | Hash_agg { keys; _ } | Stream_agg { keys; _ } -> (None, keys)
+         | Compute _ | Sort_op _ | Union_op | Const_empty _ -> (None, [])
+       in
+       acc :=
+         { Fbk.Log.o_group = p.Pdwopt.Pplan.group; o_op = name op; o_table = table;
+           o_cols = cols_of_ids reg cols; o_est = p.Pdwopt.Pplan.rows;
+           o_actual = actual }
+         :: !acc
+     | _ -> ());
+    Option.iter (fun f -> f p actual) observe
+  in
+  (harvest, fun () -> List.rev !acc)
+
+let dms_components =
+  [ Dms.Calibrate.Reader_direct; Dms.Calibrate.Reader_hash;
+    Dms.Calibrate.Network; Dms.Calibrate.Writer; Dms.Calibrate.Blkcpy ]
+
+(* the account's per-component sample lists, to diff against later *)
+let sample_marks acct = List.map (Engine.Appliance.samples_of acct) dms_components
+
+(* the DMS samples recorded since [marks], in append order: the lists grow
+   newest-first in the caller domain, so the new samples are the prefix
+   above the mark *)
+let dms_since (acct : Engine.Appliance.account) marks =
+  List.concat
+    (List.map2
+       (fun comp mark ->
+          let rec fresh = function
+            | l when l == mark -> []
+            | s :: rest -> s :: fresh rest
+            | [] -> []
+          in
+          List.rev_map
+            (fun (s : Dms.Calibrate.sample) ->
+               { Fbk.Log.d_component = comp; d_bytes = s.Dms.Calibrate.bytes;
+                 d_seconds = s.Dms.Calibrate.seconds })
+            (fresh (Engine.Appliance.samples_of acct comp)))
+       dms_components marks)
+
+(* alias for use inside the driver, whose own [run] shadows the name *)
 let execute_result = run
 
-module Governed = struct
-  (** The resource-governed statement driver: every statement passes
-      through admission control (bounded gate + FIFO queue), a
-      per-statement-fingerprint circuit breaker, a cancellation token
-      threaded through all three optimization layers and the engine, and
-      the anytime/baseline degradation ladder. The answer is always
-      structured — correct rows, a degraded-but-valid plan's correct rows,
-      or a typed refusal — never wrong rows, a panic, or a leaked slot. *)
+module Driver = struct
+  module Log = Fbk.Log
+  module Store = Fbk.Store
 
-  type t = {
+  (* the catalog, appliance and options statements compile and execute
+     against, replaced as one value (a decommission, a committed move, a
+     calibration) so a compiling statement always reads a consistent
+     triple *)
+  type topology = {
     shell : Catalog.Shell_db.t;
     app : Engine.Appliance.t;
     options : options;
+  }
+
+  type t = {
+    topo : topology Atomic.t;
     cache : cache option;
     check : bool;
     gate : Governor.Gate.t;
     breaker : Governor.Breaker.t;
+    store : result Store.t option;
+    log : Log.t;
+    fault : Fault.plan option;   (** re-armed on the appliance every attempt *)
+    max_replans : int;
+    miss_threshold : float;      (** {!Feedback.calibrate}'s refinement trigger *)
+    refine_buckets : int;        (** histogram resolution of refined statistics *)
+    mutable calibrations : int;
     exec_mutex : Mutex.t;
         (** the simulated appliance executes one statement at a time (its
             clock and storage are statement-scoped); the gate bounds how
             many statements are in flight (compiling + waiting to run) *)
   }
 
-  let create ?cache ?options ?(check = true) ?(max_concurrent = 4)
-      ?(queue_limit = 16) ?(breaker_threshold = 3) ?(breaker_cooldown = 1.0)
+  let sim_clock topo () =
+    (Atomic.get topo).app.Engine.Appliance.account.Engine.Appliance.sim_time
+
+  let create ?cache ?options ?(check = true) ?(max_concurrent = 4) ?(queue_limit = 16)
+      ?(breaker_threshold = 3) ?(breaker_cooldown = 1.0) ?regress_factor ?streak_limit
+      ?(miss_threshold = 2.0) ?(refine_buckets = 64) ?log ?fault ?(max_replans = 8)
       (shell : Catalog.Shell_db.t) (app : Engine.Appliance.t) : t =
-    let options =
-      match options with
-      | Some o -> o
-      | None -> default_options ~node_count:(Catalog.Shell_db.node_count shell)
+    let topo = Atomic.make { shell; app; options = resolve_options shell options } in
+    let store =
+      match regress_factor, streak_limit with
+      | None, None -> None
+      | _ -> Some (Store.create ?regress_factor ?streak_limit ())
     in
-    { shell; app; options; cache; check;
+    { topo;
+      (* fingerprints key the plan store, so a store brings a cache *)
+      cache = (if cache = None && store <> None then Some (Plancache.create ()) else cache);
+      check;
       gate = Governor.Gate.create ~max_concurrent ~queue_limit ();
       breaker =
-        (* cooldown charged to the simulated clock: deterministic, and a
-           poison query's quarantine scales with simulated work, not with
-           host wall time *)
+        (* cooldown charged to the simulated clock of whichever appliance
+           is serving: deterministic, and a poison query's quarantine
+           scales with simulated work, not with host wall time *)
         Governor.Breaker.create ~threshold:breaker_threshold
-          ~cooldown:breaker_cooldown
-          ~clock:(fun () -> app.Engine.Appliance.account.Engine.Appliance.sim_time)
-          ();
+          ~cooldown:breaker_cooldown ~clock:(sim_clock topo) ();
+      store;
+      log = Option.value log ~default:(Log.create ());
+      fault; max_replans; miss_threshold; refine_buckets; calibrations = 0;
       exec_mutex = Mutex.create () }
 
-  let app t = t.app
+  let app t = (Atomic.get t.topo).app
+  let shell t = (Atomic.get t.topo).shell
+  let options t = (Atomic.get t.topo).options
+  let nodes t = (app t).Engine.Appliance.nodes
+  let epoch t = (app t).Engine.Appliance.epoch
+  let cache t = t.cache
   let gate t = t.gate
   let breaker t = t.breaker
+  let store t = t.store
+  let log t = t.log
+  let max_replans t = t.max_replans
 
-  (** Every way a governed statement can come back. Only [Returned]
-      carries rows; everything else is a structured refusal. *)
+  let set_options t options =
+    Atomic.set t.topo { (Atomic.get t.topo) with options }
+
+  let install t (app' : Engine.Appliance.t) =
+    let n = app'.Engine.Appliance.nodes and o = options t in
+    Atomic.set t.topo
+      { shell = app'.Engine.Appliance.shell; app = app';
+        options =
+          { o with
+            pdw = { o.pdw with Pdwopt.Enumerate.nodes = n };
+            baseline = { o.baseline with Baseline.nodes = n } } }
+
+  let arm t = Option.iter (Engine.Appliance.set_fault (app t)) t.fault
+
+  let replan ?(obs = Obs.null) t ~replans (failure : Fault.failure) =
+    if nodes t <= 1 || replans >= t.max_replans then
+      raise (Fault.Exhausted { failure; attempts = replans + 1 });
+    install t
+      (Obs.with_span obs "fault.replan" @@ fun () ->
+       Engine.Appliance.decommission ~obs (app t) ~node:failure.Fault.node)
+
+  (* the trimmed text, unfolded: a literal's case is part of the
+     statement, and only the lexer knows where literals are *)
+  let statement_key sql = String.trim sql
+
+  type served = {
+    res : result;
+    rows : Engine.Local.rset;
+    observed_sim : float;
+    observed_dms : float;
+    fellback : bool;
+    store_outcome : Store.outcome option;
+  }
+
   type outcome =
-    | Returned of result * Engine.Local.rset
-    | Rejected of Governor.Gate.rejection   (** admission queue overflow *)
-    | Shed of { retry_after : float }       (** circuit breaker open *)
-    | Timed_out of Governor.reason          (** deadline/cancel during execution *)
-    | Exhausted of { attempts : int; reason : string }  (** fault budget spent *)
-    | Invalid of string                     (** plan refused by {!Check} *)
+    | Returned of served
+    | Rejected of Governor.Gate.rejection
+    | Shed of { retry_after : float }
+    | Timed_out of Governor.reason
+    | Exhausted of { failure : Fault.failure; attempts : int }
+    | Invalid of Check.violation list
 
   let outcome_to_string = function
-    | Returned (r, rset) ->
-      Printf.sprintf "returned(%d rows%s)" (List.length rset.Engine.Local.rows)
-        (match r.degraded with
+    | Returned s ->
+      Printf.sprintf "returned(%d rows%s)" (List.length s.rows.Engine.Local.rows)
+        (match s.res.degraded with
          | Some d -> ", degraded=" ^ degradation_to_string d
          | None -> "")
     | Rejected rej ->
@@ -675,18 +814,115 @@ module Governed = struct
     | Shed { retry_after } -> Printf.sprintf "shed(retry_after=%.3fs)" retry_after
     | Timed_out reason ->
       Printf.sprintf "timed_out(%s)" (Governor.reason_to_string reason)
-    | Exhausted { attempts; reason } ->
-      Printf.sprintf "exhausted(%s after %d attempts)" reason attempts
-    | Invalid msg -> Printf.sprintf "invalid(%s)" msg
+    | Exhausted { failure; attempts } ->
+      Printf.sprintf "exhausted(%s after %d attempts)"
+        (Fault.failure_to_string failure) attempts
+    | Invalid vs -> Printf.sprintf "invalid(%s)" (Check.to_string vs)
 
-  (* the trimmed text, unfolded: a literal's case is part of the
-     statement, and only the lexer knows where literals are *)
-  let statement_key sql = String.trim sql
+  let returned = function
+    | Returned s -> s
+    | Rejected rej -> raise (Governor.Gate.Rejected rej)
+    | Timed_out reason -> raise (Governor.Cancelled { reason; where = "driver" })
+    | Exhausted { failure; attempts } -> raise (Fault.Exhausted { failure; attempts })
+    | Invalid vs -> raise (Check.Invalid vs)
+    | Shed _ as oc -> failwith (outcome_to_string oc)
 
-  (** Optimize and execute one statement under full governance. Breaker
-      bookkeeping: hard failures ({!Fault.Exhausted}, {!Check.Invalid})
-      count against the statement's fingerprint; deadline trips do not —
-      a slow statement under a tight deadline is load, not poison. *)
+  (* the last-known-good plan substituted for a quarantined compile; an
+     LKG serves only the catalog it was placed on (a decommission or a
+     move retires its layout) *)
+  let resolve ~obs t topo key (compiled : result) =
+    match t.store, compiled.fingerprint with
+    | Some store, Some fingerprint ->
+      (match Store.lkg store key with
+       | Some (_, (lkg : result), _) when lkg.memo.Memo.shell == topo.shell ->
+         (match Store.resolve store ~statement:key ~fingerprint with
+          | Some lkg ->
+            Obs.add obs "feedback.fallbacks" 1;
+            (lkg, true)
+          | None -> (compiled, false))
+       | _ -> (compiled, false))
+    | _ -> (compiled, false)
+
+  (* execute [r] on [topo]'s appliance through the harvest, then append
+     the log record and feed the store. The account is the caller's: the
+     statement's cost is the delta across it *)
+  let execute ~obs ~observe t topo key token (compiled : result) =
+    let r, fellback = resolve ~obs t topo key compiled in
+    let observe, ops = harvest ?observe r in
+    let acct = topo.app.Engine.Appliance.account in
+    let sim0 = acct.Engine.Appliance.sim_time and dms0 = acct.Engine.Appliance.dms_time in
+    let marks = sample_marks acct in
+    let wall0 = Obs.default_clock () in
+    let rows = execute_result ~obs ?cache:t.cache ~token ~observe topo.app r in
+    let wall = Obs.default_clock () -. wall0 in
+    let sim = acct.Engine.Appliance.sim_time -. sim0 in
+    let fingerprint = Option.value r.fingerprint ~default:"" in
+    let degraded = r.degraded <> None in
+    Log.append t.log
+      { Log.r_statement = key; r_fingerprint = fingerprint; r_ops = ops ();
+        r_dms = dms_since acct marks; r_sim = sim; r_wall = wall;
+        r_degraded = degraded };
+    let store_outcome =
+      Option.map
+        (fun store ->
+           let oc = Store.observe store ~statement:key ~fingerprint ~degraded ~sim ~wall r in
+           (match oc with
+            | Store.Regressed _ -> Obs.add obs "feedback.regressions" 1
+            | Store.Quarantined ->
+              Obs.add obs "feedback.regressions" 1;
+              Obs.add obs "feedback.quarantines" 1
+            | _ -> ());
+           oc)
+        t.store
+    in
+    { res = r; rows; observed_sim = sim;
+      observed_dms = acct.Engine.Appliance.dms_time -. dms0; fellback; store_outcome }
+
+  (* steps 3-6 for one admitted statement: compile against the current
+     topology, then execute under the exec mutex; a node crash
+     decommissions the dead node and compiles again on the survivors *)
+  let serve ~obs ?observe t key token sql =
+    let armed = ref false in
+    let rec attempt replans =
+      let topo = Atomic.get t.topo in
+      let compiled =
+        (* compile on the appliance's pool too: with the leveled
+           wavefront, `--jobs` covers compilation, not just execution *)
+        optimize ~obs ~options:topo.options ?cache:t.cache ~check:t.check ~token
+          ~pool:topo.app.Engine.Appliance.pool topo.shell sql
+      in
+      Mutex.lock t.exec_mutex;
+      let step =
+        Fun.protect ~finally:(fun () -> Mutex.unlock t.exec_mutex) @@ fun () ->
+        if Atomic.get t.topo != topo then `Stale
+        else begin
+          arm t;
+          if not !armed then begin
+            armed := true;
+            Option.iter
+              (fun d ->
+                 let sim = sim_clock t.topo in
+                 Governor.add_deadline token ~clock:sim ~deadline:(sim () +. d))
+              topo.options.governor.Governor.sim_deadline
+          end;
+          (* [observe] sees the first attempt only: a replanned attempt runs
+             a different plan than the caller's *)
+          let observe = if replans = 0 then observe else None in
+          match execute ~obs ~observe t topo key token compiled with
+          | served -> `Served served
+          | exception Fault.Injected ({ Fault.site = Fault.Node_crash; _ } as failure) ->
+            replan ~obs t ~replans failure;
+            Obs.add obs "fault.replan_statements" 1;
+            `Replanned
+        end
+      in
+      match step with
+      | `Served served -> served
+      | `Stale -> attempt replans   (* the topology moved while compiling *)
+      | `Replanned -> attempt (replans + 1)
+    in
+    attempt 0
+
   let run ?(obs = Obs.null) ?observe (t : t) (sql : string) : outcome =
     let key = statement_key sql in
     let admitted =
@@ -694,113 +930,38 @@ module Governed = struct
       match Governor.Breaker.check ~obs t.breaker key with
       | `Shed retry_after -> Shed { retry_after }
       | `Proceed ->
-        let token = Governor.create () in
-        try
-          let r =
-            (* compile on the appliance's pool too: with the leveled
-               wavefront, `--jobs` covers compilation, not just shard
-               execution *)
-            optimize ~obs ~options:t.options ?cache:t.cache ~check:t.check ~token
-              ~pool:t.app.Engine.Appliance.pool t.shell sql
-          in
-          (* compilation can overlap across gate slots; execution of the
-             shared appliance is one statement at a time *)
-          Mutex.lock t.exec_mutex;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock t.exec_mutex)
-            (fun () ->
-               (match t.options.governor.Governor.sim_deadline with
-                | Some d ->
-                  let sim () =
-                    t.app.Engine.Appliance.account.Engine.Appliance.sim_time
-                  in
-                  Governor.add_deadline token ~clock:sim ~deadline:(sim () +. d)
-                | None -> ());
-               let rows =
-                 execute_result ~obs ?cache:t.cache ~token ?observe t.app r
-               in
-               Governor.Breaker.success t.breaker key;
-               Returned (r, rows))
-        with
-        | Governor.Cancelled { reason; _ } -> Timed_out reason
-        | Fault.Exhausted { failure; attempts } ->
-          Governor.Breaker.failure ~obs t.breaker key;
-          Exhausted { attempts; reason = Fault.failure_to_string failure }
-        | Check.Invalid vs ->
-          Governor.Breaker.failure ~obs t.breaker key;
-          Invalid (Check.to_string vs)
+        (match serve ~obs ?observe t key (Governor.create ()) sql with
+         | served ->
+           Governor.Breaker.success t.breaker key;
+           Returned served
+         | exception Governor.Cancelled { reason; _ } -> Timed_out reason
+         | exception Fault.Exhausted { failure; attempts } ->
+           Governor.Breaker.failure ~obs t.breaker key;
+           Exhausted { failure; attempts }
+         | exception Check.Invalid vs ->
+           Governor.Breaker.failure ~obs t.breaker key;
+           Invalid vs)
     in
     match admitted with
     | Ok outcome -> outcome
     | Error rej -> Rejected rej
 
-  (** The one shared per-iteration metric reset (CLI [--repeat], bench):
-      the appliance account (sim clock, DMS bytes, [fault.*] tallies —
-      PR 4's [assign_account] pattern) plus the gate and breaker counters,
-      so per-iteration [governor.*]/[fault.*] numbers are not cumulative.
-      Breaker open/closed states survive: quarantine is behavior, not a
-      metric. *)
   let reset (t : t) =
-    Engine.Appliance.reset_account t.app;
+    Engine.Appliance.reset_account (app t);
     Governor.Gate.reset_stats t.gate;
     Governor.Breaker.reset_stats t.breaker
 end
 
 module Feedback = struct
-  (** The feedback-driven statement driver (DESIGN.md §13): the closed
-      execution → calibration → plan-store loop. Every {!run} harvests
-      what the appliance actually observed — per-operator cardinalities
-      and per-DMS-component (bytes, seconds) samples — into a persistent
-      {!Log}, and records the plan's observed sim/wall cost in a
-      last-known-good {!Store} keyed by plan-cache fingerprint.
-      {!calibrate} folds the log back into the shell catalog (histogram
-      refinement for columns whose estimates missed by more than the
-      threshold; λ re-fit from the observed DMS volumes) and bumps the
-      shell's version, which re-keys every fingerprint. If a
-      recompiled plan then regresses against the LKG past the hysteresis
-      thresholds, its fingerprint is quarantined and {!run} automatically
-      falls back to the LKG plan. *)
+  (** The calibration side of the feedback loop (DESIGN.md §9): what a
+      {!Driver} harvested, folded back into the catalog. *)
 
   module Log = Fbk.Log
   module Misses = Fbk.Misses
   module Lambda = Fbk.Lambda
   module Store = Fbk.Store
 
-  type t = {
-    shell : Catalog.Shell_db.t;
-    app : Engine.Appliance.t;
-    mutable options : options;
-    cache : cache;
-    check : bool;
-    log : Log.t;
-    store : result Store.t;
-    miss_threshold : float;   (** estimation-error factor that flags a column *)
-    refine_buckets : int;     (** histogram resolution of refined statistics *)
-    mutable epoch : int;      (** calibration passes so far *)
-  }
-
-  let create ?cache ?options ?(check = true) ?(regress_factor = 1.2)
-      ?(streak_limit = 2) ?(miss_threshold = 2.0) ?(refine_buckets = 64) ?log
-      (shell : Catalog.Shell_db.t) (app : Engine.Appliance.t) : t =
-    let options =
-      match options with
-      | Some o -> o
-      | None -> default_options ~node_count:(Catalog.Shell_db.node_count shell)
-    in
-    { shell; app; options;
-      cache = (match cache with Some c -> c | None -> Plancache.create ());
-      check;
-      log = (match log with Some l -> l | None -> Log.create ());
-      store = Store.create ~regress_factor ~streak_limit ();
-      miss_threshold; refine_buckets; epoch = 0 }
-
-  let log t = t.log
-  let store t = t.store
-  let epoch t = t.epoch
-  let plan_cache t = t.cache
-  let options t = t.options
-
-  let statement_key = Governed.statement_key
+  let harvest = harvest
 
   (** Symmetric model-vs-sim cost error of one executed plan, always
       >= 1: the model side is the plan's predicted DMS cost, the sim side
@@ -809,127 +970,12 @@ module Feedback = struct
     let m = (plan r).Pdwopt.Pplan.dms_cost and s = dms_time in
     if m <= 0. || s <= 0. then 1. else Float.max (m /. s) (s /. m)
 
-  (* registry column ids -> catalog (table, column) names, sorted; derived
-     columns (aggregate outputs, computed projections) have no catalog
-     statistics object to refine and are dropped *)
-  let cols_of_ids (reg : Algebra.Registry.t) ids =
-    List.filter_map
-      (fun id ->
-         match (Algebra.Registry.info reg id).Algebra.Registry.source with
-         | Algebra.Registry.Base { table; column; _ } ->
-           Some (String.lowercase_ascii table, String.lowercase_ascii column)
-         | Algebra.Registry.Derived _ -> None
-         | exception Invalid_argument _ -> None)
-      ids
-    |> List.sort_uniq compare
-
-  (** The feedback harvest of one executed result (DESIGN.md §13): an
-      observer for {!Opdw.run}'s [observe] hook recording, for every
-      executed Serial operator, what its estimate said against what
-      actually flowed, and the recorded observations in plan order. The
-      observer also forwards every call to [observe]. *)
-  let harvest ?observe (r : result) =
-    let reg = r.memo.Memo.reg in
-    let acc = ref [] in
-    let harvest (p : Pdwopt.Pplan.t) actual =
-      (match p.Pdwopt.Pplan.op with
-       | Pdwopt.Pplan.Serial op ->
-         let open Memo.Physop in
-         let of_pred pred = Algebra.Registry.Col_set.elements (Algebra.Expr.cols pred) in
-         let table, cols =
-           match op with
-           | Table_scan { table; _ } -> (Some (String.lowercase_ascii table), [])
-           | Filter pred
-           | Hash_join { pred; _ } | Merge_join { pred; _ } | Nl_join { pred; _ } ->
-             (None, of_pred pred)
-           | Hash_agg { keys; _ } | Stream_agg { keys; _ } -> (None, keys)
-           | Compute _ | Sort_op _ | Union_op | Const_empty _ -> (None, [])
-         in
-         acc :=
-           { Log.o_group = p.Pdwopt.Pplan.group; o_op = name op; o_table = table;
-             o_cols = cols_of_ids reg cols; o_est = p.Pdwopt.Pplan.rows;
-             o_actual = actual }
-           :: !acc
-       | _ -> ());
-      Option.iter (fun f -> f p actual) observe
-    in
-    (harvest, fun () -> List.rev !acc)
-
-  let dms_observations (acct : Engine.Appliance.account) =
-    (* sample lists are built newest-first in the caller domain; reverse to
-       the deterministic append order before logging *)
-    List.concat_map
-      (fun comp ->
-         List.rev_map
-           (fun (s : Dms.Calibrate.sample) ->
-              { Log.d_component = comp; d_bytes = s.Dms.Calibrate.bytes;
-                d_seconds = s.Dms.Calibrate.seconds })
-           (Engine.Appliance.samples_of acct comp))
-      [ Dms.Calibrate.Reader_direct; Dms.Calibrate.Reader_hash;
-        Dms.Calibrate.Network; Dms.Calibrate.Writer; Dms.Calibrate.Blkcpy ]
-
-  type run_outcome = {
-    res : result;              (** the result actually executed (LKG on fallback) *)
-    rows : Engine.Local.rset;
-    observed_sim : float;      (** simulated seconds of this statement *)
-    observed_dms : float;      (** DMS portion of [observed_sim] *)
-    fellback : bool;           (** the compiled plan was quarantined; LKG ran *)
-    store_outcome : Store.outcome;
-  }
-
-  (** Optimize, (possibly) fall back, execute, harvest, record. The
-      appliance account is reset per run, so [observed_sim] is this
-      statement's simulated cost. Degraded (Anytime/Fallback) results are
-      executed but never recorded as LKG ({!Store.observe}). *)
-  let run ?(obs = Obs.null) ?observe (t : t) (sql : string) : run_outcome =
-    let key = statement_key sql in
-    let compiled =
-      optimize ~obs ~options:t.options ~cache:t.cache ~check:t.check
-        ~pool:t.app.Engine.Appliance.pool t.shell sql
-    in
-    let fp = Option.get compiled.fingerprint in
-    (* pre-execution regression fallback: a quarantined fingerprint is
-       never run again (until a calibration re-keys it); the
-       last-known-good plan runs in its place *)
-    let r, fellback =
-      match Store.resolve t.store ~statement:key ~fingerprint:fp with
-      | Some lkg ->
-        Obs.add obs "feedback.fallbacks" 1;
-        (lkg, true)
-      | None -> (compiled, false)
-    in
-    let fp_run = Option.value r.fingerprint ~default:fp in
-    Engine.Appliance.reset_account t.app;
-    let observe, ops = harvest ?observe r in
-    let wall0 = Obs.default_clock () in
-    let rows = execute_result ~obs ~cache:t.cache ~observe t.app r in
-    let wall = Obs.default_clock () -. wall0 in
-    let acct = t.app.Engine.Appliance.account in
-    let sim = acct.Engine.Appliance.sim_time in
-    let dms = acct.Engine.Appliance.dms_time in
-    let degraded = r.degraded <> None in
-    Log.append t.log
-      { Log.r_statement = key; r_fingerprint = fp_run; r_ops = ops ();
-        r_dms = dms_observations acct; r_sim = sim; r_wall = wall;
-        r_degraded = degraded };
-    let store_outcome =
-      Store.observe t.store ~statement:key ~fingerprint:fp_run ~degraded ~sim
-        ~wall r
-    in
-    (match store_outcome with
-     | Store.Regressed _ -> Obs.add obs "feedback.regressions" 1
-     | Store.Quarantined ->
-       Obs.add obs "feedback.regressions" 1;
-       Obs.add obs "feedback.quarantines" 1
-     | _ -> ());
-    { res = r; rows; observed_sim = sim; observed_dms = dms; fellback;
-      store_outcome }
-
   (* all values of one column, gathered from the appliance's true shards in
      node order (replicated tables read one copy) — deterministic at any
      [--jobs] because shard contents and order are load-order stable *)
-  let column_values (t : t) table column =
-    match Catalog.Shell_db.find t.shell table with
+  let column_values (d : Driver.t) table column =
+    let app = Driver.app d in
+    match Catalog.Shell_db.find (Driver.shell d) table with
     | None -> None
     | Some tbl ->
       (match Catalog.Schema.find_col tbl.Catalog.Shell_db.schema column with
@@ -939,13 +985,12 @@ module Feedback = struct
            match tbl.Catalog.Shell_db.dist with
            | Catalog.Distribution.Replicated -> [ 0 ]
            | Catalog.Distribution.Hash_partitioned _ ->
-             List.init t.app.Engine.Appliance.nodes Fun.id
+             List.init app.Engine.Appliance.nodes Fun.id
          in
          Some
            (List.concat_map
               (fun n ->
-                 List.map (fun row -> row.(idx))
-                   (Engine.Appliance.node_table t.app n table))
+                 List.map (fun row -> row.(idx)) (Engine.Appliance.node_table app n table))
               nodes))
 
   type calibration = {
@@ -955,48 +1000,50 @@ module Feedback = struct
     new_epoch : int;
   }
 
-  (** Fold the accumulated log back into the catalog: rebuild statistics
-      for every column whose estimates missed by more than
-      [miss_threshold] (a full-resolution scan of the true shards, via
+  (** Fold the driver's log back into the catalog: rebuild statistics for
+      every column whose estimates missed by more than [miss_threshold] (a
+      full-resolution scan of the true shards, via
       {!Catalog.Col_stats.refine} — widening-only, so R11 bounds stay
       sound), then re-fit the λ table from the observed DMS volumes and
       install it in the driver's options. Both folds are pure functions of
       the log (λs are always fitted against {!Dms.Cost.default_lambdas} as
       the base, not compounded), so the same log yields bit-identical
-      refined stats and λs at any [--jobs]. Bumps the calibration epoch
-      and {!Catalog.Shell_db.touch}es the shell, so every statement
-      recompiles on its next run even when nothing was refined. *)
-  let calibrate ?(obs = Obs.null) (t : t) : calibration =
-    let recs = Log.records t.log in
-    let misses = Misses.columns ~threshold:t.miss_threshold recs in
+      refined stats and λs at any [--jobs]. Counts the calibration and
+      {!Catalog.Shell_db.touch}es the shell, so every statement recompiles
+      on its next run even when nothing was refined. *)
+  let calibrate ?(obs = Obs.null) (d : Driver.t) : calibration =
+    let shell = Driver.shell d in
+    let recs = Log.records (Driver.log d) in
+    let misses = Misses.columns ~threshold:d.Driver.miss_threshold recs in
     let refined =
       List.filter
         (fun (m : Misses.miss) ->
-           match column_values t m.Misses.m_table m.Misses.m_column with
+           match column_values d m.Misses.m_table m.Misses.m_column with
            | None -> false
            | Some values ->
-             let tbl = Catalog.Shell_db.find_exn t.shell m.Misses.m_table in
+             let tbl = Catalog.Shell_db.find_exn shell m.Misses.m_table in
              let cs =
                match Catalog.Shell_db.col_stats tbl m.Misses.m_column with
                | Some cs -> cs
                | None -> Catalog.Col_stats.make ()
              in
-             Catalog.Shell_db.update_col_stats t.shell m.Misses.m_table
+             Catalog.Shell_db.update_col_stats shell m.Misses.m_table
                m.Misses.m_column
-               (Catalog.Col_stats.refine ~nbuckets:t.refine_buckets cs values);
+               (Catalog.Col_stats.refine ~nbuckets:d.Driver.refine_buckets cs values);
              true)
         misses
     in
     let lambdas, fits = Lambda.fit recs in
-    t.options <-
-      { t.options with
-        pdw = { t.options.pdw with Pdwopt.Enumerate.lambdas };
-        baseline = { t.options.baseline with Baseline.lambdas } };
-    Catalog.Shell_db.touch t.shell;
-    t.epoch <- t.epoch + 1;
+    let o = Driver.options d in
+    Driver.set_options d
+      { o with
+        pdw = { o.pdw with Pdwopt.Enumerate.lambdas };
+        baseline = { o.baseline with Baseline.lambdas } };
+    Catalog.Shell_db.touch shell;
+    d.Driver.calibrations <- d.Driver.calibrations + 1;
     Obs.add obs "feedback.calibrations" 1;
     Obs.add obs "feedback.refined_columns" (List.length refined);
-    { refined; lambdas; fits; new_epoch = t.epoch }
+    { refined; lambdas; fits; new_epoch = d.Driver.calibrations }
 end
 
 module Workload = struct

@@ -23,7 +23,7 @@ module Stage = Stage
 module Plancache = Plancache
 
 (** The feedback library (observation log, miss analysis, λ re-fit, LKG
-    plan store) — re-exported under {!Feedback} (the driver) below. *)
+    plan store) — re-exported under {!Driver} and {!Feedback} below. *)
 module Fbk = Feedback
 
 (** Pipeline configuration. *)
@@ -40,7 +40,7 @@ type options = {
           under a small exploration budget *)
   governor : Governor.limits;
       (** statement deadline (wall seconds), execution deadline (simulated
-          seconds, interpreted by {!Governed}), and memo-size budget;
+          seconds, interpreted by {!Driver}), and memo-size budget;
           {!Governor.no_limits} by default. Part of the plan-cache
           fingerprint. *)
 }
@@ -49,6 +49,10 @@ type options = {
     exploration budget, XML interchange on, pruning on, no seeding, no
     governor limits. *)
 val default_options : node_count:int -> options
+
+(** [resolve_options shell o]: [o], or {!default_options} for [shell]'s
+    node count — the one place an omitted [?options] is resolved. *)
+val resolve_options : Catalog.Shell_db.t -> options option -> options
 
 (** How a returned plan was degraded by governor pressure. The ladder is
     cached → full → [Anytime] → [Fallback] → rejected: [Anytime] plans are
@@ -226,80 +230,148 @@ val run_reference : Engine.Appliance.t -> result -> Engine.Local.rset option
 (** The query's output columns: (display name, registry column id). *)
 val output_columns : result -> (string * int) list
 
-(** The resource-governed statement driver: admission control, statement
-    deadlines, cooperative cancellation, anytime/fallback degradation and
-    a per-statement circuit breaker in one loop. The contract: every call
-    returns a structured {!Governed.outcome} — correct rows, a
-    degraded-but-{!Check}-valid plan's correct rows, or a typed refusal —
-    never wrong rows, an exception leak, or a leaked gate slot. *)
-module Governed : sig
+(** The [--assert-bounds] oracle over [r]'s plan: an observer for {!run}'s
+    [observe] hook that checks every executed operator's observed rows
+    against the static [lo, hi] bounds the abstract interpreter derives
+    for it on the shell the plan was placed on ({!Check.bounds_observer}),
+    and the number of violations seen so far. *)
+val bounds_oracle :
+  ?obs:Obs.t -> result -> (Pdwopt.Pplan.t -> float -> unit) * (unit -> int)
+
+(** The one statement driver (DESIGN.md §9): the control node's path for
+    every served statement. {!Driver.run} applies the driver's policies
+    in this order: the admission gate and the circuit breaker; a fresh
+    token (wall deadline armed by {!optimize}, simulated deadline before
+    the first execution); {!optimize} through the plan cache; LKG
+    resolution when a plan store is attached; execution under the exec
+    mutex through the feedback harvest; on a node crash, decommission and
+    compile again on the survivors, up to [max_replans]; the log record
+    and the store observation.
+
+    The appliance account is cumulative and belongs to the caller: a
+    statement's [observed_sim], [observed_dms], log [r_sim] and [r_dms]
+    are the deltas across it, so a caller that wants them measured from
+    zero calls {!Driver.reset} first. *)
+module Driver : sig
   type t
 
-  (** [create ?cache ?options ?check ?max_concurrent ?queue_limit
-      ?breaker_threshold ?breaker_cooldown shell app] — at most
-      [max_concurrent] (default 4) statements in flight with up to
-      [queue_limit] (default 16) more queued FIFO; [breaker_threshold]
-      (default 3, [<= 0] disables) consecutive hard failures of one
-      statement fingerprint open its breaker for [breaker_cooldown]
-      (default 1.0) {e simulated} seconds. Deadlines/memo budgets come
-      from [options.governor]. *)
+  (** [create shell app] serves on [app], whose catalog is [shell]; every
+      policy is an argument. [cache], [options] (default for [shell]'s
+      node count) and [check] (default [true]) go to {!optimize}. At most
+      [max_concurrent] (default 4) statements are in flight, [queue_limit]
+      (default 16) more queued FIFO. [breaker_threshold] (default 3, [<= 0]
+      disables) consecutive hard failures of one statement open its
+      breaker for [breaker_cooldown] (default 1.0) {e simulated} seconds.
+      Passing [regress_factor] or [streak_limit] attaches the LKG plan
+      store with those hysteresis thresholds (defaults 1.2 and 2), and a
+      plan cache if [cache] is absent (fingerprints key the store).
+      [miss_threshold] (default 2.0) and [refine_buckets] (default 64) are
+      {!Feedback.calibrate}'s. [log] (default fresh) receives the harvest.
+      [fault] is armed on the serving appliance at every attempt (default:
+      the appliance's own plan stays); [max_replans] (default 8) bounds
+      node-crash recoveries per statement. *)
   val create :
     ?cache:cache -> ?options:options -> ?check:bool ->
     ?max_concurrent:int -> ?queue_limit:int ->
     ?breaker_threshold:int -> ?breaker_cooldown:float ->
+    ?regress_factor:float -> ?streak_limit:int ->
+    ?miss_threshold:float -> ?refine_buckets:int -> ?log:Fbk.Log.t ->
+    ?fault:Fault.plan -> ?max_replans:int ->
     Catalog.Shell_db.t -> Engine.Appliance.t -> t
 
+  (** The serving appliance (a decommission or a committed move replaces
+      it), its catalog, and the options statements compile under (node
+      count following {!app}; {!Feedback.calibrate} installs λs). *)
   val app : t -> Engine.Appliance.t
+  val shell : t -> Catalog.Shell_db.t
+  val options : t -> options
+  val nodes : t -> int
+
+  (** The serving appliance's replan epoch: decommissions and committed
+      moves so far. *)
+  val epoch : t -> int
+
+  val cache : t -> cache option
   val gate : t -> Governor.Gate.t
   val breaker : t -> Governor.Breaker.t
+  val store : t -> result Fbk.Store.t option
+  val log : t -> Fbk.Log.t
+  val max_replans : t -> int
 
-  (** Every way a governed statement can come back; only [Returned]
-      carries rows. *)
+  (** Switch to a replacement appliance (a decommission's result or a
+      committed move's target), with its catalog and node count. *)
+  val install : t -> Engine.Appliance.t -> unit
+
+  (** Arm the driver's fault plan, if it has one, on {!app}. *)
+  val arm : t -> unit
+
+  (** [replan t ~replans failure] recovers from the node crash
+      [failure]: decommission the dead node (under a [fault.replan] span)
+      and {!install} the survivors. Raises {!Fault.Exhausted} when no node
+      would survive or [replans] reached [max_replans]. *)
+  val replan : ?obs:Obs.t -> t -> replans:int -> Fault.failure -> unit
+
+  (** The per-statement key of the plan store, the circuit breaker and
+      the workload log: the SQL text trimmed, and otherwise unchanged,
+      so replaying it runs exactly the statement that ran. *)
+  val statement_key : string -> string
+
+  (** A statement that returned rows. *)
+  type served = {
+    res : result;             (** the result executed (the LKG on fallback) *)
+    rows : Engine.Local.rset;
+    observed_sim : float;     (** simulated seconds of this statement *)
+    observed_dms : float;     (** DMS portion of [observed_sim] *)
+    fellback : bool;          (** the compiled plan was quarantined; the LKG ran *)
+    store_outcome : Fbk.Store.outcome option;  (** [None] without a plan store *)
+  }
+
+  (** Every way a statement can come back; only [Returned] carries rows. *)
   type outcome =
-    | Returned of result * Engine.Local.rset
+    | Returned of served
     | Rejected of Governor.Gate.rejection   (** admission queue overflow *)
     | Shed of { retry_after : float }       (** circuit breaker open *)
-    | Timed_out of Governor.reason          (** deadline/cancel during execution *)
-    | Exhausted of { attempts : int; reason : string }
-        (** a step's fault-retry budget was spent ({!Fault.Exhausted}) *)
-    | Invalid of string                     (** plan refused by {!Check} *)
+    | Timed_out of Governor.reason          (** deadline/cancel *)
+    | Exhausted of { failure : Fault.failure; attempts : int }
+        (** a retry or replan budget was spent ({!Fault.Exhausted}) *)
+    | Invalid of Check.violation list       (** plan refused by {!Check} *)
 
+  (** The one rendering of an outcome, e.g. [timed_out(deadline)]. *)
   val outcome_to_string : outcome -> string
 
-  (** Optimize and execute one statement under full governance. Safe to
-      call from several domains: compilation overlaps up to the gate
-      width, execution on the shared appliance is serialized. Parse and
-      binding errors (the caller's malformed SQL) propagate as the usual
-      exceptions; governor pressure and engine failures come back as
-      outcomes. Hard failures ([Exhausted]/[Invalid]) count against the
-      statement's breaker; deadline trips do not. [observe] is forwarded
-      to {!Opdw.run}. *)
+  (** The served statement, or the refusal raised as the exception the
+      pipeline signals it with: {!Fault.Exhausted}, {!Check.Invalid},
+      {!Governor.Cancelled}, {!Governor.Gate.Rejected}; a breaker shed
+      raises [Failure]. *)
+  val returned : outcome -> served
+
+  (** Serve one statement through every policy, in the order above. Safe
+      to call from several domains: compilation overlaps up to the gate
+      width, execution on the shared appliance is serialized. Hard
+      failures ([Exhausted]/[Invalid]) count against the statement's
+      breaker; deadline trips do not. [observe] sees the first attempt's
+      executed operators (a replanned attempt runs a different plan).
+      Counters: [feedback.fallbacks] / [feedback.regressions] /
+      [feedback.quarantines], [fault.replan_statements]. *)
   val run :
     ?obs:Obs.t -> ?observe:(Pdwopt.Pplan.t -> float -> unit) -> t -> string ->
     outcome
 
-  (** The one shared per-iteration metric reset: appliance account
-      (sim clock + [fault.*] tallies) plus gate and breaker counters.
-      Breaker open/closed states survive. *)
+  (** The one shared per-iteration metric reset: the appliance account
+      (sim clock, DMS samples, [fault.*] tallies) plus the gate and
+      breaker counters. Breaker open/closed states survive. *)
   val reset : t -> unit
 end
 
-(** The feedback-driven statement driver (DESIGN.md §13): a closed
-    execution → calibration → plan-store loop. {!Feedback.run} executes a
-    statement while harvesting observed per-operator cardinalities and
-    per-DMS-component (bytes, seconds) samples into a persistent
-    {!Feedback.Log}, and records the plan's observed sim/wall cost in a
-    last-known-good {!Feedback.Store} keyed by plan-cache fingerprint.
-    {!Feedback.calibrate} folds the log back into the shell catalog
-    (histogram refinement for columns missed by more than the threshold;
-    λ re-fit from observed DMS volumes) and bumps the shell's version, which
-    re-keys every fingerprint. A recompiled plan that regresses against the LKG
-    past the hysteresis thresholds (observed sim > [regress_factor] × LKG
-    for [streak_limit] consecutive runs) is quarantined, and {!Feedback.run}
-    automatically falls back to the LKG plan. Degraded (Anytime/Fallback)
-    results are never recorded as LKG. All of it is deterministic: the
-    same feedback log and seed yield bit-identical refined statistics and
-    plans at any [--jobs]. *)
+(** The calibration side of the feedback loop (DESIGN.md §9): a
+    {!Driver} harvests observed per-operator cardinalities and
+    per-DMS-component (bytes, seconds) samples into its log, and
+    {!Feedback.calibrate} folds that log back into the catalog (histogram
+    refinement for columns missed by more than the threshold; λ re-fit
+    from observed DMS volumes) and touches the shell, which re-keys every
+    fingerprint. All of it is deterministic: the same feedback log and
+    seed yield bit-identical refined statistics and plans at any
+    [--jobs]. *)
 module Feedback : sig
   (** Observation records and their bit-exact text persistence. *)
   module Log = Fbk.Log
@@ -313,47 +385,9 @@ module Feedback : sig
   (** The generic LKG plan store (hysteresis / quarantine / fallback). *)
   module Store = Fbk.Store
 
-  type t
-
-  (** [create ?cache ?options ?check ?regress_factor ?streak_limit
-      ?miss_threshold ?refine_buckets ?log shell app] — [cache] defaults
-      to a fresh plan cache (the driver requires one: fingerprints key the
-      plan store); [regress_factor] (default 1.2) and [streak_limit]
-      (default 2) are the hysteresis thresholds; [miss_threshold]
-      (default 2.0) flags columns for refinement; [refine_buckets]
-      (default 64) is the refined histograms' resolution; [log] seeds the
-      driver with a previously persisted {!Log.t}. *)
-  val create :
-    ?cache:cache -> ?options:options -> ?check:bool ->
-    ?regress_factor:float -> ?streak_limit:int ->
-    ?miss_threshold:float -> ?refine_buckets:int -> ?log:Fbk.Log.t ->
-    Catalog.Shell_db.t -> Engine.Appliance.t -> t
-
-  val log : t -> Fbk.Log.t
-  val store : t -> result Fbk.Store.t
-  val epoch : t -> int
-  val plan_cache : t -> cache
-
-  (** The driver's current options ({!calibrate} installs re-fitted λs). *)
-  val options : t -> options
-
-  (** The per-statement key of the plan store, the circuit breaker and
-      the workload log: the SQL text trimmed, and otherwise unchanged,
-      so replaying it runs exactly the statement that ran. *)
-  val statement_key : string -> string
-
   (** Symmetric model-vs-sim cost error of one executed plan, always
       >= 1: predicted DMS cost vs the DMS seconds the appliance charged. *)
   val model_error : result -> dms_time:float -> float
-
-  type run_outcome = {
-    res : result;           (** the result actually executed (LKG on fallback) *)
-    rows : Engine.Local.rset;
-    observed_sim : float;   (** simulated seconds of this statement *)
-    observed_dms : float;   (** DMS portion of [observed_sim] *)
-    fellback : bool;        (** the compiled plan was quarantined; LKG ran *)
-    store_outcome : Fbk.Store.outcome;
-  }
 
   (** The feedback harvest of one executed result: an observer for
       {!Opdw.run}'s [observe] hook that records every executed Serial
@@ -361,38 +395,28 @@ module Feedback : sig
       predicates/keys constrain, mapped to catalog names via the result's
       registry), and a function returning the observations recorded so
       far, in plan order. The observer forwards every call to [observe].
-      {!run} and {!Topology.Elastic.run} both harvest through it. *)
+      {!Driver.run} harvests through it. *)
   val harvest :
     ?observe:(Pdwopt.Pplan.t -> float -> unit) -> result ->
     (Pdwopt.Pplan.t -> float -> unit) * (unit -> Fbk.Log.op_obs list)
-
-  (** Optimize, (possibly) fall back to LKG, execute through {!harvest},
-      append to the log, record in the store. [observe] also sees every
-      executed operator. Emits [feedback.regressions] /
-      [feedback.quarantines] / [feedback.fallbacks] counters into [obs].
-      The appliance account is reset per run, so [observed_sim] is this
-      statement's cost. *)
-  val run :
-    ?obs:Obs.t -> ?observe:(Pdwopt.Pplan.t -> float -> unit) -> t -> string ->
-    run_outcome
 
   type calibration = {
     refined : Fbk.Misses.miss list;  (** columns whose statistics were rebuilt *)
     lambdas : Dms.Cost.lambdas;      (** the re-fitted λ table now in force *)
     fits : Fbk.Lambda.fit list;      (** per-component fit quality *)
-    new_epoch : int;
+    new_epoch : int;                 (** calibrations of this driver so far *)
   }
 
-  (** Fold the accumulated log back into the catalog: refine statistics of
-      every column whose estimates missed by more than [miss_threshold]
-      (full-resolution rebuild from the true shards — widening-only, so
-      R11 analysis bounds stay sound), re-fit λs from observed DMS
-      volumes, install them in the driver's options, bump the calibration
-      epoch and {!Catalog.Shell_db.touch} the shell (so every statement
-      recompiles on its next run, even when nothing was refined). A
-      pure function of the log: the same log yields bit-identical refined
-      stats and λs at any [--jobs]. *)
-  val calibrate : ?obs:Obs.t -> t -> calibration
+  (** Fold the driver's log back into the catalog: refine statistics of
+      every column whose estimates missed by more than the driver's
+      [miss_threshold] (full-resolution rebuild from the true shards —
+      widening-only, so R11 analysis bounds stay sound), re-fit λs from
+      observed DMS volumes, install them in the driver's options, and
+      {!Catalog.Shell_db.touch} the shell (so every statement recompiles
+      on its next run, even when nothing was refined). A pure function of
+      the log: the same log yields bit-identical refined stats and λs at
+      any [--jobs]. *)
+  val calibrate : ?obs:Obs.t -> Driver.t -> calibration
 end
 
 (** Batteries-included workload setup. *)

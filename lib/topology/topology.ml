@@ -9,8 +9,8 @@
       candidate distribution-key assignments and proposes the set that
       minimizes the occurrence-weighted modelled DMS cost under the λ
       model;
-    - {!Elastic}: the statement driver that serves queries while topology
-      moves ({!Engine.Appliance.begin_move} phases) are in flight —
+    - {!Elastic}: topology moves ({!Engine.Appliance.begin_move} phases)
+      over an {!Opdw.Driver} that keeps serving while they are in flight —
       statements admitted mid-move execute against the old layout until
       the atomic flip, and node crashes compose with decommission + move
       restart. Every move and decommission derives a new shell catalog,
@@ -184,13 +184,8 @@ module Advisor = struct
   let advise ?(max_tables = 2) ?options (shell : Catalog.Shell_db.t)
       (log : Feedback.Log.t) : advice =
     let options =
-      let o =
-        match options with
-        | Some o -> o
-        | None ->
-          Opdw.default_options ~node_count:(Catalog.Shell_db.node_count shell)
-      in
-      { o with Opdw.via_xml = false; governor = Governor.no_limits }
+      { (Opdw.resolve_options shell options) with
+        Opdw.via_xml = false; governor = Governor.no_limits }
     in
     let stmts = statements log in
     (* per statement: its count, and its cost under a set of overrides,
@@ -265,110 +260,36 @@ module Advisor = struct
       a_proposals = List.rev !proposals }
 end
 
-(* -- the elastic statement driver -- *)
+(* -- topology moves over the statement driver -- *)
 
 module Elastic = struct
-  (** The fault-tolerant statement driver: serves statements under a
-      {!Fault.plan} (recoverable faults are retried inside the engine; a
-      node crash decommissions the dead node and replans the statement on
-      the survivors, so for any plan within the retry/replan budgets the
-      rows equal the fault-free run's) while harvesting the workload into
-      a {!Feedback.Log} for the advisor, and executes topology changes as
-      phased moves that keep serving: [between] callbacks run admitted
-      statements against the old layout between copy steps, a node crash
+  (** Topology moves over an {!Opdw.Driver}: changes run as phased moves
+      that keep serving — [between] callbacks run admitted statements
+      against the old layout between copy steps, and a node crash
       mid-move aborts the half-built target (the source stays
       bit-identical), composes with decommission, and restarts the move
-      on the survivors. *)
+      on the survivors. The driver itself serves statements under the
+      fault plan (a node crash decommissions the dead node and replans on
+      the survivors) and harvests the workload the advisor reads. *)
 
-  type t = {
-    mutable shell : Catalog.Shell_db.t;
-    mutable app : Engine.Appliance.t;
-    mutable options : Opdw.options;
-    cache : Opdw.cache option;
-    fault : Fault.plan;
-    max_replans : int;
-    log : Feedback.Log.t;
-  }
+  type t = Opdw.Driver.t
 
-  let create ?cache ?(max_replans = 8) ?options ?log ~(fault : Fault.plan)
+  (** A driver serving under [fault] with crash recovery up to
+      [max_replans] (default 8), and no circuit breaker. *)
+  let create ?cache ?max_replans ?options ?log ~(fault : Fault.plan)
       (shell : Catalog.Shell_db.t) (app : Engine.Appliance.t) : t =
-    let options =
-      match options with
-      | Some o -> o
-      | None -> Opdw.default_options ~node_count:(Catalog.Shell_db.node_count shell)
-    in
-    { shell; app; options; cache; fault; max_replans;
-      log = (match log with Some l -> l | None -> Feedback.Log.create ()) }
+    Opdw.Driver.create ?cache ?max_replans ?options ?log ~fault ~breaker_threshold:0
+      shell app
 
-  let app t = t.app
-  let shell t = t.shell
-  let nodes t = t.app.Engine.Appliance.nodes
-  let log t = t.log
-  let options t = t.options
+  (** {!Opdw.Driver.run}, its refusals raised ({!Opdw.Driver.returned}):
+      {!Fault.Exhausted} past the retry/replan budgets, {!Check.Invalid}
+      for a refused plan. *)
+  let run ?obs ?observe (t : t) (sql : string) : Opdw.result * Engine.Local.rset =
+    let s = Opdw.Driver.returned (Opdw.Driver.run ?obs ?observe t sql) in
+    (s.Opdw.Driver.res, s.Opdw.Driver.rows)
 
-  (** The appliance's replan epoch: decommissions and committed moves so
-      far. *)
-  let epoch t = t.app.Engine.Appliance.epoch
-
-  (* switch the driver to a replacement appliance (decommission result or
-     a committed move's target) *)
-  let install (t : t) (app' : Engine.Appliance.t) =
-    t.app <- app';
-    t.shell <- app'.Engine.Appliance.shell;
-    let n = app'.Engine.Appliance.nodes in
-    t.options <-
-      { t.options with
-        Opdw.pdw = { t.options.Opdw.pdw with Pdwopt.Enumerate.nodes = n };
-        baseline = { t.options.Opdw.baseline with Baseline.nodes = n } }
-
-  (* a node crash escalated out of the engine: decommission the dead node
-     (its [fault.replans] / recovery-cost counters land in the driver's
-     [obs], under a [fault.replan] span) and switch to the survivors;
-     {!Fault.Exhausted} past the budgets *)
-  let replan ~obs (t : t) ~replans (failure : Fault.failure) =
-    if nodes t <= 1 || replans >= t.max_replans then
-      raise (Fault.Exhausted { failure; attempts = replans + 1 });
-    install t
-      (Obs.with_span obs "fault.replan" @@ fun () ->
-       Engine.Appliance.decommission ~obs t.app ~node:failure.Fault.node)
-
-  (** Optimize and execute one statement under the fault plan, appending
-      the harvested per-operator observations ({!Opdw.Feedback.harvest})
-      to the driver's log. Recoverable faults are retried inside the
-      engine; a node crash decommissions the dead node and re-optimizes
-      the statement on the survivors; raises {!Fault.Exhausted} past the
-      budgets. [observe] sees the first attempt's operators only: a
-      replanned attempt runs a different plan than the caller's. *)
-  let run ?(obs = Obs.null) ?observe (t : t) (sql : string) :
-      Opdw.result * Engine.Local.rset =
-    let rec go replans =
-      Engine.Appliance.set_fault t.app t.fault;
-      let r =
-        Opdw.optimize ~obs ~options:t.options ?cache:t.cache
-          ~pool:t.app.Engine.Appliance.pool t.shell sql
-      in
-      let observe, ops =
-        Opdw.Feedback.harvest ?observe:(if replans = 0 then observe else None) r
-      in
-      let sim0 = t.app.Engine.Appliance.account.Engine.Appliance.sim_time in
-      let wall0 = Obs.default_clock () in
-      match Opdw.run ~obs ?cache:t.cache ~observe t.app r with
-      | rows ->
-        Feedback.Log.append t.log
-          { Feedback.Log.r_statement = Opdw.Feedback.statement_key sql;
-            r_fingerprint = Option.value r.Opdw.fingerprint ~default:"";
-            r_ops = ops ();
-            r_dms = [];  (* λ re-fitting is the Feedback driver's job *)
-            r_sim = t.app.Engine.Appliance.account.Engine.Appliance.sim_time -. sim0;
-            r_wall = Obs.default_clock () -. wall0;
-            r_degraded = r.Opdw.degraded <> None };
-        (r, rows)
-      | exception Fault.Injected ({ Fault.site = Fault.Node_crash; _ } as failure) ->
-        replan ~obs t ~replans failure;
-        Obs.add obs "fault.replan_statements" 1;
-        go (replans + 1)
-    in
-    go 0
+  let app = Opdw.Driver.app
+  let log = Opdw.Driver.log
 
   (* drive one phased move to completion: copy steps interleaved with the
      [between] callback (which serves statements against the old layout),
@@ -379,8 +300,8 @@ module Elastic = struct
   let phased ?(obs = Obs.null) ?(between = fun () -> ()) (t : t)
       (mk : Engine.Appliance.t -> Engine.Appliance.move) : unit =
     let rec attempt replans =
-      Engine.Appliance.set_fault t.app t.fault;
-      let src = t.app in
+      Opdw.Driver.arm t;
+      let src = app t in
       let m = mk src in
       let outcome =
         try
@@ -389,7 +310,7 @@ module Elastic = struct
             else begin
               Engine.Appliance.copy_step m;
               between ();
-              if t.app != src then `Replanned_under_us else drive ()
+              if app t != src then `Replanned_under_us else drive ()
             end
           in
           drive ()
@@ -401,7 +322,7 @@ module Elastic = struct
         (* read the accrued cost before the flip consumes the move *)
         let seconds = m.Engine.Appliance.m_seconds in
         let app' = Engine.Appliance.flip_move m in
-        install t app';
+        Opdw.Driver.install t app';
         Obs.add obs "topology.applied_moves" 1;
         Obs.addf obs "topology.move_seconds" seconds
       | `Replanned_under_us ->
@@ -409,7 +330,7 @@ module Elastic = struct
            built against the dead topology — drop it and start over *)
         Engine.Appliance.abort_move m;
         Obs.add obs "topology.aborted_moves" 1;
-        if replans >= t.max_replans then
+        if replans >= Opdw.Driver.max_replans t then
           raise
             (Fault.Exhausted
                { failure =
@@ -420,7 +341,7 @@ module Elastic = struct
       | `Crashed failure ->
         Engine.Appliance.abort_move m;
         Obs.add obs "topology.aborted_moves" 1;
-        replan ~obs t ~replans failure;
+        Opdw.Driver.replan ~obs t ~replans failure;
         attempt (replans + 1)
     in
     attempt 0
@@ -449,7 +370,8 @@ module Elastic = struct
 
   (** Run the advisor over everything this driver has served so far. *)
   let advise ?max_tables (t : t) : Advisor.advice =
-    Advisor.advise ?max_tables ~options:t.options t.shell t.log
+    Advisor.advise ?max_tables ~options:(Opdw.Driver.options t) (Opdw.Driver.shell t)
+      (log t)
 
   (** Apply the advice's accepted proposals as online re-key moves, in
       acceptance order. *)

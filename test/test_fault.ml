@@ -45,7 +45,7 @@ let chaos ?cache fault sql =
   (* snapshot the account: the finally above resets the live record *)
   let a = (Topology.Elastic.app ctx).Engine.Appliance.account in
   let acct = { a with Engine.Appliance.injected = a.Engine.Appliance.injected } in
-  (Engine.Local.canonical ~cols res, acct, Topology.Elastic.nodes ctx)
+  (Engine.Local.canonical ~cols res, acct, Opdw.Driver.nodes ctx)
 
 (* -- the pure plane: names, backoff, schedules, draws -- *)
 
@@ -209,6 +209,30 @@ let test_node_crash_replans () =
   Alcotest.(check int) "one replan" 1 acct.Engine.Appliance.replans;
   Alcotest.(check (list string)) "rows identical on 3 nodes" base_rows rows
 
+(* the policies compose on one driver: with the plan store attached and
+   a seeded fault plan that crashes nodes, every statement still returns
+   the fault-free rows and leaves exactly one log record *)
+let test_store_and_replan_compose () =
+  let stmts = [ "Q3"; "Q5"; "Q10"; "Q3" ] in
+  let sql id = (Option.get (Tpch.Queries.find id)).Tpch.Queries.sql in
+  let expected = List.map (fun id -> fst (fault_free (sql id))) stmts in
+  let wl = Opdw.Workload.tpch ~node_count:4 ~sf:0.001 () in
+  let d =
+    Opdw.Driver.create ~regress_factor:1.2 ~fault:(Fault.seeded ~seed:2 ~rate:0.1 ())
+      wl.Opdw.Workload.shell wl.Opdw.Workload.app
+  in
+  List.iteri
+    (fun i id ->
+       let s = Opdw.Driver.returned (Opdw.Driver.run d (sql id)) in
+       let cols = List.map snd (Opdw.output_columns s.Opdw.Driver.res) in
+       Alcotest.(check (list string)) (id ^ ": fault-free rows") (List.nth expected i)
+         (Engine.Local.canonical ~cols s.Opdw.Driver.rows);
+       Alcotest.(check int) (id ^ ": one log record per statement") (i + 1)
+         (Opdw.Feedback.Log.length (Opdw.Driver.log d)))
+    stmts;
+  Alcotest.(check bool) "at least one replan" true
+    ((Opdw.Driver.app d).Engine.Appliance.account.Engine.Appliance.replans >= 1)
+
 let test_straggler_inflates_clock () =
   let base_rows, base_sim = fault_free join_sql in
   let slow = Fault.schedule [ Fault.event ~factor:32.0 Fault.Straggler 0 ] in
@@ -350,4 +374,5 @@ let suite =
     t "dsql interpreter recovers temp writes" test_dsql_exec_recovers;
     t "fixed seed reproduces at jobs 1 and 4" test_seeded_determinism_across_jobs;
     QCheck_alcotest.to_alcotest prop_random_schedule_never_wrong;
-    t "all bundled queries x 3 seeds" test_all_queries_under_seeds ]
+    t "all bundled queries x 3 seeds" test_all_queries_under_seeds;
+    t "plan store and crash replans compose" test_store_and_replan_compose ]

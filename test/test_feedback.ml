@@ -3,6 +3,7 @@
    execution → calibration → fallback cycle end to end. *)
 
 module Fb = Opdw.Feedback
+module D = Opdw.Driver
 module Log = Fb.Log
 module Store = Fb.Store
 
@@ -214,21 +215,29 @@ let test_update_col_stats_bumps_version () =
 
 (* -- the closed loop, end to end -- *)
 
-let model_err (oc : Fb.run_outcome) =
-  Fb.model_error oc.Fb.res ~dms_time:oc.Fb.observed_dms
+(* a feedback driver (plan store attached), and one statement served
+   from a zeroed account, so its observed cost is the whole account *)
+let feedback_driver shell app = D.create ~regress_factor:1.2 shell app
+
+let serve ?observe d sql =
+  D.reset d;
+  D.returned (D.run ?observe d sql)
+
+let model_err (oc : D.served) =
+  Fb.model_error oc.D.res ~dms_time:oc.D.observed_dms
 
 let test_calibrate_improves_model_error () =
   let w = fresh_workload () in
-  let fb = Fb.create w.Opdw.Workload.shell w.Opdw.Workload.app in
+  let fb = feedback_driver w.Opdw.Workload.shell w.Opdw.Workload.app in
   let sqls = List.map sql_of [ "Q1"; "Q3"; "Q6" ] in
-  let before = List.map (fun s -> model_err (Fb.run fb s)) sqls in
+  let before = List.map (fun s -> model_err (serve fb s)) sqls in
   let v0 = Catalog.Shell_db.stats_version w.Opdw.Workload.shell in
   let cal = Fb.calibrate fb in
   Alcotest.(check int) "epoch bumped" 1 cal.Fb.new_epoch;
   Alcotest.(check bool) "some column refined" true (cal.Fb.refined <> []);
   Alcotest.(check bool) "stats_version advanced" true
     (Catalog.Shell_db.stats_version w.Opdw.Workload.shell > v0);
-  let after = List.map (fun s -> model_err (Fb.run fb s)) sqls in
+  let after = List.map (fun s -> model_err (serve fb s)) sqls in
   Alcotest.(check bool)
     (Printf.sprintf "geomean error shrank (%.4g -> %.4g)" (geomean before)
        (geomean after))
@@ -240,50 +249,74 @@ let test_bounds_sound_after_refinement () =
      static bounds computed from the refined statistics *)
   let w = fresh_workload () in
   let shell = w.Opdw.Workload.shell and app = w.Opdw.Workload.app in
-  let fb = Fb.create shell app in
+  let fb = feedback_driver shell app in
   let sql = sql_of "Q3" in
-  ignore (Fb.run fb sql);
+  ignore (serve fb sql);
   ignore (Fb.calibrate fb);
   let r =
-    Opdw.optimize ~options:(Fb.options fb) ~cache:(Fb.plan_cache fb) shell sql
+    Opdw.optimize ~options:(D.options fb) ?cache:(D.cache fb) shell sql
   in
   let actx =
     Analysis.context ~shell ~reg:r.Opdw.memo.Memo.reg
-      ~nodes:(Fb.options fb).Opdw.pdw.Pdwopt.Enumerate.nodes
+      ~nodes:(D.options fb).Opdw.pdw.Pdwopt.Enumerate.nodes
   in
   let observe, violations =
     Check.bounds_observer (Check.group_bounds actx (Opdw.plan r))
   in
-  ignore (Fb.run ~observe fb sql);
+  ignore (serve ~observe fb sql);
   Alcotest.(check int) "no bound violations post-refinement" 0 (violations ())
 
 let test_regression_falls_back_to_lkg () =
   let w = fresh_workload () in
   let shell = w.Opdw.Workload.shell in
-  let fb = Fb.create shell w.Opdw.Workload.app in
+  let fb = feedback_driver shell w.Opdw.Workload.app in
   let sql = sql_of "Q3" in
-  let oc1 = Fb.run fb sql in
+  let oc1 = serve fb sql in
   Alcotest.(check string) "round 1 sets LKG" "lkg-set"
-    (Store.outcome_name oc1.Fb.store_outcome);
+    (Store.outcome_name (Option.get oc1.D.store_outcome));
   (* adversarial stats skew: the optimizer now believes lineitem is tiny,
      recompiles, and picks a regressing movement strategy *)
   let tbl = Catalog.Shell_db.find_exn shell "lineitem" in
   Catalog.Shell_db.set_stats shell "lineitem"
     { tbl.Catalog.Shell_db.stats with Catalog.Tbl_stats.row_count = 10. };
-  let oc2 = Fb.run fb sql in
-  let oc3 = Fb.run fb sql in
-  let oc4 = Fb.run fb sql in
+  let oc2 = serve fb sql in
+  let oc3 = serve fb sql in
+  let oc4 = serve fb sql in
   Alcotest.(check string) "round 2 regresses" "regressed(1)"
-    (Store.outcome_name oc2.Fb.store_outcome);
+    (Store.outcome_name (Option.get oc2.D.store_outcome));
   Alcotest.(check string) "round 3 quarantines" "quarantined"
-    (Store.outcome_name oc3.Fb.store_outcome);
-  Alcotest.(check bool) "round 4 serves the LKG fallback" true oc4.Fb.fellback;
+    (Store.outcome_name (Option.get oc3.D.store_outcome));
+  Alcotest.(check bool) "round 4 serves the LKG fallback" true oc4.D.fellback;
   Alcotest.(check string) "fallback runs the LKG plan"
-    (Option.get oc1.Fb.res.Opdw.fingerprint)
-    (Option.get oc4.Fb.res.Opdw.fingerprint);
+    (Option.get oc1.D.res.Opdw.fingerprint)
+    (Option.get oc4.D.res.Opdw.fingerprint);
   Alcotest.(check bool) "fallback rows are the round-1 rows" true
-    (Engine.Local.canonical oc4.Fb.rows = Engine.Local.canonical oc1.Fb.rows);
-  Alcotest.(check int) "one fallback counted" 1 (Store.fallbacks (Fb.store fb))
+    (Engine.Local.canonical oc4.D.rows = Engine.Local.canonical oc1.D.rows);
+  Alcotest.(check int) "one fallback counted" 1 (Store.fallbacks (Option.get (D.store fb)))
+
+(* an LKG serves only the catalog it was placed on: after a node loss
+   the survivors' plan can be quarantined, but the 4-node LKG must not
+   run on the 3-node appliance *)
+let test_lkg_stays_on_its_catalog () =
+  let w = fresh_workload () in
+  let fb = feedback_driver w.Opdw.Workload.shell w.Opdw.Workload.app in
+  let sql = sql_of "Q3" in
+  let oc1 = serve fb sql in
+  D.install fb (Engine.Appliance.decommission (D.app fb) ~node:0);
+  let shell = D.shell fb in
+  let tbl = Catalog.Shell_db.find_exn shell "lineitem" in
+  Catalog.Shell_db.set_stats shell "lineitem"
+    { tbl.Catalog.Shell_db.stats with Catalog.Tbl_stats.row_count = 10. };
+  let outcomes = List.init 3 (fun _ -> serve fb sql) in
+  Alcotest.(check (list string)) "the survivors' plan regresses into quarantine"
+    [ "regressed(1)"; "quarantined" ]
+    (List.map
+       (fun oc -> Store.outcome_name (Option.get oc.D.store_outcome))
+       (List.filteri (fun i _ -> i < 2) outcomes));
+  let oc4 = List.nth outcomes 2 in
+  Alcotest.(check bool) "no fallback to another catalog's LKG" false oc4.D.fellback;
+  Alcotest.(check bool) "rows are the round-1 rows" true
+    (Engine.Local.canonical oc4.D.rows = Engine.Local.canonical oc1.D.rows)
 
 let test_plan_identity_across_jobs () =
   (* the whole loop — run, calibrate, run — is a pure function of the log
@@ -292,12 +325,12 @@ let test_plan_identity_across_jobs () =
     Par.with_pool ~jobs @@ fun pool ->
     let w = fresh_workload () in
     Engine.Appliance.set_pool w.Opdw.Workload.app pool;
-    let fb = Fb.create w.Opdw.Workload.shell w.Opdw.Workload.app in
+    let fb = feedback_driver w.Opdw.Workload.shell w.Opdw.Workload.app in
     let sql = sql_of "Q3" in
-    ignore (Fb.run fb sql);
+    ignore (serve fb sql);
     let cal = Fb.calibrate fb in
-    let oc = Fb.run fb sql in
-    (Option.get oc.Fb.res.Opdw.fingerprint, oc.Fb.observed_sim, cal.Fb.lambdas)
+    let oc = serve fb sql in
+    (Option.get oc.D.res.Opdw.fingerprint, oc.D.observed_sim, cal.Fb.lambdas)
   in
   let f1, s1, l1 = cycle 1 in
   let f4, s4, l4 = cycle 4 in
@@ -311,17 +344,17 @@ let test_one_harvest () =
   let w = fresh_workload () in
   let shell = w.Opdw.Workload.shell and app = w.Opdw.Workload.app in
   let sql = sql_of "Q3" in
-  let fb = Fb.create shell app in
-  let oc = Fb.run fb sql in
+  let fb = feedback_driver shell app in
+  let oc = serve fb sql in
   let el = Topology.Elastic.create ~fault:Fault.none shell app in
   let r, _ = Topology.Elastic.run el sql in
-  Alcotest.(check string) "same plan" (Opdw.explain oc.Fb.res) (Opdw.explain r);
+  Alcotest.(check string) "same plan" (Opdw.explain oc.D.res) (Opdw.explain r);
   let ops log =
     match List.rev (Log.records log) with
     | last :: _ -> last.Log.r_ops
     | [] -> Alcotest.fail "no record appended"
   in
-  let fb_ops = ops (Fb.log fb) in
+  let fb_ops = ops (D.log fb) in
   Alcotest.(check bool) "harvested something" true (fb_ops <> []);
   Alcotest.(check bool) "identical r_ops" true (fb_ops = ops (Topology.Elastic.log el))
 
@@ -347,6 +380,92 @@ let test_observer_sequence_across_jobs () =
   Alcotest.(check bool) "observer called" true (c1 <> []);
   Alcotest.(check bool) "same call sequence at jobs 1 vs 4" true (c1 = calls 4)
 
+(* -- regression pin: the three entry points before the one driver -- *)
+
+(* Recorded through [Governed.run], [Feedback.run] and [Elastic.run
+   ~fault:Fault.none] before they became one driver: for Q3 then Q10 on
+   one fresh 4-node SF 0.002 appliance per entry point, the MD5 of the
+   canonical rows, the account's sim_time / dms_time / bytes_moved after
+   the statement (hex floats, compared exactly), and the last log
+   record's r_ops digest and r_fingerprint digest with its r_sim. The
+   governed path kept no log. Governed and feedback statements start from
+   a zeroed account; the elastic account is cumulative. *)
+let pinned =
+  [ ("governed", "Q3", "67886295abb388d67ba742aca205191c",
+     "0x1.32acb4ae39e61p-11 0x1.a5d6b996ac57dp-13 0x1.2cp+10", "-", "-");
+    ("governed", "Q10", "be9658f87b5eacee95f0ca569dc7e0c2",
+     "0x1.1747380fa7c7ap-11 0x1.a813ac709100bp-13 0x1.0d98p+13", "-", "-");
+    ("feedback", "Q3", "67886295abb388d67ba742aca205191c",
+     "0x1.32acb4ae39e61p-11 0x1.a5d6b996ac57dp-13 0x1.2cp+10",
+     "8242b5ad135ff2b9851a90d5de02dbf5",
+     "4c6328a2bda2927f2555578fc9a17fb0 0x1.32acb4ae39e61p-11");
+    ("feedback", "Q10", "be9658f87b5eacee95f0ca569dc7e0c2",
+     "0x1.1747380fa7c7ap-11 0x1.a813ac709100bp-13 0x1.0d98p+13",
+     "df7ce3e72a977806b38bd0ae435f3a5d",
+     "bdd161d3f7813e663c54310a619f938e 0x1.1747380fa7c7ap-11");
+    ("elastic", "Q3", "67886295abb388d67ba742aca205191c",
+     "0x1.32acb4ae39e61p-11 0x1.a5d6b996ac57dp-13 0x1.2cp+10",
+     "8242b5ad135ff2b9851a90d5de02dbf5",
+     "d41d8cd98f00b204e9800998ecf8427e 0x1.32acb4ae39e61p-11");
+    ("elastic", "Q10", "be9658f87b5eacee95f0ca569dc7e0c2",
+     "0x1.24f9f65ef0d6ep-10 0x1.a6f533039eac4p-12 0x1.3318p+13",
+     "df7ce3e72a977806b38bd0ae435f3a5d",
+     "d41d8cd98f00b204e9800998ecf8427e 0x1.1747380fa7c7bp-11") ]
+
+let test_driver_pins () =
+  let digest s = Digest.to_hex (Digest.string s) in
+  let ops (os : Log.op_obs list) =
+    digest
+      (String.concat ";"
+         (List.map
+            (fun (o : Log.op_obs) ->
+               Printf.sprintf "%d %s %s %s %h %h" o.Log.o_group o.Log.o_op
+                 (Option.value o.Log.o_table ~default:"-")
+                 (String.concat "," (List.map (fun (t, c) -> t ^ ":" ^ c) o.Log.o_cols))
+                 o.Log.o_est o.Log.o_actual)
+            os))
+  in
+  let pin entry serve log =
+    List.map
+      (fun id ->
+         let rows, app = serve (sql_of id) in
+         let a = app.Engine.Appliance.account in
+         let r_ops, r_fp =
+           match log with
+           | None -> ("-", "-")
+           | Some log ->
+             let r = List.hd (List.rev (Log.records log)) in
+             (ops r.Log.r_ops,
+              Printf.sprintf "%s %h" (digest r.Log.r_fingerprint) r.Log.r_sim)
+         in
+         (entry, id, digest (String.concat "\n" (Engine.Local.canonical rows)),
+          Printf.sprintf "%h %h %h" a.Engine.Appliance.sim_time
+            a.Engine.Appliance.dms_time a.Engine.Appliance.bytes_moved,
+          r_ops, r_fp))
+      [ "Q3"; "Q10" ]
+  in
+  let driver ?regress_factor entry =
+    let w = fresh_workload () in
+    let d = D.create ?regress_factor w.Opdw.Workload.shell w.Opdw.Workload.app in
+    pin entry
+      (fun sql -> ((serve d sql).D.rows, D.app d))
+      (if regress_factor = None then None else Some (D.log d))
+  in
+  let elastic () =
+    let w = fresh_workload () in
+    let el = Topology.Elastic.create ~fault:Fault.none w.Opdw.Workload.shell w.Opdw.Workload.app in
+    pin "elastic" (fun sql -> (snd (Topology.Elastic.run el sql), D.app el)) (Some (D.log el))
+  in
+  let got = driver "governed" @ driver ~regress_factor:1.2 "feedback" @ elastic () in
+  List.iter2
+    (fun (e, id, rows, acct, r_ops, r_fp) (_, _, rows', acct', r_ops', r_fp') ->
+       let what k = Printf.sprintf "%s %s %s" e id k in
+       Alcotest.(check string) (what "rows") rows rows';
+       Alcotest.(check string) (what "sim/dms/bytes") acct acct';
+       Alcotest.(check string) (what "r_ops") r_ops r_ops';
+       Alcotest.(check string) (what "r_fingerprint, r_sim") r_fp r_fp')
+    pinned got
+
 let suite =
   [ t "store: hysteresis / quarantine / fallback" test_store_hysteresis;
     t "store: degraded never LKG" test_store_degraded_never_lkg;
@@ -361,4 +480,6 @@ let suite =
     t "loop: plan identity at jobs 1 vs 4" test_plan_identity_across_jobs;
     t "harvest: feedback and elastic log identical ops" test_one_harvest;
     t "harvest: observer sequence at jobs 1 vs 4" test_observer_sequence_across_jobs;
-    t "log: truncated lines are parse errors" test_log_rejects_truncated ]
+    t "log: truncated lines are parse errors" test_log_rejects_truncated;
+    t "driver: pinned rows, accounts and log records" test_driver_pins;
+    t "driver: an LKG serves only its own catalog" test_lkg_stays_on_its_catalog ]

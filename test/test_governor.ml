@@ -270,34 +270,53 @@ let test_fingerprint_carries_governor_knobs () =
     (base <> fp (limits_with ~max_memo_groups:64 ()));
   Alcotest.(check string) "no knobs: stable key" base (fp Governor.no_limits)
 
-(* -- the governed entry point -- *)
+(* -- the statement driver's governance policies -- *)
 
 let test_governed_returns_oracle_rows () =
   let base = oracle join_sql in
   let wl = Lazy.force w in
-  let gov = Opdw.Governed.create wl.Opdw.Workload.shell wl.Opdw.Workload.app in
-  Opdw.Governed.reset gov;
-  (match Opdw.Governed.run gov join_sql with
-   | Opdw.Governed.Returned (r, res) ->
+  let gov = Opdw.Driver.create wl.Opdw.Workload.shell wl.Opdw.Workload.app in
+  Opdw.Driver.reset gov;
+  (match Opdw.Driver.run gov join_sql with
+   | Opdw.Driver.Returned { res = r; rows = res; _ } ->
      Alcotest.(check bool) "not degraded" true (r.Opdw.degraded = None);
      Alcotest.(check (list string)) "rows equal oracle" base (canonical r res)
-   | oc -> Alcotest.fail (Opdw.Governed.outcome_to_string oc))
+   | oc -> Alcotest.fail (Opdw.Driver.outcome_to_string oc))
 
 let test_governed_sim_deadline_times_out () =
   let wl = Lazy.force w in
   let app = wl.Opdw.Workload.app in
   let options = options_with (limits_with ~sim_deadline:0.0 ()) in
-  let gov = Opdw.Governed.create ~options ~breaker_threshold:0 wl.Opdw.Workload.shell app in
-  Opdw.Governed.reset gov;
-  (match Opdw.Governed.run gov join_sql with
-   | Opdw.Governed.Timed_out Governor.Deadline -> ()
-   | oc -> Alcotest.fail ("expected timeout, got " ^ Opdw.Governed.outcome_to_string oc));
+  let gov = Opdw.Driver.create ~options ~breaker_threshold:0 wl.Opdw.Workload.shell app in
+  Opdw.Driver.reset gov;
+  (match Opdw.Driver.run gov join_sql with
+   | Opdw.Driver.Timed_out Governor.Deadline -> ()
+   | oc -> Alcotest.fail ("expected timeout, got " ^ Opdw.Driver.outcome_to_string oc));
   (* the interrupt must not poison the appliance: an ungoverned statement
      right after returns correct rows (the engine token was reset) *)
   let base = oracle join_sql in
   Alcotest.(check (list string)) "appliance reusable after timeout" base
     (oracle join_sql);
   ignore base
+
+(* the simulated deadline is a driver policy, not a property of one
+   path: with the plan store attached, and under a fault plan with
+   node-crash recovery, the statement times out all the same *)
+let test_sim_deadline_composes () =
+  let wl = Lazy.force w in
+  let shell = wl.Opdw.Workload.shell and app = wl.Opdw.Workload.app in
+  let options = options_with (limits_with ~sim_deadline:0.0 ()) in
+  List.iter
+    (fun (name, d) ->
+       Opdw.Driver.reset d;
+       match Opdw.Driver.run d join_sql with
+       | Opdw.Driver.Timed_out Governor.Deadline -> ()
+       | oc ->
+         Alcotest.fail
+           (name ^ ": expected timeout, got " ^ Opdw.Driver.outcome_to_string oc))
+    [ ("plan store", Opdw.Driver.create ~options ~regress_factor:1.2 shell app);
+      ("fault plan + replan",
+       Opdw.Driver.create ~options ~fault:Fault.none ~max_replans:8 shell app) ]
 
 let test_governed_breaker_end_to_end () =
   let base = oracle join_sql in
@@ -319,35 +338,35 @@ let test_governed_breaker_end_to_end () =
          (List.init 12 Fun.id))
   in
   let gov =
-    Opdw.Governed.create ~breaker_threshold:2 ~breaker_cooldown:0.5
+    Opdw.Driver.create ~breaker_threshold:2 ~breaker_cooldown:0.5
       wl.Opdw.Workload.shell app
   in
-  Opdw.Governed.reset gov;
+  Opdw.Driver.reset gov;
   Engine.Appliance.set_fault app persistent;
   let expect_exhausted () =
-    match Opdw.Governed.run gov join_sql with
-    | Opdw.Governed.Exhausted { attempts; _ } ->
+    match Opdw.Driver.run gov join_sql with
+    | Opdw.Driver.Exhausted { attempts; _ } ->
       Alcotest.(check int) "budget spent: retries + first attempt"
         (Fault.default_policy.Fault.retries + 1) attempts
-    | oc -> Alcotest.fail ("expected exhaustion, got " ^ Opdw.Governed.outcome_to_string oc)
+    | oc -> Alcotest.fail ("expected exhaustion, got " ^ Opdw.Driver.outcome_to_string oc)
   in
   expect_exhausted ();
   expect_exhausted ();
   (* two hard failures: the breaker is open, the third run is shed *)
-  (match Opdw.Governed.run gov join_sql with
-   | Opdw.Governed.Shed { retry_after } ->
+  (match Opdw.Driver.run gov join_sql with
+   | Opdw.Driver.Shed { retry_after } ->
      Alcotest.(check bool) "cooldown reported" true (retry_after > 0.)
-   | oc -> Alcotest.fail ("expected shed, got " ^ Opdw.Governed.outcome_to_string oc));
+   | oc -> Alcotest.fail ("expected shed, got " ^ Opdw.Driver.outcome_to_string oc));
   (* charge the cooldown to the simulated clock, clear the fault: the
      half-open probe runs, succeeds, and closes the breaker *)
   Engine.Appliance.set_fault app Fault.none;
   let acct = app.Engine.Appliance.account in
   acct.Engine.Appliance.sim_time <- acct.Engine.Appliance.sim_time +. 1.0;
-  (match Opdw.Governed.run gov join_sql with
-   | Opdw.Governed.Returned (r, res) ->
+  (match Opdw.Driver.run gov join_sql with
+   | Opdw.Driver.Returned { res = r; rows = res; _ } ->
      Alcotest.(check (list string)) "probe returns oracle rows" base (canonical r res)
-   | oc -> Alcotest.fail ("expected probe success, got " ^ Opdw.Governed.outcome_to_string oc));
-  let bs = Governor.Breaker.stats (Opdw.Governed.breaker gov) in
+   | oc -> Alcotest.fail ("expected probe success, got " ^ Opdw.Driver.outcome_to_string oc));
+  let bs = Governor.Breaker.stats (Opdw.Driver.breaker gov) in
   Alcotest.(check int) "one trip" 1 bs.Governor.Breaker.trips;
   Alcotest.(check int) "one shed" 1 bs.Governor.Breaker.shed;
   Alcotest.(check int) "one probe" 1 bs.Governor.Breaker.probes;
@@ -357,23 +376,23 @@ let test_governed_reset_uniform () =
   (* the one shared reset path: account plus gate/breaker counters zero
      together, so --repeat and the bench report per-iteration numbers *)
   let wl = Lazy.force w in
-  let gov = Opdw.Governed.create wl.Opdw.Workload.shell wl.Opdw.Workload.app in
-  Opdw.Governed.reset gov;
-  (match Opdw.Governed.run gov join_sql with
-   | Opdw.Governed.Returned _ -> ()
-   | oc -> Alcotest.fail (Opdw.Governed.outcome_to_string oc));
-  let app = Opdw.Governed.app gov in
+  let gov = Opdw.Driver.create wl.Opdw.Workload.shell wl.Opdw.Workload.app in
+  Opdw.Driver.reset gov;
+  (match Opdw.Driver.run gov join_sql with
+   | Opdw.Driver.Returned _ -> ()
+   | oc -> Alcotest.fail (Opdw.Driver.outcome_to_string oc));
+  let app = Opdw.Driver.app gov in
   Alcotest.(check bool) "clock advanced" true
     (app.Engine.Appliance.account.Engine.Appliance.sim_time > 0.);
   Alcotest.(check int) "one admitted" 1
-    (Governor.Gate.stats (Opdw.Governed.gate gov)).Governor.Gate.admitted;
-  Opdw.Governed.reset gov;
+    (Governor.Gate.stats (Opdw.Driver.gate gov)).Governor.Gate.admitted;
+  Opdw.Driver.reset gov;
   Alcotest.(check (float 0.)) "sim clock zeroed" 0.
     app.Engine.Appliance.account.Engine.Appliance.sim_time;
   Alcotest.(check int) "gate stats zeroed" 0
-    (Governor.Gate.stats (Opdw.Governed.gate gov)).Governor.Gate.admitted;
+    (Governor.Gate.stats (Opdw.Driver.gate gov)).Governor.Gate.admitted;
   Alcotest.(check int) "breaker stats zeroed" 0
-    (Governor.Breaker.stats (Opdw.Governed.breaker gov)).Governor.Breaker.trips
+    (Governor.Breaker.stats (Opdw.Driver.breaker gov)).Governor.Breaker.trips
 
 (* -- determinism across jobs -- *)
 
@@ -393,17 +412,17 @@ let test_sim_deadline_determinism_across_jobs () =
       (fun sim_deadline ->
          let options = options_with (limits_with ~sim_deadline ()) in
          let gov =
-           Opdw.Governed.create ~options ~breaker_threshold:0
+           Opdw.Driver.create ~options ~breaker_threshold:0
              wl.Opdw.Workload.shell app
          in
-         Opdw.Governed.reset gov;
-         let oc = Opdw.Governed.run gov join_sql in
+         Opdw.Driver.reset gov;
+         let oc = Opdw.Driver.run gov join_sql in
          let rows =
            match oc with
-           | Opdw.Governed.Returned (r, res) -> canonical r res
+           | Opdw.Driver.Returned { res = r; rows = res; _ } -> canonical r res
            | _ -> []
          in
-         (Opdw.Governed.outcome_to_string oc, rows,
+         (Opdw.Driver.outcome_to_string oc, rows,
           app.Engine.Appliance.account.Engine.Appliance.sim_time))
       [ 0.0; 0.0002; 0.0005; 0.002; 1.0 ]
   in
@@ -496,12 +515,12 @@ let prop_governed_never_wrong =
   in
   let options = options_with limits in
   let gov =
-    Opdw.Governed.create ~options ~breaker_threshold:0 wl.Opdw.Workload.shell
+    Opdw.Driver.create ~options ~breaker_threshold:0 wl.Opdw.Workload.shell
       wl.Opdw.Workload.app
   in
-  Opdw.Governed.reset gov;
-  (match Opdw.Governed.run gov q.Tpch.Queries.sql with
-   | Opdw.Governed.Returned (r, res) ->
+  Opdw.Driver.reset gov;
+  (match Opdw.Driver.run gov q.Tpch.Queries.sql with
+   | Opdw.Driver.Returned { res = r; rows = res; _ } ->
      let rows = canonical r res in
      if rows <> oracle_rows q then
        QCheck.Test.fail_report
@@ -509,11 +528,11 @@ let prop_governed_never_wrong =
             (match r.Opdw.degraded with
              | Some d -> Opdw.degradation_to_string d
              | None -> "no"))
-   | Opdw.Governed.Timed_out _ -> ()
+   | Opdw.Driver.Timed_out _ -> ()
    | oc ->
      QCheck.Test.fail_report
        (Printf.sprintf "unexpected outcome for %s: %s" q.Tpch.Queries.id
-          (Opdw.Governed.outcome_to_string oc)));
+          (Opdw.Driver.outcome_to_string oc)));
   true
 
 let suite =
@@ -534,4 +553,5 @@ let suite =
     t "sim deadlines reproduce at jobs 1 and 4" test_sim_deadline_determinism_across_jobs;
     t "compile deadlines reproduce at jobs 1 and 4"
       test_compile_deadline_determinism_across_jobs;
-    QCheck_alcotest.to_alcotest prop_governed_never_wrong ]
+    QCheck_alcotest.to_alcotest prop_governed_never_wrong;
+    t "simulated deadline with store and replan policies" test_sim_deadline_composes ]

@@ -181,11 +181,11 @@ let test_catalog_changes_rekey () =
   Catalog.Shell_db.update_col_stats shell "orders" "o_custkey"
     (Option.get (Catalog.Shell_db.col_stats orders "o_custkey"));
   fresh "update_col_stats" shell;
-  let fb = Opdw.Feedback.create ~cache shell wl.Opdw.Workload.app in
-  let options = Opdw.Feedback.options fb in
+  let fb = Opdw.Driver.create ~cache shell wl.Opdw.Workload.app in
+  let options = Opdw.Driver.options fb in
   let cal = Opdw.Feedback.calibrate fb in
   Alcotest.(check int) "nothing refined" 0 (List.length cal.Opdw.Feedback.refined);
-  Alcotest.(check bool) "options unchanged" true (options = Opdw.Feedback.options fb);
+  Alcotest.(check bool) "options unchanged" true (options = Opdw.Driver.options fb);
   fresh "a calibration that refines nothing" ~options shell;
   let app = Engine.Appliance.decommission wl.Opdw.Workload.app ~node:2 in
   fresh "a decommission" app.Engine.Appliance.shell;

@@ -136,7 +136,7 @@ let test_grow_reports_move_counters_once () =
   Alcotest.(check int) "topology.move_seconds once" 1 (count "topology.move_seconds");
   Alcotest.(check bool) "move seconds are the accrued copy cost" true
     (Obs.counter obs "topology.move_seconds" > 0.);
-  Alcotest.(check int) "grown to 4 nodes" 4 (Topology.Elastic.nodes el)
+  Alcotest.(check int) "grown to 4 nodes" 4 (Opdw.Driver.nodes el)
 
 let test_redistribute_rekeys_online () =
   let wl = workload ~node_count:4 () in
@@ -343,7 +343,7 @@ let test_elastic_storm_grow_and_rekey () =
   in
   for _ = 1 to 8 do serve_one () done;
   Topology.Elastic.grow ~between:serve_one el ~nodes:4;
-  Alcotest.(check int) "grown mid-storm" 4 (Topology.Elastic.nodes el);
+  Alcotest.(check int) "grown mid-storm" 4 (Opdw.Driver.nodes el);
   let advice = Topology.Elastic.advise el in
   Alcotest.(check bool) "head join mis-key found" true
     (List.exists
@@ -363,7 +363,7 @@ let test_elastic_storm_grow_and_rekey () =
   Alcotest.(check int) "whole storm served" 16 !served;
   Alcotest.(check int) "availability 1.0: zero non-oracle answers" 0 !mismatches;
   Alcotest.(check bool) "epoch advanced by the moves" true
-    (Topology.Elastic.epoch el >= 2)
+    (Opdw.Driver.epoch el >= 2)
 
 (* -- the advisor against a reference replay -- *)
 
@@ -450,8 +450,8 @@ let served_storm =
 
 let test_advise_matches_reference () =
   let el = Lazy.force served_storm in
-  let shell = Topology.Elastic.shell el and log = Topology.Elastic.log el in
-  let options = Topology.Elastic.options el in
+  let shell = Opdw.Driver.shell el and log = Topology.Elastic.log el in
+  let options = Opdw.Driver.options el in
   let advice = Topology.Elastic.advise el in
   Alcotest.(check bool) "the storm's advice proposes a re-key" true
     (advice.Topology.Advisor.a_proposals <> []);
@@ -468,8 +468,8 @@ let test_advise_matches_reference () =
    would price degraded plans *)
 let test_advise_ignores_governor_limits () =
   let el = Lazy.force served_storm in
-  let shell = Topology.Elastic.shell el and log = Topology.Elastic.log el in
-  let options = Topology.Elastic.options el in
+  let shell = Opdw.Driver.shell el and log = Topology.Elastic.log el in
+  let options = Opdw.Driver.options el in
   let unlimited = advice_to_string (Topology.Advisor.advise ~options shell log) in
   List.iter
     (fun (what, governor) ->
@@ -491,13 +491,13 @@ let op_to_string = function
   | Shrink -> "shrink"
 
 let apply_op (el : Topology.Elastic.t) = function
-  | Grow -> Topology.Elastic.grow el ~nodes:(Topology.Elastic.nodes el + 1)
+  | Grow -> Topology.Elastic.grow el ~nodes:(Opdw.Driver.nodes el + 1)
   | Rekey (table, col) -> Topology.Elastic.redistribute el ~table ~cols:[ col ]
   | Shrink ->
-    if Topology.Elastic.nodes el > 1 then begin
+    if Opdw.Driver.nodes el > 1 then begin
       let app = Topology.Elastic.app el in
       let node = app.Engine.Appliance.nodes - 1 in
-      Topology.Elastic.install el (Engine.Appliance.decommission app ~node)
+      Opdw.Driver.install el (Engine.Appliance.decommission app ~node)
     end
 
 let arb_sequence =
@@ -546,8 +546,8 @@ let run_sequence ~jobs (ops, seed) =
       (served, a.Engine.Appliance.sim_time, a.Engine.Appliance.dms_time,
        a.Engine.Appliance.bytes_moved, a.Engine.Appliance.rows_moved,
        a.Engine.Appliance.injected, a.Engine.Appliance.retries,
-       a.Engine.Appliance.replans, Topology.Elastic.nodes el,
-       Topology.Elastic.epoch el)
+       a.Engine.Appliance.replans, Opdw.Driver.nodes el,
+       Opdw.Driver.epoch el)
   | exception Fault.Exhausted { failure; attempts } ->
     Error (Fault.failure_to_string failure, attempts)
 
