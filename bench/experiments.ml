@@ -902,19 +902,13 @@ let e17 () =
   let app = w.Opdw.Workload.app in
   let ids = [ "Q1"; "Q3"; "Q5"; "Q10"; "Q12"; "Q20" ] in
   let statements = 24 in
-  let stmts = Array.init statements (fun i -> List.nth ids (i mod List.length ids)) in
-  let canonical r res =
-    Engine.Local.canonical ~cols:(List.map snd (Opdw.output_columns r)) res
+  let stmts =
+    List.init statements (fun i ->
+        let id = List.nth ids (i mod List.length ids) in
+        (id, query id))
   in
   (* oracle rows per query: full budget, ungoverned, fault-free *)
-  let oracle =
-    List.map
-      (fun id ->
-         let r = optimize w (query id) in
-         Engine.Appliance.reset_account app;
-         (id, canonical r (Opdw.run app r)))
-      ids
-  in
+  let oracle = Opdw.Workload.oracle w stmts in
   Printf.printf
     "\n%d statements (%s mix) per cell, 4 driver domains, through the\n\
      governed entry point; limits are on the MEMO size and the simulated\n\
@@ -946,37 +940,21 @@ let e17 () =
                 ~max_concurrent:width ~queue_limit:statements
                 ~breaker_threshold:0 w.Opdw.Workload.shell app
             in
-            Opdw.Driver.reset d;
-            let outcomes =
-              Par.parallel_map pool (fun id -> (id, Opdw.Driver.run d (query id))) stmts
+            let { Opdw.Driver.degraded; rejected; timed_out; wrong; _ } =
+              Opdw.Driver.storm ~pool ~oracle d stmts
             in
-            let degraded = ref 0 and rejected = ref 0 and timeout = ref 0 in
-            let wrong = ref 0 in
-            Array.iter
-              (fun (id, oc) ->
-                 match oc with
-                 | Opdw.Driver.Returned { res = r; rows; _ } ->
-                   if r.Opdw.degraded <> None then incr degraded;
-                   if canonical r rows <> List.assoc id oracle then incr wrong
-                 | Opdw.Driver.Rejected _ -> incr rejected
-                 | Opdw.Driver.Timed_out _ -> incr timeout
-                 | Opdw.Driver.Shed _ | Opdw.Driver.Exhausted _
-                 | Opdw.Driver.Invalid _ -> ())
-              outcomes;
             (* availability: every statement either answers with oracle rows
                or is refused with a structured outcome — wrong rows are the
                only failures *)
-            let avail =
-              float_of_int (statements - !wrong) /. float_of_int statements
-            in
-            let frac n = float_of_int !n /. float_of_int statements in
+            let avail = float_of_int (statements - wrong) /. float_of_int statements in
+            let frac n = float_of_int n /. float_of_int statements in
             let key k = Printf.sprintf "%s.width%d.%s" label width k in
             record "E17" (key "degraded_frac") (frac degraded);
             record "E17" (key "rejected_frac") (frac rejected);
-            record "E17" (key "timeout_frac") (frac timeout);
+            record "E17" (key "timeout_frac") (frac timed_out);
             record "E17" (key "availability") avail;
             rowf "%-16s %-6d %-9.2f %-9.2f %-8.2f %-6.2f\n" label width
-              (frac degraded) (frac rejected) (frac timeout) avail)
+              (frac degraded) (frac rejected) (frac timed_out) avail)
          [ 1; 2; 4; 8 ])
     configs;
   Printf.printf
@@ -1192,31 +1170,12 @@ let e21 () =
 
   (* -- part A: one feedback pass over the whole workload -- *)
   let w = fresh () in
-  let shell = w.Opdw.Workload.shell and app = w.Opdw.Workload.app in
-  let d = Opdw.Driver.create ~cache:(Opdw.cache ()) w.Opdw.Workload.shell app in
-  (* one statement from a zeroed account, its cost the whole account *)
-  let serve ?observe d sql =
-    Opdw.Driver.reset d;
-    Opdw.Driver.returned (Opdw.Driver.run ?observe d sql)
+  let d =
+    Opdw.Driver.create ~cache:(Opdw.cache ()) w.Opdw.Workload.shell w.Opdw.Workload.app
   in
-  let measure ~bounds q =
-    let observe, violations =
-      if not bounds then (None, fun () -> 0)
-      else begin
-        (* R11 soundness gate for the refined statistics: executed row
-           counts must stay inside the analyzer's static bounds *)
-        let observe, violations =
-          Opdw.bounds_oracle
-            (Opdw.optimize ~options:(Opdw.Driver.options d)
-               ?cache:(Opdw.Driver.cache d) shell q.Tpch.Queries.sql)
-        in
-        (Some observe, violations)
-      end
-    in
-    let s = serve ?observe d q.Tpch.Queries.sql in
-    (Opdw.Feedback.model_error s.Opdw.Driver.res ~dms_time:s.Opdw.Driver.observed_dms,
-     violations ())
-  in
+  (* the second pass is the R11 soundness gate for the refined statistics:
+     executed row counts must stay inside the analyzer's static bounds *)
+  let measure ~bounds q = Opdw.Feedback.measure ~bounds d q.Tpch.Queries.sql in
   let before = List.map (fun q -> fst (measure ~bounds:false q)) Tpch.Queries.all in
   let cal = Opdw.Feedback.calibrate d in
   let after_v = List.map (measure ~bounds:true) Tpch.Queries.all in
@@ -1251,8 +1210,13 @@ let e21 () =
   let w = fresh () in
   let shell = w.Opdw.Workload.shell in
   let d = Opdw.Driver.create ~regress_factor:1.2 shell w.Opdw.Workload.app in
+  (* one statement from a zeroed account, its cost the whole account *)
+  let serve sql =
+    Opdw.Driver.reset d;
+    Opdw.Driver.returned (Opdw.Driver.run d sql)
+  in
   let sql = query "Q3" in
-  let oc1 = serve d sql in
+  let oc1 = serve sql in
   let tbl = Catalog.Shell_db.find_exn shell "lineitem" in
   Catalog.Shell_db.set_stats shell "lineitem"
     { tbl.Catalog.Shell_db.stats with Catalog.Tbl_stats.row_count = 10. };
@@ -1268,7 +1232,7 @@ let e21 () =
   in
   describe 1 oc1;
   for i = 2 to 4 do
-    let oc = serve d sql in
+    let oc = serve sql in
     describe i oc;
     if Engine.Local.canonical oc.Opdw.Driver.rows = oracle then incr matched;
     if oc.Opdw.Driver.fellback && !recover_round = 0 then recover_round := i
@@ -1292,14 +1256,12 @@ let e22 () =
   let nodes = 4 and grow_to = 8 and sf = 0.005 and storm_len = 16 in
   (* fault-free oracle rows per query id: every answer served during the
      storm — including the ones admitted mid-move — must match exactly *)
-  let ow = Opdw.Workload.tpch ~node_count:nodes ~sf () in
-  let oracle = Hashtbl.create 16 in
-  List.iter
-    (fun (q : Tpch.Queries.t) ->
-       let r = Opdw.optimize ow.Opdw.Workload.shell q.Tpch.Queries.sql in
-       Hashtbl.replace oracle q.Tpch.Queries.id
-         (Engine.Local.canonical (Opdw.run ow.Opdw.Workload.app r)))
-    Tpch.Queries.all;
+  let oracle =
+    Opdw.Workload.oracle
+      (Opdw.Workload.tpch ~node_count:nodes ~sf ())
+      (List.map (fun (q : Tpch.Queries.t) -> (q.Tpch.Queries.id, q.Tpch.Queries.sql))
+         Tpch.Queries.all)
+  in
   let bundle = Array.of_list Tpch.Queries.all in
   (* observed (not modelled) DMS bytes of one clean execution of [sql] *)
   let observed_bytes (app : Engine.Appliance.t) sql =
@@ -1326,27 +1288,15 @@ let e22 () =
             in
             let storm =
               Topology.Zipf.storm ~seed ~length:storm_len (Array.length bundle)
-              |> List.map (fun k -> bundle.(k))
-            in
-            let queue = ref storm and served = ref 0 and matched = ref 0 in
-            let serve_one () =
-              match !queue with
-              | [] -> ()
-              | q :: rest ->
-                queue := rest;
-                let _, rows = Topology.Elastic.run ~obs el q.Tpch.Queries.sql in
-                incr served;
-                if Engine.Local.canonical rows = Hashtbl.find oracle q.Tpch.Queries.id
-                then incr matched
+              |> List.map (fun k ->
+                  (bundle.(k).Tpch.Queries.id, bundle.(k).Tpch.Queries.sql))
             in
             (* half the storm builds the advisor's log, then the appliance
                doubles and re-keys online while the rest keeps serving *)
-            for _ = 1 to storm_len / 2 do serve_one () done;
-            Topology.Elastic.grow ~obs ~between:serve_one el ~nodes:grow_to;
-            let advice = Topology.Elastic.advise el in
-            Topology.Elastic.apply ~obs ~between:serve_one el advice;
-            while !queue <> [] do serve_one () done;
-            let avail = float_of_int !matched /. float_of_int (max 1 !served) in
+            let { Opdw.Driver.statements; returned; wrong; _ }, advice =
+              Topology.Elastic.storm ~obs ~grow_to ~oracle el storm
+            in
+            let avail = float_of_int (returned - wrong) /. float_of_int statements in
             if avail < !worst_avail then worst_avail := avail;
             (* observed post-move DMS volume of the storm's head queries vs a
                frozen-key control grown to the same width *)

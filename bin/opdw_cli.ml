@@ -48,6 +48,13 @@ let resolve_sql query_id sql_arg file =
     prerr_endline "give a query: positional SQL, --query ID, or --file F";
     exit 1
 
+let workload_targets ~all ~query ~sql ~file =
+  if all then
+    List.map (fun q -> (q.Tpch.Queries.id, q.Tpch.Queries.sql)) Tpch.Queries.all
+  else
+    [ ((match query with Some id -> id | None -> "query"),
+       resolve_sql query sql file) ]
+
 (* -- observability -- *)
 
 let obs_src = Logs.Src.create "opdw.obs" ~doc:"opdw observability event stream"
@@ -120,17 +127,20 @@ let seed_t =
   Arg.(value & flag & info [ "seed-collocated" ] ~doc:"Seed the MEMO with collocated join orders (paper sec. 3.1).")
 
 let budget_t =
-  Arg.(value & opt int 20000
+  Arg.(value & opt (checked int ~expected:"a task budget >= 0" (fun n -> n >= 0)) 20000
        & info [ "budget" ] ~docv:"TASKS" ~doc:"Serial exploration task budget (timeout).")
 
+(* the one resolution of --jobs: 0 stands for the machine's recommended
+   domain count *)
 let jobs_t =
-  Arg.(value & opt int 0
-       & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Domains used both to compile (plan enumeration over the MEMO's \
-               dependency levels) and to execute per-node shards of each DSQL \
-               step in parallel. The chosen plan and the simulated times are \
-               bit-identical at any N. 0 = the machine's recommended domain \
-               count.")
+  Term.(const (fun j -> if j = 0 then Par.default_jobs () else j)
+        $ Arg.(value & opt (checked int ~expected:"a domain count >= 0" (fun n -> n >= 0)) 0
+               & info [ "j"; "jobs" ] ~docv:"N"
+                 ~doc:"Domains used both to compile (plan enumeration over the MEMO's \
+                       dependency levels) and to execute per-node shards of each \
+                       DSQL step in parallel. The chosen plan and the simulated \
+                       times are bit-identical at any N. 0 = the machine's \
+                       recommended domain count."))
 
 let no_cache_t =
   Arg.(value & flag
@@ -214,6 +224,11 @@ let feedback_log_t =
          ~doc:"Persist the feedback log: loaded before the run when FILE exists \
                (bit-exact round-trip), saved back after. Implies $(b,--feedback) \
                for $(b,run).")
+
+(* --feedback-log FILE: loaded before the run when FILE exists *)
+let load_log = function
+  | Some f when Sys.file_exists f -> Opdw.Feedback.Log.load f
+  | _ -> Opdw.Feedback.Log.create ()
 
 (* short display digest of a (long, canonical) plan-cache fingerprint *)
 let fp_digest fp = String.sub (Digest.to_hex (Digest.string fp)) 0 12
@@ -313,7 +328,7 @@ let explain nodes sf query sql file seed budget jobs no_cache check verbose prof
   let options = options_of ~nodes ~seed ~budget in
   let obs = make_obs ~profile ~debug in
   let r =
-    Par.with_pool ~jobs:(if jobs <= 0 then Par.default_jobs () else jobs)
+    Par.with_pool ~jobs
     @@ fun pool ->
     Opdw.optimize ~obs ~options ?cache:(make_cache no_cache) ~check ~pool
       w.Opdw.Workload.shell text
@@ -381,7 +396,7 @@ let run nodes sf query sql file seed budget limit jobs no_cache check assert_bou
   let feedback = feedback || feedback_log <> None in
   (* the bracket shuts the pool down even if optimization or execution
      raises, so an error mid-run cannot leak live domains *)
-  Par.with_pool ~jobs:(if jobs <= 0 then Par.default_jobs () else jobs)
+  Par.with_pool ~jobs
   @@ fun pool ->
   let app = w.Opdw.Workload.app in
   Engine.Appliance.set_pool app pool;
@@ -398,11 +413,7 @@ let run nodes sf query sql file seed budget limit jobs no_cache check assert_bou
          | None ->
            Fault.seeded ~seed:fault_seed ~rate:(if chaos then fault_rate else 0.) ())
   in
-  let log =
-    match feedback_log with
-    | Some f when Sys.file_exists f -> Opdw.Feedback.Log.load f
-    | _ -> Opdw.Feedback.Log.create ()
-  in
+  let log = load_log feedback_log in
   let d =
     Opdw.Driver.create ?cache:(make_cache no_cache) ~options ~check ~max_concurrent
       ~queue_limit ~breaker_threshold:breaker
@@ -436,10 +447,8 @@ let run nodes sf query sql file seed budget limit jobs no_cache check assert_bou
   (* --repeat: re-optimize (through the cache) and re-execute; the extra
      rounds exercise plan-cache hits and the multicore appliance *)
   let last = ref (once ()) in
-  for _ = 2 to max 1 repeat do last := once () done;
-  (match feedback_log with
-   | Some f -> Opdw.Feedback.Log.save (Opdw.Driver.log d) f
-   | None -> ());
+  for _ = 2 to repeat do last := once () done;
+  Option.iter (Opdw.Feedback.Log.save (Opdw.Driver.log d)) feedback_log;
   let s = !last in
   let r = s.Opdw.Driver.res and res = s.Opdw.Driver.rows and app = Opdw.Driver.app d in
   let names = List.map fst (Opdw.output_columns r) in
@@ -514,10 +523,11 @@ let run nodes sf query sql file seed budget limit jobs no_cache check assert_bou
 
 let run_cmd =
   let limit =
-    Arg.(value & opt int 20 & info [ "limit" ] ~docv:"ROWS" ~doc:"Max rows to print.")
+    Arg.(value & opt (checked int ~expected:"a row count >= 0" (fun n -> n >= 0)) 20
+         & info [ "limit" ] ~docv:"ROWS" ~doc:"Max rows to print.")
   in
   let repeat =
-    Arg.(value & opt int 1
+    Arg.(value & opt (checked int ~expected:"a round count >= 1" (fun n -> n >= 1)) 1
          & info [ "repeat" ] ~docv:"K"
            ~doc:"Optimize-and-execute the query K times (rounds after the first hit \
                  the plan cache unless $(b,--no-plan-cache)).")
@@ -532,51 +542,19 @@ let run_cmd =
 
 (* -- overload -- *)
 
-(* Render a result set order-insensitively: the bundled queries end in
-   Sort/GroupBy whose inter-run order is deterministic, but oracle
-   comparison should not depend on it anyway. *)
-let render_rows (res : Engine.Local.rset) =
-  res.Engine.Local.rows
-  |> List.map (fun row ->
-         String.concat "|" (List.map Catalog.Value.to_string (Array.to_list row)))
-  |> List.sort compare
-  |> String.concat "\n"
-
 let overload nodes sf query statements jobs deadline_ms sim_deadline_ms memo_budget
     max_concurrent queue_limit breaker expect_pressure =
   let w = setup ~nodes ~sf () in
   let app = w.Opdw.Workload.app in
-  let plain = options_of ~nodes ~seed:false ~budget:20000 in
-  let limits = limits_of ~deadline_ms ~sim_deadline_ms ~memo_budget in
-  let options = { plain with Opdw.governor = limits } in
+  let options =
+    { (Opdw.default_options ~node_count:nodes) with
+      Opdw.governor = limits_of ~deadline_ms ~sim_deadline_ms ~memo_budget }
+  in
   (* statement mix: cycle the bundled workload queries (or just --query ID) *)
-  let bundle =
-    match query with
-    | Some id ->
-      (match Tpch.Queries.find id with
-       | Some q -> [ q ]
-       | None ->
-         Printf.eprintf "unknown query id %s (try: opdw_cli queries)\n" id;
-         exit 1)
-    | None -> Tpch.Queries.all
-  in
-  let stmts =
-    Array.init (max 1 statements) (fun i ->
-        let q = List.nth bundle (i mod List.length bundle) in
-        (q.Tpch.Queries.id, q.Tpch.Queries.sql))
-  in
-  (* Oracle pass: each distinct query compiled at full budget, no governor,
-     fault-free, sequentially — the rows every governed answer must match. *)
-  let oracle = Hashtbl.create 16 in
-  Array.iter
-    (fun (id, sql) ->
-       if not (Hashtbl.mem oracle id) then begin
-         let r = Opdw.optimize ~options:plain w.Opdw.Workload.shell sql in
-         Engine.Appliance.reset_account app;
-         Hashtbl.add oracle id (render_rows (Opdw.run app r))
-       end)
-    stmts;
-  Par.with_pool ~jobs:(if jobs <= 0 then Par.default_jobs () else jobs)
+  let bundle = workload_targets ~all:(query = None) ~query ~sql:None ~file:None in
+  let stmts = List.init statements (fun i -> List.nth bundle (i mod List.length bundle)) in
+  let oracle = Opdw.Workload.oracle w stmts in
+  Par.with_pool ~jobs
   @@ fun pool ->
   Engine.Appliance.set_pool app pool;
   let d =
@@ -584,60 +562,43 @@ let overload nodes sf query statements jobs deadline_ms sim_deadline_ms memo_bud
       ~max_concurrent ~queue_limit ~breaker_threshold:breaker
       w.Opdw.Workload.shell app
   in
-  Opdw.Driver.reset d;
-  (* The storm: every statement races through the one governed entry point.
-     Par's caller-participation pool handles the nested fan-out (statement
-     level here, appliance shard level inside execution) without deadlock;
-     gate waiters block on a condition, not a pool slot. *)
-  let outcomes =
-    Par.parallel_map pool (fun (id, sql) -> (id, Opdw.Driver.run d sql)) stmts
+  let { Opdw.Driver.statements; returned; degraded; rejected; shed; timed_out; exhausted;
+        invalid; wrong; misses } =
+    Opdw.Driver.storm ~pool ~oracle d stmts
   in
-  let returned = ref 0 and degraded = ref 0 and rejected = ref 0 and shed = ref 0 in
-  let timed_out = ref 0 and exhausted = ref 0 and invalid = ref 0 and wrong = ref 0 in
-  Array.iter
+  List.iter
     (fun (id, oc) ->
        match oc with
-       | Opdw.Driver.Returned { res = r; rows = res; _ } ->
-         incr returned;
-         if r.Opdw.degraded <> None then incr degraded;
-         if render_rows res <> Hashtbl.find oracle id then begin
-           incr wrong;
-           Printf.eprintf "WRONG ROWS for %s%s\n" id
-             (match r.Opdw.degraded with
-              | Some d -> Printf.sprintf " (degraded: %s)" (Opdw.degradation_to_string d)
-              | None -> "")
-         end
-       | Opdw.Driver.Rejected _ -> incr rejected
-       | Opdw.Driver.Shed _ -> incr shed
-       | Opdw.Driver.Timed_out _ -> incr timed_out
-       | Opdw.Driver.Exhausted _ -> incr exhausted
+       | Opdw.Driver.Returned { res = r; _ } ->
+         Printf.eprintf "WRONG ROWS for %s%s\n" id
+           (match r.Opdw.degraded with
+            | Some d -> Printf.sprintf " (degraded: %s)" (Opdw.degradation_to_string d)
+            | None -> "")
        | Opdw.Driver.Invalid vs ->
-         incr invalid;
-         Printf.eprintf "INVALID plan for %s: %s\n" id (Check.to_string vs))
-    outcomes;
+         Printf.eprintf "INVALID plan for %s: %s\n" id (Check.to_string vs)
+       | _ -> ())
+    misses;
   let gs = Governor.Gate.stats (Opdw.Driver.gate d) in
   let bs = Governor.Breaker.stats (Opdw.Driver.breaker d) in
   Printf.printf
     "%d statements: %d returned (%d degraded), %d rejected, %d shed, %d timed out, \
      %d exhausted, %d invalid, %d wrong-row\n"
-    (Array.length stmts) !returned !degraded !rejected !shed !timed_out !exhausted
-    !invalid !wrong;
+    statements returned degraded rejected shed timed_out exhausted invalid wrong;
   Printf.printf
     "gate: %d admitted, %d queued, %d rejected, peak %d running; \
      breaker: %d trips, %d shed, %d probes\n"
     gs.Governor.Gate.admitted gs.Governor.Gate.queued_total gs.Governor.Gate.rejected
     gs.Governor.Gate.peak_running bs.Governor.Breaker.trips bs.Governor.Breaker.shed
     bs.Governor.Breaker.probes;
-  if !wrong > 0 || !invalid > 0 then exit 1;
-  if expect_pressure && !degraded + !rejected + !shed + !timed_out + !exhausted = 0
-  then begin
+  if wrong > 0 || invalid > 0 then exit 1;
+  if expect_pressure && degraded = 0 && misses = [] then begin
     prerr_endline "expected governor pressure but every statement ran at full fidelity";
     exit 1
   end
 
 let overload_cmd =
   let statements_t =
-    Arg.(value & opt int 32
+    Arg.(value & opt (checked int ~expected:"a statement count >= 1" (fun n -> n >= 1)) 32
          & info [ "statements" ] ~docv:"N"
            ~doc:"Number of concurrent statements to throw at the appliance.")
   in
@@ -673,13 +634,6 @@ let memo_cmd =
     Term.(const memo $ nodes_t $ sf_t $ query_t $ sql_t $ file_t $ as_xml)
 
 (* -- check -- *)
-
-let workload_targets ~all ~query ~sql ~file =
-  if all then
-    List.map (fun q -> (q.Tpch.Queries.id, q.Tpch.Queries.sql)) Tpch.Queries.all
-  else
-    [ ((match query with Some id -> id | None -> "query"),
-       resolve_sql query sql file) ]
 
 let check_queries nodes sf all query sql file seed budget json =
   let w = setup ~nodes ~sf () in
@@ -834,46 +788,23 @@ let calibrate nodes sf all query sql file seed budget jobs feedback_log
   let shell = w.Opdw.Workload.shell and app = w.Opdw.Workload.app in
   let options = options_of ~nodes ~seed ~budget in
   let targets = feedback_targets ~all ~query ~sql ~file in
-  Par.with_pool ~jobs:(if jobs <= 0 then Par.default_jobs () else jobs)
+  Par.with_pool ~jobs
   @@ fun pool ->
   Engine.Appliance.set_pool app pool;
-  let log =
-    match feedback_log with
-    | Some f when Sys.file_exists f -> Opdw.Feedback.Log.load f
-    | _ -> Opdw.Feedback.Log.create ()
-  in
+  let log = load_log feedback_log in
   let d = Opdw.Driver.create ~cache:(Opdw.cache ()) ~options ~log shell app in
-  let violations = ref 0 in
-  (* one measured execution, its cost from a zeroed account; with [bounds]
-     the abstract interpreter's static cardinality bounds are derived first
-     and every executed operator is checked against them (the R11
-     soundness gate for the refined statistics) *)
-  let measure ~bounds (id, text) =
-    let observe, seen =
-      if not bounds then (None, fun () -> 0)
-      else
-        let observe, seen =
-          Opdw.bounds_oracle
-            (Opdw.optimize ~options:(Opdw.Driver.options d)
-               ?cache:(Opdw.Driver.cache d) shell text)
-        in
-        (Some observe, seen)
-    in
-    Opdw.Driver.reset d;
-    let s = Opdw.Driver.returned (Opdw.Driver.run ?observe d text) in
-    violations := !violations + seen ();
-    (id, Opdw.Feedback.model_error s.Opdw.Driver.res ~dms_time:s.Opdw.Driver.observed_dms)
-  in
   (* pass 1: harvest observations and per-query model error under the seed
-     statistics; calibrate; pass 2: re-measure under the refined catalog *)
-  let before = List.map (measure ~bounds:false) targets in
+     statistics; calibrate; pass 2: re-measure under the refined catalog,
+     every executed operator checked against the analyzer's static bounds
+     (the R11 soundness gate for the refined statistics) *)
+  let measure ~bounds = List.map (fun (_, text) -> Opdw.Feedback.measure ~bounds d text) targets in
+  let before = List.map fst (measure ~bounds:false) in
   let cal = Opdw.Feedback.calibrate d in
-  let after = List.map (measure ~bounds:true) targets in
-  (match feedback_log with
-   | Some f -> Opdw.Feedback.Log.save (Opdw.Driver.log d) f
-   | None -> ());
-  let g_before = geomean (List.map snd before)
-  and g_after = geomean (List.map snd after) in
+  let after, seen = List.split (measure ~bounds:true) in
+  let violations = List.fold_left ( + ) 0 seen in
+  Option.iter (Opdw.Feedback.Log.save (Opdw.Driver.log d)) feedback_log;
+  let errors = List.combine (List.map fst targets) (List.combine before after) in
+  let g_before = geomean before and g_after = geomean after in
   let fit_line (f : Opdw.Feedback.Lambda.fit) =
     Printf.sprintf "%s=%.4g (err %.3g, %d samples)"
       (Dms.Calibrate.component_name f.Opdw.Feedback.Lambda.f_component)
@@ -882,12 +813,12 @@ let calibrate nodes sf all query sql file seed budget jobs feedback_log
   in
   if json then begin
     let per_query =
-      List.map2
-        (fun (id, b) (_, a) ->
+      List.map
+        (fun (id, (b, a)) ->
            Printf.sprintf
              "\n  {\"query\": \"%s\", \"error_before\": %.6g, \"error_after\": %.6g}"
              (Check.json_escape id) b a)
-        before after
+        errors
     in
     let refined =
       List.map
@@ -904,13 +835,11 @@ let calibrate nodes sf all query sql file seed budget jobs feedback_log
        \"improved\": %b, \"refined_columns\": [%s],\n \"epoch\": %d, \
        \"bound_violations\": %d}\n"
       (String.concat "," per_query) g_before g_after (g_after < g_before)
-      (String.concat ", " refined) cal.Opdw.Feedback.new_epoch !violations
+      (String.concat ", " refined) cal.Opdw.Feedback.new_epoch violations
   end
   else begin
     print_endline "query   error(before)  error(after)";
-    List.iter2
-      (fun (id, b) (_, a) -> Printf.printf "%-7s %13.4g %13.4g\n" id b a)
-      before after;
+    List.iter (fun (id, (b, a)) -> Printf.printf "%-7s %13.4g %13.4g\n" id b a) errors;
     Printf.printf "geomean model-vs-sim error: %.4g -> %.4g over %d queries (%s)\n"
       g_before g_after (List.length targets)
       (if g_after < g_before then "improved" else "NOT improved");
@@ -928,9 +857,9 @@ let calibrate nodes sf all query sql file seed budget jobs feedback_log
       (String.concat "; " (List.map fit_line cal.Opdw.Feedback.fits));
     Printf.printf "calibration epoch: %d; bound check: %d operator(s) outside \
                    refined static bounds\n"
-      cal.Opdw.Feedback.new_epoch !violations
+      cal.Opdw.Feedback.new_epoch violations
   end;
-  if !violations > 0 then exit 1;
+  if violations > 0 then exit 1;
   if expect_improvement && g_after >= g_before then begin
     prerr_endline "expected the geomean model error to shrink after calibration";
     exit 1
@@ -964,11 +893,11 @@ let planstore nodes sf all query sql file seed budget jobs runs
   let shell = w.Opdw.Workload.shell and app = w.Opdw.Workload.app in
   let options = options_of ~nodes ~seed ~budget in
   let targets = feedback_targets ~all ~query ~sql ~file in
-  Par.with_pool ~jobs:(if jobs <= 0 then Par.default_jobs () else jobs)
+  Par.with_pool ~jobs
   @@ fun pool ->
   Engine.Appliance.set_pool app pool;
   let d = Opdw.Driver.create ~options ~regress_factor:1.2 shell app in
-  let rounds = max (if inject_regression then 4 else 1) runs in
+  let rounds = if inject_regression then max 4 runs else runs in
   (* oracle rows per query from round 1 (the plan that becomes LKG);
      availability = fraction of answered rounds returning oracle rows *)
   let oracle = Hashtbl.create 8 and matched = ref 0 and answered = ref 0 in
@@ -991,7 +920,7 @@ let planstore nodes sf all query sql file seed budget jobs runs
       (fun (id, text) ->
          Opdw.Driver.reset d;
          let s = Opdw.Driver.returned (Opdw.Driver.run d text) in
-         let rendered = render_rows s.Opdw.Driver.rows in
+         let rendered = Engine.Local.canonical s.Opdw.Driver.rows in
          incr answered;
          (match Hashtbl.find_opt oracle id with
           | None -> Hashtbl.add oracle id rendered; incr matched
@@ -1008,7 +937,7 @@ let planstore nodes sf all query sql file seed budget jobs runs
       targets
   done;
   let store = Option.get (Opdw.Driver.store d) in
-  let availability = float_of_int !matched /. float_of_int (max 1 !answered) in
+  let availability = float_of_int !matched /. float_of_int !answered in
   let stmt_id stmt =
     (* map the store's statement key (normalized SQL) back to a query id *)
     match
@@ -1079,7 +1008,7 @@ let planstore nodes sf all query sql file seed budget jobs runs
 
 let planstore_cmd =
   let runs_t =
-    Arg.(value & opt int 3
+    Arg.(value & opt (checked int ~expected:"a round count >= 1" (fun n -> n >= 1)) 3
          & info [ "runs" ] ~docv:"K"
            ~doc:"Rounds: each target query is optimized and executed K times \
                  through the feedback driver (minimum 4 with \
@@ -1116,64 +1045,29 @@ let topology action nodes sf statements zipf_seed zipf_skew grow max_tables
     fault_seed fault_rate jobs =
   let w = setup ~nodes ~sf () in
   let app = w.Opdw.Workload.app in
-  let plain = options_of ~nodes ~seed:false ~budget:20000 in
-  (* fault-free oracle rows per query id, computed on a separate pristine
-     appliance: every answer served during the storm — including the ones
-     admitted while a grow / re-key move is in flight — must match exactly *)
-  let oracle = Hashtbl.create 16 in
-  let wo = setup ~nodes ~sf () in
-  List.iter
-    (fun q ->
-       let r =
-         Opdw.optimize ~options:plain wo.Opdw.Workload.shell q.Tpch.Queries.sql
-       in
-       Hashtbl.replace oracle q.Tpch.Queries.id
-         (render_rows (Opdw.run wo.Opdw.Workload.app r)))
-    Tpch.Queries.all;
-  Par.with_pool ~jobs:(if jobs <= 0 then Par.default_jobs () else jobs)
+  (* the storm: Zipf-ranked picks over the bundled workload queries, so a
+     skewed head dominates the harvested log (what the advisor keys on) *)
+  let bundle = Array.of_list Tpch.Queries.all in
+  let stmts =
+    Topology.Zipf.storm ~seed:zipf_seed ~s:zipf_skew ~length:statements
+      (Array.length bundle)
+    |> List.map (fun k -> (bundle.(k).Tpch.Queries.id, bundle.(k).Tpch.Queries.sql))
+  in
+  (* fault-free oracle rows, computed on a separate pristine appliance:
+     every answer served during the storm — including the ones admitted
+     while a grow / re-key move is in flight — must match exactly *)
+  let oracle = Opdw.Workload.oracle (setup ~nodes ~sf ()) stmts in
+  Par.with_pool ~jobs
   @@ fun pool ->
   Engine.Appliance.set_pool app pool;
   let fault = Fault.seeded ~seed:fault_seed ~rate:fault_rate () in
   let el =
-    Topology.Elastic.create ~cache:(Opdw.cache ()) ~options:plain ~fault
-      w.Opdw.Workload.shell app
+    Topology.Elastic.create ~cache:(Opdw.cache ()) ~fault w.Opdw.Workload.shell app
   in
   let obs = Obs.create () in
-  (* the storm: Zipf-ranked picks over the bundled workload queries, so a
-     skewed head dominates the harvested log (what the advisor keys on) *)
-  let bundle = Array.of_list Tpch.Queries.all in
-  let storm =
-    Topology.Zipf.storm ~seed:zipf_seed ~s:zipf_skew ~length:statements
-      (Array.length bundle)
-    |> List.map (fun k -> bundle.(k))
-  in
-  let queue = ref storm and served = ref 0 and matched = ref 0 in
-  let serve_one () =
-    match !queue with
-    | [] -> ()
-    | q :: rest ->
-      queue := rest;
-      let _, rows = Topology.Elastic.run ~obs el q.Tpch.Queries.sql in
-      incr served;
-      if render_rows rows = Hashtbl.find oracle q.Tpch.Queries.id then incr matched
-  in
-  let serve n = for _ = 1 to n do serve_one () done in
-  let advice =
-    match action with
-    | `Advise ->
-      serve (List.length !queue);
-      Topology.Elastic.advise ~max_tables el
-    | `Apply ->
-      (* first half of the storm populates the advisor's log; the moves run
-         with the second half served between copy steps (old layout until
-         each flip), and whatever remains drains after *)
-      serve (List.length !queue / 2);
-      if grow > Opdw.Driver.nodes el then
-        Topology.Elastic.grow ~obs ~between:serve_one el ~nodes:grow;
-      let advice = Topology.Elastic.advise ~max_tables el in
-      Topology.Elastic.apply ~obs ~between:serve_one el advice;
-      serve (List.length !queue);
-      advice
+  let { Opdw.Driver.statements; returned; wrong; misses; _ }, advice =
+    Topology.Elastic.storm ~obs ~moves:(action = `Apply) ~grow_to:grow ~max_tables
+      ~oracle el stmts
   in
   let total =
     List.fold_left (fun a (_, c) -> a + c) 0 advice.Topology.Advisor.a_statements
@@ -1196,19 +1090,25 @@ let topology action nodes sf statements zipf_seed zipf_skew grow max_tables
             p.Topology.Advisor.p_before p.Topology.Advisor.p_after
             (100. *. (1. -. (p.Topology.Advisor.p_after /. p.Topology.Advisor.p_before))))
        ps);
+  let matched = returned - wrong in
   Printf.printf
     "%d/%d statements returned oracle rows (availability %.3f); final topology: \
      %d nodes, epoch %d\n"
-    !matched !served
-    (float_of_int !matched /. float_of_int (max 1 !served))
+    matched statements (float_of_int matched /. float_of_int statements)
     (Opdw.Driver.nodes el) (Opdw.Driver.epoch el);
   (match Obs.counters_prefixed obs "topology." with
    | [] -> ()
    | cs -> List.iter (fun (k, v) -> Printf.printf "  %-28s %.6g\n" k v) cs);
-  if !matched <> !served then begin
-    prerr_endline "some statement returned non-oracle rows";
-    exit 1
-  end
+  List.iter
+    (fun (id, oc) ->
+       match oc with
+       | Opdw.Driver.Returned _ -> ()
+       | oc ->
+         Printf.eprintf "statement %s not executed: %s\n" id
+           (Opdw.Driver.outcome_to_string oc))
+    misses;
+  if wrong > 0 then prerr_endline "some statement returned non-oracle rows";
+  if misses <> [] then exit 1
 
 let topology_cmd =
   let action_t =

@@ -613,6 +613,8 @@ let bounds_oracle ?obs (r : result) =
   in
   Check.bounds_observer ?obs (Check.group_bounds actx (plan r))
 
+type oracle = string -> result -> Engine.Local.rset -> bool
+
 (* -- the feedback harvest: what one execution observed, as log records -- *)
 
 (* registry column ids -> catalog (table, column) names, sorted; derived
@@ -950,6 +952,43 @@ module Driver = struct
     Engine.Appliance.reset_account (app t);
     Governor.Gate.reset_stats t.gate;
     Governor.Breaker.reset_stats t.breaker
+
+  type tally = {
+    statements : int; returned : int; degraded : int; wrong : int;
+    rejected : int; shed : int; timed_out : int; exhausted : int; invalid : int;
+    misses : (string * outcome) list;
+  }
+
+  (* the one outcome accounting of a served storm *)
+  let tally ~(oracle : oracle) outcomes =
+    let count p l = List.length (List.filter (fun (_, oc) -> p oc) l) in
+    let misses =
+      List.filter
+        (function id, Returned s -> not (oracle id s.res s.rows) | _ -> true)
+        outcomes
+    in
+    let returned = function Returned _ -> true | _ -> false in
+    { statements = List.length outcomes;
+      returned = count returned outcomes;
+      degraded = count (function Returned s -> s.res.degraded <> None | _ -> false) outcomes;
+      rejected = count (function Rejected _ -> true | _ -> false) outcomes;
+      shed = count (function Shed _ -> true | _ -> false) outcomes;
+      timed_out = count (function Timed_out _ -> true | _ -> false) outcomes;
+      exhausted = count (function Exhausted _ -> true | _ -> false) outcomes;
+      invalid = count (function Invalid _ -> true | _ -> false) outcomes;
+      wrong = count returned misses;
+      misses }
+
+  (* every statement races through [run]: Par's caller-participation pool
+     handles the nested fan-out (statements here, appliance shards inside
+     execution) without deadlock; gate waiters block on a condition, not a
+     pool slot *)
+  let storm ~pool ~oracle t stmts =
+    reset t;
+    Array.of_list stmts
+    |> Par.parallel_map pool (fun (id, sql) -> (id, run t sql))
+    |> Array.to_list
+    |> tally ~oracle
 end
 
 module Feedback = struct
@@ -992,6 +1031,21 @@ module Feedback = struct
               (fun n ->
                  List.map (fun row -> row.(idx)) (Engine.Appliance.node_table app n table))
               nodes))
+
+  let measure ?(bounds = false) (d : Driver.t) sql =
+    let observe, violations =
+      if not bounds then (None, fun () -> 0)
+      else
+        let observe, violations =
+          bounds_oracle
+            (optimize ~options:(Driver.options d) ?cache:(Driver.cache d)
+               (Driver.shell d) sql)
+        in
+        (Some observe, violations)
+    in
+    Driver.reset d;
+    let s = Driver.returned (Driver.run ?observe d sql) in
+    (model_error s.Driver.res ~dms_time:s.Driver.observed_dms, violations ())
 
   type calibration = {
     refined : Misses.miss list;       (** columns whose statistics were rebuilt *)
@@ -1091,4 +1145,20 @@ module Workload = struct
          Catalog.Shell_db.set_stats shell name stats)
       Tpch.Schema.layout;
     { shell; app; db }
+
+  let oracle (w : t) stmts : oracle =
+    (* rows compared as a multiset over the output columns only *)
+    let canonical r rows =
+      Engine.Local.canonical ~cols:(List.map snd (output_columns r)) rows
+    in
+    let table = Hashtbl.create 16 in
+    List.iter
+      (fun (id, sql) ->
+         if not (Hashtbl.mem table id) then begin
+           let r = optimize w.shell sql in
+           Engine.Appliance.reset_account w.app;
+           Hashtbl.add table id (canonical r (run w.app r))
+         end)
+      stmts;
+    fun id r rows -> canonical r rows = Hashtbl.find table id
 end

@@ -238,6 +238,10 @@ val output_columns : result -> (string * int) list
 val bounds_oracle :
   ?obs:Obs.t -> result -> (Pdwopt.Pplan.t -> float -> unit) * (unit -> int)
 
+(** Whether a served answer [(r, rows)] for statement [id] equals the
+    statement's oracle rows ({!Workload.oracle}). *)
+type oracle = string -> result -> Engine.Local.rset -> bool
+
 (** The one statement driver (DESIGN.md §9): the control node's path for
     every served statement. {!Driver.run} applies the driver's policies
     in this order: the admission gate and the circuit breaker; a fresh
@@ -361,6 +365,26 @@ module Driver : sig
       (sim clock, DMS samples, [fault.*] tallies) plus the gate and
       breaker counters. Breaker open/closed states survive. *)
   val reset : t -> unit
+
+  (** The outcome accounting of a served storm: of [statements]
+      outcomes, [returned] answered with rows ([degraded] of them from a
+      plan governor pressure degraded, [wrong] of them differing from the
+      oracle's rows) and the rest were refusals, counted by kind. *)
+  type tally = {
+    statements : int; returned : int; degraded : int; wrong : int;
+    rejected : int; shed : int; timed_out : int; exhausted : int; invalid : int;
+    misses : (string * outcome) list;
+        (** [(id, outcome)] of every statement that did not return oracle
+            rows (the refusals and the wrong-row answers), in storm order *)
+  }
+
+  (** Tally [(id, outcome)] pairs, every returned answer checked against
+      [oracle]. *)
+  val tally : oracle:oracle -> (string * outcome) list -> tally
+
+  (** Serve the [(id, sql)] statements concurrently on [pool], each
+      through {!run}, after a {!reset}; never raises for a refusal. *)
+  val storm : pool:Par.t -> oracle:oracle -> t -> (string * string) list -> tally
 end
 
 (** The calibration side of the feedback loop (DESIGN.md §9): a
@@ -400,6 +424,15 @@ module Feedback : sig
     ?observe:(Pdwopt.Pplan.t -> float -> unit) -> result ->
     (Pdwopt.Pplan.t -> float -> unit) * (unit -> Fbk.Log.op_obs list)
 
+  (** One statement's {!model_error}, served through the driver from a
+      zeroed account ({!Driver.reset}), a refusal raised
+      ({!Driver.returned}). With [bounds] (default [false]) the statement
+      is first compiled through the driver's cache to derive the
+      analyzer's static cardinality bounds ({!bounds_oracle}) and every
+      executed operator is checked against them; the second component
+      counts the violations (0 without [bounds]). *)
+  val measure : ?bounds:bool -> Driver.t -> string -> float * int
+
   type calibration = {
     refined : Fbk.Misses.miss list;  (** columns whose statistics were rebuilt *)
     lambdas : Dms.Cost.lambdas;      (** the re-fitted λ table now in force *)
@@ -435,4 +468,11 @@ module Workload : sig
       are identical either way. *)
   val tpch :
     ?node_count:int -> ?sf:float -> ?engine:Engine.Rset.engine -> unit -> t
+
+  (** The fault-free, ungoverned oracle of the distinct ids among
+      [(id, sql)] statements: each compiled under {!default_options} for
+      [w]'s node count and executed on [w]'s appliance, sequentially, from
+      a zeroed account. Answers compare on {!Engine.Local.canonical} over
+      the output columns. Build it before arming a fault plan on [w]. *)
+  val oracle : t -> (string * string) list -> oracle
 end

@@ -365,10 +365,10 @@ let rec exec_plan ~read_table (p : Serialopt.Plan.t) : rset =
   let children = List.map (exec_plan ~read_table) p.Serialopt.Plan.children in
   exec_op ~read_table p.Serialopt.Plan.op children
 
-(* -- result comparison helpers (for tests) -- *)
+(* -- result comparison -- *)
 
-(** Canonical multiset representation of a result: rows as string lists,
-    sorted. Projects [cols] out of the layout. *)
+(** Canonical multiset representation of a result: rows rendered with
+    {!Catalog.Value.to_string}, sorted. Projects [cols] out of the layout. *)
 let canonical ?cols (r : rset) : string list =
   let layout, rows =
     match cols with
@@ -379,12 +379,6 @@ let canonical ?cols (r : rset) : string list =
   in
   ignore layout;
   let row_str row =
-    String.concat "|"
-      (List.map
-         (fun v ->
-            match v with
-            | Catalog.Value.Float f -> Printf.sprintf "%.6g" f
-            | v -> Catalog.Value.to_string v)
-         (Array.to_list row))
+    String.concat "|" (List.map Catalog.Value.to_string (Array.to_list row))
   in
   List.sort String.compare (List.map row_str rows)

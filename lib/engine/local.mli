@@ -68,6 +68,6 @@ val exec_op :
 (** Execute a whole serial plan tree (the single-node oracle). *)
 val exec_plan : read_table:(string -> rows) -> Serialopt.Plan.t -> rset
 
-(** Canonical multiset representation of a result: rows as string lists,
-    sorted. Projects [cols] out of the layout. *)
+(** Canonical multiset representation of a result: rows rendered with
+    {!Catalog.Value.to_string}, sorted. Projects [cols] out of the layout. *)
 val canonical : ?cols:int list -> rset -> string list

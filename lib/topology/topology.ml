@@ -380,4 +380,34 @@ module Elastic = struct
       (fun (p : Advisor.proposal) ->
          redistribute ?obs ?between t ~table:p.Advisor.p_table ~cols:p.Advisor.p_cols)
       a.Advisor.a_proposals
+
+  (** Serve the [(id, sql)] storm in order, one statement at a time, and
+      tally every outcome against [oracle] ({!Opdw.Driver.tally}): a
+      refused statement is counted, never raised, and the storm goes on.
+      With [moves] (the default) the first half of the storm populates the
+      advisor's log; the appliance then grows online to [grow_to] nodes
+      (when that exceeds the current count), the advice is taken and
+      applied, the rest of the storm is served between the copy steps (old
+      layout until each flip), and whatever remains drains after. Without
+      [moves], the whole storm is served and then advised on; nothing
+      moves. Returns the tally and the advice. *)
+  let storm ?obs ?(moves = true) ?(grow_to = 0) ?max_tables ~oracle (t : t) stmts =
+    let queue = ref stmts and outcomes = ref [] in
+    let serve_one () =
+      match !queue with
+      | [] -> ()
+      | (id, sql) :: rest ->
+        queue := rest;
+        outcomes := (id, Opdw.Driver.run ?obs t sql) :: !outcomes
+    in
+    let drain () = while !queue <> [] do serve_one () done in
+    if moves then begin
+      for _ = 1 to List.length stmts / 2 do serve_one () done;
+      if grow_to > Opdw.Driver.nodes t then grow ?obs ~between:serve_one t ~nodes:grow_to
+    end
+    else drain ();
+    let advice = advise ?max_tables t in
+    if moves then apply ?obs ~between:serve_one t advice;
+    drain ();
+    (Opdw.Driver.tally ~oracle (List.rev !outcomes), advice)
 end

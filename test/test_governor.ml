@@ -535,6 +535,30 @@ let prop_governed_never_wrong =
           (Opdw.Driver.outcome_to_string oc)));
   true
 
+(* the one storm loop: every statement reaches a typed outcome, the MEMO
+   budget degrades at least one, and none returns wrong rows or an invalid
+   plan *)
+let test_driver_storm_tally () =
+  let wl = Lazy.force w in
+  Engine.Appliance.set_fault wl.Opdw.Workload.app Fault.none;
+  let q20 = (Option.get (Tpch.Queries.find "Q20")).Tpch.Queries.sql in
+  let stmts = List.init 12 (fun _ -> ("Q20", q20)) in
+  let oracle = Opdw.Workload.oracle wl stmts in
+  let options = options_with (limits_with ~max_memo_groups:8 ()) in
+  Par.with_pool ~jobs:1 @@ fun pool ->
+  let d =
+    Opdw.Driver.create ~cache:(Opdw.cache ()) ~options wl.Opdw.Workload.shell
+      wl.Opdw.Workload.app
+  in
+  let t = Opdw.Driver.storm ~pool ~oracle d stmts in
+  let open Opdw.Driver in
+  Alcotest.(check int) "every statement tallied" 12 t.statements;
+  Alcotest.(check int) "outcomes sum to the storm" 12
+    (t.returned + t.rejected + t.shed + t.timed_out + t.exhausted + t.invalid);
+  Alcotest.(check bool) "the memo budget degrades" true (t.degraded >= 1);
+  Alcotest.(check int) "no wrong rows" 0 t.wrong;
+  Alcotest.(check int) "no invalid plans" 0 t.invalid
+
 let suite =
   [ t "token: deadlines, cancel, poll" test_token_basics;
     t "token: several deadlines on distinct clocks" test_token_multiple_clocks;
@@ -554,4 +578,5 @@ let suite =
     t "compile deadlines reproduce at jobs 1 and 4"
       test_compile_deadline_determinism_across_jobs;
     QCheck_alcotest.to_alcotest prop_governed_never_wrong;
-    t "simulated deadline with store and replan policies" test_sim_deadline_composes ]
+    t "simulated deadline with store and replan policies" test_sim_deadline_composes;
+    t "storm tallies every statement, none wrong" test_driver_storm_tally ]

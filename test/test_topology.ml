@@ -570,6 +570,30 @@ let prop_topology_determinism =
         | Error _ -> ());
        true)
 
+(* a high-fault storm through grow + re-key: a statement that spends its
+   retry budget is tallied as a refusal and the storm goes on, so every
+   statement reaches a typed outcome and none returns wrong rows *)
+let test_elastic_storm_tallies_refusals () =
+  let wl = workload ~node_count:4 () in
+  let bundle = Array.of_list Tpch.Queries.all in
+  let stmts =
+    Topology.Zipf.storm ~seed:3 ~length:24 (Array.length bundle)
+    |> List.map (fun k -> (bundle.(k).Tpch.Queries.id, bundle.(k).Tpch.Queries.sql))
+  in
+  let oracle = Opdw.Workload.oracle (workload ~node_count:4 ()) stmts in
+  let el =
+    Topology.Elastic.create ~cache:(Opdw.cache ())
+      ~fault:(Fault.seeded ~seed:3 ~rate:0.3 ()) wl.Opdw.Workload.shell
+      wl.Opdw.Workload.app
+  in
+  let t, _ = Topology.Elastic.storm ~grow_to:8 ~oracle el stmts in
+  let open Opdw.Driver in
+  Alcotest.(check int) "every statement tallied" 24 t.statements;
+  Alcotest.(check int) "outcomes sum to the storm" 24
+    (t.returned + t.rejected + t.shed + t.timed_out + t.exhausted + t.invalid);
+  Alcotest.(check bool) "some statement exhausted its budget" true (t.exhausted >= 1);
+  Alcotest.(check int) "no wrong rows" 0 t.wrong
+
 let suite =
   [ t "zipf storm is pure and skewed" test_zipf;
     t "repartition pricing helper algebra" test_pricing_helper;
@@ -591,4 +615,5 @@ let suite =
     t "advise = full-optimize greedy replay" test_advise_matches_reference;
     t "advise ignores the serving governor limits"
       test_advise_ignores_governor_limits;
-    QCheck_alcotest.to_alcotest prop_topology_determinism ]
+    QCheck_alcotest.to_alcotest prop_topology_determinism;
+    t "elastic storm tallies refusals and finishes" test_elastic_storm_tallies_refusals ]
