@@ -653,9 +653,7 @@ let e10 () =
        let run seed =
          let options =
            { (Opdw.default_options ~node_count:nodes) with
-             Opdw.serial =
-               { Serialopt.Optimizer.default_options with
-                 Serialopt.Optimizer.task_budget = budget };
+             Opdw.serial = { Serialopt.Optimizer.task_budget = budget };
              Opdw.seed_collocated = seed }
          in
          let r = optimize ~options w sql in
@@ -1293,7 +1291,8 @@ let e22 () =
             in
             (* half the storm builds the advisor's log, then the appliance
                doubles and re-keys online while the rest keeps serving *)
-            let { Opdw.Driver.statements; returned; wrong; _ }, advice =
+            let ( { Opdw.Driver.statements; returned; wrong; _ },
+                  { Topology.Elastic.advice; _ } ) =
               Topology.Elastic.storm ~obs ~grow_to ~oracle el storm
             in
             let avail = float_of_int (returned - wrong) /. float_of_int statements in

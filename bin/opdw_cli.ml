@@ -316,8 +316,7 @@ let debug_t =
 let options_of ~nodes ~seed ~budget =
   { (Opdw.default_options ~node_count:nodes) with
     Opdw.seed_collocated = seed;
-    Opdw.serial =
-      { Serialopt.Optimizer.default_options with Serialopt.Optimizer.task_budget = budget } }
+    Opdw.serial = { Serialopt.Optimizer.task_budget = budget } }
 
 (* -- explain -- *)
 
@@ -1065,7 +1064,8 @@ let topology action nodes sf statements zipf_seed zipf_skew grow max_tables
     Topology.Elastic.create ~cache:(Opdw.cache ()) ~fault w.Opdw.Workload.shell app
   in
   let obs = Obs.create () in
-  let { Opdw.Driver.statements; returned; wrong; misses; _ }, advice =
+  let ( { Opdw.Driver.statements; returned; wrong; misses; _ },
+        { Topology.Elastic.advice; moves } ) =
     Topology.Elastic.storm ~obs ~moves:(action = `Apply) ~grow_to:grow ~max_tables
       ~oracle el stmts
   in
@@ -1107,8 +1107,19 @@ let topology action nodes sf statements zipf_seed zipf_skew grow max_tables
          Printf.eprintf "statement %s not executed: %s\n" id
            (Opdw.Driver.outcome_to_string oc))
     misses;
+  let failed_moves =
+    List.filter_map
+      (function
+        | change, Topology.Elastic.Exhausted { failure; attempts } ->
+          Printf.eprintf "move %s not applied: exhausted(%s after %d attempts)\n"
+            (Engine.Appliance.change_to_string change)
+            (Fault.failure_to_string failure) attempts;
+          Some change
+        | _, Topology.Elastic.Applied -> None)
+      moves
+  in
   if wrong > 0 then prerr_endline "some statement returned non-oracle rows";
-  if misses <> [] then exit 1
+  if misses <> [] || failed_moves <> [] then exit 1
 
 let topology_cmd =
   let action_t =

@@ -9,18 +9,12 @@
 open Algebra
 open Memo
 
-type opts = {
-  nodes : int;
-  lambdas : Dms.Cost.lambdas;
-}
-
-let default_opts = { nodes = 8; lambdas = Dms.Cost.default_lambdas }
-
 let width_of_layout reg layout =
   Float.max 1. (List.fold_left (fun acc c -> acc +. Registry.width reg c) 0. layout)
 
-let move_cost o kind ~rows ~width =
-  (Dms.Cost.cost ~lambdas:o.lambdas kind ~nodes:o.nodes ~rows ~width).Dms.Cost.c_total
+let move_cost (o : Pdwopt.Enumerate.opts) kind ~rows ~width =
+  (Dms.Cost.cost ~lambdas:o.Pdwopt.Enumerate.lambdas kind ~nodes:o.Pdwopt.Enumerate.nodes
+     ~rows ~width).Dms.Cost.c_total
 
 (* wrap a plan with a movement *)
 let apply_move o reg kind (p : Pdwopt.Pplan.t) layout =
@@ -40,8 +34,10 @@ let apply_move o reg kind (p : Pdwopt.Pplan.t) layout =
 
 exception Cannot_parallelize of string
 
-(** Parallelize a serial plan over the appliance layout. *)
-let parallelize ?(opts = default_opts) (reg : Registry.t) (shell : Catalog.Shell_db.t)
+(** Parallelize a serial plan over the appliance layout, pricing each
+    repair with the PDW options' node count and λ constants. *)
+let parallelize ?(opts = Pdwopt.Enumerate.default_opts) (reg : Registry.t)
+    (shell : Catalog.Shell_db.t)
     (serial : Serialopt.Plan.t) : Pdwopt.Pplan.t =
   let o = opts in
   let rec go (p : Serialopt.Plan.t) : Pdwopt.Pplan.t =

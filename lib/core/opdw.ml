@@ -30,7 +30,6 @@ module Fbk = Feedback
 type options = {
   serial : Serialopt.Optimizer.options;
   pdw : Pdwopt.Enumerate.opts;
-  baseline : Baseline.opts;
   via_xml : bool;
       (** ship the MEMO through its XML encoding, as the real system does *)
   seed_collocated : bool;
@@ -38,13 +37,12 @@ type options = {
           under a small exploration budget *)
   governor : Governor.limits;
       (** statement deadline / memo-size budget; {!Governor.no_limits} by
-          default. Part of the plan-cache fingerprint. *)
+          default *)
 }
 
 let default_options ~node_count = {
   serial = Serialopt.Optimizer.default_options;
   pdw = { Pdwopt.Enumerate.default_opts with Pdwopt.Enumerate.nodes = node_count };
-  baseline = { Baseline.default_opts with Baseline.nodes = node_count };
   via_xml = true;
   seed_collocated = false;
   governor = Governor.no_limits;
@@ -351,7 +349,7 @@ let front obs (opts : options) shell sql =
     { opts with
       serial =
         (if force_order then
-           { opts.serial with Serialopt.Optimizer.task_budget = 0 }
+           { Serialopt.Optimizer.task_budget = 0 }
          else opts.serial);
       pdw = { opts.pdw with Pdwopt.Enumerate.hints = dist_hints } }
   in
@@ -410,7 +408,7 @@ let place_tail obs check token pool shell (e : explored) =
      mid-enumeration cancellation reuses it instead of recomputing). It
      allocates no registry columns. *)
   let baseline_plan =
-    Stage.run obs (baseline_stage opts.baseline reg shell)
+    Stage.run obs (baseline_stage opts.pdw reg shell)
       serial.Serialopt.Optimizer.best
   in
   let upper_bound =
@@ -533,10 +531,7 @@ let optimize ?(obs = Obs.null) ?(options : options option) ?(cache : cache optio
     | Some c ->
       let fp =
         Obs.with_span obs "plancache" @@ fun () ->
-        Plancache.fingerprint ~shell ~serial:opts.serial
-          ~pdw:opts.pdw ~baseline:opts.baseline ~via_xml:opts.via_xml
-          ~seed_collocated:opts.seed_collocated ~governor:opts.governor
-          normalized
+        Plancache.fingerprint ~shell opts normalized
       in
       (match Plancache.find c fp with
        | Some tail ->
@@ -769,9 +764,7 @@ module Driver = struct
     Atomic.set t.topo
       { shell = app'.Engine.Appliance.shell; app = app';
         options =
-          { o with
-            pdw = { o.pdw with Pdwopt.Enumerate.nodes = n };
-            baseline = { o.baseline with Baseline.nodes = n } } }
+          { o with pdw = { o.pdw with Pdwopt.Enumerate.nodes = n } } }
 
   let arm t = Option.iter (Engine.Appliance.set_fault (app t)) t.fault
 
@@ -1089,10 +1082,7 @@ module Feedback = struct
     in
     let lambdas, fits = Lambda.fit recs in
     let o = Driver.options d in
-    Driver.set_options d
-      { o with
-        pdw = { o.pdw with Pdwopt.Enumerate.lambdas };
-        baseline = { o.baseline with Baseline.lambdas } };
+    Driver.set_options d { o with pdw = { o.pdw with Pdwopt.Enumerate.lambdas } };
     Catalog.Shell_db.touch shell;
     d.Driver.calibrations <- d.Driver.calibrations + 1;
     Obs.add obs "feedback.calibrations" 1;

@@ -26,13 +26,16 @@ module Plancache = Plancache
     plan store) — re-exported under {!Driver} and {!Feedback} below. *)
 module Fbk = Feedback
 
-(** Pipeline configuration. *)
+(** Pipeline configuration. Every field is part of the plan-cache key
+    ({!Plancache.fingerprint} marshals the whole record), so a knob added
+    here re-keys the cache with no further change. Keep the record plain
+    data: a function-valued field makes the key raise. *)
 type options = {
   serial : Serialopt.Optimizer.options;
       (** serial exploration (task budget = the paper's timeout, §3.1) *)
   pdw : Pdwopt.Enumerate.opts;
-      (** node count, λ constants, pruning, hints (Fig. 4 / §3.3) *)
-  baseline : Baseline.opts;
+      (** node count, λ constants, pruning, hints (Fig. 4 / §3.3); the
+          §3.2 baseline reads its node count and λs from here too *)
   via_xml : bool;
       (** ship the MEMO through its XML encoding, as the real system does *)
   seed_collocated : bool;
@@ -41,8 +44,7 @@ type options = {
   governor : Governor.limits;
       (** statement deadline (wall seconds), execution deadline (simulated
           seconds, interpreted by {!Driver}), and memo-size budget;
-          {!Governor.no_limits} by default. Part of the plan-cache
-          fingerprint. *)
+          {!Governor.no_limits} by default. *)
 }
 
 (** Defaults for an appliance with [node_count] compute nodes: full
@@ -100,9 +102,9 @@ type compiled_tail = {
 }
 
 (** A plan cache usable across queries (and across domains — operations
-    are mutex-guarded). Keyed by {!Plancache.fingerprint}: the canonical
-    normalized tree plus node count, option knobs, hints, λ constants and
-    the shell's statistics version. *)
+    are mutex-guarded). Keyed by {!Plancache.fingerprint}: the shell's
+    node count and statistics version, then the [options] (hints applied)
+    and the normalized tree as [Marshal] bytes. *)
 type cache = compiled_tail Plancache.t
 
 (** [cache ()] builds an empty plan cache (default capacity 128 entries,

@@ -1,6 +1,6 @@
-(** A bounded, mutex-guarded LRU cache for compiled plans, keyed by a
-    canonical fingerprint of the normalized logical tree plus every
-    optimizer-relevant knob.
+(** A bounded, mutex-guarded LRU cache for compiled plans, keyed by the
+    normalized logical tree, the optimizer options and the shell's
+    identity.
 
     The paper's appliance re-optimizes every statement from scratch; under
     a repeated-query stream (the north-star workload) that wastes the
@@ -10,20 +10,21 @@
     entirely when an identical (tree, knobs, statistics) triple was
     compiled before.
 
-    {b Fingerprint / invalidation rules} (also DESIGN.md):
-    - the canonical render of the normalized algebra tree with explicit
-      registry column ids — equal renders mean the downstream optimizers
-      receive structurally identical input;
-    - the appliance topology (node count) and the serial/PDW/baseline
-      option records, including λ constants and §3.1 hints — any knob
-      that steers plan choice re-keys the entry;
-    - the shell database's [stats_version], bumped on every catalog
+    {b Key / invalidation rules} (also DESIGN.md §2): the key is derived
+    from the values, not rendered by hand ({!fingerprint}):
+    - the options record and the normalized algebra tree, marshalled
+      without sharing — every field is encoded, so a knob added to the
+      options later is part of the key with no one remembering to add it,
+      and literals that print alike ([2] and [2.0], [0.04999999] and
+      [0.05]) key apart. The options are plain data: [Marshal] raises on a
+      closure, so a knob that held a function would fail loudly;
+    - the shell's node count and [stats_version], bumped on every catalog
       change and raised in every derived shell (decommission, topology
       move) — catalog changes invalidate by missing, not by flushing.
 
-    Keys are the full canonical payload (no hashing), so false hits are
-    impossible by construction. All operations take an internal mutex, so
-    one cache may serve concurrent domains. *)
+    Keys are the full payload (no hashing), so false hits are impossible
+    by construction. All operations take an internal mutex, so one cache
+    may serve concurrent domains. *)
 
 type 'a entry = { mutable last_use : int; value : 'a }
 
@@ -156,101 +157,20 @@ let clear t =
   Hashtbl.reset t.table;
   t.tick <- 0
 
-(* -- canonical fingerprints -- *)
+(* -- the key -- *)
 
-let col c = "#" ^ string_of_int c
-
-let expr e = Algebra.Expr.to_string_with col e
-
-(* a canonical, collision-free render of the normalized tree: operator
-   constructor + every payload with explicit column ids, prefix form *)
-let rec tree (t : Algebra.Relop.t) : string =
-  let open Algebra in
-  let head =
-    match t.Relop.op with
-    | Relop.Get { table; alias; cols } ->
-      Printf.sprintf "Get(%s;%s;%s)" (String.lowercase_ascii table)
-        (String.lowercase_ascii alias)
-        (String.concat "," (List.map col (Array.to_list cols)))
-    | Relop.Select pred -> Printf.sprintf "Select(%s)" (expr pred)
-    | Relop.Project defs ->
-      Printf.sprintf "Project(%s)"
-        (String.concat ","
-           (List.map (fun (c, e) -> col c ^ ":=" ^ expr e) defs))
-    | Relop.Join { kind = _; pred } ->
-      (* op_name spells the join kind (Join/SemiJoin/CrossJoin/...) *)
-      Printf.sprintf "%s(%s)" (Relop.op_name t.Relop.op) (expr pred)
-    | Relop.Group_by { keys; aggs } ->
-      Printf.sprintf "GroupBy(%s;%s)"
-        (String.concat "," (List.map col keys))
-        (String.concat ","
-           (List.map
-              (fun (a : Expr.agg_def) ->
-                 col a.Expr.agg_out ^ ":=" ^ Expr.agg_to_string_with col a)
-              aggs))
-    | Relop.Sort { keys; limit } ->
-      Printf.sprintf "Sort(%s;%s)"
-        (String.concat ","
-           (List.map
-              (fun (k : Relop.sort_key) ->
-                 expr k.Relop.key ^ (if k.Relop.desc then "-" else "+"))
-              keys))
-        (match limit with Some n -> string_of_int n | None -> "")
-    | Relop.Union_all -> "UnionAll"
-    | Relop.Empty cols ->
-      Printf.sprintf "Empty(%s)" (String.concat "," (List.map col cols))
-  in
-  match t.Relop.children with
-  | [] -> head
-  | cs -> Printf.sprintf "%s[%s]" head (String.concat ";" (List.map tree cs))
-
-let lambdas (l : Dms.Cost.lambdas) =
-  Printf.sprintf "%h,%h,%h,%h,%h" l.Dms.Cost.l_reader_direct
-    l.Dms.Cost.l_reader_hash l.Dms.Cost.l_network l.Dms.Cost.l_writer
-    l.Dms.Cost.l_blkcpy
-
-let hint (t, h) =
-  Printf.sprintf "%s=%s" (String.lowercase_ascii t)
-    (match h with `Broadcast -> "B" | `Shuffle -> "S")
-
-(** The cache key for one optimization request: the canonical tree
-    render, every option the pipeline's plan choice depends on (serial,
-    PDW including hints and λs, baseline, XML interchange, seeding, and
-    the [governor] budgets — a tight-budget plan explores a different
-    space, so it must never alias a full-budget one), and the shell the
-    plan was compiled against, as its node count and [stats_version]. A
-    plan is a pure function of these three (paper §2.2: the shell is all
-    the compiler sees of the appliance). Every catalog change raises the
-    version: statistics updates, a feedback calibration
+(** The cache key for one optimization request: [shell]'s node count and
+    [stats_version], then [options] and the [normalized] tree as [Marshal]
+    bytes. A plan is a pure function of these (paper §2.2: the shell is
+    all the compiler sees of the appliance). Every catalog change raises
+    the version: statistics updates, a feedback calibration
     ({!Catalog.Shell_db.touch}), and the new shell that a decommission or
     a topology move {!Catalog.Shell_db.derive}s, whose version starts
-    above its source's — so along one appliance's lineage no two layouts
-    share a version. *)
-let fingerprint ?(governor = Governor.no_limits)
-    ~(shell : Catalog.Shell_db.t)
-    ~(serial : Serialopt.Optimizer.options) ~(pdw : Pdwopt.Enumerate.opts)
-    ~(baseline : Baseline.opts) ~(via_xml : bool) ~(seed_collocated : bool)
+    above its source's, so along one appliance's lineage no two layouts
+    share a version. [No_sharing] makes the bytes a function of the
+    values alone, not of how they happen to share memory. *)
+let fingerprint ~(shell : Catalog.Shell_db.t) (options : 'options)
     (normalized : Algebra.Relop.t) : string =
-  let fopt = function None -> "-" | Some f -> Printf.sprintf "%h" f in
-  let iopt = function None -> "-" | Some i -> string_of_int i in
-  String.concat "|"
-    [ Printf.sprintf "v7;nodes=%d;stats=%d"
-        (Catalog.Shell_db.node_count shell)
-        (Catalog.Shell_db.stats_version shell);
-      Printf.sprintf "serial=%d,%b,%b" serial.Serialopt.Optimizer.task_budget
-        serial.Serialopt.Optimizer.enable_merge_join
-        serial.Serialopt.Optimizer.enable_stream_agg;
-      Printf.sprintf "pdw=%d,%b,%b,%d,%b,[%s],%s" pdw.Pdwopt.Enumerate.nodes
-        pdw.Pdwopt.Enumerate.serial_tiebreak pdw.Pdwopt.Enumerate.prune
-        pdw.Pdwopt.Enumerate.max_options_per_group
-        pdw.Pdwopt.Enumerate.fold_empty
-        (String.concat ";" (List.map hint pdw.Pdwopt.Enumerate.hints))
-        (lambdas pdw.Pdwopt.Enumerate.lambdas);
-      Printf.sprintf "base=%d,%s" baseline.Baseline.nodes
-        (lambdas baseline.Baseline.lambdas);
-      Printf.sprintf "xml=%b;seed=%b" via_xml seed_collocated;
-      Printf.sprintf "gov=%s,%s,%s"
-        (fopt governor.Governor.deadline)
-        (fopt governor.Governor.sim_deadline)
-        (iopt governor.Governor.max_memo_groups);
-      tree normalized ]
+  Printf.sprintf "%d;%d;" (Catalog.Shell_db.node_count shell)
+    (Catalog.Shell_db.stats_version shell)
+  ^ Marshal.to_string (options, normalized) [ Marshal.No_sharing ]

@@ -1012,41 +1012,53 @@ let abort_move (m : move) : unit =
   Array.iter Hashtbl.reset m.m_target.storage;
   m.m_pending <- []
 
-(** [recommission t ~nodes] grows the appliance to [nodes] compute nodes
-    (the inverse of {!decommission}) as one complete phased move: every
-    hash-distributed table is re-partitioned onto the wider topology at
-    {!Dms.Cost.repartition_seconds} rates, then the catalog flips. *)
-let recommission (t : t) ~(nodes : int) : t =
-  if nodes <= t.nodes then
-    invalid_arg "Appliance.recommission: node count must grow";
-  let m = begin_move t ~node_count:nodes ~dist_of:(fun tbl -> tbl.Catalog.Shell_db.dist) in
+type change =
+  | Grow of int
+  | Rekey of { table : string; cols : string list }
+
+let change_to_string = function
+  | Grow nodes -> Printf.sprintf "grow to %d nodes" nodes
+  | Rekey { table; cols } -> Printf.sprintf "re-key %s [%s]" table (String.concat "," cols)
+
+(* the one place grow and re-key moves are built: validate, then open
+   the phased move (a re-key keeps every other table's layout) *)
+let begin_change (t : t) (change : change) : move =
+  match change with
+  | Grow nodes ->
+    if nodes <= t.nodes then invalid_arg "Appliance.begin_change: node count must grow";
+    begin_move t ~node_count:nodes ~dist_of:(fun tbl -> tbl.Catalog.Shell_db.dist)
+  | Rekey { table; cols } ->
+    let tbl = Catalog.Shell_db.find_exn t.shell table in
+    if cols = [] then invalid_arg "Appliance.begin_change: empty distribution key";
+    List.iter
+      (fun c ->
+         if Catalog.Schema.find_col tbl.Catalog.Shell_db.schema c = None then
+           invalid_arg
+             (Printf.sprintf "Appliance.begin_change: no column %s in %s" c table))
+      cols;
+    let key = String.lowercase_ascii table in
+    begin_move t ~node_count:t.nodes ~dist_of:(fun (x : Catalog.Shell_db.table) ->
+        if String.lowercase_ascii x.Catalog.Shell_db.schema.Catalog.Schema.name = key
+        then Catalog.Distribution.Hash_partitioned cols
+        else x.Catalog.Shell_db.dist)
+
+(* a change as one complete move: every copy step, then the flip *)
+let complete t change =
+  let m = begin_change t change in
   (try while m.m_pending <> [] do copy_step m done
    with e -> abort_move m; raise e);
   flip_move m
 
+(** [recommission t ~nodes] grows the appliance to [nodes] compute nodes
+    (the inverse of {!decommission}) as one complete phased move: every
+    hash-distributed table is re-partitioned onto the wider topology at
+    {!Dms.Cost.repartition_seconds} rates, then the catalog flips. *)
+let recommission (t : t) ~(nodes : int) : t = complete t (Grow nodes)
+
 (** [redistribute t ~table ~cols] changes [table]'s distribution key to
-    hash-partitioning on [cols] as one complete phased move (only that
-    table is re-partitioned; everything else transfers for free). *)
+    hash-partitioning on [cols] as one complete phased move. *)
 let redistribute (t : t) ~(table : string) ~(cols : string list) : t =
-  let tbl = Catalog.Shell_db.find_exn t.shell table in
-  List.iter
-    (fun c ->
-       if Catalog.Schema.find_col tbl.Catalog.Shell_db.schema c = None then
-         invalid_arg
-           (Printf.sprintf "Appliance.redistribute: no column %s in %s" c table))
-    cols;
-  if cols = [] then invalid_arg "Appliance.redistribute: empty distribution key";
-  let key = String.lowercase_ascii table in
-  let m =
-    begin_move t ~node_count:t.nodes
-      ~dist_of:(fun (x : Catalog.Shell_db.table) ->
-          if String.lowercase_ascii x.Catalog.Shell_db.schema.Catalog.Schema.name = key
-          then Catalog.Distribution.Hash_partitioned cols
-          else x.Catalog.Shell_db.dist)
-  in
-  (try while m.m_pending <> [] do copy_step m done
-   with e -> abort_move m; raise e);
-  flip_move m
+  complete t (Rekey { table; cols })
 
 (** Single-node oracle: run a serial plan over the full (unpartitioned)
     tables. *)

@@ -235,6 +235,23 @@ val flip_move : move -> t
     source catalog, storage and epoch are untouched. *)
 val abort_move : move -> unit
 
+(** A topology change: grow to a node count, or re-key one table to
+    hash-partitioning on [cols]. *)
+type change =
+  | Grow of int
+  | Rekey of { table : string; cols : string list }
+
+(** ["grow to 8 nodes"], ["re-key orders [o_custkey]"]. *)
+val change_to_string : change -> string
+
+(** [begin_change t change] validates [change] against [t] and opens its
+    phased move ({!begin_move}): a grow keeps every table's distribution
+    on more nodes; a re-key changes one table's key at the same node
+    count. The one place grow and re-key moves are built. Raises
+    [Invalid_argument] for a grow that does not grow, an unknown table,
+    an empty key or a column the table lacks. *)
+val begin_change : t -> change -> move
+
 (** [recommission t ~nodes] grows the appliance to [nodes] compute nodes
     (the inverse of {!decommission}) as one complete phased move. *)
 val recommission : t -> nodes:int -> t

@@ -41,8 +41,7 @@ type opts = {
       (** break DMS-cost ties with estimated per-node relational work *)
   prune : bool;
       (** interesting-property pruning (step 06.ii); off = keep every
-          enumerated option (ablation) *)
-  max_options_per_group : int;  (** safety cap when pruning is off *)
+          enumerated option, up to 512 per group (ablation) *)
   hints : (string * [ `Broadcast | `Shuffle ]) list;
       (** paper §3.1 query hints: restrict a base table's kept options to
           replicated ([`Broadcast]) or hash-partitioned ([`Shuffle]) *)
@@ -56,7 +55,6 @@ let default_opts = {
   lambdas = Dms.Cost.default_lambdas;
   serial_tiebreak = true;
   prune = true;
-  max_options_per_group = 512;
   hints = [];
   fold_empty = true;
 }
@@ -135,6 +133,9 @@ let total_cost o (p : Pplan.t) =
 
 let dist_key (d : Dms.Distprop.t) = Dms.Distprop.short_string d
 
+(* safety cap on a group's kept options when pruning is off *)
+let max_options_per_group = 512
+
 (* [st] is the calling group's private counter block: workers never touch
    the shared [ctx.stats] (the caller merges at publish time). The bound
    check is strict and the bound never changes during a pass, so the same
@@ -151,7 +152,7 @@ let add_option ctx st acc (p : Pplan.t) =
       | _ -> acc := (k, (p.Pplan.dist, p)) :: List.remove_assoc k !acc
     end
   end
-  else if List.length !acc < ctx.o.max_options_per_group then
+  else if List.length !acc < max_options_per_group then
     acc := (string_of_int (List.length !acc), (p.Pplan.dist, p)) :: !acc
 
 let split_aggs reg keys (aggs : Expr.agg_def list) : split option =

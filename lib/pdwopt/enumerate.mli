@@ -25,8 +25,7 @@ type opts = {
       (** break DMS-cost ties with estimated per-node relational work *)
   prune : bool;
       (** interesting-property pruning (step 06.ii); off = keep every
-          enumerated option (ablation) *)
-  max_options_per_group : int;  (** safety cap when pruning is off *)
+          enumerated option, up to 512 per group (ablation) *)
   hints : (string * [ `Broadcast | `Shuffle ]) list;
       (** paper §3.1 query hints: restrict a base table's kept options to
           replicated ([`Broadcast]) or hash-partitioned ([`Shuffle]) *)

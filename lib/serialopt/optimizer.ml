@@ -14,12 +14,9 @@ open Memo
 
 type options = {
   task_budget : int;         (** max transformation-rule applications *)
-  enable_merge_join : bool;
-  enable_stream_agg : bool;
 }
 
-let default_options =
-  { task_budget = 20_000; enable_merge_join = true; enable_stream_agg = true }
+let default_options = { task_budget = 20_000 }
 
 type result = {
   memo : Memo.t;
@@ -194,7 +191,7 @@ let explore (m : Memo.t) ~pool ~budget ~(token : Governor.token)
 
 (* -- implementation -- *)
 
-let implement_group (m : Memo.t) ~opts gid =
+let implement_group (m : Memo.t) gid =
   List.iter
     (fun (lop, children) ->
        let add p = ignore (Memo.insert ~target:gid m (Physical p) children) in
@@ -208,25 +205,24 @@ let implement_group (m : Memo.t) ~opts gid =
          let equi = Physop.oriented_equi_pairs pred ~left_cols:lcols ~right_cols:rcols in
          if equi <> [] then begin
            add (Physop.Hash_join { kind; pred });
-           if opts.enable_merge_join
-           && (match kind with Relop.Inner | Relop.Semi | Relop.Anti_semi -> true | _ -> false)
+           if (match kind with Relop.Inner | Relop.Semi | Relop.Anti_semi -> true | _ -> false)
            then add (Physop.Merge_join { kind; pred })
          end
          else add (Physop.Nl_join { kind; pred })
        | Relop.Group_by { keys; aggs } ->
          let distinct_agg = List.exists (fun a -> a.Expr.agg_distinct) aggs in
          add (Physop.Hash_agg { keys; aggs });
-         if opts.enable_stream_agg && keys <> [] && not distinct_agg then
+         if keys <> [] && not distinct_agg then
            add (Physop.Stream_agg { keys; aggs })
        | Relop.Sort { keys; limit } -> add (Physop.Sort_op { keys; limit })
        | Relop.Union_all -> add Physop.Union_op
        | Relop.Empty cols -> add (Physop.Const_empty cols))
     (Memo.logical_exprs m gid)
 
-let implement (m : Memo.t) ~opts =
+let implement (m : Memo.t) =
   (* groups only gain physical exprs here, never new groups *)
   for gid = 0 to Memo.ngroups m - 1 do
-    if m.groups.(gid).merged_into = None then implement_group m ~opts gid
+    if m.groups.(gid).merged_into = None then implement_group m gid
   done
 
 (* -- winner extraction (required property: ascending ordering on cols) -- *)
@@ -370,7 +366,7 @@ let optimize ?(obs = Obs.null) ?(opts = default_options) ?(seeds = [])
   let tasks_used, budget_exhausted, interrupted =
     explore m ~pool ~budget:opts.task_budget ~token ~max_memo_groups
   in
-  implement m ~opts;
+  implement m;
   let best = try extract_best m with Cycle -> None in
   Obs.add obs "serial.memo.groups" (Memo.live_groups m);
   Obs.add obs "serial.memo.exprs" (Memo.total_exprs m);

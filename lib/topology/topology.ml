@@ -9,7 +9,7 @@
       candidate distribution-key assignments and proposes the set that
       minimizes the occurrence-weighted modelled DMS cost under the λ
       model;
-    - {!Elastic}: topology moves ({!Engine.Appliance.begin_move} phases)
+    - {!Elastic}: topology moves ({!Engine.Appliance.begin_change} phases)
       over an {!Opdw.Driver} that keeps serving while they are in flight —
       statements admitted mid-move execute against the old layout until
       the atomic flip, and node crashes compose with decommission + move
@@ -291,45 +291,44 @@ module Elastic = struct
   let app = Opdw.Driver.app
   let log = Opdw.Driver.log
 
-  (* drive one phased move to completion: copy steps interleaved with the
-     [between] callback (which serves statements against the old layout),
-     commit at the flip. A node crash — inside a copy step, or under a
-     statement served by [between] (detected as the driver's appliance
-     changing) — aborts the half-built target, composes with
-     decommission, and rebuilds the move on the survivors. *)
+  (* drive [change] as one phased move to completion: copy steps
+     interleaved with the [between] callback (which serves statements
+     against the old layout), commit at the flip. A node crash — inside a
+     copy step, or under a statement served by [between] (detected as the
+     driver's appliance changing) — aborts the half-built target, composes
+     with decommission, and rebuilds the move on the survivors. An
+     exhausted budget aborts the target too, then raises
+     {!Fault.Exhausted}: the driver keeps serving on its current layout. *)
   let phased ?(obs = Obs.null) ?(between = fun () -> ()) (t : t)
-      (mk : Engine.Appliance.t -> Engine.Appliance.move) : unit =
+      (change : Engine.Appliance.change) : unit =
+    let abort m =
+      Engine.Appliance.abort_move m;
+      Obs.add obs "topology.aborted_moves" 1
+    in
     let rec attempt replans =
       Opdw.Driver.arm t;
       let src = app t in
-      let m = mk src in
-      let outcome =
-        try
-          let rec drive () =
-            if m.Engine.Appliance.m_pending = [] then `Done
-            else begin
-              Engine.Appliance.copy_step m;
-              between ();
-              if app t != src then `Replanned_under_us else drive ()
-            end
-          in
-          drive ()
-        with Fault.Injected ({ Fault.site = Fault.Node_crash; _ } as failure) ->
-          `Crashed failure
+      let m = Engine.Appliance.begin_change src change in
+      let rec drive () =
+        if m.Engine.Appliance.m_pending = [] then
+          (* read the accrued cost before the flip consumes the move *)
+          let seconds = m.Engine.Appliance.m_seconds in
+          `Flipped (Engine.Appliance.flip_move m, seconds)
+        else begin
+          Engine.Appliance.copy_step m;
+          between ();
+          if app t != src then `Replanned_under_us else drive ()
+        end
       in
-      match outcome with
-      | `Done ->
-        (* read the accrued cost before the flip consumes the move *)
-        let seconds = m.Engine.Appliance.m_seconds in
-        let app' = Engine.Appliance.flip_move m in
+      match drive () with
+      | `Flipped (app', seconds) ->
         Opdw.Driver.install t app';
         Obs.add obs "topology.applied_moves" 1;
         Obs.addf obs "topology.move_seconds" seconds
       | `Replanned_under_us ->
         (* a served statement crashed a node and replanned: the target was
            built against the dead topology — drop it and start over *)
-        Engine.Appliance.abort_move m;
-        Obs.add obs "topology.aborted_moves" 1;
+        abort m;
         if replans >= Opdw.Driver.max_replans t then
           raise
             (Fault.Exhausted
@@ -338,11 +337,13 @@ module Elastic = struct
                      epoch = src.Engine.Appliance.epoch; step = -1; node = -1 };
                  attempts = replans + 1 });
         attempt (replans + 1)
-      | `Crashed failure ->
-        Engine.Appliance.abort_move m;
-        Obs.add obs "topology.aborted_moves" 1;
+      | exception Fault.Injected ({ Fault.site = Fault.Node_crash; _ } as failure) ->
+        abort m;
         Opdw.Driver.replan ~obs t ~replans failure;
         attempt (replans + 1)
+      | exception (Fault.Exhausted _ as e) ->
+        abort m;
+        raise e
     in
     attempt 0
 
@@ -350,23 +351,12 @@ module Elastic = struct
       after every copy step (serve statements there — they execute against
       the old layout until the flip, so availability stays 1.0). *)
   let grow ?obs ?between (t : t) ~(nodes : int) : unit =
-    phased ?obs ?between t (fun (app : Engine.Appliance.t) ->
-        if nodes <= app.Engine.Appliance.nodes then
-          invalid_arg "Topology.Elastic.grow: node count must grow";
-        Engine.Appliance.begin_move app ~node_count:nodes
-          ~dist_of:(fun tbl -> tbl.Catalog.Shell_db.dist))
+    phased ?obs ?between t (Engine.Appliance.Grow nodes)
 
-  (** Re-key [table] online to hash-partitioning on [cols]. *)
+  (** Re-key [table] online to hash-partitioning on [cols], which must be
+      columns of [table]. *)
   let redistribute ?obs ?between (t : t) ~(table : string) ~(cols : string list) : unit =
-    let key = String.lowercase_ascii table in
-    phased ?obs ?between t (fun (app : Engine.Appliance.t) ->
-        ignore (Catalog.Shell_db.find_exn app.Engine.Appliance.shell table);
-        Engine.Appliance.begin_move app
-          ~node_count:app.Engine.Appliance.nodes
-          ~dist_of:(fun (x : Catalog.Shell_db.table) ->
-              if String.lowercase_ascii x.Catalog.Shell_db.schema.Catalog.Schema.name = key
-              then Catalog.Distribution.Hash_partitioned cols
-              else x.Catalog.Shell_db.dist))
+    phased ?obs ?between t (Engine.Appliance.Rekey { table; cols })
 
   (** Run the advisor over everything this driver has served so far. *)
   let advise ?max_tables (t : t) : Advisor.advice =
@@ -381,6 +371,20 @@ module Elastic = struct
          redistribute ?obs ?between t ~table:p.Advisor.p_table ~cols:p.Advisor.p_cols)
       a.Advisor.a_proposals
 
+  (** What became of one topology move in a {!storm}. *)
+  type move_outcome =
+    | Applied
+    | Exhausted of { failure : Fault.failure; attempts : int }
+        (** the move spent its retry or replan budget: its half-built
+            target was dropped and the layout is the one before it *)
+
+  (** The topology half of a {!storm}: the advice taken, and each
+      attempted move with its outcome, in order. *)
+  type report = {
+    advice : Advisor.advice;
+    moves : (Engine.Appliance.change * move_outcome) list;
+  }
+
   (** Serve the [(id, sql)] storm in order, one statement at a time, and
       tally every outcome against [oracle] ({!Opdw.Driver.tally}): a
       refused statement is counted, never raised, and the storm goes on.
@@ -388,11 +392,13 @@ module Elastic = struct
       advisor's log; the appliance then grows online to [grow_to] nodes
       (when that exceeds the current count), the advice is taken and
       applied, the rest of the storm is served between the copy steps (old
-      layout until each flip), and whatever remains drains after. Without
+      layout until each flip), and whatever remains drains after. A move
+      that exhausts its budget is recorded, not raised; no move is tried
+      after it, and the storm finishes on the current layout. Without
       [moves], the whole storm is served and then advised on; nothing
-      moves. Returns the tally and the advice. *)
+      moves. Returns the tally and the {!report}. *)
   let storm ?obs ?(moves = true) ?(grow_to = 0) ?max_tables ~oracle (t : t) stmts =
-    let queue = ref stmts and outcomes = ref [] in
+    let queue = ref stmts and outcomes = ref [] and moved = ref [] in
     let serve_one () =
       match !queue with
       | [] -> ()
@@ -401,13 +407,28 @@ module Elastic = struct
         outcomes := (id, Opdw.Driver.run ?obs t sql) :: !outcomes
     in
     let drain () = while !queue <> [] do serve_one () done in
+    let move change =
+      if List.for_all (function _, Applied -> true | _, Exhausted _ -> false) !moved
+      then begin
+        let oc =
+          match phased ?obs ~between:serve_one t change with
+          | () -> Applied
+          | exception Fault.Exhausted { failure; attempts } -> Exhausted { failure; attempts }
+        in
+        moved := (change, oc) :: !moved
+      end
+    in
     if moves then begin
       for _ = 1 to List.length stmts / 2 do serve_one () done;
-      if grow_to > Opdw.Driver.nodes t then grow ?obs ~between:serve_one t ~nodes:grow_to
+      if grow_to > Opdw.Driver.nodes t then move (Engine.Appliance.Grow grow_to)
     end
     else drain ();
     let advice = advise ?max_tables t in
-    if moves then apply ?obs ~between:serve_one t advice;
+    if moves then
+      List.iter
+        (fun (p : Advisor.proposal) ->
+           move (Engine.Appliance.Rekey { table = p.Advisor.p_table; cols = p.Advisor.p_cols }))
+        advice.Advisor.a_proposals;
     drain ();
-    (Opdw.Driver.tally ~oracle (List.rev !outcomes), advice)
+    (Opdw.Driver.tally ~oracle (List.rev !outcomes), { advice; moves = List.rev !moved })
 end

@@ -23,6 +23,9 @@ leg overload --nodes 4 --sf 0.002 --statements 12 --jobs 1 -q Q20 --max-concurre
 leg topology advise --nodes 4 --sf 0.002 --statements 24
 leg topology apply --nodes 2 --grow 4 --sf 0.002 --statements 24 --jobs 1
 leg topology apply --nodes 4 --grow 8 --sf 0.002 --statements 24 --fault-rate 0.05 --fault-seed 3 --jobs 1
+# the grow spends its budget: the storm still finishes and the CLI exits 1
+leg topology apply --nodes 4 --grow 8 --sf 0.002 --statements 24 --fault-rate 0.3 --fault-seed 4 --jobs 1 \
+  || echo "exit $?"
 leg calibrate --nodes 4 --sf 0.002 --jobs 1
 leg calibrate --nodes 4 --sf 0.002 --jobs 1 --json
 leg planstore --nodes 4 --sf 0.002 -q Q3 --inject-regression --jobs 1

@@ -398,11 +398,11 @@ let pinned =
     ("feedback", "Q3", "67886295abb388d67ba742aca205191c",
      "0x1.32acb4ae39e61p-11 0x1.a5d6b996ac57dp-13 0x1.2cp+10",
      "8242b5ad135ff2b9851a90d5de02dbf5",
-     "4c6328a2bda2927f2555578fc9a17fb0 0x1.32acb4ae39e61p-11");
+     "d33d04f5c5865f37ce867eb648c197b2 0x1.32acb4ae39e61p-11");
     ("feedback", "Q10", "be9658f87b5eacee95f0ca569dc7e0c2",
      "0x1.1747380fa7c7ap-11 0x1.a813ac709100bp-13 0x1.0d98p+13",
      "df7ce3e72a977806b38bd0ae435f3a5d",
-     "bdd161d3f7813e663c54310a619f938e 0x1.1747380fa7c7ap-11");
+     "47984aed85f77081ab21084bd616edcc 0x1.1747380fa7c7ap-11");
     ("elastic", "Q3", "67886295abb388d67ba742aca205191c",
      "0x1.32acb4ae39e61p-11 0x1.a5d6b996ac57dp-13 0x1.2cp+10",
      "8242b5ad135ff2b9851a90d5de02dbf5",

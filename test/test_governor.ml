@@ -257,9 +257,7 @@ let test_fingerprint_carries_governor_knobs () =
   let opts = Opdw.default_options ~node_count:4 in
   let r = Opdw.optimize ~check:false shell join_sql in
   let fp governor =
-    Opdw.Plancache.fingerprint ~governor ~shell ~serial:opts.Opdw.serial
-      ~pdw:opts.Opdw.pdw ~baseline:opts.Opdw.baseline ~via_xml:opts.Opdw.via_xml
-      ~seed_collocated:opts.Opdw.seed_collocated r.Opdw.normalized
+    Opdw.Plancache.fingerprint ~shell { opts with Opdw.governor } r.Opdw.normalized
   in
   let base = fp Governor.no_limits in
   Alcotest.(check bool) "deadline re-keys" true

@@ -38,10 +38,10 @@ let test_add_refresh () =
 (* -- fingerprint sensitivity -- *)
 
 let fingerprint_of ?(serial = Serialopt.Optimizer.default_options)
-    ?(pdw = Pdwopt.Enumerate.default_opts) ?(baseline = Baseline.default_opts)
-    ?(via_xml = true) ?(seed_collocated = false) ?governor shell normalized =
-  Opdw.Plancache.fingerprint ~shell ~serial ~pdw ~baseline ~via_xml
-    ~seed_collocated ?governor normalized
+    ?(pdw = Pdwopt.Enumerate.default_opts) ?(via_xml = true)
+    ?(seed_collocated = false) ?(governor = Governor.no_limits) shell normalized =
+  Opdw.Plancache.fingerprint ~shell
+    { Opdw.serial; pdw; via_xml; seed_collocated; governor } normalized
 
 let test_fingerprint_sensitivity () =
   let w = Lazy.force w in
@@ -66,8 +66,7 @@ let test_fingerprint_sensitivity () =
        shell tree);
   differs "serial task budget re-keys"
     (fingerprint_of
-       ~serial:{ Serialopt.Optimizer.default_options with
-                 Serialopt.Optimizer.task_budget = 7 }
+       ~serial:{ Serialopt.Optimizer.task_budget = 7 }
        shell tree);
   differs "lambda constants re-key"
     (fingerprint_of
@@ -104,42 +103,27 @@ let rekey_sql = "SELECT o_orderkey FROM orders, customer WHERE o_custkey = c_cus
 let test_every_option_rekeys () =
   let shell = (Lazy.force w).Opdw.Workload.shell in
   let tree = (Opdw.optimize shell rekey_sql).Opdw.normalized in
-  let ({ Opdw.serial; pdw; baseline; via_xml; seed_collocated; governor } as o) =
+  let ({ Opdw.serial; pdw; via_xml; seed_collocated; governor } as o) =
     Opdw.default_options ~node_count:4
   in
-  let { Serialopt.Optimizer.task_budget; enable_merge_join; enable_stream_agg } = serial in
-  let { Pdwopt.Enumerate.nodes; lambdas; serial_tiebreak; prune; max_options_per_group;
-        hints; fold_empty } = pdw in
-  let { Baseline.nodes = base_nodes; lambdas = base_lambdas } = baseline in
+  let { Serialopt.Optimizer.task_budget } = serial in
+  let { Pdwopt.Enumerate.nodes; lambdas; serial_tiebreak; prune; hints; fold_empty } = pdw in
   let { Governor.deadline; sim_deadline; max_memo_groups } = governor in
   let other (l : Dms.Cost.lambdas) = { l with Dms.Cost.l_network = 2. *. l.Dms.Cost.l_network } in
   let seconds = function None -> Some 1. | Some s -> Some (s +. 1.) in
-  let fp (o : Opdw.options) =
-    fingerprint_of ~serial:o.Opdw.serial ~pdw:o.Opdw.pdw ~baseline:o.Opdw.baseline
-      ~via_xml:o.Opdw.via_xml ~seed_collocated:o.Opdw.seed_collocated
-      ~governor:o.Opdw.governor shell tree
-  in
-  let ser f = { o with Opdw.serial = f serial } in
+  let fp (o : Opdw.options) = Opdw.Plancache.fingerprint ~shell o tree in
   let pdw_ f = { o with Opdw.pdw = f pdw } in
-  let base f = { o with Opdw.baseline = f baseline } in
   let gov f = { o with Opdw.governor = f governor } in
   let variants =
-    [ ("serial.task_budget", ser (fun s -> { s with task_budget = task_budget + 1 }));
-      ("serial.enable_merge_join",
-       ser (fun s -> { s with enable_merge_join = not enable_merge_join }));
-      ("serial.enable_stream_agg",
-       ser (fun s -> { s with enable_stream_agg = not enable_stream_agg }));
+    [ ("serial.task_budget",
+       { o with Opdw.serial = { task_budget = task_budget + 1 } });
       ("pdw.nodes", pdw_ (fun p -> { p with nodes = nodes * 2 }));
       ("pdw.lambdas", pdw_ (fun p -> { p with lambdas = other lambdas }));
       ("pdw.serial_tiebreak",
        pdw_ (fun p -> { p with serial_tiebreak = not serial_tiebreak }));
       ("pdw.prune", pdw_ (fun p -> { p with prune = not prune }));
-      ("pdw.max_options_per_group",
-       pdw_ (fun p -> { p with max_options_per_group = max_options_per_group + 1 }));
       ("pdw.hints", pdw_ (fun p -> { p with hints = ("orders", `Broadcast) :: hints }));
       ("pdw.fold_empty", pdw_ (fun p -> { p with fold_empty = not fold_empty }));
-      ("baseline.nodes", base (fun b -> { b with Baseline.nodes = base_nodes * 2 }));
-      ("baseline.lambdas", base (fun b -> { b with Baseline.lambdas = other base_lambdas }));
       ("via_xml", { o with Opdw.via_xml = not via_xml });
       ("seed_collocated", { o with Opdw.seed_collocated = not seed_collocated });
       ("governor.deadline", gov (fun g -> { g with deadline = seconds deadline }));
@@ -148,7 +132,7 @@ let test_every_option_rekeys () =
        gov (fun g ->
            { g with max_memo_groups = Some (1 + Option.value max_memo_groups ~default:0) })) ]
   in
-  Alcotest.(check int) "all 17 option values" 17 (List.length variants);
+  Alcotest.(check int) "all 12 option values" 12 (List.length variants);
   let keyed = ("defaults", fp o) :: List.map (fun (name, o') -> (name, fp o')) variants in
   List.iteri
     (fun i (a, fa) ->
@@ -332,6 +316,31 @@ let prop_parallel_execution_identical =
          QCheck.Test.fail_report ("parallel execution diverged: " ^ q.Test_fuzz.sql);
        true)
 
+(* literals that print alike must not share a plan: [0.04999999] and
+   [0.05] both render as 0.05 under %g, and [2] and [2.0] both as 2. Served
+   through one cache, each statement keys apart and returns the rows a
+   cache-less compile returns. *)
+let test_literals_key_apart () =
+  let wl = Opdw.Workload.tpch ~node_count:4 ~sf:0.002 () in
+  let shell = wl.Opdw.Workload.shell and app = wl.Opdw.Workload.app in
+  let cache = Opdw.cache () in
+  let serve ?cache sql =
+    let r = Opdw.optimize ?cache shell sql in
+    (r.Opdw.fingerprint, Engine.Local.canonical (Opdw.run app r))
+  in
+  let discount lit = "SELECT COUNT(*) FROM lineitem WHERE l_discount > " ^ lit in
+  let near, near_rows = serve ~cache (discount "0.04999999") in
+  let at, at_rows = serve ~cache (discount "0.05") in
+  Alcotest.(check bool) "0.04999999 and 0.05 key apart" false (near = at);
+  Alcotest.(check (list string)) "0.04999999: fresh rows"
+    (snd (serve (discount "0.04999999"))) near_rows;
+  Alcotest.(check (list string)) "0.05: fresh rows" (snd (serve (discount "0.05"))) at_rows;
+  Alcotest.(check (list string)) "0.04999999 counts 6526" [ "6526" ] near_rows;
+  Alcotest.(check (list string)) "0.05 counts 5469" [ "5469" ] at_rows;
+  let quantity lit = "SELECT COUNT(*) FROM lineitem WHERE l_quantity > " ^ lit in
+  Alcotest.(check bool) "2 and 2.0 key apart" false
+    (fst (serve ~cache (quantity "2")) = fst (serve ~cache (quantity "2.0")))
+
 let suite =
   [ Alcotest.test_case "LRU eviction order" `Quick test_lru_eviction;
     Alcotest.test_case "add refreshes existing key" `Quick test_add_refresh;
@@ -345,4 +354,6 @@ let suite =
     Alcotest.test_case "appliance rejection evicts the cache entry" `Quick
       test_run_rejection_evicts;
     QCheck_alcotest.to_alcotest prop_cache_hit_equals_fresh;
-    QCheck_alcotest.to_alcotest prop_parallel_execution_identical ]
+    QCheck_alcotest.to_alcotest prop_parallel_execution_identical;
+    Alcotest.test_case "literals that print alike key apart" `Quick
+      test_literals_key_apart ]

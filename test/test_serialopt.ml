@@ -40,7 +40,7 @@ let test_assoc_generates_orders () =
   let m = res.Serialopt.Optimizer.memo in
   (* with 3 relations, exploration creates new join groups beyond the
      initial (unexplored) space *)
-  let opts = { Serialopt.Optimizer.default_options with Serialopt.Optimizer.task_budget = 0 } in
+  let opts = { Serialopt.Optimizer.task_budget = 0 } in
   let _, unexplored =
     optimize ~opts
       "SELECT c_custkey FROM customer, orders, lineitem \
@@ -79,11 +79,8 @@ let test_small_build_side () =
   | None -> Alcotest.fail "no hash join in plan"
 
 let test_merge_join_sorts_inputs () =
-  let opts =
-    { Serialopt.Optimizer.default_options with Serialopt.Optimizer.enable_merge_join = true }
-  in
   let _, res =
-    optimize ~opts "SELECT c_name FROM customer, orders WHERE c_custkey = o_custkey"
+    optimize "SELECT c_name FROM customer, orders WHERE c_custkey = o_custkey"
   in
   let p = Option.get res.Serialopt.Optimizer.best in
   (* if a merge join was chosen, its children must provide sort order via
@@ -102,7 +99,7 @@ let test_merge_join_sorts_inputs () =
   Alcotest.(check bool) "merge join implemented" true !has_merge
 
 let test_budget_zero_keeps_initial_plan () =
-  let opts = { Serialopt.Optimizer.default_options with Serialopt.Optimizer.task_budget = 0 } in
+  let opts = { Serialopt.Optimizer.task_budget = 0 } in
   let _, res =
     optimize ~opts
       "SELECT c_custkey FROM customer, orders, lineitem \
@@ -115,7 +112,7 @@ let test_budget_zero_keeps_initial_plan () =
 
 let test_budget_monotone_space () =
   let run budget =
-    let opts = { Serialopt.Optimizer.default_options with Serialopt.Optimizer.task_budget = budget } in
+    let opts = { Serialopt.Optimizer.task_budget = budget } in
     let _, res =
       optimize ~opts
         "SELECT c_custkey FROM customer, orders, lineitem \

@@ -594,6 +594,57 @@ let test_elastic_storm_tallies_refusals () =
   Alcotest.(check bool) "some statement exhausted its budget" true (t.exhausted >= 1);
   Alcotest.(check int) "no wrong rows" 0 t.wrong
 
+(* a move that spends its own budget is an outcome of the storm, not an
+   exception out of it: the half-built target is dropped, no later move is
+   tried, and the rest of the storm is served on the current layout *)
+let test_elastic_storm_survives_exhausted_move () =
+  let wl = Opdw.Workload.tpch ~node_count:4 ~sf:0.002 () in
+  let bundle = Array.of_list Tpch.Queries.all in
+  let stmts =
+    Topology.Zipf.storm ~seed:1 ~length:24 (Array.length bundle)
+    |> List.map (fun k -> (bundle.(k).Tpch.Queries.id, bundle.(k).Tpch.Queries.sql))
+  in
+  let oracle =
+    Opdw.Workload.oracle (Opdw.Workload.tpch ~node_count:4 ~sf:0.002 ()) stmts
+  in
+  let el =
+    Topology.Elastic.create ~cache:(Opdw.cache ())
+      ~fault:(Fault.seeded ~seed:4 ~rate:0.3 ()) wl.Opdw.Workload.shell
+      wl.Opdw.Workload.app
+  in
+  let t, { Topology.Elastic.moves; _ } =
+    Topology.Elastic.storm ~grow_to:8 ~oracle el stmts
+  in
+  (match moves with
+   | [ (Engine.Appliance.Grow 8, Topology.Elastic.Exhausted { failure; _ }) ] ->
+     Alcotest.(check bool) "the grow names its crash" true
+       (failure.Fault.site = Fault.Node_crash)
+   | _ -> Alcotest.fail "expected one exhausted grow and no later move");
+  Alcotest.(check bool) "not grown" true (Opdw.Driver.nodes el < 8);
+  let open Opdw.Driver in
+  Alcotest.(check int) "every statement tallied" 24 t.statements;
+  Alcotest.(check int) "outcomes sum to the storm" 24
+    (t.returned + t.rejected + t.shed + t.timed_out + t.exhausted + t.invalid);
+  Alcotest.(check int) "no wrong rows" 0 t.wrong
+
+(* re-keying on a column the table lacks is refused before any data moves,
+   online as well as offline: the layout and the rows stay as they were *)
+let test_rekey_rejects_unknown_column () =
+  let wl = workload ~node_count:4 () in
+  let app = wl.Opdw.Workload.app in
+  let base = run_fresh app join_sql and snap = storage_snapshot app in
+  let el = Topology.Elastic.create ~fault:Fault.none wl.Opdw.Workload.shell app in
+  (match Topology.Elastic.redistribute el ~table:"orders" ~cols:[ "o_nope" ] with
+   | () -> Alcotest.fail "re-key on a missing column was accepted"
+   | exception Invalid_argument _ -> ());
+  (match Engine.Appliance.redistribute app ~table:"orders" ~cols:[ "o_nope" ] with
+   | _ -> Alcotest.fail "appliance re-key on a missing column was accepted"
+   | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "same appliance" true (Topology.Elastic.app el == app);
+  Alcotest.(check bool) "storage untouched" true (snap = storage_snapshot app);
+  Alcotest.(check (list string)) "rows unchanged" base
+    (Engine.Local.canonical (snd (Topology.Elastic.run el join_sql)))
+
 let suite =
   [ t "zipf storm is pure and skewed" test_zipf;
     t "repartition pricing helper algebra" test_pricing_helper;
@@ -616,4 +667,7 @@ let suite =
     t "advise ignores the serving governor limits"
       test_advise_ignores_governor_limits;
     QCheck_alcotest.to_alcotest prop_topology_determinism;
-    t "elastic storm tallies refusals and finishes" test_elastic_storm_tallies_refusals ]
+    t "elastic storm tallies refusals and finishes" test_elastic_storm_tallies_refusals;
+    t "elastic storm survives a move that exhausts its budget"
+      test_elastic_storm_survives_exhausted_move;
+    t "re-key rejects a column the table lacks" test_rekey_rejects_unknown_column ]
