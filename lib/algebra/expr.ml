@@ -146,27 +146,28 @@ let arith op a b =
      | Mod -> if y = 0. then Value.Null else Value.Float (Float.rem x y)
      | _ -> assert false)
 
-(* SQL LIKE with % and _ wildcards. *)
+(* SQL LIKE with % and _ wildcards: a greedy two-pointer matcher that
+   allocates nothing. On a mismatch it backtracks to the most recent [%]
+   and lets it swallow one more subject character; earlier [%]s never need
+   revisiting, because the text between two [%]s has a fixed length and
+   matching it leftmost leaves the most subject for the rest. *)
 let like_match ~pattern s =
   let np = String.length pattern and ns = String.length s in
-  (* memoized recursion over (pi, si) *)
-  let memo = Hashtbl.create 16 in
-  let rec go pi si =
-    match Hashtbl.find_opt memo (pi, si) with
-    | Some r -> r
-    | None ->
-      let r =
-        if pi >= np then si >= ns
-        else
-          match pattern.[pi] with
-          | '%' -> go (pi + 1) si || (si < ns && go pi (si + 1))
-          | '_' -> si < ns && go (pi + 1) (si + 1)
-          | c -> si < ns && s.[si] = c && go (pi + 1) (si + 1)
-      in
-      Hashtbl.replace memo (pi, si) r;
-      r
+  (* [star]: pattern index of the last [%] seen (-1: none yet); [mark]:
+     the subject index that [%] currently stops at *)
+  let rec go pi si star mark =
+    if si < ns then
+      if pi < np && pattern.[pi] = '%' then go (pi + 1) si pi si
+      else if pi < np && (pattern.[pi] = '_' || pattern.[pi] = s.[si]) then
+        go (pi + 1) (si + 1) star mark
+      else if star >= 0 then go (star + 1) (mark + 1) star (mark + 1)
+      else false
+    else
+      (* subject used up: only trailing [%]s may remain *)
+      let rec rest pi = pi >= np || (pattern.[pi] = '%' && rest (pi + 1)) in
+      rest pi
   in
-  go 0 0
+  go 0 0 (-1) 0
 
 (* Three-valued-logic comparison: None = UNKNOWN. *)
 let compare3 op a b =

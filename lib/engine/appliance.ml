@@ -516,7 +516,7 @@ let serial_step_time t (op : Memo.Physop.t) (out_rows : float) (in_rows : float 
 (* run one shard of a serial step on the selected engine; [stats] (when
    observability is on) is private to this shard, so the pool fan-out stays
    race-free and merging happens in the caller domain *)
-let shard_exec (t : t) ~(node : int) ?stats (op : Memo.Physop.t)
+let shard_exec (t : t) ~(node : int) ?stats ?need (op : Memo.Physop.t)
     (inputs : Rset.t list) : Rset.t =
   match t.engine with
   | Rset.Row ->
@@ -525,7 +525,7 @@ let shard_exec (t : t) ~(node : int) ?stats (op : Memo.Physop.t)
          (List.map Rset.to_local inputs))
   | Rset.Columnar ->
     Rset.Cols
-      (Batch.exec_op ?stats ~read_table:(fun name -> node_batch t node name) op
+      (Batch.exec_op ?stats ?need ~read_table:(fun name -> node_batch t node name) op
          (List.map Rset.to_batch inputs))
 
 (* merge per-shard executor stats into the Obs counters (caller domain) *)
@@ -539,8 +539,8 @@ let note_exec_stats ~obs (stats : Local.exec_stats list) =
   end
 
 (** Execute a serial operator on every node holding data. *)
-let run_serial ?(obs = Obs.null) (t : t) (op : Memo.Physop.t) (children : dstream list) :
-    dstream =
+let run_serial ?(obs = Obs.null) ?need (t : t) (op : Memo.Physop.t)
+    (children : dstream list) : dstream =
   let on_control =
     List.exists (fun c -> c.dist = Dms.Distprop.Single_node) children
     || (children = []
@@ -564,7 +564,7 @@ let run_serial ?(obs = Obs.null) (t : t) (op : Memo.Physop.t) (children : dstrea
         children
     in
     let stats = if Obs.enabled obs then Some (Local.fresh_stats ()) else None in
-    let r = shard_exec t ~node:0 ?stats op inputs in
+    let r = shard_exec t ~node:0 ?stats ?need op inputs in
     (match stats with Some s -> note_exec_stats ~obs [ s ] | None -> ());
     let step =
       serial_step_time t op
@@ -615,7 +615,7 @@ let run_serial ?(obs = Obs.null) (t : t) (op : Memo.Physop.t) (children : dstrea
                children
            in
            let stats = if want_stats then Some (Local.fresh_stats ()) else None in
-           let r = shard_exec t ~node ?stats op inputs in
+           let r = shard_exec t ~node ?stats ?need op inputs in
            let step =
              serial_step_time t op
                (float_of_int (Rset.count r))
@@ -663,6 +663,34 @@ let run_serial ?(obs = Obs.null) (t : t) (op : Memo.Physop.t) (children : dstrea
 
 (* -- full distributed plan execution -- *)
 
+module Col_set = Algebra.Registry.Col_set
+
+(* Late materialization: the columns child [k] of a Serial [op] must
+   deliver when [op]'s own consumers read [need] ([None]: every column,
+   in layout order). Joins, filters and sorts pass [need] down plus what
+   they read themselves; computes and aggregates read a fixed set; a union
+   concatenates positionally, so its inputs stay whole. *)
+let child_need (op : Memo.Physop.t) (need : Col_set.t option) (k : int) :
+  Col_set.t option =
+  let plus cs = Option.map (Col_set.union cs) need in
+  match op with
+  | Memo.Physop.Filter pred -> plus (Algebra.Expr.cols pred)
+  | Memo.Physop.Sort_op { keys; _ } ->
+    plus (Algebra.Expr.cols_of_list (List.map (fun k -> k.Algebra.Relop.key) keys))
+  | Memo.Physop.Compute defs -> Some (Algebra.Expr.cols_of_list (List.map snd defs))
+  | Memo.Physop.Hash_agg { keys; aggs } | Memo.Physop.Stream_agg { keys; aggs } ->
+    Some
+      (Col_set.union (Col_set.of_list keys)
+         (Algebra.Expr.cols_of_list (List.filter_map (fun a -> a.Algebra.Expr.agg_arg) aggs)))
+  | Memo.Physop.Hash_join { kind; pred }
+  | Memo.Physop.Merge_join { kind; pred }
+  | Memo.Physop.Nl_join { kind; pred } ->
+    let p = Algebra.Expr.cols pred in
+    (* a semi join outputs only its left input *)
+    if k = 1 && (kind = Algebra.Relop.Semi || kind = Algebra.Relop.Anti_semi) then Some p
+    else plus p
+  | Memo.Physop.Union_op | Memo.Physop.Table_scan _ | Memo.Physop.Const_empty _ -> None
+
 (* An executed operator's observed global row count. It follows the
    distribution: a hashed stream's rows sum across nodes, a replicated
    stream counts one copy, a control-resident stream counts the control
@@ -701,19 +729,23 @@ let run_pplan ?(obs = Obs.null) ?(token = Governor.none) ?observe (t : t)
     (match observe with Some f -> f p (observed_rows d) | None -> ());
     d
   in
-  let rec exec_node (p : Pdwopt.Pplan.t) : dstream =
+  (* [need]: the columns this node's consumer reads ([None]: all), passed
+     down top-down. A Move reads its [cols] and the Return reads its whole
+     input, so every byte that reaches a Move or the client is computed
+     as before; only join columns nobody reads are never gathered. *)
+  let rec exec_node need (p : Pdwopt.Pplan.t) : dstream =
     match p.Pdwopt.Pplan.op, p.Pdwopt.Pplan.children with
     | Pdwopt.Pplan.Serial op, children ->
-      let children = List.map exec_node children in
+      let children = List.mapi (fun k c -> exec_node (child_need op need k) c) children in
       (* serial steps and moves recompute over immutable input streams, so
          re-execution after a failure is idempotent with no cleanup *)
       let d =
         Obs.with_span obs ("engine.op." ^ Memo.Physop.name op) @@ fun () ->
-        step (fun () -> run_serial ~obs t op children)
+        step (fun () -> run_serial ~obs ?need t op children)
       in
       observed p { d with dist = p.Pdwopt.Pplan.dist }
     | Pdwopt.Pplan.Move { kind; cols }, [ c ] ->
-      let child = exec_node c in
+      let child = exec_node (Some (Col_set.of_list cols)) c in
       observed p (step (fun () -> run_move ~obs t kind ~cols child))
     | Pdwopt.Pplan.Move _, _ -> raise (Local.Exec_error "Move expects one child")
     | Pdwopt.Pplan.Return _, _ -> raise (Local.Exec_error "nested Return")
@@ -722,7 +754,7 @@ let run_pplan ?(obs = Obs.null) ?(token = Governor.none) ?observe (t : t)
   | Pdwopt.Pplan.Return { sort; limit } ->
     let child =
       match p.Pdwopt.Pplan.children with
-      | [ c ] -> exec_node c
+      | [ c ] -> exec_node None c
       | _ -> raise (Local.Exec_error "Return expects one child")
     in
     (* the gather is itself an injectable step (control-node transient);
@@ -747,7 +779,7 @@ let run_pplan ?(obs = Obs.null) ?(token = Governor.none) ?observe (t : t)
        | None -> rset)
     else Local.sort_rows ~keys:sort ?limit rset
   | _ ->
-    let d = exec_node p in
+    let d = exec_node None p in
     { Local.layout = d.layout; rows = stream_rows d }
 
 (* -- graceful degradation: node loss -- *)

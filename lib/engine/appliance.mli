@@ -143,8 +143,12 @@ val with_recovery :
     volumes go to [obs]). *)
 val run_move : ?obs:Obs.t -> t -> Dms.Op.kind -> cols:int list -> dstream -> dstream
 
-(** Execute one serial operator on every node holding data. *)
-val run_serial : ?obs:Obs.t -> t -> Memo.Physop.t -> dstream list -> dstream
+(** Execute one serial operator on every node holding data. [need] is the
+    set of columns the operator's consumers read ([None]: all); the
+    columnar engine's joins then gather only those. *)
+val run_serial :
+  ?obs:Obs.t -> ?need:Algebra.Registry.Col_set.t -> t -> Memo.Physop.t -> dstream list ->
+  dstream
 
 (** Execute a PDW plan on the appliance as one self-contained statement.
     Returns the final client result (rows + layout); accounting

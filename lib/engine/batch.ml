@@ -600,6 +600,27 @@ let rec filter_sel ctx (sel : int array option) (e : Expr.t) : int array =
             | _ -> ()
           done);
        Array.sub buf 0 !m)
+  | Expr.Like (a, pattern, negated) ->
+    (* LIKE kernel: match each selected string where it is stored (a bare
+       column is read through the selection, a computed operand is
+       evaluated once) and narrow the selection, no Bool column between *)
+    let col, at =
+      match a with
+      | Expr.Col c -> (ctx.b.cols.(col_pos ctx c), row_of)
+      | _ -> (eval_col ctx sel a, Fun.id)
+    in
+    let buf = scratch_buf n in
+    let m = ref 0 in
+    for k = 0 to n - 1 do
+      match Column.get col (at k) with
+      | Value.String s ->
+        if Expr.like_match ~pattern s <> negated then begin
+          buf.(!m) <- row_of k; incr m
+        end
+      | Value.Null -> ()
+      | v -> Expr.type_err "LIKE on %s" (Value.to_string v)
+    done;
+    Array.sub buf 0 !m
   | _ ->
     (* evaluate as a boolean column and keep the TRUE rows; any non-bool
        non-null result is a type error, as in [Expr.eval_pred] *)
@@ -614,9 +635,104 @@ let rec filter_sel ctx (sel : int array option) (e : Expr.t) : int array =
     done;
     Array.sub buf 0 !m
 
+(* -- typed keys: hash and equality resolved once per operator -- *)
+
+(* One key column pair, resolved once per operator: a hash of a cell on
+   each side ([ha] over side a's rows, [hb] over side b's) and an equality
+   over (a-row, b-row) with {!Catalog.Value.equal} semantics, so equal
+   cells hash alike. A NULL equals only a NULL, which is how grouping
+   treats it; joins drop null keys before they hash. Same-tag int pairs
+   and float pairs read their unboxed buffers; every other pair (boxed
+   strings, type-mixed columns, Int against Float) goes through
+   {!Column.get}, {!Catalog.Value.hash} and {!Catalog.Value.equal}, the
+   row engine's own key semantics. *)
+type keycol = { ha : int -> int; hb : int -> int; eq : int -> int -> bool }
+
+let null_hash = 17
+
+(* one hash per [Float.equal] class: -0. and 0. agree, and so do all NaNs *)
+let float_hash x =
+  if x = 0. then 0
+  else if Float.is_nan x then 1
+  else Int64.to_int (Int64.bits_of_float x)
+
+let keycol (ca : Column.t) (cb : Column.t) : keycol =
+  match ca, cb with
+  | Column.Ints { tag = ta; data = xa; nulls = na },
+    Column.Ints { tag = tb; data = xb; nulls = nb } when ta = tb ->
+    let h x nulls i =
+      if Column.null_bit nulls i then null_hash else Bigarray.Array1.unsafe_get x i
+    in
+    { ha = h xa na; hb = h xb nb;
+      eq = (fun i j ->
+          let ni = Column.null_bit na i and nj = Column.null_bit nb j in
+          if ni || nj then ni && nj
+          else Bigarray.Array1.unsafe_get xa i = Bigarray.Array1.unsafe_get xb j) }
+  | Column.Floats { data = xa; nulls = na }, Column.Floats { data = xb; nulls = nb } ->
+    let h x nulls i =
+      if Column.null_bit nulls i then null_hash
+      else float_hash (Bigarray.Array1.unsafe_get x i)
+    in
+    { ha = h xa na; hb = h xb nb;
+      eq = (fun i j ->
+          let ni = Column.null_bit na i and nj = Column.null_bit nb j in
+          if ni || nj then ni && nj
+          else Float.equal (Bigarray.Array1.unsafe_get xa i) (Bigarray.Array1.unsafe_get xb j)) }
+  | _ ->
+    { ha = (fun i -> Value.hash (Column.get ca i));
+      hb = (fun j -> Value.hash (Column.get cb j));
+      eq = (fun i j -> Value.equal (Column.get ca i) (Column.get cb j)) }
+
+(* A multi-column key: per-column hashes folded as the row engine's
+   [Local.Key.hash] does, and every column equal. *)
+let key_of (kc : keycol array) : keycol =
+  match kc with
+  | [| k |] -> k
+  | _ ->
+    let n = Array.length kc in
+    let fold side i =
+      let h = ref 17 in
+      for c = 0 to n - 1 do
+        let k = Array.unsafe_get kc c in
+        h := (!h * 31) + (if side then k.ha i else k.hb i)
+      done;
+      !h
+    in
+    { ha = fold true; hb = fold false;
+      eq = (fun i j ->
+          let c = ref 0 in
+          while !c < n && (Array.unsafe_get kc !c).eq i j do incr c done;
+          !c = n) }
+
+let bucket h mask =
+  let h = h * 0x9E3779B1 in
+  (h lxor (h lsr 29)) land mask
+
+let any_null (cols : Column.t array) i =
+  let c = ref 0 in
+  while !c < Array.length cols && not (Column.is_null (Array.unsafe_get cols !c) i) do
+    incr c
+  done;
+  !c < Array.length cols
+
 (* -- joins -- *)
 
-let hash_join_b ~(kind : Relop.join_kind) ~(pred : Expr.t) (l : t) (r : t) : t =
+(* A residual-predicate column: where its first occurrence in the row
+   engine's combined (left @ right) layout lives. *)
+type pcol = Left of Column.t | Right of Column.t | Missing
+
+(* Positions of the layout's columns that a join's consumers read ([need],
+   [None]: all). Only those are gathered into the join output, its one
+   copy; the others are left out of the output layout. *)
+let keep_cols (need : Registry.Col_set.t option) (layout : int array) : int array =
+  match need with
+  | None -> identity (Array.length layout)
+  | Some s ->
+    let ps = Ivec.create ~capacity:(Array.length layout) () in
+    Array.iteri (fun p c -> if Registry.Col_set.mem c s then Ivec.push ps p) layout;
+    Ivec.contents ps
+
+let hash_join_b ?need ~(kind : Relop.join_kind) ~(pred : Expr.t) (l : t) (r : t) : t =
   (* runs directly through the inputs' selection vectors: compacting a
      wide filtered input would gather every column only to discard most
      rows at the (usually far smaller) join output. [li]/[rj] accumulate
@@ -637,235 +753,107 @@ let hash_join_b ~(kind : Relop.join_kind) ~(pred : Expr.t) (l : t) (r : t) : t =
       ~left_cols:(Registry.Col_set.of_list (Array.to_list l.layout))
       ~right_cols:(Registry.Col_set.of_list (Array.to_list r.layout))
   in
-  let lw = Array.length l.layout in
-  let out_layout =
-    match kind with
-    | Relop.Semi | Relop.Anti_semi -> l.layout
-    | _ -> Array.append l.layout r.layout
+  (* the predicate's columns resolved once to a side and a column, with
+     the first-occurrence precedence of the row engine's
+     [make_env (l.layout @ r.layout)]; a cell lookup is then a short scan
+     of the predicate's own columns *)
+  let pids = Array.of_list (Registry.Col_set.elements (Expr.cols pred)) in
+  let pcols =
+    Array.map
+      (fun c ->
+         let find layout = Array.find_index (fun c' -> c' = c) layout in
+         match find l.layout, find r.layout with
+         | Some p, _ -> Left l.cols.(p)
+         | None, Some p -> Right r.cols.(p)
+         | None, None -> Missing)
+      pids
   in
-  (* combined first-occurrence environment over (left @ right), as the row
-     engine's [make_env (l.layout @ r.layout)]; indices are underlying *)
-  let cidx = Hashtbl.create 16 in
-  Array.iteri (fun j c -> if not (Hashtbl.mem cidx c) then Hashtbl.replace cidx c j) l.layout;
-  Array.iteri
-    (fun j c -> if not (Hashtbl.mem cidx c) then Hashtbl.replace cidx c (lw + j))
-    r.layout;
   let cenv i jr c =
-    match Hashtbl.find_opt cidx c with
-    | Some p when p < lw -> Column.get l.cols.(p) i
-    | Some p -> if jr < 0 then Value.Null else Column.get r.cols.(p - lw) jr
-    | None -> raise (Local.Exec_error (Printf.sprintf "column #%d not in layout" c))
+    let k = ref 0 in
+    while !k < Array.length pids && Array.unsafe_get pids !k <> c do incr k done;
+    match if !k < Array.length pids then pcols.(!k) else Missing with
+    | Left col -> Column.get col i
+    | Right col -> Column.get col jr
+    | Missing -> raise (Local.Exec_error (Printf.sprintf "column #%d not in layout" c))
   in
   let pred_ok i jr = Expr.eval_pred (cenv i jr) pred in
   let li = Ivec.create ~capacity:(max 16 ln_rows) () in
   let rj = Ivec.create ~capacity:(max 16 ln_rows) () in
-  if equi = [] then begin
-    (* nested loops, in the oracle's (left, right) iteration order —
-       selection vectors are ascending, so sel order is row order *)
-    (match kind with
-     | Relop.Inner | Relop.Cross ->
-       for ik = 0 to ln_rows - 1 do
-         let i = lrow ik in
-         for jk = 0 to rn_rows - 1 do
-           let j = rrow jk in
-           if pred_ok i j then begin Ivec.push li i; Ivec.push rj j end
-         done
-       done
-     | Relop.Semi ->
-       for ik = 0 to ln_rows - 1 do
-         let i = lrow ik in
-         let jk = ref 0 and hit = ref false in
-         while (not !hit) && !jk < rn_rows do
-           if pred_ok i (rrow !jk) then hit := true;
-           incr jk
-         done;
-         if !hit then Ivec.push li i
-       done
-     | Relop.Anti_semi ->
-       for ik = 0 to ln_rows - 1 do
-         let i = lrow ik in
-         let jk = ref 0 and hit = ref false in
-         while (not !hit) && !jk < rn_rows do
-           if pred_ok i (rrow !jk) then hit := true;
-           incr jk
-         done;
-         if not !hit then Ivec.push li i
-       done
-     | Relop.Left_outer ->
-       for ik = 0 to ln_rows - 1 do
-         let i = lrow ik in
-         let matched = ref false in
-         for jk = 0 to rn_rows - 1 do
-           let j = rrow jk in
-           if pred_ok i j then begin
-             matched := true;
-             Ivec.push li i;
-             Ivec.push rj j
-           end
-         done;
-         if not !matched then begin Ivec.push li i; Ivec.push rj (-1) end
-       done)
-  end
-  else begin
-    let lkpos = positions l (List.map fst equi) in
-    let rkpos = positions r (List.map snd equi) in
-    (* residual predicate check can be skipped when every conjunct is one
-       of the hashed equi pairs: hash-key equality already implies them *)
-    let covered =
-      List.for_all
-        (fun cj ->
-           match Expr.as_col_eq cj with
-           | Some (a, b) -> List.mem (a, b) equi || List.mem (b, a) equi
-           | None -> false)
-        (Expr.conjuncts pred)
+  let lkcols = Array.map (fun p -> l.cols.(p)) (positions l (List.map fst equi)) in
+  let rkcols = Array.map (fun p -> r.cols.(p)) (positions r (List.map snd equi)) in
+  (* with no equi pair the key is empty: one bucket, every row equal *)
+  let key = key_of (Array.map2 keycol lkcols rkcols) in
+  (* the residual check can be skipped when every conjunct is one of the
+     hashed equi pairs: key equality already implies them *)
+  let covered =
+    equi <> []
+    && List.for_all
+      (fun cj ->
+         match Expr.as_col_eq cj with
+         | Some (a, b) -> List.mem (a, b) equi || List.mem (b, a) equi
+         | None -> false)
+      (Expr.conjuncts pred)
+  in
+  (* candidate chains over the build rows, keyed by row index: [head] per
+     bucket and [next] per underlying row, no table node or boxed key per
+     row. A hash join chains most-recent-first, the order of the row
+     engine's per-key cons lists; nested loops chain every row in
+     ascending order, the oracle's (left, right) iteration order. [scan]
+     keeps only key-equal rows that pass the predicate, so matches come
+     out in the row engine's order. *)
+  let sz = ref 16 in
+  while !sz < 2 * rn_rows do sz := !sz * 2 done;
+  let mask = !sz - 1 in
+  let head = Array.make !sz (-1) in
+  let next = Array.make (max 1 r.rows) (-1) in
+  let add jk =
+    let j = rrow jk in
+    if not (any_null rkcols j) then begin
+      let h = bucket (key.hb j) mask in
+      Array.unsafe_set next j (Array.unsafe_get head h);
+      Array.unsafe_set head h j
+    end
+  in
+  if equi = [] then for jk = rn_rows - 1 downto 0 do add jk done
+  else for jk = 0 to rn_rows - 1 do add jk done;
+  (* the first match of probe row [i] at or after chain entry [j] *)
+  let rec scan i j =
+    if j < 0 || (key.eq i j && (covered || pred_ok i j)) then j
+    else scan i (Array.unsafe_get next j)
+  in
+  for ik = 0 to ln_rows - 1 do
+    let i = lrow ik in
+    let j =
+      if any_null lkcols i then -1
+      else scan i (Array.unsafe_get head (bucket (key.ha i) mask))
     in
-    let emit i jmatches =
-      (* [jmatches] comes in the build-order-reversed cons order of the row
-         engine's per-key lists *)
-      match kind with
-      | Relop.Inner | Relop.Cross ->
-        List.iter (fun j -> Ivec.push li i; Ivec.push rj j) jmatches
-      | Relop.Semi -> if jmatches <> [] then Ivec.push li i
-      | Relop.Anti_semi -> if jmatches = [] then Ivec.push li i
-      | Relop.Left_outer ->
-        if jmatches = [] then begin Ivec.push li i; Ivec.push rj (-1) end
-        else List.iter (fun j -> Ivec.push li i; Ivec.push rj j) jmatches
-    in
-    let int_fast =
-      match Array.length lkpos, l.cols.(lkpos.(0)), r.cols.(rkpos.(0)) with
-      | 1, Column.Ints { tag = ta; data = la; nulls = ln },
-        Column.Ints { tag = tb; data = ra; nulls = rn }
-        when ta = tb ->
-        Some (la, ln, ra, rn)
-      | _ -> None
-    in
-    (match int_fast with
-     | Some (la, ln, ra, rn) ->
-       (* single same-tag unboxed key: flat chained index (head/next arrays)
-          instead of a Hashtbl — no cons cell or table node per build row,
-          which would be GC-amplified at scale like the filter temporaries.
-          [next] is indexed by underlying row; chains are walked
-          most-recent-first, the same order as the row engine's per-key
-          cons lists, so output row order is identical. *)
-       let sz = ref 16 in
-       while !sz < 2 * rn_rows do sz := !sz * 2 done;
-       let mask = !sz - 1 in
-       let head = Array.make !sz (-1) in
-       let next = Array.make (max 1 r.rows) (-1) in
-       let bucket k = (k * 0x9E3779B1) land mask in
-       for jk = 0 to rn_rows - 1 do
-         let j = rrow jk in
-         if not (Column.null_bit rn j) then begin
-           let h = bucket ra.{j} in
-           Array.unsafe_set next j (Array.unsafe_get head h);
-           Array.unsafe_set head h j
-         end
-       done;
-       let ok i jj = covered || pred_ok i jj in
-       (match kind with
-        | Relop.Inner | Relop.Cross ->
-          for ik = 0 to ln_rows - 1 do
-            let i = lrow ik in
-            if not (Column.null_bit ln i) then begin
-              let k = Bigarray.Array1.unsafe_get la i in
-              let j = ref head.(bucket k) in
-              while !j >= 0 do
-                let jj = !j in
-                if Bigarray.Array1.unsafe_get ra jj = k && ok i jj then begin
-                  Ivec.push li i; Ivec.push rj jj
-                end;
-                j := Array.unsafe_get next jj
-              done
-            end
-          done
-        | Relop.Semi ->
-          for ik = 0 to ln_rows - 1 do
-            let i = lrow ik in
-            if not (Column.null_bit ln i) then begin
-              let k = Bigarray.Array1.unsafe_get la i in
-              let j = ref head.(bucket k) in
-              while !j >= 0 do
-                let jj = !j in
-                if Bigarray.Array1.unsafe_get ra jj = k && ok i jj then begin
-                  Ivec.push li i; j := -1
-                end
-                else j := Array.unsafe_get next jj
-              done
-            end
-          done
-        | Relop.Anti_semi ->
-          for ik = 0 to ln_rows - 1 do
-            let i = lrow ik in
-            if Column.null_bit ln i then Ivec.push li i
-            else begin
-              let k = Bigarray.Array1.unsafe_get la i in
-              let j = ref head.(bucket k) and hit = ref false in
-              while !j >= 0 do
-                let jj = !j in
-                if Bigarray.Array1.unsafe_get ra jj = k && ok i jj then begin
-                  hit := true; j := -1
-                end
-                else j := Array.unsafe_get next jj
-              done;
-              if not !hit then Ivec.push li i
-            end
-          done
-        | Relop.Left_outer ->
-          for ik = 0 to ln_rows - 1 do
-            let i = lrow ik in
-            let matched = ref false in
-            if not (Column.null_bit ln i) then begin
-              let k = Bigarray.Array1.unsafe_get la i in
-              let j = ref head.(bucket k) in
-              while !j >= 0 do
-                let jj = !j in
-                if Bigarray.Array1.unsafe_get ra jj = k && ok i jj then begin
-                  matched := true; Ivec.push li i; Ivec.push rj jj
-                end;
-                j := Array.unsafe_get next jj
-              done
-            end;
-            if not !matched then begin Ivec.push li i; Ivec.push rj (-1) end
-          done)
-     | None ->
-       let key_at cols kpos i =
-         Array.map (fun p -> Column.get cols.(p) i) kpos
-       in
-       let index : int list Local.KeyTbl.t =
-         Local.KeyTbl.create (max 16 rn_rows)
-       in
-       for jk = 0 to rn_rows - 1 do
-         let j = rrow jk in
-         let k = key_at r.cols rkpos j in
-         if not (Array.exists Value.is_null k) then begin
-           let cur = try Local.KeyTbl.find index k with Not_found -> [] in
-           Local.KeyTbl.replace index k (j :: cur)
-         end
-       done;
-       for ik = 0 to ln_rows - 1 do
-         let i = lrow ik in
-         let k = key_at l.cols lkpos i in
-         let matches =
-           if Array.exists Value.is_null k then []
-           else
-             match Local.KeyTbl.find_opt index k with
-             | Some js -> if covered then js else List.filter (pred_ok i) js
-             | None -> []
-         in
-         emit i matches
-       done)
-  end;
+    match kind with
+    | Relop.Semi -> if j >= 0 then Ivec.push li i
+    | Relop.Anti_semi -> if j < 0 then Ivec.push li i
+    | Relop.Inner | Relop.Cross | Relop.Left_outer ->
+      if j < 0 && kind = Relop.Left_outer then begin
+        Ivec.push li i; Ivec.push rj (-1)
+      end;
+      let j = ref j in
+      while !j >= 0 do
+        Ivec.push li i;
+        Ivec.push rj !j;
+        j := scan i (Array.unsafe_get next !j)
+      done
+  done;
   let lidx = Ivec.contents li in
+  let gather (b : t) idx =
+    let keep = keep_cols need b.layout in
+    (Array.map (fun p -> b.layout.(p)) keep,
+     Array.map (fun p -> Column.gather b.cols.(p) idx) keep)
+  in
+  let llayout, lcols = gather l lidx in
   match kind with
   | Relop.Semi | Relop.Anti_semi ->
-    { layout = out_layout;
-      cols = Array.map (fun c -> Column.gather c lidx) l.cols;
-      rows = Array.length lidx; sel = None }
+    { layout = llayout; cols = lcols; rows = Array.length lidx; sel = None }
   | _ ->
-    let ridx = Ivec.contents rj in
-    let lcols = Array.map (fun c -> Column.gather c lidx) l.cols in
-    let rcols = Array.map (fun c -> Column.gather c ridx) r.cols in
-    { layout = out_layout; cols = Array.append lcols rcols;
+    let rlayout, rcols = gather r (Ivec.contents rj) in
+    { layout = Array.append llayout rlayout; cols = Array.append lcols rcols;
       rows = Array.length lidx; sel = None }
 
 (* -- grouped aggregation over column slices -- *)
@@ -933,44 +921,45 @@ let run_aggregate_b ~(keys : int list) ~(aggs : Expr.agg_def list) (b : t) : t =
     end
   end
   else begin
-    let int_fast =
-      match Array.length kpos, (if Array.length kpos = 1 then Some b.cols.(kpos.(0)) else None) with
-      | 1, Some (Column.Ints { data; nulls = None; _ }) -> Some data
-      | _ -> None
+    (* first-occurrence group ids over a chained index keyed by each
+       group's representative row: [heads] per bucket, [gnext] per group,
+       no boxed key per row. Buckets double (and re-chain) as groups
+       arrive, keeping chains short without sizing for the input. *)
+    let key = key_of (Array.map (fun p -> keycol b.cols.(p) b.cols.(p)) kpos) in
+    let heads = ref (Array.make 64 (-1)) in
+    let gnext = Ivec.create () and ghash = Ivec.create () in
+    let visit k i =
+      let hv = key.ha i in
+      let hd = !heads in
+      let bk = bucket hv (Array.length hd - 1) in
+      let g = ref (Array.unsafe_get hd bk) in
+      while !g >= 0 && not (key.eq i (Array.unsafe_get reps.Ivec.a !g)) do
+        g := Array.unsafe_get gnext.Ivec.a !g
+      done;
+      if !g >= 0 then Array.unsafe_set gid k !g
+      else begin
+        let g = !ngroups in
+        incr ngroups;
+        Ivec.push reps i;
+        Ivec.push ghash hv;
+        Ivec.push gnext hd.(bk);
+        hd.(bk) <- g;
+        Array.unsafe_set gid k g;
+        if 2 * !ngroups > Array.length hd then begin
+          let sz = 2 * Array.length hd in
+          let hd' = Array.make sz (-1) in
+          for g = 0 to !ngroups - 1 do
+            let bk = bucket ghash.Ivec.a.(g) (sz - 1) in
+            gnext.Ivec.a.(g) <- hd'.(bk);
+            hd'.(bk) <- g
+          done;
+          heads := hd'
+        end
+      end
     in
-    match int_fast with
-    | Some data ->
-      let tbl : (int, int) Hashtbl.t = Hashtbl.create 64 in
-      let visit k i =
-        let key = Bigarray.Array1.unsafe_get data i in
-        match Hashtbl.find_opt tbl key with
-        | Some g -> Array.unsafe_set gid k g
-        | None ->
-          let g = !ngroups in
-          incr ngroups;
-          Hashtbl.replace tbl key g;
-          Ivec.push reps i;
-          Array.unsafe_set gid k g
-      in
-      (match b.sel with
-       | None -> for k = 0 to m - 1 do visit k k done
-       | Some s -> for k = 0 to m - 1 do visit k (Array.unsafe_get s k) done)
-    | None ->
-      let tbl : int Local.KeyTbl.t = Local.KeyTbl.create 64 in
-      let visit k i =
-        let key = Array.map (fun p -> Column.get b.cols.(p) i) kpos in
-        match Local.KeyTbl.find_opt tbl key with
-        | Some g -> gid.(k) <- g
-        | None ->
-          let g = !ngroups in
-          incr ngroups;
-          Local.KeyTbl.replace tbl key g;
-          Ivec.push reps i;
-          gid.(k) <- g
-      in
-      (match b.sel with
-       | None -> for k = 0 to m - 1 do visit k k done
-       | Some s -> for k = 0 to m - 1 do visit k (Array.unsafe_get s k) done)
+    (match b.sel with
+     | None -> for k = 0 to m - 1 do visit k k done
+     | Some s -> for k = 0 to m - 1 do visit k (Array.unsafe_get s k) done)
   end;
   (* scalar aggregates emit one row even over empty input *)
   let out_groups = if keys = [] then 1 else !ngroups in
@@ -1317,8 +1306,10 @@ let project (b : t) (cols : int list) : t =
 (* -- operator dispatch -- *)
 
 (** Execute one serial physical operator columnar-side; mirrors
-    {!Local.exec_op} result-for-result (values and row order). *)
-let exec_op ?(stats : Local.exec_stats option) ~(read_table : string -> t)
+    {!Local.exec_op} result-for-result (values and row order). [need], when
+    given, is the set of columns the operator's consumers read (see
+    {!hash_join_b}); a join's output then carries only those. *)
+let exec_op ?(stats : Local.exec_stats option) ?need ~(read_table : string -> t)
     (op : Physop.t) (children : t list) : t =
   let children = Array.of_list children in
   let child n = children.(n) in
@@ -1351,7 +1342,7 @@ let exec_op ?(stats : Local.exec_stats option) ~(read_table : string -> t)
     (match stats with
      | Some st -> st.Local.probe_rows <- st.Local.probe_rows + count (child 0)
      | None -> ());
-    hash_join_b ~kind ~pred (child 0) (child 1)
+    hash_join_b ?need ~kind ~pred (child 0) (child 1)
   | Physop.Hash_agg { keys; aggs } | Physop.Stream_agg { keys; aggs } ->
     run_aggregate_b ~keys ~aggs (child 0)
   | Physop.Sort_op { keys; limit } -> sort_b ~keys ?limit (child 0)

@@ -100,6 +100,57 @@ let sample =
       [| Value.Null; Value.Float 30. |];
       [| Value.Int 2; Value.Float 40. |] ]
 
+(* multi-column keys: two ints, int+date, string+int, a float key against
+   an int key (values equal across types must match), NULLs in single key
+   columns, and duplicate keys on both sides (match order) *)
+let mk_left =
+  let d x = Value.Date x and f x = Value.Float x and str x = Value.String x in
+  rset [ 30; 31; 32; 33; 34 ]
+    [ [| Value.Int 1; Value.Int 10; d 100; str "x"; f 1.0 |];
+      [| Value.Int 1; Value.Int 11; d 101; str "y"; f 2.5 |];
+      [| Value.Int 2; Value.Int 10; d 100; str "x"; Value.Null |];
+      [| Value.Int 1; Value.Int 10; d 100; str "y"; f (-0.) |];
+      [| Value.Null; Value.Int 10; d 100; str "x"; f 3.0 |];
+      [| Value.Int 2; Value.Null; d 101; Value.Null; f 0.0 |];
+      [| Value.Int 1; Value.Int 10; d 100; str "x"; f 1.0 |] ]
+
+let mk_right =
+  let d x = Value.Date x and str x = Value.String x in
+  rset [ 40; 41; 42; 43; 44 ]
+    [ [| Value.Int 1; Value.Int 10; d 100; str "x"; Value.Int 1 |];
+      [| Value.Int 1; Value.Int 10; d 101; str "y"; Value.Int 2 |];
+      [| Value.Int 2; Value.Int 10; d 100; str "x"; Value.Int 3 |];
+      [| Value.Int 1; Value.Int 10; d 100; str "x"; Value.Int 0 |];
+      [| Value.Int 1; Value.Int 11; d 101; str "y"; Value.Null |];
+      [| Value.Null; Value.Int 10; d 100; str "x"; Value.Int 3 |];
+      [| Value.Int 2; Value.Int 11; d 100; Value.Null; Value.Int 2 |] ]
+
+(* the same five key shapes over 400 generated rows a side: 20 x 20 int
+   pairs and ~5% NULLs, so distinct keys share hash buckets and the
+   per-column equality (not the hash) has to tell them apart *)
+let gen_side ~base ~float_last n seed =
+  let st = ref seed in
+  let draw k =
+    st := (!st * 1103515245 + 12345) land 0x3fffffff;
+    (!st lsr 8) mod k
+  in
+  let maybe_null v = if draw 20 = 0 then Value.Null else v in
+  rset
+    (List.init 5 (fun c -> base + c))
+    (List.init n (fun _ ->
+         let a = maybe_null (Value.Int (draw 20)) in
+         let b = Value.Int (draw 20) in
+         let d = Value.Date (100 + draw 4) in
+         let s = maybe_null (Value.String (Printf.sprintf "s%d" (draw 4))) in
+         let x = draw 8 in
+         let last =
+           maybe_null (if float_last then Value.Float (float_of_int x) else Value.Int x)
+         in
+         [| a; b; d; s; last |]))
+
+let gen_left = gen_side ~base:30 ~float_last:true 400 7
+let gen_right = gen_side ~base:40 ~float_last:false 400 11
+
 let test_filter_edges () =
   (* empty input batch *)
   ignore (check_both "filter of empty" (Physop.Filter lit_true) [ rset [ 10 ] [] ]);
@@ -123,6 +174,37 @@ let test_filter_edges () =
 
 let agg ?(distinct = false) out func arg =
   { Expr.agg_out = out; agg_func = func; agg_arg = arg; agg_distinct = distinct }
+
+let multikey_aggregates () =
+  let aggs =
+    [ agg 60 Expr.Count_star None; agg 61 Expr.Sum (Some (Expr.Col 34));
+      agg 62 Expr.Max (Some (Expr.Col 33)) ]
+  in
+  List.iter
+    (fun (msg, keys) ->
+       List.iter
+         (fun (dmsg, input) ->
+            ignore
+              (check_both ("group by " ^ msg ^ dmsg) (Physop.Hash_agg { keys; aggs }) [ input ]))
+         [ ("", mk_left); (" (generated)", gen_left) ])
+    [ ("two ints", [ 30; 31 ]); ("int+date", [ 30; 32 ]); ("string+int", [ 33; 30 ]);
+      ("four keys with nulls", [ 30; 31; 32; 33 ]); ("float (-0. = 0.)", [ 34 ]);
+      ("float+string", [ 34; 33 ]) ];
+  (* a boxed column mixing Int and Float: 1 and 1.0 are one group, keyed
+     by the first occurrence *)
+  let mixed =
+    rset [ 50; 51 ]
+      [ [| Value.Int 1; Value.Int 5 |]; [| Value.Float 1.0; Value.Int 6 |];
+        [| Value.Float 2.5; Value.Int 7 |]; [| Value.Null; Value.Int 8 |];
+        [| Value.Int 2; Value.Int 9 |]; [| Value.Float 2.0; Value.Int 1 |];
+        [| Value.Null; Value.Int 2 |] ]
+  in
+  let r =
+    check_both "group by a mixed Int/Float column"
+      (Physop.Hash_agg { keys = [ 50 ]; aggs = [ agg 52 Expr.Sum (Some (Expr.Col 51)) ] })
+      [ mixed ]
+  in
+  Alcotest.(check int) "mixed key groups" 4 (List.length r.Engine.Local.rows)
 
 let test_aggregate_nulls () =
   (* nulls are skipped by every aggregate; empty/all-null input gives
@@ -172,7 +254,36 @@ let test_aggregate_nulls () =
        (Physop.Hash_agg
           { keys = [];
             aggs = [ agg ~distinct:true 20 Expr.Sum (Some (Expr.Col 10)) ] })
-       [ sample ])
+       [ sample ]);
+  multikey_aggregates ()
+
+let multikey_joins () =
+  let eq a b = Expr.Bin (Expr.Eq, Expr.Col a, Expr.Col b) in
+  let both_keys a b = Expr.Bin (Expr.And, a, b) in
+  let preds =
+    [ ("two int keys", both_keys (eq 30 40) (eq 31 41));
+      ("int+date keys", both_keys (eq 30 40) (eq 32 42));
+      ("string+int keys", both_keys (eq 33 43) (eq 30 40));
+      ("float key vs int key", eq 34 44);
+      ("float+int vs int+int keys", both_keys (eq 34 44) (eq 30 40));
+      ("int key + residual", both_keys (eq 30 40) (Expr.Bin (Expr.Ne, Expr.Col 31, Expr.Col 41)));
+      ("three keys + residual",
+       both_keys (both_keys (eq 30 40) (eq 31 41))
+         (both_keys (eq 32 42) (Expr.Bin (Expr.Lt, Expr.Col 34, Expr.Col 44)))) ]
+  in
+  List.iter
+    (fun (pmsg, pred) ->
+       List.iter
+         (fun (kmsg, kind) ->
+            List.iter
+              (fun (dmsg, l, r) ->
+                 ignore
+                   (check_both (pmsg ^ ", " ^ kmsg ^ dmsg) (Physop.Hash_join { kind; pred })
+                      [ l; r ]))
+              [ ("", mk_left, mk_right); (" (generated)", gen_left, gen_right) ])
+         [ ("inner", Algebra.Relop.Inner); ("left outer", Algebra.Relop.Left_outer);
+           ("semi", Algebra.Relop.Semi); ("anti", Algebra.Relop.Anti_semi) ])
+    preds
 
 let test_join_edges () =
   let left = sample in
@@ -200,30 +311,45 @@ let test_join_edges () =
   (* non-equi predicate: falls back to nested loops on both engines *)
   let lt = Expr.Bin (Expr.Lt, Expr.Col 10, Expr.Col 20) in
   ignore (check_both "non-equi join"
-            (Physop.Hash_join { kind = Algebra.Relop.Inner; pred = lt }) [ left; right ])
+            (Physop.Hash_join { kind = Algebra.Relop.Inner; pred = lt }) [ left; right ]);
+  multikey_joins ()
 
 (* -- end-to-end: both engines over the whole bundled workload -- *)
 
-let canonical_and_time (w : Opdw.Workload.t) sql =
+let run_and_account (w : Opdw.Workload.t) sql =
   let app = w.Opdw.Workload.app in
   Engine.Appliance.reset_account app;
   let r = Opdw.optimize w.Opdw.Workload.shell sql in
   let res = Opdw.run app r in
   let cols = List.map snd (Opdw.output_columns r) in
-  (Engine.Local.canonical ~cols res,
-   app.Engine.Appliance.account.Engine.Appliance.sim_time)
+  (Engine.Local.canonical ~cols res, app.Engine.Appliance.account)
+
+let canonical_and_time w sql =
+  let rows, a = run_and_account w sql in
+  (rows, a.Engine.Appliance.sim_time)
 
 let test_workload_parity () =
   let wr = Lazy.force Fixtures.tpch_workload in
   let wc = Lazy.force Fixtures.tpch_columnar in
   List.iter
     (fun (q : Tpch.Queries.t) ->
-       let rows_r, sim_r = canonical_and_time wr q.Tpch.Queries.sql in
-       let rows_c, sim_c = canonical_and_time wc q.Tpch.Queries.sql in
-       Alcotest.(check (list string))
-         (q.Tpch.Queries.id ^ ": rows match the row engine") rows_r rows_c;
+       let id = q.Tpch.Queries.id in
+       let rows_r, ar = run_and_account wr q.Tpch.Queries.sql in
+       let rows_c, ac = run_and_account wc q.Tpch.Queries.sql in
+       Alcotest.(check (list string)) (id ^ ": rows match the row engine") rows_r rows_c;
        Alcotest.(check (float 0.))
-         (q.Tpch.Queries.id ^ ": simulated clock is bit-identical") sim_r sim_c)
+         (id ^ ": simulated clock is bit-identical")
+         ar.Engine.Appliance.sim_time ac.Engine.Appliance.sim_time;
+       (* late materialization must not change what a Move or the Return
+          carries: every moved byte and row is the row engine's *)
+       Alcotest.(check (float 0.))
+         (id ^ ": bytes moved are bit-identical")
+         ar.Engine.Appliance.bytes_moved ac.Engine.Appliance.bytes_moved;
+       Alcotest.(check (float 0.))
+         (id ^ ": rows moved are bit-identical")
+         ar.Engine.Appliance.rows_moved ac.Engine.Appliance.rows_moved;
+       Alcotest.(check int) (id ^ ": same moves")
+         ar.Engine.Appliance.moves ac.Engine.Appliance.moves)
     Tpch.Queries.all
 
 (* qcheck: random plans agree across engines (rows and simulated time) *)

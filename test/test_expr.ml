@@ -38,6 +38,23 @@ let test_comparison () =
   check_v "mixed int/float" (vbool true) (ev (Expr.Bin (Expr.Le, i 2, f 2.0)));
   check_v "string compare" (vbool true) (ev (Expr.Bin (Expr.Lt, s "abc", s "abd")))
 
+(* reference LIKE: plain backtracking recursion, independent of the
+   engine's greedy matcher (which both engines and the reference executor
+   share, so no engine-parity test can catch a fault in it) *)
+let naive_like pattern str =
+  let np = String.length pattern and ns = String.length str in
+  let rec m pi si =
+    if pi >= np then si >= ns
+    else
+      match pattern.[pi] with
+      | '%' ->
+        let rec try_skip k = k <= ns && (m (pi + 1) k || try_skip (k + 1)) in
+        try_skip si
+      | '_' -> si < ns && m (pi + 1) (si + 1)
+      | c -> si < ns && str.[si] = c && m (pi + 1) (si + 1)
+  in
+  m 0 0
+
 let test_like () =
   let like pat x = ev (Expr.Like (s x, pat, false)) in
   check_v "prefix" (vbool true) (like "fo%" "forest");
@@ -47,6 +64,48 @@ let test_like () =
   check_v "double pattern" (vbool true) (like "%Customer%Complaints%" "x Customer y Complaints z");
   check_v "anchored end" (vbool false) (like "%BRASS" "BRASS STEEL");
   check_v "null input" Value.Null (ev (Expr.Like (lit Value.Null, "a%", false)))
+
+(* every LIKE pattern of the bundled workload, with subjects where the
+   first candidate position for a % segment is the wrong one *)
+let test_like_workload () =
+  let cases =
+    [ ("%special%requests%", "special requests special", true);
+      ("%special%requests%", "requests then special", false);
+      ("%special%requests%", "specialrequests", true);
+      ("%special%requests%", "specia special reques requests", true);
+      ("%special%requests%", "special request", false);
+      ("%special%requests%", "", false);
+      ("%green%", "forest green", true);
+      ("%green%", "gree greeen gren", false);
+      ("%green%", "ggreen", true);
+      ("%BRASS", "STANDARD BRASS", true);
+      ("%BRASS", "BRASS BRASS", true);
+      ("%BRASS", "BRASS STEEL", false);
+      ("%BRASS", "BRASSBRAS", false);
+      ("%BRASS", "BBRASS", true);
+      ("PROMO%", "PROMO BURNISHED", true);
+      ("PROMO%", "PROMO", true);
+      ("PROMO%", "XPROMO", false);
+      ("forest%", "forest", true);
+      ("forest%", "fores", false);
+      ("forest%", "forestforest green", true);
+      ("%Customer%Complaints%", "x Customer y Complaints z", true);
+      ("%Customer%Complaints%", "Complaints Customer", false);
+      ("%Customer%Complaints%", "CustomerComplaints", true);
+      ("%Customer%Complaints%", "Customer Complaint Customer Complaints", true);
+      ("MEDIUM POLISHED%", "MEDIUM POLISHED TIN", true);
+      ("MEDIUM POLISHED%", "MEDIUM  POLISHED", false);
+      ("MEDIUM POLISHED%", "LARGE MEDIUM POLISHED", false);
+      ("Brand#1%", "Brand#13", true);
+      ("Brand#1%", "Brand#21", false);
+      ("Brand#1%", "Brand#1", true) ]
+  in
+  List.iter
+    (fun (pattern, subject, want) ->
+       let msg = Printf.sprintf "%S LIKE %S" subject pattern in
+       Alcotest.(check bool) msg want (Expr.like_match ~pattern subject);
+       Alcotest.(check bool) (msg ^ " (reference)") want (naive_like pattern subject))
+    cases
 
 let test_in_list () =
   check_v "in hit" (vbool true) (ev (Expr.In_list (i 2, [ Value.Int 1; Value.Int 2 ], false)));
@@ -102,36 +161,26 @@ let test_conjuncts () =
   Alcotest.(check bool) "conjoin round trip" true
     (Expr.conjuncts (Expr.conjoin [ a; b; c ]) = [ a; b; c ])
 
-(* LIKE against a reference regex-free implementation *)
+(* LIKE against the reference matcher: subjects up to 40 characters that
+   may hold literal % and _ (which only a pattern's _ or % can match), so
+   the greedy matcher's backtracking is exercised at depth *)
 let prop_like_vs_naive =
-  let naive pattern str =
-    (* translate to an anchor-based matcher via Str-free recursion *)
-    let np = String.length pattern and ns = String.length str in
-    let rec m pi si =
-      if pi >= np then si >= ns
-      else
-        match pattern.[pi] with
-        | '%' ->
-          let rec try_skip k = k <= ns && (m (pi + 1) k || try_skip (k + 1)) in
-          try_skip si
-        | '_' -> si < ns && m (pi + 1) (si + 1)
-        | c -> si < ns && str.[si] = c && m (pi + 1) (si + 1)
-    in
-    m 0 0
-  in
   let gen_pat =
     QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; '%'; '_' ]) (int_range 0 6))
   in
-  let gen_str = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (int_range 0 8)) in
-  QCheck.Test.make ~name:"LIKE matches reference implementation" ~count:1000
-    (QCheck.make QCheck.Gen.(pair gen_pat gen_str))
-    (fun (pattern, str) -> Expr.like_match ~pattern str = naive pattern str)
+  let gen_str =
+    QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c'; '%'; '_' ]) (int_range 0 40))
+  in
+  QCheck.Test.make ~name:"LIKE matches reference implementation" ~count:20_000
+    (QCheck.make ~print:QCheck.Print.(pair string string) QCheck.Gen.(pair gen_pat gen_str))
+    (fun (pattern, str) -> Expr.like_match ~pattern str = naive_like pattern str)
 
 let suite =
   [ t "arithmetic" test_arith;
     t "null propagation (3VL)" test_null_propagation;
     t "comparisons" test_comparison;
     t "LIKE" test_like;
+    t "LIKE: the workload's patterns" test_like_workload;
     t "IN list" test_in_list;
     t "CASE" test_case;
     t "functions" test_functions;
