@@ -824,7 +824,7 @@ let e16 () =
   in
   Printf.printf
     "\n%d queries x %d seeds per fault rate (8 nodes; retry budget %d):\n"
-    (List.length ids) (List.length seeds) Fault.default_policy.Fault.retries;
+    (List.length ids) (List.length seeds) Fault.retries;
   Printf.printf "%-8s %-14s %-12s %-10s %-10s %-10s %-10s\n" "rate"
     "availability" "slowdown_x" "injected" "retries" "recovered" "replans";
   List.iter
@@ -860,9 +860,6 @@ let e16 () =
                     recovered := !recovered + a.Engine.Appliance.recovered;
                     replans := !replans + a.Engine.Appliance.replans
                   | exception Fault.Exhausted _ -> ());
-                 (* the original appliance survives decommissioning; drop
-                    the fault plan so later experiments run clean *)
-                 Engine.Appliance.set_fault app Fault.none;
                  Engine.Appliance.reset_account app)
               seeds)
          ids;
@@ -1207,7 +1204,7 @@ let e21 () =
   (* -- part B: adversarial stats skew, LKG fallback bounds the damage -- *)
   let w = fresh () in
   let shell = w.Opdw.Workload.shell in
-  let d = Opdw.Driver.create ~regress_factor:1.2 shell w.Opdw.Workload.app in
+  let d = Opdw.Driver.create ~plan_store:true shell w.Opdw.Workload.app in
   (* one statement from a zeroed account, its cost the whole account *)
   let serve sql =
     Opdw.Driver.reset d;

@@ -416,7 +416,7 @@ let run nodes sf query sql file seed budget limit jobs no_cache check assert_bou
   let d =
     Opdw.Driver.create ?cache:(make_cache no_cache) ~options ~check ~max_concurrent
       ~queue_limit ~breaker_threshold:breaker
-      ?regress_factor:(if feedback then Some 1.2 else None) ~log ?fault
+      ~plan_store:feedback ~log ?fault
       w.Opdw.Workload.shell app
   in
   (* --assert-bounds: pre-compile (through the driver's cache, so the run
@@ -895,7 +895,7 @@ let planstore nodes sf all query sql file seed budget jobs runs
   Par.with_pool ~jobs
   @@ fun pool ->
   Engine.Appliance.set_pool app pool;
-  let d = Opdw.Driver.create ~options ~regress_factor:1.2 shell app in
+  let d = Opdw.Driver.create ~options ~plan_store:true shell app in
   let rounds = if inject_regression then max 4 runs else runs in
   (* oracle rows per query from round 1 (the plan that becomes LKG);
      availability = fraction of answered rounds returning oracle rows *)

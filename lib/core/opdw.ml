@@ -19,7 +19,6 @@
       print_endline (Opdw.explain r)
     ]} *)
 
-module Stage = Stage
 module Plancache = Plancache
 
 (* the feedback library (log / misses / lambda-fit / plan store), aliased
@@ -209,41 +208,13 @@ let collocated_seed (reg : Algebra.Registry.t) (shell : Catalog.Shell_db.t)
   in
   if !changed then Some rebuilt else None
 
-(* -- the pipeline as explicit, uniformly typed stages (Fig. 2) --
+(* -- the pipeline stages (Fig. 2) --
 
-   Each stage is a [Stage.t]; running one opens an [Obs] span named after
-   the stage, so [explain --profile] (and the bench harness) see a uniform
-   per-stage span tree with the layer-specific counters reported inside. *)
-
-(** [parse]: SQL text -> AST (PDW parser). *)
-let parse_stage : (string, Sqlfront.Ast.query) Stage.t =
-  Stage.v ~name:"parse" (fun obs sql -> Sqlfront.Parser.parse ~obs sql)
-
-(** [algebrize]: AST -> named logical tree (binding against the shell). *)
-let algebrize_stage shell : (Sqlfront.Ast.query, Algebra.Algebrizer.result) Stage.t =
-  Stage.v ~name:"algebrize" (fun _obs q -> Algebra.Algebrizer.algebrize shell q)
-
-(** [normalize]: logical tree -> simplified logical tree (rule hit counts
-    reported per rewrite). *)
-let normalize_stage reg shell : (Algebra.Relop.t, Algebra.Relop.t) Stage.t =
-  Stage.v ~name:"normalize" (fun obs t -> Algebra.Normalize.normalize ~obs reg shell t)
-
-(** [serial]: logical tree -> explored MEMO + best serial plan. The token
-    and memo budget cut exploration anytime-style (a plan still comes
-    back, flagged [interrupted]). *)
-let serial_stage opts seeds token max_memo_groups pool reg shell
-  : (Algebra.Relop.t, Serialopt.Optimizer.result) Stage.t =
-  Stage.v ~name:"serial_optimize"
-    (fun obs t ->
-       Serialopt.Optimizer.optimize ~obs ~opts ~seeds ~token ?max_memo_groups
-         ~pool reg shell t)
-
-(** [memo_xml]: MEMO -> (XML encoding, re-imported MEMO) — the paper's
-    interchange between the SQL Server process and the PDW optimizer. *)
-let memo_xml_stage shell : (Memo.t, string option * Memo.t) Stage.t =
-  Stage.v ~name:"memo_xml" (fun obs m ->
-      let xml = Memo.Memo_xml.export_string ~obs m in
-      (Some xml, Memo.Memo_xml.import_string ~obs shell xml))
+   Each stage runs under an [Obs] span named after it (parse, algebrize,
+   normalize, serial_optimize, memo_xml, analyze, baseline_parallelize,
+   pdw_optimize, dsql_generate, check), so [explain --profile] (and the
+   bench harness) see a uniform per-stage span tree with the
+   layer-specific counters reported inside. *)
 
 (** [analyze]: imported MEMO -> empty-group predicate. The abstract
     interpreter (DESIGN.md §12) runs over every memo group and marks the
@@ -251,64 +222,39 @@ let memo_xml_stage shell : (Memo.t, string option * Memo.t) Stage.t =
     predicate somewhere below). Computed sequentially, before the
     enumeration fans out, so the predicate handed to the wavefront is a
     pure read. *)
-let analyze_stage shell (pdw_opts : Pdwopt.Enumerate.opts)
-  : (Memo.t, (int -> bool) option) Stage.t =
-  Stage.v ~name:"analyze" (fun obs m ->
-      if not pdw_opts.Pdwopt.Enumerate.fold_empty then None
-      else begin
-        let actx =
-          Analysis.context ~shell ~reg:m.Memo.reg
-            ~nodes:pdw_opts.Pdwopt.Enumerate.nodes
-        in
-        let empty = Analysis.empty_groups actx m in
-        let n = ref 0 in
-        Memo.iter_groups m (fun g -> if empty g.Memo.gid then incr n);
-        Obs.add obs "analysis.empty_groups" !n;
-        Some empty
-      end)
-
-(** [pdw]: imported MEMO -> distributed plan (Fig. 4, steps 01-09). A
-    token trip raises {!Governor.Cancelled} — the caller degrades to the
-    baseline fallback. [upper_bound] seeds the fixed pruning bound from
-    the baseline plan's DMS cost (with a relative margin so the winner is
-    never bound-pruned on a float tie). [empty] marks analyzer-proven
-    empty groups for contradiction-driven folding. *)
-let pdw_stage opts token pool upper_bound empty
-  : (Memo.t, Pdwopt.Optimizer.result) Stage.t =
-  Stage.v ~name:"pdw_optimize"
-    (fun obs m ->
-       Pdwopt.Optimizer.optimize ~obs ~opts ~token ~pool ?upper_bound ?empty m)
+let analyze obs shell (pdw_opts : Pdwopt.Enumerate.opts) m =
+  Obs.with_span obs "analyze" @@ fun () ->
+  if not pdw_opts.Pdwopt.Enumerate.fold_empty then None
+  else begin
+    let actx =
+      Analysis.context ~shell ~reg:m.Memo.reg ~nodes:pdw_opts.Pdwopt.Enumerate.nodes
+    in
+    let empty = Analysis.empty_groups actx m in
+    let n = ref 0 in
+    Memo.iter_groups m (fun g -> if empty g.Memo.gid then incr n);
+    Obs.add obs "analysis.empty_groups" !n;
+    Some empty
+  end
 
 (** [dsql]: distributed plan -> DSQL steps (Fig. 4, steps 10-11). *)
-let dsql_stage reg : (Pdwopt.Pplan.t, Dsql.Generate.plan) Stage.t =
-  Stage.v ~name:"dsql_generate" (fun obs p -> Dsql.Generate.generate ~obs reg p)
+let dsql_generate obs reg plan =
+  Obs.with_span obs "dsql_generate" @@ fun () -> Dsql.Generate.generate ~obs reg plan
 
 (** [check]: distributed plan + DSQL steps -> () or {!Check.Invalid}. The
     static analyzer re-derives every invariant the optimizer is supposed
     to have established (distribution soundness, movement applicability,
     cost accounting, DSQL well-formedness) and refuses the plan on any
     violation. *)
-let check_stage shell (pdw_opts : Pdwopt.Enumerate.opts) reg
-  : (Pdwopt.Pplan.t * Dsql.Generate.plan, unit) Stage.t =
-  Stage.v ~name:"check" (fun obs (plan, dsql) ->
-      let cost =
-        { Check.nodes = pdw_opts.Pdwopt.Enumerate.nodes;
-          lambdas = pdw_opts.Pdwopt.Enumerate.lambdas;
-          reg }
-      in
-      match Check.validate ~obs ~cost ~dsql ~shell plan with
-      | [] -> ()
-      | vs -> raise (Check.Invalid vs))
-
-(** [baseline]: best serial plan -> greedily parallelized plan (§3.2). *)
-let baseline_stage opts reg shell
-  : (Serialopt.Plan.t option, Pdwopt.Pplan.t option) Stage.t =
-  Stage.v ~name:"baseline_parallelize" (fun _obs best ->
-      match best with
-      | Some best ->
-        (try Some (Baseline.parallelize ~opts reg shell best)
-         with Baseline.Cannot_parallelize _ -> None)
-      | None -> None)
+let check_plan obs shell (pdw_opts : Pdwopt.Enumerate.opts) reg plan dsql =
+  Obs.with_span obs "check" @@ fun () ->
+  let cost =
+    { Check.nodes = pdw_opts.Pdwopt.Enumerate.nodes;
+      lambdas = pdw_opts.Pdwopt.Enumerate.lambdas;
+      reg }
+  in
+  match Check.validate ~obs ~cost ~dsql ~shell plan with
+  | [] -> ()
+  | vs -> raise (Check.Invalid vs)
 
 (** A statement after the distribution-independent half of the pipeline:
     the SQL Server side of Fig. 2, which never reads a distribution key
@@ -331,7 +277,7 @@ let resolve_options shell = function
 (* parse, §3.1 hint handling, algebrize, normalize: the part of the
    explore half the plan-cache fingerprint is computed from *)
 let front obs (opts : options) shell sql =
-  let query = Stage.run obs parse_stage sql in
+  let query = Obs.with_span obs "parse" (fun () -> Sqlfront.Parser.parse ~obs sql) in
   (* §3.1 query hints adjust the optimization strategy *)
   let opts =
     let force_order =
@@ -353,10 +299,12 @@ let front obs (opts : options) shell sql =
          else opts.serial);
       pdw = { opts.pdw with Pdwopt.Enumerate.hints = dist_hints } }
   in
-  let algebrized = Stage.run obs (algebrize_stage shell) query in
+  let algebrized =
+    Obs.with_span obs "algebrize" (fun () -> Algebra.Algebrizer.algebrize shell query)
+  in
   let normalized =
-    Stage.run obs
-      (normalize_stage algebrized.Algebra.Algebrizer.reg shell)
+    Obs.with_span obs "normalize" @@ fun () ->
+    Algebra.Normalize.normalize ~obs algebrized.Algebra.Algebrizer.reg shell
       algebrized.Algebra.Algebrizer.tree
   in
   (opts, query, algebrized, normalized)
@@ -373,18 +321,23 @@ let explore_front obs token pool shell
       | None -> []
     else []
   in
+  (* the token and memo budget cut exploration anytime-style (a plan
+     still comes back, flagged [interrupted]) *)
   let serial =
-    Stage.run obs
-      (serial_stage opts.serial seeds token opts.governor.Governor.max_memo_groups
-         pool reg shell)
-      normalized
+    Obs.with_span obs "serial_optimize" @@ fun () ->
+    Serialopt.Optimizer.optimize ~obs ~opts:opts.serial ~seeds ~token
+      ?max_memo_groups:opts.governor.Governor.max_memo_groups ~pool reg shell normalized
   in
+  (* the paper's interchange between the SQL Server process and the PDW
+     optimizer *)
   let memo_xml, memo =
     if opts.via_xml then
-      Stage.run obs (memo_xml_stage shell) serial.Serialopt.Optimizer.memo
+      Obs.with_span obs "memo_xml" @@ fun () ->
+      let xml = Memo.Memo_xml.export_string ~obs serial.Serialopt.Optimizer.memo in
+      (Some xml, Memo.Memo_xml.import_string ~obs shell xml)
     else (None, serial.Serialopt.Optimizer.memo)
   in
-  let empty = Stage.run obs (analyze_stage shell opts.pdw) memo in
+  let empty = analyze obs shell opts.pdw memo in
   { e_options = opts; e_query = query; e_algebrized = algebrized;
     e_normalized = normalized; e_serial = serial; e_memo_xml = memo_xml;
     e_memo = memo; e_empty = empty }
@@ -408,8 +361,12 @@ let place_tail obs check token pool shell (e : explored) =
      mid-enumeration cancellation reuses it instead of recomputing). It
      allocates no registry columns. *)
   let baseline_plan =
-    Stage.run obs (baseline_stage opts.pdw reg shell)
-      serial.Serialopt.Optimizer.best
+    Obs.with_span obs "baseline_parallelize" @@ fun () ->
+    match serial.Serialopt.Optimizer.best with
+    | Some best ->
+      (try Some (Baseline.parallelize ~opts:opts.pdw reg shell best)
+       with Baseline.Cannot_parallelize _ -> None)
+    | None -> None
   in
   let upper_bound =
     Option.map
@@ -421,14 +378,14 @@ let place_tail obs check token pool shell (e : explored) =
       baseline_plan
   in
   match
+    (* Fig. 4, steps 01-09; a token trip raises {!Governor.Cancelled} *)
     let pdw =
-      Stage.run obs (pdw_stage opts.pdw token pool upper_bound e.e_empty) memo
+      Obs.with_span obs "pdw_optimize" @@ fun () ->
+      Pdwopt.Optimizer.optimize ~obs ~opts:opts.pdw ~token ~pool ?upper_bound
+        ?empty:e.e_empty memo
     in
-    let dsql = Stage.run obs (dsql_stage memo.Memo.reg) pdw.Pdwopt.Optimizer.plan in
-    if check then
-      Stage.run obs
-        (check_stage shell opts.pdw memo.Memo.reg)
-        (pdw.Pdwopt.Optimizer.plan, dsql);
+    let dsql = dsql_generate obs memo.Memo.reg pdw.Pdwopt.Optimizer.plan in
+    if check then check_plan obs shell opts.pdw memo.Memo.reg pdw.Pdwopt.Optimizer.plan dsql;
     (pdw, dsql)
   with
   | pdw, dsql ->
@@ -451,10 +408,10 @@ let place_tail obs check token pool shell (e : explored) =
        (* nothing to degrade to: surface the cancellation itself *)
        raise cancelled
      | Some plan ->
-       let dsql = Stage.run obs (dsql_stage reg) plan in
+       let dsql = dsql_generate obs reg plan in
        (* a degraded plan must still prove itself: the check stage runs
           unconditionally here, even when the caller disabled [check] *)
-       Stage.run obs (check_stage shell opts.pdw reg) (plan, dsql);
+       check_plan obs shell opts.pdw reg plan dsql;
        let body =
          match plan.Pdwopt.Pplan.children with
          | [ body ] -> body
@@ -566,17 +523,17 @@ let explain (r : result) : string =
     (Dsql.Generate.to_string r.dsql)
 
 (** Execute the chosen plan on an appliance; returns the client result.
-    [obs], [token] and [observe] are forwarded to
+    [obs], [token], [fault] and [observe] are forwarded to
     {!Engine.Appliance.run_pplan}, with the executor's counters under an
     [execute] span. When [cache] is given and the appliance's {!Check}
     gate rejects the plan, the plan's cache entry is evicted before
     {!Check.Invalid} propagates — a poisoned entry must not be served on
     the next hit. *)
-let run ?(obs = Obs.null) ?(cache : cache option) ?token ?observe
+let run ?(obs = Obs.null) ?(cache : cache option) ?token ?fault ?observe
     (app : Engine.Appliance.t) (r : result) : Engine.Local.rset =
   try
     Obs.with_span obs "execute" (fun () ->
-        Engine.Appliance.run_pplan ~obs ?token ?observe app (plan r))
+        Engine.Appliance.run_pplan ~obs ?token ?fault ?observe app (plan r))
   with Check.Invalid _ as e ->
     (match cache, r.fingerprint with
      | Some c, Some fp ->
@@ -704,10 +661,7 @@ module Driver = struct
     breaker : Governor.Breaker.t;
     store : result Store.t option;
     log : Log.t;
-    fault : Fault.plan option;   (** re-armed on the appliance every attempt *)
-    max_replans : int;
-    miss_threshold : float;      (** {!Feedback.calibrate}'s refinement trigger *)
-    refine_buckets : int;        (** histogram resolution of refined statistics *)
+    fault : Fault.plan;   (** every execution's and every move's plan *)
     mutable calibrations : int;
     exec_mutex : Mutex.t;
         (** the simulated appliance executes one statement at a time (its
@@ -718,16 +672,14 @@ module Driver = struct
   let sim_clock topo () =
     (Atomic.get topo).app.Engine.Appliance.account.Engine.Appliance.sim_time
 
+  (* node-crash recoveries per statement *)
+  let max_replans = 8
+
   let create ?cache ?options ?(check = true) ?(max_concurrent = 4) ?(queue_limit = 16)
-      ?(breaker_threshold = 3) ?(breaker_cooldown = 1.0) ?regress_factor ?streak_limit
-      ?(miss_threshold = 2.0) ?(refine_buckets = 64) ?log ?fault ?(max_replans = 8)
-      (shell : Catalog.Shell_db.t) (app : Engine.Appliance.t) : t =
+      ?(breaker_threshold = 3) ?(breaker_cooldown = 1.0) ?(plan_store = false) ?log
+      ?(fault = Fault.none) (shell : Catalog.Shell_db.t) (app : Engine.Appliance.t) : t =
     let topo = Atomic.make { shell; app; options = resolve_options shell options } in
-    let store =
-      match regress_factor, streak_limit with
-      | None, None -> None
-      | _ -> Some (Store.create ?regress_factor ?streak_limit ())
-    in
+    let store = if plan_store then Some (Store.create ()) else None in
     { topo;
       (* fingerprints key the plan store, so a store brings a cache *)
       cache = (if cache = None && store <> None then Some (Plancache.create ()) else cache);
@@ -741,7 +693,7 @@ module Driver = struct
           ~cooldown:breaker_cooldown ~clock:(sim_clock topo) ();
       store;
       log = Option.value log ~default:(Log.create ());
-      fault; max_replans; miss_threshold; refine_buckets; calibrations = 0;
+      fault; calibrations = 0;
       exec_mutex = Mutex.create () }
 
   let app t = (Atomic.get t.topo).app
@@ -754,7 +706,7 @@ module Driver = struct
   let breaker t = t.breaker
   let store t = t.store
   let log t = t.log
-  let max_replans t = t.max_replans
+  let fault t = t.fault
 
   let set_options t options =
     Atomic.set t.topo { (Atomic.get t.topo) with options }
@@ -766,10 +718,8 @@ module Driver = struct
         options =
           { o with pdw = { o.pdw with Pdwopt.Enumerate.nodes = n } } }
 
-  let arm t = Option.iter (Engine.Appliance.set_fault (app t)) t.fault
-
   let replan ?(obs = Obs.null) t ~replans (failure : Fault.failure) =
-    if nodes t <= 1 || replans >= t.max_replans then
+    if nodes t <= 1 || replans >= max_replans then
       raise (Fault.Exhausted { failure; attempts = replans + 1 });
     install t
       (Obs.with_span obs "fault.replan" @@ fun () ->
@@ -848,7 +798,7 @@ module Driver = struct
     let sim0 = acct.Engine.Appliance.sim_time and dms0 = acct.Engine.Appliance.dms_time in
     let marks = sample_marks acct in
     let wall0 = Obs.default_clock () in
-    let rows = execute_result ~obs ?cache:t.cache ~token ~observe topo.app r in
+    let rows = execute_result ~obs ?cache:t.cache ~token ~fault:t.fault ~observe topo.app r in
     let wall = Obs.default_clock () -. wall0 in
     let sim = acct.Engine.Appliance.sim_time -. sim0 in
     let fingerprint = Option.value r.fingerprint ~default:"" in
@@ -891,7 +841,6 @@ module Driver = struct
         Fun.protect ~finally:(fun () -> Mutex.unlock t.exec_mutex) @@ fun () ->
         if Atomic.get t.topo != topo then `Stale
         else begin
-          arm t;
           if not !armed then begin
             armed := true;
             Option.iter
@@ -1047,6 +996,11 @@ module Feedback = struct
     new_epoch : int;
   }
 
+  (* a column is refined when its estimates missed by more than this
+     factor; its rebuilt histogram has [refine_buckets] buckets *)
+  let miss_threshold = 2.0
+  let refine_buckets = 64
+
   (** Fold the driver's log back into the catalog: rebuild statistics for
       every column whose estimates missed by more than [miss_threshold] (a
       full-resolution scan of the true shards, via
@@ -1061,7 +1015,7 @@ module Feedback = struct
   let calibrate ?(obs = Obs.null) (d : Driver.t) : calibration =
     let shell = Driver.shell d in
     let recs = Log.records (Driver.log d) in
-    let misses = Misses.columns ~threshold:d.Driver.miss_threshold recs in
+    let misses = Misses.columns ~threshold:miss_threshold recs in
     let refined =
       List.filter
         (fun (m : Misses.miss) ->
@@ -1076,7 +1030,7 @@ module Feedback = struct
              in
              Catalog.Shell_db.update_col_stats shell m.Misses.m_table
                m.Misses.m_column
-               (Catalog.Col_stats.refine ~nbuckets:d.Driver.refine_buckets cs values);
+               (Catalog.Col_stats.refine ~nbuckets:refine_buckets cs values);
              true)
         misses
     in

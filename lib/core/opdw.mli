@@ -16,9 +16,6 @@
     {!Pdwopt} (the paper's contribution), {!Dsql} (DSQL generation),
     {!Engine} (the simulated appliance), {!Tpch} and {!Baseline}. *)
 
-(** The typed pipeline stage abstraction; see {!Stage}. *)
-module Stage = Stage
-
 (** The bounded LRU plan cache and its fingerprinting; see {!Plancache}. *)
 module Plancache = Plancache
 
@@ -211,14 +208,15 @@ val explain : result -> string
     account. The statement's state is passed as values and forwarded to
     {!Engine.Appliance.run_pplan}: with [obs], per-DMS-op and per-node
     executor counters are recorded under an [execute] span; [token] is
-    polled once per injectable step; [observe] sees every executed
-    Serial/Move operator with its observed global rows, in plan order.
-    Nothing is left armed on the appliance afterwards, whether the
-    statement returns or raises. With [cache], a plan the appliance's
+    polled once per injectable step; [fault] (default {!Fault.none}) is
+    the plan this statement's steps draw from, numbered from 0; [observe]
+    sees every executed Serial/Move operator with its observed global
+    rows, in plan order. The appliance keeps none of it, so the next
+    statement on it runs under only what it is passed. With [cache], a plan the appliance's
     {!Check} gate refuses is evicted from the cache (counter
     [plancache.evictions_invalid]) before {!Check.Invalid} propagates. *)
 val run :
-  ?obs:Obs.t -> ?cache:cache -> ?token:Governor.token ->
+  ?obs:Obs.t -> ?cache:cache -> ?token:Governor.token -> ?fault:Fault.plan ->
   ?observe:(Pdwopt.Pplan.t -> float -> unit) ->
   Engine.Appliance.t -> result -> Engine.Local.rset
 
@@ -250,9 +248,9 @@ type oracle = string -> result -> Engine.Local.rset -> bool
     token (wall deadline armed by {!optimize}, simulated deadline before
     the first execution); {!optimize} through the plan cache; LKG
     resolution when a plan store is attached; execution under the exec
-    mutex through the feedback harvest; on a node crash, decommission and
-    compile again on the survivors, up to [max_replans]; the log record
-    and the store observation.
+    mutex through the feedback harvest and the driver's fault plan; on a
+    node crash, decommission and compile again on the survivors, up to
+    {!Driver.max_replans} times; the log record and the store observation.
 
     The appliance account is cumulative and belongs to the caller: a
     statement's [observed_sim], [observed_dms], log [r_sim] and [r_dms]
@@ -268,21 +266,18 @@ module Driver : sig
       (default 16) more queued FIFO. [breaker_threshold] (default 3, [<= 0]
       disables) consecutive hard failures of one statement open its
       breaker for [breaker_cooldown] (default 1.0) {e simulated} seconds.
-      Passing [regress_factor] or [streak_limit] attaches the LKG plan
-      store with those hysteresis thresholds (defaults 1.2 and 2), and a
-      plan cache if [cache] is absent (fingerprints key the store).
-      [miss_threshold] (default 2.0) and [refine_buckets] (default 64) are
-      {!Feedback.calibrate}'s. [log] (default fresh) receives the harvest.
-      [fault] is armed on the serving appliance at every attempt (default:
-      the appliance's own plan stays); [max_replans] (default 8) bounds
-      node-crash recoveries per statement. *)
+      [plan_store] (default [false]) attaches the LKG plan store (its
+      hysteresis: {!Fbk.Store.regress_factor},
+      {!Fbk.Store.streak_limit}), and a plan cache if [cache] is absent
+      (fingerprints key the store). [log] (default fresh) receives the
+      harvest. [fault] (default {!Fault.none}) is the plan every execution
+      and every topology move of this driver draws from; it is passed
+      with each statement, never left on an appliance. *)
   val create :
     ?cache:cache -> ?options:options -> ?check:bool ->
     ?max_concurrent:int -> ?queue_limit:int ->
     ?breaker_threshold:int -> ?breaker_cooldown:float ->
-    ?regress_factor:float -> ?streak_limit:int ->
-    ?miss_threshold:float -> ?refine_buckets:int -> ?log:Fbk.Log.t ->
-    ?fault:Fault.plan -> ?max_replans:int ->
+    ?plan_store:bool -> ?log:Fbk.Log.t -> ?fault:Fault.plan ->
     Catalog.Shell_db.t -> Engine.Appliance.t -> t
 
   (** The serving appliance (a decommission or a committed move replaces
@@ -302,14 +297,16 @@ module Driver : sig
   val breaker : t -> Governor.Breaker.t
   val store : t -> result Fbk.Store.t option
   val log : t -> Fbk.Log.t
-  val max_replans : t -> int
+
+  (** The fault plan the driver's statements and moves draw from. *)
+  val fault : t -> Fault.plan
+
+  (** Node-crash recoveries per statement (8). *)
+  val max_replans : int
 
   (** Switch to a replacement appliance (a decommission's result or a
       committed move's target), with its catalog and node count. *)
   val install : t -> Engine.Appliance.t -> unit
-
-  (** Arm the driver's fault plan, if it has one, on {!app}. *)
-  val arm : t -> unit
 
   (** [replan t ~replans failure] recovers from the node crash
       [failure]: decommission the dead node (under a [fault.replan] span)
@@ -443,8 +440,8 @@ module Feedback : sig
   }
 
   (** Fold the driver's log back into the catalog: refine statistics of
-      every column whose estimates missed by more than the driver's
-      [miss_threshold] (full-resolution rebuild from the true shards —
+      every column whose estimates missed by more than a factor of 2.0
+      (a 64-bucket full-resolution rebuild from the true shards —
       widening-only, so R11 analysis bounds stay sound), re-fit λs from
       observed DMS volumes, install them in the driver's options, and
       {!Catalog.Shell_db.touch} the shell (so every statement recompiles
@@ -475,6 +472,6 @@ module Workload : sig
       [(id, sql)] statements: each compiled under {!default_options} for
       [w]'s node count and executed on [w]'s appliance, sequentially, from
       a zeroed account. Answers compare on {!Engine.Local.canonical} over
-      the output columns. Build it before arming a fault plan on [w]. *)
+      the output columns. *)
   val oracle : t -> (string * string) list -> oracle
 end

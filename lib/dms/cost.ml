@@ -107,8 +107,3 @@ type move_rates = {
 let repartition_seconds (r : move_rates) ~(bytes : float) ~(rows : float) =
   (bytes *. (r.r_reader_byte +. r.r_network_byte +. r.r_writer_byte))
   +. (rows *. (r.r_reader_row +. r.r_network_row +. r.r_writer_row))
-
-let pp_breakdown ppf b =
-  Format.fprintf ppf
-    "reader=%.3gs net=%.3gs writer=%.3gs blkcpy=%.3gs -> source=%.3gs target=%.3gs total=%.3gs"
-    b.c_reader b.c_network b.c_writer b.c_blkcpy b.c_source b.c_target b.c_total

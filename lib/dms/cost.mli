@@ -29,16 +29,9 @@ type breakdown = {
   bytes_moved : float;   (** total bytes crossing the network *)
 }
 
-(** Per-component byte volumes of one operation:
-    (reader bytes, reader uses hashing, network bytes, writer bytes). *)
-val byte_volumes :
-  Op.kind -> nodes:int -> rows:float -> width:float -> float * bool * float * float
-
 (** Cost one DMS operation moving [rows] rows of [width] bytes across an
     appliance of [nodes] compute nodes. *)
 val cost : ?lambdas:lambdas -> Op.kind -> nodes:int -> rows:float -> width:float -> breakdown
-
-val pp_breakdown : Format.formatter -> breakdown -> unit
 
 (** Per-byte and per-row rates of a physical re-partition pipeline
     (reader -> network -> writer), used to price topology changes (crash

@@ -96,7 +96,7 @@ type t = {
   (* per compute node: table name -> shard payload (row- or column-major,
      matching how the table was loaded; positional layout 0..w-1) *)
   storage : (string, Rset.t) Hashtbl.t array;
-  mutable engine : Rset.engine;
+  engine : Rset.engine;
       (** which local-executor implementation serial steps run; the row
           engine is the semantics oracle, the columnar engine the fast
           path. Either way the simulated clock and the DMS accounting are
@@ -113,17 +113,13 @@ type t = {
       (** validate every plan handed to {!run_pplan} with
           {!Check.validate_exec} and refuse invalid ones ({!Check.Invalid})
           rather than silently producing wrong rows; on by default *)
-  mutable fault : Fault.plan;
-      (** fault-injection plan consulted at the engine's injection sites;
-          {!Fault.none} by default (every draw is a no-op) *)
   mutable epoch : int;
       (** replan epoch: 0 at creation, bumped by {!decommission}; part of
           every fault-draw coordinate so post-replan execution redraws *)
   mutable step_no : int;
       (** injectable steps started in the current statement (deterministic
-          plan-traversal order); reset by {!begin_statement} *)
-  mutable cur_step : int;     (** step id the recovery wrapper is executing *)
-  mutable cur_attempt : int;  (** execution attempt of that step (0 = first) *)
+          plan-traversal order); reset by {!begin_statement}, continued by a
+          move's copy and flip steps *)
 }
 
 let create ?(hw = default_hw) ?(pool = Par.sequential) ?(check = true)
@@ -131,33 +127,22 @@ let create ?(hw = default_hw) ?(pool = Par.sequential) ?(check = true)
   let nodes = Catalog.Shell_db.node_count shell in
   { shell; nodes; hw; engine;
     storage = Array.init nodes (fun _ -> Hashtbl.create 16);
-    account = fresh_account (); pool; check;
-    fault = Fault.none; epoch = 0;
-    step_no = 0; cur_step = 0; cur_attempt = 0 }
+    account = fresh_account (); pool; check; epoch = 0; step_no = 0 }
 
 (** Attach a domain pool for multicore shard execution (typically one pool
     per process, shared across appliances). *)
 let set_pool t pool = t.pool <- pool
-
-(** Select the local-executor implementation for serial steps. *)
-let set_engine t engine = t.engine <- engine
 
 let engine t = t.engine
 
 (** Enable/disable the {!Check} execution gate (see the [check] field). *)
 let set_check t check = t.check <- check
 
-(** Attach a fault-injection plan ({!Fault.none} disables injection). *)
-let set_fault t fault = t.fault <- fault
-
 let reset_account t = assign_account ~dst:t.account (fresh_account ())
 
 (** Start a new statement: step numbering restarts at 0 so explicit fault
     schedules address steps of each statement independently. *)
-let begin_statement t =
-  t.step_no <- 0;
-  t.cur_step <- 0;
-  t.cur_attempt <- 0
+let begin_statement t = t.step_no <- 0
 
 (* routing hash: must agree between initial loading and shuffles (and
    between engines — see {!Rset.route_hash}) *)
@@ -222,7 +207,9 @@ let stream_rows (d : dstream) : rows = (Rset.to_local (stream_rset d)).Local.row
 
 (* -- fault injection and step-level recovery -- *)
 
-let fault_active t = t.fault.Fault.mode <> Fault.Off
+(** Where a fault draw lands: the statement's plan, the appliance's replan
+    epoch, and the step and attempt the recovery wrapper is executing. *)
+type draw = { plan : Fault.plan; epoch : int; step : int; attempt : int }
 
 let note_injection ~obs t (site : Fault.site) =
   t.account.injected <- t.account.injected + 1;
@@ -231,75 +218,85 @@ let note_injection ~obs t (site : Fault.site) =
     Obs.add obs ("fault.injected." ^ Fault.site_name site) 1
   end
 
-let fail_at ~obs t (site : Fault.site) (node : int) =
+let fail_at ~obs t (d : draw) (site : Fault.site) (node : int) =
   note_injection ~obs t site;
-  raise (Fault.Injected { Fault.site; epoch = t.epoch; step = t.cur_step; node })
+  raise (Fault.Injected { Fault.site; epoch = d.epoch; step = d.step; node })
 
-(** Raise {!Fault.Injected} if the plan fires [site] at the step/attempt
-    the recovery wrapper is currently executing. For node-less sites. *)
-let inject_point ?(obs = Obs.null) (t : t) (site : Fault.site) =
-  if fault_active t
-     && Fault.fires t.fault ~site ~epoch:t.epoch ~step:t.cur_step ~node:(-1)
-          ~attempt:t.cur_attempt
-  then fail_at ~obs t site (-1)
+(** Raise {!Fault.Injected} if the plan fires [site] at [d]. For node-less
+    sites. *)
+let inject_point ?(obs = Obs.null) (t : t) (d : draw) (site : Fault.site) =
+  if Fault.fires d.plan ~site ~epoch:d.epoch ~step:d.step ~node:(-1) ~attempt:d.attempt
+  then fail_at ~obs t d site (-1)
 
-(** [with_recovery t f] runs one injectable step [f] under the retry
-    policy: a recoverable {!Fault.Injected} charges exponential backoff to
-    the simulated clock and re-runs [f] (after [on_retry], which must make
-    re-execution idempotent — e.g. drop the step's temp table), up to the
-    policy's retry budget, after which {!Fault.Exhausted} is raised.
-    {!Fault.Node_crash} is not retryable here: it propagates to the caller
-    (the statement must be re-optimized against the surviving nodes).
-    [token] is the statement's cancellation token, polled before the step;
-    [obs] receives the [fault.*] counters. *)
+(* node-crash decisions for every node of [t], the lowest-index hit
+   raised. Callers draw them before any parallel fan-out, never from
+   inside a pool body: parallel_for's fail-fast picks an arbitrary first
+   exception, which would make the surfaced failure schedule-dependent *)
+let crash_point ~obs (t : t) (d : draw) =
+  for node = 0 to t.nodes - 1 do
+    if Fault.fires d.plan ~site:Fault.Node_crash ~epoch:d.epoch ~step:d.step ~node
+         ~attempt:d.attempt
+    then fail_at ~obs t d Fault.Node_crash node
+  done
+
+(* the slowdown factor of [node] at [d], if a straggler fires there (and
+   is counted) *)
+let straggle ~obs (t : t) (d : draw) node =
+  match Fault.straggle d.plan ~epoch:d.epoch ~step:d.step ~node ~attempt:d.attempt with
+  | Some factor when factor > 0. ->
+    note_injection ~obs t Fault.Straggler;
+    Some factor
+  | _ -> None
+
+(** [with_recovery t f] runs one injectable step [f] under the fault
+    plane's retry budget: [f] receives the step's {!draw} under [fault]
+    (default {!Fault.none}); a recoverable {!Fault.Injected} charges
+    exponential backoff to the simulated clock and re-runs [f] at the next
+    attempt (after [on_retry], which must make re-execution idempotent —
+    e.g. drop the step's temp table), up to {!Fault.retries} retries, after
+    which {!Fault.Exhausted} is raised. {!Fault.Node_crash} is not
+    retryable here: it propagates to the caller (the statement must be
+    re-optimized against the surviving nodes). [token] is the statement's
+    cancellation token, polled before the step; [obs] receives the
+    [fault.*] counters. *)
 let with_recovery ?(on_retry = fun () -> ()) ?(obs = Obs.null)
-    ?(token = Governor.none) (t : t) (f : unit -> 'a) : 'a =
+    ?(token = Governor.none) ?(fault = Fault.none) (t : t) (f : draw -> 'a) : 'a =
   (* Cooperative cancellation at step granularity, in the caller domain
      only (sim_time is read/updated here, never in pool workers, so a
      simulated-clock deadline trips at the same step at any --jobs).
      Raising between steps is safe: executor temp state unwinds with the
      exception and half-written temps are dropped with it. *)
   Governor.poll ~where:"engine.step" token;
+  (* steps are numbered under any plan, [Fault.none] included, so a
+     schedule's step ids can be read off a fault-free run *)
   let step = t.step_no in
   t.step_no <- step + 1;
-  if not (fault_active t) then begin
-    (* keep step numbering identical with injection off, so a schedule's
-       step ids can be derived from a fault-free run *)
-    t.cur_step <- step;
-    t.cur_attempt <- 0;
-    f ()
-  end
-  else begin
-    let policy = t.fault.Fault.policy in
-    let rec attempt k =
-      t.cur_step <- step;
-      t.cur_attempt <- k;
-      match f () with
-      | v ->
-        if k > 0 then begin
-          t.account.recovered <- t.account.recovered + 1;
-          if Obs.enabled obs then Obs.add obs "fault.recovered" 1
+  let rec attempt k =
+    match f { plan = fault; epoch = t.epoch; step; attempt = k } with
+    | v ->
+      if k > 0 then begin
+        t.account.recovered <- t.account.recovered + 1;
+        if Obs.enabled obs then Obs.add obs "fault.recovered" 1
+      end;
+      v
+    | exception (Fault.Injected failure as e) ->
+      if failure.Fault.site = Fault.Node_crash then raise e
+      else if k >= Fault.retries then
+        raise (Fault.Exhausted { failure; attempts = k + 1 })
+      else begin
+        let pause = Fault.backoff (k + 1) in
+        t.account.sim_time <- t.account.sim_time +. pause;
+        t.account.backoff_time <- t.account.backoff_time +. pause;
+        t.account.retries <- t.account.retries + 1;
+        if Obs.enabled obs then begin
+          Obs.add obs "fault.retries" 1;
+          Obs.addf obs "fault.backoff_seconds" pause
         end;
-        v
-      | exception (Fault.Injected failure as e) ->
-        if failure.Fault.site = Fault.Node_crash then raise e
-        else if k >= policy.Fault.retries then
-          raise (Fault.Exhausted { failure; attempts = k + 1 })
-        else begin
-          let pause = Fault.backoff policy (k + 1) in
-          t.account.sim_time <- t.account.sim_time +. pause;
-          t.account.backoff_time <- t.account.backoff_time +. pause;
-          t.account.retries <- t.account.retries + 1;
-          if Obs.enabled obs then begin
-            Obs.add obs "fault.retries" 1;
-            Obs.addf obs "fault.backoff_seconds" pause
-          end;
-          on_retry ();
-          Obs.with_span obs "fault.retry" (fun () -> attempt (k + 1))
-        end
-    in
-    attempt 0
-  end
+        on_retry ();
+        Obs.with_span obs "fault.retry" (fun () -> attempt (k + 1))
+      end
+  in
+  attempt 0
 
 (* -- simulated DMS runtime -- *)
 
@@ -496,15 +493,19 @@ let run_move_inner ~obs (t : t) (kind : Dms.Op.kind) ~(cols : int list) (input :
     { layout = cols; per_node = Array.make n (empty_rs cols); control = all;
       dist = Dms.Distprop.Single_node }
 
-(** {!run_move_inner} plus the DMS injection sites: a transfer can fail
-    mid-move, or the destination temp-table write can fail. Both fire
-    after accounting — the failed attempt's work is on the clock, and the
-    recovery wrapper's retry re-runs (and re-charges) the move. *)
-let run_move ?(obs = Obs.null) (t : t) (kind : Dms.Op.kind) ~(cols : int list)
+(** {!run_move_inner} plus, at [draw], the DMS injection sites: a
+    transfer can fail mid-move, or the destination temp-table write can
+    fail. Both fire after accounting — the failed attempt's work is on the
+    clock, and the recovery wrapper's retry re-runs (and re-charges) the
+    move. *)
+let run_move ?(obs = Obs.null) ?draw (t : t) (kind : Dms.Op.kind) ~(cols : int list)
     (input : dstream) : dstream =
   let out = run_move_inner ~obs t kind ~cols input in
-  inject_point ~obs t Fault.Dms_transfer;
-  inject_point ~obs t Fault.Temp_write;
+  Option.iter
+    (fun d ->
+       inject_point ~obs t d Fault.Dms_transfer;
+       inject_point ~obs t d Fault.Temp_write)
+    draw;
   out
 
 (* -- serial step execution -- *)
@@ -539,7 +540,7 @@ let note_exec_stats ~obs (stats : Local.exec_stats list) =
   end
 
 (** Execute a serial operator on every node holding data. *)
-let run_serial ?(obs = Obs.null) ?need (t : t) (op : Memo.Physop.t)
+let run_serial ?(obs = Obs.null) ?need (t : t) (d : draw) (op : Memo.Physop.t)
     (children : dstream list) : dstream =
   let on_control =
     List.exists (fun c -> c.dist = Dms.Distprop.Single_node) children
@@ -576,27 +577,12 @@ let run_serial ?(obs = Obs.null) ?need (t : t) (op : Memo.Physop.t)
       Obs.addf obs "engine.serial.node_seconds" step;
       Obs.addf obs (Printf.sprintf "engine.serial.%s.node_seconds" (Memo.Physop.name op)) step
     end;
-    inject_point ~obs t Fault.Control_transient;
+    inject_point ~obs t d Fault.Control_transient;
     { layout = Rset.layout r; per_node = Array.make t.nodes (empty_rs []);
       control = r; dist = Dms.Distprop.Single_node }
   end
   else begin
-    (* node-crash decisions are drawn for every node BEFORE the parallel
-       fan-out and the lowest-index hit raised here, never from inside a
-       pool body — parallel_for's fail-fast picks an arbitrary first
-       exception, which would make the surfaced failure schedule-dependent *)
-    if fault_active t then begin
-      let rec first_crash node =
-        if node >= t.nodes then None
-        else if Fault.fires t.fault ~site:Fault.Node_crash ~epoch:t.epoch
-                  ~step:t.cur_step ~node ~attempt:t.cur_attempt
-        then Some node
-        else first_crash (node + 1)
-      in
-      match first_crash 0 with
-      | Some node -> fail_at ~obs t Fault.Node_crash node
-      | None -> ()
-    end;
+    crash_point ~obs t d;
     (* every node executes its shard concurrently on the domain pool; the
        bodies only read shared state (storage, children) and write their
        own result slot (including a private stats record), so the fan-out
@@ -635,16 +621,7 @@ let run_serial ?(obs = Obs.null) ?need (t : t) (op : Memo.Physop.t)
     Array.iteri
       (fun node (_, step, _) ->
          let step =
-           if not (fault_active t) then step
-           else
-             match
-               Fault.straggle t.fault ~epoch:t.epoch ~step:t.cur_step ~node
-                 ~attempt:t.cur_attempt
-             with
-             | Some factor when factor > 0. ->
-               note_injection ~obs t Fault.Straggler;
-               step *. factor
-             | _ -> step
+           match straggle ~obs t d node with Some factor -> step *. factor | None -> step
          in
          if step > !max_step then max_step := step)
       node_results;
@@ -705,7 +682,8 @@ let observed_rows (d : dstream) =
 (** Execute a PDW plan on the appliance. Returns the final client result
     (rows + layout); accounting accumulates in [t.account]. The statement's
     state comes in as values: [obs] receives the executor, DMS and fault
-    counters, [token] is polled once per injectable step, and [observe]
+    counters, [token] is polled once per injectable step, [fault] (default
+    {!Fault.none}) is the plan its steps draw from, and [observe]
     is called after each (recovered) Serial/Move operator with the
     operator and its observed global rows — in the caller domain, in
     bottom-up plan order, so the call sequence is deterministic at any
@@ -716,7 +694,7 @@ let observed_rows (d : dstream) =
     {!Check.Invalid} instead of executing — the simulated substrate would
     otherwise silently run it and return wrong rows (the real engine
     rejects such plans). *)
-let run_pplan ?(obs = Obs.null) ?(token = Governor.none) ?observe (t : t)
+let run_pplan ?(obs = Obs.null) ?(token = Governor.none) ?fault ?observe (t : t)
     (p : Pdwopt.Pplan.t) : Local.rset =
   if t.check then begin
     match Check.validate_exec ~obs ~shell:t.shell p with
@@ -724,7 +702,7 @@ let run_pplan ?(obs = Obs.null) ?(token = Governor.none) ?observe (t : t)
     | vs -> raise (Check.Invalid vs)
   end;
   begin_statement t;
-  let step f = with_recovery ~obs ~token t f in
+  let step f = with_recovery ~obs ~token ?fault t f in
   let observed (p : Pdwopt.Pplan.t) (d : dstream) =
     (match observe with Some f -> f p (observed_rows d) | None -> ());
     d
@@ -741,12 +719,12 @@ let run_pplan ?(obs = Obs.null) ?(token = Governor.none) ?observe (t : t)
          re-execution after a failure is idempotent with no cleanup *)
       let d =
         Obs.with_span obs ("engine.op." ^ Memo.Physop.name op) @@ fun () ->
-        step (fun () -> run_serial ~obs ?need t op children)
+        step (fun draw -> run_serial ~obs ?need t draw op children)
       in
       observed p { d with dist = p.Pdwopt.Pplan.dist }
     | Pdwopt.Pplan.Move { kind; cols }, [ c ] ->
       let child = exec_node (Some (Col_set.of_list cols)) c in
-      observed p (step (fun () -> run_move ~obs t kind ~cols child))
+      observed p (step (fun draw -> run_move ~obs ~draw t kind ~cols child))
     | Pdwopt.Pplan.Move _, _ -> raise (Local.Exec_error "Move expects one child")
     | Pdwopt.Pplan.Return _, _ -> raise (Local.Exec_error "nested Return")
   in
@@ -759,7 +737,7 @@ let run_pplan ?(obs = Obs.null) ?(token = Governor.none) ?observe (t : t)
     in
     (* the gather is itself an injectable step (control-node transient);
        it is pure over [child], so a retry just recomputes the result *)
-    step @@ fun () ->
+    step @@ fun draw ->
     let all = stream_rset child in
     (* streamed gather: network accounting only, no temp table *)
     (match child.dist with
@@ -771,7 +749,7 @@ let run_pplan ?(obs = Obs.null) ?(token = Governor.none) ?observe (t : t)
        t.account.bytes_moved <- t.account.bytes_moved +. b;
        Obs.addf obs "engine.return.bytes" b;
        Obs.addf obs "engine.return.rows" r);
-    inject_point ~obs t Fault.Control_transient;
+    inject_point ~obs t draw Fault.Control_transient;
     let rset = Rset.to_local all in
     if sort = [] then
       (match limit with
@@ -819,7 +797,6 @@ let decommission ?(obs = Obs.null) (t : t) ~(node : int) : t =
   let tables = Catalog.Shell_db.sorted_tables t.shell in
   let shell' = Catalog.Shell_db.derive ~node_count:(t.nodes - 1) t.shell in
   let t' = create ~hw:t.hw ~pool:t.pool ~check:t.check ~engine:t.engine shell' in
-  t'.fault <- t.fault;
   t'.epoch <- t.epoch + 1;
   (* reload user data; the re-partition of every hash-distributed table is
      the recovery work, charged at reader+network+writer rates *)
@@ -877,6 +854,7 @@ let decommission ?(obs = Obs.null) (t : t) ~(node : int) : t =
 type move = {
   m_source : t;
   m_target : t;
+  m_fault : Fault.plan;   (** what the copy and flip steps draw from *)
   mutable m_pending : string list;
       (** tables still to copy, in deterministic (sorted-name) order *)
   mutable m_bytes : float;    (** bytes re-partitioned so far *)
@@ -893,15 +871,15 @@ type move = {
     for free immediately (replicated copies are mirrored and identically
     keyed hash shards at an equal node count are shared by reference —
     payloads are immutable); every other table becomes a pending priced
-    copy step. [t] itself is not mutated. *)
-let begin_move (t : t) ~(node_count : int)
+    copy step whose faults [fault] (default {!Fault.none}) draws. [t]
+    itself is not mutated. *)
+let begin_move ?(fault = Fault.none) (t : t) ~(node_count : int)
     ~(dist_of : Catalog.Shell_db.table -> Catalog.Distribution.t) : move =
   if node_count < 1 then
     invalid_arg "Appliance.begin_move: need at least one compute node";
   let tables = Catalog.Shell_db.sorted_tables t.shell in
   let shell' = Catalog.Shell_db.derive ~node_count ~dist_of t.shell in
   let t' = create ~hw:t.hw ~pool:t.pool ~check:t.check ~engine:t.engine shell' in
-  t'.fault <- t.fault;
   t'.epoch <- t.epoch + 1;
   let pending =
     List.filter_map
@@ -926,14 +904,14 @@ let begin_move (t : t) ~(node_count : int)
          | _ -> Some name)
       tables
   in
-  { m_source = t; m_target = t'; m_pending = pending;
+  { m_source = t; m_target = t'; m_fault = fault; m_pending = pending;
     m_bytes = 0.; m_rows = 0.; m_seconds = 0. }
 
 (** Copy-build the next pending table into the move's shadow appliance as
-    one injectable step under the source's recovery budget. All the fault
-    plane's sites can fire here: a node crash escalates to the caller
-    ({!Fault.Injected}, compose with {!decommission} and restart the
-    move), a DMS-transfer or temp-write failure drops the half-built
+    one injectable step of the source appliance, drawn from the move's
+    plan. All the fault plane's sites can fire here: a node crash
+    escalates to the caller ({!Fault.Injected}, compose with
+    {!decommission} and restart the move), a DMS-transfer or temp-write failure drops the half-built
     partitions and retries, stragglers inflate the step's copy time, and
     an exhausted budget raises {!Fault.Exhausted}. The copy is priced with
     the shared {!Dms.Cost.repartition_seconds} pipeline rates and accrues
@@ -948,21 +926,9 @@ let copy_step (m : move) : unit =
     let drop_half_built () =
       Array.iter (fun store -> Hashtbl.remove store key) tt.storage
     in
-    with_recovery ts ~on_retry:drop_half_built (fun () ->
-        (* node-crash decisions first, lowest index wins (mirrors
-           [run_serial]'s pre-fan-out draw order) *)
-        if fault_active ts then begin
-          let rec first_crash node =
-            if node >= ts.nodes then None
-            else if Fault.fires ts.fault ~site:Fault.Node_crash ~epoch:ts.epoch
-                      ~step:ts.cur_step ~node ~attempt:ts.cur_attempt
-            then Some node
-            else first_crash (node + 1)
-          in
-          match first_crash 0 with
-          | Some node -> fail_at ~obs:Obs.null ts Fault.Node_crash node
-          | None -> ()
-        end;
+    with_recovery ~fault:m.m_fault ts ~on_retry:drop_half_built (fun d ->
+        (* node-crash decisions first, as in [run_serial] *)
+        crash_point ~obs:Obs.null ts d;
         let tbl = Catalog.Shell_db.find_exn ts.shell name in
         let payload =
           match tbl.Catalog.Shell_db.dist with
@@ -984,32 +950,21 @@ let copy_step (m : move) : unit =
         match payload with
         | None -> ()  (* table was never loaded; nothing to copy *)
         | Some all ->
-          inject_point ts Fault.Dms_transfer;
+          inject_point ts d Fault.Dms_transfer;
           let b, r = Rset.vol all in
           let seconds =
             Dms.Cost.repartition_seconds (move_rates ts.hw) ~bytes:b ~rows:r
           in
           (* stragglers slow the copy pipeline down: the worst per-node
              factor inflates this step's accrued seconds *)
-          let seconds =
-            if not (fault_active ts) then seconds
-            else begin
-              let factor = ref 1. in
-              for node = 0 to ts.nodes - 1 do
-                match
-                  Fault.straggle ts.fault ~epoch:ts.epoch ~step:ts.cur_step
-                    ~node ~attempt:ts.cur_attempt
-                with
-                | Some f when f > 0. ->
-                  note_injection ~obs:Obs.null ts Fault.Straggler;
-                  if f > !factor then factor := f
-                | _ -> ()
-              done;
-              seconds *. !factor
-            end
-          in
+          let factor = ref 1. in
+          for node = 0 to ts.nodes - 1 do
+            Option.iter (fun f -> if f > !factor then factor := f)
+              (straggle ~obs:Obs.null ts d node)
+          done;
+          let seconds = seconds *. !factor in
           load_rset tt name all;
-          inject_point ts Fault.Temp_write;
+          inject_point ts d Fault.Temp_write;
           (* only a fully successful attempt accrues volume and cost *)
           m.m_bytes <- m.m_bytes +. b;
           m.m_rows <- m.m_rows +. r;
@@ -1028,7 +983,7 @@ let flip_move (m : move) : t =
     invalid_arg "Appliance.flip_move: pending table copies remain";
   let ts = m.m_source and tt = m.m_target in
   (* the flip itself runs on the control node and is injectable *)
-  with_recovery ts (fun () -> inject_point ts Fault.Control_transient);
+  with_recovery ~fault:m.m_fault ts (fun d -> inject_point ts d Fault.Control_transient);
   assign_account ~dst:tt.account ts.account;
   tt.account.sim_time <- tt.account.sim_time +. m.m_seconds;
   tt.account.dms_time <- tt.account.dms_time +. m.m_seconds;
@@ -1054,11 +1009,11 @@ let change_to_string = function
 
 (* the one place grow and re-key moves are built: validate, then open
    the phased move (a re-key keeps every other table's layout) *)
-let begin_change (t : t) (change : change) : move =
+let begin_change ?fault (t : t) (change : change) : move =
   match change with
   | Grow nodes ->
     if nodes <= t.nodes then invalid_arg "Appliance.begin_change: node count must grow";
-    begin_move t ~node_count:nodes ~dist_of:(fun tbl -> tbl.Catalog.Shell_db.dist)
+    begin_move ?fault t ~node_count:nodes ~dist_of:(fun tbl -> tbl.Catalog.Shell_db.dist)
   | Rekey { table; cols } ->
     let tbl = Catalog.Shell_db.find_exn t.shell table in
     if cols = [] then invalid_arg "Appliance.begin_change: empty distribution key";
@@ -1069,14 +1024,14 @@ let begin_change (t : t) (change : change) : move =
              (Printf.sprintf "Appliance.begin_change: no column %s in %s" c table))
       cols;
     let key = String.lowercase_ascii table in
-    begin_move t ~node_count:t.nodes ~dist_of:(fun (x : Catalog.Shell_db.table) ->
+    begin_move ?fault t ~node_count:t.nodes ~dist_of:(fun (x : Catalog.Shell_db.table) ->
         if String.lowercase_ascii x.Catalog.Shell_db.schema.Catalog.Schema.name = key
         then Catalog.Distribution.Hash_partitioned cols
         else x.Catalog.Shell_db.dist)
 
 (* a change as one complete move: every copy step, then the flip *)
-let complete t change =
-  let m = begin_change t change in
+let complete ?fault t change =
+  let m = begin_change ?fault t change in
   (try while m.m_pending <> [] do copy_step m done
    with e -> abort_move m; raise e);
   flip_move m
@@ -1085,7 +1040,7 @@ let complete t change =
     (the inverse of {!decommission}) as one complete phased move: every
     hash-distributed table is re-partitioned onto the wider topology at
     {!Dms.Cost.repartition_seconds} rates, then the catalog flips. *)
-let recommission (t : t) ~(nodes : int) : t = complete t (Grow nodes)
+let recommission ?fault (t : t) ~(nodes : int) : t = complete ?fault t (Grow nodes)
 
 (** [redistribute t ~table ~cols] changes [table]'s distribution key to
     hash-partitioning on [cols] as one complete phased move. *)

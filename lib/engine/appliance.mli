@@ -55,15 +55,12 @@ type t = {
   nodes : int;
   hw : hw;
   storage : (string, Rset.t) Hashtbl.t array;
-  mutable engine : Rset.engine;
+  engine : Rset.engine;
   account : account;
   mutable pool : Par.t;
   mutable check : bool;
-  mutable fault : Fault.plan;
   mutable epoch : int;
   mutable step_no : int;
-  mutable cur_step : int;
-  mutable cur_attempt : int;
 }
 
 val create :
@@ -74,21 +71,17 @@ val create :
     per process, shared across appliances). *)
 val set_pool : t -> Par.t -> unit
 
-(** Select the local-executor implementation for serial steps. *)
-val set_engine : t -> Rset.engine -> unit
-
 val engine : t -> Rset.engine
 
 (** Enable/disable the {!Check} execution gate (on by default). *)
 val set_check : t -> bool -> unit
 
-(** Attach a fault-injection plan ({!Fault.none} disables injection). *)
-val set_fault : t -> Fault.plan -> unit
-
 val reset_account : t -> unit
 
 (** Start a new statement: step numbering restarts at 0 so explicit fault
-    schedules address steps of each statement independently. *)
+    schedules address steps of each statement independently. A move's
+    copy and flip steps are not a statement: they continue the source
+    appliance's count. *)
 val begin_statement : t -> unit
 
 (** Routing hash shared by initial loading and shuffles (and by both
@@ -101,9 +94,6 @@ val load_table : t -> string -> rows -> unit
 
 (** Load a table from a column-major payload (columnar storage). *)
 val load_table_cols : t -> string -> Catalog.Column.table -> unit
-
-(** One node's shard of a table, in the representation it was loaded in. *)
-val node_rset : t -> int -> string -> Rset.t
 
 (** One node's shard as rows (converting if stored columnar). *)
 val node_table : t -> int -> string -> rows
@@ -120,35 +110,33 @@ type dstream = {
   dist : Dms.Distprop.t;
 }
 
-(** The full logical contents of a stream as one payload. *)
-val stream_rset : dstream -> Rset.t
+(** Where a fault draw lands: the plan, the appliance's replan epoch, and
+    the injectable step and attempt being executed. {!with_recovery} hands
+    one to each attempt of its body. *)
+type draw = { plan : Fault.plan; epoch : int; step : int; attempt : int }
 
-val stream_rows : dstream -> rows
+(** Draw [d]'s plan at a node-less injection site; raises a step failure
+    when the draw fires. An injected fault is counted in the account and
+    in [obs]. *)
+val inject_point : ?obs:Obs.t -> t -> draw -> Fault.site -> unit
 
-(** Draw the fault plan at an injection site; raises a step failure when
-    the draw fires. An injected fault is counted in [obs]. *)
-val inject_point : ?obs:Obs.t -> t -> Fault.site -> unit
-
-(** Run [f] with step-level recovery: transient step failures re-execute
-    [f] (with simulated backoff accounting) up to the fault plan's retry
-    budget; node crashes escalate. [on_retry] runs before each retry.
+(** Run [f] as the appliance's next injectable step, with step-level
+    recovery: [f] receives the step's {!draw} under [fault] (default
+    {!Fault.none}); transient step failures re-execute [f] at the next
+    attempt (with simulated backoff accounting) up to {!Fault.retries}
+    times; node crashes escalate. [on_retry] runs before each retry.
     [token] (default {!Governor.none}) is polled before the step, in the
     caller domain; [obs] receives the [fault.*] counters. *)
 val with_recovery :
-  ?on_retry:(unit -> unit) -> ?obs:Obs.t -> ?token:Governor.token -> t ->
-  (unit -> 'a) -> 'a
+  ?on_retry:(unit -> unit) -> ?obs:Obs.t -> ?token:Governor.token ->
+  ?fault:Fault.plan -> t -> (draw -> 'a) -> 'a
 
 (** Execute one DMS data-movement operation on a stream, accounting reader,
     network, and writer time against the simulated clock (per-DMS-op
-    volumes go to [obs]). *)
-val run_move : ?obs:Obs.t -> t -> Dms.Op.kind -> cols:int list -> dstream -> dstream
-
-(** Execute one serial operator on every node holding data. [need] is the
-    set of columns the operator's consumers read ([None]: all); the
-    columnar engine's joins then gather only those. *)
-val run_serial :
-  ?obs:Obs.t -> ?need:Algebra.Registry.Col_set.t -> t -> Memo.Physop.t -> dstream list ->
-  dstream
+    volumes go to [obs]); with [draw], then draw the transfer and
+    temp-write injection sites there. *)
+val run_move :
+  ?obs:Obs.t -> ?draw:draw -> t -> Dms.Op.kind -> cols:int list -> dstream -> dstream
 
 (** Execute a PDW plan on the appliance as one self-contained statement.
     Returns the final client result (rows + layout); accounting
@@ -159,6 +147,9 @@ val run_serial :
     - [token] (default {!Governor.none}) is polled once per injectable
       step in the caller domain, so a simulated-clock deadline trips at
       the same step at any [--jobs];
+    - [fault] (default {!Fault.none}) is the plan every injectable step
+      draws from; steps number from 0, so a schedule addresses the
+      statement's own steps;
     - [observe] is called after each (recovered) Serial/Move operator with
       the operator and its observed global rows (summed over nodes for a
       hashed stream, one copy for a replicated one), in the caller domain
@@ -171,8 +162,8 @@ val run_serial :
     static analyzer's execution-soundness rules; an invalid plan raises
     {!Check.Invalid} instead of executing (no operator is observed). *)
 val run_pplan :
-  ?obs:Obs.t -> ?token:Governor.token -> ?observe:(Pdwopt.Pplan.t -> float -> unit) ->
-  t -> Pdwopt.Pplan.t -> Local.rset
+  ?obs:Obs.t -> ?token:Governor.token -> ?fault:Fault.plan ->
+  ?observe:(Pdwopt.Pplan.t -> float -> unit) -> t -> Pdwopt.Pplan.t -> Local.rset
 
 (** The reader+network+writer pipeline rates of an appliance's hardware,
     in the shape {!Dms.Cost.repartition_seconds} prices topology moves
@@ -200,6 +191,7 @@ val decommission : ?obs:Obs.t -> t -> node:int -> t
 type move = {
   m_source : t;
   m_target : t;
+  m_fault : Fault.plan;   (** what the copy and flip steps draw from *)
   mutable m_pending : string list;
       (** tables still to copy, in deterministic (sorted-name) order *)
   mutable m_bytes : float;    (** bytes re-partitioned so far *)
@@ -212,14 +204,16 @@ type move = {
     layout [dist_of] (given each current table, return its target
     distribution). The target shell is {!Catalog.Shell_db.derive}d from
     the source's. Unchanged-layout tables transfer for free immediately;
-    every other table becomes a pending priced copy step. The source
-    appliance is not mutated. *)
+    every other table becomes a pending priced copy step. The move's copy
+    and flip steps draw from [fault] (default {!Fault.none}) and continue
+    the source appliance's step count. The source appliance is not
+    mutated. *)
 val begin_move :
-  t -> node_count:int ->
+  ?fault:Fault.plan -> t -> node_count:int ->
   dist_of:(Catalog.Shell_db.table -> Catalog.Distribution.t) -> move
 
 (** Copy-build the next pending table into the shadow appliance as one
-    injectable step under the source's recovery budget: node crashes
+    injectable step of the source appliance, drawn from [m_fault]: node crashes
     escalate ({!Fault.Injected} — compose with {!decommission} and restart
     the move), transfer/temp-write failures drop the half-built partitions
     and retry, stragglers inflate the step's copy time, an exhausted
@@ -253,16 +247,19 @@ val change_to_string : change -> string
     on more nodes; a re-key changes one table's key at the same node
     count. The one place grow and re-key moves are built. Raises
     [Invalid_argument] for a grow that does not grow, an unknown table,
-    an empty key or a column the table lacks. *)
-val begin_change : t -> change -> move
+    an empty key or a column the table lacks. [fault] is the move's plan,
+    as in {!begin_move}. *)
+val begin_change : ?fault:Fault.plan -> t -> change -> move
 
 (** [recommission t ~nodes] grows the appliance to [nodes] compute nodes
-    (the inverse of {!decommission}) as one complete phased move. *)
-val recommission : t -> nodes:int -> t
+    (the inverse of {!decommission}) as one complete phased move whose
+    steps draw from [fault] (default {!Fault.none}); an exhausted budget
+    aborts the move and raises {!Fault.Exhausted}. *)
+val recommission : ?fault:Fault.plan -> t -> nodes:int -> t
 
 (** [redistribute t ~table ~cols] changes [table]'s distribution key to
     hash-partitioning on [cols] as one complete phased move (only that
-    table is re-partitioned). *)
+    table is re-partitioned). The move runs fault-free. *)
 val redistribute : t -> table:string -> cols:string list -> t
 
 (** Single-node oracle: run a serial plan over the full (unpartitioned)

@@ -158,9 +158,9 @@ let run_statement st sql ~on_control : stmt_result =
       (Array.init st.app.Appliance.nodes (fun node ->
            exec_tree st ~node ~control:false tree))
 
-(** Execute a full DSQL plan against the appliance; returns the client
-    result set. *)
-let run (app : Appliance.t) (plan : Dsql.Generate.plan) : Local.rset =
+(** Execute a full DSQL plan against the appliance, its steps drawing
+    faults from [fault]; returns the client result set. *)
+let run ?fault (app : Appliance.t) (plan : Dsql.Generate.plan) : Local.rset =
   let st = create app plan.Dsql.Generate.reg in
   let result = ref None in
   Appliance.begin_statement app;
@@ -173,9 +173,9 @@ let run (app : Appliance.t) (plan : Dsql.Generate.plan) : Local.rset =
             step's (possibly partial) temp table, then re-runs the source
             statement and the movement — DSQL's defined-before-use
             discipline guarantees no later step consumed it yet *)
-         Appliance.with_recovery app
+         Appliance.with_recovery ?fault app
            ~on_retry:(fun () -> Hashtbl.remove st.temps temp_key)
-         @@ fun () ->
+         @@ fun draw ->
          let single_source =
            match kind with
            | Dms.Op.Control_node_move | Dms.Op.Replicated_broadcast -> true
@@ -212,7 +212,7 @@ let run (app : Appliance.t) (plan : Dsql.Generate.plan) : Local.rset =
                control = nil;
                dist = Dms.Distprop.Hashed [] }
          in
-         let out = Appliance.run_move app kind ~cols:layout stream in
+         let out = Appliance.run_move ~draw app kind ~cols:layout stream in
          let placement =
            match out.Appliance.dist with
            | Dms.Distprop.Single_node -> On_control out.Appliance.control
@@ -228,7 +228,7 @@ let run (app : Appliance.t) (plan : Dsql.Generate.plan) : Local.rset =
          (* execute per node, gather, then apply the statement's global
             ORDER BY / TOP on the gathered rows; one recovery unit — the
             gather is pure, so a control-node transient just recomputes *)
-         Appliance.with_recovery app @@ fun () ->
+         Appliance.with_recovery ?fault app @@ fun d ->
          let r, tree = compile st sql in
          ignore r;
          let sort_spec =
@@ -257,7 +257,7 @@ let run (app : Appliance.t) (plan : Dsql.Generate.plan) : Local.rset =
                 | first :: _ -> Rset.concat ~layout:(Rset.layout first) parts
               end)
          in
-         Appliance.inject_point app Fault.Control_transient;
+         Appliance.inject_point app d Fault.Control_transient;
          let final =
            match sort_spec with
            | Some (keys, limit) -> Local.sort_rows ~keys ?limit gathered

@@ -35,5 +35,6 @@ val create : Appliance.t -> Registry.t -> state
 
 (** Execute a full DSQL plan: every step's SQL text is re-parsed,
     algebrized, run on the nodes holding its inputs, and moved by the DMS
-    runtime; returns the client result of the Return step. *)
-val run : Appliance.t -> Dsql.Generate.plan -> Local.rset
+    runtime; returns the client result of the Return step. Each step is
+    one injectable step drawing from [fault] (default {!Fault.none}). *)
+val run : ?fault:Fault.plan -> Appliance.t -> Dsql.Generate.plan -> Local.rset

@@ -33,47 +33,26 @@ type event = {
   e_factor : float;
 }
 
-let event ?node ?(attempt = 0) ?(epoch = 0) ?(factor = 4.0) site step =
+let straggle_factor = 4.0
+
+let event ?node ?(attempt = 0) ?(epoch = 0) ?(factor = straggle_factor) site step =
   { e_site = site; e_step = step; e_node = node; e_attempt = attempt;
     e_epoch = epoch; e_factor = factor }
 
-type policy = {
-  retries : int;
-  backoff_base : float;
-  backoff_mult : float;
-}
+let retries = 4
 
-let default_policy = { retries = 4; backoff_base = 0.05; backoff_mult = 2.0 }
+let backoff attempt = 0.05 *. (2.0 ** float_of_int (max 0 (attempt - 1)))
 
-let backoff p attempt =
-  p.backoff_base *. (p.backoff_mult ** float_of_int (max 0 (attempt - 1)))
-
-type mode =
+type plan =
   | Off
-  | Probabilistic of {
-      seed : int;
-      rates : (site * float) list;
-      straggle_factor : float;
-    }
+  | Probabilistic of { seed : int; rate : float }
   | Schedule of event list
 
-type plan = { mode : mode; policy : policy }
+let none = Off
 
-let none = { mode = Off; policy = default_policy }
+let seeded ?(rate = 0.05) ~seed () = Probabilistic { seed; rate }
 
-let seeded ?(policy = default_policy) ?(rate = 0.05) ?rates
-    ?(straggle_factor = 4.0) ~seed () =
-  let rates =
-    match rates with
-    | Some r -> r
-    | None ->
-      [ (Dms_transfer, rate); (Temp_write, rate); (Control_transient, rate);
-        (Straggler, rate); (Node_crash, rate /. 8.) ]
-  in
-  { mode = Probabilistic { seed; rates; straggle_factor }; policy }
-
-let schedule ?(policy = default_policy) events =
-  { mode = Schedule events; policy }
+let schedule events = Schedule events
 
 exception Schedule_error of string
 
@@ -136,7 +115,7 @@ let parse_schedule text =
       let epoch = Option.fold ~none:0 ~some:(int_of "epoch") (get "epoch") in
       let factor =
         match get "factor" with
-        | None -> 4.0
+        | None -> straggle_factor
         | Some v ->
           (match float_of_string_opt v with
            | Some f -> f
@@ -155,7 +134,7 @@ let parse_schedule text =
   |> List.mapi (fun i line -> parse_line (i + 1) line)
   |> List.filter_map Fun.id
 
-let load_schedule ?policy file =
+let load_schedule file =
   let ic =
     try open_in file
     with Sys_error msg -> raise (Schedule_error msg)
@@ -167,7 +146,7 @@ let load_schedule ?policy file =
     try parse_schedule text
     with Schedule_error msg -> raise (Schedule_error (Printf.sprintf "%s: %s" file msg))
   in
-  schedule ?policy events
+  schedule events
 
 (* -- deterministic draws --
 
@@ -197,23 +176,26 @@ let event_matches ~site ~epoch ~step ~node ~attempt e =
   && e.e_attempt = attempt
   && (match e.e_node with None -> true | Some n -> n = node)
 
+(* a node crash is rarer than a transient: it fires at an eighth of the
+   plan's rate *)
+let site_rate rate = function
+  | Node_crash -> rate /. 8.
+  | Dms_transfer | Straggler | Temp_write | Control_transient -> rate
+
 let fires plan ~site ~epoch ~step ~node ~attempt =
-  match plan.mode with
+  match plan with
   | Off -> false
-  | Probabilistic { seed; rates; _ } ->
-    (match List.assoc_opt site rates with
-     | Some rate when rate > 0. ->
-       draw ~seed ~site ~epoch ~step ~node ~attempt < rate
-     | _ -> false)
+  | Probabilistic { seed; rate } ->
+    let rate = site_rate rate site in
+    rate > 0. && draw ~seed ~site ~epoch ~step ~node ~attempt < rate
   | Schedule events ->
     List.exists (event_matches ~site ~epoch ~step ~node ~attempt) events
 
 let straggle plan ~epoch ~step ~node ~attempt =
-  match plan.mode with
+  match plan with
   | Off -> None
-  | Probabilistic { straggle_factor; _ } ->
-    if fires plan ~site:Straggler ~epoch ~step ~node ~attempt
-    then Some straggle_factor
+  | Probabilistic _ ->
+    if fires plan ~site:Straggler ~epoch ~step ~node ~attempt then Some straggle_factor
     else None
   | Schedule events ->
     List.find_opt (event_matches ~site:Straggler ~epoch ~step ~node ~attempt) events

@@ -6,10 +6,12 @@
     so a given plan produces the identical fault pattern at any [--jobs]
     setting and regardless of domain scheduling. The engine owns recovery
     (retries, backoff, node decommissioning); this module only answers
-    "does a fault fire here?" and carries the failure/exhaustion types.
+    "does a fault fire here?", fixes the retry budget and backoff, and
+    carries the failure/exhaustion types. A plan is a value the engine is
+    passed with each statement and each topology move.
 
     Two ways to drive it:
-    - {!seeded}: per-site probabilities drawn from a seeded hash
+    - {!seeded}: one fire probability per draw from a seeded hash
       (chaos-mode sweeps);
     - {!schedule}: an explicit list of {!event}s naming exactly which
       (site, step, node, attempt, epoch) fail (reproducing one scenario). *)
@@ -35,7 +37,10 @@ val site_of_name : string -> site option
     slowdown multiplier for {!Straggler} events (ignored elsewhere). *)
 type event = {
   e_site : site;
-  e_step : int;          (** 0-based injectable-step index within a statement *)
+  e_step : int;
+      (** injectable-step index: a statement numbers its steps from 0; a
+          topology move's copy and flip steps continue the count of the
+          last statement served on the source appliance *)
   e_node : int option;
   e_attempt : int;       (** which execution attempt of the step (0 = first) *)
   e_epoch : int;         (** replan epoch: 0 before any node loss *)
@@ -43,47 +48,34 @@ type event = {
 }
 
 (** [event ?node ?attempt ?epoch ?factor site step] — defaults: any node,
-    attempt 0, epoch 0, factor 4.0. *)
+    attempt 0, epoch 0, factor 4.0 (the slowdown a probabilistic
+    {!Straggler} fault applies). *)
 val event : ?node:int -> ?attempt:int -> ?epoch:int -> ?factor:float -> site -> int -> event
 
-(** Retry policy for recoverable faults. [retries] is the per-step budget
-    of re-executions after the first failure; retry [k] (1-based) charges
-    [backoff_base *. backoff_mult ^ (k - 1)] seconds of simulated backoff. *)
-type policy = {
-  retries : int;
-  backoff_base : float;
-  backoff_mult : float;
-}
+(** Re-executions of a step after its first failure before the statement
+    fails with {!Exhausted}. *)
+val retries : int
 
-val default_policy : policy
+(** Simulated seconds of backoff before retry [attempt] (1-based):
+    [0.05 *. 2 ^ (attempt - 1)]. *)
+val backoff : int -> float
 
-(** Simulated seconds of backoff before retry [attempt] (1-based). *)
-val backoff : policy -> int -> float
-
-type mode =
+type plan =
   | Off
-  | Probabilistic of {
-      seed : int;
-      rates : (site * float) list;  (** per-site fire probability in [0,1] *)
-      straggle_factor : float;      (** slowdown applied when Straggler fires *)
-    }
+  | Probabilistic of { seed : int; rate : float }
+      (** every site fires with probability [rate] per draw, except
+          {!Node_crash}, which fires at [rate /. 8.] (losing a node is
+          rarer than a transient); a {!Straggler} slows its node ×4.0 *)
   | Schedule of event list
-
-type plan = { mode : mode; policy : policy }
 
 (** No faults ever fire. *)
 val none : plan
 
-(** [seeded ~seed ?rate ?rates ()] — probabilistic plan. [rate] (default
-    0.05) applies to every site except {!Node_crash}, which fires at
-    [rate /. 8.] (losing a node is rarer than a transient). [rates]
-    overrides the per-site table entirely. *)
-val seeded :
-  ?policy:policy -> ?rate:float -> ?rates:(site * float) list ->
-  ?straggle_factor:float -> seed:int -> unit -> plan
+(** [seeded ~seed ?rate ()] — probabilistic plan, [rate] default 0.05. *)
+val seeded : ?rate:float -> seed:int -> unit -> plan
 
 (** An explicit schedule. *)
-val schedule : ?policy:policy -> event list -> plan
+val schedule : event list -> plan
 
 exception Schedule_error of string
 
@@ -98,7 +90,7 @@ val parse_schedule : string -> event list
 
 (** [load_schedule file] reads and parses a schedule file. Parse errors are
     re-raised with [file] prefixed to the message. *)
-val load_schedule : ?policy:policy -> string -> plan
+val load_schedule : string -> plan
 
 (** [fires plan ~site ~epoch ~step ~node ~attempt] — does a fault fire at
     this point? Pure: same arguments, same answer. Pass [node = -1] for

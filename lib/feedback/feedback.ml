@@ -334,16 +334,21 @@ module Store = struct
     | Quarantined -> "quarantined"
     | Ignored_degraded -> "ignored-degraded"
 
+  (** Observed sim above [regress_factor] times the LKG's best sim counts
+      as a regression. *)
+  let regress_factor = 1.2
+
+  (** Consecutive regressed runs of one plan before it is quarantined. *)
+  let streak_limit = 2
+
   type 'p t = {
-    regress_factor : float;   (** observed sim > factor * LKG sim counts as a regression *)
-    streak_limit : int;       (** consecutive regressed runs before quarantine *)
     entries : (string, 'p entry) Hashtbl.t;
     mutable regressions : int;  (** total regressed observations *)
     mutable fallbacks : int;    (** total LKG substitutions served by {!resolve} *)
   }
 
-  let create ?(regress_factor = 1.2) ?(streak_limit = 2) () =
-    { regress_factor; streak_limit; entries = Hashtbl.create 16; regressions = 0;
+  let create () =
+    { entries = Hashtbl.create 16; regressions = 0;
       fallbacks = 0 }
 
   let entry t statement =
@@ -417,7 +422,7 @@ module Store = struct
           e.e_streak <- None;
           Lkg_improved
         end
-        else if sim <= lkg_sim *. t.regress_factor then begin
+        else if sim <= lkg_sim *. regress_factor then begin
           e.e_streak <- None;
           Recorded
         end
@@ -428,7 +433,7 @@ module Store = struct
             | Some (fp, n) when fp = fingerprint -> n + 1
             | _ -> 1
           in
-          if streak >= t.streak_limit then begin
+          if streak >= streak_limit then begin
             e.e_streak <- None;
             if not (List.mem fingerprint e.e_quarantined) then
               e.e_quarantined <- fingerprint :: e.e_quarantined;

@@ -88,7 +88,6 @@ let add t name n = addf t name (float_of_int n)
 let set t name v = update t name (fun _ -> v)
 
 let roots = function Null -> [] | Ctx c -> c.root.children
-let global_metrics = function Null -> [] | Ctx c -> c.root.metrics
 
 let find t names =
   match t with

@@ -63,9 +63,6 @@ val set : t -> string -> float -> unit
 (** Top-level spans (children of the implicit root), in creation order. *)
 val roots : t -> span list
 
-(** Metrics recorded outside any span, in creation order. *)
-val global_metrics : t -> (string * float) list
-
 (** [find t path] looks a span up by its outermost-first name path. *)
 val find : t -> string list -> span option
 

@@ -274,12 +274,11 @@ module Elastic = struct
 
   type t = Opdw.Driver.t
 
-  (** A driver serving under [fault] with crash recovery up to
-      [max_replans] (default 8), and no circuit breaker. *)
-  let create ?cache ?max_replans ?options ?log ~(fault : Fault.plan)
+  (** A driver serving, and moving, under [fault] with crash recovery up
+      to {!Opdw.Driver.max_replans} times, and no circuit breaker. *)
+  let create ?cache ?options ?log ~(fault : Fault.plan)
       (shell : Catalog.Shell_db.t) (app : Engine.Appliance.t) : t =
-    Opdw.Driver.create ?cache ?max_replans ?options ?log ~fault ~breaker_threshold:0
-      shell app
+    Opdw.Driver.create ?cache ?options ?log ~fault ~breaker_threshold:0 shell app
 
   (** {!Opdw.Driver.run}, its refusals raised ({!Opdw.Driver.returned}):
       {!Fault.Exhausted} past the retry/replan budgets, {!Check.Invalid}
@@ -306,9 +305,8 @@ module Elastic = struct
       Obs.add obs "topology.aborted_moves" 1
     in
     let rec attempt replans =
-      Opdw.Driver.arm t;
       let src = app t in
-      let m = Engine.Appliance.begin_change src change in
+      let m = Engine.Appliance.begin_change ~fault:(Opdw.Driver.fault t) src change in
       let rec drive () =
         if m.Engine.Appliance.m_pending = [] then
           (* read the accrued cost before the flip consumes the move *)
@@ -329,7 +327,7 @@ module Elastic = struct
         (* a served statement crashed a node and replanned: the target was
            built against the dead topology — drop it and start over *)
         abort m;
-        if replans >= Opdw.Driver.max_replans t then
+        if replans >= Opdw.Driver.max_replans then
           raise
             (Fault.Exhausted
                { failure =

@@ -9,8 +9,8 @@
 
 let t name f = Alcotest.test_case name `Quick f
 
-(* a dedicated workload: chaos runs decommission nodes and swap fault
-   plans, which must never disturb the shared fixture appliance *)
+(* a dedicated workload: chaos runs decommission nodes and reset the
+   account, which must never disturb the shared fixture appliance *)
 let w = lazy (Opdw.Workload.tpch ~node_count:4 ~sf:0.001 ())
 
 let join_sql =
@@ -20,7 +20,6 @@ let join_sql =
 let fault_free ?options sql =
   let wl = Lazy.force w in
   let app = wl.Opdw.Workload.app in
-  Engine.Appliance.set_fault app Fault.none;
   Engine.Appliance.reset_account app;
   let r = Opdw.optimize ?options wl.Opdw.Workload.shell sql in
   let res = Opdw.run app r in
@@ -28,21 +27,16 @@ let fault_free ?options sql =
   (Engine.Local.canonical ~cols res,
    app.Engine.Appliance.account.Engine.Appliance.sim_time)
 
-(* one statement through the chaos driver; always restores the shared
-   appliance to a clean fault-free state afterwards *)
+(* one statement through the chaos driver, from a zeroed account *)
 let chaos ?cache fault sql =
   let wl = Lazy.force w in
   let app = wl.Opdw.Workload.app in
-  Fun.protect
-    ~finally:(fun () ->
-        Engine.Appliance.set_fault app Fault.none;
-        Engine.Appliance.reset_account app)
-  @@ fun () ->
   Engine.Appliance.reset_account app;
   let ctx = Topology.Elastic.create ?cache ~fault wl.Opdw.Workload.shell app in
   let r, res = Topology.Elastic.run ctx sql in
   let cols = List.map snd (Opdw.output_columns r) in
-  (* snapshot the account: the finally above resets the live record *)
+  (* snapshot the account: the next statement on [app] resets the live
+     record *)
   let a = (Topology.Elastic.app ctx).Engine.Appliance.account in
   let acct = { a with Engine.Appliance.injected = a.Engine.Appliance.injected } in
   (Engine.Local.canonical ~cols res, acct, Opdw.Driver.nodes ctx)
@@ -60,10 +54,10 @@ let test_site_names () =
   Alcotest.(check bool) "unknown site" true (Fault.site_of_name "nope" = None)
 
 let test_backoff () =
-  let p = { Fault.retries = 4; backoff_base = 0.05; backoff_mult = 2.0 } in
-  Alcotest.(check (float 1e-12)) "retry 1" 0.05 (Fault.backoff p 1);
-  Alcotest.(check (float 1e-12)) "retry 2" 0.1 (Fault.backoff p 2);
-  Alcotest.(check (float 1e-12)) "retry 3" 0.2 (Fault.backoff p 3)
+  Alcotest.(check int) "retry budget" 4 Fault.retries;
+  Alcotest.(check (float 1e-12)) "retry 1" 0.05 (Fault.backoff 1);
+  Alcotest.(check (float 1e-12)) "retry 2" 0.1 (Fault.backoff 2);
+  Alcotest.(check (float 1e-12)) "retry 3" 0.2 (Fault.backoff 3)
 
 let test_schedule_parse () =
   let evs =
@@ -199,7 +193,7 @@ let test_budget_exhaustion () =
     Alcotest.(check bool) "failure names the site" true
       (failure.Fault.site = Fault.Temp_write);
     Alcotest.(check int) "budget spent: retries + first attempt"
-      (Fault.default_policy.Fault.retries + 1) attempts
+      (Fault.retries + 1) attempts
 
 let test_node_crash_replans () =
   let base_rows, _ = fault_free join_sql in
@@ -218,7 +212,7 @@ let test_store_and_replan_compose () =
   let expected = List.map (fun id -> fst (fault_free (sql id))) stmts in
   let wl = Opdw.Workload.tpch ~node_count:4 ~sf:0.001 () in
   let d =
-    Opdw.Driver.create ~regress_factor:1.2 ~fault:(Fault.seeded ~seed:2 ~rate:0.1 ())
+    Opdw.Driver.create ~plan_store:true ~fault:(Fault.seeded ~seed:2 ~rate:0.1 ())
       wl.Opdw.Workload.shell wl.Opdw.Workload.app
   in
   List.iteri
@@ -269,18 +263,49 @@ let test_dsql_exec_recovers () =
   let app = wl.Opdw.Workload.app in
   let r = Opdw.optimize wl.Opdw.Workload.shell join_sql in
   let clean_run fault =
-    Fun.protect
-      ~finally:(fun () ->
-          Engine.Appliance.set_fault app Fault.none;
-          Engine.Appliance.reset_account app)
-    @@ fun () ->
-    Engine.Appliance.set_fault app fault;
     Engine.Appliance.reset_account app;
-    Engine.Local.canonical (Engine.Dsql_exec.run app r.Opdw.dsql)
+    Engine.Local.canonical (Engine.Dsql_exec.run ~fault app r.Opdw.dsql)
   in
   let base = clean_run Fault.none in
   let faulty = clean_run first_attempt_storm in
   Alcotest.(check (list string)) "dsql rows identical after recovery" base faulty
+
+(* -- the plan travels with the statement, never with the appliance -- *)
+
+(* serving under a schedule that fires leaves nothing on the appliance:
+   the next plain statement on it from a zeroed account meets no fault,
+   while the same plan passed to the DSQL interpreter or to a move still
+   fires *)
+let test_plan_not_left_on_appliance () =
+  let wl = Lazy.force w in
+  let app = wl.Opdw.Workload.app and shell = wl.Opdw.Workload.shell in
+  let el = Topology.Elastic.create ~fault:first_attempt_storm shell app in
+  Engine.Appliance.reset_account app;
+  ignore (Topology.Elastic.run el join_sql);
+  let a = app.Engine.Appliance.account in
+  Alcotest.(check bool) "the schedule fired under the driver" true
+    (a.Engine.Appliance.injected > 0);
+  Alcotest.(check int) "same appliance, no node lost" 4 (Opdw.Driver.nodes el);
+  Engine.Appliance.reset_account app;
+  let r = Opdw.optimize shell join_sql in
+  ignore (Opdw.run app r);
+  Alcotest.(check int) "plain run: no fault injected" 0 a.Engine.Appliance.injected;
+  Alcotest.(check int) "plain run: no step retried" 0 a.Engine.Appliance.retries;
+  Engine.Appliance.reset_account app;
+  ignore (Engine.Dsql_exec.run ~fault:first_attempt_storm app r.Opdw.dsql);
+  Alcotest.(check bool) "Dsql_exec.run ~fault: faults fire" true
+    (a.Engine.Appliance.injected > 0);
+  Alcotest.(check int) "Dsql_exec.run ~fault: every fault retried"
+    a.Engine.Appliance.injected a.Engine.Appliance.retries;
+  Engine.Appliance.reset_account app;
+  let grown = Engine.Appliance.recommission ~fault:first_attempt_storm app ~nodes:5 in
+  let g = grown.Engine.Appliance.account in
+  Alcotest.(check int) "recommission ~fault: grown" 5 grown.Engine.Appliance.nodes;
+  Alcotest.(check bool) "recommission ~fault: faults fire" true
+    (g.Engine.Appliance.injected > 0);
+  Alcotest.(check int) "recommission ~fault: every fault retried"
+    g.Engine.Appliance.injected g.Engine.Appliance.retries;
+  Engine.Appliance.reset_account app
 
 (* -- determinism: fixed seed reproduces the run at any jobs setting -- *)
 
@@ -375,4 +400,5 @@ let suite =
     t "fixed seed reproduces at jobs 1 and 4" test_seeded_determinism_across_jobs;
     QCheck_alcotest.to_alcotest prop_random_schedule_never_wrong;
     t "all bundled queries x 3 seeds" test_all_queries_under_seeds;
-    t "plan store and crash replans compose" test_store_and_replan_compose ]
+    t "plan store and crash replans compose" test_store_and_replan_compose;
+    t "a fault plan is never left on the appliance" test_plan_not_left_on_appliance ]

@@ -217,7 +217,7 @@ let test_update_col_stats_bumps_version () =
 
 (* a feedback driver (plan store attached), and one statement served
    from a zeroed account, so its observed cost is the whole account *)
-let feedback_driver shell app = D.create ~regress_factor:1.2 shell app
+let feedback_driver shell app = D.create ~plan_store:true shell app
 
 let serve ?observe d sql =
   D.reset d;
@@ -444,19 +444,19 @@ let test_driver_pins () =
           r_ops, r_fp))
       [ "Q3"; "Q10" ]
   in
-  let driver ?regress_factor entry =
+  let driver ?(plan_store = false) entry =
     let w = fresh_workload () in
-    let d = D.create ?regress_factor w.Opdw.Workload.shell w.Opdw.Workload.app in
+    let d = D.create ~plan_store w.Opdw.Workload.shell w.Opdw.Workload.app in
     pin entry
       (fun sql -> ((serve d sql).D.rows, D.app d))
-      (if regress_factor = None then None else Some (D.log d))
+      (if plan_store then Some (D.log d) else None)
   in
   let elastic () =
     let w = fresh_workload () in
     let el = Topology.Elastic.create ~fault:Fault.none w.Opdw.Workload.shell w.Opdw.Workload.app in
     pin "elastic" (fun sql -> (snd (Topology.Elastic.run el sql), D.app el)) (Some (D.log el))
   in
-  let got = driver "governed" @ driver ~regress_factor:1.2 "feedback" @ elastic () in
+  let got = driver "governed" @ driver ~plan_store:true "feedback" @ elastic () in
   List.iter2
     (fun (e, id, rows, acct, r_ops, r_fp) (_, _, rows', acct', r_ops', r_fp') ->
        let what k = Printf.sprintf "%s %s %s" e id k in

@@ -8,8 +8,8 @@
 
 let t name f = Alcotest.test_case name `Quick f
 
-(* a dedicated workload: governed runs poke fault plans, pools and the
-   simulated clock, which must never disturb other suites' fixtures *)
+(* a dedicated workload: governed runs poke pools and the simulated
+   clock, which must never disturb other suites' fixtures *)
 let w = lazy (Opdw.Workload.tpch ~node_count:4 ~sf:0.001 ())
 
 let join_sql =
@@ -19,7 +19,6 @@ let join_sql =
 let oracle sql =
   let wl = Lazy.force w in
   let app = wl.Opdw.Workload.app in
-  Engine.Appliance.set_fault app Fault.none;
   Engine.Appliance.reset_account app;
   let r = Opdw.optimize wl.Opdw.Workload.shell sql in
   let res = Opdw.run app r in
@@ -312,20 +311,15 @@ let test_sim_deadline_composes () =
        | oc ->
          Alcotest.fail
            (name ^ ": expected timeout, got " ^ Opdw.Driver.outcome_to_string oc))
-    [ ("plan store", Opdw.Driver.create ~options ~regress_factor:1.2 shell app);
-      ("fault plan + replan",
-       Opdw.Driver.create ~options ~fault:Fault.none ~max_replans:8 shell app) ]
+    [ ("plan store", Opdw.Driver.create ~options ~plan_store:true shell app);
+      ("fault plan + replan", Opdw.Driver.create ~options ~fault:Fault.none shell app) ]
 
 let test_governed_breaker_end_to_end () =
   let base = oracle join_sql in
   let wl = Lazy.force w in
   let app = wl.Opdw.Workload.app in
-  Fun.protect
-    ~finally:(fun () ->
-        Engine.Appliance.set_fault app Fault.none;
-        Engine.Appliance.reset_account app)
-  @@ fun () ->
-  (* the same fault at every attempt: execution can never succeed *)
+  (* the same fault at every attempt of replan epoch 0: execution on the
+     appliance as loaded can never succeed *)
   let persistent =
     Fault.schedule
       (List.concat_map
@@ -336,16 +330,15 @@ let test_governed_breaker_end_to_end () =
          (List.init 12 Fun.id))
   in
   let gov =
-    Opdw.Driver.create ~breaker_threshold:2 ~breaker_cooldown:0.5
+    Opdw.Driver.create ~breaker_threshold:2 ~breaker_cooldown:0.5 ~fault:persistent
       wl.Opdw.Workload.shell app
   in
   Opdw.Driver.reset gov;
-  Engine.Appliance.set_fault app persistent;
   let expect_exhausted () =
     match Opdw.Driver.run gov join_sql with
     | Opdw.Driver.Exhausted { attempts; _ } ->
       Alcotest.(check int) "budget spent: retries + first attempt"
-        (Fault.default_policy.Fault.retries + 1) attempts
+        (Fault.retries + 1) attempts
     | oc -> Alcotest.fail ("expected exhaustion, got " ^ Opdw.Driver.outcome_to_string oc)
   in
   expect_exhausted ();
@@ -355,10 +348,13 @@ let test_governed_breaker_end_to_end () =
    | Opdw.Driver.Shed { retry_after } ->
      Alcotest.(check bool) "cooldown reported" true (retry_after > 0.)
    | oc -> Alcotest.fail ("expected shed, got " ^ Opdw.Driver.outcome_to_string oc));
-  (* charge the cooldown to the simulated clock, clear the fault: the
-     half-open probe runs, succeeds, and closes the breaker *)
-  Engine.Appliance.set_fault app Fault.none;
-  let acct = app.Engine.Appliance.account in
+  (* serve from a moved appliance (a committed re-key is replan epoch 1,
+     where the schedule never fires) and charge the cooldown to its
+     simulated clock: the half-open probe runs, succeeds, and closes the
+     breaker *)
+  let moved = Engine.Appliance.redistribute app ~table:"orders" ~cols:[ "o_custkey" ] in
+  Opdw.Driver.install gov moved;
+  let acct = moved.Engine.Appliance.account in
   acct.Engine.Appliance.sim_time <- acct.Engine.Appliance.sim_time +. 1.0;
   (match Opdw.Driver.run gov join_sql with
    | Opdw.Driver.Returned { res = r; rows = res; _ } ->
@@ -368,7 +364,8 @@ let test_governed_breaker_end_to_end () =
   Alcotest.(check int) "one trip" 1 bs.Governor.Breaker.trips;
   Alcotest.(check int) "one shed" 1 bs.Governor.Breaker.shed;
   Alcotest.(check int) "one probe" 1 bs.Governor.Breaker.probes;
-  Alcotest.(check int) "probe closed the breaker" 1 bs.Governor.Breaker.closes
+  Alcotest.(check int) "probe closed the breaker" 1 bs.Governor.Breaker.closes;
+  Engine.Appliance.reset_account app
 
 let test_governed_reset_uniform () =
   (* the one shared reset path: account plus gate/breaker counters zero
@@ -538,7 +535,6 @@ let prop_governed_never_wrong =
    plan *)
 let test_driver_storm_tally () =
   let wl = Lazy.force w in
-  Engine.Appliance.set_fault wl.Opdw.Workload.app Fault.none;
   let q20 = (Option.get (Tpch.Queries.find "Q20")).Tpch.Queries.sql in
   let stmts = List.init 12 (fun _ -> ("Q20", q20)) in
   let oracle = Opdw.Workload.oracle wl stmts in

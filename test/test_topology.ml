@@ -207,13 +207,11 @@ let test_exhausted_move_aborts_clean () =
               (List.init 10 Fun.id))
          (List.init 24 Fun.id))
   in
-  Engine.Appliance.set_fault app persistent;
-  (match Engine.Appliance.recommission app ~nodes:4 with
+  (match Engine.Appliance.recommission ~fault:persistent app ~nodes:4 with
    | _ -> Alcotest.fail "persistent copy fault should exhaust the budget"
    | exception Fault.Exhausted { failure; _ } ->
      Alcotest.(check bool) "failure names the site" true
        (failure.Fault.site = Fault.Temp_write));
-  Engine.Appliance.set_fault app Fault.none;
   Alcotest.(check int) "stats_version untouched" sv0
     (Catalog.Shell_db.stats_version shell);
   Alcotest.(check bool) "storage untouched" true (snap0 = storage_snapshot app);
