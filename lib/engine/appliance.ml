@@ -855,6 +855,7 @@ type move = {
   m_source : t;
   m_target : t;
   m_fault : Fault.plan;   (** what the copy and flip steps draw from *)
+  m_obs : Obs.t;          (** where the copy and flip steps report faults *)
   mutable m_pending : string list;
       (** tables still to copy, in deterministic (sorted-name) order *)
   mutable m_bytes : float;    (** bytes re-partitioned so far *)
@@ -871,9 +872,9 @@ type move = {
     for free immediately (replicated copies are mirrored and identically
     keyed hash shards at an equal node count are shared by reference —
     payloads are immutable); every other table becomes a pending priced
-    copy step whose faults [fault] (default {!Fault.none}) draws. [t]
-    itself is not mutated. *)
-let begin_move ?(fault = Fault.none) (t : t) ~(node_count : int)
+    copy step whose faults [fault] (default {!Fault.none}) draws and whose
+    [fault.*] counters go to [obs]. [t] itself is not mutated. *)
+let begin_move ?(obs = Obs.null) ?(fault = Fault.none) (t : t) ~(node_count : int)
     ~(dist_of : Catalog.Shell_db.table -> Catalog.Distribution.t) : move =
   if node_count < 1 then
     invalid_arg "Appliance.begin_move: need at least one compute node";
@@ -904,7 +905,7 @@ let begin_move ?(fault = Fault.none) (t : t) ~(node_count : int)
          | _ -> Some name)
       tables
   in
-  { m_source = t; m_target = t'; m_fault = fault; m_pending = pending;
+  { m_source = t; m_target = t'; m_fault = fault; m_obs = obs; m_pending = pending;
     m_bytes = 0.; m_rows = 0.; m_seconds = 0. }
 
 (** Copy-build the next pending table into the move's shadow appliance as
@@ -926,9 +927,10 @@ let copy_step (m : move) : unit =
     let drop_half_built () =
       Array.iter (fun store -> Hashtbl.remove store key) tt.storage
     in
-    with_recovery ~fault:m.m_fault ts ~on_retry:drop_half_built (fun d ->
+    let obs = m.m_obs in
+    with_recovery ~obs ~fault:m.m_fault ts ~on_retry:drop_half_built (fun d ->
         (* node-crash decisions first, as in [run_serial] *)
-        crash_point ~obs:Obs.null ts d;
+        crash_point ~obs ts d;
         let tbl = Catalog.Shell_db.find_exn ts.shell name in
         let payload =
           match tbl.Catalog.Shell_db.dist with
@@ -950,7 +952,7 @@ let copy_step (m : move) : unit =
         match payload with
         | None -> ()  (* table was never loaded; nothing to copy *)
         | Some all ->
-          inject_point ts d Fault.Dms_transfer;
+          inject_point ~obs ts d Fault.Dms_transfer;
           let b, r = Rset.vol all in
           let seconds =
             Dms.Cost.repartition_seconds (move_rates ts.hw) ~bytes:b ~rows:r
@@ -960,11 +962,11 @@ let copy_step (m : move) : unit =
           let factor = ref 1. in
           for node = 0 to ts.nodes - 1 do
             Option.iter (fun f -> if f > !factor then factor := f)
-              (straggle ~obs:Obs.null ts d node)
+              (straggle ~obs ts d node)
           done;
           let seconds = seconds *. !factor in
           load_rset tt name all;
-          inject_point ts d Fault.Temp_write;
+          inject_point ~obs ts d Fault.Temp_write;
           (* only a fully successful attempt accrues volume and cost *)
           m.m_bytes <- m.m_bytes +. b;
           m.m_rows <- m.m_rows +. r;
@@ -983,7 +985,8 @@ let flip_move (m : move) : t =
     invalid_arg "Appliance.flip_move: pending table copies remain";
   let ts = m.m_source and tt = m.m_target in
   (* the flip itself runs on the control node and is injectable *)
-  with_recovery ~fault:m.m_fault ts (fun d -> inject_point ts d Fault.Control_transient);
+  with_recovery ~obs:m.m_obs ~fault:m.m_fault ts (fun d ->
+      inject_point ~obs:m.m_obs ts d Fault.Control_transient);
   assign_account ~dst:tt.account ts.account;
   tt.account.sim_time <- tt.account.sim_time +. m.m_seconds;
   tt.account.dms_time <- tt.account.dms_time +. m.m_seconds;
@@ -1009,11 +1012,11 @@ let change_to_string = function
 
 (* the one place grow and re-key moves are built: validate, then open
    the phased move (a re-key keeps every other table's layout) *)
-let begin_change ?fault (t : t) (change : change) : move =
+let begin_change ?obs ?fault (t : t) (change : change) : move =
   match change with
   | Grow nodes ->
     if nodes <= t.nodes then invalid_arg "Appliance.begin_change: node count must grow";
-    begin_move ?fault t ~node_count:nodes ~dist_of:(fun tbl -> tbl.Catalog.Shell_db.dist)
+    begin_move ?obs ?fault t ~node_count:nodes ~dist_of:(fun tbl -> tbl.Catalog.Shell_db.dist)
   | Rekey { table; cols } ->
     let tbl = Catalog.Shell_db.find_exn t.shell table in
     if cols = [] then invalid_arg "Appliance.begin_change: empty distribution key";
@@ -1024,7 +1027,7 @@ let begin_change ?fault (t : t) (change : change) : move =
              (Printf.sprintf "Appliance.begin_change: no column %s in %s" c table))
       cols;
     let key = String.lowercase_ascii table in
-    begin_move ?fault t ~node_count:t.nodes ~dist_of:(fun (x : Catalog.Shell_db.table) ->
+    begin_move ?obs ?fault t ~node_count:t.nodes ~dist_of:(fun (x : Catalog.Shell_db.table) ->
         if String.lowercase_ascii x.Catalog.Shell_db.schema.Catalog.Schema.name = key
         then Catalog.Distribution.Hash_partitioned cols
         else x.Catalog.Shell_db.dist)

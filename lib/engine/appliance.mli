@@ -192,6 +192,7 @@ type move = {
   m_source : t;
   m_target : t;
   m_fault : Fault.plan;   (** what the copy and flip steps draw from *)
+  m_obs : Obs.t;          (** where the copy and flip steps report faults *)
   mutable m_pending : string list;
       (** tables still to copy, in deterministic (sorted-name) order *)
   mutable m_bytes : float;    (** bytes re-partitioned so far *)
@@ -205,11 +206,11 @@ type move = {
     distribution). The target shell is {!Catalog.Shell_db.derive}d from
     the source's. Unchanged-layout tables transfer for free immediately;
     every other table becomes a pending priced copy step. The move's copy
-    and flip steps draw from [fault] (default {!Fault.none}) and continue
-    the source appliance's step count. The source appliance is not
-    mutated. *)
+    and flip steps draw from [fault] (default {!Fault.none}), report their
+    [fault.*] counters to [obs] (default {!Obs.null}) and continue the
+    source appliance's step count. The source appliance is not mutated. *)
 val begin_move :
-  ?fault:Fault.plan -> t -> node_count:int ->
+  ?obs:Obs.t -> ?fault:Fault.plan -> t -> node_count:int ->
   dist_of:(Catalog.Shell_db.table -> Catalog.Distribution.t) -> move
 
 (** Copy-build the next pending table into the shadow appliance as one
@@ -247,9 +248,9 @@ val change_to_string : change -> string
     on more nodes; a re-key changes one table's key at the same node
     count. The one place grow and re-key moves are built. Raises
     [Invalid_argument] for a grow that does not grow, an unknown table,
-    an empty key or a column the table lacks. [fault] is the move's plan,
-    as in {!begin_move}. *)
-val begin_change : ?fault:Fault.plan -> t -> change -> move
+    an empty key or a column the table lacks. [obs] and [fault] are the
+    move's context and plan, as in {!begin_move}. *)
+val begin_change : ?obs:Obs.t -> ?fault:Fault.plan -> t -> change -> move
 
 (** [recommission t ~nodes] grows the appliance to [nodes] compute nodes
     (the inverse of {!decommission}) as one complete phased move whose

@@ -139,7 +139,9 @@ let intern t op =
     Hashtbl.add t.ops op oid;
     oid
 
-(* [children] must already be canonical. *)
+(** Add an expression to group [gid]: [oid] must be [intern t op] and
+    [children] canonical. No merging or property derivation: the XML
+    import restores expressions through it as the file gives them. *)
 let add_expr t gid op oid children =
   let g = t.groups.(gid) in
   g.exprs <- { op; oid; children } :: g.exprs;
@@ -198,12 +200,6 @@ let insert ?target t op (children : int array) : int =
     let tgt = find t tgt in
     add_expr t tgt op oid children;
     tgt
-
-(** Restore an expression read from an interchange file into group [gid]
-    (created by {!add_group}), interning its operator like {!insert} does,
-    so the rebuilt MEMO carries the same dedup keys as the one exported.
-    No merging or property derivation: the file is taken as is. *)
-let restore_expr t gid op children = add_expr t gid op (intern t op) children
 
 (** Insert a whole logical operator tree; returns its group. *)
 let rec insert_tree t (tree : Relop.t) : int =

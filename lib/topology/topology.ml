@@ -306,7 +306,7 @@ module Elastic = struct
     in
     let rec attempt replans =
       let src = app t in
-      let m = Engine.Appliance.begin_change ~fault:(Opdw.Driver.fault t) src change in
+      let m = Engine.Appliance.begin_change ~obs ~fault:(Opdw.Driver.fault t) src change in
       let rec drive () =
         if m.Engine.Appliance.m_pending = [] then
           (* read the accrued cost before the flip consumes the move *)

@@ -158,10 +158,18 @@ let test_xml_import_dedup () =
          (groups, keys) (Memo.ngroups m2, Hashtbl.length m2.Memo.dedup))
     Tpch.Queries.all
 
+(* the expression of every scalar table entry, rendered on its own *)
 let scalar_entries xml =
-  List.map
-    (fun s -> Memo.Xml.to_string (List.hd s.Memo.Xml.children))
-    (Memo.Xml.child (Memo.Xml.parse xml) "scalars").Memo.Xml.children
+  let r = Memo.Xml.reader xml and entries = ref [] in
+  Memo.Xml.expect r "memo";
+  Memo.Xml.children r (fun () ->
+      if Memo.Xml.is r "scalars" then
+        Memo.Xml.children r (fun () ->
+            Memo.Xml.children r (fun () ->
+                let b = Buffer.create 256 in
+                Memo.Memo_xml.write_expr b 0 (Memo.Memo_xml.read_expr r);
+                entries := Buffer.contents b :: !entries)));
+  List.rev !entries
 
 let test_xml_scalars_distinct () =
   let m = serial_memo (Fixtures.shell ()) (query "Q9") in
@@ -232,6 +240,38 @@ let test_xml_float_signs () =
   Alcotest.(check bool) "re-export is byte-identical" true
     (String.equal xml (Memo.Memo_xml.export_string m2))
 
+(* markup characters and a newline inside a string literal and a LIKE
+   pattern survive the round trip, and re-export reproduces the bytes *)
+let test_xml_markup_in_strings () =
+  let sh = Fixtures.shell () in
+  let r = Algebra.Algebrizer.of_sql sh "SELECT c_name FROM customer" in
+  let name = List.hd (Relop.output_cols r.Algebrizer.tree) in
+  let lit = "x<&\"'>\ny" and pat = "a<&\"'>\n%b_" in
+  let tree =
+    Relop.select (Expr.Like (Expr.Col name, pat, false))
+      (Relop.select
+         (Expr.Bin (Expr.Eq, Expr.Col name, Expr.Lit (Catalog.Value.String lit)))
+         r.Algebrizer.tree)
+  in
+  let m = Memo.of_tree r.Algebrizer.reg sh tree in
+  let xml = Memo.Memo_xml.export_string m in
+  let m2 = Memo.Memo_xml.import_string sh xml in
+  let found = ref [] in
+  Memo.iter_groups m2 (fun g ->
+      List.iter
+        (fun e ->
+           match e.Memo.op with
+           | Memo.Logical (Relop.Select (Expr.Like (_, p, _))) -> found := ("like", p) :: !found
+           | Memo.Logical
+               (Relop.Select (Expr.Bin (_, _, Expr.Lit (Catalog.Value.String s)))) ->
+             found := ("literal", s) :: !found
+           | _ -> ())
+        g.Memo.exprs);
+  Alcotest.(check (list (pair string string))) "literal and pattern survive"
+    [ ("like", pat); ("literal", lit) ] (List.sort compare !found);
+  Alcotest.(check bool) "re-export is byte-identical" true
+    (String.equal xml (Memo.Memo_xml.export_string m2))
+
 let test_xml_size_guard () =
   let bytes = String.length (xml_8_nodes "Q9") in
   if bytes >= 256 * 1024 then Alcotest.failf "Q9 MEMO XML is %d bytes (limit 256 KiB)" bytes
@@ -269,35 +309,65 @@ let test_xml_malformed () =
       ("non-integer children", "children=\"\"", "children=\"a,b\"");
       ("negative scalar reference", "pred=\"0\"", "pred=\"-1\"");
       ("out-of-range scalar reference", "pred=\"0\"", "pred=\"99999\"");
-      ("non-dense scalar ids", "<s id=\"0\"", "<s id=\"7\"") ]
+      ("non-dense scalar ids", "<s id=\"0\"", "<s id=\"7\"");
+      ("unknown entity", "name=\"c_custkey\"", "name=\"c_custkey&foo;\"") ]
 
+(* Q3's document and Q9's (the largest), truncated, or with bytes
+   overwritten, inserted or deleted *)
 let prop_xml_mutations =
-  let xml = lazy (xml_8_nodes "Q3") in
+  let docs = lazy [| xml_8_nodes "Q3"; xml_8_nodes "Q9" |] in
   let gen =
     let open QCheck.Gen in
     let byte = oneof [ oneofl [ '&'; '<'; '>'; '"'; '/'; ','; '-'; '.'; '0'; '9'; ' ' ]; char ] in
-    let edit = pair nat byte in
-    oneof
-      [ map (fun cut -> `Cut cut) nat;
-        map (fun edits -> `Mutate edits) (list_size (int_range 1 4) edit) ]
+    let edit =
+      oneof
+        [ map2 (fun i c -> `Set (i, c)) nat byte;
+          map2 (fun i c -> `Insert (i, c)) nat byte;
+          map2 (fun i n -> `Delete (i, n)) nat (int_range 1 8) ]
+    in
+    pair bool
+      (oneof
+         [ map (fun cut -> `Cut cut) nat;
+           map (fun edits -> `Mutate edits) (list_size (int_range 1 4) edit) ])
   in
-  let print = function
+  let print (q9, change) =
+    (if q9 then "Q9: " else "Q3: ")
+    ^
+    match change with
     | `Cut i -> Printf.sprintf "truncate at %d" i
     | `Mutate edits ->
-      String.concat "; " (List.map (fun (i, c) -> Printf.sprintf "byte %d := %C" i c) edits)
+      String.concat "; "
+        (List.map
+           (function
+             | `Set (i, c) -> Printf.sprintf "byte %d := %C" i c
+             | `Insert (i, c) -> Printf.sprintf "insert %C at %d" c i
+             | `Delete (i, n) -> Printf.sprintf "delete %d bytes at %d" n i)
+           edits)
   in
   QCheck.Test.make ~name:"truncated or mutated MEMO XML imports or raises Xml_error"
     ~count:300 (QCheck.make ~print gen)
-    (fun change ->
-       let xml = Lazy.force xml in
-       let n = String.length xml in
+    (fun (q9, change) ->
+       let xml = (Lazy.force docs).(if q9 then 1 else 0) in
        imports_or_xml_error
          (match change with
-          | `Cut i -> String.sub xml 0 (i mod n)
+          | `Cut i -> String.sub xml 0 (i mod String.length xml)
           | `Mutate edits ->
-            let b = Bytes.of_string xml in
-            List.iter (fun (i, c) -> Bytes.set b (i mod n) c) edits;
-            Bytes.to_string b))
+            List.fold_left
+              (fun doc edit ->
+                 let n = String.length doc in
+                 match edit with
+                 | `Set (i, c) ->
+                   let b = Bytes.of_string doc in
+                   Bytes.set b (i mod n) c;
+                   Bytes.to_string b
+                 | `Insert (i, c) ->
+                   let i = i mod (n + 1) in
+                   String.sub doc 0 i ^ String.make 1 c ^ String.sub doc i (n - i)
+                 | `Delete (i, len) ->
+                   let i = i mod n in
+                   let len = min len (n - i) in
+                   String.sub doc 0 i ^ String.sub doc (i + len) (n - i - len))
+              xml edits))
 
 (* random expression encode/decode *)
 let arb_expr =
@@ -334,29 +404,62 @@ let arb_expr =
 let prop_expr_xml_roundtrip =
   QCheck.Test.make ~name:"expression XML round trip" ~count:500 arb_expr
     (fun e ->
-       let xml = Memo.Memo_xml.expr_to_xml e in
-       let e' = Memo.Memo_xml.expr_of_xml (Memo.Xml.parse (Memo.Xml.to_string xml)) in
+       let b = Buffer.create 256 in
+       Memo.Memo_xml.write_expr b 0 e;
+       let r = Memo.Xml.reader (Buffer.contents b) in
+       Memo.Xml.element r;
+       let e' = Memo.Memo_xml.read_expr r in
        Expr.equal e e')
+
+(* the column writer's integer shortcut prints exactly what "%g" does,
+   and the reader's digit shortcut reads exactly what float_of_string does *)
+let prop_xml_g_floats =
+  let gen =
+    let open QCheck.Gen in
+    oneof
+      [ map float_of_int (int_range (-1_100_000) 1_100_000);
+        oneofl [ 0.; -0.; 999999.; 1e6; -1e6; 999999.5; 1e15; 1e16; Float.nan; infinity ];
+        float ]
+  in
+  QCheck.Test.make ~name:"memo XML %g floats match Printf and float_of_string" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun x ->
+       let b = Buffer.create 16 in
+       Memo.Memo_xml.add_g b x;
+       let written = Buffer.contents b in
+       let r = Memo.Xml.reader (Printf.sprintf "<a v=\"%s\"/>" written) in
+       Memo.Xml.element r;
+       let read = Memo.Xml.attr_float r "v" in
+       String.equal written (Printf.sprintf "%g" x)
+       && Int64.equal (Int64.bits_of_float read)
+            (Int64.bits_of_float (float_of_string written)))
 
 (* XML parser unit checks *)
 let test_xml_escape () =
-  let n =
-    Memo.Xml.node ~attrs:[ ("v", "a<b&\"c'd>") ] "x"
-  in
-  let s = Memo.Xml.to_string n in
-  let n' = Memo.Xml.parse s in
-  Alcotest.(check string) "escaped attr" "a<b&\"c'd>" (Memo.Xml.attr n' "v")
+  let b = Buffer.create 64 in
+  Memo.Xml.start_tag b 0 "x";
+  Memo.Xml.add_attr b "v" "a<b&\"c'd>";
+  Memo.Xml.end_empty b;
+  let s = Buffer.contents b in
+  Alcotest.(check string) "escaped bytes" "<x v=\"a&lt;b&amp;&quot;c&apos;d&gt;\"/>\n" s;
+  let r = Memo.Xml.reader s in
+  Memo.Xml.expect r "x";
+  Alcotest.(check string) "escaped attr" "a<b&\"c'd>" (Memo.Xml.attr_string r "v")
 
 let test_xml_errors () =
+  (* read a whole element, children included *)
   let fails s =
-    match Memo.Xml.parse s with
+    let r = Memo.Xml.reader s in
+    match Memo.Xml.element r; Memo.Xml.children r ignore with
     | exception Memo.Xml.Xml_error _ -> ()
-    | _ -> Alcotest.fail ("should not parse: " ^ s)
+    | () -> Alcotest.fail ("should not parse: " ^ s)
   in
   fails "<a><b></a>";
   fails "<a";
   fails "<a attr></a>";
-  fails "<a><b/>"
+  fails "<a><b/>";
+  fails "<a v=\"&foo;\"/>";
+  fails "<a v=\"&amp\"/>"
 
 let suite =
   [ t "insert dedup" test_insert_dedup;
@@ -377,4 +480,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_expr_xml_roundtrip;
     t "XML attribute escaping" test_xml_escape;
     t "XML parse errors" test_xml_errors;
-    t "memo XML import re-inserts into its own groups (all queries)" test_xml_import_dedup ]
+    t "memo XML import re-inserts into its own groups (all queries)" test_xml_import_dedup;
+    t "memo XML keeps markup and newlines in strings" test_xml_markup_in_strings;
+    QCheck_alcotest.to_alcotest prop_xml_g_floats ]

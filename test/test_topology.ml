@@ -643,6 +643,32 @@ let test_rekey_rejects_unknown_column () =
   Alcotest.(check (list string)) "rows unchanged" base
     (Engine.Local.canonical (snd (Topology.Elastic.run el join_sql)))
 
+(* a move's copy and flip steps report their faults to the move's [Obs]
+   context, exactly as the appliance account counts them *)
+let test_grow_reports_move_faults () =
+  let wl = Opdw.Workload.tpch ~node_count:4 ~sf:0.002 () in
+  let obs = Obs.create () in
+  let el =
+    Topology.Elastic.create ~fault:(Fault.seeded ~seed:3 ~rate:0.3 ())
+      wl.Opdw.Workload.shell wl.Opdw.Workload.app
+  in
+  let account () = (Opdw.Driver.app el).Engine.Appliance.account in
+  let a0 = account () in
+  let injected, retries, backoff =
+    (a0.Engine.Appliance.injected, a0.Engine.Appliance.retries,
+     a0.Engine.Appliance.backoff_time)
+  in
+  Topology.Elastic.grow ~obs el ~nodes:8;
+  Alcotest.(check int) "grown to 8 nodes" 8 (Opdw.Driver.nodes el);
+  let a = account () in
+  Alcotest.(check bool) "the move drew faults" true (a.Engine.Appliance.injected > injected);
+  Alcotest.(check int) "fault.injected" (a.Engine.Appliance.injected - injected)
+    (int_of_float (Obs.counter obs "fault.injected"));
+  Alcotest.(check int) "fault.retries" (a.Engine.Appliance.retries - retries)
+    (int_of_float (Obs.counter obs "fault.retries"));
+  Alcotest.(check (float 1e-9)) "fault.backoff_seconds"
+    (a.Engine.Appliance.backoff_time -. backoff) (Obs.counter obs "fault.backoff_seconds")
+
 let suite =
   [ t "zipf storm is pure and skewed" test_zipf;
     t "repartition pricing helper algebra" test_pricing_helper;
@@ -668,4 +694,5 @@ let suite =
     t "elastic storm tallies refusals and finishes" test_elastic_storm_tallies_refusals;
     t "elastic storm survives a move that exhausts its budget"
       test_elastic_storm_survives_exhausted_move;
-    t "re-key rejects a column the table lacks" test_rekey_rejects_unknown_column ]
+    t "re-key rejects a column the table lacks" test_rekey_rejects_unknown_column;
+    t "a grow reports its move faults to obs" test_grow_reports_move_faults ]
