@@ -176,12 +176,11 @@ let parallelize ?(opts = Pdwopt.Enumerate.default_opts) (reg : Registry.t)
     | Physop.Sort_op { keys; limit } -> (keys, limit)
     | _ -> ([], None)
   in
-  (* Return streams to the client and does not discriminate plans. *)
-  let return_cost = 0. in
+  (* Return streams to the client with no DMS step: it adds no cost *)
   { Pdwopt.Pplan.op = Pdwopt.Pplan.Return { sort; limit };
     children = [ body ];
     dist = Dms.Distprop.Single_node;
     rows = body.Pdwopt.Pplan.rows;
     group = -1;
-    dms_cost = body.Pdwopt.Pplan.dms_cost +. return_cost;
+    dms_cost = body.Pdwopt.Pplan.dms_cost;
     serial_cost = body.Pdwopt.Pplan.serial_cost }

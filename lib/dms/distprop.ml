@@ -13,7 +13,7 @@ type t =
 
 let equal a b =
   match a, b with
-  | Hashed x, Hashed y -> x = y
+  | Hashed x, Hashed y -> List.equal Int.equal x y
   | Replicated, Replicated | Single_node, Single_node -> true
   | _ -> false
 

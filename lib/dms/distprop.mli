@@ -13,7 +13,7 @@ val equal : t -> t -> bool
 (** Human-readable form using registry labels. *)
 val to_string : Algebra.Registry.t -> t -> string
 
-(** Compact form used as a pruning key, e.g. ["H(3,7)"], ["R"], ["S"]. *)
+(** Compact form, e.g. ["H(3,7)"], ["R"], ["S"]. *)
 val short_string : t -> string
 
 (** [hash_compatible ~equi lcols rcols] holds when two hash-partitioned

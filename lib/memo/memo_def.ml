@@ -32,20 +32,42 @@ type group = {
   mutable merged_into : int option; (** set when this group was merged away *)
 }
 
+(* The duplicate-detection key: an interned operator id and its canonical
+   child groups, hashed and compared as integers. *)
+module Dedup = Hashtbl.Make (struct
+    type t = int * int array
+
+    let equal ((a, xs) : t) ((b, ys) : t) =
+      a = b
+      && Array.length xs = Array.length ys
+      &&
+      let rec same i = i < 0 || (xs.(i) = ys.(i) && same (i - 1)) in
+      same (Array.length xs - 1)
+
+    let hash ((oid, cs) : t) =
+      let h = ref oid in
+      for i = 0 to Array.length cs - 1 do
+        h := (!h * 65599) + cs.(i)
+      done;
+      (!h lxor (!h lsr 17)) land max_int
+  end)
+
 type t = {
   reg : Registry.t;
   shell : Catalog.Shell_db.t;
   mutable groups : group array;     (** index = gid; grows *)
   mutable ngroups : int;
   ops : (op, int) Hashtbl.t;         (** op -> oid, by structural equality *)
-  dedup : (int * int list, int) Hashtbl.t;
+  dedup : int Dedup.t;
       (** (oid, canonical child ids) -> owning group *)
   mutable root : int;
 }
 
-let create reg shell =
+(** [exprs] sizes the duplicate-detection table for that many
+    expressions (an import knows roughly how many it will add). *)
+let create ?(exprs = 256) reg shell =
   { reg; shell; groups = Array.make 64 { gid = -1; exprs = []; props = { cols = Registry.Col_set.empty; card = 0.; width = 0. }; explored = false; merged_into = None };
-    ngroups = 0; ops = Hashtbl.create 256; dedup = Hashtbl.create 256; root = -1 }
+    ngroups = 0; ops = Hashtbl.create 256; dedup = Dedup.create exprs; root = -1 }
 
 (** Canonical group id (groups can be merged when a transformation proves
     two groups equivalent). *)
@@ -139,13 +161,17 @@ let intern t op =
     Hashtbl.add t.ops op oid;
     oid
 
+(** The oid [op] was interned under, if any expression carries it: two
+    expressions hold equal operators exactly when their oids are equal. *)
+let oid_of t op = Hashtbl.find_opt t.ops op
+
 (** Add an expression to group [gid]: [oid] must be [intern t op] and
     [children] canonical. No merging or property derivation: the XML
     import restores expressions through it as the file gives them. *)
 let add_expr t gid op oid children =
   let g = t.groups.(gid) in
   g.exprs <- { op; oid; children } :: g.exprs;
-  Hashtbl.replace t.dedup (oid, Array.to_list children) gid
+  Dedup.replace t.dedup (oid, children) gid
 
 let grow t =
   if t.ngroups >= Array.length t.groups then begin
@@ -189,7 +215,7 @@ let merge_groups t a b =
 let insert ?target t op (children : int array) : int =
   let children = Array.map (fun c -> find t c) children in
   let oid = intern t op in
-  match Hashtbl.find_opt t.dedup (oid, Array.to_list children), target with
+  match Dedup.find_opt t.dedup (oid, children), target with
   | Some g, None -> find t g
   | Some g, Some tgt ->
     let g = find t g and tgt = find t tgt in

@@ -742,7 +742,8 @@ let import (shell : Catalog.Shell_db.t) (s : string) : Memo_def.t * int =
   Xml.expect r "memo";
   let root = Xml.attr_int r "root" in
   let reg = Registry.create () in
-  let m = Memo_def.create reg shell in
+  (* an expression takes about 90 bytes of the document *)
+  let m = Memo_def.create ~exprs:(String.length s / 90) reg shell in
   let columns = ref false and scalars = ref None in
   (* expressions may refer to later groups: the highest reference is
      checked once every group is read *)

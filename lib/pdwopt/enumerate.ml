@@ -131,10 +131,18 @@ let total_cost o (p : Pplan.t) =
 
 (* -- option table with pruning -- *)
 
-let dist_key (d : Dms.Distprop.t) = Dms.Distprop.short_string d
-
 (* safety cap on a group's kept options when pruning is off *)
 let max_options_per_group = 512
+
+(* A group's options under pruning: at most one per distribution, the most
+   recently kept first. *)
+let rec kept_for d = function
+  | [] -> None
+  | (d', p) :: rest -> if Dms.Distprop.equal d d' then Some p else kept_for d rest
+
+let rec without d = function
+  | [] -> []
+  | ((d', _) as o) :: rest -> if Dms.Distprop.equal d d' then rest else o :: without d rest
 
 (* [st] is the calling group's private counter block: workers never touch
    the shared [ctx.stats] (the caller merges at publish time). The bound
@@ -146,14 +154,15 @@ let add_option ctx st acc (p : Pplan.t) =
   if ctx.o.prune then begin
     if p.Pplan.dms_cost > Atomic.get ctx.bound then ()
     else begin
-      let k = dist_key p.Pplan.dist in
-      match List.assoc_opt k !acc with
-      | Some (_, best) when total_cost ctx.o best <= total_cost ctx.o p -> ()
-      | _ -> acc := (k, (p.Pplan.dist, p)) :: List.remove_assoc k !acc
+      let d = p.Pplan.dist in
+      match kept_for d !acc with
+      | Some best when total_cost ctx.o best <= total_cost ctx.o p -> ()
+      | Some _ -> acc := (d, p) :: without d !acc
+      | None -> acc := (d, p) :: !acc
     end
   end
   else if List.length !acc < max_options_per_group then
-    acc := (string_of_int (List.length !acc), (p.Pplan.dist, p)) :: !acc
+    acc := (p.Pplan.dist, p) :: !acc
 
 let split_aggs reg keys (aggs : Expr.agg_def list) : split option =
   if List.exists (fun a -> a.Expr.agg_distinct) aggs then None
@@ -265,11 +274,24 @@ let apply_hints ctx gid options =
        | kept -> kept)
   end
 
+(* The locally executable option pairs of a group's join expressions. The
+   join variants over one pair of children (each conjunct order, hash and
+   nested-loop) mostly equate the same columns, and the pairs depend only
+   on the children, the kind and that set of equated columns: [joins]
+   keeps them per group, computed at the first variant. *)
+type join_pairs = {
+  kind : Relop.join_kind;
+  l : int;
+  r : int;
+  equi : (int * int) list;  (** sorted *)
+  pairs : (Dms.Distprop.t * Pplan.t * Pplan.t) list;
+}
+
 (* [lookup c] reads a child group's published options. Children on lower
    levels are always published; a back-edge child (level strictly above the
    parent's) is not yet, and yields [] exactly like the old in-progress
    cycle guard. *)
-let enumerate_expr ctx st lookup gid gprops acc idx
+let enumerate_expr ctx st lookup joins gid gprops acc idx
     ((op : Physop.t), (children : int array)) =
   let o = ctx.o in
   let mk_serial ?(rows = gprops.Memo.card) op dist (child_plans : Pplan.t list) =
@@ -349,19 +371,30 @@ let enumerate_expr ctx st lookup gid gprops acc idx
   | (Physop.Hash_join { kind; pred } | Physop.Nl_join { kind; pred }), [ l; r ] ->
     let lprops = Memo.props ctx.m l and rprops = Memo.props ctx.m r in
     let equi =
-      Physop.oriented_equi_pairs pred ~left_cols:lprops.Memo.cols
-        ~right_cols:rprops.Memo.cols
+      List.sort compare
+        (Physop.oriented_equi_pairs pred ~left_cols:lprops.Memo.cols
+           ~right_cols:rprops.Memo.cols)
     in
-    let lopts = lookup l and ropts = lookup r in
-    List.iter
-      (fun (ld, lp) ->
-         List.iter
-           (fun (rd, rp) ->
-              match Dms.Distprop.join_local ~kind ~equi ld rd with
-              | Some dist -> add_option ctx st acc (mk_serial op dist [ lp; rp ])
-              | None -> ())
-           ropts)
-      lopts
+    let pairs =
+      match
+        List.find_opt (fun j -> j.kind = kind && j.l = l && j.r = r && j.equi = equi) !joins
+      with
+      | Some j -> j.pairs
+      | None ->
+        let ropts = lookup r in
+        let pairs =
+          List.concat_map
+            (fun (ld, lp) ->
+               List.filter_map
+                 (fun (rd, rp) ->
+                    Option.map (fun d -> (d, lp, rp)) (Dms.Distprop.join_local ~kind ~equi ld rd))
+                 ropts)
+            (lookup l)
+        in
+        joins := { kind; l; r; equi; pairs } :: !joins;
+        pairs
+    in
+    List.iter (fun (dist, lp, rp) -> add_option ctx st acc (mk_serial op dist [ lp; rp ])) pairs
   | (Physop.Merge_join _ | Physop.Stream_agg _), _ ->
     (* Order-requiring serial algorithms are resolved inside the serial
        optimizer's winners; the PDW layer composes order-agnostic
@@ -394,12 +427,21 @@ let enumerate_expr ctx st lookup gid gprops acc idx
        let local_width =
          List.fold_left (fun a cid -> a +. Registry.width ctx.m.Memo.reg cid) 0. local_out_cols
        in
+       (* every child option moved here is hashed: each target's moves
+          are fixed ({!Dms.Op.output_dist} reads only the source's shape) *)
        let targets =
-         (if keys = [] then [ Dms.Distprop.Single_node ]
-          else
-            List.map (fun k -> Dms.Distprop.Hashed [ k ]) keys
-            @ (if List.length keys > 1 then [ Dms.Distprop.Hashed keys ] else [])
-            @ [ Dms.Distprop.Single_node ])
+         List.map
+           (fun target ->
+              let interesting = match target with
+                | Dms.Distprop.Hashed cols -> [ cols ]
+                | _ -> []
+              in
+              (target, Dms.Op.moves_to ~interesting (Dms.Distprop.Hashed []) target))
+           (if keys = [] then [ Dms.Distprop.Single_node ]
+            else
+              List.map (fun k -> Dms.Distprop.Hashed [ k ]) keys
+              @ (if List.length keys > 1 then [ Dms.Distprop.Hashed keys ] else [])
+              @ [ Dms.Distprop.Single_node ])
        in
        List.iter
          (fun (cd, cp) ->
@@ -410,11 +452,7 @@ let enumerate_expr ctx st lookup gid gprops acc idx
                 { (mk_serial ~rows:prows local_op cd [ cp ]) with Pplan.group = -1 }
               in
               List.iter
-                (fun target ->
-                   let interesting = match target with
-                     | Dms.Distprop.Hashed cols -> [ cols ]
-                     | _ -> []
-                   in
+                (fun (target, kinds) ->
                    List.iter
                      (fun kind ->
                         let bd =
@@ -435,7 +473,7 @@ let enumerate_expr ctx st lookup gid gprops acc idx
                           | Some defs -> mk_serial (Physop.Compute defs) target [ final ]
                         in
                         add_option ctx st acc { final with Pplan.group = gid })
-                     (Dms.Op.moves_to ~interesting cd target))
+                     kinds)
                 targets
             | Dms.Distprop.Replicated | Dms.Distprop.Single_node ->
               (* local-complete already covers these *)
@@ -446,57 +484,71 @@ let enumerate_expr ctx st lookup gid gprops acc idx
       (Printf.sprintf "Enumerate: malformed physical expression %s/%d"
          (Physop.name op) (Array.length children))
 
-(** Step 07: add Move group expressions for each interesting property. *)
-let enforcer_step ctx st gid gprops acc =
-  let o = ctx.o in
+(* One enforcer target of a group: the moved stream carries the group's
+   required columns plus the target's hash columns, and the moves that
+   reach the target depend only on the source's shape
+   ({!Dms.Op.output_dist} reads nothing else), so both are fixed per group
+   and target. *)
+type target = {
+  dist : Dms.Distprop.t;
+  cols : int list;
+  width : float;
+  from_hashed : Dms.Op.kind list;
+  from_replicated : Dms.Op.kind list;
+  from_single : Dms.Op.kind list;
+}
+
+let enforcer_targets ctx gid =
   let width, move_cols = Derive.moved_width ctx.m ctx.derived gid in
-  let interesting = Derive.interesting ctx.derived gid in
-  let targets =
-    List.map (fun cols -> Dms.Distprop.Hashed cols) interesting
-    @ [ Dms.Distprop.Replicated; Dms.Distprop.Single_node ]
+  let target dist =
+    let interesting = match dist with
+      | Dms.Distprop.Hashed cols -> [ cols ]
+      | _ -> []
+    in
+    let cols = List.sort_uniq Int.compare (move_cols @ List.concat interesting) in
+    let width =
+      if List.length cols = List.length move_cols then width
+      else List.fold_left (fun acc c -> acc +. Registry.width ctx.m.Memo.reg c) 0. cols
+    in
+    let moves src = Dms.Op.moves_to ~interesting src dist in
+    { dist; cols; width;
+      from_hashed = moves (Dms.Distprop.Hashed []);
+      from_replicated = moves Dms.Distprop.Replicated;
+      from_single = moves Dms.Distprop.Single_node }
   in
-  ignore gprops;
-  let base_options = List.map snd !acc in
+  List.map (fun cols -> target (Dms.Distprop.Hashed cols)) (Derive.interesting ctx.derived gid)
+  @ [ target Dms.Distprop.Replicated; target Dms.Distprop.Single_node ]
+
+(** Step 07: add Move group expressions for each interesting property. *)
+let enforcer_step ctx st gid acc =
+  let o = ctx.o in
+  let targets = enforcer_targets ctx gid in
   List.iter
     (fun (src_dist, (src : Pplan.t)) ->
        List.iter
-         (fun target ->
-            if not (Dms.Distprop.equal src_dist target) then begin
-              let tgt_cols = match target with
-                | Dms.Distprop.Hashed cols -> [ cols ]
-                | _ -> []
-              in
-              (* the moved stream must carry the hash columns; width follows *)
-              let cols =
-                List.sort_uniq Int.compare
-                  (move_cols @ List.concat tgt_cols)
-              in
-              let width =
-                if List.length cols = List.length move_cols then width
-                else
-                  List.fold_left
-                    (fun acc c -> acc +. Registry.width ctx.m.Memo.reg c)
-                    0. cols
-              in
+         (fun t ->
+            if not (Dms.Distprop.equal src_dist t.dist) then
               List.iter
                 (fun kind ->
                    let bd =
                      Dms.Cost.cost ~lambdas:o.lambdas kind ~nodes:o.nodes
-                       ~rows:src.Pplan.rows ~width
+                       ~rows:src.Pplan.rows ~width:t.width
                    in
                    st.enforcer_moves <- st.enforcer_moves + 1;
                    add_option ctx st acc
-                     { Pplan.op = Pplan.Move { kind; cols };
+                     { Pplan.op = Pplan.Move { kind; cols = t.cols };
                        children = [ src ];
-                       dist = target;
+                       dist = t.dist;
                        rows = src.Pplan.rows;
                        group = gid;
                        dms_cost = src.Pplan.dms_cost +. bd.Dms.Cost.c_total;
                        serial_cost = src.Pplan.serial_cost })
-                (Dms.Op.moves_to ~interesting:tgt_cols src_dist target)
-            end)
+                (match src_dist with
+                 | Dms.Distprop.Hashed _ -> t.from_hashed
+                 | Dms.Distprop.Replicated -> t.from_replicated
+                 | Dms.Distprop.Single_node -> t.from_single))
          targets)
-    base_options
+    !acc
 
 (* -- leveled wavefront driver -- *)
 
@@ -568,19 +620,19 @@ let enumerate_one ctx gid =
     | Some opts -> opts
     | None -> []  (* back edge: published on a strictly higher level *)
   in
-  let acc = ref [] in
+  let acc = ref [] and joins = ref [] in
   let gprops = Memo.props ctx.m gid in
   if ctx.empty gid then
     (* contradiction-driven folding: the group provably produces no rows,
        so a constant-empty operator replaces its whole expression list *)
-    enumerate_expr ctx st lookup gid gprops acc 0
+    enumerate_expr ctx st lookup joins gid gprops acc 0
       (Physop.Const_empty (Registry.Col_set.elements gprops.Memo.cols), [||])
   else
     List.iteri
-      (fun idx e -> enumerate_expr ctx st lookup gid gprops acc idx e)
+      (fun idx e -> enumerate_expr ctx st lookup joins gid gprops acc idx e)
       (Memo.physical_exprs ctx.m gid);
-  enforcer_step ctx st gid gprops acc;
-  (apply_hints ctx gid (List.map snd !acc), st)
+  enforcer_step ctx st gid acc;
+  (apply_hints ctx gid !acc, st)
 
 let optimize_group ctx gid =
   let root = Memo.find ctx.m gid in

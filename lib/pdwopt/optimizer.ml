@@ -18,30 +18,24 @@ exception No_plan of string
    perspective. Structural duplicates are already removed by the MEMO's
    dedup table; here we drop physical serial alternatives whose distinction
    the PDW layer ignores (order-based algorithms shadowed by their hash
-   counterparts), keeping the group lists small. *)
+   counterparts), keeping the group lists small. The counterpart's
+   operator is looked up once in the MEMO's intern table, and only its
+   children are compared per expression. *)
 let preprocess_merge (m : Memo.t) =
   Memo.iter_groups m (fun g ->
+      let has_counterpart (e : gexpr) hash_op =
+        match Memo.oid_of m (Physical hash_op) with
+        | None -> false
+        | Some oid ->
+          List.exists (fun (e' : gexpr) -> e'.oid = oid && e'.children = e.children) g.Memo.exprs
+      in
       let keep (e : gexpr) =
         match e.op with
         | Physical (Physop.Merge_join { kind; pred }) ->
           (* drop if the equivalent hash join exists in the group *)
-          not
-            (List.exists
-               (fun (e' : gexpr) ->
-                  match e'.op with
-                  | Physical (Physop.Hash_join { kind = k'; pred = p' }) ->
-                    k' = kind && Expr.equal p' pred && e'.children = e.children
-                  | _ -> false)
-               g.Memo.exprs)
+          not (has_counterpart e (Physop.Hash_join { kind; pred }))
         | Physical (Physop.Stream_agg { keys; aggs }) ->
-          not
-            (List.exists
-               (fun (e' : gexpr) ->
-                  match e'.op with
-                  | Physical (Physop.Hash_agg { keys = k'; aggs = a' }) ->
-                    k' = keys && a' = aggs && e'.children = e.children
-                  | _ -> false)
-               g.Memo.exprs)
+          not (has_counterpart e (Physop.Hash_agg { keys; aggs }))
         | _ -> true
       in
       g.Memo.exprs <- List.filter keep g.Memo.exprs)
@@ -70,11 +64,6 @@ let root_sort_limit (m : Memo.t) =
   match found with
   | Some (keys, limit) -> (keys, limit)
   | None -> ([], None)
-
-(* The final Return streams results to the client (paper §2.3: no temp
-   table, no DMS); the client-bound bytes are identical whichever node the
-   rows sit on, so the Return contributes nothing to plan discrimination. *)
-let return_cost (_o : Enumerate.opts) (_p : Pplan.t) ~width = ignore width; 0.
 
 (* Report the PDW side's counters (Fig. 4 steps 04-09) into [obs]: the
    enumeration/pruning balance, the enforcer's contribution, the size of
@@ -139,25 +128,18 @@ let optimize ?(obs = Obs.null) ?(opts = Enumerate.default_opts)
     else (ctx, options)
   in
   if options = [] then raise (No_plan "no distributed plan found for the root group");
-  (* 08: extract the best overall plan, adding the final Return *)
+  (* 08: extract the best overall plan (the first of equal cost), adding
+     the final Return; it streams results to the client with no DMS step
+     (paper §2.3), so it adds no cost *)
   let sort, limit = root_sort_limit m in
-  let width = (Memo.props m root).Memo.width in
-  let scored =
-    List.map
-      (fun (d, p) ->
-         let total =
-           Enumerate.total_cost opts p +. return_cost opts p ~width
-         in
-         (total, d, p))
-      options
-  in
-  let _, _, best =
-    List.fold_left
-      (fun (bt, bd, bp) (t, d, p) -> if t < bt then (t, d, p) else (bt, bd, bp))
-      (match scored with
-       | first :: _ -> first
-       | [] -> assert false)
-      scored
+  let best =
+    match options with
+    | [] -> assert false
+    | (_, first) :: rest ->
+      List.fold_left
+        (fun bp (_, p) ->
+           if Enumerate.total_cost opts p < Enumerate.total_cost opts bp then p else bp)
+        first rest
   in
   (* 09: post-optimization *)
   let best = post_optimize best in
@@ -167,7 +149,7 @@ let optimize ?(obs = Obs.null) ?(opts = Enumerate.default_opts)
       dist = Dms.Distprop.Single_node;
       rows = best.Pplan.rows;
       group = root;
-      dms_cost = best.Pplan.dms_cost +. return_cost opts best ~width;
+      dms_cost = best.Pplan.dms_cost;
       serial_cost = best.Pplan.serial_cost }
   in
   report_obs obs ctx derived m plan;

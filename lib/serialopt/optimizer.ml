@@ -155,7 +155,7 @@ let explore (m : Memo.t) ~pool ~budget ~(token : Governor.token)
   let changed = ref true in
   while !changed && not !exhausted && !interrupted = None do
     changed := false;
-    let before = Hashtbl.length m.dedup in
+    let before = Memo.Dedup.length m.dedup in
     (* path-compress so discovery-side finds never write *)
     for g = 0 to Memo.ngroups m - 1 do
       ignore (Memo.find m g)
@@ -185,7 +185,7 @@ let explore (m : Memo.t) ~pool ~budget ~(token : Governor.token)
               end))
          per_group
      with Exit -> ());
-    if Hashtbl.length m.dedup > before then changed := true
+    if Memo.Dedup.length m.dedup > before then changed := true
   done;
   (!tasks, !exhausted, !interrupted)
 

@@ -147,7 +147,7 @@ let test_xml_import_dedup () =
     (fun q ->
        let m = serial_memo sh q.Tpch.Queries.sql in
        let m2 = Memo.Memo_xml.import_string sh (Memo.Memo_xml.export_string m) in
-       let groups = Memo.ngroups m2 and keys = Hashtbl.length m2.Memo.dedup in
+       let groups = Memo.ngroups m2 and keys = Memo.Dedup.length m2.Memo.dedup in
        Memo.iter_groups m2 (fun g ->
            List.iter
              (fun (e : Memo.gexpr) ->
@@ -155,7 +155,7 @@ let test_xml_import_dedup () =
                   g.Memo.gid (Memo.insert m2 e.Memo.op e.Memo.children))
              g.Memo.exprs);
        Alcotest.(check (pair int int)) (q.Tpch.Queries.id ^ ": groups, dedup keys unchanged")
-         (groups, keys) (Memo.ngroups m2, Hashtbl.length m2.Memo.dedup))
+         (groups, keys) (Memo.ngroups m2, Memo.Dedup.length m2.Memo.dedup))
     Tpch.Queries.all
 
 (* the expression of every scalar table entry, rendered on its own *)

@@ -263,6 +263,78 @@ let test_derive_pinned () =
          (derive_digest r.Opdw.memo))
     pinned_derive
 
+(* -- steps 05-07: kept options pinned per statement -- *)
+
+(* Every live group's kept option list, in order: each option's
+   distribution, operator or move name, child groups and exact rows and
+   costs, then the enumeration counters. *)
+let options_digest (m : Memo.t) (r : Pdwopt.Optimizer.result) =
+  let b = Buffer.create 16384 in
+  Memo.iter_groups m (fun g ->
+      let gid = g.Memo.gid in
+      Printf.bprintf b "g%d:" gid;
+      List.iter
+        (fun (d, (p : Pdwopt.Pplan.t)) ->
+           let name =
+             match p.Pdwopt.Pplan.op with
+             | Pdwopt.Pplan.Serial op -> Memo.Physop.name op
+             | Pdwopt.Pplan.Move { kind; _ } -> Dms.Op.name kind
+             | Pdwopt.Pplan.Return _ -> "Return"
+           in
+           Printf.bprintf b "(%s %s [%s] %h %h %h)" (Dms.Distprop.short_string d) name
+             (String.concat ","
+                (List.map (fun (c : Pdwopt.Pplan.t) -> string_of_int c.Pdwopt.Pplan.group)
+                   p.Pdwopt.Pplan.children))
+             p.Pdwopt.Pplan.rows p.Pdwopt.Pplan.dms_cost p.Pdwopt.Pplan.serial_cost)
+        (Option.value (Hashtbl.find_opt r.Pdwopt.Optimizer.options gid) ~default:[]);
+      Buffer.add_char b ';');
+  let s = r.Pdwopt.Optimizer.stats in
+  Printf.bprintf b "|%d %d %d %d %d %d" s.Pdwopt.Enumerate.pdw_exprs_enumerated
+    s.Pdwopt.Enumerate.options_kept s.Pdwopt.Enumerate.groups_processed
+    s.Pdwopt.Enumerate.enforcer_moves s.Pdwopt.Enumerate.par_levels
+    s.Pdwopt.Enumerate.par_groups;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* 8 nodes, SF 0.01 *)
+let pinned_options =
+  [ ("P1", "2a5ecf735c4638b6cca8c2d2a8c25dad");
+    ("F3", "bc55a742f7bedae386839468f67d5c1a");
+    ("P2", "70215d7ea61412872960615c52611f9e");
+    ("Q1", "564db7cafdf7fb746c67781679664b59");
+    ("Q2", "cef216fca9631703aa08c98d67edd22f");
+    ("Q3", "78156f349c8445a1e5b7fc5a00cc9e63");
+    ("Q4", "874760f27fd3b0d2275121ae064f7794");
+    ("Q5", "113d38049a5804d3d04d879d9d9b9723");
+    ("Q6", "c81afb51ef31acd6fae4a7460205c147");
+    ("Q7", "28541d40ab4fa36ab49b9f12a41f7da5");
+    ("Q8", "430230497a217beb2780b0e6f745f573");
+    ("Q9", "4a24f8245999b8c6b87f20d4e7435b4b");
+    ("Q10", "d42373cc66568843e0401911a5c3f239");
+    ("Q11", "b41fe5ff1d37a44b62d95c12420d931a");
+    ("Q12", "7d91bc1aece68a4f90a6a00b189f6200");
+    ("Q13", "cc304ffd684b8fc982f31b26597b9b77");
+    ("Q14", "93f74e70afd567749cc57ae7b513e0d2");
+    ("Q15", "021566dcaa4d28b01d70345857bebb66");
+    ("Q16", "ac12bd1de446f3624942a2dade7ca76b");
+    ("Q17", "c720ab7e6598d3d620c40337b19f64a9");
+    ("Q18", "26ebbac944fe6d977a3d359091b6ac11");
+    ("Q19", "7ce830a08eb2bd1cc4155fb683d076c3");
+    ("Q20", "d29efc3af8e6d151f94edddf793c405b");
+    ("Q21", "f9dc35cccd9d3d87151d439507f1b6ce");
+    ("Q22", "0b9271ae850aeee362a17c0da37c4528") ]
+
+let test_options_pinned () =
+  let sh = Lazy.force Fixtures.pinned_shell in
+  Alcotest.(check (list string)) "every workload statement is pinned"
+    (List.map (fun q -> q.Tpch.Queries.id) Tpch.Queries.all)
+    (List.map fst pinned_options);
+  List.iter
+    (fun (id, digest) ->
+       let r = Opdw.optimize sh (Option.get (Tpch.Queries.find id)).Tpch.Queries.sql in
+       Alcotest.(check string) (id ^ ": kept options + counters") digest
+         (options_digest r.Opdw.memo r.Opdw.pdw))
+    pinned_options
+
 (* A group that is its own child: [g] = Select(scan) | GroupBy[k1](g) |
    Select'(scan), and a later group GroupBy[k2](scan). The self GroupBy
    adds [k1] to [g] between the two pass-throughs to [scan], so the second
@@ -308,6 +380,58 @@ let test_derive_self_child () =
     [ [ "customer.c_custkey" ] ] (labels g);
   Alcotest.(check (list (list string))) "h: nothing above it" [] (labels h)
 
+(* A join variant after its group added to itself: [g] = Join[c = d](a, b)
+   | GroupBy[k](g) | HashJoin[c = d](a, b) | GroupBy[x](a). The self group-by
+   grows [g]'s lists after the join's pass-throughs, so the hash join
+   must pass them down again at once: [a] receives [k] before the last
+   expression adds [x]. *)
+let test_derive_join_repeat_after_self_add () =
+  let sh = Fixtures.shell () in
+  let r =
+    Algebrizer.of_sql sh "SELECT c_nationkey, c_name, o_custkey FROM customer, orders"
+  in
+  let reg = r.Algebrizer.reg in
+  let rec gets (t : Relop.t) =
+    match t.Relop.op with
+    | Relop.Get _ -> [ t.Relop.op ]
+    | _ -> List.concat_map gets t.Relop.children
+  in
+  let col label =
+    List.find_map
+      (function
+        | Relop.Get { cols; _ } ->
+          List.find_opt (fun c -> Registry.label reg c = label) (Array.to_list cols)
+        | _ -> None)
+      (gets r.Algebrizer.tree)
+    |> Option.get
+  in
+  let get table =
+    List.find
+      (fun op -> match op with Relop.Get { table = t; _ } -> t = table | _ -> false)
+      (gets r.Algebrizer.tree)
+  in
+  let c = col "customer.c_custkey" and d = col "orders.o_custkey" in
+  let k = col "customer.c_nationkey" and x = col "customer.c_name" in
+  let m = Memo.create reg sh in
+  let a = Memo.insert m (Memo.Logical (get "customer")) [||] in
+  let b = Memo.insert m (Memo.Logical (get "orders")) [||] in
+  let pred = Expr.Bin (Expr.Eq, Expr.Col c, Expr.Col d) in
+  let g = Memo.insert m (Memo.Logical (Relop.Join { kind = Relop.Inner; pred })) [| a; b |] in
+  let group_by keys = Memo.Logical (Relop.Group_by { keys; aggs = [] }) in
+  ignore (Memo.insert ~target:g m (group_by [ k ]) [| g |]);
+  ignore
+    (Memo.insert ~target:g m
+       (Memo.Physical (Memo.Physop.Hash_join { kind = Relop.Inner; pred })) [| a; b |]);
+  ignore (Memo.insert ~target:g m (group_by [ x ]) [| a |]);
+  m.Memo.root <- g;
+  let dv = Pdwopt.Derive.derive m in
+  let labels gid =
+    List.map (List.map (Registry.label reg)) (Pdwopt.Derive.interesting dv gid)
+  in
+  Alcotest.(check (list (list string))) "a: c, then k passed down, then x"
+    [ [ "customer.c_name" ]; [ "customer.c_nationkey" ]; [ "customer.c_custkey" ] ]
+    (labels a)
+
 (* Step 04 and steps 05-07 are spans of their own under [pdw_optimize]. *)
 let test_derive_enumerate_spans () =
   let obs = Obs.create () in
@@ -344,5 +468,7 @@ let suite =
     t "PDW beats parallelized-serial (§3.2)" test_three_way_join_order_changes;
     t "whole workload planned" test_whole_workload_planned;
     t "derivation pinned (8 nodes, SF 0.01)" test_derive_pinned;
+    t "kept options pinned (8 nodes, SF 0.01)" test_options_pinned;
     t "derivation: a group that is its own child" test_derive_self_child;
+    t "derivation: a join variant after a self add" test_derive_join_repeat_after_self_add;
     t "derive and enumerate spans" test_derive_enumerate_spans ]
