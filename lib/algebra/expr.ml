@@ -340,9 +340,15 @@ let string_of_func = function
   | F_dateadd_day -> "DATEADD_DAY" | F_year -> "YEAR" | F_substring -> "SUBSTRING"
   | F_abs -> "ABS"
 
-(** Render with a column naming function (label or SQL-qualified name). *)
-let rec to_string_with f e =
-  let p = to_string_with f in
+(** A function call in the internal spelling, e.g. [DATEADD_DAY(1, d)]. *)
+let call_to_string fn args =
+  Printf.sprintf "%s(%s)" (string_of_func fn) (String.concat ", " args)
+
+(** Render with a column naming function (label or SQL-qualified name);
+    [func] spells a call from its rendered arguments (default
+    {!call_to_string}; DSQL passes T-SQL's spelling). *)
+let rec to_string_with ?(func = call_to_string) f e =
+  let p = to_string_with ~func f in
   match e with
   | Col c -> f c
   | Lit v -> Value.to_sql v
@@ -360,20 +366,19 @@ let rec to_string_with f e =
     let bs = List.map (fun (c, v) -> Printf.sprintf "WHEN %s THEN %s" (p c) (p v)) branches in
     Printf.sprintf "CASE %s%s END" (String.concat " " bs)
       (match else_ with Some e -> " ELSE " ^ p e | None -> "")
-  | Func (fn, args) ->
-    Printf.sprintf "%s(%s)" (string_of_func fn) (String.concat ", " (List.map p args))
+  | Func (fn, args) -> func fn (List.map p args)
   | Cast (a, ty) ->
     Printf.sprintf "CAST (%s AS %s)" (p a) (String.uppercase_ascii (Types.to_string ty))
 
 let to_string reg e = to_string_with (Registry.label reg) e
 
-let agg_to_string_with f (a : agg_def) =
+let agg_to_string_with ?func f (a : agg_def) =
   match a.agg_func, a.agg_arg with
   | Count_star, _ -> "COUNT(*)"
-  | func, Some arg ->
-    Printf.sprintf "%s(%s%s)" (string_of_agg func)
-      (if a.agg_distinct then "DISTINCT " else "") (to_string_with f arg)
-  | func, None -> Printf.sprintf "%s(*)" (string_of_agg func)
+  | agg, Some arg ->
+    Printf.sprintf "%s(%s%s)" (string_of_agg agg)
+      (if a.agg_distinct then "DISTINCT " else "") (to_string_with ?func f arg)
+  | agg, None -> Printf.sprintf "%s(*)" (string_of_agg agg)
 
 (** Structural equality (literal-level). *)
 let equal (a : t) (b : t) = a = b

@@ -951,28 +951,17 @@ module Feedback = struct
     let m = (plan r).Pdwopt.Pplan.dms_cost and s = dms_time in
     if m <= 0. || s <= 0. then 1. else Float.max (m /. s) (s /. m)
 
-  (* all values of one column, gathered from the appliance's true shards in
-     node order (replicated tables read one copy) — deterministic at any
+  (* all values of one column of the table's whole contents (shards in
+     node order, one copy of a replicated table) — deterministic at any
      [--jobs] because shard contents and order are load-order stable *)
   let column_values (d : Driver.t) table column =
-    let app = Driver.app d in
     match Catalog.Shell_db.find (Driver.shell d) table with
     | None -> None
     | Some tbl ->
-      (match Catalog.Schema.find_col tbl.Catalog.Shell_db.schema column with
-       | None -> None
-       | Some idx ->
-         let nodes =
-           match tbl.Catalog.Shell_db.dist with
-           | Catalog.Distribution.Replicated -> [ 0 ]
-           | Catalog.Distribution.Hash_partitioned _ ->
-             List.init app.Engine.Appliance.nodes Fun.id
-         in
-         Some
-           (List.concat_map
-              (fun n ->
-                 List.map (fun row -> row.(idx)) (Engine.Appliance.node_table app n table))
-              nodes))
+      Option.bind (Catalog.Schema.find_col tbl.Catalog.Shell_db.schema column) @@ fun idx ->
+      Option.map
+        (fun all -> List.map (fun row -> row.(idx)) (Engine.Rset.to_local all).Engine.Local.rows)
+        (Engine.Appliance.table_contents (Driver.app d) table)
 
   let measure ?(bounds = false) (d : Driver.t) sql =
     let observe, violations =

@@ -89,10 +89,9 @@ let cost ?(lambdas = default_lambdas) (k : Op.kind) ~nodes ~rows ~width : breakd
     bytes_moved = b_net *. float_of_int (max 1 nodes) }
 
 (** Per-byte and per-row rates of a physical re-partition pipeline
-    (reader -> network -> writer). The engine's topology changes (crash
-    shrink, elastic grow, re-key) all price their table copies through
-    {!repartition_seconds} so the three paths charge identical numbers for
-    identical volumes. *)
+    (reader -> network -> writer). Every topology move of the engine (a
+    node loss, a grow, a re-key) is one path that prices each table copy
+    through {!repartition_seconds}. *)
 type move_rates = {
   r_reader_byte : float; r_reader_row : float;
   r_network_byte : float; r_network_row : float;

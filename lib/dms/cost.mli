@@ -34,8 +34,9 @@ type breakdown = {
 val cost : ?lambdas:lambdas -> Op.kind -> nodes:int -> rows:float -> width:float -> breakdown
 
 (** Per-byte and per-row rates of a physical re-partition pipeline
-    (reader -> network -> writer), used to price topology changes (crash
-    shrink, elastic grow, re-key) identically across all three paths. *)
+    (reader -> network -> writer). Every topology move (a node loss, a
+    grow, a re-key) prices each of its table copies with these rates
+    through {!repartition_seconds}, one copy step per table. *)
 type move_rates = {
   r_reader_byte : float; r_reader_row : float;
   r_network_byte : float; r_network_row : float;

@@ -67,76 +67,29 @@ let col_name_of ctx id =
     then n
     else Printf.sprintf "col%d" id
 
-(* expression rendering with qualified column references *)
-let expr_sql (items : from_item list) e =
-  let resolve c =
-    let rec go = function
-      | [] -> Printf.sprintf "col%d" c
-      | it :: rest ->
-        (match List.assoc_opt c it.cols with
-         | Some name -> Printf.sprintf "%s.%s" it.alias name
-         | None -> go rest)
-    in
-    go items
-  in
-  let rec p e =
-    match e with
-    | Expr.Func (Expr.F_dateadd_year, [ n; d ]) ->
-      Printf.sprintf "DATEADD(year, %s, %s)" (p n) (p d)
-    | Expr.Func (Expr.F_dateadd_month, [ n; d ]) ->
-      Printf.sprintf "DATEADD(month, %s, %s)" (p n) (p d)
-    | Expr.Func (Expr.F_dateadd_day, [ n; d ]) ->
-      Printf.sprintf "DATEADD(day, %s, %s)" (p n) (p d)
-    | Expr.Func (Expr.F_year, [ d ]) -> Printf.sprintf "YEAR(%s)" (p d)
-    | Expr.Func (Expr.F_substring, [ s; a; b ]) ->
-      Printf.sprintf "SUBSTRING(%s, %s, %s)" (p s) (p a) (p b)
-    | Expr.Func (Expr.F_abs, [ a ]) -> Printf.sprintf "ABS(%s)" (p a)
-    | _ -> Expr.to_string_with resolve e
-  in
-  (* to_string_with handles col resolution; funcs above give T-SQL spellings *)
-  let rec full e =
-    match e with
-    | Expr.Bin (op, a, b) ->
-      Printf.sprintf "(%s %s %s)" (full a) (Expr.string_of_binop op) (full b)
-    | Expr.Un (Expr.Neg, a) -> Printf.sprintf "(-%s)" (full a)
-    | Expr.Un (Expr.Not, a) -> Printf.sprintf "(NOT %s)" (full a)
-    | Expr.Is_null (a, false) -> Printf.sprintf "(%s IS NULL)" (full a)
-    | Expr.Is_null (a, true) -> Printf.sprintf "(%s IS NOT NULL)" (full a)
-    | Expr.Like (a, pat, neg) ->
-      Printf.sprintf "(%s %sLIKE '%s')" (full a) (if neg then "NOT " else "") pat
-    | Expr.In_list (a, items_, neg) ->
-      Printf.sprintf "(%s %sIN (%s))" (full a) (if neg then "NOT " else "")
-        (String.concat ", " (List.map Catalog.Value.to_sql items_))
-    | Expr.Case (branches, else_) ->
-      let bs =
-        List.map (fun (c, v) -> Printf.sprintf "WHEN %s THEN %s" (full c) (full v)) branches
-      in
-      Printf.sprintf "CASE %s%s END" (String.concat " " bs)
-        (match else_ with Some x -> " ELSE " ^ full x | None -> "")
-    | Expr.Cast (a, ty) ->
-      Printf.sprintf "CAST (%s AS %s)" (full a)
-        (String.uppercase_ascii (Catalog.Types.to_string ty))
-    | Expr.Col c ->
-      let rec go = function
-        | [] -> Printf.sprintf "col%d" c
-        | it :: rest ->
-          (match List.assoc_opt c it.cols with
-           | Some name -> Printf.sprintf "%s.%s" it.alias name
-           | None -> go rest)
-      in
-      go items
-    | Expr.Lit v -> Catalog.Value.to_sql v
-    | Expr.Func _ -> p e
-  in
-  full e
+(* T-SQL spells the DATEADD family with a datepart argument; every other
+   function keeps its internal spelling *)
+let tsql_call fn args =
+  match fn, args with
+  | Expr.F_dateadd_year, [ n; d ] -> Printf.sprintf "DATEADD(year, %s, %s)" n d
+  | Expr.F_dateadd_month, [ n; d ] -> Printf.sprintf "DATEADD(month, %s, %s)" n d
+  | Expr.F_dateadd_day, [ n; d ] -> Printf.sprintf "DATEADD(day, %s, %s)" n d
+  | _ -> Expr.call_to_string fn args
 
-let agg_sql items (a : Expr.agg_def) =
-  match a.Expr.agg_func, a.Expr.agg_arg with
-  | Expr.Count_star, _ -> "COUNT(*)"
-  | f, Some arg ->
-    Printf.sprintf "%s(%s%s)" (Expr.string_of_agg f)
-      (if a.Expr.agg_distinct then "DISTINCT " else "") (expr_sql items arg)
-  | f, None -> Printf.sprintf "%s(*)" (Expr.string_of_agg f)
+(* columns are qualified by the FROM item that outputs them *)
+let qualify (items : from_item list) c =
+  let rec go = function
+    | [] -> Printf.sprintf "col%d" c
+    | it :: rest ->
+      (match List.assoc_opt c it.cols with
+       | Some name -> Printf.sprintf "%s.%s" it.alias name
+       | None -> go rest)
+  in
+  go items
+
+let expr_sql items e = Expr.to_string_with ~func:tsql_call (qualify items) e
+
+let agg_sql items a = Expr.agg_to_string_with ~func:tsql_call (qualify items) a
 
 (* -- rendering of serial plan fragments -- *)
 

@@ -60,8 +60,8 @@ let fresh_account () = {
 }
 
 (* copy every field of [src] into [dst]; keeps [reset_account] and the
-   account carry-over across a node-loss replan in one place, so a new
-   account field cannot be forgotten in one of them *)
+   account carry-over of a topology move ([flip_move]) in one place, so a
+   new account field cannot be forgotten in one of them *)
 let assign_account ~(dst : account) (src : account) =
   dst.sim_time <- src.sim_time;
   dst.dms_time <- src.dms_time;
@@ -114,8 +114,9 @@ type t = {
           {!Check.validate_exec} and refuse invalid ones ({!Check.Invalid})
           rather than silently producing wrong rows; on by default *)
   mutable epoch : int;
-      (** replan epoch: 0 at creation, bumped by {!decommission}; part of
-          every fault-draw coordinate so post-replan execution redraws *)
+      (** replan epoch: 0 at creation, one above the source's after every
+          topology move; part of every fault-draw coordinate so
+          post-replan execution redraws *)
   mutable step_no : int;
       (** injectable steps started in the current statement (deterministic
           plan-traversal order); reset by {!begin_statement}, continued by a
@@ -181,6 +182,23 @@ let node_rset t node name =
   | None -> raise (Local.Exec_error (Printf.sprintf "table %s not loaded" name))
 
 let node_table t node name = (Rset.to_local (node_rset t node name)).Local.rows
+
+(** The whole logical contents of table [name] as one payload: node 0's
+    copy of a replicated table, a hash-distributed table's shards
+    concatenated in node order, [None] for a table never loaded (the
+    simulated substrate keeps every shard, so this holds after a node
+    loss too). *)
+let table_contents (t : t) (name : string) : Rset.t option =
+  let tbl = Catalog.Shell_db.find_exn t.shell name in
+  match Hashtbl.find_opt t.storage.(0) (String.lowercase_ascii name) with
+  | None -> None
+  | Some first ->
+    (match tbl.Catalog.Shell_db.dist with
+     | Catalog.Distribution.Replicated -> Some first
+     | Catalog.Distribution.Hash_partitioned _ ->
+       Some
+         (Rset.concat ~layout:(Rset.layout first)
+            (List.init t.nodes (fun i -> node_rset t i name))))
 
 let node_batch t node name = Rset.to_batch (node_rset t node name)
 
@@ -542,13 +560,7 @@ let note_exec_stats ~obs (stats : Local.exec_stats list) =
 (** Execute a serial operator on every node holding data. *)
 let run_serial ?(obs = Obs.null) ?need (t : t) (d : draw) (op : Memo.Physop.t)
     (children : dstream list) : dstream =
-  let on_control =
-    List.exists (fun c -> c.dist = Dms.Distprop.Single_node) children
-    || (children = []
-        && match op with
-        | Memo.Physop.Const_empty _ -> false
-        | _ -> false)
-  in
+  let on_control = List.exists (fun c -> c.dist = Dms.Distprop.Single_node) children in
   if on_control then begin
     (* all children must be on the control node (or replicated) *)
     let inputs =
@@ -760,90 +772,15 @@ let run_pplan ?(obs = Obs.null) ?(token = Governor.none) ?fault ?observe (t : t)
     let d = exec_node None p in
     { Local.layout = d.layout; rows = stream_rows d }
 
-(* -- graceful degradation: node loss -- *)
+(* -- topology moves: node loss, grow and re-key (DESIGN.md §8, §14) -- *)
 
 (* the reader+network+writer pipeline rates of this appliance's hardware,
-   in the shape the shared {!Dms.Cost.repartition_seconds} helper prices
-   shrink, grow, and re-key moves with *)
+   in the shape {!Dms.Cost.repartition_seconds} prices every table copy of
+   a topology move with *)
 let move_rates (hw : hw) : Dms.Cost.move_rates =
   { Dms.Cost.r_reader_byte = hw.reader_byte; r_reader_row = hw.reader_row;
     r_network_byte = hw.network_byte; r_network_row = hw.network_row;
     r_writer_byte = hw.writer_byte; r_writer_row = hw.writer_row }
-
-(** [decommission t ~node] builds a fresh [(nodes - 1)]-node appliance
-    after compute node [node] (current index) died: a new shell catalog
-    with the same schemas/statistics, every table reloaded and
-    re-partitioned mod the surviving count (hash shards are recovered from
-    the appliance's mirrored copies — the simulated substrate keeps the
-    full logical contents), the account carried over plus a recovery
-    charge of re-partitioning every hash-distributed table at DMS rates.
-    The new shell is {!Catalog.Shell_db.derive}d, so its version is above
-    the old one's and plans compiled for the old topology miss the plan
-    cache. The replan [epoch] is bumped so fault draws restart. The
-    [fault.replans] and [fault.recovery_seconds] counters go to [obs]. *)
-let decommission ?(obs = Obs.null) (t : t) ~(node : int) : t =
-  if t.nodes <= 1 then
-    (* structured, not [invalid_arg]: losing the last compute node is a
-       fault-plane outcome (the appliance cannot serve), and storm drivers
-       map {!Fault.Exhausted} to a tally bucket instead of crashing *)
-    raise
-      (Fault.Exhausted
-         { failure =
-             { Fault.site = Fault.Node_crash; epoch = t.epoch; step = -1;
-               node = 0 };
-           attempts = 1 });
-  if node < 0 || node >= t.nodes then
-    invalid_arg "Appliance.decommission: no such node";
-  let tables = Catalog.Shell_db.sorted_tables t.shell in
-  let shell' = Catalog.Shell_db.derive ~node_count:(t.nodes - 1) t.shell in
-  let t' = create ~hw:t.hw ~pool:t.pool ~check:t.check ~engine:t.engine shell' in
-  t'.epoch <- t.epoch + 1;
-  (* reload user data; the re-partition of every hash-distributed table is
-     the recovery work, charged at reader+network+writer rates *)
-  let moved_bytes = ref 0. and moved_rows = ref 0. in
-  List.iter
-    (fun (tbl : Catalog.Shell_db.table) ->
-       let name = tbl.Catalog.Shell_db.schema.Catalog.Schema.name in
-       let key = String.lowercase_ascii name in
-       match tbl.Catalog.Shell_db.dist with
-       | Catalog.Distribution.Replicated ->
-         (match Hashtbl.find_opt t.storage.(0) key with
-          | Some rs -> load_rset t' name rs
-          | None -> ())
-       | Catalog.Distribution.Hash_partitioned _ ->
-         let shards =
-           List.filter_map (fun i -> Hashtbl.find_opt t.storage.(i) key)
-             (List.init t.nodes Fun.id)
-         in
-         if List.exists (fun s -> Rset.count s > 0) shards
-            || Hashtbl.mem t.storage.(0) key then begin
-           let layout =
-             match shards with s :: _ -> Rset.layout s | [] -> []
-           in
-           let all = Rset.concat ~layout shards in
-           let b, r = Rset.vol all in
-           moved_bytes := !moved_bytes +. b;
-           moved_rows := !moved_rows +. r;
-           load_rset t' name all
-         end)
-    tables;
-  let recovery =
-    Dms.Cost.repartition_seconds (move_rates t.hw) ~bytes:!moved_bytes
-      ~rows:!moved_rows
-  in
-  assign_account ~dst:t'.account t.account;
-  t'.account.sim_time <- t'.account.sim_time +. recovery;
-  t'.account.dms_time <- t'.account.dms_time +. recovery;
-  t'.account.bytes_moved <- t'.account.bytes_moved +. !moved_bytes;
-  t'.account.rows_moved <- t'.account.rows_moved +. !moved_rows;
-  t'.account.replans <- t'.account.replans + 1;
-  if Obs.enabled obs then begin
-    Obs.add obs "fault.replans" 1;
-    Obs.addf obs "fault.recovery_seconds" recovery
-  end;
-  t'
-
-(* -- elastic topology: phased grow / re-key moves (DESIGN.md §14) -- *)
 
 (** An in-flight phased topology move: the new layout is copy-built into a
     shadow appliance ([m_target]) one table per priced, injectable step
@@ -931,25 +868,7 @@ let copy_step (m : move) : unit =
     with_recovery ~obs ~fault:m.m_fault ts ~on_retry:drop_half_built (fun d ->
         (* node-crash decisions first, as in [run_serial] *)
         crash_point ~obs ts d;
-        let tbl = Catalog.Shell_db.find_exn ts.shell name in
-        let payload =
-          match tbl.Catalog.Shell_db.dist with
-          | Catalog.Distribution.Replicated -> Hashtbl.find_opt ts.storage.(0) key
-          | Catalog.Distribution.Hash_partitioned _ ->
-            let shards =
-              List.filter_map (fun i -> Hashtbl.find_opt ts.storage.(i) key)
-                (List.init ts.nodes Fun.id)
-            in
-            if List.exists (fun s -> Rset.count s > 0) shards
-               || Hashtbl.mem ts.storage.(0) key
-            then
-              let layout =
-                match shards with s :: _ -> Rset.layout s | [] -> []
-              in
-              Some (Rset.concat ~layout shards)
-            else None
-        in
-        match payload with
+        match table_contents ts name with
         | None -> ()  (* table was never loaded; nothing to copy *)
         | Some all ->
           inject_point ~obs ts d Fault.Dms_transfer;
@@ -1005,18 +924,36 @@ let abort_move (m : move) : unit =
 type change =
   | Grow of int
   | Rekey of { table : string; cols : string list }
+  | Lose of int
 
 let change_to_string = function
   | Grow nodes -> Printf.sprintf "grow to %d nodes" nodes
   | Rekey { table; cols } -> Printf.sprintf "re-key %s [%s]" table (String.concat "," cols)
+  | Lose node -> Printf.sprintf "lose node %d" node
 
-(* the one place grow and re-key moves are built: validate, then open
-   the phased move (a re-key keeps every other table's layout) *)
+(* the one place topology moves are built: validate, then open the
+   phased move (a re-key keeps every other table's layout) *)
 let begin_change ?obs ?fault (t : t) (change : change) : move =
+  let same_dist (tbl : Catalog.Shell_db.table) = tbl.Catalog.Shell_db.dist in
   match change with
   | Grow nodes ->
     if nodes <= t.nodes then invalid_arg "Appliance.begin_change: node count must grow";
-    begin_move ?obs ?fault t ~node_count:nodes ~dist_of:(fun tbl -> tbl.Catalog.Shell_db.dist)
+    begin_move ?obs ?fault t ~node_count:nodes ~dist_of:same_dist
+  | Lose node ->
+    if t.nodes <= 1 then
+      (* structured, not [invalid_arg]: losing the last compute node is a
+         fault-plane outcome (the appliance cannot serve), and storm drivers
+         map {!Fault.Exhausted} to a tally bucket instead of crashing *)
+      raise
+        (Fault.Exhausted
+           { failure =
+               { Fault.site = Fault.Node_crash; epoch = t.epoch; step = -1;
+                 node = 0 };
+             attempts = 1 });
+    if node < 0 || node >= t.nodes then invalid_arg "Appliance.begin_change: no such node";
+    (* every node keeps a mirrored copy in the simulated substrate, so which
+       node died does not change what the survivors load *)
+    begin_move ?obs ?fault t ~node_count:(t.nodes - 1) ~dist_of:same_dist
   | Rekey { table; cols } ->
     let tbl = Catalog.Shell_db.find_exn t.shell table in
     if cols = [] then invalid_arg "Appliance.begin_change: empty distribution key";
@@ -1032,32 +969,37 @@ let begin_change ?obs ?fault (t : t) (change : change) : move =
         then Catalog.Distribution.Hash_partitioned cols
         else x.Catalog.Shell_db.dist)
 
-(* a change as one complete move: every copy step, then the flip *)
-let complete ?fault t change =
-  let m = begin_change ?fault t change in
+(** A change as one complete move: every copy step, then the flip; a
+    failed step aborts the move and re-raises. *)
+let complete ?obs ?fault t change =
+  let m = begin_change ?obs ?fault t change in
   (try while m.m_pending <> [] do copy_step m done
    with e -> abort_move m; raise e);
   flip_move m
 
-(** [recommission t ~nodes] grows the appliance to [nodes] compute nodes
-    (the inverse of {!decommission}) as one complete phased move: every
-    hash-distributed table is re-partitioned onto the wider topology at
-    {!Dms.Cost.repartition_seconds} rates, then the catalog flips. *)
-let recommission ?fault (t : t) ~(nodes : int) : t = complete ?fault t (Grow nodes)
-
-(** [redistribute t ~table ~cols] changes [table]'s distribution key to
-    hash-partitioning on [cols] as one complete phased move. *)
-let redistribute (t : t) ~(table : string) ~(cols : string list) : t =
-  complete t (Rekey { table; cols })
+(** [decommission t ~node] replans onto the survivors after compute node
+    [node] died: the fault-free move {!Lose}[ node], whose copy steps
+    re-partition every hash-distributed table mod the surviving count,
+    counted as one replan. The [fault.replans] and
+    [fault.recovery_seconds] (the move's copy cost) counters go to
+    [obs]. *)
+let decommission ?(obs = Obs.null) (t : t) ~(node : int) : t =
+  let m = begin_change ~obs t (Lose node) in
+  while m.m_pending <> [] do copy_step m done;
+  let t' = flip_move m in
+  t'.account.replans <- t'.account.replans + 1;
+  if Obs.enabled obs then begin
+    Obs.add obs "fault.replans" 1;
+    Obs.addf obs "fault.recovery_seconds" m.m_seconds
+  end;
+  t'
 
 (** Single-node oracle: run a serial plan over the full (unpartitioned)
     tables. *)
 let run_reference (t : t) (p : Serialopt.Plan.t) : Local.rset =
   let read_table name =
-    let tbl = Catalog.Shell_db.find_exn t.shell name in
-    match tbl.Catalog.Shell_db.dist with
-    | Catalog.Distribution.Replicated -> node_table t 0 name
-    | Catalog.Distribution.Hash_partitioned _ ->
-      List.concat (List.init t.nodes (fun i -> node_table t i name))
+    match table_contents t name with
+    | Some all -> (Rset.to_local all).Local.rows
+    | None -> raise (Local.Exec_error (Printf.sprintf "table %s not loaded" name))
   in
   Local.exec_plan ~read_table p

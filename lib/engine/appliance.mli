@@ -101,6 +101,13 @@ val node_table : t -> int -> string -> rows
 (** One node's shard as a columnar batch (converting if stored row-major). *)
 val node_batch : t -> int -> string -> Batch.t
 
+(** The whole logical contents of a table as one payload: node 0's copy of
+    a replicated table, a hash-distributed table's shards concatenated in
+    node order, [None] for a table never loaded. The one reader of a
+    whole table: topology copy steps, the single-node oracle and the
+    feedback re-sampler all use it. *)
+val table_contents : t -> string -> Rset.t option
+
 (** A distributed intermediate result: one payload per compute node, or a
     single payload on the control node, per its distribution property. *)
 type dstream = {
@@ -166,22 +173,9 @@ val run_pplan :
   ?observe:(Pdwopt.Pplan.t -> float -> unit) -> t -> Pdwopt.Pplan.t -> Local.rset
 
 (** The reader+network+writer pipeline rates of an appliance's hardware,
-    in the shape {!Dms.Cost.repartition_seconds} prices topology moves
-    with (shrink, grow and re-key all share it). *)
+    in the shape {!Dms.Cost.repartition_seconds} prices each table copy of
+    a topology move with (node loss, grow and re-key share it). *)
 val move_rates : hw -> Dms.Cost.move_rates
-
-(** [decommission t ~node] builds a fresh [(nodes - 1)]-node appliance
-    after compute node [node] (current index) died: same schemas and
-    statistics, every table re-partitioned mod the surviving count, the
-    account carried over plus a recovery charge of re-partitioning every
-    hash-distributed table at DMS rates. The new shell is
-    {!Catalog.Shell_db.derive}d, so plans compiled for the old topology
-    miss the plan cache; the replan epoch is bumped so fault draws restart.
-    Decommissioning the last compute node raises {!Fault.Exhausted} (the
-    appliance cannot serve — a fault-plane outcome, not a caller bug);
-    an out-of-range [node] raises [Invalid_argument]. The [fault.replans]
-    and [fault.recovery_seconds] counters go to [obs]. *)
-val decommission : ?obs:Obs.t -> t -> node:int -> t
 
 (** An in-flight phased topology move (DESIGN.md §14): the new layout is
     copy-built into a shadow appliance one table per priced, injectable
@@ -234,34 +228,47 @@ val flip_move : move -> t
     source catalog, storage and epoch are untouched. *)
 val abort_move : move -> unit
 
-(** A topology change: grow to a node count, or re-key one table to
-    hash-partitioning on [cols]. *)
+(** A topology change: grow to a node count, re-key one table to
+    hash-partitioning on [cols], or lose the compute node at an index. *)
 type change =
   | Grow of int
   | Rekey of { table : string; cols : string list }
+  | Lose of int
 
-(** ["grow to 8 nodes"], ["re-key orders [o_custkey]"]. *)
+(** ["grow to 8 nodes"], ["re-key orders [o_custkey]"], ["lose node 2"]. *)
 val change_to_string : change -> string
 
 (** [begin_change t change] validates [change] against [t] and opens its
     phased move ({!begin_move}): a grow keeps every table's distribution
     on more nodes; a re-key changes one table's key at the same node
-    count. The one place grow and re-key moves are built. Raises
-    [Invalid_argument] for a grow that does not grow, an unknown table,
-    an empty key or a column the table lacks. [obs] and [fault] are the
-    move's context and plan, as in {!begin_move}. *)
+    count; a loss keeps every table's distribution on one node fewer
+    (every shard is mirrored in the simulated substrate, so the survivors
+    re-partition the full logical contents). The one place topology moves
+    are built. Losing the last compute node raises {!Fault.Exhausted}
+    (the appliance cannot serve: a fault-plane outcome, not a caller bug).
+    Raises [Invalid_argument] for a grow that does not grow, a lost node
+    out of range, an unknown table, an empty key or a column the table
+    lacks. [obs] and [fault] are the move's context and plan, as in
+    {!begin_move}. *)
 val begin_change : ?obs:Obs.t -> ?fault:Fault.plan -> t -> change -> move
 
-(** [recommission t ~nodes] grows the appliance to [nodes] compute nodes
-    (the inverse of {!decommission}) as one complete phased move whose
-    steps draw from [fault] (default {!Fault.none}); an exhausted budget
-    aborts the move and raises {!Fault.Exhausted}. *)
-val recommission : ?fault:Fault.plan -> t -> nodes:int -> t
+(** [complete t change] runs [change] as one complete phased move: every
+    copy step, then the flip. The steps draw from [fault] (default
+    {!Fault.none}) and report to [obs]; a failed step (an exhausted
+    budget, an escalated node crash) aborts the move and re-raises. *)
+val complete : ?obs:Obs.t -> ?fault:Fault.plan -> t -> change -> t
 
-(** [redistribute t ~table ~cols] changes [table]'s distribution key to
-    hash-partitioning on [cols] as one complete phased move (only that
-    table is re-partitioned). The move runs fault-free. *)
-val redistribute : t -> table:string -> cols:string list -> t
+(** [decommission t ~node] replans onto the survivors after compute node
+    [node] (current index) died: the fault-free move [Lose node] run to
+    its flip, plus one replan on the account. Every hash-distributed table
+    is re-partitioned mod the surviving count at
+    {!Dms.Cost.repartition_seconds} rates; the new shell is
+    {!Catalog.Shell_db.derive}d, so plans compiled for the old topology
+    miss the plan cache, and the replan epoch is bumped so fault draws
+    restart. Raises as {!begin_change} does for [Lose node]. The
+    [fault.replans] and [fault.recovery_seconds] (the move's copy cost)
+    counters go to [obs]. *)
+val decommission : ?obs:Obs.t -> t -> node:int -> t
 
 (** Single-node oracle: run a serial plan over the full (unpartitioned)
     tables. *)

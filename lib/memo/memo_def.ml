@@ -52,12 +52,27 @@ module Dedup = Hashtbl.Make (struct
       (!h lxor (!h lsr 17)) land max_int
   end)
 
+(* The operator-interning table: equal as the polymorphic table compares
+   them, but hashed over the whole operator. The bounded [Hashtbl.hash]
+   stops after 10 meaningful words, before the column ids of a long join
+   conjunction, so the joins of a many-way shared-key join would fall
+   into a few buckets. *)
+module Op_key = struct
+  type t = op
+
+  let equal a b = compare a b = 0
+
+  let hash (op : t) = Hashtbl.hash_param 100_000 100_000 op
+end
+
+module Ops = Hashtbl.Make (Op_key)
+
 type t = {
   reg : Registry.t;
   shell : Catalog.Shell_db.t;
   mutable groups : group array;     (** index = gid; grows *)
   mutable ngroups : int;
-  ops : (op, int) Hashtbl.t;         (** op -> oid, by structural equality *)
+  ops : int Ops.t;                   (** op -> oid, by structural equality *)
   dedup : int Dedup.t;
       (** (oid, canonical child ids) -> owning group *)
   mutable root : int;
@@ -67,7 +82,7 @@ type t = {
     expressions (an import knows roughly how many it will add). *)
 let create ?(exprs = 256) reg shell =
   { reg; shell; groups = Array.make 64 { gid = -1; exprs = []; props = { cols = Registry.Col_set.empty; card = 0.; width = 0. }; explored = false; merged_into = None };
-    ngroups = 0; ops = Hashtbl.create 256; dedup = Dedup.create exprs; root = -1 }
+    ngroups = 0; ops = Ops.create 256; dedup = Dedup.create exprs; root = -1 }
 
 (** Canonical group id (groups can be merged when a transformation proves
     two groups equivalent). *)
@@ -154,16 +169,16 @@ let width_of_cols t cols =
    the integer [oid], never on the operator itself. [intern] and
    [add_expr] are the only writers of [ops], [dedup] and [oid]s. *)
 let intern t op =
-  match Hashtbl.find_opt t.ops op with
+  match Ops.find_opt t.ops op with
   | Some oid -> oid
   | None ->
-    let oid = Hashtbl.length t.ops in
-    Hashtbl.add t.ops op oid;
+    let oid = Ops.length t.ops in
+    Ops.add t.ops op oid;
     oid
 
 (** The oid [op] was interned under, if any expression carries it: two
     expressions hold equal operators exactly when their oids are equal. *)
-let oid_of t op = Hashtbl.find_opt t.ops op
+let oid_of t op = Ops.find_opt t.ops op
 
 (** Add an expression to group [gid]: [oid] must be [intern t op] and
     [children] canonical. No merging or property derivation: the XML

@@ -699,7 +699,7 @@ let export (m : Memo_def.t) : string * int =
   (* the groups fill the scalar table as they are written; the table goes
      first in the document *)
   let scalars = interner () in
-  let cache = Array.make (Hashtbl.length m.Memo_def.ops) Unseen in
+  let cache = Array.make (Memo_def.Ops.length m.Memo_def.ops) Unseen in
   let groups = Buffer.create (256 + (90 * Memo_def.total_exprs m)) in
   Memo_def.iter_groups m (fun g ->
       Xml.start_tag groups 1 "group";

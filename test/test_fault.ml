@@ -298,12 +298,12 @@ let test_plan_not_left_on_appliance () =
   Alcotest.(check int) "Dsql_exec.run ~fault: every fault retried"
     a.Engine.Appliance.injected a.Engine.Appliance.retries;
   Engine.Appliance.reset_account app;
-  let grown = Engine.Appliance.recommission ~fault:first_attempt_storm app ~nodes:5 in
+  let grown = Engine.Appliance.(complete ~fault:first_attempt_storm app (Grow 5)) in
   let g = grown.Engine.Appliance.account in
-  Alcotest.(check int) "recommission ~fault: grown" 5 grown.Engine.Appliance.nodes;
-  Alcotest.(check bool) "recommission ~fault: faults fire" true
+  Alcotest.(check int) "complete ~fault: grown" 5 grown.Engine.Appliance.nodes;
+  Alcotest.(check bool) "complete ~fault: faults fire" true
     (g.Engine.Appliance.injected > 0);
-  Alcotest.(check int) "recommission ~fault: every fault retried"
+  Alcotest.(check int) "complete ~fault: every fault retried"
     g.Engine.Appliance.injected g.Engine.Appliance.retries;
   Engine.Appliance.reset_account app
 

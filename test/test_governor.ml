@@ -352,7 +352,7 @@ let test_governed_breaker_end_to_end () =
      where the schedule never fires) and charge the cooldown to its
      simulated clock: the half-open probe runs, succeeds, and closes the
      breaker *)
-  let moved = Engine.Appliance.redistribute app ~table:"orders" ~cols:[ "o_custkey" ] in
+  let moved = Engine.Appliance.(complete app (Rekey { table = "orders"; cols = [ "o_custkey" ] })) in
   Opdw.Driver.install gov moved;
   let acct = moved.Engine.Appliance.account in
   acct.Engine.Appliance.sim_time <- acct.Engine.Appliance.sim_time +. 1.0;

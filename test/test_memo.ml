@@ -461,6 +461,22 @@ let test_xml_errors () =
   fails "<a v=\"&foo;\"/>";
   fails "<a v=\"&amp\"/>"
 
+(* operator interning hashes the whole operator: two joins whose
+   predicates differ only in a column id past the tenth meaningful word
+   (where the bounded polymorphic hash stops) land in different buckets *)
+let test_ops_hash_whole_operator () =
+  let join last =
+    let eqs =
+      List.init 12 (fun i ->
+          Expr.Bin (Expr.Eq, Expr.Col (if i = 0 then last else i), Expr.Col (100 + i)))
+    in
+    let pred = List.fold_left (fun acc e -> Expr.Bin (Expr.And, acc, e)) (List.hd eqs) (List.tl eqs) in
+    Memo.Logical (Relop.Join { kind = Relop.Inner; pred })
+  in
+  let a = join 50 and b = join 51 in
+  Alcotest.(check int) "the bounded hash cannot tell them apart" (Hashtbl.hash a) (Hashtbl.hash b);
+  Alcotest.(check bool) "the interning hash can" true (Memo.Op_key.hash a <> Memo.Op_key.hash b)
+
 let suite =
   [ t "insert dedup" test_insert_dedup;
     t "identical trees share groups" test_shared_subtrees_dedup;
@@ -482,4 +498,5 @@ let suite =
     t "XML parse errors" test_xml_errors;
     t "memo XML import re-inserts into its own groups (all queries)" test_xml_import_dedup;
     t "memo XML keeps markup and newlines in strings" test_xml_markup_in_strings;
-    QCheck_alcotest.to_alcotest prop_xml_g_floats ]
+    QCheck_alcotest.to_alcotest prop_xml_g_floats;
+    t "operator interning hashes the whole operator" test_ops_hash_whole_operator ]

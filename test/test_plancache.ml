@@ -173,11 +173,11 @@ let test_catalog_changes_rekey () =
   fresh "a calibration that refines nothing" ~options shell;
   let app = Engine.Appliance.decommission wl.Opdw.Workload.app ~node:2 in
   fresh "a decommission" app.Engine.Appliance.shell;
-  let app = Engine.Appliance.recommission app ~nodes:3 in
+  let app = Engine.Appliance.(complete app (Grow 3)) in
   fresh "a grow" app.Engine.Appliance.shell;
-  let app = Engine.Appliance.redistribute app ~table:"orders" ~cols:[ "o_custkey" ] in
+  let app = Engine.Appliance.(complete app (Rekey { table = "orders"; cols = [ "o_custkey" ] })) in
   fresh "a re-key" app.Engine.Appliance.shell;
-  let app = Engine.Appliance.redistribute app ~table:"orders" ~cols:[ "o_orderkey" ] in
+  let app = Engine.Appliance.(complete app (Rekey { table = "orders"; cols = [ "o_orderkey" ] })) in
   Alcotest.(check int) "re-keys keep the node count" 3 app.Engine.Appliance.nodes;
   fresh "a second re-key" app.Engine.Appliance.shell
 

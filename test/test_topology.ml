@@ -105,7 +105,7 @@ let test_recommission_grows_online () =
   let app = wl.Opdw.Workload.app in
   let base = run_fresh app join_sql in
   let sim0 = app.Engine.Appliance.account.Engine.Appliance.sim_time in
-  let app4 = Engine.Appliance.recommission app ~nodes:4 in
+  let app4 = Engine.Appliance.(complete app (Grow 4)) in
   Alcotest.(check int) "grown to 4 nodes" 4 app4.Engine.Appliance.nodes;
   Alcotest.(check int) "topology epoch bumped" 1 app4.Engine.Appliance.epoch;
   Alcotest.(check int) "shell rebuilt at the new width" 4
@@ -146,7 +146,7 @@ let test_redistribute_rekeys_online () =
     (Opdw.plan (Opdw.optimize shell join_sql)).Pdwopt.Pplan.dms_cost
   in
   let before = cost wl.Opdw.Workload.shell in
-  let app' = Engine.Appliance.redistribute app ~table:"orders" ~cols:[ "o_custkey" ] in
+  let app' = Engine.Appliance.(complete app (Rekey { table = "orders"; cols = [ "o_custkey" ] })) in
   (match (Catalog.Shell_db.find_exn app'.Engine.Appliance.shell "orders").Catalog.Shell_db.dist with
    | Catalog.Distribution.Hash_partitioned [ "o_custkey" ] -> ()
    | _ -> Alcotest.fail "orders not re-keyed to o_custkey");
@@ -207,7 +207,7 @@ let test_exhausted_move_aborts_clean () =
               (List.init 10 Fun.id))
          (List.init 24 Fun.id))
   in
-  (match Engine.Appliance.recommission ~fault:persistent app ~nodes:4 with
+  (match Engine.Appliance.(complete ~fault:persistent app (Grow 4)) with
    | _ -> Alcotest.fail "persistent copy fault should exhaust the budget"
    | exception Fault.Exhausted { failure; _ } ->
      Alcotest.(check bool) "failure names the site" true
@@ -635,7 +635,7 @@ let test_rekey_rejects_unknown_column () =
   (match Topology.Elastic.redistribute el ~table:"orders" ~cols:[ "o_nope" ] with
    | () -> Alcotest.fail "re-key on a missing column was accepted"
    | exception Invalid_argument _ -> ());
-  (match Engine.Appliance.redistribute app ~table:"orders" ~cols:[ "o_nope" ] with
+  (match Engine.Appliance.(complete app (Rekey { table = "orders"; cols = [ "o_nope" ] })) with
    | _ -> Alcotest.fail "appliance re-key on a missing column was accepted"
    | exception Invalid_argument _ -> ());
   Alcotest.(check bool) "same appliance" true (Topology.Elastic.app el == app);
