@@ -458,6 +458,47 @@ and algebrize_single_block ~want_sort scope ctx (q : Ast.query) : result * Expr.
       q.Ast.order_by
   in
   let aggs = List.rev actx.defs in
+  (* above the group-by a computed group key is read as its key column *)
+  let key_exprs = List.map (fun (id, e) -> (e, id)) !pre_defs in
+  let rec as_keys e =
+    match List.assoc_opt e key_exprs with
+    | Some id -> Expr.Col id
+    | None ->
+      (match e with
+       | Expr.Col _ | Expr.Lit _ -> e
+       | Expr.Bin (op, a, b) -> Expr.Bin (op, as_keys a, as_keys b)
+       | Expr.Un (op, a) -> Expr.Un (op, as_keys a)
+       | Expr.Is_null (a, n) -> Expr.Is_null (as_keys a, n)
+       | Expr.Like (a, p, n) -> Expr.Like (as_keys a, p, n)
+       | Expr.In_list (a, items, n) -> Expr.In_list (as_keys a, items, n)
+       | Expr.Case (branches, else_) ->
+         Expr.Case (List.map (fun (c, v) -> (as_keys c, as_keys v)) branches,
+                    Option.map as_keys else_)
+       | Expr.Func (fn, args) -> Expr.Func (fn, List.map as_keys args)
+       | Expr.Cast (a, ty) -> Expr.Cast (as_keys a, ty))
+  in
+  let as_keys e = if key_exprs = [] then e else as_keys e in
+  let select_items = List.map (fun (name, e) -> (name, as_keys e)) select_items in
+  having_plain := List.map as_keys !having_plain;
+  having_joins := List.map (fun (cmp, sub) -> (as_keys cmp, sub)) !having_joins;
+  let order' = List.map (fun k -> { k with Relop.key = as_keys k.Relop.key }) order' in
+  (* a grouped block's rows are groups: what it selects, filters on and
+     sorts by may read a FROM column only as a group key *)
+  if has_group || aggs <> [] then begin
+    let grouped = Registry.Col_set.of_list keys in
+    let check e =
+      Registry.Col_set.iter
+        (fun c ->
+           if Registry.Col_set.mem c avail && not (Registry.Col_set.mem c grouped) then
+             resolve_err "column %s is neither grouped nor aggregated"
+               (Registry.label ctx.reg c))
+        (Expr.cols e)
+    in
+    List.iter (fun (_, e) -> check e) select_items;
+    List.iter check !having_plain;
+    List.iter (fun (cmp, _) -> check cmp) !having_joins;
+    List.iter (fun k -> check k.Relop.key) order'
+  end;
   (* 4. assemble: [pre-project] -> group-by -> having -> project -> sort *)
   let tree =
     if !pre_defs = [] then tree
@@ -496,6 +537,21 @@ and algebrize_single_block ~want_sort scope ctx (q : Ast.query) : result * Expr.
       ([], []) select_items
   in
   let output = List.rev output and defs = List.rev defs in
+  (* ORDER BY sorts the projected rows: a key equal to a select item sorts
+     on that item's column, and any other key may read selected columns
+     only *)
+  let items = List.map2 (fun (_, e) (_, id) -> (e, id)) select_items output in
+  let selected = Registry.Col_set.of_list (List.map snd output) in
+  let order' =
+    List.map
+      (fun (k : Relop.sort_key) ->
+         match List.assoc_opt k.Relop.key items with
+         | Some id -> { k with Relop.key = Expr.Col id }
+         | None ->
+           if Registry.Col_set.subset (Expr.cols k.Relop.key) selected then k
+           else unsupported "ORDER BY on a column that is not selected")
+      order'
+  in
   let tree =
     if q.Ast.distinct then begin
       let tree = Relop.project defs tree in

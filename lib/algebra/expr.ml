@@ -179,6 +179,13 @@ let compare3 op a b =
         | Lt -> c < 0 | Le -> c <= 0 | Gt -> c > 0 | Ge -> c >= 0
         | _ -> assert false)
 
+(* SUBSTRING(s, start, len) with 1-based [start], clamped to the string *)
+let substring s start len =
+  let start = max 1 start in
+  let avail = String.length s - (start - 1) in
+  let len = max 0 (min len avail) in
+  if avail <= 0 then "" else String.sub s (start - 1) len
+
 let apply_func fn args =
   match fn, args with
   | _, _ when List.exists Value.is_null args -> Value.Null
@@ -187,10 +194,7 @@ let apply_func fn args =
   | F_dateadd_day, [ Value.Int n; Value.Date d ] -> Value.Date (d + n)
   | F_year, [ Value.Date d ] -> Value.Int (Value.year_of d)
   | F_substring, [ Value.String s; Value.Int start; Value.Int len ] ->
-    let start = max 1 start in
-    let avail = String.length s - (start - 1) in
-    let len = max 0 (min len avail) in
-    Value.String (if avail <= 0 then "" else String.sub s (start - 1) len)
+    Value.String (substring s start len)
   | F_abs, [ Value.Int x ] -> Value.Int (abs x)
   | F_abs, [ Value.Float x ] -> Value.Float (Float.abs x)
   | _ -> type_err "bad arguments to function"

@@ -251,42 +251,62 @@ let to_values (c : t) : Value.t array =
 
 (* -- bulk operations -- *)
 
-(** [gather c idx] builds a dense column with [idx]'s rows of [c], in
-    order. An index of [-1] yields [Null] (left-outer null extension). *)
-let gather (c : t) (idx : int array) : t =
-  let m = Array.length idx in
-  let any_neg = Array.exists (fun i -> i < 0) idx in
-  match c with
-  | Ints { tag; data; nulls } ->
+(** [gather c idx] builds a dense column with the rows [idx.(0 .. n-1)] of
+    [c], in order ([n] defaults to [Array.length idx]). An index of [-1]
+    yields [Null] (left-outer null extension). A column without a null
+    mask copies straight through until it meets a [-1], with no per-cell
+    mask test. *)
+let gather ?n (c : t) (idx : int array) : t =
+  let m = match n with Some n -> n | None -> Array.length idx in
+  (* the masked copy: source nulls and [-1] indices both give NULL *)
+  let masked_ints tag data nulls =
     let d = make_ints m in
-    let need_mask = any_neg || nulls <> None in
-    let mask = if need_mask then Some (Bytes.make m '\000') else None in
+    let mask = Bytes.make m '\000' in
     let any = ref false in
     for k = 0 to m - 1 do
-      let i = idx.(k) in
+      let i = Array.unsafe_get idx k in
       if i < 0 || null_bit nulls i then begin
-        d.{k} <- 0;
-        (match mask with Some b -> Bytes.set b k '\001'; any := true | None -> ())
+        Bigarray.Array1.unsafe_set d k 0; Bytes.unsafe_set mask k '\001'; any := true
       end
-      else d.{k} <- data.{i}
+      else Bigarray.Array1.unsafe_set d k data.{i}
     done;
-    Ints { tag; data = d; nulls = (if !any then mask else None) }
-  | Floats { data; nulls } ->
+    Ints { tag; data = d; nulls = (if !any then Some mask else None) }
+  in
+  let masked_floats data nulls =
     let d = make_floats m in
-    let need_mask = any_neg || nulls <> None in
-    let mask = if need_mask then Some (Bytes.make m '\000') else None in
+    let mask = Bytes.make m '\000' in
     let any = ref false in
     for k = 0 to m - 1 do
-      let i = idx.(k) in
+      let i = Array.unsafe_get idx k in
       if i < 0 || null_bit nulls i then begin
-        d.{k} <- 0.;
-        (match mask with Some b -> Bytes.set b k '\001'; any := true | None -> ())
+        Bigarray.Array1.unsafe_set d k 0.; Bytes.unsafe_set mask k '\001'; any := true
       end
-      else d.{k} <- data.{i}
+      else Bigarray.Array1.unsafe_set d k data.{i}
     done;
-    Floats { data = d; nulls = (if !any then mask else None) }
+    Floats { data = d; nulls = (if !any then Some mask else None) }
+  in
+  if m > Array.length idx then invalid_arg "Column.gather";
+  match c with
+  | Ints { tag; data; nulls = None } ->
+    let d = make_ints m in
+    let k = ref 0 in
+    while !k < m && Array.unsafe_get idx !k >= 0 do
+      Bigarray.Array1.unsafe_set d !k data.{Array.unsafe_get idx !k};
+      incr k
+    done;
+    if !k = m then Ints { tag; data = d; nulls = None } else masked_ints tag data None
+  | Floats { data; nulls = None } ->
+    let d = make_floats m in
+    let k = ref 0 in
+    while !k < m && Array.unsafe_get idx !k >= 0 do
+      Bigarray.Array1.unsafe_set d !k data.{Array.unsafe_get idx !k};
+      incr k
+    done;
+    if !k = m then Floats { data = d; nulls = None } else masked_floats data None
+  | Ints { tag; data; nulls } -> masked_ints tag data nulls
+  | Floats { data; nulls } -> masked_floats data nulls
   | Boxed a ->
-    Boxed (Array.map (fun i -> if i < 0 then Value.Null else a.(i)) idx)
+    Boxed (Array.init m (fun k -> let i = Array.unsafe_get idx k in if i < 0 then Value.Null else a.(i)))
 
 (** Concatenate columns (in order). Homogeneous unboxed representations
     concatenate buffer-to-buffer; mixed representations demote to boxed. *)

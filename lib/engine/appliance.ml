@@ -211,17 +211,15 @@ type dstream = {
   dist : Dms.Distprop.t;
 }
 
-(** The full logical contents of a stream as one payload. *)
-let stream_rset (d : dstream) : Rset.t =
+(** The full logical contents of a stream, as the payloads that hold
+    them, in order: one per node for a hashed stream, one copy otherwise. *)
+let stream_parts (d : dstream) : Rset.t list =
   match d.dist with
-  | Dms.Distprop.Single_node -> Rset.with_layout d.control d.layout
-  | Dms.Distprop.Replicated ->
-    if Array.length d.per_node = 0 then Rset.Rows { Local.layout = d.layout; rows = [] }
-    else Rset.with_layout d.per_node.(0) d.layout
-  | Dms.Distprop.Hashed _ ->
-    Rset.concat ~layout:d.layout (Array.to_list d.per_node)
+  | Dms.Distprop.Single_node -> [ d.control ]
+  | Dms.Distprop.Replicated -> if Array.length d.per_node = 0 then [] else [ d.per_node.(0) ]
+  | Dms.Distprop.Hashed _ -> Array.to_list d.per_node
 
-let stream_rows (d : dstream) : rows = (Rset.to_local (stream_rset d)).Local.rows
+let stream_rows (d : dstream) : rows = Rset.client_rows (stream_parts d)
 
 (* -- fault injection and step-level recovery -- *)
 
@@ -750,19 +748,24 @@ let run_pplan ?(obs = Obs.null) ?(token = Governor.none) ?fault ?observe (t : t)
     (* the gather is itself an injectable step (control-node transient);
        it is pure over [child], so a retry just recomputes the result *)
     step @@ fun draw ->
-    let all = stream_rset child in
-    (* streamed gather: network accounting only, no temp table *)
+    let parts = stream_parts child in
+    (* streamed gather: network accounting only, no temp table; the
+       volumes are integer-valued, so summing them per node is exact *)
     (match child.dist with
      | Dms.Distprop.Single_node -> ()
      | _ ->
-       let b, r = Rset.vol all in
+       let b, r =
+         List.fold_left
+           (fun (b, r) p -> let pb, pr = Rset.vol p in (b +. pb, r +. pr))
+           (0., 0.) parts
+       in
        let step = (b *. t.hw.network_byte) +. (r *. t.hw.network_row) in
        t.account.sim_time <- t.account.sim_time +. step;
        t.account.bytes_moved <- t.account.bytes_moved +. b;
        Obs.addf obs "engine.return.bytes" b;
        Obs.addf obs "engine.return.rows" r);
     inject_point ~obs t draw Fault.Control_transient;
-    let rset = Rset.to_local all in
+    let rset = { Local.layout = child.layout; rows = Rset.client_rows parts } in
     if sort = [] then
       (match limit with
        | Some n -> { rset with Local.rows = Local.take n rset.Local.rows }

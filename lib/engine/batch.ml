@@ -4,13 +4,18 @@
     A batch is a set of typed columns ({!Catalog.Column.t}) plus an
     optional *selection vector*: filters never materialize, they narrow
     the selection, and downstream kernels (aggregation in particular)
-    iterate the selection over the original column slices. Kernels have
-    unboxed fast paths for the common numeric cases and fall back to
-    per-row {!Algebra.Expr.eval} over boxed values everywhere else, so
-    results are row-identical to the {!Local} oracle — including output
-    *order*, which mirrors the row engine's construction order exactly
-    (probe-side order for joins, first-seen order for groups, stable
-    sorts). *)
+    iterate the selection over the original column slices. Each
+    operator compiles its expressions once per execution against its
+    input's layout and column representations ({!pred}, {!scalar}):
+    column positions are resolved once, and the compiled kernels loop
+    over unboxed buffers through selection vectors. Boxed cells are
+    read only where the column itself is boxed (strings, type-mixed
+    columns). Results are row-identical to the {!Local} oracle —
+    including output *order*, which mirrors the row engine's
+    construction order exactly (probe-side order for joins, first-seen
+    order for groups, stable sorts) — and so are its type errors: a
+    kernel evaluates a sub-expression on exactly the rows
+    {!Algebra.Expr.eval} would. *)
 
 open Algebra
 open Memo
@@ -21,7 +26,7 @@ type t = {
   layout : int array;        (** column ids, parallel to [cols] *)
   cols : Column.t array;     (** dense columns, each of [rows] cells *)
   rows : int;                (** dense row count *)
-  sel : int array option;    (** selected row indices in order; [None] = all *)
+  sel : int array option;    (** selected row indices, increasing; [None] = all *)
 }
 
 (** Visible (selected) row count. *)
@@ -31,8 +36,6 @@ let identity n =
   let a = Array.make (max n 0) 0 in
   for i = 0 to n - 1 do Array.unsafe_set a i i done;
   a
-
-let sel_array b = match b.sel with Some s -> s | None -> identity b.rows
 
 (** Materialize the selection: gather every column down to the selected
     rows. No-op on dense batches. *)
@@ -51,9 +54,106 @@ let bytes b : float =
   | Some s ->
     let acc = ref 0 in
     Array.iter
-      (fun c -> Array.iter (fun i -> acc := !acc + Column.bytes_at c i) s)
+      (fun c ->
+         match c with
+         | Column.Ints { nulls = None; _ } | Column.Floats { nulls = None; _ } ->
+           if Array.length s > 0 then acc := !acc + (Array.length s * Column.bytes_at c 0)
+         | _ -> Array.iter (fun i -> acc := !acc + Column.bytes_at c i) s)
       b.cols;
     float_of_int !acc
+
+(* -- layout resolution -- *)
+
+(* first occurrence of column id [c] in the layout *)
+let find_col (b : t) (c : int) : int option =
+  let l = b.layout in
+  let rec go p =
+    if p >= Array.length l then None
+    else if Array.unsafe_get l p = c then Some p
+    else go (p + 1)
+  in
+  go 0
+
+let not_in_layout c = Local.Exec_error (Printf.sprintf "column #%d not in layout" c)
+
+let col_pos b c = match find_col b c with Some p -> p | None -> raise (not_in_layout c)
+
+(** Positions (first occurrence) of [cols] in the batch layout. *)
+let positions (b : t) (cols : int list) : int array =
+  Array.of_list (List.map (col_pos b) cols)
+
+(* -- selections -- *)
+
+(* The rows a kernel runs on: the increasing row indices [ix.(0 .. n-1)].
+   [dense] marks a whole batch's rows, whose [ix] is the per-domain
+   identity buffer (possibly longer than [n]); every other selection's
+   [ix] is exactly [n] long. Sub-selections are subsequences, so two of
+   them merge and subtract by a linear walk. *)
+type selection = { ix : int array; n : int; dense : bool }
+
+let no_rows = { ix = [||]; n = 0; dense = false }
+
+(* The identity buffer is replaced, never written, when it grows: a
+   selection that holds an older one stays valid. *)
+let ident_key : int array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
+
+let ident n =
+  let r = Domain.DLS.get ident_key in
+  if Array.length !r < n then r := identity (max n (2 * Array.length !r));
+  !r
+
+let all_rows n = { ix = ident n; n; dense = true }
+let of_rows ix = { ix; n = Array.length ix; dense = false }
+
+let selection (b : t) = match b.sel with Some s -> of_rows s | None -> all_rows b.rows
+
+(* Per-domain scratch for kernel outputs: TRUE rows go to one buffer,
+   FALSE rows to the other, and a kernel copies out the exact-size result
+   before it returns, so kernels never hold a buffer across a call.
+   Reusing them keeps the transient full-width buffers off the major heap,
+   where allocation-triggered marking would make a filter's cost grow
+   with the live heap. *)
+let scratch_t : int array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
+let scratch_f : int array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
+
+let scratch key n =
+  let r = Domain.DLS.get key in
+  if Array.length !r < n then r := Array.make (max n (2 * Array.length !r)) 0;
+  !r
+
+let cut buf m = if m = 0 then no_rows else of_rows (Array.sub buf 0 m)
+
+(* union of two disjoint sub-selections *)
+let merge a b =
+  if a.n = 0 then b
+  else if b.n = 0 then a
+  else begin
+    let out = Array.make (a.n + b.n) 0 in
+    let i = ref 0 and j = ref 0 in
+    for k = 0 to a.n + b.n - 1 do
+      if !j >= b.n || (!i < a.n && a.ix.(!i) < b.ix.(!j)) then begin
+        out.(k) <- a.ix.(!i); incr i
+      end
+      else begin out.(k) <- b.ix.(!j); incr j end
+    done;
+    of_rows out
+  end
+
+(* the rows of [s] in neither [a] nor [b], two disjoint sub-selections *)
+let diff s a b =
+  if a.n + b.n = 0 then s
+  else if a.n + b.n = s.n then no_rows
+  else begin
+    let out = Array.make (s.n - a.n - b.n) 0 in
+    let i = ref 0 and j = ref 0 and m = ref 0 in
+    for k = 0 to s.n - 1 do
+      let r = s.ix.(k) in
+      if !i < a.n && a.ix.(!i) = r then incr i
+      else if !j < b.n && b.ix.(!j) = r then incr j
+      else begin out.(!m) <- r; incr m end
+    done;
+    of_rows out
+  end
 
 (* -- conversions -- *)
 
@@ -67,11 +167,22 @@ let of_rset (r : Local.rset) : t =
     r.Local.rows;
   { layout; cols = Array.map Column.Builder.finish bs; rows = n; sel = None }
 
-let to_rset (b : t) : Local.rset =
-  let b = compact b in
+(** The visible rows, boxed in selection order and consed onto [tail]:
+    the one copy a client result needs. *)
+let rows_onto (b : t) (tail : Local.rows) : Local.rows =
+  let s = selection b in
   let w = Array.length b.cols in
-  { Local.layout = Array.to_list b.layout;
-    rows = List.init b.rows (fun i -> Array.init w (fun j -> Column.get b.cols.(j) i)) }
+  let acc = ref tail in
+  for k = s.n - 1 downto 0 do
+    let i = s.ix.(k) in
+    let row = Array.make w Value.Null in
+    for j = 0 to w - 1 do Array.unsafe_set row j (Column.get b.cols.(j) i) done;
+    acc := row :: !acc
+  done;
+  !acc
+
+let to_rset (b : t) : Local.rset =
+  { Local.layout = Array.to_list b.layout; rows = rows_onto b [] }
 
 (** View a column-major base table as a dense batch (layout filled in by
     the scan operator). *)
@@ -84,28 +195,6 @@ let empty (layout : int list) : t =
     cols = Array.of_list (List.map (fun _ -> Column.Boxed [||]) layout);
     rows = 0; sel = None }
 
-(* -- layout resolution -- *)
-
-type ctx = { idx : (int, int) Hashtbl.t; b : t }
-
-let ctx_of b : ctx =
-  let idx = Hashtbl.create (Array.length b.layout) in
-  Array.iteri (fun i c -> if not (Hashtbl.mem idx c) then Hashtbl.replace idx c i) b.layout;
-  { idx; b }
-
-let col_pos ctx c =
-  match Hashtbl.find_opt ctx.idx c with
-  | Some j -> j
-  | None -> raise (Local.Exec_error (Printf.sprintf "column #%d not in layout" c))
-
-(** Positions (first occurrence) of [cols] in the batch layout. *)
-let positions (b : t) (cols : int list) : int array =
-  let ctx = ctx_of b in
-  Array.of_list (List.map (col_pos ctx) cols)
-
-(* boxed row view at dense index [i], for exact-semantics fallbacks *)
-let env_at ctx i (c : int) : Value.t = Column.get ctx.b.cols.(col_pos ctx c) i
-
 (* -- small growable int vector (join/group outputs) -- *)
 
 module Ivec = struct
@@ -117,12 +206,12 @@ module Ivec = struct
       Array.blit v.a 0 a' 0 v.len;
       v.a <- a'
     end;
-    v.a.(v.len) <- x;
+    Array.unsafe_set v.a v.len x;
     v.len <- v.len + 1
   let contents v = Array.sub v.a 0 v.len
 end
 
-(* -- expression evaluation over column slices -- *)
+(* -- column constructors -- *)
 
 let const_col (v : Value.t) n : Column.t =
   match v with
@@ -144,175 +233,314 @@ let const_col (v : Value.t) n : Column.t =
     Column.Floats { data = d; nulls = None }
   | _ -> Column.Boxed (Array.make n v)
 
-(* generic combiner: exact [Expr.eval] null/arith semantics per row *)
-let arith_generic op ca cb n : Column.t =
+(* A typed kernel result in the column builder's representation: a
+   column with no non-null cell is boxed, as {!Column.Builder} makes it,
+   and a mask with no null bit is dropped. *)
+let normal (c : Column.t) : Column.t =
+  match c with
+  | Column.Ints { nulls = Some m; _ } | Column.Floats { nulls = Some m; _ } ->
+    if not (Bytes.exists (fun ch -> ch = '\000') m) then
+      Column.Boxed (Array.make (Bytes.length m) Value.Null)
+    else if not (Bytes.exists (fun ch -> ch <> '\000') m) then
+      (match c with
+       | Column.Ints r -> Column.Ints { r with nulls = None }
+       | Column.Floats r -> Column.Floats { r with nulls = None }
+       | Column.Boxed _ -> c)
+    else c
+  | _ -> c
+
+(* the exact per-cell semantics over boxed cells, for the columns no
+   typed kernel covers *)
+let map_cells (f : Value.t -> Value.t) (c : Column.t) : Column.t =
+  let n = Column.length c in
   let bld = Column.Builder.create ~capacity:(max 1 n) () in
-  for i = 0 to n - 1 do
-    let x = Column.get ca i and y = Column.get cb i in
-    Column.Builder.add bld
-      (if Value.is_null x || Value.is_null y then Value.Null else Expr.arith op x y)
-  done;
+  for k = 0 to n - 1 do Column.Builder.add bld (f (Column.get c k)) done;
   Column.Builder.finish bld
 
+(* merge two optional null masks of [n] cells *)
+let or_nulls n (a : Bytes.t option) (b : Bytes.t option) : Bytes.t option =
+  match a, b with
+  | None, m | m, None -> m
+  | Some x, Some y ->
+    Some (Bytes.init n (fun k ->
+        if Bytes.unsafe_get x k <> '\000' || Bytes.unsafe_get y k <> '\000' then '\001'
+        else '\000'))
+
+(* the Bool column over [s]'s rows: TRUE on [t], FALSE on [f], NULL
+   elsewhere *)
+let tri_col (s : selection) (t : selection) (f : selection) : Column.t =
+  let n = s.n in
+  if t.n + f.n = 0 then Column.Boxed (Array.make n Value.Null)
+  else begin
+    let d = Column.make_ints n in
+    let nulls = if t.n + f.n < n then Some (Bytes.make n '\000') else None in
+    let i = ref 0 and j = ref 0 in
+    for k = 0 to n - 1 do
+      let r = s.ix.(k) in
+      if !i < t.n && t.ix.(!i) = r then begin d.{k} <- 1; incr i end
+      else if !j < f.n && f.ix.(!j) = r then begin d.{k} <- 0; incr j end
+      else begin
+        d.{k} <- 0;
+        match nulls with Some m -> Bytes.unsafe_set m k '\001' | None -> ()
+      end
+    done;
+    Column.Ints { tag = Column.As_bool; data = d; nulls }
+  end
+
+(* Put disjoint pieces [(rows, column of rows.n cells)] of [s] together
+   into one column of [s.n] cells in selection order; rows no piece covers
+   are NULL. Pieces sharing one unboxed representation assemble unboxed,
+   any other mix through the builder, as the row engine's values would. *)
+let assemble (s : selection) (pieces : (selection * Column.t) list) : Column.t =
+  let pieces = List.filter (fun (p, _) -> p.n > 0) pieces in
+  match pieces with
+  | [] -> Column.Boxed (Array.make s.n Value.Null)
+  | [ (p, c) ] when p.n = s.n -> c
+  | _ ->
+    let n = s.n in
+    let pa = Array.of_list pieces in
+    let np = Array.length pa in
+    let cur = Array.make np 0 in
+    let src = Array.make n (-1) and at = Array.make n 0 in
+    for k = 0 to n - 1 do
+      let r = s.ix.(k) in
+      let q = ref 0 in
+      while
+        !q < np
+        && (let p, _ = pa.(!q) in cur.(!q) >= p.n || p.ix.(cur.(!q)) <> r)
+      do incr q done;
+      if !q < np then begin
+        src.(k) <- !q; at.(k) <- cur.(!q); cur.(!q) <- cur.(!q) + 1
+      end
+    done;
+    let tag_of = function Column.Ints { tag; _ } -> Some tag | _ -> None in
+    let all_ints =
+      match tag_of (snd pa.(0)) with
+      | Some t0 -> Array.for_all (fun (_, c) -> tag_of c = Some t0) pa
+      | None -> false
+    in
+    let all_floats = Array.for_all (fun (_, c) -> match c with Column.Floats _ -> true | _ -> false) pa in
+    if all_ints || all_floats then begin
+      let mask = Bytes.make n '\000' in
+      let is_null k = src.(k) < 0 || Column.is_null (snd pa.(src.(k))) at.(k) in
+      let col =
+        if all_ints then begin
+          let d = Column.make_ints n in
+          for k = 0 to n - 1 do
+            if is_null k then begin d.{k} <- 0; Bytes.unsafe_set mask k '\001' end
+            else
+              match snd pa.(src.(k)) with
+              | Column.Ints { data; _ } -> d.{k} <- data.{at.(k)}
+              | _ -> assert false
+          done;
+          let tag = Option.get (tag_of (snd pa.(0))) in
+          Column.Ints { tag; data = d; nulls = Some mask }
+        end
+        else begin
+          let d = Column.make_floats n in
+          for k = 0 to n - 1 do
+            if is_null k then begin d.{k} <- 0.; Bytes.unsafe_set mask k '\001' end
+            else
+              match snd pa.(src.(k)) with
+              | Column.Floats { data; _ } -> d.{k} <- data.{at.(k)}
+              | _ -> assert false
+          done;
+          Column.Floats { data = d; nulls = Some mask }
+        end
+      in
+      normal col
+    end
+    else begin
+      let bld = Column.Builder.create ~capacity:(max 1 n) () in
+      for k = 0 to n - 1 do
+        Column.Builder.add bld
+          (if src.(k) < 0 then Value.Null else Column.get (snd pa.(src.(k))) at.(k))
+      done;
+      Column.Builder.finish bld
+    end
+
+(* -- scalar kernels: dense operand columns in, a dense column out -- *)
+
+(* [Expr.arith]'s typing over a pair of unboxed columns: date +/- days is
+   a date, any other int-or-date pair computes on ints, a float on either
+   side computes on floats; Div/Mod by zero is NULL *)
 let arith_cols (op : Expr.binop) (ca : Column.t) (cb : Column.t) : Column.t =
   let n = Column.length ca in
-  match ca, cb, op with
-  | Column.Ints { tag = Column.As_int; data = xa; nulls = None },
-    Column.Ints { tag = Column.As_int; data = xb; nulls = None },
-    (Expr.Add | Expr.Sub | Expr.Mul) ->
+  let generic () =
+    let bld = Column.Builder.create ~capacity:(max 1 n) () in
+    for k = 0 to n - 1 do
+      let x = Column.get ca k and y = Column.get cb k in
+      Column.Builder.add bld
+        (if Value.is_null x || Value.is_null y then Value.Null else Expr.arith op x y)
+    done;
+    Column.Builder.finish bld
+  in
+  let numeric = function
+    | Column.Ints { tag = Column.As_bool; _ } | Column.Boxed _ -> false
+    | Column.Ints _ | Column.Floats _ -> true
+  in
+  if not (numeric ca && numeric cb) then generic ()
+  else begin
+    let na = match ca with Column.Ints { nulls; _ } | Column.Floats { nulls; _ } -> nulls | _ -> None in
+    let nb = match cb with Column.Ints { nulls; _ } | Column.Floats { nulls; _ } -> nulls | _ -> None in
+    let nulls = or_nulls n na nb in
+    (* Div/Mod by zero adds NULL cells to the mask *)
+    let zero_mask () =
+      match nulls with Some m -> Bytes.copy m | None -> Bytes.make n '\000'
+    in
+    match ca, cb with
+    | Column.Ints { tag = ta; data = xa; _ }, Column.Ints { tag = tb; data = xb; _ } ->
+      (match op with
+       | Expr.Add | Expr.Sub | Expr.Mul ->
+         let tag =
+           match op, ta, tb with
+           | Expr.Add, Column.As_date, Column.As_int
+           | Expr.Add, Column.As_int, Column.As_date
+           | Expr.Sub, Column.As_date, Column.As_int -> Column.As_date
+           | _ -> Column.As_int
+         in
+         let d = Column.make_ints n in
+         (match op with
+          | Expr.Add -> for k = 0 to n - 1 do d.{k} <- xa.{k} + xb.{k} done
+          | Expr.Sub -> for k = 0 to n - 1 do d.{k} <- xa.{k} - xb.{k} done
+          | _ -> for k = 0 to n - 1 do d.{k} <- xa.{k} * xb.{k} done);
+         normal (Column.Ints { tag; data = d; nulls })
+       | Expr.Div ->
+         let d = Column.make_floats n and m = zero_mask () in
+         for k = 0 to n - 1 do
+           let y = xb.{k} in
+           if y = 0 then begin d.{k} <- 0.; Bytes.unsafe_set m k '\001' end
+           else d.{k} <- float_of_int xa.{k} /. float_of_int y
+         done;
+         normal (Column.Floats { data = d; nulls = Some m })
+       | _ ->
+         let d = Column.make_ints n and m = zero_mask () in
+         for k = 0 to n - 1 do
+           let y = xb.{k} in
+           if y = 0 then begin d.{k} <- 0; Bytes.unsafe_set m k '\001' end
+           else d.{k} <- xa.{k} mod y
+         done;
+         normal (Column.Ints { tag = Column.As_int; data = d; nulls = Some m }))
+    | _ ->
+      let fa =
+        match ca with
+        | Column.Floats { data; _ } -> fun k -> Bigarray.Array1.unsafe_get data k
+        | Column.Ints { data; _ } -> fun k -> float_of_int (Bigarray.Array1.unsafe_get data k)
+        | Column.Boxed _ -> assert false
+      in
+      let d = Column.make_floats n in
+      (match ca, cb, op with
+       | Column.Floats { data = xa; _ }, Column.Floats { data = xb; _ }, Expr.Add ->
+         for k = 0 to n - 1 do d.{k} <- xa.{k} +. xb.{k} done
+       | Column.Floats { data = xa; _ }, Column.Floats { data = xb; _ }, Expr.Sub ->
+         for k = 0 to n - 1 do d.{k} <- xa.{k} -. xb.{k} done
+       | Column.Floats { data = xa; _ }, Column.Floats { data = xb; _ }, Expr.Mul ->
+         for k = 0 to n - 1 do d.{k} <- xa.{k} *. xb.{k} done
+       | _ ->
+         let fb =
+           match cb with
+           | Column.Floats { data; _ } -> fun k -> Bigarray.Array1.unsafe_get data k
+           | Column.Ints { data; _ } -> fun k -> float_of_int (Bigarray.Array1.unsafe_get data k)
+           | Column.Boxed _ -> assert false
+         in
+         (match op with
+          | Expr.Add -> for k = 0 to n - 1 do d.{k} <- fa k +. fb k done
+          | Expr.Sub -> for k = 0 to n - 1 do d.{k} <- fa k -. fb k done
+          | Expr.Mul -> for k = 0 to n - 1 do d.{k} <- fa k *. fb k done
+          | _ -> ()));
+      (match op with
+       | Expr.Div | Expr.Mod ->
+         let fb =
+           match cb with
+           | Column.Floats { data; _ } -> fun k -> Bigarray.Array1.unsafe_get data k
+           | Column.Ints { data; _ } -> fun k -> float_of_int (Bigarray.Array1.unsafe_get data k)
+           | Column.Boxed _ -> assert false
+         in
+         let m = zero_mask () in
+         for k = 0 to n - 1 do
+           let y = fb k in
+           if y = 0. then begin d.{k} <- 0.; Bytes.unsafe_set m k '\001' end
+           else d.{k} <- (if op = Expr.Div then fa k /. y else Float.rem (fa k) y)
+         done;
+         normal (Column.Floats { data = d; nulls = Some m })
+       | _ -> normal (Column.Floats { data = d; nulls }))
+  end
+
+let neg_col (c : Column.t) : Column.t =
+  match c with
+  | Column.Ints { tag = Column.As_int; data; nulls } ->
+    let n = Bigarray.Array1.dim data in
     let d = Column.make_ints n in
-    (match op with
-     | Expr.Add -> for i = 0 to n - 1 do d.{i} <- xa.{i} + xb.{i} done
-     | Expr.Sub -> for i = 0 to n - 1 do d.{i} <- xa.{i} - xb.{i} done
-     | _ -> for i = 0 to n - 1 do d.{i} <- xa.{i} * xb.{i} done);
-    Column.Ints { tag = Column.As_int; data = d; nulls = None }
-  | Column.Floats { data = xa; nulls = None },
-    Column.Floats { data = xb; nulls = None },
-    (Expr.Add | Expr.Sub | Expr.Mul) ->
+    for k = 0 to n - 1 do d.{k} <- - data.{k} done;
+    normal (Column.Ints { tag = Column.As_int; data = d; nulls })
+  | Column.Floats { data; nulls } ->
+    let n = Bigarray.Array1.dim data in
     let d = Column.make_floats n in
-    (match op with
-     | Expr.Add -> for i = 0 to n - 1 do d.{i} <- xa.{i} +. xb.{i} done
-     | Expr.Sub -> for i = 0 to n - 1 do d.{i} <- xa.{i} -. xb.{i} done
-     | _ -> for i = 0 to n - 1 do d.{i} <- xa.{i} *. xb.{i} done);
-    Column.Floats { data = d; nulls = None }
-  | Column.Floats { data = xa; nulls = None },
-    Column.Ints { tag = Column.As_int; data = xb; nulls = None },
-    (Expr.Add | Expr.Sub | Expr.Mul) ->
+    for k = 0 to n - 1 do d.{k} <- -. data.{k} done;
+    normal (Column.Floats { data = d; nulls })
+  | _ ->
+    map_cells
+      (function
+        | Value.Int x -> Value.Int (-x)
+        | Value.Float x -> Value.Float (-.x)
+        | Value.Null -> Value.Null
+        | v -> Expr.type_err "negate %s" (Value.to_string v))
+      c
+
+(* [f] over the non-null cells of an int column tagged [tin], giving an
+   int column tagged [tout]; any other column through [fallback] *)
+let map_ints ~tin ~tout (f : int -> int) (fallback : Column.t -> Column.t) (c : Column.t) =
+  match c with
+  | Column.Ints { tag; data; nulls } when tag = tin ->
+    let n = Bigarray.Array1.dim data in
+    let d = Column.make_ints n in
+    (match nulls with
+     | None -> for k = 0 to n - 1 do d.{k} <- f data.{k} done
+     | Some _ ->
+       for k = 0 to n - 1 do
+         d.{k} <- (if Column.null_bit nulls k then 0 else f data.{k})
+       done);
+    normal (Column.Ints { tag = tout; data = d; nulls })
+  | _ -> fallback c
+
+let cast_col (ty : Catalog.Types.t) (c : Column.t) : Column.t =
+  let fallback = map_cells (Expr.cast_value ty) in
+  let retag tag = function
+    | Column.Ints r -> Column.Ints { r with tag }
+    | c -> c
+  in
+  match ty, c with
+  | Catalog.Types.Tint, Column.Ints { tag = Column.As_int; _ }
+  | Catalog.Types.Tdate, Column.Ints { tag = Column.As_date; _ }
+  | Catalog.Types.Tbool, Column.Ints { tag = Column.As_bool; _ }
+  | Catalog.Types.Tfloat, Column.Floats _ -> c
+  | Catalog.Types.Tint, Column.Ints { tag = Column.As_date | Column.As_bool; _ } ->
+    retag Column.As_int c
+  | Catalog.Types.Tdate, Column.Ints { tag = Column.As_int; _ } -> retag Column.As_date c
+  | Catalog.Types.Tbool, Column.Ints { tag = Column.As_int; _ } ->
+    map_ints ~tin:Column.As_int ~tout:Column.As_bool
+      (fun x -> if x <> 0 then 1 else 0) fallback c
+  | Catalog.Types.Tint, Column.Floats { data; nulls } ->
+    let n = Bigarray.Array1.dim data in
+    let d = Column.make_ints n in
+    for k = 0 to n - 1 do
+      d.{k} <- (if Column.null_bit nulls k then 0 else int_of_float data.{k})
+    done;
+    normal (Column.Ints { tag = Column.As_int; data = d; nulls })
+  | Catalog.Types.Tfloat, Column.Ints { data; nulls; _ } ->
+    let n = Bigarray.Array1.dim data in
     let d = Column.make_floats n in
-    (match op with
-     | Expr.Add -> for i = 0 to n - 1 do d.{i} <- xa.{i} +. float_of_int xb.{i} done
-     | Expr.Sub -> for i = 0 to n - 1 do d.{i} <- xa.{i} -. float_of_int xb.{i} done
-     | _ -> for i = 0 to n - 1 do d.{i} <- xa.{i} *. float_of_int xb.{i} done);
-    Column.Floats { data = d; nulls = None }
-  | Column.Ints { tag = Column.As_int; data = xa; nulls = None },
-    Column.Floats { data = xb; nulls = None },
-    (Expr.Add | Expr.Sub | Expr.Mul) ->
-    let d = Column.make_floats n in
-    (match op with
-     | Expr.Add -> for i = 0 to n - 1 do d.{i} <- float_of_int xa.{i} +. xb.{i} done
-     | Expr.Sub -> for i = 0 to n - 1 do d.{i} <- float_of_int xa.{i} -. xb.{i} done
-     | _ -> for i = 0 to n - 1 do d.{i} <- float_of_int xa.{i} *. xb.{i} done);
-    Column.Floats { data = d; nulls = None }
-  | _ -> arith_generic op ca cb n
+    for k = 0 to n - 1 do d.{k} <- float_of_int data.{k} done;
+    normal (Column.Floats { data = d; nulls })
+  | _ -> fallback c
 
-let cmp_cols (op : Expr.binop) ca cb n : Column.t =
-  let bld = Column.Builder.create ~capacity:(max 1 n) () in
-  for i = 0 to n - 1 do
-    Column.Builder.add bld
-      (match Expr.compare3 op (Column.get ca i) (Column.get cb i) with
-       | Some b -> Value.Bool b
-       | None -> Value.Null)
-  done;
-  Column.Builder.finish bld
+(* -- predicate kernels: a selection in, its TRUE and FALSE rows out -- *)
 
-(** Evaluate [e] over the selected rows of the context batch; the result
-    is a dense column of [length sel] cells, in selection order. *)
-let rec eval_col ctx (sel : int array option) (e : Expr.t) : Column.t =
-  let n = match sel with Some s -> Array.length s | None -> ctx.b.rows in
-  match e with
-  | Expr.Col c ->
-    let col = ctx.b.cols.(col_pos ctx c) in
-    (match sel with None -> col | Some s -> Column.gather col s)
-  | Expr.Lit v -> const_col v n
-  | Expr.Bin ((Expr.Add | Expr.Sub | Expr.Mul | Expr.Div | Expr.Mod) as op, a, b) ->
-    arith_cols op (eval_col ctx sel a) (eval_col ctx sel b)
-  | Expr.Bin ((Expr.Eq | Expr.Ne | Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge) as op, a, b) ->
-    cmp_cols op (eval_col ctx sel a) (eval_col ctx sel b) n
-  | Expr.Un (Expr.Neg, a) ->
-    let ca = eval_col ctx sel a in
-    let bld = Column.Builder.create ~capacity:(max 1 n) () in
-    for i = 0 to n - 1 do
-      Column.Builder.add bld
-        (match Column.get ca i with
-         | Value.Int x -> Value.Int (-x)
-         | Value.Float x -> Value.Float (-.x)
-         | Value.Null -> Value.Null
-         | v -> Expr.type_err "negate %s" (Value.to_string v))
-    done;
-    Column.Builder.finish bld
-  | Expr.Un (Expr.Not, a) ->
-    let ca = eval_col ctx sel a in
-    let bld = Column.Builder.create ~capacity:(max 1 n) () in
-    for i = 0 to n - 1 do
-      Column.Builder.add bld
-        (match Column.get ca i with
-         | Value.Bool b -> Value.Bool (not b)
-         | Value.Null -> Value.Null
-         | v -> Expr.type_err "NOT %s" (Value.to_string v))
-    done;
-    Column.Builder.finish bld
-  | Expr.Is_null (a, negated) ->
-    let ca = eval_col ctx sel a in
-    let bld = Column.Builder.create ~capacity:(max 1 n) () in
-    for i = 0 to n - 1 do
-      let nl = Column.is_null ca i in
-      Column.Builder.add bld (Value.Bool (if negated then not nl else nl))
-    done;
-    Column.Builder.finish bld
-  | Expr.Like (a, pattern, negated) ->
-    let ca = eval_col ctx sel a in
-    let bld = Column.Builder.create ~capacity:(max 1 n) () in
-    for i = 0 to n - 1 do
-      Column.Builder.add bld
-        (match Column.get ca i with
-         | Value.Null -> Value.Null
-         | Value.String s ->
-           let m = Expr.like_match ~pattern s in
-           Value.Bool (if negated then not m else m)
-         | v -> Expr.type_err "LIKE on %s" (Value.to_string v))
-    done;
-    Column.Builder.finish bld
-  | Expr.In_list (a, items, negated) ->
-    let ca = eval_col ctx sel a in
-    let has_null = List.exists Value.is_null items in
-    let bld = Column.Builder.create ~capacity:(max 1 n) () in
-    for i = 0 to n - 1 do
-      Column.Builder.add bld
-        (match Column.get ca i with
-         | Value.Null -> Value.Null
-         | v ->
-           let m =
-             List.exists (fun it -> (not (Value.is_null it)) && Value.equal v it) items
-           in
-           if m then Value.Bool (not negated)
-           else if has_null then Value.Null
-           else Value.Bool negated)
-    done;
-    Column.Builder.finish bld
-  | Expr.Cast (a, ty) ->
-    let ca = eval_col ctx sel a in
-    let bld = Column.Builder.create ~capacity:(max 1 n) () in
-    for i = 0 to n - 1 do
-      Column.Builder.add bld (Expr.cast_value ty (Column.get ca i))
-    done;
-    Column.Builder.finish bld
-  | Expr.Func (fn, args) ->
-    let cargs = List.map (eval_col ctx sel) args in
-    let bld = Column.Builder.create ~capacity:(max 1 n) () in
-    for i = 0 to n - 1 do
-      Column.Builder.add bld
-        (Expr.apply_func fn (List.map (fun c -> Column.get c i) cargs))
-    done;
-    Column.Builder.finish bld
-  | Expr.Bin ((Expr.And | Expr.Or), _, _) | Expr.Case _ ->
-    (* per-row laziness (short-circuit AND/OR, CASE branch selection) is
-       part of the row semantics: evaluate exactly like the oracle *)
-    let bld = Column.Builder.create ~capacity:(max 1 n) () in
-    (match sel with
-     | None ->
-       for i = 0 to n - 1 do Column.Builder.add bld (Expr.eval (env_at ctx i) e) done
-     | Some s ->
-       Array.iter (fun i -> Column.Builder.add bld (Expr.eval (env_at ctx i) e)) s);
-    Column.Builder.finish bld
-
-(* -- predicate filtering: selection in, narrowed selection out -- *)
-
-let cmp_test (op : Expr.binop) (c : int) =
-  match op with
-  | Expr.Eq -> c = 0 | Expr.Ne -> c <> 0
-  | Expr.Lt -> c < 0 | Expr.Le -> c <= 0
-  | Expr.Gt -> c > 0 | Expr.Ge -> c >= 0
-  | _ -> assert false
+(* which orderings of (left, right) make a comparison TRUE *)
+let flags (op : Expr.binop) =
+  ( (op = Expr.Lt || op = Expr.Le || op = Expr.Ne),
+    (op = Expr.Le || op = Expr.Ge || op = Expr.Eq),
+    (op = Expr.Gt || op = Expr.Ge || op = Expr.Ne) )
 
 (* mirror a comparison so the literal moves to the right-hand side *)
 let mirror_cmp = function
@@ -320,320 +548,682 @@ let mirror_cmp = function
   | Expr.Le -> Expr.Ge | Expr.Ge -> Expr.Le
   | op -> op
 
-(* Zero-materialization comparison filters: the hot WHERE shapes
-   (column <op> literal, column <op> column) loop directly over the stored
-   column through the selection indirection — no gather, no constant-column
-   fill, no intermediate Bigarrays. Semantics are [Expr.compare3]'s exactly
-   (numeric int/float mixing, UNKNOWN drops the row). The comparison operator
-   is hoisted into sign flags and the null mask matched once, so the per-row
-   work is branch + store with no function calls. *)
-(* Per-domain scratch buffer for selection outputs: filters write matching
-   row indices here, then copy out the exact-size result. Reused across
-   calls so the transient full-width buffers never hit the major heap —
-   allocation-triggered GC marking otherwise makes filter cost grow with
-   the *live* heap, superlinearly in the scale factor. Each pool domain
-   gets its own buffer, and outputs never alias it because every result is
-   a fresh [Array.sub]. *)
-let scratch_key : int array ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [||])
+(* The comparison loops read each side at [at.(k)] for the k-th selected
+   row: [s.ix] for a stored column read in place, the identity for a
+   computed dense column. A NULL on either side is UNKNOWN: the row goes
+   to neither output. The operator is hoisted into the three flags and the
+   null masks are matched once, so the null-free loops are a compare and a
+   store. FALSE rows are written only when [want_f]. *)
 
-let scratch_buf n =
-  let r = Domain.DLS.get scratch_key in
-  if Array.length !r < n then r := Array.make (max n (2 * Array.length !r)) 0;
-  !r
-
-(* [sel = None] means the dense rows [0 .. n-1]. *)
-let keep_ints (sel : int array option) ~(n : int) ~lt_ok ~eq_ok ~gt_ok
-    (data : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t)
-    (nulls : Bytes.t option) (c : int) : int array option =
-  let buf = scratch_buf n in
-  let m = ref 0 in
-  (match sel, nulls with
+let ints_ints op ~want_f (s : selection) (xa : Column.ints) na (ia : int array)
+    (xb : Column.ints) nb (ib : int array) =
+  let lt, eq, gt = flags op in
+  let n = s.n and ix = s.ix in
+  let t = scratch scratch_t n and f = if want_f then scratch scratch_f n else [||] in
+  let mt = ref 0 and mf = ref 0 in
+  (match na, nb with
    | None, None ->
-     for i = 0 to n - 1 do
-       let x = Bigarray.Array1.unsafe_get data i in
-       if (if x < c then lt_ok else if x = c then eq_ok else gt_ok) then begin
-         Array.unsafe_set buf !m i; incr m
-       end
-     done
-   | Some s, None ->
      for k = 0 to n - 1 do
-       let i = Array.unsafe_get s k in
-       let x = Bigarray.Array1.unsafe_get data i in
-       if (if x < c then lt_ok else if x = c then eq_ok else gt_ok) then begin
-         Array.unsafe_set buf !m i; incr m
+       let x = Bigarray.Array1.unsafe_get xa (Array.unsafe_get ia k)
+       and y = Bigarray.Array1.unsafe_get xb (Array.unsafe_get ib k) in
+       if (if x < y then lt else if x = y then eq else gt) then begin
+         Array.unsafe_set t !mt (Array.unsafe_get ix k); incr mt
        end
+       else if want_f then begin Array.unsafe_set f !mf (Array.unsafe_get ix k); incr mf end
      done
-   | None, Some nb ->
-     for i = 0 to n - 1 do
-       if Bytes.unsafe_get nb i = '\000' then begin
-         let x = Bigarray.Array1.unsafe_get data i in
-         if (if x < c then lt_ok else if x = c then eq_ok else gt_ok) then begin
-           Array.unsafe_set buf !m i; incr m
-         end
-       end
-     done
-   | Some s, Some nb ->
+   | _ ->
      for k = 0 to n - 1 do
-       let i = Array.unsafe_get s k in
-       if Bytes.unsafe_get nb i = '\000' then begin
-         let x = Bigarray.Array1.unsafe_get data i in
-         if (if x < c then lt_ok else if x = c then eq_ok else gt_ok) then begin
-           Array.unsafe_set buf !m i; incr m
+       let p = Array.unsafe_get ia k and q = Array.unsafe_get ib k in
+       if not (Column.null_bit na p || Column.null_bit nb q) then begin
+         let x = Bigarray.Array1.unsafe_get xa p and y = Bigarray.Array1.unsafe_get xb q in
+         if (if x < y then lt else if x = y then eq else gt) then begin
+           Array.unsafe_set t !mt (Array.unsafe_get ix k); incr mt
          end
+         else if want_f then begin Array.unsafe_set f !mf (Array.unsafe_get ix k); incr mf end
        end
      done);
-  Some (Array.sub buf 0 !m)
+  (cut t !mt, if want_f then cut f !mf else no_rows)
 
-let keep_floats (sel : int array option) ~(n : int) ~lt_ok ~eq_ok ~gt_ok
-    (data : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t)
-    (nulls : Bytes.t option) (c : float) : int array option =
-  let buf = scratch_buf n in
-  let m = ref 0 in
-  (match sel, nulls with
-   | None, None ->
-     for i = 0 to n - 1 do
-       let v = Float.compare (Bigarray.Array1.unsafe_get data i) c in
-       if (if v < 0 then lt_ok else if v = 0 then eq_ok else gt_ok) then begin
-         Array.unsafe_set buf !m i; incr m
-       end
-     done
-   | Some s, None ->
+let ints_const op ~want_f (s : selection) (xa : Column.ints) na (ia : int array) (c : int) =
+  let lt, eq, gt = flags op in
+  let n = s.n and ix = s.ix in
+  let t = scratch scratch_t n and f = if want_f then scratch scratch_f n else [||] in
+  let mt = ref 0 and mf = ref 0 in
+  (match na with
+   | None ->
      for k = 0 to n - 1 do
-       let i = Array.unsafe_get s k in
-       let v = Float.compare (Bigarray.Array1.unsafe_get data i) c in
-       if (if v < 0 then lt_ok else if v = 0 then eq_ok else gt_ok) then begin
-         Array.unsafe_set buf !m i; incr m
+       let x = Bigarray.Array1.unsafe_get xa (Array.unsafe_get ia k) in
+       if (if x < c then lt else if x = c then eq else gt) then begin
+         Array.unsafe_set t !mt (Array.unsafe_get ix k); incr mt
        end
+       else if want_f then begin Array.unsafe_set f !mf (Array.unsafe_get ix k); incr mf end
      done
-   | None, Some nb ->
-     for i = 0 to n - 1 do
-       if Bytes.unsafe_get nb i = '\000' then begin
-         let v = Float.compare (Bigarray.Array1.unsafe_get data i) c in
-         if (if v < 0 then lt_ok else if v = 0 then eq_ok else gt_ok) then begin
-           Array.unsafe_set buf !m i; incr m
-         end
-       end
-     done
-   | Some s, Some nb ->
+   | Some nb ->
      for k = 0 to n - 1 do
-       let i = Array.unsafe_get s k in
-       if Bytes.unsafe_get nb i = '\000' then begin
-         let v = Float.compare (Bigarray.Array1.unsafe_get data i) c in
-         if (if v < 0 then lt_ok else if v = 0 then eq_ok else gt_ok) then begin
-           Array.unsafe_set buf !m i; incr m
+       let p = Array.unsafe_get ia k in
+       if Bytes.unsafe_get nb p = '\000' then begin
+         let x = Bigarray.Array1.unsafe_get xa p in
+         if (if x < c then lt else if x = c then eq else gt) then begin
+           Array.unsafe_set t !mt (Array.unsafe_get ix k); incr mt
          end
+         else if want_f then begin Array.unsafe_set f !mf (Array.unsafe_get ix k); incr mf end
        end
      done);
-  Some (Array.sub buf 0 !m)
+  (cut t !mt, if want_f then cut f !mf else no_rows)
 
-let filter_cmp_fast ctx (sel : int array option) ~(n : int) op ea eb :
-  int array option =
-  let lt_ok = (op = Expr.Lt || op = Expr.Le || op = Expr.Ne) in
-  let eq_ok = (op = Expr.Le || op = Expr.Ge || op = Expr.Eq) in
-  let gt_ok = (op = Expr.Gt || op = Expr.Ge || op = Expr.Ne) in
-  let keep test =
-    let buf = scratch_buf n in
-    let m = ref 0 in
-    (match sel with
-     | None ->
-       for i = 0 to n - 1 do
-         if test i then begin buf.(!m) <- i; incr m end
-       done
-     | Some s ->
-       for k = 0 to n - 1 do
-         let i = Array.unsafe_get s k in
-         if test i then begin buf.(!m) <- i; incr m end
-       done);
-    Some (Array.sub buf 0 !m)
-  in
-  let col = function Expr.Col c -> Some ctx.b.cols.(col_pos ctx c) | _ -> None in
-  match col ea, col eb, ea, eb with
-  | Some ca, Some cb, _, _ ->
-    (match ca, cb with
-     | Column.Ints { tag = ta; data = xa; nulls = None },
-       Column.Ints { tag = tb; data = xb; nulls = None } when ta = tb ->
-       let buf = scratch_buf n in
-       let m = ref 0 in
-       let row i =
-         let x = Bigarray.Array1.unsafe_get xa i
-         and y = Bigarray.Array1.unsafe_get xb i in
-         if (if x < y then lt_ok else if x = y then eq_ok else gt_ok) then begin
-           Array.unsafe_set buf !m i; incr m
-         end
-       in
-       (match sel with
-        | None -> for i = 0 to n - 1 do row i done
-        | Some s -> for k = 0 to n - 1 do row (Array.unsafe_get s k) done);
-       Some (Array.sub buf 0 !m)
-     | Column.Ints { tag = ta; data = xa; nulls = na },
-       Column.Ints { tag = tb; data = xb; nulls = nb } when ta = tb ->
-       keep (fun i ->
-           (not (Column.null_bit na i)) && (not (Column.null_bit nb i))
-           && cmp_test op (Int.compare xa.{i} xb.{i}))
-     | Column.Floats { data = xa; nulls = None }, Column.Floats { data = xb; nulls = None } ->
-       let buf = scratch_buf n in
-       let m = ref 0 in
-       let row i =
-         let v =
-           Float.compare (Bigarray.Array1.unsafe_get xa i)
-             (Bigarray.Array1.unsafe_get xb i)
-         in
-         if (if v < 0 then lt_ok else if v = 0 then eq_ok else gt_ok) then begin
-           Array.unsafe_set buf !m i; incr m
-         end
-       in
-       (match sel with
-        | None -> for i = 0 to n - 1 do row i done
-        | Some s -> for k = 0 to n - 1 do row (Array.unsafe_get s k) done);
-       Some (Array.sub buf 0 !m)
-     | Column.Floats { data = xa; nulls = na }, Column.Floats { data = xb; nulls = nb } ->
-       keep (fun i ->
-           (not (Column.null_bit na i)) && (not (Column.null_bit nb i))
-           && cmp_test op (Float.compare xa.{i} xb.{i}))
-     | Column.Ints { tag = Column.As_int; data = xa; nulls = na },
-       Column.Floats { data = xb; nulls = nb } ->
-       keep (fun i ->
-           (not (Column.null_bit na i)) && (not (Column.null_bit nb i))
-           && cmp_test op (Float.compare (float_of_int xa.{i}) xb.{i}))
-     | Column.Floats { data = xa; nulls = na },
-       Column.Ints { tag = Column.As_int; data = xb; nulls = nb } ->
-       keep (fun i ->
-           (not (Column.null_bit na i)) && (not (Column.null_bit nb i))
-           && cmp_test op (Float.compare xa.{i} (float_of_int xb.{i})))
-     | _ ->
-       keep (fun i ->
-           match Expr.compare3 op (Column.get ca i) (Column.get cb i) with
-           | Some true -> true
-           | _ -> false))
-  | Some ca, None, _, Expr.Lit v | None, Some ca, Expr.Lit v, _ ->
-    let op = match eb with Expr.Lit _ -> op | _ -> mirror_cmp op in
-    let lt_ok = (op = Expr.Lt || op = Expr.Le || op = Expr.Ne) in
-    let eq_ok = (op = Expr.Le || op = Expr.Ge || op = Expr.Eq) in
-    let gt_ok = (op = Expr.Gt || op = Expr.Ge || op = Expr.Ne) in
-    if Value.is_null v then Some [||]
-    else begin
-      match ca, v with
-      | Column.Ints { tag = Column.As_int; data; nulls }, Value.Int c ->
-        keep_ints sel ~n ~lt_ok ~eq_ok ~gt_ok data nulls c
-      | Column.Ints { tag = Column.As_date; data; nulls }, Value.Date c ->
-        keep_ints sel ~n ~lt_ok ~eq_ok ~gt_ok data nulls c
-      | Column.Ints { tag = Column.As_bool; data; nulls }, Value.Bool c ->
-        keep_ints sel ~n ~lt_ok ~eq_ok ~gt_ok data nulls (if c then 1 else 0)
-      | Column.Ints { tag = Column.As_int; data; nulls }, Value.Float f ->
-        keep (fun i ->
-            (not (Column.null_bit nulls i))
-            && cmp_test op (Float.compare (float_of_int data.{i}) f))
-      | Column.Floats { data; nulls }, Value.Float f ->
-        keep_floats sel ~n ~lt_ok ~eq_ok ~gt_ok data nulls f
-      | Column.Floats { data; nulls }, Value.Int c ->
-        keep_floats sel ~n ~lt_ok ~eq_ok ~gt_ok data nulls (float_of_int c)
-      | Column.Boxed arr, _ ->
-        keep (fun i ->
-            match Expr.compare3 op arr.(i) v with Some true -> true | _ -> false)
-      | _ ->
-        keep (fun i ->
-            match Expr.compare3 op (Column.get ca i) v with
-            | Some true -> true
-            | _ -> false)
+(* floats compare with [Float.compare], as {!Catalog.Value.compare} does;
+   [xa] reads the left side's k-th value *)
+let floats_floats op ~want_f (s : selection) (xa : int -> float) na (ia : int array)
+    (xb : int -> float) nb (ib : int array) =
+  let lt, eq, gt = flags op in
+  let n = s.n and ix = s.ix in
+  let t = scratch scratch_t n and f = if want_f then scratch scratch_f n else [||] in
+  let mt = ref 0 and mf = ref 0 in
+  for k = 0 to n - 1 do
+    let p = Array.unsafe_get ia k and q = Array.unsafe_get ib k in
+    if not (Column.null_bit na p || Column.null_bit nb q) then begin
+      let v = Float.compare (xa p) (xb q) in
+      if (if v < 0 then lt else if v = 0 then eq else gt) then begin
+        Array.unsafe_set t !mt (Array.unsafe_get ix k); incr mt
+      end
+      else if want_f then begin Array.unsafe_set f !mf (Array.unsafe_get ix k); incr mf end
     end
-  | _ -> None
+  done;
+  (cut t !mt, if want_f then cut f !mf else no_rows)
 
-(* [sel = None] = all dense rows of the batch, avoiding the identity
-   selection array entirely (its allocation alone dominated cheap
-   filters). Returns the surviving row indices. *)
-let rec filter_sel ctx (sel : int array option) (e : Expr.t) : int array =
-  let n = match sel with Some s -> Array.length s | None -> ctx.b.rows in
-  (* map a position in the evaluated (selection-compacted) column back to
-     its dense row index *)
-  let row_of =
-    match sel with None -> fun k -> k | Some s -> fun k -> Array.unsafe_get s k
-  in
-  match e with
-  | Expr.Bin (Expr.And, a, b) ->
-    (* WHERE-clause AND: both conjuncts must be true, which sequential
-       narrowing computes (UNKNOWN drops the row either way) *)
-    filter_sel ctx (Some (filter_sel ctx sel a)) b
-  | Expr.Bin ((Expr.Eq | Expr.Ne | Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge) as op, a, b) ->
-    (match filter_cmp_fast ctx sel ~n op a b with
-     | Some narrowed -> narrowed
-     | None ->
-       (* operands are computed expressions: materialize them densely once,
-          then compare in selection order *)
-       let ca = eval_col ctx sel a and cb = eval_col ctx sel b in
-       let buf = scratch_buf n in
-       let m = ref 0 in
-       (match ca, cb with
-        | Column.Ints { tag = ta; data = xa; nulls = None },
-          Column.Ints { tag = tb; data = xb; nulls = None }
-          when ta = tb ->
-          for k = 0 to n - 1 do
-            if cmp_test op (Int.compare xa.{k} xb.{k}) then begin
-              buf.(!m) <- row_of k; incr m
-            end
-          done
-        | Column.Floats { data = xa; nulls = None },
-          Column.Floats { data = xb; nulls = None } ->
-          for k = 0 to n - 1 do
-            if cmp_test op (Float.compare xa.{k} xb.{k}) then begin
-              buf.(!m) <- row_of k; incr m
-            end
-          done
-        | Column.Ints { tag = Column.As_int; data = xa; nulls = None },
-          Column.Floats { data = xb; nulls = None } ->
-          for k = 0 to n - 1 do
-            if cmp_test op (Float.compare (float_of_int xa.{k}) xb.{k}) then begin
-              buf.(!m) <- row_of k; incr m
-            end
-          done
-        | Column.Floats { data = xa; nulls = None },
-          Column.Ints { tag = Column.As_int; data = xb; nulls = None } ->
-          for k = 0 to n - 1 do
-            if cmp_test op (Float.compare xa.{k} (float_of_int xb.{k})) then begin
-              buf.(!m) <- row_of k; incr m
-            end
-          done
-        | _ ->
-          for k = 0 to n - 1 do
-            match Expr.compare3 op (Column.get ca k) (Column.get cb k) with
-            | Some true -> buf.(!m) <- row_of k; incr m
-            | _ -> ()
-          done);
-       Array.sub buf 0 !m)
-  | Expr.Like (a, pattern, negated) ->
-    (* LIKE kernel: match each selected string where it is stored (a bare
-       column is read through the selection, a computed operand is
-       evaluated once) and narrow the selection, no Bool column between *)
-    let col, at =
-      match a with
-      | Expr.Col c -> (ctx.b.cols.(col_pos ctx c), row_of)
-      | _ -> (eval_col ctx sel a, Fun.id)
-    in
-    let buf = scratch_buf n in
-    let m = ref 0 in
-    for k = 0 to n - 1 do
-      match Column.get col (at k) with
-      | Value.String s ->
-        if Expr.like_match ~pattern s <> negated then begin
-          buf.(!m) <- row_of k; incr m
-        end
-      | Value.Null -> ()
-      | v -> Expr.type_err "LIKE on %s" (Value.to_string v)
-    done;
-    Array.sub buf 0 !m
+let floats_const op ~want_f (s : selection) (xa : Column.floats) na (ia : int array) (c : float) =
+  let lt, eq, gt = flags op in
+  let n = s.n and ix = s.ix in
+  let t = scratch scratch_t n and f = if want_f then scratch scratch_f n else [||] in
+  let mt = ref 0 and mf = ref 0 in
+  (match na with
+   | None ->
+     for k = 0 to n - 1 do
+       let v = Float.compare (Bigarray.Array1.unsafe_get xa (Array.unsafe_get ia k)) c in
+       if (if v < 0 then lt else if v = 0 then eq else gt) then begin
+         Array.unsafe_set t !mt (Array.unsafe_get ix k); incr mt
+       end
+       else if want_f then begin Array.unsafe_set f !mf (Array.unsafe_get ix k); incr mf end
+     done
+   | Some nb ->
+     for k = 0 to n - 1 do
+       let p = Array.unsafe_get ia k in
+       if Bytes.unsafe_get nb p = '\000' then begin
+         let v = Float.compare (Bigarray.Array1.unsafe_get xa p) c in
+         if (if v < 0 then lt else if v = 0 then eq else gt) then begin
+           Array.unsafe_set t !mt (Array.unsafe_get ix k); incr mt
+         end
+         else if want_f then begin Array.unsafe_set f !mf (Array.unsafe_get ix k); incr mf end
+       end
+     done);
+  (cut t !mt, if want_f then cut f !mf else no_rows)
+
+(* a stored string compared with a literal where it is stored *)
+let strings_const op ~want_f (s : selection) (a : Value.t array) (ia : int array) (str : string) =
+  let lt, eq, gt = flags op in
+  let n = s.n and ix = s.ix in
+  let t = scratch scratch_t n and f = if want_f then scratch scratch_f n else [||] in
+  let mt = ref 0 and mf = ref 0 in
+  let lit = Value.String str in
+  for k = 0 to n - 1 do
+    match Array.unsafe_get a (Array.unsafe_get ia k) with
+    | Value.Null -> ()
+    | cell ->
+      let c =
+        match cell with Value.String x -> String.compare x str | v -> Value.compare v lit
+      in
+      if (if c < 0 then lt else if c = 0 then eq else gt) then begin
+        Array.unsafe_set t !mt (Array.unsafe_get ix k); incr mt
+      end
+      else if want_f then begin Array.unsafe_set f !mf (Array.unsafe_get ix k); incr mf end
+  done;
+  (cut t !mt, if want_f then cut f !mf else no_rows)
+
+(* any other pair of cells, with {!Expr.compare3}'s semantics *)
+let values_cmp op ~want_f (s : selection) (ga : int -> Value.t) (gb : int -> Value.t) =
+  let lt, eq, gt = flags op in
+  let n = s.n and ix = s.ix in
+  let t = scratch scratch_t n and f = if want_f then scratch scratch_f n else [||] in
+  let mt = ref 0 and mf = ref 0 in
+  for k = 0 to n - 1 do
+    let x = ga k and y = gb k in
+    if not (Value.is_null x || Value.is_null y) then begin
+      let c = Value.compare x y in
+      if (if c < 0 then lt else if c = 0 then eq else gt) then begin
+        Array.unsafe_set t !mt (Array.unsafe_get ix k); incr mt
+      end
+      else if want_f then begin Array.unsafe_set f !mf (Array.unsafe_get ix k); incr mf end
+    end
+  done;
+  (cut t !mt, if want_f then cut f !mf else no_rows)
+
+(* the NULL and non-NULL rows of [s], reading the column at [at] *)
+let null_rows (s : selection) (c : Column.t) (at : int array) =
+  match c with
+  | Column.Ints { nulls = None; _ } | Column.Floats { nulls = None; _ } -> (no_rows, s)
   | _ ->
-    (* evaluate as a boolean column and keep the TRUE rows; any non-bool
-       non-null result is a type error, as in [Expr.eval_pred] *)
-    let cc = eval_col ctx sel e in
-    let buf = scratch_buf n in
-    let m = ref 0 in
+    let n = s.n in
+    let t = scratch scratch_t n and f = scratch scratch_f n in
+    let mt = ref 0 and mf = ref 0 in
     for k = 0 to n - 1 do
-      match Column.get cc k with
-      | Value.Bool true -> buf.(!m) <- row_of k; incr m
-      | Value.Bool false | Value.Null -> ()
-      | v -> Expr.type_err "predicate evaluated to %s" (Value.to_string v)
+      if Column.is_null c (Array.unsafe_get at k) then begin t.(!mt) <- s.ix.(k); incr mt end
+      else begin f.(!mf) <- s.ix.(k); incr mf end
     done;
-    Array.sub buf 0 !m
+    (cut t !mt, cut f !mf)
+
+(* A LIKE pattern compiled once: patterns without [_] whose [%]s sit only
+   at the ends are an equality, prefix, suffix or substring test; any
+   other goes to {!Expr.like_match}. *)
+let like_matcher (pattern : string) : string -> bool =
+  let np = String.length pattern in
+  let lead = np > 0 && pattern.[0] = '%' in
+  let trail = np > 1 && pattern.[np - 1] = '%' in
+  let core =
+    String.sub pattern (if lead then 1 else 0)
+      (np - (if lead then 1 else 0) - (if trail then 1 else 0))
+  in
+  if np = 1 && lead then fun _ -> true
+  else if String.contains pattern '_' || String.contains core '%' then
+    Expr.like_match ~pattern
+  else begin
+    let m = String.length core in
+    let at s off =
+      let rec go j = j >= m || (String.unsafe_get s (off + j) = String.unsafe_get core j && go (j + 1)) in
+      go 0
+    in
+    match lead, trail with
+    | false, false -> String.equal core
+    | false, true -> fun s -> String.length s >= m && at s 0
+    | true, false -> fun s -> String.length s >= m && at s (String.length s - m)
+    | true, true ->
+      fun s ->
+        let last = String.length s - m in
+        let rec from off = off <= last && (at s off || from (off + 1)) in
+        from 0
+  end
+
+let like_rows ~negated (m : string -> bool) ~want_f (s : selection) (c : Column.t) (at : int array) =
+  let n = s.n and ix = s.ix in
+  let t = scratch scratch_t n and f = if want_f then scratch scratch_f n else [||] in
+  let mt = ref 0 and mf = ref 0 in
+  (match c with
+   | Column.Boxed a ->
+     for k = 0 to n - 1 do
+       match Array.unsafe_get a (Array.unsafe_get at k) with
+       | Value.String x ->
+         if m x <> negated then begin Array.unsafe_set t !mt (Array.unsafe_get ix k); incr mt end
+         else if want_f then begin Array.unsafe_set f !mf (Array.unsafe_get ix k); incr mf end
+       | Value.Null -> ()
+       | v -> Expr.type_err "LIKE on %s" (Value.to_string v)
+     done
+   | _ ->
+     for k = 0 to n - 1 do
+       let p = Array.unsafe_get at k in
+       if not (Column.is_null c p) then
+         Expr.type_err "LIKE on %s" (Value.to_string (Column.get c p))
+     done);
+  (cut t !mt, if want_f then cut f !mf else no_rows)
+
+(* An IN list as typed hashed sets, one per cell representation, with
+   {!Catalog.Value.equal} semantics: an int cell equals an Int item, or a
+   Float item it converts to exactly; a float cell equals a Float item or
+   an Int item as a float ([Hashtbl] folds -0. onto 0. and all NaNs
+   together, as [Float.compare] does); dates, bools and strings equal only
+   their own kind. A cell of any other kind, in a type-mixed column, is
+   looked up in the list itself. *)
+module Itbl = Hashtbl.Make (struct
+    type t = int
+    let equal = Int.equal
+    let hash x = x land max_int
+  end)
+
+module Stbl = Hashtbl.Make (String)
+
+type in_set = {
+  ints : unit Itbl.t;
+  dates : unit Itbl.t;
+  bools : unit Itbl.t;
+  floats : (float, unit) Hashtbl.t;
+  float_items : float list;
+  strings : unit Stbl.t;
+  items : Value.t list;
+}
+
+let in_set (items : Value.t list) : in_set =
+  let s =
+    { ints = Itbl.create 8; dates = Itbl.create 8; bools = Itbl.create 2;
+      floats = Hashtbl.create 8; float_items = []; strings = Stbl.create 8; items }
+  in
+  let floats = ref [] in
+  List.iter
+    (function
+      | Value.Int x -> Itbl.replace s.ints x (); Hashtbl.replace s.floats (float_of_int x) ()
+      | Value.Float x -> Hashtbl.replace s.floats x (); floats := x :: !floats
+      | Value.Date x -> Itbl.replace s.dates x ()
+      | Value.Bool x -> Itbl.replace s.bools (if x then 1 else 0) ()
+      | Value.String x -> Stbl.replace s.strings x ()
+      | Value.Null -> ())
+    items;
+  { s with float_items = !floats }
+
+let in_rows ~negated ~has_null (set : in_set) ~want_f (s : selection) (c : Column.t)
+    (at : int array) =
+  let n = s.n and ix = s.ix in
+  let t = scratch scratch_t n and f = if want_f then scratch scratch_f n else [||] in
+  let mt = ref 0 and mf = ref 0 in
+  (* a hit is TRUE (FALSE when negated); a miss is FALSE (TRUE when
+     negated), or UNKNOWN when the list holds a NULL *)
+  let emit k hit =
+    if hit || not has_null then
+      if hit <> negated then begin Array.unsafe_set t !mt (Array.unsafe_get ix k); incr mt end
+      else if want_f then begin Array.unsafe_set f !mf (Array.unsafe_get ix k); incr mf end
+  in
+  (match c with
+   | Column.Ints { tag; data; nulls } ->
+     let tbl =
+       match tag with
+       | Column.As_int -> set.ints | Column.As_date -> set.dates | Column.As_bool -> set.bools
+     in
+     let exact_floats = tag = Column.As_int && set.float_items <> [] in
+     for k = 0 to n - 1 do
+       let p = Array.unsafe_get at k in
+       if not (Column.null_bit nulls p) then begin
+         let x = Bigarray.Array1.unsafe_get data p in
+         emit k
+           (Itbl.mem tbl x
+            || (exact_floats
+                && List.exists (fun y -> Float.compare (float_of_int x) y = 0) set.float_items))
+       end
+     done
+   | Column.Floats { data; nulls } ->
+     for k = 0 to n - 1 do
+       let p = Array.unsafe_get at k in
+       if not (Column.null_bit nulls p) then
+         emit k (Hashtbl.mem set.floats (Bigarray.Array1.unsafe_get data p))
+     done
+   | Column.Boxed a ->
+     for k = 0 to n - 1 do
+       match Array.unsafe_get a (Array.unsafe_get at k) with
+       | Value.Null -> ()
+       | Value.String x -> emit k (Stbl.mem set.strings x)
+       | v -> emit k (List.exists (Value.equal v) set.items)
+     done);
+  (cut t !mt, if want_f then cut f !mf else no_rows)
+
+(* The TRUE and FALSE rows of a value column read at [at]: a Bool cell
+   classifies, a NULL is UNKNOWN, and any other value is a type error when
+   [strict] (a WHERE predicate, as [Expr.eval_pred]) and UNKNOWN otherwise
+   (a CASE condition, or the right operand of AND/OR beside an UNKNOWN
+   left one, which [Expr.eval] folds to NULL). *)
+let classify ~strict (s : selection) (c : Column.t) (at : int array) =
+  let n = s.n and ix = s.ix in
+  let not_bool v = Expr.type_err "predicate evaluated to %s" (Value.to_string v) in
+  match c with
+  | Column.Ints { tag = Column.As_bool; data; nulls } ->
+    let t = scratch scratch_t n and f = scratch scratch_f n in
+    let mt = ref 0 and mf = ref 0 in
+    for k = 0 to n - 1 do
+      let p = Array.unsafe_get at k in
+      if not (Column.null_bit nulls p) then
+        if Bigarray.Array1.unsafe_get data p <> 0 then begin t.(!mt) <- ix.(k); incr mt end
+        else begin f.(!mf) <- ix.(k); incr mf end
+    done;
+    (cut t !mt, cut f !mf)
+  | Column.Ints { nulls; _ } | Column.Floats { nulls; _ } ->
+    if strict then
+      for k = 0 to n - 1 do
+        let p = Array.unsafe_get at k in
+        if not (Column.null_bit nulls p) then not_bool (Column.get c p)
+      done;
+    (no_rows, no_rows)
+  | Column.Boxed a ->
+    let t = scratch scratch_t n and f = scratch scratch_f n in
+    let mt = ref 0 and mf = ref 0 in
+    for k = 0 to n - 1 do
+      match a.(Array.unsafe_get at k) with
+      | Value.Bool true -> t.(!mt) <- ix.(k); incr mt
+      | Value.Bool false -> f.(!mf) <- ix.(k); incr mf
+      | Value.Null -> ()
+      | v -> if strict then not_bool v
+    done;
+    (cut t !mt, cut f !mf)
+
+(* -- the expression compiler -- *)
+
+(* A comparison or test operand: a batch column read in place at the
+   selected rows, a computed expression evaluated into a dense column of
+   the selection's cells, or a literal. *)
+type operand =
+  | Stored of Column.t
+  | Computed of (selection -> Column.t)
+  | Const of Value.t
+
+type view = V of Column.t * int array | K of Value.t
+
+let view (s : selection) = function
+  | Stored c -> V (c, s.ix)
+  | Computed f -> V (f s, ident s.n)
+  | Const v -> K v
+
+(* UNKNOWN is possible: a NULL cell, or a boxed cell that may be one *)
+let nullable = function
+  | Stored (Column.Ints { nulls = None; _ } | Column.Floats { nulls = None; _ }) -> false
+  | Const v -> Value.is_null v
+  | Stored _ | Computed _ -> true
+
+(* a column id the layout lacks: the row engine's error, raised as soon as
+   a row is evaluated *)
+let missing c (s : selection) : Column.t =
+  if s.n > 0 then raise (not_in_layout c) else Column.Boxed [||]
+
+let cmp_const op ~want_f (s : selection) (c : Column.t) (at : int array) (v : Value.t) =
+  match c, v with
+  | _, Value.Null -> (no_rows, no_rows)
+  | Column.Ints { tag = Column.As_int; data; nulls }, Value.Int x
+  | Column.Ints { tag = Column.As_date; data; nulls }, Value.Date x ->
+    ints_const op ~want_f s data nulls at x
+  | Column.Ints { tag = Column.As_bool; data; nulls }, Value.Bool x ->
+    ints_const op ~want_f s data nulls at (if x then 1 else 0)
+  | Column.Floats { data; nulls }, Value.Float x -> floats_const op ~want_f s data nulls at x
+  | Column.Floats { data; nulls }, Value.Int x ->
+    floats_const op ~want_f s data nulls at (float_of_int x)
+  | Column.Ints { tag = Column.As_int; data; nulls }, Value.Float x ->
+    floats_floats op ~want_f s
+      (fun p -> float_of_int (Bigarray.Array1.unsafe_get data p)) nulls at
+      (fun _ -> x) None at
+  | Column.Boxed a, Value.String x -> strings_const op ~want_f s a at x
+  | _ -> values_cmp op ~want_f s (fun k -> Column.get c at.(k)) (fun _ -> v)
+
+let cmp_cols op ~want_f (s : selection) ca (ia : int array) cb (ib : int array) =
+  let fl = function
+    | Column.Floats { data; _ } -> Some (fun p -> Bigarray.Array1.unsafe_get data p)
+    | Column.Ints { tag = Column.As_int; data; _ } ->
+      Some (fun p -> float_of_int (Bigarray.Array1.unsafe_get data p))
+    | _ -> None
+  in
+  match ca, cb with
+  | Column.Ints { tag = ta; data = xa; nulls = na }, Column.Ints { tag = tb; data = xb; nulls = nb }
+    when ta = tb ->
+    ints_ints op ~want_f s xa na ia xb nb ib
+  | (Column.Ints { nulls = na; _ } | Column.Floats { nulls = na; _ }),
+    (Column.Ints { nulls = nb; _ } | Column.Floats { nulls = nb; _ })
+    when fl ca <> None && fl cb <> None ->
+    floats_floats op ~want_f s (Option.get (fl ca)) na ia (Option.get (fl cb)) nb ib
+  | _ ->
+    values_cmp op ~want_f s (fun k -> Column.get ca ia.(k)) (fun k -> Column.get cb ib.(k))
+
+(** A compiled predicate. [split ~strict s] is the rows of [s] where it is
+    TRUE and where it is FALSE; the rest are UNKNOWN. A non-Bool value
+    raises when [strict] and is UNKNOWN otherwise (see {!classify}).
+    [keep] is [split ~strict:true]'s TRUE rows, without computing the FALSE
+    ones where it can. [total]: no row is ever UNKNOWN or non-Bool. *)
+type pred = {
+  total : bool;
+  keep : selection -> selection;
+  split : strict:bool -> selection -> selection * selection;
+}
+
+let of_split ~total split = { total; keep = (fun s -> fst (split ~strict:true s)); split }
+
+(* a kernel whose outcome never depends on strictness *)
+let of_kernel ~total (k : want_f:bool -> selection -> selection * selection) =
+  { total;
+    keep = (fun s -> if s.n = 0 then no_rows else fst (k ~want_f:false s));
+    split = (fun ~strict:_ s -> if s.n = 0 then (no_rows, no_rows) else k ~want_f:true s) }
+
+(* Bool-valued whatever the rows: its values are Bool or NULL (or it
+   raises), so its column is {!tri_col} of its split *)
+let rec is_bool (b : t) (e : Expr.t) =
+  match e with
+  | Expr.Lit (Value.Bool _ | Value.Null) -> true
+  | Expr.Bin ((Expr.Eq | Expr.Ne | Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge), _, _)
+  | Expr.Is_null _ | Expr.Like _ | Expr.In_list _ | Expr.Un (Expr.Not, _) -> true
+  | Expr.Bin ((Expr.And | Expr.Or), _, y) -> is_bool b y
+  | Expr.Case (branches, else_) ->
+    List.for_all (fun (_, v) -> is_bool b v) branches
+    && (match else_ with Some e -> is_bool b e | None -> true)
+  | Expr.Col c ->
+    (match find_col b c with
+     | Some p -> (match b.cols.(p) with Column.Ints { tag = Column.As_bool; _ } -> true | _ -> false)
+     | None -> false)
+  | _ -> false
+
+(** Compile [e] as a predicate over [b]'s layout and column
+    representations. Each sub-expression runs only on the rows
+    {!Algebra.Expr.eval} evaluates it on: AND's right operand on the rows
+    its left one leaves TRUE or UNKNOWN, OR's on the FALSE or UNKNOWN
+    ones, a CASE branch on the rows no earlier condition took. So a type
+    error fires on the same inputs as in the row engine. *)
+let rec pred (b : t) (e : Expr.t) : pred =
+  match e with
+  | Expr.Lit (Value.Bool x) ->
+    { total = true;
+      keep = (fun s -> if x then s else no_rows);
+      split = (fun ~strict:_ s -> if x then (s, no_rows) else (no_rows, s)) }
+  | Expr.Lit v ->
+    of_split ~total:false (fun ~strict s ->
+        if strict && s.n > 0 && not (Value.is_null v) then
+          Expr.type_err "predicate evaluated to %s" (Value.to_string v);
+        (no_rows, no_rows))
+  | Expr.Bin (Expr.And, x, y) ->
+    let a = pred b x and c = pred b y in
+    let keep s =
+      if a.total then c.keep (a.keep s)
+      else begin
+        let ta, fa = a.split ~strict:true s in
+        let ua = diff s ta fa in
+        (* UNKNOWN AND y is never TRUE, but y is still evaluated there *)
+        if ua.n > 0 then ignore (c.split ~strict:false ua);
+        c.keep ta
+      end
+    in
+    let split ~strict s =
+      let ta, fa = a.split ~strict:true s in
+      let ua = diff s ta fa in
+      let tc, fc = c.split ~strict ta in
+      let fu = if ua.n > 0 then snd (c.split ~strict:false ua) else no_rows in
+      (tc, merge fa (merge fc fu))
+    in
+    { total = a.total && c.total; keep; split }
+  | Expr.Bin (Expr.Or, x, y) ->
+    let a = pred b x and c = pred b y in
+    let go ~strict ~want_f s =
+      let ta, fa = a.split ~strict:true s in
+      let ua = diff s ta fa in
+      let tc, fc =
+        if want_f then c.split ~strict fa else (c.keep fa, no_rows)
+      in
+      let tu = if ua.n > 0 then fst (c.split ~strict:false ua) else no_rows in
+      (merge ta (merge tc tu), fc)
+    in
+    { total = a.total && c.total;
+      keep = (fun s -> fst (go ~strict:true ~want_f:false s));
+      split = (fun ~strict s -> go ~strict ~want_f:true s) }
+  | Expr.Un (Expr.Not, x) ->
+    let a = pred b x in
+    { total = a.total;
+      keep = (fun s -> snd (a.split ~strict:true s));
+      split = (fun ~strict:_ s -> let t, f = a.split ~strict:true s in (f, t)) }
+  | Expr.Bin ((Expr.Eq | Expr.Ne | Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge) as op, x, y) ->
+    let ox = operand b x and oy = operand b y in
+    of_kernel ~total:((not (nullable ox)) && not (nullable oy)) (fun ~want_f s ->
+        match view s ox, view s oy with
+        | K u, K v ->
+          (match Expr.compare3 op u v with
+           | Some true -> (s, no_rows)
+           | Some false -> (no_rows, s)
+           | None -> (no_rows, no_rows))
+        | V (c, at), K v -> cmp_const op ~want_f s c at v
+        | K v, V (c, at) -> cmp_const (mirror_cmp op) ~want_f s c at v
+        | V (ca, ia), V (cb, ib) -> cmp_cols op ~want_f s ca ia cb ib)
+  | Expr.Is_null (x, negated) ->
+    let ox = operand b x in
+    of_kernel ~total:true (fun ~want_f:_ s ->
+        let nl, nn =
+          match view s ox with
+          | K v -> if Value.is_null v then (s, no_rows) else (no_rows, s)
+          | V (c, at) -> null_rows s c at
+        in
+        if negated then (nn, nl) else (nl, nn))
+  | Expr.Like (x, pattern, negated) ->
+    let ox = operand b x and m = like_matcher pattern in
+    of_kernel ~total:false (fun ~want_f s ->
+        match view s ox with
+        | K Value.Null -> (no_rows, no_rows)
+        | K (Value.String v) -> if m v <> negated then (s, no_rows) else (no_rows, s)
+        | K v -> Expr.type_err "LIKE on %s" (Value.to_string v)
+        | V (c, at) -> like_rows ~negated m ~want_f s c at)
+  | Expr.In_list (x, items, negated) ->
+    let ox = operand b x in
+    let has_null = List.exists Value.is_null items in
+    let set = in_set items in
+    of_kernel ~total:((not has_null) && not (nullable ox)) (fun ~want_f s ->
+        match view s ox with
+        | K v -> in_rows ~negated ~has_null set ~want_f s (const_col v s.n) (ident s.n)
+        | V (c, at) -> in_rows ~negated ~has_null set ~want_f s c at)
+  | Expr.Case (branches, else_) ->
+    let brs = List.map (fun (c, v) -> (pred b c, pred b v)) branches in
+    let els = Option.map (pred b) else_ in
+    of_split ~total:false (fun ~strict s ->
+        (* [rem]: the rows no earlier condition took *)
+        let rec go rem ts fs = function
+          | _ when rem.n = 0 -> (ts, fs)
+          | [] ->
+            (match els with
+             | Some pe -> let t, f = pe.split ~strict rem in (t :: ts, f :: fs)
+             | None -> (ts, fs))
+          | (pc, pv) :: rest ->
+            let tc, _ = pc.split ~strict:false rem in
+            let t, f = pv.split ~strict tc in
+            go (diff rem tc no_rows) (t :: ts) (f :: fs) rest
+        in
+        let ts, fs = go s [] [] brs in
+        (List.fold_left merge no_rows ts, List.fold_left merge no_rows fs))
+  | Expr.Col c ->
+    (match find_col b c with
+     | Some p ->
+       let col = b.cols.(p) in
+       of_split
+         ~total:(match col with
+             | Column.Ints { tag = Column.As_bool; nulls = None; _ } -> true
+             | _ -> false)
+         (fun ~strict s -> classify ~strict s col s.ix)
+     | None -> of_split ~total:false (fun ~strict:_ s -> ignore (missing c s); (no_rows, no_rows)))
+  | _ ->
+    let f = scalar b e in
+    of_split ~total:false (fun ~strict s -> classify ~strict s (f s) (ident s.n))
+
+and operand (b : t) (e : Expr.t) : operand =
+  match e with
+  | Expr.Col c ->
+    (match find_col b c with Some p -> Stored b.cols.(p) | None -> Computed (missing c))
+  | Expr.Lit v -> Const v
+  | _ -> Computed (scalar b e)
+
+(** Compile [e] as a scalar over [b]: applied to a selection, its values
+    at those rows as a dense column in selection order, equal cell for
+    cell to {!Algebra.Expr.eval}'s. *)
+and scalar (b : t) (e : Expr.t) : selection -> Column.t =
+  match e with
+  | Expr.Col c ->
+    (match find_col b c with
+     | Some p ->
+       let col = b.cols.(p) in
+       fun s -> if s.dense then col else Column.gather col s.ix
+     | None -> missing c)
+  | Expr.Lit v -> fun s -> const_col v s.n
+  | Expr.Bin ((Expr.Add | Expr.Sub | Expr.Mul | Expr.Div | Expr.Mod) as op, x, y) ->
+    let fx = scalar b x and fy = scalar b y in
+    fun s -> arith_cols op (fx s) (fy s)
+  | Expr.Un (Expr.Neg, x) -> let fx = scalar b x in fun s -> neg_col (fx s)
+  | Expr.Cast (x, ty) -> let fx = scalar b x in fun s -> cast_col ty (fx s)
+  | Expr.Func (fn, args) -> func b fn args
+  | Expr.Bin ((Expr.And | Expr.Or) as op, x, y) when not (is_bool b y) ->
+    (* a non-Bool right operand passes through where the left one is
+       TRUE (AND) or FALSE (OR); beside an UNKNOWN left one only the
+       deciding Bool survives, anything else is NULL *)
+    let px = pred b x and fy = scalar b y in
+    let decided = Value.Bool (op = Expr.Or) in
+    fun s ->
+      let t, f = px.split ~strict:true s in
+      let u = diff s t f in
+      let pass, fixed = if op = Expr.And then (t, f) else (f, t) in
+      let only = map_cells (fun v -> if v = decided then v else Value.Null) in
+      assemble s
+        [ (fixed, const_col decided fixed.n); (pass, fy pass); (u, only (fy u)) ]
+  | Expr.Case (branches, else_) when not (is_bool b e) ->
+    let brs = List.map (fun (c, v) -> (pred b c, scalar b v)) branches in
+    let els = Option.map (scalar b) else_ in
+    fun s ->
+      let rec go rem acc = function
+        | _ when rem.n = 0 -> acc
+        | [] -> (match els with Some fe -> (rem, fe rem) :: acc | None -> acc)
+        | (pc, fv) :: rest ->
+          let tc, _ = pc.split ~strict:false rem in
+          go (diff rem tc no_rows) ((tc, fv tc) :: acc) rest
+      in
+      assemble s (go s [] brs)
+  | _ ->
+    (* Bool-valued: comparisons, tests, NOT, and AND/OR/CASE over them *)
+    let p = pred b e in
+    fun s -> let t, f = p.split ~strict:false s in tri_col s t f
+
+(* function calls: typed kernels for the workload's shapes (YEAR of a
+   date, DATEADD of a literal count, SUBSTRING with literal bounds, ABS),
+   [Expr.apply_func] per cell for any other *)
+and func (b : t) (fn : Expr.func) (args : Expr.t list) : selection -> Column.t =
+  let fargs = List.map (scalar b) args in
+  let per_cell n cols =
+    let bld = Column.Builder.create ~capacity:(max 1 n) () in
+    for k = 0 to n - 1 do
+      Column.Builder.add bld (Expr.apply_func fn (List.map (fun c -> Column.get c k) cols))
+    done;
+    Column.Builder.finish bld
+  in
+  let lit k = match List.nth_opt args k with Some (Expr.Lit (Value.Int x)) -> Some x | _ -> None in
+  match fn, fargs with
+  | Expr.F_year, [ fx ] ->
+    fun s ->
+      map_ints ~tin:Column.As_date ~tout:Column.As_int Value.year_of
+        (fun c -> per_cell s.n [ c ]) (fx s)
+  | (Expr.F_dateadd_day | Expr.F_dateadd_month | Expr.F_dateadd_year), [ _; fd ]
+    when lit 0 <> None ->
+    let k = Option.get (lit 0) in
+    let f =
+      match fn with
+      | Expr.F_dateadd_day -> fun d -> d + k
+      | Expr.F_dateadd_month -> fun d -> Value.add_months d k
+      | _ -> fun d -> Value.add_years d k
+    in
+    fun s ->
+      map_ints ~tin:Column.As_date ~tout:Column.As_date f
+        (fun c -> per_cell s.n [ const_col (Value.Int k) s.n; c ]) (fd s)
+  | Expr.F_substring, [ fx; _; _ ] when lit 1 <> None && lit 2 <> None ->
+    let start = Option.get (lit 1) and len = Option.get (lit 2) in
+    fun s ->
+      (match fx s with
+       | Column.Boxed a ->
+         Column.Boxed
+           (Array.map
+              (function
+                | Value.String x -> Value.String (Expr.substring x start len)
+                | Value.Null -> Value.Null
+                | v -> Expr.apply_func fn [ v; Value.Int start; Value.Int len ])
+              a)
+       | c -> per_cell s.n [ c; const_col (Value.Int start) s.n; const_col (Value.Int len) s.n ])
+  | Expr.F_abs, [ fx ] ->
+    fun s ->
+      (match fx s with
+       | Column.Floats { data; nulls } ->
+         let n = Bigarray.Array1.dim data in
+         let d = Column.make_floats n in
+         for k = 0 to n - 1 do d.{k} <- Float.abs data.{k} done;
+         normal (Column.Floats { data = d; nulls })
+       | c -> map_ints ~tin:Column.As_int ~tout:Column.As_int abs (fun c -> per_cell s.n [ c ]) c)
+  | _ ->
+    fun s ->
+      let cols = List.map (fun f -> f s) fargs in
+      per_cell s.n cols
 
 (* -- typed keys: hash and equality resolved once per operator -- *)
 
@@ -715,12 +1305,6 @@ let any_null (cols : Column.t array) i =
   done;
   !c < Array.length cols
 
-(* -- joins -- *)
-
-(* A residual-predicate column: where its first occurrence in the row
-   engine's combined (left @ right) layout lives. *)
-type pcol = Left of Column.t | Right of Column.t | Missing
-
 (* Positions of the layout's columns that a join's consumers read ([need],
    [None]: all). Only those are gathered into the join output, its one
    copy; the others are left out of the output layout. *)
@@ -732,129 +1316,217 @@ let keep_cols (need : Registry.Col_set.t option) (layout : int array) : int arra
     Array.iteri (fun p c -> if Registry.Col_set.mem c s then Ivec.push ps p) layout;
     Ivec.contents ps
 
+(* Per-domain join scratch: chain heads and links, the output pair
+   vectors, and the candidate pairs a residual predicate runs over. A join
+   copies its outputs out (the gathers, [Ivec.contents]) before it
+   returns, and joins never nest on a domain. *)
+let int_buf_key () : int array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
+let head_key = int_buf_key ()
+let next_key = int_buf_key ()
+let ivec_key () : Ivec.t Domain.DLS.key = Domain.DLS.new_key (fun () -> Ivec.create ())
+let li_key = ivec_key ()
+let rj_key = ivec_key ()
+let cand_l_key = ivec_key ()
+let cand_r_key = ivec_key ()
+
+let fresh_ivec key =
+  let v = Domain.DLS.get key in
+  v.Ivec.len <- 0;
+  v
+
+(* candidate pairs per residual evaluation: bounds the pair batch of a
+   nested-loop join *)
+let residual_block = 1 lsl 16
+
+(* The residual predicate over candidate pairs: its columns resolve once,
+   with the first-occurrence precedence of the row engine's combined
+   (left @ right) layout; each call gathers them for [n] pairs (left rows
+   [li], right rows [rj]) into a pair batch and runs the compiled
+   predicate there, returning the kept pair positions. *)
+let residual (l : t) (r : t) (e : Expr.t) : int array -> int array -> int -> selection =
+  let srcs =
+    List.filter_map
+      (fun c ->
+         match find_col l c, find_col r c with
+         | Some p, _ -> Some (c, true, l.cols.(p))
+         | None, Some p -> Some (c, false, r.cols.(p))
+         | None, None -> None)
+      (Registry.Col_set.elements (Expr.cols e))
+  in
+  let layout = Array.of_list (List.map (fun (c, _, _) -> c) srcs) in
+  fun li rj n ->
+    let cols =
+      Array.of_list
+        (List.map (fun (_, left, col) -> Column.gather ~n col (if left then li else rj)) srcs)
+    in
+    (pred { layout; cols; rows = n; sel = None } e).keep (all_rows n)
+
 let hash_join_b ?need ~(kind : Relop.join_kind) ~(pred : Expr.t) (l : t) (r : t) : t =
   (* runs directly through the inputs' selection vectors: compacting a
      wide filtered input would gather every column only to discard most
      rows at the (usually far smaller) join output. [li]/[rj] accumulate
      underlying row indices, so the output gather is the only copy. *)
-  let ln_rows = count l and rn_rows = count r in
-  let lrow =
-    match l.sel with
-    | Some s -> fun k -> Array.unsafe_get s k
-    | None -> fun k -> k
-  in
-  let rrow =
-    match r.sel with
-    | Some s -> fun k -> Array.unsafe_get s k
-    | None -> fun k -> k
-  in
+  let ls = selection l and rs = selection r in
+  (* {!Physop.oriented_equi_pairs} over the two layouts *)
   let equi =
-    Physop.oriented_equi_pairs pred
-      ~left_cols:(Registry.Col_set.of_list (Array.to_list l.layout))
-      ~right_cols:(Registry.Col_set.of_list (Array.to_list r.layout))
+    let has b c = find_col b c <> None in
+    List.filter_map
+      (fun (a, c) ->
+         if has l a && has r c then Some (a, c)
+         else if has l c && has r a then Some (c, a)
+         else None)
+      (Expr.equi_pairs pred)
   in
-  (* the predicate's columns resolved once to a side and a column, with
-     the first-occurrence precedence of the row engine's
-     [make_env (l.layout @ r.layout)]; a cell lookup is then a short scan
-     of the predicate's own columns *)
-  let pids = Array.of_list (Registry.Col_set.elements (Expr.cols pred)) in
-  let pcols =
-    Array.map
-      (fun c ->
-         let find layout = Array.find_index (fun c' -> c' = c) layout in
-         match find l.layout, find r.layout with
-         | Some p, _ -> Left l.cols.(p)
-         | None, Some p -> Right r.cols.(p)
-         | None, None -> Missing)
-      pids
-  in
-  let cenv i jr c =
-    let k = ref 0 in
-    while !k < Array.length pids && Array.unsafe_get pids !k <> c do incr k done;
-    match if !k < Array.length pids then pcols.(!k) else Missing with
-    | Left col -> Column.get col i
-    | Right col -> Column.get col jr
-    | Missing -> raise (Local.Exec_error (Printf.sprintf "column #%d not in layout" c))
-  in
-  let pred_ok i jr = Expr.eval_pred (cenv i jr) pred in
-  let li = Ivec.create ~capacity:(max 16 ln_rows) () in
-  let rj = Ivec.create ~capacity:(max 16 ln_rows) () in
   let lkcols = Array.map (fun p -> l.cols.(p)) (positions l (List.map fst equi)) in
   let rkcols = Array.map (fun p -> r.cols.(p)) (positions r (List.map snd equi)) in
-  (* with no equi pair the key is empty: one bucket, every row equal *)
-  let key = key_of (Array.map2 keycol lkcols rkcols) in
-  (* the residual check can be skipped when every conjunct is one of the
-     hashed equi pairs: key equality already implies them *)
-  let covered =
-    equi <> []
-    && List.for_all
+  (* the residual: the conjuncts key equality does not already imply *)
+  let rest =
+    List.filter
       (fun cj ->
-         match Expr.as_col_eq cj with
-         | Some (a, b) -> List.mem (a, b) equi || List.mem (b, a) equi
-         | None -> false)
+         match cj, Expr.as_col_eq cj with
+         | Expr.Lit (Value.Bool true), _ -> false
+         | _, Some (a, b) -> not (List.mem (a, b) equi || List.mem (b, a) equi)
+         | _, None -> true)
       (Expr.conjuncts pred)
   in
+  (* a single null-free key of one int tag reads its buffers directly *)
+  let direct =
+    match lkcols, rkcols with
+    | [| Column.Ints { tag = ta; data = xa; nulls = None } |],
+      [| Column.Ints { tag = tb; data = xb; nulls = None } |] when ta = tb -> Some (xa, xb)
+    | _ -> None
+  in
+  (* with no equi pair the key is empty: one bucket, every row equal *)
+  let key = key_of (Array.map2 keycol lkcols rkcols) in
   (* candidate chains over the build rows, keyed by row index: [head] per
      bucket and [next] per underlying row, no table node or boxed key per
      row. A hash join chains most-recent-first, the order of the row
      engine's per-key cons lists; nested loops chain every row in
-     ascending order, the oracle's (left, right) iteration order. [scan]
-     keeps only key-equal rows that pass the predicate, so matches come
-     out in the row engine's order. *)
+     ascending order, the oracle's (left, right) iteration order. *)
   let sz = ref 16 in
-  while !sz < 2 * rn_rows do sz := !sz * 2 done;
+  while !sz < 2 * rs.n do sz := !sz * 2 done;
   let mask = !sz - 1 in
-  let head = Array.make !sz (-1) in
-  let next = Array.make (max 1 r.rows) (-1) in
-  let add jk =
-    let j = rrow jk in
-    if not (any_null rkcols j) then begin
-      let h = bucket (key.hb j) mask in
-      Array.unsafe_set next j (Array.unsafe_get head h);
-      Array.unsafe_set head h j
-    end
+  let head = scratch head_key !sz in
+  Array.fill head 0 !sz (-1);
+  let next = scratch next_key (max 1 r.rows) in
+  (match direct with
+   | Some (_, xb) ->
+     for jk = 0 to rs.n - 1 do
+       let j = Array.unsafe_get rs.ix jk in
+       let h = bucket (Bigarray.Array1.unsafe_get xb j) mask in
+       Array.unsafe_set next j (Array.unsafe_get head h);
+       Array.unsafe_set head h j
+     done
+   | None ->
+     let add jk =
+       let j = Array.unsafe_get rs.ix jk in
+       if not (any_null rkcols j) then begin
+         let h = bucket (key.hb j) mask in
+         Array.unsafe_set next j (Array.unsafe_get head h);
+         Array.unsafe_set head h j
+       end
+     in
+     if equi = [] then for jk = rs.n - 1 downto 0 do add jk done
+     else for jk = 0 to rs.n - 1 do add jk done);
+  (* [start i]: probe row [i]'s chain; [first i j]: the first entry at or
+     after chain entry [j] whose key equals row [i]'s *)
+  let start, first =
+    match direct with
+    | Some (xa, xb) ->
+      ( (fun i -> Array.unsafe_get head (bucket (Bigarray.Array1.unsafe_get xa i) mask)),
+        fun i j ->
+          let x = Bigarray.Array1.unsafe_get xa i in
+          let j = ref j in
+          while !j >= 0 && Bigarray.Array1.unsafe_get xb !j <> x do
+            j := Array.unsafe_get next !j
+          done;
+          !j )
+    | None ->
+      ( (fun i -> if any_null lkcols i then -1 else Array.unsafe_get head (bucket (key.ha i) mask)),
+        fun i j ->
+          let j = ref j in
+          while !j >= 0 && not (key.eq i !j) do j := Array.unsafe_get next !j done;
+          !j )
   in
-  if equi = [] then for jk = rn_rows - 1 downto 0 do add jk done
-  else for jk = 0 to rn_rows - 1 do add jk done;
-  (* the first match of probe row [i] at or after chain entry [j] *)
-  let rec scan i j =
-    if j < 0 || (key.eq i j && (covered || pred_ok i j)) then j
-    else scan i (Array.unsafe_get next j)
-  in
-  for ik = 0 to ln_rows - 1 do
-    let i = lrow ik in
-    let j =
-      if any_null lkcols i then -1
-      else scan i (Array.unsafe_get head (bucket (key.ha i) mask))
-    in
-    match kind with
-    | Relop.Semi -> if j >= 0 then Ivec.push li i
-    | Relop.Anti_semi -> if j < 0 then Ivec.push li i
-    | Relop.Inner | Relop.Cross | Relop.Left_outer ->
-      if j < 0 && kind = Relop.Left_outer then begin
-        Ivec.push li i; Ivec.push rj (-1)
-      end;
-      let j = ref j in
-      while !j >= 0 do
-        Ivec.push li i;
-        Ivec.push rj !j;
-        j := scan i (Array.unsafe_get next !j)
-      done
-  done;
-  let lidx = Ivec.contents li in
-  let gather (b : t) idx =
+  let li = fresh_ivec li_key and rj = fresh_ivec rj_key in
+  (match rest with
+   | [] ->
+     for ik = 0 to ls.n - 1 do
+       let i = Array.unsafe_get ls.ix ik in
+       let j = first i (start i) in
+       match kind with
+       | Relop.Semi -> if j >= 0 then Ivec.push li i
+       | Relop.Anti_semi -> if j < 0 then Ivec.push li i
+       | Relop.Inner | Relop.Cross | Relop.Left_outer ->
+         if j < 0 && kind = Relop.Left_outer then begin
+           Ivec.push li i; Ivec.push rj (-1)
+         end;
+         let j = ref j in
+         while !j >= 0 do
+           Ivec.push li i;
+           Ivec.push rj !j;
+           j := first i (Array.unsafe_get next !j)
+         done
+     done
+   | _ ->
+     (* every key-equal pair is a candidate, as the row engine filters
+        each probe row's matches; the residual runs once per block of
+        candidates, and each probe row's kept pairs come out in chain
+        order *)
+     let eval = residual l r (Expr.conjoin rest) in
+     let cl = fresh_ivec cand_l_key and cr = fresh_ivec cand_r_key in
+     let ik = ref 0 in
+     while !ik < ls.n do
+       let from = !ik in
+       cl.Ivec.len <- 0;
+       cr.Ivec.len <- 0;
+       while !ik < ls.n && cl.Ivec.len < residual_block do
+         let i = Array.unsafe_get ls.ix !ik in
+         let j = ref (first i (start i)) in
+         while !j >= 0 do
+           Ivec.push cl i;
+           Ivec.push cr !j;
+           j := first i (Array.unsafe_get next !j)
+         done;
+         incr ik
+       done;
+       let kept = eval cl.Ivec.a cr.Ivec.a cl.Ivec.len in
+       let c = ref 0 and kk = ref 0 in
+       for ik' = from to !ik - 1 do
+         let i = Array.unsafe_get ls.ix ik' in
+         let matched = ref false in
+         while !c < cl.Ivec.len && cl.Ivec.a.(!c) = i do
+           if !kk < kept.n && kept.ix.(!kk) = !c then begin
+             incr kk;
+             matched := true;
+             match kind with
+             | Relop.Inner | Relop.Cross | Relop.Left_outer ->
+               Ivec.push li i; Ivec.push rj cr.Ivec.a.(!c)
+             | Relop.Semi | Relop.Anti_semi -> ()
+           end;
+           incr c
+         done;
+         match kind with
+         | Relop.Semi -> if !matched then Ivec.push li i
+         | Relop.Anti_semi -> if not !matched then Ivec.push li i
+         | Relop.Left_outer -> if not !matched then begin Ivec.push li i; Ivec.push rj (-1) end
+         | Relop.Inner | Relop.Cross -> ()
+       done
+     done);
+  (* the output gathers read the pair vectors in place *)
+  let n = li.Ivec.len in
+  let gather (b : t) (idx : Ivec.t) =
     let keep = keep_cols need b.layout in
     (Array.map (fun p -> b.layout.(p)) keep,
-     Array.map (fun p -> Column.gather b.cols.(p) idx) keep)
+     Array.map (fun p -> Column.gather ~n b.cols.(p) idx.Ivec.a) keep)
   in
-  let llayout, lcols = gather l lidx in
+  let llayout, lcols = gather l li in
   match kind with
-  | Relop.Semi | Relop.Anti_semi ->
-    { layout = llayout; cols = lcols; rows = Array.length lidx; sel = None }
+  | Relop.Semi | Relop.Anti_semi -> { layout = llayout; cols = lcols; rows = n; sel = None }
   | _ ->
-    let rlayout, rcols = gather r (Ivec.contents rj) in
+    let rlayout, rcols = gather r rj in
     { layout = Array.append llayout rlayout; cols = Array.append lcols rcols;
-      rows = Array.length lidx; sel = None }
+      rows = n; sel = None }
 
 (* -- grouped aggregation over column slices -- *)
 
@@ -867,21 +1539,21 @@ let hash_join_b ?need ~(kind : Relop.join_kind) ~(pred : Expr.t) (l : t) (r : t)
    the expression tree and [Expr.arith]'s promotion exactly, so group sums
    are bit-identical to the row engine's accumulator. Returns [None] when
    any leaf is nullable, non-numeric, or an operator falls outside +,-,*. *)
-let rec float_prog ctx (e : Expr.t) : ((int -> float) * bool) option =
+let rec float_prog (bt : t) (e : Expr.t) : ((int -> float) * bool) option =
   match e with
   | Expr.Lit (Value.Int x) ->
     let f = float_of_int x in
     Some ((fun _ -> f), true)
   | Expr.Lit (Value.Float f) -> Some ((fun _ -> f), false)
   | Expr.Col c ->
-    (match ctx.b.cols.(col_pos ctx c) with
+    (match bt.cols.(col_pos bt c) with
      | Column.Floats { data; nulls = None } ->
        Some ((fun i -> Bigarray.Array1.unsafe_get data i), false)
      | Column.Ints { tag = Column.As_int; data; nulls = None } ->
        Some ((fun i -> float_of_int (Bigarray.Array1.unsafe_get data i)), true)
      | _ -> None)
   | Expr.Bin ((Expr.Add | Expr.Sub | Expr.Mul) as op, a, b) ->
-    (match float_prog ctx a, float_prog ctx b with
+    (match float_prog bt a, float_prog bt b with
      | Some (fa, ia), Some (fb, ib) ->
        let g =
          match op with
@@ -905,9 +1577,8 @@ let gid_buf n =
   !r
 
 let run_aggregate_b ~(keys : int list) ~(aggs : Expr.agg_def list) (b : t) : t =
-  let ctx = ctx_of b in
   let m = count b in
-  let kpos = Array.of_list (List.map (col_pos ctx) keys) in
+  let kpos = positions b keys in
   let gid = gid_buf (max 1 m) in
   let reps = Ivec.create () in
   let ngroups = ref 0 in
@@ -985,7 +1656,7 @@ let run_aggregate_b ~(keys : int list) ~(aggs : Expr.agg_def list) (b : t) : t =
       let fprog =
         match e, a.Expr.agg_distinct with
         | Expr.Col _, _ | _, true -> None   (* bare columns use the view kernels *)
-        | _ -> float_prog ctx e
+        | _ -> float_prog b e
       in
       (match a.Expr.agg_func, fprog with
        | (Expr.Sum | Expr.Avg), Some (f, is_int) ->
@@ -1021,8 +1692,8 @@ let run_aggregate_b ~(keys : int list) ~(aggs : Expr.agg_def list) (b : t) : t =
       let vcol, vidx =
         match e with
         | Expr.Col c when not a.Expr.agg_distinct ->
-          (ctx.b.cols.(col_pos ctx c), b.sel)
-        | _ -> (eval_col ctx b.sel e, None)
+          (b.cols.(col_pos b c), b.sel)
+        | _ -> (scalar b e (selection b), None)
       in
       if a.Expr.agg_distinct then fallback_agg a vcol
       else begin
@@ -1170,17 +1841,15 @@ let run_aggregate_b ~(keys : int list) ~(aggs : Expr.agg_def list) (b : t) : t =
   { layout = Array.of_list (keys @ List.map (fun a -> a.Expr.agg_out) aggs);
     cols = Array.append key_cols (Array.of_list agg_cols);
     rows = out_groups; sel = None }
-
 (* -- sort -- *)
 
 let sort_b ~(keys : Relop.sort_key list) ?limit (b : t) : t =
   let b = compact b in
-  let ctx = ctx_of b in
   let m = b.rows in
   let kvals =
     List.map
       (fun (k : Relop.sort_key) ->
-         (Column.to_values (eval_col ctx None k.Relop.key), k.Relop.desc))
+         (Column.to_values (scalar b k.Relop.key (all_rows m)), k.Relop.desc))
       keys
   in
   let perm = identity m in
@@ -1221,12 +1890,13 @@ let concat_list (bs : t list) : t =
 
 (* -- routing (DMS parity with Appliance.route_hash) -- *)
 
-(** Per-selected-row route hashes over the columns at positions [kpos],
-    numerically identical to folding {!Catalog.Value.hash} over the boxed
-    row key. *)
-let route_hashes (b : t) (kpos : int array) : int array =
-  let sel = sel_array b in
-  let m = Array.length sel in
+(** Per-visible-row destinations among [parts]: the route hash over the
+    columns at positions [kpos], numerically identical to folding
+    {!Catalog.Value.hash} over the boxed row key ({!Rset.route_hash}),
+    taken modulo [parts]. *)
+let route_dests (b : t) (kpos : int array) ~(parts : int) : int array =
+  let s = selection b in
+  let m = s.n and ix = s.ix in
   let h = Array.make m 17 in
   Array.iter
     (fun p ->
@@ -1234,13 +1904,13 @@ let route_hashes (b : t) (kpos : int array) : int array =
        match c with
        | Column.Ints { tag = (Column.As_int | Column.As_date); data; nulls } ->
          for k = 0 to m - 1 do
-           let i = sel.(k) in
+           let i = ix.(k) in
            let hv = if Column.null_bit nulls i then 17 else Hashtbl.hash data.{i} in
            h.(k) <- (h.(k) * 31) + hv
          done
        | Column.Floats { data; nulls } ->
          for k = 0 to m - 1 do
-           let i = sel.(k) in
+           let i = ix.(k) in
            let hv =
              if Column.null_bit nulls i then 17
              else
@@ -1252,56 +1922,97 @@ let route_hashes (b : t) (kpos : int array) : int array =
          done
        | _ ->
          for k = 0 to m - 1 do
-           h.(k) <- (h.(k) * 31) + Value.hash (Column.get c sel.(k))
+           h.(k) <- (h.(k) * 31) + Value.hash (Column.get c ix.(k))
          done)
     kpos;
-  Array.map abs h
+  for k = 0 to m - 1 do h.(k) <- abs h.(k) mod parts done;
+  h
+
+(* Scatter the rows of [c] at [ix] to the parts [dest] names, in order:
+   one pass over the column, no per-part gather *)
+let scatter (c : Column.t) (ix : int array) (dest : int array) (counts : int array) : Column.t array =
+  let parts = Array.length counts in
+  let m = Array.length dest in
+  let fill = Array.make parts 0 in
+  (* per-part null masks, kept only for the parts that hold a NULL *)
+  let masks nulls =
+    match nulls with
+    | None -> None
+    | Some _ -> Some (Array.map (fun n -> Bytes.make n '\000') counts, Array.make parts false)
+  in
+  let mask_of ms p =
+    match ms with Some (bs, any) when any.(p) -> Some bs.(p) | _ -> None
+  in
+  match c with
+  | Column.Ints { tag; data; nulls } ->
+    let outs = Array.map Column.make_ints counts in
+    let ms = masks nulls in
+    for k = 0 to m - 1 do
+      let d = Array.unsafe_get dest k and i = Array.unsafe_get ix k in
+      let at = fill.(d) in
+      (match ms with
+       | Some (bs, any) when Column.null_bit nulls i ->
+         Bytes.unsafe_set bs.(d) at '\001'; any.(d) <- true;
+         Bigarray.Array1.unsafe_set outs.(d) at 0
+       | _ -> Bigarray.Array1.unsafe_set outs.(d) at data.{i});
+      fill.(d) <- at + 1
+    done;
+    Array.mapi (fun p o -> Column.Ints { tag; data = o; nulls = mask_of ms p }) outs
+  | Column.Floats { data; nulls } ->
+    let outs = Array.map Column.make_floats counts in
+    let ms = masks nulls in
+    for k = 0 to m - 1 do
+      let d = Array.unsafe_get dest k and i = Array.unsafe_get ix k in
+      let at = fill.(d) in
+      (match ms with
+       | Some (bs, any) when Column.null_bit nulls i ->
+         Bytes.unsafe_set bs.(d) at '\001'; any.(d) <- true;
+         Bigarray.Array1.unsafe_set outs.(d) at 0.
+       | _ -> Bigarray.Array1.unsafe_set outs.(d) at data.{i});
+      fill.(d) <- at + 1
+    done;
+    Array.mapi (fun p o -> Column.Floats { data = o; nulls = mask_of ms p }) outs
+  | Column.Boxed a ->
+    let outs = Array.map (fun n -> Array.make n Value.Null) counts in
+    for k = 0 to m - 1 do
+      let d = Array.unsafe_get dest k in
+      outs.(d).(fill.(d)) <- a.(Array.unsafe_get ix k);
+      fill.(d) <- fill.(d) + 1
+    done;
+    Array.map (fun o -> Column.Boxed o) outs
 
 (** Hash-partition the visible rows into [parts] dense batches (row order
-    preserved within each part). *)
+    preserved within each part): one destination per row, then one
+    scatter per column. *)
 let partition (b : t) ~(kpos : int array) ~(parts : int) : t array =
-  let sel = sel_array b in
-  let m = Array.length sel in
-  let hs = route_hashes b kpos in
+  let s = selection b in
+  let dest = route_dests b kpos ~parts in
   let counts = Array.make parts 0 in
-  let dest = Array.make m 0 in
-  for k = 0 to m - 1 do
-    let d = hs.(k) mod parts in
-    dest.(k) <- d;
-    counts.(d) <- counts.(d) + 1
-  done;
-  let idxs = Array.init parts (fun p -> Array.make counts.(p) 0) in
-  let fill = Array.make parts 0 in
-  for k = 0 to m - 1 do
-    let d = dest.(k) in
-    idxs.(d).(fill.(d)) <- sel.(k);
-    fill.(d) <- fill.(d) + 1
-  done;
+  Array.iter (fun d -> counts.(d) <- counts.(d) + 1) dest;
+  let ix = if s.dense then Array.sub s.ix 0 s.n else s.ix in
+  let cols = Array.map (fun c -> scatter c ix dest counts) b.cols in
   Array.init parts (fun p ->
-      { layout = b.layout;
-        cols = Array.map (fun c -> Column.gather c idxs.(p)) b.cols;
+      { layout = b.layout; cols = Array.map (fun cs -> cs.(p)) cols;
         rows = counts.(p); sel = None })
 
 (** Narrow the selection to rows whose route hash lands on [node]. *)
 let trim (b : t) ~(kpos : int array) ~(node : int) ~(parts : int) : t =
-  let sel = sel_array b in
-  let hs = route_hashes b kpos in
-  let buf = Array.make (Array.length sel) 0 in
+  let s = selection b in
+  let dest = route_dests b kpos ~parts in
+  let buf = scratch scratch_t s.n in
   let m = ref 0 in
-  Array.iteri
-    (fun k i -> if hs.(k) mod parts = node then begin buf.(!m) <- i; incr m end)
-    sel;
+  for k = 0 to s.n - 1 do
+    if dest.(k) = node then begin buf.(!m) <- s.ix.(k); incr m end
+  done;
   { b with sel = Some (Array.sub buf 0 !m) }
 
 (** Project the batch to [cols] (selection preserved; no copy for columns,
     only the layout view changes). *)
 let project (b : t) (cols : int list) : t =
   if cols = Array.to_list b.layout then b
-  else begin
-    let ctx = ctx_of b in
-    let cols' = Array.of_list (List.map (fun c -> b.cols.(col_pos ctx c)) cols) in
-    { b with layout = Array.of_list cols; cols = cols' }
-  end
+  else
+    { b with layout = Array.of_list cols;
+             cols = Array.of_list (List.map (fun c -> b.cols.(col_pos b c)) cols) }
 
 (* -- operator dispatch -- *)
 
@@ -1326,16 +2037,16 @@ let exec_op ?(stats : Local.exec_stats option) ?need ~(read_table : string -> t)
      | Some st -> st.Local.rows_scanned <- st.Local.rows_scanned + count b
      | None -> ());
     { b with layout = Array.copy cols }
-  | Physop.Filter pred ->
+  | Physop.Filter p ->
     let c = child 0 in
-    let ctx = ctx_of c in
-    { c with sel = Some (filter_sel ctx c.sel pred) }
+    let kept = (pred c p).keep (selection c) in
+    if kept.dense then c else { c with sel = Some kept.ix }
   | Physop.Compute defs ->
     let c = child 0 in
-    let ctx = ctx_of c in
+    let s = selection c in
     { layout = Array.of_list (List.map fst defs);
-      cols = Array.of_list (List.map (fun (_, e) -> eval_col ctx c.sel e) defs);
-      rows = count c; sel = None }
+      cols = Array.of_list (List.map (fun (_, e) -> scalar c e s) defs);
+      rows = s.n; sel = None }
   | Physop.Hash_join { kind; pred }
   | Physop.Merge_join { kind; pred }
   | Physop.Nl_join { kind; pred } ->

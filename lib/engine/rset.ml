@@ -69,7 +69,7 @@ let vol rs = (bytes rs, float_of_int (count rs))
 
 (** Routing hash over a row's key values: must agree between initial table
     loading and shuffles, and between engines (the columnar side's
-    {!Batch.route_hashes} folds the same per-value hash). *)
+    {!Batch.route_dests} folds the same per-value hash). *)
 let route_hash (values : Value.t list) =
   abs (List.fold_left (fun h v -> (h * 31) + Value.hash v) 17 values)
 
@@ -125,6 +125,15 @@ let project rs (cols : int list) : t =
               r.Local.rows }
     end
   | Cols b -> Cols (Batch.project b cols)
+
+(** The client's copy of shards [parts], in order: a row payload's rows
+    are concatenated as they are, and a batch's visible rows are boxed
+    once, straight into the result. *)
+let client_rows (parts : t list) : Local.rows =
+  List.fold_right
+    (fun p acc ->
+       match p with Rows r -> r.Local.rows @ acc | Cols b -> Batch.rows_onto b acc)
+    parts []
 
 (** Concatenate shards (in order) into one result set with [layout]. Any
     row payload forces a row result; all-columnar concatenates columns. *)

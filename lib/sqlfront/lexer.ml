@@ -60,8 +60,14 @@ let tokenize (s : string) : (token * int) list =
         while !i < n && is_digit s.[!i] do incr i done
       end;
       let text = String.sub s start (!i - start) in
-      if !isfloat then emit (FLOAT (float_of_string text)) pos
-      else emit (INT (int_of_string text)) pos
+      if !isfloat then
+        match float_of_string_opt text with
+        | Some f -> emit (FLOAT f) pos
+        | None -> raise (Lex_error ("malformed number " ^ text, pos))
+      else
+        match int_of_string_opt text with
+        | Some x -> emit (INT x) pos
+        | None -> raise (Lex_error ("integer literal out of range " ^ text, pos))
     end
     else if is_ident_start c then begin
       let start = !i in

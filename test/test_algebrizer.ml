@@ -167,6 +167,66 @@ let test_output_types () =
       (Catalog.Types.to_string (Registry.ty reg a))
   | _ -> Alcotest.fail "two outputs expected"
 
+let refused sql =
+  match alg sql with
+  | exception Algebrizer.Resolve_error _ -> "resolve"
+  | exception Algebrizer.Unsupported _ -> "unsupported"
+  | _ -> "accepted"
+
+let test_ungrouped_column () =
+  (* a FROM column outside GROUP BY and outside any aggregate is refused
+     where it is named, not at execution *)
+  List.iter
+    (fun sql -> Alcotest.(check string) sql "resolve" (refused sql))
+    [ "SELECT o_orderdate, COUNT(*) AS c FROM orders";
+      "SELECT o_orderstatus, o_orderdate FROM orders GROUP BY o_orderstatus";
+      "SELECT o_orderstatus FROM orders GROUP BY o_orderstatus HAVING o_totalprice > 1";
+      "SELECT o_orderstatus, COUNT(*) AS c FROM orders GROUP BY o_orderstatus \
+       ORDER BY o_orderdate" ];
+  (* group keys, aggregates and a computed key's own expression are fine *)
+  List.iter
+    (fun sql -> Alcotest.(check string) sql "accepted" (refused sql))
+    [ "SELECT o_orderstatus, COUNT(*) AS c FROM orders GROUP BY o_orderstatus";
+      "SELECT YEAR(o_orderdate) AS y, SUM(o_totalprice) AS s FROM orders \
+       GROUP BY YEAR(o_orderdate)";
+      "SELECT YEAR(o_orderdate) + 1 AS y FROM orders GROUP BY YEAR(o_orderdate) \
+       ORDER BY y" ]
+
+let test_order_by_unselected () =
+  (* a key may read only what the projection keeps *)
+  List.iter
+    (fun sql -> Alcotest.(check string) sql "unsupported" (refused sql))
+    [ "SELECT n_name FROM nation ORDER BY n_regionkey";
+      "SELECT n_name FROM nation GROUP BY n_name, n_regionkey ORDER BY n_regionkey, n_name" ]
+
+(* ORDER BY over a computed select item, by alias or by the same
+   expression, sorts on the item's output column and runs *)
+let test_order_by_computed_item () =
+  let w = Lazy.force Fixtures.tpch_columnar in
+  List.iter
+    (fun sql ->
+       let r = Opdw.optimize w.Opdw.Workload.shell sql in
+       (* rendered cells: distributed float sums may differ from the
+          reference's in the last bits *)
+       let render (rs : Engine.Local.rset) =
+         List.map
+           (fun row -> String.concat "|" (List.map Catalog.Value.to_string (Array.to_list row)))
+           rs.Engine.Local.rows
+       in
+       let rows = render (Opdw.run w.Opdw.Workload.app r) in
+       let reference = render (Option.get (Opdw.run_reference w.Opdw.Workload.app r)) in
+       Alcotest.(check bool) (sql ^ ": rows") true (rows <> []);
+       Alcotest.(check (list string)) (sql ^ ": ordered as the reference") reference rows)
+    [ "SELECT n_name, SUM(l_extendedprice) * 2 AS revenue FROM lineitem, supplier, nation \
+       WHERE l_suppkey = s_suppkey AND s_nationkey = n_nationkey GROUP BY n_name \
+       ORDER BY revenue DESC";
+      "SELECT n_name, SUM(l_extendedprice) * 2 AS revenue FROM lineitem, supplier, nation \
+       WHERE l_suppkey = s_suppkey AND s_nationkey = n_nationkey GROUP BY n_name \
+       ORDER BY SUM(l_extendedprice) * 2 DESC, n_name";
+      "SELECT n_regionkey + 1 AS k, n_name FROM nation ORDER BY n_regionkey + 1, n_name";
+      "SELECT YEAR(o_orderdate) AS y, COUNT(*) AS c FROM orders GROUP BY YEAR(o_orderdate) \
+       ORDER BY y" ]
+
 let suite =
   [ t "simple resolution" test_simple_resolution;
     t "alias resolution" test_alias_resolution;
@@ -187,4 +247,7 @@ let suite =
     t "order by select alias" test_order_by_alias;
     t "date literal coercion" test_date_coercion;
     t "derived table" test_derived_table;
-    t "aggregate output types" test_output_types ]
+    t "aggregate output types" test_output_types;
+    t "ungrouped column is a resolve error" test_ungrouped_column;
+    t "order by an unselected column is refused" test_order_by_unselected;
+    t "order by a computed select item runs" test_order_by_computed_item ]

@@ -314,6 +314,186 @@ let test_join_edges () =
             (Physop.Hash_join { kind = Algebra.Relop.Inner; pred = lt }) [ left; right ]);
   multikey_joins ()
 
+(* -- compiled kernels against the row engine: random expressions over
+   random batches -- *)
+
+(* A random batch of [w] columns (ids 0 .. w-1) and a random selection.
+   Each column takes one representation: ints, dates, bools, floats (each
+   with or without NULLs), strings, a type-mixed column, all NULLs, or a
+   homogeneous column stored boxed. *)
+let gen_batch rng =
+  let int k = Random.State.int rng k in
+  let rows = int 9 in
+  let w = 4 in
+  let strings = [| "a"; "ab"; "abc"; "b"; "ba"; ""; "ca" |] in
+  let cell kind =
+    let null_ok = int 5 = 0 in
+    if null_ok then Value.Null
+    else
+      match kind with
+      | 0 -> Value.Int (int 7 - 3)
+      | 1 -> Value.Date (9000 + int 5)
+      | 2 -> Value.Bool (int 2 = 0)
+      | 3 -> Value.Float (float_of_int (int 9 - 4) /. 2.)
+      | 4 -> Value.String strings.(int (Array.length strings))
+      | _ ->
+        (match int 4 with
+         | 0 -> Value.Int (int 5) | 1 -> Value.Float (float_of_int (int 5))
+         | 2 -> Value.String strings.(int 3) | _ -> Value.Bool (int 2 = 0))
+  in
+  let cols =
+    Array.init w (fun _ ->
+        let kind = int 7 in
+        let nullable = int 2 = 0 in
+        let vs =
+          Array.init rows (fun _ ->
+              if kind = 6 then Value.Null
+              else
+                let v = cell (if kind = 6 then 0 else kind) in
+                if v = Value.Null && not nullable then cell kind else v)
+        in
+        (* a homogeneous column stored boxed, as a row payload would be *)
+        if int 5 = 0 then Column.Boxed vs else Column.of_values vs)
+  in
+  let sel =
+    if int 3 = 0 then None
+    else Some (Array.of_list (List.filter (fun _ -> int 3 > 0) (List.init rows Fun.id)))
+  in
+  { Engine.Batch.layout = Array.init w Fun.id; cols; rows; sel }
+
+let gen_expr rng (w : int) : Expr.t =
+  let int k = Random.State.int rng k in
+  let lit () =
+    match int 7 with
+    | 0 -> Value.Null | 1 -> Value.Int (int 7 - 3) | 2 -> Value.Float (float_of_int (int 5) /. 2.)
+    | 3 -> Value.Bool (int 2 = 0) | 4 -> Value.Date (9000 + int 5)
+    | 5 -> Value.String [| "a"; "ab"; "b"; "" |].(int 4)
+    | _ -> Value.Int 0
+  in
+  let rec go d =
+    if d = 0 || int 4 = 0 then
+      if int 3 = 0 then Expr.Lit (lit ()) else Expr.Col (int w)
+    else
+      let sub () = go (d - 1) in
+      match int 14 with
+      | 0 -> Expr.Bin ([| Expr.Add; Expr.Sub; Expr.Mul; Expr.Div; Expr.Mod |].(int 5), sub (), sub ())
+      | 1 | 2 ->
+        Expr.Bin ([| Expr.Eq; Expr.Ne; Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge |].(int 6), sub (), sub ())
+      | 3 -> Expr.Bin (Expr.And, sub (), sub ())
+      | 4 -> Expr.Bin (Expr.Or, sub (), sub ())
+      | 5 -> Expr.Un (Expr.Not, sub ())
+      | 6 -> Expr.Un (Expr.Neg, sub ())
+      | 7 -> Expr.Is_null (sub (), int 2 = 0)
+      | 8 -> Expr.Like (sub (), [| "a%"; "%a"; "%b%"; "a_"; "ab"; "%"; "_%b" |].(int 7), int 2 = 0)
+      | 9 -> Expr.In_list (sub (), List.init (int 4) (fun _ -> lit ()), int 2 = 0)
+      | 10 ->
+        Expr.Case (List.init (1 + int 2) (fun _ -> (sub (), sub ())),
+                   if int 2 = 0 then Some (sub ()) else None)
+      | 11 ->
+        Expr.Cast (sub (),
+                   [| Catalog.Types.Tint; Catalog.Types.Tfloat; Catalog.Types.Tstring;
+                      Catalog.Types.Tbool; Catalog.Types.Tdate |].(int 5))
+      | 12 ->
+        (match int 4 with
+         | 0 -> Expr.Func (Expr.F_year, [ sub () ])
+         | 1 -> Expr.Func (Expr.F_dateadd_day, [ Expr.Lit (Value.Int (int 40)); sub () ])
+         | 2 -> Expr.Func (Expr.F_substring, [ sub (); Expr.Lit (Value.Int (int 3)); Expr.Lit (Value.Int (int 3)) ])
+         | _ -> Expr.Func (Expr.F_abs, [ sub () ]))
+      | _ -> sub ()
+  in
+  go 4
+
+(* one operator on both engines: the rows (compared with [compare], so
+   NaN cells match) or the type error *)
+let outcome f =
+  match f () with
+  | (r : Engine.Local.rset) -> Ok r.Engine.Local.rows
+  | exception Expr.Type_error _ -> Error "type error"
+
+let same_outcome a b =
+  match a, b with
+  | Ok x, Ok y -> List.length x = List.length y && List.for_all2 (fun u v -> compare u v = 0) x y
+  | Error _, Error _ -> true
+  | _ -> false
+
+let show_batch (b : Engine.Batch.t) =
+  Format.asprintf "%a sel=%s" pp_rset
+    (Engine.Batch.to_rset { b with Engine.Batch.sel = None })
+    (match b.Engine.Batch.sel with
+     | None -> "all"
+     | Some s -> String.concat "," (List.map string_of_int (Array.to_list s)))
+
+let prop_compiled_kernels =
+  QCheck.Test.make ~name:"compiled filter and scalar kernels == row engine" ~count:2000
+    (QCheck.make
+       ~print:(fun (b, e) -> show_batch b ^ "\n" ^ Expr.to_string_with string_of_int e)
+       (fun rng -> let b = gen_batch rng in (b, gen_expr rng 4)))
+    (fun (b, e) ->
+       let input = Engine.Batch.to_rset b in
+       List.for_all
+         (fun op ->
+            let row () = Engine.Local.exec_op ~read_table:no_tables op [ input ] in
+            let col () =
+              Engine.Batch.to_rset (Engine.Batch.exec_op ~read_table:no_tables op [ b ])
+            in
+            same_outcome (outcome row) (outcome col)
+            || QCheck.Test.fail_reportf "%s disagrees" (Physop.name op))
+         [ Physop.Filter e; Physop.Compute [ (9, e); (0, Expr.Col 0) ] ])
+
+(* random join inputs: int and date keys with duplicates and NULLs, a
+   payload, and a random selection *)
+let gen_join_side rng ~base =
+  let int k = Random.State.int rng k in
+  let rows = int 12 in
+  let nulls = int 2 = 0 in
+  let key mk = if nulls && int 6 = 0 then Value.Null else mk (int 5) in
+  let r =
+    rset [ base; base + 1; base + 2 ]
+      (List.init rows (fun _ ->
+           [| key (fun x -> Value.Int x); key (fun x -> Value.Date (9000 + x));
+              (if int 6 = 0 then Value.Null else Value.Int (int 9)) |]))
+  in
+  let b = Engine.Batch.of_rset r in
+  let sel =
+    if int 2 = 0 then None
+    else Some (Array.of_list (List.filter (fun _ -> int 3 > 0) (List.init rows Fun.id)))
+  in
+  { b with Engine.Batch.sel }
+
+let prop_join =
+  let eq a b = Expr.Bin (Expr.Eq, Expr.Col a, Expr.Col b) in
+  let preds =
+    [| eq 100 200; eq 101 201; Expr.Bin (Expr.And, eq 100 200, eq 101 201);
+       Expr.Bin (Expr.And, eq 100 200, Expr.Bin (Expr.Lt, Expr.Col 102, Expr.Col 202));
+       Expr.Bin (Expr.And, eq 101 201,
+                 Expr.Bin (Expr.Or, Expr.Bin (Expr.Gt, Expr.Col 102, Expr.Lit (Value.Int 4)),
+                           Expr.Is_null (Expr.Col 202, false)));
+       Expr.Bin (Expr.Le, Expr.Col 102, Expr.Col 202);
+       Expr.Lit (Value.Bool true) |]
+  in
+  let kinds =
+    [| Algebra.Relop.Inner; Algebra.Relop.Left_outer; Algebra.Relop.Semi;
+       Algebra.Relop.Anti_semi; Algebra.Relop.Cross |]
+  in
+  QCheck.Test.make ~name:"columnar join == row engine (rows and order)" ~count:1000
+    (QCheck.make
+       ~print:(fun (l, r, p, k) ->
+           Printf.sprintf "%s\n%s\npred %d kind %d" (show_batch l) (show_batch r) p k)
+       (fun rng ->
+          let l = gen_join_side rng ~base:100 and r = gen_join_side rng ~base:200 in
+          (l, r, Random.State.int rng (Array.length preds),
+           Random.State.int rng (Array.length kinds))))
+    (fun (l, r, p, k) ->
+       let op = Physop.Hash_join { kind = kinds.(k); pred = preds.(p) } in
+       let row () =
+         Engine.Local.exec_op ~read_table:no_tables op
+           [ Engine.Batch.to_rset l; Engine.Batch.to_rset r ]
+       in
+       let col () =
+         Engine.Batch.to_rset (Engine.Batch.exec_op ~read_table:no_tables op [ l; r ])
+       in
+       same_outcome (outcome row) (outcome col))
+
 (* -- end-to-end: both engines over the whole bundled workload -- *)
 
 let run_and_account (w : Opdw.Workload.t) sql =
@@ -418,6 +598,8 @@ let suite =
     Alcotest.test_case "aggregates: null and empty-input handling" `Quick
       test_aggregate_nulls;
     Alcotest.test_case "joins: kinds, empty sides, non-equi" `Quick test_join_edges;
+    QCheck_alcotest.to_alcotest prop_compiled_kernels;
+    QCheck_alcotest.to_alcotest prop_join;
     Alcotest.test_case "all 25 workload queries: columnar == row" `Slow
       test_workload_parity;
     QCheck_alcotest.to_alcotest prop_random_parity;

@@ -39,6 +39,22 @@ let test_lexer_error () =
   Alcotest.check_raises "unterminated string" (Lexer.Lex_error ("unterminated string literal", 7))
     (fun () -> ignore (Lexer.tokenize "SELECT 'oops"))
 
+let test_lexer_bad_numbers () =
+  (* malformed or out-of-range number literals are lexical errors at the
+     literal's offset, never a stray [Failure] from the conversion *)
+  List.iter
+    (fun (src, msg) ->
+       Alcotest.check_raises src (Lexer.Lex_error (msg, 6))
+         (fun () -> ignore (Lexer.tokenize src)))
+    [ ("x >   4e", "malformed number 4e");
+      ("x >   1.2.3", "malformed number 1.2.3");
+      ("x >   4END", "malformed number 4E");
+      ("x >   99999999999999999999", "integer literal out of range 99999999999999999999") ];
+  Alcotest.(check bool) "max_int still lexes" true
+    (List.map fst (Lexer.tokenize (string_of_int max_int)) = Lexer.[ INT max_int; EOF ]);
+  Alcotest.(check bool) "exponent still lexes" true
+    (List.map fst (Lexer.tokenize "4e2 1.5E-1") = Lexer.[ FLOAT 400.; FLOAT 0.15; EOF ])
+
 let test_parse_simple () =
   let q = Parser.parse "SELECT a, b AS c FROM t WHERE x > 5" in
   Alcotest.(check int) "select items" 2 (List.length q.Ast.select);
@@ -132,6 +148,7 @@ let suite =
     t "lexer comments" test_lexer_comments;
     t "lexer operators" test_lexer_operators;
     t "lexer error" test_lexer_error;
+    t "lexer: malformed numbers" test_lexer_bad_numbers;
     t "simple select" test_parse_simple;
     t "join trees" test_parse_joins;
     t "subquery predicates" test_parse_subqueries;
