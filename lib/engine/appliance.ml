@@ -439,11 +439,9 @@ let run_move_inner ~obs (t : t) (kind : Dms.Op.kind) ~(cols : int list) (input :
       | [] -> [||]
       | s :: _ -> Rset.positions (Rset.with_layout s cols) hash_cols
     in
-    let per_source =
-      List.map (fun s -> Rset.partition (Rset.with_layout s cols) ~kpos ~parts:n) sources
-    in
     let out =
-      Array.init n (fun i -> concat (List.map (fun ps -> ps.(i)) per_source))
+      Rset.shuffle (List.map (fun s -> Rset.with_layout s cols) sources) ~layout:cols ~kpos
+        ~parts:n
     in
     account_move ~obs t ~opname:(Dms.Op.name kind) ~hashed:true
       ~per_node_read:(List.map vol sources)

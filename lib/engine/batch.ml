@@ -361,6 +361,17 @@ let assemble (s : selection) (pieces : (selection * Column.t) list) : Column.t =
 
 (* -- scalar kernels: dense operand columns in, a dense column out -- *)
 
+(* an unboxed numeric column's cells as floats, index for index *)
+let float_data (c : Column.t) : Column.floats =
+  match c with
+  | Column.Floats { data; _ } -> data
+  | Column.Ints { data; _ } ->
+    let n = Bigarray.Array1.dim data in
+    let d = Column.make_floats n in
+    for k = 0 to n - 1 do d.{k} <- float_of_int data.{k} done;
+    d
+  | Column.Boxed _ -> invalid_arg "float_data"
+
 (* [Expr.arith]'s typing over a pair of unboxed columns: date +/- days is
    a date, any other int-or-date pair computes on ints, a float on either
    side computes on floats; Div/Mod by zero is NULL *)
@@ -422,45 +433,21 @@ let arith_cols (op : Expr.binop) (ca : Column.t) (cb : Column.t) : Column.t =
          done;
          normal (Column.Ints { tag = Column.As_int; data = d; nulls = Some m }))
     | _ ->
-      let fa =
-        match ca with
-        | Column.Floats { data; _ } -> fun k -> Bigarray.Array1.unsafe_get data k
-        | Column.Ints { data; _ } -> fun k -> float_of_int (Bigarray.Array1.unsafe_get data k)
-        | Column.Boxed _ -> assert false
-      in
+      (* a float on either side: both sides as float buffers *)
+      let xa = float_data ca and xb = float_data cb in
       let d = Column.make_floats n in
-      (match ca, cb, op with
-       | Column.Floats { data = xa; _ }, Column.Floats { data = xb; _ }, Expr.Add ->
-         for k = 0 to n - 1 do d.{k} <- xa.{k} +. xb.{k} done
-       | Column.Floats { data = xa; _ }, Column.Floats { data = xb; _ }, Expr.Sub ->
-         for k = 0 to n - 1 do d.{k} <- xa.{k} -. xb.{k} done
-       | Column.Floats { data = xa; _ }, Column.Floats { data = xb; _ }, Expr.Mul ->
-         for k = 0 to n - 1 do d.{k} <- xa.{k} *. xb.{k} done
-       | _ ->
-         let fb =
-           match cb with
-           | Column.Floats { data; _ } -> fun k -> Bigarray.Array1.unsafe_get data k
-           | Column.Ints { data; _ } -> fun k -> float_of_int (Bigarray.Array1.unsafe_get data k)
-           | Column.Boxed _ -> assert false
-         in
-         (match op with
-          | Expr.Add -> for k = 0 to n - 1 do d.{k} <- fa k +. fb k done
-          | Expr.Sub -> for k = 0 to n - 1 do d.{k} <- fa k -. fb k done
-          | Expr.Mul -> for k = 0 to n - 1 do d.{k} <- fa k *. fb k done
-          | _ -> ()));
+      (match op with
+       | Expr.Add -> for k = 0 to n - 1 do d.{k} <- xa.{k} +. xb.{k} done
+       | Expr.Sub -> for k = 0 to n - 1 do d.{k} <- xa.{k} -. xb.{k} done
+       | Expr.Mul -> for k = 0 to n - 1 do d.{k} <- xa.{k} *. xb.{k} done
+       | _ -> ());
       (match op with
        | Expr.Div | Expr.Mod ->
-         let fb =
-           match cb with
-           | Column.Floats { data; _ } -> fun k -> Bigarray.Array1.unsafe_get data k
-           | Column.Ints { data; _ } -> fun k -> float_of_int (Bigarray.Array1.unsafe_get data k)
-           | Column.Boxed _ -> assert false
-         in
          let m = zero_mask () in
          for k = 0 to n - 1 do
-           let y = fb k in
+           let y = xb.{k} in
            if y = 0. then begin d.{k} <- 0.; Bytes.unsafe_set m k '\001' end
-           else d.{k} <- (if op = Expr.Div then fa k /. y else Float.rem (fa k) y)
+           else d.{k} <- (if op = Expr.Div then xa.{k} /. y else Float.rem xa.{k} y)
          done;
          normal (Column.Floats { data = d; nulls = Some m })
        | _ -> normal (Column.Floats { data = d; nulls }))
@@ -613,8 +600,8 @@ let ints_const op ~want_f (s : selection) (xa : Column.ints) na (ia : int array)
 
 (* floats compare with [Float.compare], as {!Catalog.Value.compare} does;
    [xa] reads the left side's k-th value *)
-let floats_floats op ~want_f (s : selection) (xa : int -> float) na (ia : int array)
-    (xb : int -> float) nb (ib : int array) =
+let floats_floats op ~want_f (s : selection) (xa : Column.floats) na (ia : int array)
+    (xb : Column.floats) nb (ib : int array) =
   let lt, eq, gt = flags op in
   let n = s.n and ix = s.ix in
   let t = scratch scratch_t n and f = if want_f then scratch scratch_f n else [||] in
@@ -622,7 +609,9 @@ let floats_floats op ~want_f (s : selection) (xa : int -> float) na (ia : int ar
   for k = 0 to n - 1 do
     let p = Array.unsafe_get ia k and q = Array.unsafe_get ib k in
     if not (Column.null_bit na p || Column.null_bit nb q) then begin
-      let v = Float.compare (xa p) (xb q) in
+      let v =
+        Float.compare (Bigarray.Array1.unsafe_get xa p) (Bigarray.Array1.unsafe_get xb q)
+      in
       if (if v < 0 then lt else if v = 0 then eq else gt) then begin
         Array.unsafe_set t !mt (Array.unsafe_get ix k); incr mt
       end
@@ -711,36 +700,45 @@ let null_rows (s : selection) (c : Column.t) (at : int array) =
     done;
     (cut t !mt, cut f !mf)
 
-(* A LIKE pattern compiled once: patterns without [_] whose [%]s sit only
-   at the ends are an equality, prefix, suffix or substring test; any
-   other goes to {!Expr.like_match}. *)
+(* A LIKE pattern compiled once. Without [_], a pattern is its
+   [%]-separated segments: the first must be a prefix, the last a suffix,
+   and each middle one is found leftmost after the previous match, which
+   is how [%] alone matches (leftmost placement leaves the most subject
+   for the rest). A pattern with [_] goes to {!Expr.like_match}. *)
 let like_matcher (pattern : string) : string -> bool =
-  let np = String.length pattern in
-  let lead = np > 0 && pattern.[0] = '%' in
-  let trail = np > 1 && pattern.[np - 1] = '%' in
-  let core =
-    String.sub pattern (if lead then 1 else 0)
-      (np - (if lead then 1 else 0) - (if trail then 1 else 0))
+  (* does [sub] occur in [s] at [p] *)
+  let occurs_at (s : string) (sub : string) p =
+    let m = String.length sub in
+    let j = ref 0 in
+    while !j < m && String.unsafe_get s (p + !j) = String.unsafe_get sub !j do incr j done;
+    !j = m
   in
-  if np = 1 && lead then fun _ -> true
-  else if String.contains pattern '_' || String.contains core '%' then
-    Expr.like_match ~pattern
-  else begin
-    let m = String.length core in
-    let at s off =
-      let rec go j = j >= m || (String.unsafe_get s (off + j) = String.unsafe_get core j && go (j + 1)) in
-      go 0
-    in
-    match lead, trail with
-    | false, false -> String.equal core
-    | false, true -> fun s -> String.length s >= m && at s 0
-    | true, false -> fun s -> String.length s >= m && at s (String.length s - m)
-    | true, true ->
+  if String.contains pattern '_' then Expr.like_match ~pattern
+  else
+    match String.split_on_char '%' pattern with
+    | [] | [ _ ] -> String.equal pattern
+    | first :: rest ->
+      let rest = Array.of_list rest in
+      let last = rest.(Array.length rest - 1) in
+      let middle = Array.sub rest 0 (Array.length rest - 1) in
+      let lf = String.length first and ll = String.length last in
       fun s ->
-        let last = String.length s - m in
-        let rec from off = off <= last && (at s off || from (off + 1)) in
-        from 0
-  end
+        let n = String.length s in
+        n >= lf + ll && occurs_at s first 0 && occurs_at s last (n - ll)
+        && begin
+          (* each middle segment leftmost in [pos, n - ll) *)
+          let limit = n - ll in
+          let pos = ref lf and i = ref 0 in
+          while !i < Array.length middle && !pos >= 0 do
+            let sub = Array.unsafe_get middle !i in
+            let m = String.length sub in
+            let p = ref !pos in
+            while !p + m <= limit && not (occurs_at s sub !p) do incr p done;
+            pos := (if !p + m <= limit then !p + m else -1);
+            incr i
+          done;
+          !pos >= 0
+        end
 
 let like_rows ~negated (m : string -> bool) ~want_f (s : selection) (c : Column.t) (at : int array) =
   let n = s.n and ix = s.ix in
@@ -764,7 +762,7 @@ let like_rows ~negated (m : string -> bool) ~want_f (s : selection) (c : Column.
      done);
   (cut t !mt, if want_f then cut f !mf else no_rows)
 
-(* An IN list as typed hashed sets, one per cell representation, with
+(* An IN list as typed sets, one per cell representation, with
    {!Catalog.Value.equal} semantics: an int cell equals an Int item, or a
    Float item it converts to exactly; a float cell equals a Float item or
    an Int item as a float ([Hashtbl] folds -0. onto 0. and all NaNs
@@ -779,32 +777,53 @@ module Itbl = Hashtbl.Make (struct
 
 module Stbl = Hashtbl.Make (String)
 
+(* a typed membership test: a scan of a short list, a hash table beyond *)
+let member (type a) ~(eq : a -> a -> bool) ~(table : a list -> a -> bool) (xs : a list) :
+  a -> bool =
+  let a = Array.of_list xs in
+  if Array.length a <= 8 then fun x ->
+    let rec go i = i < Array.length a && (eq (Array.unsafe_get a i) x || go (i + 1)) in
+    go 0
+  else table xs
+
+let int_member =
+  member ~eq:Int.equal ~table:(fun xs ->
+      let t = Itbl.create 16 in
+      List.iter (fun x -> Itbl.replace t x ()) xs;
+      Itbl.mem t)
+
+let string_member =
+  member ~eq:String.equal ~table:(fun xs ->
+      let t = Stbl.create 16 in
+      List.iter (fun x -> Stbl.replace t x ()) xs;
+      Stbl.mem t)
+
 type in_set = {
-  ints : unit Itbl.t;
-  dates : unit Itbl.t;
-  bools : unit Itbl.t;
+  ints : int -> bool;
+  dates : int -> bool;
+  bools : int -> bool;
   floats : (float, unit) Hashtbl.t;
   float_items : float list;
-  strings : unit Stbl.t;
+  strings : string -> bool;
   items : Value.t list;
 }
 
 let in_set (items : Value.t list) : in_set =
-  let s =
-    { ints = Itbl.create 8; dates = Itbl.create 8; bools = Itbl.create 2;
-      floats = Hashtbl.create 8; float_items = []; strings = Stbl.create 8; items }
-  in
-  let floats = ref [] in
+  let pick f = List.filter_map f items in
+  let floats = Hashtbl.create 8 in
   List.iter
     (function
-      | Value.Int x -> Itbl.replace s.ints x (); Hashtbl.replace s.floats (float_of_int x) ()
-      | Value.Float x -> Hashtbl.replace s.floats x (); floats := x :: !floats
-      | Value.Date x -> Itbl.replace s.dates x ()
-      | Value.Bool x -> Itbl.replace s.bools (if x then 1 else 0) ()
-      | Value.String x -> Stbl.replace s.strings x ()
-      | Value.Null -> ())
+      | Value.Int x -> Hashtbl.replace floats (float_of_int x) ()
+      | Value.Float x -> Hashtbl.replace floats x ()
+      | _ -> ())
     items;
-  { s with float_items = !floats }
+  { ints = int_member (pick (function Value.Int x -> Some x | _ -> None));
+    dates = int_member (pick (function Value.Date x -> Some x | _ -> None));
+    bools = int_member (pick (function Value.Bool x -> Some (if x then 1 else 0) | _ -> None));
+    floats;
+    float_items = pick (function Value.Float x -> Some x | _ -> None);
+    strings = string_member (pick (function Value.String x -> Some x | _ -> None));
+    items }
 
 let in_rows ~negated ~has_null (set : in_set) ~want_f (s : selection) (c : Column.t)
     (at : int array) =
@@ -820,7 +839,7 @@ let in_rows ~negated ~has_null (set : in_set) ~want_f (s : selection) (c : Colum
   in
   (match c with
    | Column.Ints { tag; data; nulls } ->
-     let tbl =
+     let mem =
        match tag with
        | Column.As_int -> set.ints | Column.As_date -> set.dates | Column.As_bool -> set.bools
      in
@@ -830,7 +849,7 @@ let in_rows ~negated ~has_null (set : in_set) ~want_f (s : selection) (c : Colum
        if not (Column.null_bit nulls p) then begin
          let x = Bigarray.Array1.unsafe_get data p in
          emit k
-           (Itbl.mem tbl x
+           (mem x
             || (exact_floats
                 && List.exists (fun y -> Float.compare (float_of_int x) y = 0) set.float_items))
        end
@@ -845,7 +864,7 @@ let in_rows ~negated ~has_null (set : in_set) ~want_f (s : selection) (c : Colum
      for k = 0 to n - 1 do
        match Array.unsafe_get a (Array.unsafe_get at k) with
        | Value.Null -> ()
-       | Value.String x -> emit k (Stbl.mem set.strings x)
+       | Value.String x -> emit k (set.strings x)
        | v -> emit k (List.exists (Value.equal v) set.items)
      done);
   (cut t !mt, if want_f then cut f !mf else no_rows)
@@ -927,28 +946,20 @@ let cmp_const op ~want_f (s : selection) (c : Column.t) (at : int array) (v : Va
   | Column.Floats { data; nulls }, Value.Float x -> floats_const op ~want_f s data nulls at x
   | Column.Floats { data; nulls }, Value.Int x ->
     floats_const op ~want_f s data nulls at (float_of_int x)
-  | Column.Ints { tag = Column.As_int; data; nulls }, Value.Float x ->
-    floats_floats op ~want_f s
-      (fun p -> float_of_int (Bigarray.Array1.unsafe_get data p)) nulls at
-      (fun _ -> x) None at
+  | Column.Ints { tag = Column.As_int; nulls; _ }, Value.Float x ->
+    floats_const op ~want_f s (float_data c) nulls at x
   | Column.Boxed a, Value.String x -> strings_const op ~want_f s a at x
   | _ -> values_cmp op ~want_f s (fun k -> Column.get c at.(k)) (fun _ -> v)
 
 let cmp_cols op ~want_f (s : selection) ca (ia : int array) cb (ib : int array) =
-  let fl = function
-    | Column.Floats { data; _ } -> Some (fun p -> Bigarray.Array1.unsafe_get data p)
-    | Column.Ints { tag = Column.As_int; data; _ } ->
-      Some (fun p -> float_of_int (Bigarray.Array1.unsafe_get data p))
-    | _ -> None
-  in
   match ca, cb with
   | Column.Ints { tag = ta; data = xa; nulls = na }, Column.Ints { tag = tb; data = xb; nulls = nb }
     when ta = tb ->
     ints_ints op ~want_f s xa na ia xb nb ib
-  | (Column.Ints { nulls = na; _ } | Column.Floats { nulls = na; _ }),
-    (Column.Ints { nulls = nb; _ } | Column.Floats { nulls = nb; _ })
-    when fl ca <> None && fl cb <> None ->
-    floats_floats op ~want_f s (Option.get (fl ca)) na ia (Option.get (fl cb)) nb ib
+  | (Column.Floats { nulls = na; _ } | Column.Ints { tag = Column.As_int; nulls = na; _ }),
+    (Column.Floats { nulls = nb; _ } | Column.Ints { tag = Column.As_int; nulls = nb; _ }) ->
+    (* ints against floats compare as floats, as {!Catalog.Value.compare} does *)
+    floats_floats op ~want_f s (float_data ca) na ia (float_data cb) nb ib
   | _ ->
     values_cmp op ~want_f s (fun k -> Column.get ca ia.(k)) (fun k -> Column.get cb ib.(k))
 
@@ -988,6 +999,37 @@ let rec is_bool (b : t) (e : Expr.t) =
      | None -> false)
   | _ -> false
 
+(* Evaluating [e] cannot raise on any row when a non-Bool result is taken
+   as UNKNOWN: it reads only present columns and applies no operator that
+   can fail on their representations. [false] when unsure. *)
+let rec safe (b : t) (e : Expr.t) =
+  let rec numeric = function
+    | Expr.Col c ->
+      (match find_col b c with
+       | Some p ->
+         (match b.cols.(p) with
+          | Column.Ints { tag = Column.As_int | Column.As_date; _ } | Column.Floats _ -> true
+          | _ -> false)
+       | None -> false)
+    | Expr.Lit (Value.Int _ | Value.Float _ | Value.Date _ | Value.Null) -> true
+    | Expr.Bin ((Expr.Add | Expr.Sub | Expr.Mul | Expr.Div | Expr.Mod), x, y) ->
+      numeric x && numeric y
+    | _ -> false
+  in
+  match e with
+  | Expr.Col c -> find_col b c <> None
+  | Expr.Lit _ -> true
+  | Expr.Bin ((Expr.Eq | Expr.Ne | Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge), x, y) ->
+    safe b x && safe b y
+  | Expr.Bin ((Expr.Add | Expr.Sub | Expr.Mul | Expr.Div | Expr.Mod), _, _) -> numeric e
+  | Expr.Bin ((Expr.And | Expr.Or), x, y) -> is_bool b x && safe b x && safe b y
+  | Expr.Un (Expr.Not, x) -> is_bool b x && safe b x
+  | Expr.Is_null (x, _) | Expr.In_list (x, _, _) -> safe b x
+  | Expr.Case (branches, else_) ->
+    List.for_all (fun (c, v) -> safe b c && safe b v) branches
+    && (match else_ with Some e -> safe b e | None -> true)
+  | Expr.Un (Expr.Neg, _) | Expr.Like _ | Expr.Cast _ | Expr.Func _ -> false
+
 (** Compile [e] as a predicate over [b]'s layout and column
     representations. Each sub-expression runs only on the rows
     {!Algebra.Expr.eval} evaluates it on: AND's right operand on the rows
@@ -1007,12 +1049,14 @@ let rec pred (b : t) (e : Expr.t) : pred =
         (no_rows, no_rows))
   | Expr.Bin (Expr.And, x, y) ->
     let a = pred b x and c = pred b y in
+    (* UNKNOWN AND y is never TRUE, but y is still evaluated there: only
+       for its type errors, so not when it has none *)
+    let narrow = a.total || safe b y in
     let keep s =
-      if a.total then c.keep (a.keep s)
+      if narrow then c.keep (a.keep s)
       else begin
         let ta, fa = a.split ~strict:true s in
         let ua = diff s ta fa in
-        (* UNKNOWN AND y is never TRUE, but y is still evaluated there *)
         if ua.n > 0 then ignore (c.split ~strict:false ua);
         c.keep ta
       end
@@ -1530,41 +1574,6 @@ let hash_join_b ?need ~(kind : Relop.join_kind) ~(pred : Expr.t) (l : t) (r : t)
 
 (* -- grouped aggregation over column slices -- *)
 
-(* Compile a no-null numeric expression into a per-row float program over
-   the stored columns: Sum/Avg/Count aggregate arguments evaluate with
-   zero materialization (no gathers, no constant columns, no arithmetic
-   temporaries). The boolean says the expression is integer-typed
-   throughout — the row engine would produce [Value.Int]s — which the Sum
-   finisher needs to reproduce Int results. Float operation order mirrors
-   the expression tree and [Expr.arith]'s promotion exactly, so group sums
-   are bit-identical to the row engine's accumulator. Returns [None] when
-   any leaf is nullable, non-numeric, or an operator falls outside +,-,*. *)
-let rec float_prog (bt : t) (e : Expr.t) : ((int -> float) * bool) option =
-  match e with
-  | Expr.Lit (Value.Int x) ->
-    let f = float_of_int x in
-    Some ((fun _ -> f), true)
-  | Expr.Lit (Value.Float f) -> Some ((fun _ -> f), false)
-  | Expr.Col c ->
-    (match bt.cols.(col_pos bt c) with
-     | Column.Floats { data; nulls = None } ->
-       Some ((fun i -> Bigarray.Array1.unsafe_get data i), false)
-     | Column.Ints { tag = Column.As_int; data; nulls = None } ->
-       Some ((fun i -> float_of_int (Bigarray.Array1.unsafe_get data i)), true)
-     | _ -> None)
-  | Expr.Bin ((Expr.Add | Expr.Sub | Expr.Mul) as op, a, b) ->
-    (match float_prog bt a, float_prog bt b with
-     | Some (fa, ia), Some (fb, ib) ->
-       let g =
-         match op with
-         | Expr.Add -> fun i -> fa i +. fb i
-         | Expr.Sub -> fun i -> fa i -. fb i
-         | _ -> fun i -> fa i *. fb i
-       in
-       Some (g, ia && ib)
-     | _ -> None)
-  | _ -> None
-
 (* group-id scratch, one per domain: aggregation never runs reentrantly on
    a domain and never calls the filter path, so reusing the buffer is safe
    and keeps the per-call transient allocation out of the major heap *)
@@ -1599,34 +1608,54 @@ let run_aggregate_b ~(keys : int list) ~(aggs : Expr.agg_def list) (b : t) : t =
     let key = key_of (Array.map (fun p -> keycol b.cols.(p) b.cols.(p)) kpos) in
     let heads = ref (Array.make 64 (-1)) in
     let gnext = Ivec.create () and ghash = Ivec.create () in
-    let visit k i =
-      let hv = key.ha i in
+    (* a new group for row [i] (its [k]-th visible row), chained at bucket [bk] *)
+    let add k i hv bk =
       let hd = !heads in
-      let bk = bucket hv (Array.length hd - 1) in
-      let g = ref (Array.unsafe_get hd bk) in
-      while !g >= 0 && not (key.eq i (Array.unsafe_get reps.Ivec.a !g)) do
-        g := Array.unsafe_get gnext.Ivec.a !g
-      done;
-      if !g >= 0 then Array.unsafe_set gid k !g
-      else begin
-        let g = !ngroups in
-        incr ngroups;
-        Ivec.push reps i;
-        Ivec.push ghash hv;
-        Ivec.push gnext hd.(bk);
-        hd.(bk) <- g;
-        Array.unsafe_set gid k g;
-        if 2 * !ngroups > Array.length hd then begin
-          let sz = 2 * Array.length hd in
-          let hd' = Array.make sz (-1) in
-          for g = 0 to !ngroups - 1 do
-            let bk = bucket ghash.Ivec.a.(g) (sz - 1) in
-            gnext.Ivec.a.(g) <- hd'.(bk);
-            hd'.(bk) <- g
-          done;
-          heads := hd'
-        end
+      let g = !ngroups in
+      incr ngroups;
+      Ivec.push reps i;
+      Ivec.push ghash hv;
+      Ivec.push gnext hd.(bk);
+      hd.(bk) <- g;
+      Array.unsafe_set gid k g;
+      if 2 * !ngroups > Array.length hd then begin
+        let sz = 2 * Array.length hd in
+        let hd' = Array.make sz (-1) in
+        for g = 0 to !ngroups - 1 do
+          let bk = bucket ghash.Ivec.a.(g) (sz - 1) in
+          gnext.Ivec.a.(g) <- hd'.(bk);
+          hd'.(bk) <- g
+        done;
+        heads := hd'
       end
+    in
+    let visit =
+      match kpos with
+      | [| p |] when (match b.cols.(p) with Column.Ints { nulls = None; _ } -> true | _ -> false) ->
+        (* one null-free int key: its value is its hash, read in place *)
+        let data = match b.cols.(p) with Column.Ints { data; _ } -> data | _ -> assert false in
+        fun k i ->
+          let x = Bigarray.Array1.unsafe_get data i in
+          let hd = !heads in
+          let bk = bucket x (Array.length hd - 1) in
+          let g = ref (Array.unsafe_get hd bk) in
+          while
+            !g >= 0
+            && Bigarray.Array1.unsafe_get data (Array.unsafe_get reps.Ivec.a !g) <> x
+          do
+            g := Array.unsafe_get gnext.Ivec.a !g
+          done;
+          if !g >= 0 then Array.unsafe_set gid k !g else add k i x bk
+      | _ ->
+        fun k i ->
+          let hv = key.ha i in
+          let hd = !heads in
+          let bk = bucket hv (Array.length hd - 1) in
+          let g = ref (Array.unsafe_get hd bk) in
+          while !g >= 0 && not (key.eq i (Array.unsafe_get reps.Ivec.a !g)) do
+            g := Array.unsafe_get gnext.Ivec.a !g
+          done;
+          if !g >= 0 then Array.unsafe_set gid k !g else add k i hv bk
     in
     (match b.sel with
      | None -> for k = 0 to m - 1 do visit k k done
@@ -1653,42 +1682,6 @@ let run_aggregate_b ~(keys : int list) ~(aggs : Expr.agg_def list) (b : t) : t =
       for k = 0 to m - 1 do cnt.(gid.(k)) <- cnt.(gid.(k)) + 1 done;
       Array.map (fun c -> Value.Int c) cnt
     | Some e ->
-      let fprog =
-        match e, a.Expr.agg_distinct with
-        | Expr.Col _, _ | _, true -> None   (* bare columns use the view kernels *)
-        | _ -> float_prog b e
-      in
-      (match a.Expr.agg_func, fprog with
-       | (Expr.Sum | Expr.Avg), Some (f, is_int) ->
-         let sum = Array.make out_groups 0. and cnt = Array.make out_groups 0 in
-         (match b.sel with
-          | None ->
-            for k = 0 to m - 1 do
-              let g = Array.unsafe_get gid k in
-              Array.unsafe_set sum g (Array.unsafe_get sum g +. f k);
-              Array.unsafe_set cnt g (Array.unsafe_get cnt g + 1)
-            done
-          | Some s ->
-            for k = 0 to m - 1 do
-              let g = Array.unsafe_get gid k in
-              Array.unsafe_set sum g
-                (Array.unsafe_get sum g +. f (Array.unsafe_get s k));
-              Array.unsafe_set cnt g (Array.unsafe_get cnt g + 1)
-            done);
-         Array.init out_groups (fun g ->
-             if cnt.(g) = 0 then Value.Null
-             else if a.Expr.agg_func = Expr.Avg then
-               Value.Float (sum.(g) /. float_of_int cnt.(g))
-             else if
-               is_int && Float.is_integer sum.(g) && Float.abs sum.(g) < 4.5e15
-             then Value.Int (int_of_float sum.(g))
-             else Value.Float sum.(g))
-       | Expr.Count, Some _ ->
-         (* the program only compiles over no-null inputs: every row counts *)
-         let cnt = Array.make out_groups 0 in
-         for k = 0 to m - 1 do cnt.(gid.(k)) <- cnt.(gid.(k)) + 1 done;
-         Array.map (fun c -> Value.Int c) cnt
-       | _ ->
       let vcol, vidx =
         match e with
         | Expr.Col c when not a.Expr.agg_distinct ->
@@ -1832,7 +1825,7 @@ let run_aggregate_b ~(keys : int list) ~(aggs : Expr.agg_def list) (b : t) : t =
           (match vidx with
            | None -> fallback_agg a vcol
            | Some s -> fallback_agg a (Column.gather vcol s))
-      end)
+      end
   in
   let agg_results = List.map do_agg aggs in
   let rep_arr = Ivec.contents reps in
@@ -1928,72 +1921,116 @@ let route_dests (b : t) (kpos : int array) ~(parts : int) : int array =
   for k = 0 to m - 1 do h.(k) <- abs h.(k) mod parts done;
   h
 
-(* Scatter the rows of [c] at [ix] to the parts [dest] names, in order:
-   one pass over the column, no per-part gather *)
-let scatter (c : Column.t) (ix : int array) (dest : int array) (counts : int array) : Column.t array =
+(* Scatter each source's column [c] (its rows [ix], routed to [dest]) to
+   the parts, sources in order and rows in order within each: one pass
+   per column, no per-part gather. A part's column is what concatenating
+   the sources' parts would make: unboxed when every source shares one
+   unboxed representation, boxed otherwise, with a null mask only where a
+   NULL landed. *)
+let scatter (srcs : (Column.t * int array * int array) array) (counts : int array) :
+  Column.t array =
   let parts = Array.length counts in
-  let m = Array.length dest in
   let fill = Array.make parts 0 in
-  (* per-part null masks, kept only for the parts that hold a NULL *)
-  let masks nulls =
-    match nulls with
-    | None -> None
-    | Some _ -> Some (Array.map (fun n -> Bytes.make n '\000') counts, Array.make parts false)
+  let tag_of = function Column.Ints { tag; _ } -> Some tag | _ -> None in
+  let cols = Array.map (fun (c, _, _) -> c) srcs in
+  let all_ints =
+    match tag_of cols.(0) with
+    | Some t -> Array.for_all (fun c -> tag_of c = Some t) cols
+    | None -> false
   in
-  let mask_of ms p =
-    match ms with Some (bs, any) when any.(p) -> Some bs.(p) | _ -> None
+  let all_floats = Array.for_all (function Column.Floats _ -> true | _ -> false) cols in
+  let masks =
+    if Array.exists (function
+        | Column.Ints { nulls = Some _; _ } | Column.Floats { nulls = Some _; _ } -> true
+        | _ -> false) cols
+    then Some (Array.map (fun n -> Bytes.make n '\000') counts, Array.make parts false)
+    else None
   in
-  match c with
-  | Column.Ints { tag; data; nulls } ->
+  let mask_of p = match masks with Some (bs, any) when any.(p) -> Some bs.(p) | _ -> None in
+  (* the slot of the next row routed to [d], its null bit set when [null] *)
+  let slot d null =
+    let at = fill.(d) in
+    fill.(d) <- at + 1;
+    (if null then
+       match masks with
+       | Some (bs, any) -> Bytes.unsafe_set bs.(d) at '\001'; any.(d) <- true
+       | None -> ());
+    at
+  in
+  if all_ints then begin
     let outs = Array.map Column.make_ints counts in
-    let ms = masks nulls in
-    for k = 0 to m - 1 do
-      let d = Array.unsafe_get dest k and i = Array.unsafe_get ix k in
-      let at = fill.(d) in
-      (match ms with
-       | Some (bs, any) when Column.null_bit nulls i ->
-         Bytes.unsafe_set bs.(d) at '\001'; any.(d) <- true;
-         Bigarray.Array1.unsafe_set outs.(d) at 0
-       | _ -> Bigarray.Array1.unsafe_set outs.(d) at data.{i});
-      fill.(d) <- at + 1
-    done;
-    Array.mapi (fun p o -> Column.Ints { tag; data = o; nulls = mask_of ms p }) outs
-  | Column.Floats { data; nulls } ->
+    Array.iter
+      (fun (c, ix, dest) ->
+         match c with
+         | Column.Ints { data; nulls; _ } ->
+           for k = 0 to Array.length dest - 1 do
+             let d = Array.unsafe_get dest k and i = Array.unsafe_get ix k in
+             let null = Column.null_bit nulls i in
+             let at = slot d null in
+             Bigarray.Array1.unsafe_set outs.(d) at (if null then 0 else data.{i})
+           done
+         | _ -> assert false)
+      srcs;
+    let tag = Option.get (tag_of cols.(0)) in
+    Array.mapi (fun p o -> Column.Ints { tag; data = o; nulls = mask_of p }) outs
+  end
+  else if all_floats then begin
     let outs = Array.map Column.make_floats counts in
-    let ms = masks nulls in
-    for k = 0 to m - 1 do
-      let d = Array.unsafe_get dest k and i = Array.unsafe_get ix k in
-      let at = fill.(d) in
-      (match ms with
-       | Some (bs, any) when Column.null_bit nulls i ->
-         Bytes.unsafe_set bs.(d) at '\001'; any.(d) <- true;
-         Bigarray.Array1.unsafe_set outs.(d) at 0.
-       | _ -> Bigarray.Array1.unsafe_set outs.(d) at data.{i});
-      fill.(d) <- at + 1
-    done;
-    Array.mapi (fun p o -> Column.Floats { data = o; nulls = mask_of ms p }) outs
-  | Column.Boxed a ->
+    Array.iter
+      (fun (c, ix, dest) ->
+         match c with
+         | Column.Floats { data; nulls } ->
+           for k = 0 to Array.length dest - 1 do
+             let d = Array.unsafe_get dest k and i = Array.unsafe_get ix k in
+             let null = Column.null_bit nulls i in
+             let at = slot d null in
+             Bigarray.Array1.unsafe_set outs.(d) at (if null then 0. else data.{i})
+           done
+         | _ -> assert false)
+      srcs;
+    Array.mapi (fun p o -> Column.Floats { data = o; nulls = mask_of p }) outs
+  end
+  else begin
     let outs = Array.map (fun n -> Array.make n Value.Null) counts in
-    for k = 0 to m - 1 do
-      let d = Array.unsafe_get dest k in
-      outs.(d).(fill.(d)) <- a.(Array.unsafe_get ix k);
-      fill.(d) <- fill.(d) + 1
-    done;
+    Array.iter
+      (fun (c, ix, dest) ->
+         for k = 0 to Array.length dest - 1 do
+           let d = Array.unsafe_get dest k in
+           outs.(d).(fill.(d)) <- Column.get c (Array.unsafe_get ix k);
+           fill.(d) <- fill.(d) + 1
+         done)
+      srcs;
     Array.map (fun o -> Column.Boxed o) outs
+  end
+
+(** Hash-partition the visible rows of [sources] into [parts] dense
+    batches with [layout]: part [p] holds every source's rows whose route
+    hash lands on [p], sources in order and rows in order within each —
+    the rows of concatenating each source's parts, computed with one
+    destination per row and one scatter per column. *)
+let shuffle (sources : t list) ~(kpos : int array) ~(parts : int) ~(layout : int array) :
+  t array =
+  let srcs = Array.of_list sources in
+  let w = Array.length layout in
+  Array.iter
+    (fun b ->
+       if Array.length b.cols <> w then raise (Local.Exec_error "union arity mismatch"))
+    srcs;
+  let ixs = Array.map (fun b -> (selection b).ix) srcs in
+  let dests = Array.map (fun b -> route_dests b kpos ~parts) srcs in
+  let counts = Array.make parts 0 in
+  Array.iter (Array.iter (fun d -> counts.(d) <- counts.(d) + 1)) dests;
+  let cols =
+    Array.init w (fun j ->
+        scatter (Array.mapi (fun s b -> (b.cols.(j), ixs.(s), dests.(s))) srcs) counts)
+  in
+  Array.init parts (fun p ->
+      { layout; cols = Array.map (fun cs -> cs.(p)) cols; rows = counts.(p); sel = None })
 
 (** Hash-partition the visible rows into [parts] dense batches (row order
-    preserved within each part): one destination per row, then one
-    scatter per column. *)
+    preserved within each part). *)
 let partition (b : t) ~(kpos : int array) ~(parts : int) : t array =
-  let s = selection b in
-  let dest = route_dests b kpos ~parts in
-  let counts = Array.make parts 0 in
-  Array.iter (fun d -> counts.(d) <- counts.(d) + 1) dest;
-  let ix = if s.dense then Array.sub s.ix 0 s.n else s.ix in
-  let cols = Array.map (fun c -> scatter c ix dest counts) b.cols in
-  Array.init parts (fun p ->
-      { layout = b.layout; cols = Array.map (fun cs -> cs.(p)) cols;
-        rows = counts.(p); sel = None })
+  shuffle [ b ] ~kpos ~parts ~layout:b.layout
 
 (** Narrow the selection to rows whose route hash lands on [node]. *)
 let trim (b : t) ~(kpos : int array) ~(node : int) ~(parts : int) : t =

@@ -46,7 +46,12 @@ let count = function
 let with_layout rs (layout : int list) : t =
   match rs with
   | Rows r -> Rows { r with Local.layout = layout }
-  | Cols b -> Cols { b with Batch.layout = Array.of_list layout }
+  | Cols b ->
+    let rec same i = function
+      | [] -> i = Array.length b.Batch.layout
+      | c :: rest -> i < Array.length b.Batch.layout && b.Batch.layout.(i) = c && same (i + 1) rest
+    in
+    if same 0 layout then rs else Cols { b with Batch.layout = Array.of_list layout }
 
 let empty_like = function
   | Rows r -> Rows { Local.layout = r.Local.layout; rows = [] }
@@ -147,3 +152,16 @@ let concat ~(layout : int list) (parts : t list) : t =
     Rows
       { Local.layout;
         rows = List.concat_map (fun p -> (to_local p).Local.rows) parts }
+
+(** Hash-partition every source into [parts] shards with [layout]: shard
+    [p] is the concatenation, in source order, of each source's [p]-th
+    {!partition} shard. *)
+let shuffle (sources : t list) ~(layout : int list) ~(kpos : int array) ~(parts : int) :
+  t array =
+  let batches = List.filter_map (function Cols b -> Some b | Rows _ -> None) sources in
+  if batches <> [] && List.length batches = List.length sources then
+    Array.map of_batch (Batch.shuffle batches ~kpos ~parts ~layout:(Array.of_list layout))
+  else begin
+    let per_source = List.map (partition ~kpos ~parts) sources in
+    Array.init parts (fun p -> concat ~layout (List.map (fun ps -> ps.(p)) per_source))
+  end

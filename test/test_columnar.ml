@@ -384,7 +384,11 @@ let gen_expr rng (w : int) : Expr.t =
       | 5 -> Expr.Un (Expr.Not, sub ())
       | 6 -> Expr.Un (Expr.Neg, sub ())
       | 7 -> Expr.Is_null (sub (), int 2 = 0)
-      | 8 -> Expr.Like (sub (), [| "a%"; "%a"; "%b%"; "a_"; "ab"; "%"; "_%b" |].(int 7), int 2 = 0)
+      | 8 ->
+        let patterns =
+          [| "a%"; "%a"; "%b%"; "a_"; "ab"; "%"; "_%b"; "%a%b%"; "a%b"; "%%"; "b%a%"; "a%a" |]
+        in
+        Expr.Like (sub (), patterns.(int (Array.length patterns)), int 2 = 0)
       | 9 -> Expr.In_list (sub (), List.init (int 4) (fun _ -> lit ()), int 2 = 0)
       | 10 ->
         Expr.Case (List.init (1 + int 2) (fun _ -> (sub (), sub ())),
@@ -439,6 +443,15 @@ let prop_compiled_kernels =
             same_outcome (outcome row) (outcome col)
             || QCheck.Test.fail_reportf "%s disagrees" (Physop.name op))
          [ Physop.Filter e; Physop.Compute [ (9, e); (0, Expr.Col 0) ] ])
+
+(* the compiled LIKE matcher against the row engine's on random
+   patterns over [a], [b], [%] (and [_]) and random subjects *)
+let prop_like_matcher =
+  QCheck.Test.make ~name:"compiled LIKE matcher == Expr.like_match" ~count:3000
+    QCheck.(pair (string_gen_of_size (Gen.int_bound 6) (Gen.oneofl [ 'a'; 'b'; '%'; '%'; '_' ]))
+              (string_gen_of_size (Gen.int_bound 7) (Gen.oneofl [ 'a'; 'b' ])))
+    (fun (pattern, subject) ->
+       Engine.Batch.like_matcher pattern subject = Expr.like_match ~pattern subject)
 
 (* random join inputs: int and date keys with duplicates and NULLs, a
    payload, and a random selection *)
@@ -599,6 +612,7 @@ let suite =
       test_aggregate_nulls;
     Alcotest.test_case "joins: kinds, empty sides, non-equi" `Quick test_join_edges;
     QCheck_alcotest.to_alcotest prop_compiled_kernels;
+    QCheck_alcotest.to_alcotest prop_like_matcher;
     QCheck_alcotest.to_alcotest prop_join;
     Alcotest.test_case "all 25 workload queries: columnar == row" `Slow
       test_workload_parity;
