@@ -137,7 +137,10 @@ let project rs (cols : int list) : t =
 let client_rows (parts : t list) : Local.rows =
   List.fold_right
     (fun p acc ->
-       match p with Rows r -> r.Local.rows @ acc | Cols b -> Batch.rows_onto b acc)
+       match p, acc with
+       | Rows r, [] -> r.Local.rows
+       | Rows r, _ -> r.Local.rows @ acc
+       | Cols b, _ -> Batch.rows_onto b acc)
     parts []
 
 (** Concatenate shards (in order) into one result set with [layout]. Any
