@@ -113,8 +113,9 @@ let selection (b : t) = match b.sel with Some s -> of_rows s | None -> all_rows 
    Reusing them keeps the transient full-width buffers off the major heap,
    where allocation-triggered marking would make a filter's cost grow
    with the live heap. *)
-let scratch_t : int array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
-let scratch_f : int array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
+let int_buf_key () : int array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
+let scratch_t = int_buf_key ()
+let scratch_f = int_buf_key ()
 
 let scratch key n =
   let r = Domain.DLS.get key in
@@ -778,12 +779,12 @@ module Itbl = Hashtbl.Make (struct
 module Stbl = Hashtbl.Make (String)
 
 (* a typed membership test: a scan of a short list, a hash table beyond *)
-let member (type a) ~(eq : a -> a -> bool) ~(table : a list -> a -> bool) (xs : a list) :
-  a -> bool =
+let member ~eq ~table xs =
   let a = Array.of_list xs in
   if Array.length a <= 8 then fun x ->
-    let rec go i = i < Array.length a && (eq (Array.unsafe_get a i) x || go (i + 1)) in
-    go 0
+    let i = ref 0 in
+    while !i < Array.length a && not (eq (Array.unsafe_get a !i) x) do incr i done;
+    !i < Array.length a
   else table xs
 
 let int_member =
@@ -1364,7 +1365,6 @@ let keep_cols (need : Registry.Col_set.t option) (layout : int array) : int arra
    vectors, and the candidate pairs a residual predicate runs over. A join
    copies its outputs out (the gathers, [Ivec.contents]) before it
    returns, and joins never nest on a domain. *)
-let int_buf_key () : int array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
 let head_key = int_buf_key ()
 let next_key = int_buf_key ()
 let ivec_key () : Ivec.t Domain.DLS.key = Domain.DLS.new_key (fun () -> Ivec.create ())
@@ -1575,20 +1575,13 @@ let hash_join_b ?need ~(kind : Relop.join_kind) ~(pred : Expr.t) (l : t) (r : t)
 (* -- grouped aggregation over column slices -- *)
 
 (* group-id scratch, one per domain: aggregation never runs reentrantly on
-   a domain and never calls the filter path, so reusing the buffer is safe
-   and keeps the per-call transient allocation out of the major heap *)
-let gid_key : int array ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [||])
-
-let gid_buf n =
-  let r = Domain.DLS.get gid_key in
-  if Array.length !r < n then r := Array.make (max n (2 * Array.length !r)) 0;
-  !r
+   a domain, and the kernels it calls use buffers of their own *)
+let gid_key = int_buf_key ()
 
 let run_aggregate_b ~(keys : int list) ~(aggs : Expr.agg_def list) (b : t) : t =
   let m = count b in
   let kpos = positions b keys in
-  let gid = gid_buf (max 1 m) in
+  let gid = scratch gid_key (max 1 m) in
   let reps = Ivec.create () in
   let ngroups = ref 0 in
   if keys = [] then begin
