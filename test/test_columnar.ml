@@ -326,9 +326,10 @@ let gen_batch rng =
   let rows = int 9 in
   let w = 4 in
   let strings = [| "a"; "ab"; "abc"; "b"; "ba"; ""; "ca" |] in
-  let cell kind =
-    let null_ok = int 5 = 0 in
-    if null_ok then Value.Null
+  (* kinds: 0 ints, 1 dates, 2 bools, 3 floats, 4 strings, 5 type-mixed,
+     6 all NULL *)
+  let cell ~nullable kind =
+    if kind = 6 || (nullable && int 5 = 0) then Value.Null
     else
       match kind with
       | 0 -> Value.Int (int 7 - 3)
@@ -343,15 +344,8 @@ let gen_batch rng =
   in
   let cols =
     Array.init w (fun _ ->
-        let kind = int 7 in
-        let nullable = int 2 = 0 in
-        let vs =
-          Array.init rows (fun _ ->
-              if kind = 6 then Value.Null
-              else
-                let v = cell (if kind = 6 then 0 else kind) in
-                if v = Value.Null && not nullable then cell kind else v)
-        in
+        let kind = int 7 and nullable = int 2 = 0 in
+        let vs = Array.init rows (fun _ -> cell ~nullable kind) in
         (* a homogeneous column stored boxed, as a row payload would be *)
         if int 5 = 0 then Column.Boxed vs else Column.of_values vs)
   in
