@@ -605,12 +605,12 @@ let suite =
     Alcotest.test_case "aggregates: null and empty-input handling" `Quick
       test_aggregate_nulls;
     Alcotest.test_case "joins: kinds, empty sides, non-equi" `Quick test_join_edges;
-    QCheck_alcotest.to_alcotest prop_compiled_kernels;
-    QCheck_alcotest.to_alcotest prop_like_matcher;
-    QCheck_alcotest.to_alcotest prop_join;
     Alcotest.test_case "all 25 workload queries: columnar == row" `Slow
       test_workload_parity;
     QCheck_alcotest.to_alcotest prop_random_parity;
     Alcotest.test_case "fault schedules: parity under retries" `Slow test_fault_parity;
     Alcotest.test_case "columnar sim clock is --jobs independent" `Quick
-      test_jobs_independence ]
+      test_jobs_independence;
+    QCheck_alcotest.to_alcotest prop_compiled_kernels;
+    QCheck_alcotest.to_alcotest prop_like_matcher;
+    QCheck_alcotest.to_alcotest prop_join ]

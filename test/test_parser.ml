@@ -148,7 +148,6 @@ let suite =
     t "lexer comments" test_lexer_comments;
     t "lexer operators" test_lexer_operators;
     t "lexer error" test_lexer_error;
-    t "lexer: malformed numbers" test_lexer_bad_numbers;
     t "simple select" test_parse_simple;
     t "join trees" test_parse_joins;
     t "subquery predicates" test_parse_subqueries;
@@ -160,4 +159,5 @@ let suite =
     t "bracket-qualified names" test_parse_qualified_names;
     t "parse errors" test_parse_errors;
     t "print/parse round trips" test_roundtrips;
-    t "all TPC-H queries parse" test_all_tpch_parse ]
+    t "all TPC-H queries parse" test_all_tpch_parse;
+    t "lexer: malformed numbers" test_lexer_bad_numbers ]
