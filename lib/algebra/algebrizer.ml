@@ -497,7 +497,7 @@ and algebrize_single_block ~want_sort scope ctx (q : Ast.query) : result * Expr.
     List.iter (fun (_, e) -> check e) select_items;
     List.iter check !having_plain;
     List.iter (fun (cmp, _) -> check cmp) !having_joins;
-    List.iter (fun k -> check k.Relop.key) order'
+    if want_sort then List.iter (fun k -> check k.Relop.key) order'
   end;
   (* 4. assemble: [pre-project] -> group-by -> having -> project -> sort *)
   let tree =
@@ -542,15 +542,12 @@ and algebrize_single_block ~want_sort scope ctx (q : Ast.query) : result * Expr.
      only *)
   let items = List.map2 (fun (_, e) (_, id) -> (e, id)) select_items output in
   let selected = Registry.Col_set.of_list (List.map snd output) in
-  let order' =
-    List.map
-      (fun (k : Relop.sort_key) ->
-         match List.assoc_opt k.Relop.key items with
-         | Some id -> { k with Relop.key = Expr.Col id }
-         | None ->
-           if Registry.Col_set.subset (Expr.cols k.Relop.key) selected then k
-           else unsupported "ORDER BY on a column that is not selected")
-      order'
+  let on_output (k : Relop.sort_key) =
+    match List.assoc_opt k.Relop.key items with
+    | Some id -> { k with Relop.key = Expr.Col id }
+    | None ->
+      if Registry.Col_set.subset (Expr.cols k.Relop.key) selected then k
+      else unsupported "ORDER BY on a column that is not selected"
   in
   let tree =
     if q.Ast.distinct then begin
@@ -560,7 +557,7 @@ and algebrize_single_block ~want_sort scope ctx (q : Ast.query) : result * Expr.
   in
   let tree =
     if want_sort && (order' <> [] || q.Ast.top <> None) then
-      Relop.sort order' q.Ast.top tree
+      Relop.sort (List.map on_output order') q.Ast.top tree
     else tree
   in
   ({ tree; reg = ctx.reg; output }, exported)
