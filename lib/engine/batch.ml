@@ -701,46 +701,6 @@ let null_rows (s : selection) (c : Column.t) (at : int array) =
     done;
     (cut t !mt, cut f !mf)
 
-(* A LIKE pattern compiled once. Without [_], a pattern is its
-   [%]-separated segments: the first must be a prefix, the last a suffix,
-   and each middle one is found leftmost after the previous match, which
-   is how [%] alone matches (leftmost placement leaves the most subject
-   for the rest). A pattern with [_] goes to {!Expr.like_match}. *)
-let like_matcher (pattern : string) : string -> bool =
-  (* does [sub] occur in [s] at [p] *)
-  let occurs_at (s : string) (sub : string) p =
-    let m = String.length sub in
-    let j = ref 0 in
-    while !j < m && String.unsafe_get s (p + !j) = String.unsafe_get sub !j do incr j done;
-    !j = m
-  in
-  if String.contains pattern '_' then Expr.like_match ~pattern
-  else
-    match String.split_on_char '%' pattern with
-    | [] | [ _ ] -> String.equal pattern
-    | first :: rest ->
-      let rest = Array.of_list rest in
-      let last = rest.(Array.length rest - 1) in
-      let middle = Array.sub rest 0 (Array.length rest - 1) in
-      let lf = String.length first and ll = String.length last in
-      fun s ->
-        let n = String.length s in
-        n >= lf + ll && occurs_at s first 0 && occurs_at s last (n - ll)
-        && begin
-          (* each middle segment leftmost in [pos, n - ll) *)
-          let limit = n - ll in
-          let pos = ref lf and i = ref 0 in
-          while !i < Array.length middle && !pos >= 0 do
-            let sub = Array.unsafe_get middle !i in
-            let m = String.length sub in
-            let p = ref !pos in
-            while !p + m <= limit && not (occurs_at s sub !p) do incr p done;
-            pos := (if !p + m <= limit then !p + m else -1);
-            incr i
-          done;
-          !pos >= 0
-        end
-
 let like_rows ~negated (m : string -> bool) ~want_f (s : selection) (c : Column.t) (at : int array) =
   let n = s.n and ix = s.ix in
   let t = scratch scratch_t n and f = if want_f then scratch scratch_f n else [||] in
@@ -763,68 +723,48 @@ let like_rows ~negated (m : string -> bool) ~want_f (s : selection) (c : Column.
      done);
   (cut t !mt, if want_f then cut f !mf else no_rows)
 
-(* An IN list as typed sets, one per cell representation, with
+(* An IN list as typed item arrays, one per cell representation, with
    {!Catalog.Value.equal} semantics: an int cell equals an Int item, or a
    Float item it converts to exactly; a float cell equals a Float item or
-   an Int item as a float ([Hashtbl] folds -0. onto 0. and all NaNs
-   together, as [Float.compare] does); dates, bools and strings equal only
-   their own kind. A cell of any other kind, in a type-mixed column, is
-   looked up in the list itself. *)
-module Itbl = Hashtbl.Make (struct
-    type t = int
-    let equal = Int.equal
-    let hash x = x land max_int
-  end)
-
-module Stbl = Hashtbl.Make (String)
-
-(* a typed membership test: a scan of a short list, a hash table beyond *)
-let member ~eq ~table xs =
-  let a = Array.of_list xs in
-  if Array.length a <= 8 then fun x ->
-    let i = ref 0 in
-    while !i < Array.length a && not (eq (Array.unsafe_get a !i) x) do incr i done;
-    !i < Array.length a
-  else table xs
-
-let int_member =
-  member ~eq:Int.equal ~table:(fun xs ->
-      let t = Itbl.create 16 in
-      List.iter (fun x -> Itbl.replace t x ()) xs;
-      Itbl.mem t)
-
-let string_member =
-  member ~eq:String.equal ~table:(fun xs ->
-      let t = Stbl.create 16 in
-      List.iter (fun x -> Stbl.replace t x ()) xs;
-      Stbl.mem t)
-
+   an Int item as a float ([Float.compare] folds -0. onto 0. and all NaNs
+   together); dates, bools and strings equal only their own kind. A cell
+   of any other kind, in a type-mixed column, is looked up in the list
+   itself. Membership is a scan: IN lists are short. *)
 type in_set = {
-  ints : int -> bool;
-  dates : int -> bool;
-  bools : int -> bool;
-  floats : (float, unit) Hashtbl.t;
-  float_items : float list;
-  strings : string -> bool;
+  ints : int array;
+  dates : int array;
+  bools : int array;
+  floats : float array;       (** Float items, and Int items as floats *)
+  float_items : float array;  (** Float items only *)
+  strings : string array;
   items : Value.t list;
 }
 
 let in_set (items : Value.t list) : in_set =
-  let pick f = List.filter_map f items in
-  let floats = Hashtbl.create 8 in
-  List.iter
-    (function
-      | Value.Int x -> Hashtbl.replace floats (float_of_int x) ()
-      | Value.Float x -> Hashtbl.replace floats x ()
-      | _ -> ())
-    items;
-  { ints = int_member (pick (function Value.Int x -> Some x | _ -> None));
-    dates = int_member (pick (function Value.Date x -> Some x | _ -> None));
-    bools = int_member (pick (function Value.Bool x -> Some (if x then 1 else 0) | _ -> None));
-    floats;
+  let pick f = Array.of_list (List.filter_map f items) in
+  { ints = pick (function Value.Int x -> Some x | _ -> None);
+    dates = pick (function Value.Date x -> Some x | _ -> None);
+    bools = pick (function Value.Bool x -> Some (if x then 1 else 0) | _ -> None);
+    floats =
+      pick (function Value.Int x -> Some (float_of_int x) | Value.Float x -> Some x | _ -> None);
     float_items = pick (function Value.Float x -> Some x | _ -> None);
-    strings = string_member (pick (function Value.String x -> Some x | _ -> None));
+    strings = pick (function Value.String x -> Some x | _ -> None);
     items }
+
+let mem_int (a : int array) x =
+  let i = ref 0 in
+  while !i < Array.length a && Array.unsafe_get a !i <> x do incr i done;
+  !i < Array.length a
+
+let mem_float (a : float array) x =
+  let i = ref 0 in
+  while !i < Array.length a && Float.compare (Array.unsafe_get a !i) x <> 0 do incr i done;
+  !i < Array.length a
+
+let mem_string (a : string array) x =
+  let i = ref 0 in
+  while !i < Array.length a && not (String.equal (Array.unsafe_get a !i) x) do incr i done;
+  !i < Array.length a
 
 let in_rows ~negated ~has_null (set : in_set) ~want_f (s : selection) (c : Column.t)
     (at : int array) =
@@ -840,32 +780,29 @@ let in_rows ~negated ~has_null (set : in_set) ~want_f (s : selection) (c : Colum
   in
   (match c with
    | Column.Ints { tag; data; nulls } ->
-     let mem =
+     let items =
        match tag with
        | Column.As_int -> set.ints | Column.As_date -> set.dates | Column.As_bool -> set.bools
      in
-     let exact_floats = tag = Column.As_int && set.float_items <> [] in
+     let exact_floats = tag = Column.As_int && set.float_items <> [||] in
      for k = 0 to n - 1 do
        let p = Array.unsafe_get at k in
        if not (Column.null_bit nulls p) then begin
          let x = Bigarray.Array1.unsafe_get data p in
-         emit k
-           (mem x
-            || (exact_floats
-                && List.exists (fun y -> Float.compare (float_of_int x) y = 0) set.float_items))
+         emit k (mem_int items x || (exact_floats && mem_float set.float_items (float_of_int x)))
        end
      done
    | Column.Floats { data; nulls } ->
      for k = 0 to n - 1 do
        let p = Array.unsafe_get at k in
        if not (Column.null_bit nulls p) then
-         emit k (Hashtbl.mem set.floats (Bigarray.Array1.unsafe_get data p))
+         emit k (mem_float set.floats (Bigarray.Array1.unsafe_get data p))
      done
    | Column.Boxed a ->
      for k = 0 to n - 1 do
        match Array.unsafe_get a (Array.unsafe_get at k) with
        | Value.Null -> ()
-       | Value.String x -> emit k (set.strings x)
+       | Value.String x -> emit k (mem_string set.strings x)
        | v -> emit k (List.exists (Value.equal v) set.items)
      done);
   (cut t !mt, if want_f then cut f !mf else no_rows)
@@ -1111,7 +1048,7 @@ let rec pred (b : t) (e : Expr.t) : pred =
         in
         if negated then (nn, nl) else (nl, nn))
   | Expr.Like (x, pattern, negated) ->
-    let ox = operand b x and m = like_matcher pattern in
+    let ox = operand b x and m = Expr.like_match ~pattern in
     of_kernel ~total:false (fun ~want_f s ->
         match view s ox with
         | K Value.Null -> (no_rows, no_rows)
@@ -1511,6 +1448,38 @@ let hash_join_b ?need ~(kind : Relop.join_kind) ~(pred : Expr.t) (l : t) (r : t)
            Ivec.push rj !j;
            j := first i (Array.unsafe_get next !j)
          done
+     done
+   | _ when equi = [] && (kind = Relop.Semi || kind = Relop.Anti_semi) ->
+     (* nested loops stop at a probe row's first kept pair, as the row
+        engine's [List.exists] does, so no later pair is evaluated: each
+        probe row's candidates run in chain order, in blocks that double
+        from one pair, up to the first block that keeps a pair. A block
+        that raises is re-run a pair at a time, so a type error fires only
+        on a pair the row engine also reaches. *)
+     let eval = residual l r (Expr.conjoin rest) in
+     let cl = fresh_ivec cand_l_key and cr = fresh_ivec cand_r_key in
+     for ik = 0 to ls.n - 1 do
+       let i = Array.unsafe_get ls.ix ik in
+       let j = ref (first i (start i)) and size = ref 1 and matched = ref false in
+       while (not !matched) && !j >= 0 do
+         cl.Ivec.len <- 0;
+         cr.Ivec.len <- 0;
+         while !j >= 0 && cl.Ivec.len < !size do
+           Ivec.push cl i;
+           Ivec.push cr !j;
+           j := first i (Array.unsafe_get next !j)
+         done;
+         let m = cl.Ivec.len in
+         (matched :=
+            match eval cl.Ivec.a cr.Ivec.a m with
+            | kept -> kept.n > 0
+            | exception Expr.Type_error _ ->
+              let c = ref 0 in
+              while !c < m && (eval [| i |] [| cr.Ivec.a.(!c) |] 1).n = 0 do incr c done;
+              !c < m);
+         size := min residual_block (2 * !size)
+       done;
+       if !matched = (kind = Relop.Semi) then Ivec.push li i
      done
    | _ ->
      (* every key-equal pair is a candidate, as the row engine filters
