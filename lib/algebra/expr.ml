@@ -146,28 +146,52 @@ let arith op a b =
      | Mod -> if y = 0. then Value.Null else Value.Float (Float.rem x y)
      | _ -> assert false)
 
-(* SQL LIKE with % and _ wildcards: a greedy two-pointer matcher that
-   allocates nothing. On a mismatch it backtracks to the most recent [%]
-   and lets it swallow one more subject character; earlier [%]s never need
-   revisiting, because the text between two [%]s has a fixed length and
-   matching it leftmost leaves the most subject for the rest. *)
+(* does pattern[a, b) match [s] at [p], [_] matching any character *)
+let like_seg_at pattern s a b p =
+  let j = ref a in
+  while
+    !j < b
+    && (let c = String.unsafe_get pattern !j in
+        c = '_' || c = String.unsafe_get s (p + !j - a))
+  do incr j done;
+  !j = b
+
+(* the first [%] of [pattern] at or after [i], or its length *)
+let like_next_pct pattern i =
+  let i = ref i in
+  while !i < String.length pattern && String.unsafe_get pattern !i <> '%' do incr i done;
+  !i
+
+(* SQL LIKE with % and _ wildcards, allocating nothing. A pattern is its
+   [%]-separated segments, each of fixed length: the first must match a
+   prefix, the last a suffix, and each middle one is placed leftmost after
+   the previous one. No placement is ever revisited, because matching a
+   fixed-length segment leftmost leaves the most subject for the rest. *)
 let like_match ~pattern s =
   let np = String.length pattern and ns = String.length s in
-  (* [star]: pattern index of the last [%] seen (-1: none yet); [mark]:
-     the subject index that [%] currently stops at *)
-  let rec go pi si star mark =
-    if si < ns then
-      if pi < np && pattern.[pi] = '%' then go (pi + 1) si pi si
-      else if pi < np && (pattern.[pi] = '_' || pattern.[pi] = s.[si]) then
-        go (pi + 1) (si + 1) star mark
-      else if star >= 0 then go (star + 1) (mark + 1) star (mark + 1)
-      else false
-    else
-      (* subject used up: only trailing [%]s may remain *)
-      let rec rest pi = pi >= np || (pattern.[pi] = '%' && rest (pi + 1)) in
-      rest pi
-  in
-  go 0 0 (-1) 0
+  let e0 = like_next_pct pattern 0 in
+  if e0 = np then ns = np && like_seg_at pattern s 0 np 0
+  else begin
+    (* the last segment is pattern[l0, np), after the last [%] *)
+    let l0 = ref np in
+    while String.unsafe_get pattern (!l0 - 1) <> '%' do decr l0 done;
+    let l0 = !l0 in
+    let limit = ns - (np - l0) in
+    limit >= e0 && like_seg_at pattern s 0 e0 0 && like_seg_at pattern s l0 np limit
+    && begin
+      (* each middle segment pattern[a, b), leftmost in [pos, limit) *)
+      let a = ref (e0 + 1) and pos = ref e0 in
+      while !a < l0 && !pos >= 0 do
+        let b = like_next_pct pattern !a in
+        let m = b - !a in
+        let p = ref !pos in
+        while !p + m <= limit && not (like_seg_at pattern s !a b !p) do incr p done;
+        pos := (if !p + m <= limit then !p + m else -1);
+        a := b + 1
+      done;
+      !pos >= 0
+    end
+  end
 
 (* Three-valued-logic comparison: None = UNKNOWN. *)
 let compare3 op a b =
