@@ -74,21 +74,22 @@ let implied_disjunction covered e =
     let parts = List.map (fun d -> List.filter covered (conjuncts d)) ds in
     if List.mem [] parts then None else Some (disjoin (List.map conjoin parts))
 
-(** Set of column ids referenced by an expression. *)
-let rec cols_acc acc = function
-  | Col c -> Registry.Col_set.add c acc
+(* The column ids an expression references, with repeats, onto [acc]. *)
+let rec col_ids acc = function
+  | Col c -> c :: acc
   | Lit _ -> acc
-  | Bin (_, a, b) -> cols_acc (cols_acc acc a) b
+  | Bin (_, a, b) -> col_ids (col_ids acc a) b
   | Un (_, a) | Is_null (a, _) | Like (a, _, _) | In_list (a, _, _) | Cast (a, _) ->
-    cols_acc acc a
+    col_ids acc a
   | Case (branches, else_) ->
-    let acc = List.fold_left (fun acc (c, v) -> cols_acc (cols_acc acc c) v) acc branches in
-    (match else_ with Some e -> cols_acc acc e | None -> acc)
-  | Func (_, args) -> List.fold_left cols_acc acc args
+    let acc = List.fold_left (fun acc (c, v) -> col_ids (col_ids acc c) v) acc branches in
+    (match else_ with Some e -> col_ids acc e | None -> acc)
+  | Func (_, args) -> List.fold_left col_ids acc args
 
-let cols e = cols_acc Registry.Col_set.empty e
+(** Set of column ids referenced by an expression. *)
+let cols e = Registry.Col_set.of_list (col_ids [] e)
 
-let cols_of_list es = List.fold_left cols_acc Registry.Col_set.empty es
+let cols_of_list es = Registry.Col_set.of_list (List.fold_left col_ids [] es)
 
 (** Substitute column references via [f]. *)
 let rec map_cols f = function

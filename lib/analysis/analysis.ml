@@ -346,44 +346,77 @@ let iv_to_string iv =
       (match iv.hi with Some v -> Value.to_string v | None -> "+inf")
       (if iv.nullable then "?" else "")
 
-type env = { ivs : iv Registry.Col_map.t; lo : float; hi : float }
+(* Indexed by column id. [unbound] (compared with [==]) marks a column
+   the env says nothing about, which reads as [top_iv], as does every id
+   past the end. It is built at run time so that no constant block can
+   share it: an explicit binding to [top_iv] must stay a binding. *)
+type ivs = iv array
 
-let top_env = { ivs = Registry.Col_map.empty; lo = 0.; hi = Float.infinity }
+type env = { ivs : ivs; lo : float; hi : float }
+
+let unbound : iv = { lo = Sys.opaque_identity None; hi = None; nullable = true; valued = true }
+
+let fold_ivs f env acc =
+  let acc = ref acc in
+  Array.iteri (fun c iv -> if iv != unbound then acc := f c iv !acc) env.ivs;
+  !acc
+
+let iter_ivs f env = Array.iteri (fun c iv -> if iv != unbound then f c iv) env.ivs
+
+(* [a] with each [(c, iv)] of [binds] bound in turn. *)
+let bind_all (a : ivs) binds =
+  let n = List.fold_left (fun n (c, _) -> Int.max n (c + 1)) (Array.length a) binds in
+  let r = Array.make n unbound in
+  Array.blit a 0 r 0 (Array.length a);
+  List.iter (fun (c, iv) -> r.(c) <- iv) binds;
+  r
+
+(* Column by column over the longer of [a] and [b] ([union]) or the
+   shorter ([not union]); [f] sees a column bound on at least one side. *)
+let merge_ivs ~union f (a : ivs) (b : ivs) =
+  let la = Array.length a and lb = Array.length b in
+  let n = if union then Int.max la lb else Int.min la lb in
+  let r = Array.make n unbound in
+  for c = 0 to n - 1 do
+    let x = if c < la then a.(c) else unbound and y = if c < lb then b.(c) else unbound in
+    if x != unbound || y != unbound then r.(c) <- f x y
+  done;
+  r
+
+let top_env = { ivs = [||]; lo = 0.; hi = Float.infinity }
 
 let is_empty env = env.hi <= 0.
 
 let bottom env = { env with lo = 0.; hi = 0. }
 
 let lookup env c =
-  match Registry.Col_map.find_opt c env.ivs with Some iv -> iv | None -> top_iv
+  if c < Array.length env.ivs && env.ivs.(c) != unbound then env.ivs.(c) else top_iv
 
-let set_iv env c iv = { env with ivs = Registry.Col_map.add c iv env.ivs }
+let set_iv env c iv = { env with ivs = bind_all env.ivs [ (c, iv) ] }
 
 let meet_env a b =
   { ivs =
-      Registry.Col_map.merge
-        (fun _ x y ->
-           match x, y with
-           | Some x, Some y -> Some (meet_iv x y)
-           | (Some _ as s), None | None, (Some _ as s) -> s
-           | None, None -> None)
+      merge_ivs ~union:true
+        (fun x y ->
+           if y == unbound then x
+           else if x == unbound then y
+           else if x == y then norm_iv x
+           else meet_iv x y)
         a.ivs b.ivs;
     lo = Float.max a.lo b.lo;
     hi = Float.min a.hi b.hi }
+
+(* Columns bound on both sides, joined: what two relations over the same
+   columns both establish. *)
+let join_ivs = merge_ivs ~union:false (fun x y ->
+    if x == unbound || y == unbound then unbound else if x == y then x else join_iv x y)
 
 (* Join of two refinements of the same base env (an OR's branches): keep
    only constraints established by both. *)
 let join_env a b =
   if is_empty a then b
   else if is_empty b then a
-  else
-    { ivs =
-        Registry.Col_map.merge
-          (fun _ x y ->
-             match x, y with Some x, Some y -> Some (join_iv x y) | _ -> None)
-          a.ivs b.ivs;
-      lo = Float.min a.lo b.lo;
-      hi = Float.max a.hi b.hi }
+  else { ivs = join_ivs a.ivs b.ivs; lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
 
 (* ===================== abstract evaluation ===================== *)
 
@@ -619,8 +652,8 @@ let context ~shell ~reg ~nodes = { shell; reg; nodes }
 (* [infinity *. 0. = nan]; cardinality products must stay well-defined. *)
 let mul_hi a b = if a <= 0. || b <= 0. then 0. else a *. b
 
-let union_maps a b =
-  Registry.Col_map.union (fun _ x _ -> Some x) a b
+(* Every column bound on either side, [a]'s binding first. *)
+let union_ivs = merge_ivs ~union:true (fun x y -> if x == unbound then y else x)
 
 let iv_of_stats (cs : Col_stats.t) =
   { lo = cs.Col_stats.min_v;
@@ -649,21 +682,15 @@ let seed_col ctx c =
      | None -> reg_fallback ())
   | _ -> reg_fallback ()
 
+let seed_ivs ctx cols = bind_all [||] (List.map (fun c -> (c, seed_col ctx c)) (Array.to_list cols))
+
 let seed_scan ctx ~table ~cols =
   match Shell_db.find ctx.shell table with
   | None ->
-    { ivs =
-        Array.fold_left (fun m c -> Registry.Col_map.add c (seed_col ctx c) m)
-          Registry.Col_map.empty cols;
-      lo = 0.;
-      hi = Float.infinity }
+    { ivs = seed_ivs ctx cols; lo = 0.; hi = Float.infinity }
   | Some tbl ->
     let rows = Shell_db.row_count tbl in
-    { ivs =
-        Array.fold_left (fun m c -> Registry.Col_map.add c (seed_col ctx c) m)
-          Registry.Col_map.empty cols;
-      lo = rows;
-      hi = rows }
+    { ivs = seed_ivs ctx cols; lo = rows; hi = rows }
 
 let group_out ctx keys aggs (c : env) ~partial =
   let agg_iv (a : Expr.agg_def) =
@@ -699,9 +726,7 @@ let group_out ctx keys aggs (c : env) ~partial =
         nullable = true;
         valued = arg.valued }
   in
-  let ivs =
-    List.fold_left (fun m a -> Registry.Col_map.add a.Expr.agg_out (agg_iv a) m) c.ivs aggs
-  in
+  let ivs = bind_all c.ivs (List.map (fun a -> (a.Expr.agg_out, agg_iv a)) aggs) in
   match keys with
   | [] ->
     (* a scalar aggregate emits a row even over empty input (one per node
@@ -715,13 +740,13 @@ let group_out ctx keys aggs (c : env) ~partial =
 let join_out kind pred (l : env) (r : env) =
   match (kind : Relop.join_kind) with
   | Relop.Inner | Relop.Cross ->
-    let combined = { ivs = union_maps l.ivs r.ivs; lo = 0.; hi = mul_hi l.hi r.hi } in
+    let combined = { ivs = union_ivs l.ivs r.ivs; lo = 0.; hi = mul_hi l.hi r.hi } in
     if is_empty l || is_empty r then bottom combined
     else
       let rf = refine combined pred in
       if is_empty rf then bottom rf else { rf with lo = 0.; hi = mul_hi l.hi r.hi }
   | Relop.Semi ->
-    let combined = { ivs = union_maps l.ivs r.ivs; lo = 0.; hi = l.hi } in
+    let combined = { ivs = union_ivs l.ivs r.ivs; lo = 0.; hi = l.hi } in
     if is_empty l || is_empty r then bottom combined
     else
       let rf = refine combined pred in
@@ -731,8 +756,8 @@ let join_out kind pred (l : env) (r : env) =
     if is_empty l then bottom l
     else { l with lo = (if r.hi <= 0. then l.lo else 0.); hi = l.hi }
   | Relop.Left_outer ->
-    let rn = Registry.Col_map.map (fun iv -> { iv with nullable = true }) r.ivs in
-    let ivs = union_maps l.ivs rn in
+    let rn = Array.map (fun iv -> if iv == unbound then iv else { iv with nullable = true }) r.ivs in
+    let ivs = union_ivs l.ivs rn in
     if is_empty l then bottom { l with ivs }
     else { ivs; lo = l.lo; hi = mul_hi l.hi (Float.max 1. r.hi) }
 
@@ -795,8 +820,7 @@ let transfer ctx shape (cs : env list) ~sort_mult ~partial_agg : env =
       if is_empty r then bottom r else { r with lo = 0.; hi = c.hi }
   | S_project defs, [ c ] ->
     { c with
-      ivs =
-        List.fold_left (fun m (id, e) -> Registry.Col_map.add id (aeval c e) m) c.ivs defs }
+      ivs = bind_all c.ivs (List.map (fun (id, e) -> (id, aeval c e)) defs) }
   | S_join (kind, pred), [ l; r ] -> join_out kind pred l r
   | S_group (keys, aggs), [ c ] -> group_out ctx keys aggs c ~partial:partial_agg
   | S_sort limit, [ c ] ->
@@ -807,13 +831,10 @@ let transfer ctx shape (cs : env list) ~sort_mult ~partial_agg : env =
        { c with lo = Float.min c.lo n; hi = Float.min c.hi (n *. sort_mult) })
   | S_union, [ l; r ] ->
     (* the right input is pre-projected onto the left's column ids *)
-    { ivs =
-        Registry.Col_map.merge
-          (fun _ x y -> match x, y with Some x, Some y -> Some (join_iv x y) | _ -> None)
-          l.ivs r.ivs;
+    { ivs = join_ivs l.ivs r.ivs;
       lo = l.lo +. r.lo;
       hi = l.hi +. r.hi }
-  | S_empty, _ -> { ivs = Registry.Col_map.empty; lo = 0.; hi = 0. }
+  | S_empty, _ -> { ivs = [||]; lo = 0.; hi = 0. }
   | _, _ -> top_env (* malformed arity: stay sound, claim nothing *)
 
 (* ===================== MEMO-level analysis ===================== *)
@@ -827,6 +848,18 @@ let transfer ctx shape (cs : env list) ~sort_mult ~partial_agg : env =
    each pair once changes nothing. A group reached again while in progress (a
    recursion back-edge) yields top. Returns the envs and the number of
    transfer evaluations. *)
+(* A (canonical children, shape) pair, hashed over the whole shape: the
+   bounded [Hashtbl.hash] stops after 10 meaningful words, so the join
+   variants of a many-way join, whose predicates differ deep inside, would
+   share a few buckets. *)
+module Pair = Hashtbl.Make (struct
+    type t = int list * shape
+
+    let equal a b = compare a b = 0
+
+    let hash (k : t) = Hashtbl.hash_param 100_000 100_000 k
+  end)
+
 let analyze_memo ctx (m : Memo.t) : (int, env) Hashtbl.t * int =
   let state : (int, env option) Hashtbl.t = Hashtbl.create 64 in
   let evals = ref 0 in
@@ -837,12 +870,12 @@ let analyze_memo ctx (m : Memo.t) : (int, env) Hashtbl.t * int =
     | Some None -> top_env
     | None ->
       Hashtbl.replace state gid None;
-      let seen = Hashtbl.create 16 in
+      let seen = Pair.create 16 in
       let acc = ref None in
       let visit shape ch =
         let ch = Array.to_list (Array.map (Memo.find m) ch) in
-        if not (Hashtbl.mem seen (ch, shape)) then begin
-          Hashtbl.add seen (ch, shape) ();
+        if not (Pair.mem seen (ch, shape)) then begin
+          Pair.add seen (ch, shape) ();
           incr evals;
           let e = transfer ctx shape (List.map genv ch) ~sort_mult:1. ~partial_agg:false in
           acc := Some (match !acc with None -> e | Some a -> meet_env a e)

@@ -39,14 +39,35 @@ type iv = {
 val top_iv : iv
 val iv_to_string : iv -> string
 
+(** Per-column intervals, indexed by column id. A column is bound (the
+    env constrains it, possibly to {!top_iv}) or unbound (it reads as
+    {!top_iv}); read them through {!fold_ivs} and {!iter_ivs}. *)
+type ivs
+
 (** Abstract state of a relation: per-column intervals plus global
     cardinality bounds. [hi <= 0.] means provably empty. *)
-type env = { ivs : iv Registry.Col_map.t; lo : float; hi : float }
+type env = { ivs : ivs; lo : float; hi : float }
+
+(** The bound columns and their intervals, in ascending id order. *)
+val fold_ivs : (int -> iv -> 'a -> 'a) -> env -> 'a -> 'a
+val iter_ivs : (int -> iv -> unit) -> env -> unit
 
 (** No constraint: unknown columns, [0, +inf) rows. *)
 val top_env : env
 
 val is_empty : env -> bool
+
+(** [env] with column [c] bound to [iv] (bound even when [iv] is
+    {!top_iv}). *)
+val set_iv : env -> int -> iv -> env
+
+(** Both constraints at once: the columns bound on either side (met where
+    both are), the tighter cardinality bounds. *)
+val meet_env : env -> env -> env
+
+(** Either refinement of one base env: the columns bound on both sides,
+    joined; the looser cardinality bounds. An empty side yields the other. *)
+val join_env : env -> env -> env
 
 (* -- analysis context -- *)
 

@@ -732,9 +732,9 @@ let json_num v =
 
 (* Refined (non-top) column intervals worth showing, stable order. *)
 let notable_ivs (env : Analysis.env) =
-  Registry.Col_map.fold
+  Analysis.fold_ivs
     (fun c iv acc -> if iv = Analysis.top_iv then acc else (c, iv) :: acc)
-    env.Analysis.ivs []
+    env []
   |> List.rev
 
 let render_json (actx : Analysis.ctx) p =

@@ -130,8 +130,7 @@ let cols_of_op t (op : op) (children : int array) : Registry.Col_set.t =
     Col_set.union (child 0) (child 1)
   | Logical (Relop.Group_by { keys; aggs })
   | Physical (Physop.Hash_agg { keys; aggs } | Physop.Stream_agg { keys; aggs }) ->
-    Col_set.union (Col_set.of_list keys)
-      (Col_set.of_list (List.map (fun a -> a.Expr.agg_out) aggs))
+    Col_set.of_list (keys @ List.map (fun a -> a.Expr.agg_out) aggs)
   | Logical (Relop.Sort _) | Physical (Physop.Sort_op _) -> child 0
   | Logical Relop.Union_all | Physical Physop.Union_op -> child 0
   | Logical (Relop.Empty cols) | Physical (Physop.Const_empty cols) ->

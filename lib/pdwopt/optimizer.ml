@@ -19,15 +19,31 @@ exception No_plan of string
    dedup table; here we drop physical serial alternatives whose distinction
    the PDW layer ignores (order-based algorithms shadowed by their hash
    counterparts), keeping the group lists small. The counterpart's
-   operator is looked up once in the MEMO's intern table, and only its
-   children are compared per expression. *)
+   operator is looked up once per shadow operator in the MEMO's intern
+   table, and a group's (oid, children) keys are indexed once, so the pass
+   is linear in the MEMO. *)
 let preprocess_merge (m : Memo.t) =
+  (* shadow oid -> its hash counterpart's oid, if that was interned *)
+  let counterparts = Hashtbl.create 64 in
+  let counterpart (e : gexpr) hash_op =
+    match Hashtbl.find_opt counterparts e.oid with
+    | Some o -> o
+    | None ->
+      let o = Memo.oid_of m (Physical hash_op) in
+      Hashtbl.add counterparts e.oid o;
+      o
+  in
   Memo.iter_groups m (fun g ->
+      let index =
+        lazy
+          (let t = Memo.Dedup.create (List.length g.Memo.exprs) in
+           List.iter (fun (e : gexpr) -> Memo.Dedup.replace t (e.oid, e.children) ()) g.Memo.exprs;
+           t)
+      in
       let has_counterpart (e : gexpr) hash_op =
-        match Memo.oid_of m (Physical hash_op) with
+        match counterpart e hash_op with
         | None -> false
-        | Some oid ->
-          List.exists (fun (e' : gexpr) -> e'.oid = oid && e'.children = e.children) g.Memo.exprs
+        | Some oid -> Memo.Dedup.mem (Lazy.force index) (oid, e.children)
       in
       let keep (e : gexpr) =
         match e.op with

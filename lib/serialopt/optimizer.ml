@@ -87,6 +87,18 @@ let explore (m : Memo.t) ~pool ~budget ~(token : Governor.token)
     !interrupted <> None
   in
   let applied : (applied_key, unit) Hashtbl.t = Hashtbl.create 256 in
+  (* A join operator's nontrivial conjuncts with their column sets, by
+     oid, computed at its first association. Only the apply phase reads
+     and fills it. *)
+  let conj_cols : (int, (Expr.t * Registry.Col_set.t) list) Hashtbl.t = Hashtbl.create 256 in
+  let conjuncts oid pred =
+    match Hashtbl.find_opt conj_cols oid with
+    | Some l -> l
+    | None ->
+      let l = List.map (fun c -> (c, Expr.cols c)) (nontrivial_conjuncts pred) in
+      Hashtbl.add conj_cols oid l;
+      l
+  in
   (* Discovery for one group: candidates as (applied key, apply closure).
      Read-only against the memo; the closures only touch the memo when the
      sequential apply phase runs them. *)
@@ -111,9 +123,10 @@ let explore (m : Memo.t) ~pool ~budget ~(token : Governor.token)
            (* left associativity: (A x B) x C -> A x (B x C) *)
            candidate Assoc (fun () ->
                List.iter
-                 (fun (lop, lchildren) ->
-                    match lop with
-                    | Relop.Join { kind = Relop.Inner | Relop.Cross; pred = q }
+                 (fun (le : gexpr) ->
+                    let lchildren = le.children in
+                    match le.op with
+                    | Logical (Relop.Join { kind = Relop.Inner | Relop.Cross; pred = q })
                       when Array.length lchildren = 2 ->
                       let ga = Memo.find m lchildren.(0)
                       and gb = Memo.find m lchildren.(1) in
@@ -121,12 +134,11 @@ let explore (m : Memo.t) ~pool ~budget ~(token : Governor.token)
                         let cols_b = (Memo.props m gb).cols
                         and cols_c = (Memo.props m g2).cols in
                         let bc = Registry.Col_set.union cols_b cols_c in
-                        let all = nontrivial_conjuncts pred @ nontrivial_conjuncts q in
+                        let all = conjuncts e.oid pred @ conjuncts le.oid q in
                         let lower, upper =
-                          List.partition
-                            (fun c -> Registry.Col_set.subset (Expr.cols c) bc)
-                            all
+                          List.partition (fun (_, cs) -> Registry.Col_set.subset cs bc) all
                         in
+                        let lower = List.map fst lower and upper = List.map fst upper in
                         (* avoid generating pure cross products *)
                         if lower <> [] then begin
                           let lower_join =
@@ -147,7 +159,7 @@ let explore (m : Memo.t) ~pool ~budget ~(token : Governor.token)
                         end
                       end
                     | _ -> ())
-                 (Memo.logical_exprs m g1))
+                 (Memo.exprs m g1))
          | _ -> ())
       (Memo.exprs m g);
     List.rev !out

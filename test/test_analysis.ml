@@ -356,11 +356,11 @@ let env_digest ctx (m : Memo.t) =
   Memo.iter_groups m (fun g ->
       let e = env g.Memo.gid in
       Printf.bprintf b "g%d:%h,%h" g.Memo.gid e.Analysis.lo e.Analysis.hi;
-      Registry.Col_map.iter
+      Analysis.iter_ivs
         (fun c (iv : Analysis.iv) ->
            Printf.bprintf b " %d[%s,%s]%B%B" c (value iv.Analysis.lo)
              (value iv.Analysis.hi) iv.Analysis.nullable iv.Analysis.valued)
-        e.Analysis.ivs;
+        e;
       Buffer.add_char b ';');
   Digest.to_hex (Digest.string (Buffer.contents b))
 
@@ -437,6 +437,37 @@ let test_memo_meet_dedup () =
   Alcotest.(check int) "distinct pairs evaluated" 3 (Analysis.memo_evals ctx m);
   Alcotest.(check bool) "the merged-in Empty refutes the scan" true
     (Analysis.is_empty (Analysis.memo_env ctx m g))
+
+(* A column bound to [top_iv] is bound, not unbound: it shows in
+   [fold_ivs] after a meet, a join and an inner join, as a map binding
+   did. A literal equal to [top_iv] binds it too. *)
+let test_explicit_top_stays_bound () =
+  let bound e =
+    Analysis.fold_ivs (fun c iv acc -> Printf.sprintf "%d%s" c (Analysis.iv_to_string iv) :: acc) e []
+    |> List.rev
+  in
+  let top = Analysis.iv_to_string Analysis.top_iv in
+  let literal_top : Analysis.iv = { lo = None; hi = None; nullable = true; valued = true } in
+  let narrow = { Analysis.top_iv with Analysis.nullable = false } in
+  let a = Analysis.set_iv Analysis.top_env 3 Analysis.top_iv in
+  let b = Analysis.set_iv Analysis.top_env 5 narrow in
+  let check name expect e = Alcotest.(check (list string)) name expect (bound e) in
+  check "set_iv" [ "3" ^ top ] a;
+  check "a literal top" [ "7" ^ top ] (Analysis.set_iv Analysis.top_env 7 literal_top);
+  check "meet" [ "3" ^ top; "5" ^ Analysis.iv_to_string narrow ] (Analysis.meet_env a b);
+  check "meet with itself" [ "3" ^ top ] (Analysis.meet_env a a);
+  check "join: bound on both sides" [ "3" ^ top; "5" ^ top ]
+    (Analysis.join_env (Analysis.set_iv a 5 Analysis.top_iv) (Analysis.set_iv b 3 Analysis.top_iv));
+  check "join: bound on one side" [] (Analysis.join_env a b);
+  let ctx =
+    Analysis.context ~shell:(Fixtures.shell ()) ~reg:(Registry.create ()) ~nodes:4
+  in
+  let out, _ =
+    Analysis.physop_transfer ctx
+      (Memo.Physop.Hash_join { kind = Relop.Inner; pred = Expr.Lit (Catalog.Value.Bool true) })
+      [ a; b ] ~dist:Dms.Distprop.Replicated ~partial_agg:false
+  in
+  check "inner join" [ "3" ^ top; "5" ^ Analysis.iv_to_string narrow ] out
 
 let has_const_empty p =
   let found = ref false in
@@ -587,4 +618,5 @@ let suite =
     t "assert-bounds: detects corruption" test_assert_bounds_detects_corruption;
     t "assert-bounds: violations survive a replan" test_assert_bounds_survive_replan;
     t "memo envs pinned (8 nodes, SF 0.01)" test_memo_envs_pinned;
-    t "memo meet: one evaluation per distinct pair" test_memo_meet_dedup ]
+    t "memo meet: one evaluation per distinct pair" test_memo_meet_dedup;
+    t "env: an explicit top binding stays bound" test_explicit_top_stays_bound ]

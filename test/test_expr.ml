@@ -175,6 +175,86 @@ let prop_like_vs_naive =
     (QCheck.make ~print:QCheck.Print.(pair string string) QCheck.Gen.(pair gen_pat gen_str))
     (fun (pattern, str) -> Expr.like_match ~pattern str = naive_like pattern str)
 
+(* Column-id bitsets against [Set.Make (Int)]: random programs over four
+   set registers, ids in three clusters across words 0, 1 and 3 (so
+   intersections and differences often shrink a set to fewer words, and
+   sets built different ways often coincide). After every step each set
+   must read as its reference, and polymorphic [=] must be set equality. *)
+module Ref_set = Set.Make (Int)
+
+type set_op =
+  | Add of int * int
+  | Union of int * int * int
+  | Inter of int * int * int
+  | Diff of int * int * int
+  | Of_list of int * int list
+
+let set_op_to_string = function
+  | Add (r, i) -> Printf.sprintf "s%d+=%d" r i
+  | Union (d, a, b) -> Printf.sprintf "s%d=s%d|s%d" d a b
+  | Inter (d, a, b) -> Printf.sprintf "s%d=s%d&s%d" d a b
+  | Diff (d, a, b) -> Printf.sprintf "s%d=s%d-s%d" d a b
+  | Of_list (r, l) -> Printf.sprintf "s%d=[%s]" r (String.concat ";" (List.map string_of_int l))
+
+let prop_col_set_vs_set =
+  let open QCheck.Gen in
+  let reg = int_range 0 3 in
+  let id = oneof [ int_range 0 5; int_range 60 66; int_range 190 200 ] in
+  let op =
+    frequency
+      [ (4, map2 (fun r i -> Add (r, i)) reg id);
+        (2, map3 (fun d a b -> Union (d, a, b)) reg reg reg);
+        (3, map3 (fun d a b -> Inter (d, a, b)) reg reg reg);
+        (3, map3 (fun d a b -> Diff (d, a, b)) reg reg reg);
+        (1, map2 (fun r l -> Of_list (r, l)) reg (list_size (int_range 0 8) id)) ]
+  in
+  QCheck.Test.make ~name:"Col_set agrees with Set.Make (Int)" ~count:1000
+    (QCheck.make ~print:QCheck.Print.(list set_op_to_string) (list_size (int_range 1 30) op))
+    (fun ops ->
+       let module C = Registry.Col_set in
+       let cs = Array.make 4 C.empty and rs = Array.make 4 Ref_set.empty in
+       let agree () =
+         for i = 0 to 3 do
+           let c = cs.(i) and r = rs.(i) in
+           if C.elements c <> Ref_set.elements r then QCheck.Test.fail_reportf "s%d elements" i;
+           if C.fold List.cons c [] <> Ref_set.fold List.cons r [] then
+             QCheck.Test.fail_reportf "s%d fold order" i;
+           let it = ref [] in
+           C.iter (fun x -> it := x :: !it) c;
+           if List.rev !it <> Ref_set.elements r then QCheck.Test.fail_reportf "s%d iter" i;
+           if C.cardinal c <> Ref_set.cardinal r then QCheck.Test.fail_reportf "s%d cardinal" i;
+           if C.is_empty c <> Ref_set.is_empty r then QCheck.Test.fail_reportf "s%d is_empty" i;
+           if C.choose_opt c <> Ref_set.min_elt_opt r then QCheck.Test.fail_reportf "s%d choose_opt" i;
+           if (try Some (C.min_elt c) with Not_found -> None) <> Ref_set.min_elt_opt r then
+             QCheck.Test.fail_reportf "s%d min_elt" i;
+           let even x = x mod 2 = 0 in
+           if C.for_all even c <> Ref_set.for_all even r then QCheck.Test.fail_reportf "s%d for_all" i;
+           for x = -1 to 201 do
+             if C.mem x c <> Ref_set.mem x r then QCheck.Test.fail_reportf "s%d mem %d" i x
+           done;
+           for j = 0 to 3 do
+             if C.subset c cs.(j) <> Ref_set.subset r rs.(j) then
+               QCheck.Test.fail_reportf "subset s%d s%d" i j;
+             if (c = cs.(j)) <> Ref_set.equal r rs.(j) then
+               QCheck.Test.fail_reportf "s%d = s%d" i j
+           done
+         done
+       in
+       List.iter
+         (fun op ->
+            (match op with
+             | Add (d, i) -> cs.(d) <- C.add i cs.(d); rs.(d) <- Ref_set.add i rs.(d)
+             | Union (d, a, b) ->
+               cs.(d) <- C.union cs.(a) cs.(b); rs.(d) <- Ref_set.union rs.(a) rs.(b)
+             | Inter (d, a, b) ->
+               cs.(d) <- C.inter cs.(a) cs.(b); rs.(d) <- Ref_set.inter rs.(a) rs.(b)
+             | Diff (d, a, b) ->
+               cs.(d) <- C.diff cs.(a) cs.(b); rs.(d) <- Ref_set.diff rs.(a) rs.(b)
+             | Of_list (d, l) -> cs.(d) <- C.of_list l; rs.(d) <- Ref_set.of_list l);
+            agree ())
+         ops;
+       true)
+
 let suite =
   [ t "arithmetic" test_arith;
     t "null propagation (3VL)" test_null_propagation;
@@ -187,4 +267,5 @@ let suite =
     t "CAST" test_cast;
     t "cols and rename" test_cols_and_rename;
     t "conjuncts/conjoin" test_conjuncts;
-    QCheck_alcotest.to_alcotest prop_like_vs_naive ]
+    QCheck_alcotest.to_alcotest prop_like_vs_naive;
+    QCheck_alcotest.to_alcotest prop_col_set_vs_set ]
