@@ -394,6 +394,9 @@ let lookup env c =
 
 let set_iv env c iv = { env with ivs = bind_all env.ivs [ (c, iv) ] }
 
+(* An interval met with itself is [norm_iv] of it, and joined with itself
+   is itself: the envs of one group's expressions share their children's
+   intervals, so most columns take that path without allocating. *)
 let meet_env a b =
   { ivs =
       merge_ivs ~union:true

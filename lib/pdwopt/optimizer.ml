@@ -19,20 +19,9 @@ exception No_plan of string
    dedup table; here we drop physical serial alternatives whose distinction
    the PDW layer ignores (order-based algorithms shadowed by their hash
    counterparts), keeping the group lists small. The counterpart's
-   operator is looked up once per shadow operator in the MEMO's intern
-   table, and a group's (oid, children) keys are indexed once, so the pass
-   is linear in the MEMO. *)
+   operator is looked up in the MEMO's intern table, and a group's (oid,
+   children) keys are indexed once, so the pass is linear in the MEMO. *)
 let preprocess_merge (m : Memo.t) =
-  (* shadow oid -> its hash counterpart's oid, if that was interned *)
-  let counterparts = Hashtbl.create 64 in
-  let counterpart (e : gexpr) hash_op =
-    match Hashtbl.find_opt counterparts e.oid with
-    | Some o -> o
-    | None ->
-      let o = Memo.oid_of m (Physical hash_op) in
-      Hashtbl.add counterparts e.oid o;
-      o
-  in
   Memo.iter_groups m (fun g ->
       let index =
         lazy
@@ -41,7 +30,7 @@ let preprocess_merge (m : Memo.t) =
            t)
       in
       let has_counterpart (e : gexpr) hash_op =
-        match counterpart e hash_op with
+        match Memo.oid_of m (Physical hash_op) with
         | None -> false
         | Some oid -> Memo.Dedup.mem (Lazy.force index) (oid, e.children)
       in
