@@ -73,8 +73,8 @@ let label t id =
 
 let count t = t.next
 
-(** Sets of column ids as immutable bitsets: bit [i mod 63] of word
-    [i / 63] holds id [i]. Ids are dense small integers, so a set is a few
+(** Sets of column ids as immutable bitsets: bit [i mod w] of word
+    [i / w] holds id [i], where [w = Sys.int_size] (63). Ids are dense small integers, so a set is a few
     words, and union, intersection and inclusion are word loops. A set
     never ends in a zero word, so polymorphic [=] is set equality. Every
     iteration runs in ascending id order, as [Set.Make (Int)]'s did. *)
