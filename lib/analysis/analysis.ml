@@ -394,17 +394,10 @@ let lookup env c =
 
 let set_iv env c iv = { env with ivs = bind_all env.ivs [ (c, iv) ] }
 
-(* An interval met with itself is [norm_iv] of it, and joined with itself
-   is itself: the envs of one group's expressions share their children's
-   intervals, so most columns take that path without allocating. *)
 let meet_env a b =
   { ivs =
       merge_ivs ~union:true
-        (fun x y ->
-           if y == unbound then x
-           else if x == unbound then y
-           else if x == y then norm_iv x
-           else meet_iv x y)
+        (fun x y -> if y == unbound then x else if x == unbound then y else meet_iv x y)
         a.ivs b.ivs;
     lo = Float.max a.lo b.lo;
     hi = Float.min a.hi b.hi }
@@ -412,7 +405,7 @@ let meet_env a b =
 (* Columns bound on both sides, joined: what two relations over the same
    columns both establish. *)
 let join_ivs = merge_ivs ~union:false (fun x y ->
-    if x == unbound || y == unbound then unbound else if x == y then x else join_iv x y)
+    if x == unbound || y == unbound then unbound else join_iv x y)
 
 (* Join of two refinements of the same base env (an OR's branches): keep
    only constraints established by both. *)
@@ -851,17 +844,10 @@ let transfer ctx shape (cs : env list) ~sort_mult ~partial_agg : env =
    each pair once changes nothing. A group reached again while in progress (a
    recursion back-edge) yields top. Returns the envs and the number of
    transfer evaluations. *)
-(* A (canonical children, shape) pair, hashed over the whole shape: the
-   bounded [Hashtbl.hash] stops after 10 meaningful words, so the join
-   variants of a many-way join, whose predicates differ deep inside, would
-   share a few buckets. *)
-module Pair = Hashtbl.Make (struct
-    type t = int list * shape
-
-    let equal a b = compare a b = 0
-
-    let hash (k : t) = Hashtbl.hash_param 100_000 100_000 k
-  end)
+(* A (canonical children, shape) pair, hashed over the whole shape like
+   the MEMO's operator keys: a many-way join's variants differ deep inside
+   their predicates. *)
+module Pair = Hashtbl.Make (Memo.Full_key (struct type t = int list * shape end))
 
 let analyze_memo ctx (m : Memo.t) : (int, env) Hashtbl.t * int =
   let state : (int, env option) Hashtbl.t = Hashtbl.create 64 in

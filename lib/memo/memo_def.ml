@@ -52,18 +52,21 @@ module Dedup = Hashtbl.Make (struct
       (!h lxor (!h lsr 17)) land max_int
   end)
 
-(* The operator-interning table: equal as the polymorphic table compares
-   them, but hashed over the whole operator. The bounded [Hashtbl.hash]
-   stops after 10 meaningful words, before the column ids of a long join
-   conjunction, so the joins of a many-way shared-key join would fall
-   into a few buckets. *)
-module Op_key = struct
-  type t = op
+(* A hash-table key equal as the polymorphic table compares it, but
+   hashed over the whole value. The bounded [Hashtbl.hash] stops after 10
+   meaningful words, before the column ids of a long join conjunction, so
+   the joins of a many-way shared-key join would fall into a few
+   buckets. *)
+module Full_key (T : sig type t end) = struct
+  type t = T.t
 
-  let equal a b = compare a b = 0
+  let equal (a : t) b = compare a b = 0
 
-  let hash (op : t) = Hashtbl.hash_param 100_000 100_000 op
+  let hash (k : t) = Hashtbl.hash_param 100_000 100_000 k
 end
+
+(* The operator-interning table. *)
+module Op_key = Full_key (struct type t = op end)
 
 module Ops = Hashtbl.Make (Op_key)
 

@@ -23,16 +23,12 @@ exception No_plan of string
    children) keys are indexed once, so the pass is linear in the MEMO. *)
 let preprocess_merge (m : Memo.t) =
   Memo.iter_groups m (fun g ->
-      let index =
-        lazy
-          (let t = Memo.Dedup.create (List.length g.Memo.exprs) in
-           List.iter (fun (e : gexpr) -> Memo.Dedup.replace t (e.oid, e.children) ()) g.Memo.exprs;
-           t)
-      in
+      let index = Memo.Dedup.create (List.length g.Memo.exprs) in
+      List.iter (fun (e : gexpr) -> Memo.Dedup.replace index (e.oid, e.children) ()) g.Memo.exprs;
       let has_counterpart (e : gexpr) hash_op =
         match Memo.oid_of m (Physical hash_op) with
         | None -> false
-        | Some oid -> Memo.Dedup.mem (Lazy.force index) (oid, e.children)
+        | Some oid -> Memo.Dedup.mem index (oid, e.children)
       in
       let keep (e : gexpr) =
         match e.op with
