@@ -65,7 +65,6 @@ module Full_key (T : sig type t end) = struct
   let hash (k : t) = Hashtbl.hash_param 100_000 100_000 k
 end
 
-(* The operator-interning table. *)
 module Op_key = Full_key (struct type t = op end)
 
 module Ops = Hashtbl.Make (Op_key)
