@@ -275,7 +275,10 @@ let e5 () =
          | Dms.Calibrate.Writer -> lambdas.Dms.Cost.l_writer
          | Dms.Calibrate.Blkcpy -> lambdas.Dms.Cost.l_blkcpy
        in
-       rowf "%-16s %-14.4g %-18.4f\n" (Dms.Calibrate.component_name c) l e)
+       let name = Dms.Calibrate.component_name c in
+       record "E5" ("lambda." ^ name) l;
+       record "E5" ("residual." ^ name) e;
+       rowf "%-16s %-14.4g %-18.4f\n" name l e)
     errors;
   Printf.printf "\nlambda_hash > lambda_direct: %b (paper: hashing adds reader overhead)\n"
     (lambdas.Dms.Cost.l_reader_hash > lambdas.Dms.Cost.l_reader_direct);
