@@ -258,28 +258,21 @@ let calibrate_lambdas ~nodes =
        ignore (Engine.Appliance.run_move app Dms.Op.Replicated_broadcast ~cols:[ ck; cp ] single);
        ignore (Engine.Appliance.run_move app Dms.Op.Remote_copy ~cols:[ ck; cp ] hashed))
     [ 500; 2000; 8000; 32000 ];
-  let account = app.Engine.Appliance.account in
-  Dms.Calibrate.calibrate (Engine.Appliance.samples_of account)
+  (* the account's samples are newest first; E5's records pin the fit in
+     that order *)
+  Dms.Calibrate.fit app.Engine.Appliance.account.Engine.Appliance.samples
 
 let e5 () =
   section "E5" "Sec. 3.3.3: cost calibration (fitting lambda per component)";
-  let lambdas, errors = calibrate_lambdas ~nodes:8 in
+  let lambdas, fits = calibrate_lambdas ~nodes:8 in
   Printf.printf "%-16s %-14s %-18s\n" "component" "lambda (s/B)" "rel. RMS residual";
   List.iter
-    (fun (c, e) ->
-       let l =
-         match c with
-         | Dms.Calibrate.Reader_direct -> lambdas.Dms.Cost.l_reader_direct
-         | Dms.Calibrate.Reader_hash -> lambdas.Dms.Cost.l_reader_hash
-         | Dms.Calibrate.Network -> lambdas.Dms.Cost.l_network
-         | Dms.Calibrate.Writer -> lambdas.Dms.Cost.l_writer
-         | Dms.Calibrate.Blkcpy -> lambdas.Dms.Cost.l_blkcpy
-       in
-       let name = Dms.Calibrate.component_name c in
-       record "E5" ("lambda." ^ name) l;
-       record "E5" ("residual." ^ name) e;
-       rowf "%-16s %-14.4g %-18.4f\n" name l e)
-    errors;
+    (fun (f : Dms.Calibrate.fit) ->
+       let name = Dms.Calibrate.component_name f.f_component in
+       record "E5" ("lambda." ^ name) f.f_lambda;
+       record "E5" ("residual." ^ name) f.f_error;
+       rowf "%-16s %-14.4g %-18.4f\n" name f.f_lambda f.f_error)
+    fits;
   Printf.printf "\nlambda_hash > lambda_direct: %b (paper: hashing adds reader overhead)\n"
     (lambdas.Dms.Cost.l_reader_hash > lambdas.Dms.Cost.l_reader_direct);
   Printf.printf
@@ -1194,10 +1187,8 @@ let e21 () =
   recordi "E21" "refined_columns" (List.length cal.Opdw.Feedback.refined);
   recordi "E21" "bound_violations" violations;
   List.iter
-    (fun (f : Opdw.Feedback.Lambda.fit) ->
-       record "E21"
-         ("lambda." ^ Dms.Calibrate.component_name f.Opdw.Feedback.Lambda.f_component)
-         f.Opdw.Feedback.Lambda.f_lambda)
+    (fun (f : Dms.Calibrate.fit) ->
+       record "E21" ("lambda." ^ Dms.Calibrate.component_name f.f_component) f.f_lambda)
     cal.Opdw.Feedback.fits;
   Printf.printf
     "\ngeomean model-vs-sim error: %.4g -> %.4g (%.1fx better) after one\n\

@@ -804,11 +804,9 @@ let calibrate nodes sf all query sql file seed budget jobs feedback_log
   Option.iter (Opdw.Feedback.Log.save (Opdw.Driver.log d)) feedback_log;
   let errors = List.combine (List.map fst targets) (List.combine before after) in
   let g_before = geomean before and g_after = geomean after in
-  let fit_line (f : Opdw.Feedback.Lambda.fit) =
+  let fit_line (f : Dms.Calibrate.fit) =
     Printf.sprintf "%s=%.4g (err %.3g, %d samples)"
-      (Dms.Calibrate.component_name f.Opdw.Feedback.Lambda.f_component)
-      f.Opdw.Feedback.Lambda.f_lambda f.Opdw.Feedback.Lambda.f_error
-      f.Opdw.Feedback.Lambda.f_samples
+      (Dms.Calibrate.component_name f.f_component) f.f_lambda f.f_error f.f_samples
   in
   if json then begin
     let per_query =

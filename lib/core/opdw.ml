@@ -101,10 +101,8 @@ let cache ?capacity () : cache = Plancache.create ?capacity ()
    joins first (tables hash-partitioned compatibly joined before others).
    Implemented as a greedy re-bracketing of the normalized inner-join region
    rooted at the top of the tree. *)
-let collocated_seed (reg : Algebra.Registry.t) (shell : Catalog.Shell_db.t)
-    (t : Algebra.Relop.t) : Algebra.Relop.t option =
-  ignore reg;
-  ignore shell;
+let collocated_seed (shell : Catalog.Shell_db.t) (t : Algebra.Relop.t) :
+    Algebra.Relop.t option =
   (* decompose the top inner-join region into leaves + conjuncts *)
   let open Algebra in
   let rec leaves (n : Relop.t) =
@@ -311,12 +309,12 @@ let front obs (opts : options) shell sql =
 
 (* the rest of the explore half: seeding, serial exploration, the XML
    round trip and the empty-group analysis *)
-let explore_front obs token pool shell
+let explore_front obs token shell
     ((opts : options), query, (algebrized : Algebra.Algebrizer.result), normalized) =
   let reg = algebrized.Algebra.Algebrizer.reg in
   let seeds =
     if opts.seed_collocated then
-      match collocated_seed reg shell normalized with
+      match collocated_seed shell normalized with
       | Some s -> [ s ]
       | None -> []
     else []
@@ -326,7 +324,7 @@ let explore_front obs token pool shell
   let serial =
     Obs.with_span obs "serial_optimize" @@ fun () ->
     Serialopt.Optimizer.optimize ~obs ~opts:opts.serial ~seeds ~token
-      ?max_memo_groups:opts.governor.Governor.max_memo_groups ~pool reg shell normalized
+      ?max_memo_groups:opts.governor.Governor.max_memo_groups reg shell normalized
   in
   (* the paper's interchange between the SQL Server process and the PDW
      optimizer *)
@@ -441,7 +439,7 @@ let assemble obs ~query ~algebrized ~normalized tail degraded fingerprint =
     analysis. *)
 let explore ~options shell sql : explored =
   let obs = Obs.null in
-  explore_front obs Governor.none Par.sequential shell (front obs options shell sql)
+  explore_front obs Governor.none shell (front obs options shell sql)
 
 (** The place half on its own: finish an explored statement on [shell]. *)
 let place shell (e : explored) : result =
@@ -478,7 +476,7 @@ let optimize ?(obs = Obs.null) ?(options : options option) ?(cache : cache optio
   (* everything below normalization is a pure function of (normalized tree,
      knobs, statistics) — exactly what the plan-cache fingerprint keys on *)
   let compile_tail () =
-    place_tail obs check token pool shell (explore_front obs token pool shell fr)
+    place_tail obs check token pool shell (explore_front obs token shell fr)
   in
   let tail, degraded, fingerprint =
     match cache with
@@ -610,31 +608,16 @@ let harvest ?observe (r : result) =
   in
   (harvest, fun () -> List.rev !acc)
 
-let dms_components =
-  [ Dms.Calibrate.Reader_direct; Dms.Calibrate.Reader_hash;
-    Dms.Calibrate.Network; Dms.Calibrate.Writer; Dms.Calibrate.Blkcpy ]
-
-(* the account's per-component sample lists, to diff against later *)
-let sample_marks acct = List.map (Engine.Appliance.samples_of acct) dms_components
-
-(* the DMS samples recorded since [marks], in append order: the lists grow
-   newest-first in the caller domain, so the new samples are the prefix
-   above the mark *)
-let dms_since (acct : Engine.Appliance.account) marks =
-  List.concat
-    (List.map2
-       (fun comp mark ->
-          let rec fresh = function
-            | l when l == mark -> []
-            | s :: rest -> s :: fresh rest
-            | [] -> []
-          in
-          List.rev_map
-            (fun (s : Dms.Calibrate.sample) ->
-               { Fbk.Log.d_component = comp; d_bytes = s.Dms.Calibrate.bytes;
-                 d_seconds = s.Dms.Calibrate.seconds })
-            (fresh (Engine.Appliance.samples_of acct comp)))
-       dms_components marks)
+(* the DMS samples recorded since [mark], in execution order: the list
+   grows newest-first in the caller domain, so the new samples are the
+   prefix above the mark *)
+let samples_since (acct : Engine.Appliance.account) mark =
+  let rec fresh acc = function
+    | l when l == mark -> acc
+    | s :: rest -> fresh (s :: acc) rest
+    | [] -> acc
+  in
+  fresh [] acct.Engine.Appliance.samples
 
 (* alias for use inside the driver, whose own [run] shadows the name *)
 let execute_result = run
@@ -796,7 +779,7 @@ module Driver = struct
     let observe, ops = harvest ?observe r in
     let acct = topo.app.Engine.Appliance.account in
     let sim0 = acct.Engine.Appliance.sim_time and dms0 = acct.Engine.Appliance.dms_time in
-    let marks = sample_marks acct in
+    let mark = acct.Engine.Appliance.samples in
     let wall0 = Obs.default_clock () in
     let rows = execute_result ~obs ?cache:t.cache ~token ~fault:t.fault ~observe topo.app r in
     let wall = Obs.default_clock () -. wall0 in
@@ -805,7 +788,7 @@ module Driver = struct
     let degraded = r.degraded <> None in
     Log.append t.log
       { Log.r_statement = key; r_fingerprint = fingerprint; r_ops = ops ();
-        r_dms = dms_since acct marks; r_sim = sim; r_wall = wall;
+        r_dms = samples_since acct mark; r_sim = sim; r_wall = wall;
         r_degraded = degraded };
     let store_outcome =
       Option.map
@@ -939,7 +922,6 @@ module Feedback = struct
 
   module Log = Fbk.Log
   module Misses = Fbk.Misses
-  module Lambda = Fbk.Lambda
   module Store = Fbk.Store
 
   let harvest = harvest
@@ -981,7 +963,7 @@ module Feedback = struct
   type calibration = {
     refined : Misses.miss list;       (** columns whose statistics were rebuilt *)
     lambdas : Dms.Cost.lambdas;       (** the re-fitted λ table now in force *)
-    fits : Lambda.fit list;           (** per-component fit quality *)
+    fits : Dms.Calibrate.fit list;    (** per-component fit quality *)
     new_epoch : int;
   }
 
@@ -1023,7 +1005,9 @@ module Feedback = struct
              true)
         misses
     in
-    let lambdas, fits = Lambda.fit recs in
+    let lambdas, fits =
+      Dms.Calibrate.fit (List.concat_map (fun (r : Log.record) -> r.Log.r_dms) recs)
+    in
     let o = Driver.options d in
     Driver.set_options d { o with pdw = { o.pdw with Pdwopt.Enumerate.lambdas } };
     Catalog.Shell_db.touch shell;

@@ -187,9 +187,9 @@ val place : Catalog.Shell_db.t -> explored -> result
     propagates. Degraded results are tagged in [degraded], validated by
     {!Check} unconditionally, and never cached.
 
-    [pool] parallelizes compilation itself: serial exploration's rule
-    matching and the PDW enumeration's leveled wavefront both fan out on
-    it. The chosen plan — fingerprint, costs, DSQL text — is bit-identical
+    [pool] parallelizes compilation itself: the PDW enumeration's leveled
+    wavefront fans out on it (serial exploration runs on the calling
+    domain). The chosen plan — fingerprint, costs, DSQL text — is bit-identical
     at any pool size (default: the shared sequential pool). *)
 val optimize :
   ?obs:Obs.t -> ?options:options -> ?cache:cache -> ?check:bool ->
@@ -402,9 +402,6 @@ module Feedback : sig
   (** Which columns the optimizer's estimates missed on. *)
   module Misses = Fbk.Misses
 
-  (** λ re-fitting from logged DMS volumes. *)
-  module Lambda = Fbk.Lambda
-
   (** The generic LKG plan store (hysteresis / quarantine / fallback). *)
   module Store = Fbk.Store
 
@@ -435,7 +432,7 @@ module Feedback : sig
   type calibration = {
     refined : Fbk.Misses.miss list;  (** columns whose statistics were rebuilt *)
     lambdas : Dms.Cost.lambdas;      (** the re-fitted λ table now in force *)
-    fits : Fbk.Lambda.fit list;      (** per-component fit quality *)
+    fits : Dms.Calibrate.fit list;   (** per-component fit quality *)
     new_epoch : int;                 (** calibrations of this driver so far *)
   }
 

@@ -2,17 +2,17 @@
     targeted performance tests after a meticulous instrumentation of the
     source code."
 
-    Given instrumented measurements — (bytes processed, seconds) samples per
-    cost component — we fit each lambda by least squares through the origin:
+    Given instrumented measurements — (component, bytes processed, seconds)
+    samples — we fit each lambda by least squares through the origin:
     lambda = sum(x*y) / sum(x^2). The engine's DMS runtime produces such
     samples with per-row and fixed overheads on top of the linear term, so
     the fit (and its residual) quantifies how much the constant-lambda
     simplification gives up, which is exactly the trade-off the paper
     discusses. *)
 
-type sample = { bytes : float; seconds : float }
-
 type component = Reader_direct | Reader_hash | Network | Writer | Blkcpy
+
+let components = [ Reader_direct; Reader_hash; Network; Writer; Blkcpy ]
 
 let component_name = function
   | Reader_direct -> "reader_direct"
@@ -20,6 +20,17 @@ let component_name = function
   | Network -> "network"
   | Writer -> "writer"
   | Blkcpy -> "blkcpy"
+
+let component_of_name s = List.find_opt (fun c -> component_name c = s) components
+
+let lambda_of (l : Cost.lambdas) = function
+  | Reader_direct -> l.Cost.l_reader_direct
+  | Reader_hash -> l.Cost.l_reader_hash
+  | Network -> l.Cost.l_network
+  | Writer -> l.Cost.l_writer
+  | Blkcpy -> l.Cost.l_blkcpy
+
+type sample = { component : component; bytes : float; seconds : float }
 
 (** Least-squares slope through the origin. *)
 let fit_lambda (samples : sample list) : float =
@@ -49,27 +60,27 @@ let fit_error (lambda : float) (samples : sample list) : float =
     in
     sqrt mse
 
-(** Build a lambda table from per-component measurement sets. *)
-let calibrate (measure : component -> sample list) : Cost.lambdas * (component * float) list =
-  let fit c = fit_lambda (measure c) in
-  let lambdas = {
-    Cost.l_reader_direct = fit Reader_direct;
-    l_reader_hash = fit Reader_hash;
-    l_network = fit Network;
-    l_writer = fit Writer;
-    l_blkcpy = fit Blkcpy;
-  } in
-  let errors =
-    List.map
-      (fun c ->
-         let l = match c with
-           | Reader_direct -> lambdas.Cost.l_reader_direct
-           | Reader_hash -> lambdas.Cost.l_reader_hash
-           | Network -> lambdas.Cost.l_network
-           | Writer -> lambdas.Cost.l_writer
-           | Blkcpy -> lambdas.Cost.l_blkcpy
-         in
-         (c, fit_error l (measure c)))
-      [ Reader_direct; Reader_hash; Network; Writer; Blkcpy ]
+type fit = {
+  f_component : component;
+  f_lambda : float;
+  f_error : float;
+  f_samples : int;
+}
+
+(** Fit every component's λ from its samples, in list order. *)
+let fit ?(base = Cost.default_lambdas) (samples : sample list) : Cost.lambdas * fit list =
+  let fit_one c =
+    let fallback = lambda_of base c in
+    match List.filter (fun s -> s.component = c) samples with
+    | [] -> { f_component = c; f_lambda = fallback; f_error = 0.; f_samples = 0 }
+    | mine ->
+      let l = fit_lambda mine in
+      let l = if Float.is_finite l && l > 0. then l else fallback in
+      { f_component = c; f_lambda = l; f_error = fit_error l mine;
+        f_samples = List.length mine }
   in
-  (lambdas, errors)
+  let fits = List.map fit_one components in
+  let l c = (List.find (fun f -> f.f_component = c) fits).f_lambda in
+  ( { Cost.l_reader_direct = l Reader_direct; l_reader_hash = l Reader_hash;
+      l_network = l Network; l_writer = l Writer; l_blkcpy = l Blkcpy },
+    fits )

@@ -39,11 +39,7 @@ type account = {
   mutable bytes_moved : float;      (** bytes that crossed the network *)
   mutable rows_moved : float;
   mutable moves : int;
-  mutable reader_samples : Dms.Calibrate.sample list;
-  mutable reader_hash_samples : Dms.Calibrate.sample list;
-  mutable network_samples : Dms.Calibrate.sample list;
-  mutable writer_samples : Dms.Calibrate.sample list;
-  mutable blkcpy_samples : Dms.Calibrate.sample list;
+  mutable samples : Dms.Calibrate.sample list;  (** newest first *)
   (* fault plane *)
   mutable injected : int;           (** faults that fired (stragglers included) *)
   mutable retries : int;            (** step re-executions after a failure *)
@@ -54,8 +50,7 @@ type account = {
 
 let fresh_account () = {
   sim_time = 0.; dms_time = 0.; bytes_moved = 0.; rows_moved = 0.; moves = 0;
-  reader_samples = []; reader_hash_samples = []; network_samples = [];
-  writer_samples = []; blkcpy_samples = [];
+  samples = [];
   injected = 0; retries = 0; recovered = 0; replans = 0; backoff_time = 0.;
 }
 
@@ -68,24 +63,12 @@ let assign_account ~(dst : account) (src : account) =
   dst.bytes_moved <- src.bytes_moved;
   dst.rows_moved <- src.rows_moved;
   dst.moves <- src.moves;
-  dst.reader_samples <- src.reader_samples;
-  dst.reader_hash_samples <- src.reader_hash_samples;
-  dst.network_samples <- src.network_samples;
-  dst.writer_samples <- src.writer_samples;
-  dst.blkcpy_samples <- src.blkcpy_samples;
+  dst.samples <- src.samples;
   dst.injected <- src.injected;
   dst.retries <- src.retries;
   dst.recovered <- src.recovered;
   dst.replans <- src.replans;
   dst.backoff_time <- src.backoff_time
-
-let samples_of account (c : Dms.Calibrate.component) =
-  match c with
-  | Dms.Calibrate.Reader_direct -> account.reader_samples
-  | Dms.Calibrate.Reader_hash -> account.reader_hash_samples
-  | Dms.Calibrate.Network -> account.network_samples
-  | Dms.Calibrate.Writer -> account.writer_samples
-  | Dms.Calibrate.Blkcpy -> account.blkcpy_samples
 
 (* -- the appliance -- *)
 
@@ -316,50 +299,58 @@ let with_recovery ?(on_retry = fun () -> ()) ?(obs = Obs.null)
 
 (* -- simulated DMS runtime -- *)
 
-let source_time hw ~hashed ~read_bytes ~read_rows ~net_bytes ~net_rows =
-  let rb = hw.reader_byte +. (if hashed then hw.hash_extra_byte else 0.) in
-  let t_read = (read_bytes *. rb) +. (read_rows *. hw.reader_row) in
-  let t_net = (net_bytes *. hw.network_byte) +. (net_rows *. hw.network_row) in
-  (t_read, t_net, Float.max t_read t_net)
+(* the "true" simulated seconds one node's [component] spends on
+   [bytes]/[rows] in one move: the clock's per-node time and the
+   calibration sample's seconds both come from here *)
+let component_seconds hw (c : Dms.Calibrate.component) ~bytes ~rows =
+  match c with
+  | Dms.Calibrate.Reader_direct -> (bytes *. hw.reader_byte) +. (rows *. hw.reader_row)
+  | Dms.Calibrate.Reader_hash ->
+    (bytes *. (hw.reader_byte +. hw.hash_extra_byte)) +. (rows *. hw.reader_row)
+  | Dms.Calibrate.Network -> (bytes *. hw.network_byte) +. (rows *. hw.network_row)
+  | Dms.Calibrate.Writer -> (bytes *. hw.writer_byte) +. (rows *. hw.writer_row)
+  | Dms.Calibrate.Blkcpy ->
+    (bytes *. hw.blkcpy_byte) +. (rows *. hw.blkcpy_row) +. hw.blkcpy_fixed
 
-let target_time hw ~write_bytes ~write_rows =
-  let t_write = (write_bytes *. hw.writer_byte) +. (write_rows *. hw.writer_row) in
-  let t_blk =
-    (write_bytes *. hw.blkcpy_byte) +. (write_rows *. hw.blkcpy_row) +. hw.blkcpy_fixed
-  in
-  (t_write, t_blk, Float.max t_write t_blk)
-
-(* record calibration samples and advance the clock; per-node component
-   volumes are summarized by their max (homogeneity assumption) *)
+(* advance the clock and record one calibration sample per node and
+   component that processed bytes; per-node component times are
+   summarized by their max (homogeneity assumption) *)
 let account_move ~obs t ~opname ~hashed ~per_node_read ~per_node_net ~per_node_write =
   let a = t.account in
   let hw = t.hw in
+  let reader = if hashed then Dms.Calibrate.Reader_hash else Dms.Calibrate.Reader_direct in
+  (* the max over nodes of the components' times; every node and
+     component that moved bytes leaves a sample *)
+  let max_time components volumes =
+    List.fold_left
+      (fun m (bytes, rows) ->
+         List.fold_left
+           (fun m component ->
+              let seconds = component_seconds hw component ~bytes ~rows in
+              if bytes > 0. then
+                a.samples <- { Dms.Calibrate.component; bytes; seconds } :: a.samples;
+              Float.max m seconds)
+           m components)
+      0. volumes
+  in
   (* max over nodes of max(read, net) = max(max reads, max nets), so the
      read and net volume lists need not be aligned per node *)
-  let max_of f l = List.fold_left (fun m x -> Float.max m (f x)) 0. l in
-  let t_read_max =
-    max_of
-      (fun (rb, rr) ->
-         let r, _, _ = source_time hw ~hashed ~read_bytes:rb ~read_rows:rr
-             ~net_bytes:0. ~net_rows:0. in
-         r)
-      per_node_read
+  let t_src =
+    let t_read = max_time [ reader ] per_node_read in
+    Float.max t_read (max_time [ Dms.Calibrate.Network ] per_node_net)
   in
-  let t_net_max =
-    max_of
-      (fun (nb, nr) -> (nb *. hw.network_byte) +. (nr *. hw.network_row))
-      per_node_net
-  in
-  let t_src = Float.max t_read_max t_net_max in
-  let t_tgt =
-    max_of
-      (fun (wb, wr) -> let _, _, s = target_time hw ~write_bytes:wb ~write_rows:wr in s)
-      per_node_write
-  in
+  let t_tgt = max_time [ Dms.Calibrate.Writer; Dms.Calibrate.Blkcpy ] per_node_write in
   let step = Float.max t_src t_tgt in
   a.sim_time <- a.sim_time +. step;
   a.dms_time <- a.dms_time +. step;
   a.moves <- a.moves + 1;
+  List.iter
+    (fun (nb, nr) ->
+       if nb > 0. then begin
+         a.bytes_moved <- a.bytes_moved +. nb;
+         a.rows_moved <- a.rows_moved +. nr
+       end)
+    per_node_net;
   (* per-DMS-op volume per cost component (reader / network / writer) *)
   if Obs.enabled obs then begin
     let sum l = List.fold_left (fun (b, r) (b', r') -> (b +. b', r +. r')) (0., 0.) l in
@@ -373,38 +364,7 @@ let account_move ~obs t ~opname ~hashed ~per_node_read ~per_node_net ~per_node_w
     c "network.bytes" nbytes;
     c "network.rows" nrows;
     c "writer.bytes" wbytes
-  end;
-  (* calibration samples (true component times vs bytes) *)
-  List.iter
-    (fun (rb, rr) ->
-       if rb > 0. then begin
-         let tt =
-           (rb *. (hw.reader_byte +. if hashed then hw.hash_extra_byte else 0.))
-           +. (rr *. hw.reader_row)
-         in
-         let s = { Dms.Calibrate.bytes = rb; seconds = tt } in
-         if hashed then a.reader_hash_samples <- s :: a.reader_hash_samples
-         else a.reader_samples <- s :: a.reader_samples
-       end)
-    per_node_read;
-  List.iter
-    (fun (nb, nr) ->
-       if nb > 0. then begin
-         let tt = (nb *. hw.network_byte) +. (nr *. hw.network_row) in
-         a.network_samples <- { Dms.Calibrate.bytes = nb; seconds = tt } :: a.network_samples;
-         a.bytes_moved <- a.bytes_moved +. nb;
-         a.rows_moved <- a.rows_moved +. nr
-       end)
-    per_node_net;
-  List.iter
-    (fun (wb, wr) ->
-       if wb > 0. then begin
-         let tw = (wb *. hw.writer_byte) +. (wr *. hw.writer_row) in
-         let tb = (wb *. hw.blkcpy_byte) +. (wr *. hw.blkcpy_row) +. hw.blkcpy_fixed in
-         a.writer_samples <- { Dms.Calibrate.bytes = wb; seconds = tw } :: a.writer_samples;
-         a.blkcpy_samples <- { Dms.Calibrate.bytes = wb; seconds = tb } :: a.blkcpy_samples
-       end)
-    per_node_write
+  end
 
 let project_stream (d : dstream) (cols : int list) : dstream =
   if cols = d.layout then d

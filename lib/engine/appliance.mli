@@ -35,20 +35,17 @@ type account = {
   mutable bytes_moved : float;      (** bytes that crossed the network *)
   mutable rows_moved : float;
   mutable moves : int;
-  mutable reader_samples : Dms.Calibrate.sample list;
-  mutable reader_hash_samples : Dms.Calibrate.sample list;
-  mutable network_samples : Dms.Calibrate.sample list;
-  mutable writer_samples : Dms.Calibrate.sample list;
-  mutable blkcpy_samples : Dms.Calibrate.sample list;
+  mutable samples : Dms.Calibrate.sample list;
+      (** calibration samples, newest first: each DMS move pushes one per
+          node and cost component that processed bytes, its seconds the
+          same per-node time the clock's maxima take. A statement's
+          samples are the prefix above the list it started from. *)
   mutable injected : int;           (** faults that fired (stragglers included) *)
   mutable retries : int;            (** step re-executions after a failure *)
   mutable recovered : int;          (** steps that eventually succeeded *)
   mutable replans : int;            (** node losses escalated to re-optimization *)
   mutable backoff_time : float;     (** simulated seconds spent backing off *)
 }
-
-(** Calibration samples recorded for one DMS component. *)
-val samples_of : account -> Dms.Calibrate.component -> Dms.Calibrate.sample list
 
 type t = {
   shell : Catalog.Shell_db.t;

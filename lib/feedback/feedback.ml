@@ -4,12 +4,12 @@
     execution -> calibration -> plan-store loop:
 
     - {!Log}: persistent records of what each executed plan actually did
-      (per-operator cardinalities, per-DMS-component byte/second samples,
-      observed simulated and wall cost);
+      (per-operator cardinalities, the DMS samples of {!Dms.Calibrate},
+      observed simulated and wall cost), which {!Dms.Calibrate.fit}
+      re-fits the λ table from;
     - {!Misses}: which catalog columns the optimizer's estimates missed on,
       by more than a threshold factor — the candidates for histogram
       refinement;
-    - {!Lambda}: re-fitting the DMS λ table from observed volumes;
     - {!Store}: a last-known-good plan store with hysteresis-based
       regression detection, quarantine and automatic fallback.
 
@@ -29,17 +29,11 @@ module Log = struct
     o_actual : float;                  (** observed global rows *)
   }
 
-  type dms_obs = {
-    d_component : Dms.Calibrate.component;
-    d_bytes : float;
-    d_seconds : float;
-  }
-
   type record = {
     r_statement : string;   (** statement key (normalized SQL) *)
     r_fingerprint : string; (** plan-cache fingerprint of the executed plan *)
     r_ops : op_obs list;
-    r_dms : dms_obs list;
+    r_dms : Dms.Calibrate.sample list;  (** in execution order *)
     r_sim : float;          (** observed simulated seconds *)
     r_wall : float;         (** observed wall-clock seconds (informational) *)
     r_degraded : bool;      (** executed under a degraded (Anytime/Fallback) result *)
@@ -65,12 +59,6 @@ module Log = struct
      round-trip is bit-exact; statement/fingerprint/operator strings use %S.
      Column lists are encoded [tbl:col,tbl:col] ("-" when empty): table and
      column names are identifiers, so ':' and ',' cannot appear in them. *)
-
-  let component_of_name s =
-    let open Dms.Calibrate in
-    List.find_opt
-      (fun c -> component_name c = s)
-      [ Reader_direct; Reader_hash; Network; Writer; Blkcpy ]
 
   let encode_cols = function
     | [] -> "-"
@@ -98,10 +86,10 @@ module Log = struct
               (encode_cols o.o_cols)))
       r.r_ops;
     List.iter
-      (fun d ->
+      (fun (s : Dms.Calibrate.sample) ->
          Buffer.add_string buf
-           (Printf.sprintf "dms %s %h %h\n" (Dms.Calibrate.component_name d.d_component)
-              d.d_bytes d.d_seconds))
+           (Printf.sprintf "dms %s %h %h\n" (Dms.Calibrate.component_name s.component)
+              s.bytes s.seconds))
       r.r_dms;
     Buffer.add_string buf "end\n"
 
@@ -176,10 +164,10 @@ module Log = struct
                   scan "dms" (fun () ->
                       Scanf.sscanf line "dms %s %h %h"
                         (fun comp bytes seconds ->
-                           match component_of_name comp with
+                           match Dms.Calibrate.component_of_name comp with
                            | None -> fail "unknown DMS component %S" comp
-                           | Some c ->
-                             let d = { d_component = c; d_bytes = bytes; d_seconds = seconds } in
+                           | Some component ->
+                             let d = { Dms.Calibrate.component; bytes; seconds } in
                              cur := Some (r, ops, d :: dms))))
              | _ -> fail "unknown keyword %S" kw));
     finish ();
@@ -251,51 +239,6 @@ module Misses = struct
     |> List.map (fun o -> (ratio o, o))
     |> List.stable_sort (fun (a, _) (b, _) -> compare b a)
     |> List.filteri (fun i _ -> i < limit)
-end
-
-module Lambda = struct
-  type fit = {
-    f_component : Dms.Calibrate.component;
-    f_lambda : float;
-    f_error : float;    (** relative RMS residual of the fit *)
-    f_samples : int;
-  }
-
-  (** Re-fit the DMS λ table from the observed per-component volumes in the
-      records. Components with no observations keep their value from
-      [base] (default {!Dms.Cost.default_lambdas}). Samples are folded in
-      canonical log order, so the same log yields bit-identical λs at any
-      [--jobs]. *)
-  let fit ?(base = Dms.Cost.default_lambdas) recs =
-    let open Dms.Calibrate in
-    let samples_for comp =
-      List.concat_map
-        (fun (r : Log.record) ->
-           List.filter_map
-             (fun (d : Log.dms_obs) ->
-                if d.Log.d_component = comp then
-                  Some { bytes = d.Log.d_bytes; seconds = d.Log.d_seconds }
-                else None)
-             r.Log.r_dms)
-        recs
-    in
-    let fit_one comp fallback =
-      match samples_for comp with
-      | [] -> (fallback, { f_component = comp; f_lambda = fallback; f_error = 0.; f_samples = 0 })
-      | samples ->
-        let l = fit_lambda samples in
-        let l = if Float.is_finite l && l > 0. then l else fallback in
-        (l, { f_component = comp; f_lambda = l; f_error = fit_error l samples;
-              f_samples = List.length samples })
-    in
-    let rd, f1 = fit_one Reader_direct base.Dms.Cost.l_reader_direct in
-    let rh, f2 = fit_one Reader_hash base.Dms.Cost.l_reader_hash in
-    let nw, f3 = fit_one Network base.Dms.Cost.l_network in
-    let wr, f4 = fit_one Writer base.Dms.Cost.l_writer in
-    let bc, f5 = fit_one Blkcpy base.Dms.Cost.l_blkcpy in
-    ( { Dms.Cost.l_reader_direct = rd; l_reader_hash = rh; l_network = nw;
-        l_writer = wr; l_blkcpy = bc },
-      [ f1; f2; f3; f4; f5 ] )
 end
 
 module Store = struct

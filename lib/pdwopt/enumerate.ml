@@ -81,7 +81,7 @@ type ctx = {
   splits : (int * int, split option) Hashtbl.t;
       (* (group, expr index) -> aggregation split, precomputed sequentially
          so registry allocation never happens on a worker domain *)
-  bound : float Atomic.t;
+  bound : float;
       (* fixed DMS-cost upper bound; [infinity] when no baseline is known *)
   stats : stats;
   token : Governor.token;
@@ -105,7 +105,7 @@ let create_ctx ?(token = Governor.none) ?(pool = Par.sequential) ?upper_bound
   { m; derived; o;
     table = Hashtbl.create 64;
     splits = Hashtbl.create 8;
-    bound = Atomic.make (Option.value upper_bound ~default:infinity);
+    bound = Option.value upper_bound ~default:infinity;
     stats = fresh_stats ();
     token; pool;
     empty = (if o.fold_empty then empty else fun _ -> false) }
@@ -152,7 +152,7 @@ let rec without d = function
 let add_option ctx st acc (p : Pplan.t) =
   st.pdw_exprs_enumerated <- st.pdw_exprs_enumerated + 1;
   if ctx.o.prune then begin
-    if p.Pplan.dms_cost > Atomic.get ctx.bound then ()
+    if p.Pplan.dms_cost > ctx.bound then ()
     else begin
       let d = p.Pplan.dist in
       match kept_for d !acc with

@@ -46,30 +46,27 @@ type rule = Commute | Assoc
    interned operator ([Memo.intern] keys operators by structural equality,
    so distinct expressions never share an oid) and the canonical child
    groups. Oids are assigned only by [Memo.insert], which runs in the
-   sequential apply phase, so discovery reads them without writing. *)
+   apply phase, so discovery reads them without writing. *)
 type applied_key = rule * int * int * int * int
 
-(* Exploration runs in generations, each split into two phases so the rule
-   *matching* parallelizes on the domain pool while every memo mutation
-   stays sequential and deterministic:
+(* Exploration runs in generations, each split into two phases:
 
-   - {b discovery} (parallel, read-only): each live group is scanned
-     against the generation-start snapshot of the memo — pattern matches,
-     canonical child ids, applied keys. The union-find is fully
-     path-compressed before the fan-out, so worker-side [Memo.find] calls
-     are pure reads. Each group yields its candidate list; flattening in
-     group order gives the same candidate order at any pool size.
-   - {b apply} (sequential): candidates run in that order under the same
-     per-candidate applied-key / task-budget / governor checks the old
-     interleaved sweep performed. Inserts made by earlier candidates are
-     visible to later ones, exactly as before; candidates those inserts
-     would newly enable are picked up by the next generation's snapshot.
+   - {b discovery} (read-only): each live group is scanned against the
+     generation-start snapshot of the memo — pattern matches, canonical
+     child ids, applied keys. Each group yields its candidate list, in
+     group order.
+   - {b apply}: candidates run in that order under the per-candidate
+     applied-key / task-budget / governor checks. Inserts made by earlier
+     candidates are visible to later ones; candidates those inserts would
+     newly enable are picked up by the next generation's snapshot.
 
-   The rule set is monotone and keyed, so the fixpoint closure is the
-   sequential one; only the insertion interleaving across generations can
-   differ from the old single-phase sweep — and it is identical at any
-   [jobs]. *)
-let explore (m : Memo.t) ~pool ~budget ~(token : Governor.token)
+   Both phases run on the calling domain: discovery is only the pattern
+   matching, while the rule work (the Commute insert, Assoc's walk of the
+   left child's expressions, its conjunct partitioning and inserts) is in
+   the apply closures. The rule set is monotone and keyed, so the fixpoint
+   closure does not depend on the generation split; the split fixes the
+   insertion order, and with it the MEMO's group and expression ids. *)
+let explore (m : Memo.t) ~budget ~(token : Governor.token)
     ~max_memo_groups : int * bool * Governor.reason option =
   let tasks = ref 0 in
   let exhausted = ref false in
@@ -101,7 +98,7 @@ let explore (m : Memo.t) ~pool ~budget ~(token : Governor.token)
   in
   (* Discovery for one group: candidates as (applied key, apply closure).
      Read-only against the memo; the closures only touch the memo when the
-     sequential apply phase runs them. *)
+     apply phase runs them. *)
   let discover g : (applied_key * (unit -> unit)) list =
     let out = ref [] in
     List.iter
@@ -168,18 +165,14 @@ let explore (m : Memo.t) ~pool ~budget ~(token : Governor.token)
   while !changed && not !exhausted && !interrupted = None do
     changed := false;
     let before = Memo.Dedup.length m.dedup in
-    (* path-compress so discovery-side finds never write *)
-    for g = 0 to Memo.ngroups m - 1 do
-      ignore (Memo.find m g)
-    done;
     let live =
       Array.of_list
         (List.filter
            (fun g -> m.groups.(g).merged_into = None)
            (List.init (Memo.ngroups m) Fun.id))
     in
-    let per_group = Par.parallel_map pool discover live in
-    (* apply phase: sequential, in discovery order *)
+    let per_group = Array.map discover live in
+    (* apply phase, in discovery order *)
     (try
        Array.iter
          (List.iter (fun (k, f) ->
@@ -365,7 +358,7 @@ let extract_best (m : Memo.t) : Plan.t option =
     whatever the MEMO holds, so a plan comes back even from a truncated
     search (at worst, the normalized tree's own implementation). *)
 let optimize ?(obs = Obs.null) ?(opts = default_options) ?(seeds = [])
-    ?(token = Governor.none) ?max_memo_groups ?(pool = Par.sequential)
+    ?(token = Governor.none) ?max_memo_groups
     (reg : Registry.t) (shell : Catalog.Shell_db.t) (tree : Relop.t) : result =
   let m = Memo.of_tree reg shell tree in
   List.iter
@@ -376,7 +369,7 @@ let optimize ?(obs = Obs.null) ?(opts = default_options) ?(seeds = [])
          Memo.merge_groups m (Memo.root m) g)
     seeds;
   let tasks_used, budget_exhausted, interrupted =
-    explore m ~pool ~budget:opts.task_budget ~token ~max_memo_groups
+    explore m ~budget:opts.task_budget ~token ~max_memo_groups
   in
   implement m;
   let best = try extract_best m with Cycle -> None in

@@ -169,7 +169,8 @@ let test_hash_reader_premium () =
 let test_calibrate_exact_linear () =
   let lambda = 2.5e-9 in
   let samples =
-    List.map (fun b -> { Calibrate.bytes = b; seconds = lambda *. b })
+    List.map
+      (fun b -> { Calibrate.component = Calibrate.Network; bytes = b; seconds = lambda *. b })
       [ 1e3; 1e4; 1e5; 1e6 ]
   in
   let fitted = Calibrate.fit_lambda samples in
@@ -181,12 +182,50 @@ let test_calibrate_with_overhead () =
      between the pure slope and slope+overhead *)
   let samples =
     List.map
-      (fun b -> { Calibrate.bytes = b; seconds = (1e-9 *. b) +. 1e-4 })
+      (fun b ->
+         { Calibrate.component = Calibrate.Blkcpy; bytes = b; seconds = (1e-9 *. b) +. 1e-4 })
       [ 1e5; 1e6; 1e7 ]
   in
   let fitted = Calibrate.fit_lambda samples in
   Alcotest.(check bool) "slope above pure rate" true (fitted > 1e-9);
   Alcotest.(check bool) "positive residual" true (Calibrate.fit_error fitted samples > 0.)
+
+(* [fit] is [fit_lambda] per component over that component's samples in
+   list order, bit for bit; an absent or degenerate component keeps its
+   base λ *)
+let prop_fit_per_component =
+  let base =
+    { Cost.l_reader_direct = 1.; l_reader_hash = 2.; l_network = 3.; l_writer = 4.;
+      l_blkcpy = 5. }
+  in
+  let sample =
+    QCheck.Gen.(
+      map3
+        (fun c bytes seconds ->
+           { Calibrate.component = List.nth Calibrate.components c; bytes; seconds })
+        (int_bound 4)
+        (oneof [ return 0.; float_range 1. 1e7 ])
+        (float_range (-1e-3) 1e-2))
+  in
+  let bits = Int64.bits_of_float in
+  QCheck.Test.make ~name:"fit: per-component lambda, base kept, samples counted" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_bound 40) sample))
+    (fun samples ->
+       let lambdas, fits = Calibrate.fit ~base samples in
+       List.map (fun (f : Calibrate.fit) -> f.f_component) fits = Calibrate.components
+       && List.for_all
+         (fun (f : Calibrate.fit) ->
+            let c = f.f_component in
+            let mine = List.filter (fun (s : Calibrate.sample) -> s.component = c) samples in
+            let l = Calibrate.fit_lambda mine in
+            let expect =
+              if mine <> [] && Float.is_finite l && l > 0. then l
+              else Calibrate.lambda_of base c
+            in
+            bits f.f_lambda = bits expect
+            && bits (Calibrate.lambda_of lambdas c) = bits expect
+            && f.f_samples = List.length mine)
+         fits)
 
 let prop_cost_monotone_rows =
   QCheck.Test.make ~name:"cost monotone in rows" ~count:200
@@ -214,4 +253,5 @@ let suite =
     t "hash-reader premium" test_hash_reader_premium;
     t "calibration: exact linear fit" test_calibrate_exact_linear;
     t "calibration: affine data" test_calibrate_with_overhead;
-    QCheck_alcotest.to_alcotest prop_cost_monotone_rows ]
+    QCheck_alcotest.to_alcotest prop_cost_monotone_rows;
+    QCheck_alcotest.to_alcotest prop_fit_per_component ]

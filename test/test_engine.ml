@@ -270,7 +270,9 @@ let test_accounting_advances () =
   Alcotest.(check bool) "bytes accounted" true (a.Engine.Appliance.bytes_moved > 0.);
   Alcotest.(check int) "one move" 1 a.Engine.Appliance.moves;
   Alcotest.(check bool) "calibration samples recorded" true
-    (a.Engine.Appliance.reader_hash_samples <> [])
+    (List.exists
+       (fun (s : Dms.Calibrate.sample) -> s.Dms.Calibrate.component = Dms.Calibrate.Reader_hash)
+       a.Engine.Appliance.samples)
 
 let suite =
   [ t "filter" test_filter;

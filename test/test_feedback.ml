@@ -93,10 +93,8 @@ let sample_log () =
           { Log.o_group = 2; o_op = "TableScan"; o_table = Some "lineitem";
             o_cols = []; o_est = 0.; o_actual = 6001. } ];
       r_dms =
-        [ { Log.d_component = Dms.Calibrate.Network; d_bytes = 8192.;
-            d_seconds = 1.9073486e-05 };
-          { Log.d_component = Dms.Calibrate.Blkcpy; d_bytes = 123.;
-            d_seconds = 0.1 /. 7. } ];
+        [ { Dms.Calibrate.component = Network; bytes = 8192.; seconds = 1.9073486e-05 };
+          { Dms.Calibrate.component = Blkcpy; bytes = 123.; seconds = 0.1 /. 7. } ];
       r_sim = 0.00123456789; r_wall = 0.25; r_degraded = false };
   Log.append l
     { Log.r_statement = "q2"; r_fingerprint = "fp2"; r_ops = []; r_dms = [];
@@ -178,15 +176,16 @@ let test_misses_columns () =
 let test_lambda_fit () =
   let k = 2.5e-9 in
   let dms bytes =
-    { Log.d_component = Dms.Calibrate.Network; d_bytes = bytes;
-      d_seconds = k *. bytes }
+    { Dms.Calibrate.component = Network; bytes; seconds = k *. bytes }
   in
   let recs =
     [ { Log.r_statement = "q"; r_fingerprint = "fp";
         r_ops = []; r_dms = [ dms 1024.; dms 65536.; dms 300. ];
         r_sim = 0.; r_wall = 0.; r_degraded = false } ]
   in
-  let lambdas, fits = Fb.Lambda.fit recs in
+  let lambdas, fits =
+    Dms.Calibrate.fit (List.concat_map (fun (r : Log.record) -> r.Log.r_dms) recs)
+  in
   Alcotest.(check (float 1e-15)) "network λ recovered" k
     lambdas.Dms.Cost.l_network;
   (* components with no observations keep the base value *)
@@ -194,11 +193,55 @@ let test_lambda_fit () =
     lambdas.Dms.Cost.l_writer;
   let net =
     List.find
-      (fun (f : Fb.Lambda.fit) -> f.Fb.Lambda.f_component = Dms.Calibrate.Network)
+      (fun (f : Dms.Calibrate.fit) -> f.Dms.Calibrate.f_component = Dms.Calibrate.Network)
       fits
   in
-  Alcotest.(check int) "sample count" 3 net.Fb.Lambda.f_samples;
-  Alcotest.(check bool) "perfect fit" true (net.Fb.Lambda.f_error < 1e-9)
+  Alcotest.(check int) "sample count" 3 net.Dms.Calibrate.f_samples;
+  Alcotest.(check bool) "perfect fit" true (net.Dms.Calibrate.f_error < 1e-9)
+
+(* A v1 log whose records list their DMS samples grouped by component (the
+   order logs were once written in) fits to the same λs as the same
+   samples in execution order: within a component the order is the same *)
+let test_grouped_log_fits_like_execution_order () =
+  let text =
+    "# opdw feedback log v1\n\
+     record \"q1\" \"fp1\" 0x1p-10 0x0p+0 0\n\
+     dms reader_hash 0x1.1p+7 0x1.f07f8b4ec8d3p-23\n\
+     dms reader_hash 0x1.ep+6 0x1.b6162f9fde5fdp-23\n\
+     dms network 0x1.08p+9 0x1.52be7b69c578ep-21\n\
+     dms network 0x1.5p+7 0x1.32a921564edcap-22\n\
+     dms writer 0x1.08p+9 0x1.45fceebb7a8e2p-21\n\
+     dms writer 0x1.ap+6 0x1.7bacd3f0f3ecap-23\n\
+     dms blkcpy 0x1.08p+9 0x1.a5d6b996ac57dp-13\n\
+     dms blkcpy 0x1.ap+6 0x1.a2b8ea9b8f1e1p-13\n\
+     end\n\
+     record \"q2\" \"fp2\" 0x1p-11 0x0p+0 0\n\
+     dms reader_direct 0x1.5p+7 0x1.32a921564edcap-22\n\
+     dms network 0x1.1p+7 0x1.1a1f3b5c2d7e9p-23\n\
+     end\n"
+  in
+  let s component bytes seconds = { Dms.Calibrate.component; bytes; seconds } in
+  let executed =
+    Dms.Calibrate.
+      [ s Reader_hash 0x1.1p+7 0x1.f07f8b4ec8d3p-23;
+        s Reader_hash 0x1.ep+6 0x1.b6162f9fde5fdp-23;
+        s Network 0x1.08p+9 0x1.52be7b69c578ep-21;
+        s Network 0x1.5p+7 0x1.32a921564edcap-22;
+        s Writer 0x1.08p+9 0x1.45fceebb7a8e2p-21;
+        s Blkcpy 0x1.08p+9 0x1.a5d6b996ac57dp-13;
+        s Writer 0x1.ap+6 0x1.7bacd3f0f3ecap-23;
+        s Blkcpy 0x1.ap+6 0x1.a2b8ea9b8f1e1p-13;
+        s Reader_direct 0x1.5p+7 0x1.32a921564edcap-22;
+        s Network 0x1.1p+7 0x1.1a1f3b5c2d7e9p-23 ]
+  in
+  let loaded =
+    List.concat_map (fun (r : Log.record) -> r.Log.r_dms) (Log.records (Log.of_string text))
+  in
+  Alcotest.(check int) "every sample loaded" (List.length executed) (List.length loaded);
+  let (l1, f1) = Dms.Calibrate.fit loaded and (l2, f2) = Dms.Calibrate.fit executed in
+  (* structural equality on floats: bit-identical λs, residuals, counts *)
+  Alcotest.(check bool) "same λ table" true (l1 = l2);
+  Alcotest.(check bool) "same fits" true (f1 = f2)
 
 (* -- catalog plumbing -- *)
 
@@ -412,6 +455,37 @@ let pinned =
      "df7ce3e72a977806b38bd0ae435f3a5d",
      "d41d8cd98f00b204e9800998ecf8427e 0x1.1747380fa7c7bp-11") ]
 
+(* each log record holds exactly the samples its execution appended to
+   the account, with no reset between statements *)
+let test_record_samples_are_the_statements () =
+  let w = fresh_workload () in
+  let d = D.create w.Opdw.Workload.shell w.Opdw.Workload.app in
+  let bytes c l =
+    List.fold_left
+      (fun acc (s : Dms.Calibrate.sample) ->
+         if s.Dms.Calibrate.component = c then acc +. s.Dms.Calibrate.bytes else acc)
+      0. l
+  in
+  List.iter
+    (fun run ->
+       let samples () = (D.app d).Engine.Appliance.account.Engine.Appliance.samples in
+       let before = List.length (samples ()) in
+       ignore (D.returned (D.run d (sql_of "Q3")));
+       let after = samples () in
+       let appended = List.filteri (fun i _ -> i < List.length after - before) after in
+       let r = List.hd (List.rev (Log.records (D.log d))) in
+       let what k = Printf.sprintf "run %d: %s" run k in
+       Alcotest.(check bool) (what "samples recorded") true (appended <> []);
+       Alcotest.(check int) (what "same length") (List.length appended)
+         (List.length r.Log.r_dms);
+       List.iter
+         (fun c ->
+            Alcotest.(check (float 0.))
+              (what (Dms.Calibrate.component_name c ^ " bytes"))
+              (bytes c appended) (bytes c r.Log.r_dms))
+         Dms.Calibrate.components)
+    [ 1; 2 ]
+
 let test_driver_pins () =
   let digest s = Digest.to_hex (Digest.string s) in
   let ops (os : Log.op_obs list) =
@@ -473,6 +547,8 @@ let suite =
     t "log: rejects garbage" test_log_rejects_garbage;
     t "misses: threshold, dedup, order" test_misses_columns;
     t "lambda: fit recovers λ, keeps base" test_lambda_fit;
+    t "lambda: grouped v1 log fits like execution order"
+      test_grouped_log_fits_like_execution_order;
     t "catalog: update_col_stats bumps version" test_update_col_stats_bumps_version;
     t "loop: calibration shrinks model error" test_calibrate_improves_model_error;
     t "loop: bounds stay sound after refinement" test_bounds_sound_after_refinement;
@@ -482,4 +558,5 @@ let suite =
     t "harvest: observer sequence at jobs 1 vs 4" test_observer_sequence_across_jobs;
     t "log: truncated lines are parse errors" test_log_rejects_truncated;
     t "driver: pinned rows, accounts and log records" test_driver_pins;
+    t "driver: a record's samples are its execution's" test_record_samples_are_the_statements;
     t "driver: an LKG serves only its own catalog" test_lkg_stays_on_its_catalog ]

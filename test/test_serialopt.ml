@@ -201,7 +201,7 @@ let test_commute_each_distinct_literal () =
   let g = Memo.insert m (join (List.hd lits)) [| gc; go |] in
   List.iter (fun l -> ignore (Memo.insert ~target:g m (join l) [| gc; go |])) (List.tl lits);
   ignore
-    (Serialopt.Optimizer.explore m ~pool:Par.sequential ~budget:1000 ~token:Governor.none
+    (Serialopt.Optimizer.explore m ~budget:1000 ~token:Governor.none
        ~max_memo_groups:None);
   List.iteri
     (fun i l ->
