@@ -547,8 +547,6 @@ let suite =
     t "log: rejects garbage" test_log_rejects_garbage;
     t "misses: threshold, dedup, order" test_misses_columns;
     t "lambda: fit recovers λ, keeps base" test_lambda_fit;
-    t "lambda: grouped v1 log fits like execution order"
-      test_grouped_log_fits_like_execution_order;
     t "catalog: update_col_stats bumps version" test_update_col_stats_bumps_version;
     t "loop: calibration shrinks model error" test_calibrate_improves_model_error;
     t "loop: bounds stay sound after refinement" test_bounds_sound_after_refinement;
@@ -558,5 +556,7 @@ let suite =
     t "harvest: observer sequence at jobs 1 vs 4" test_observer_sequence_across_jobs;
     t "log: truncated lines are parse errors" test_log_rejects_truncated;
     t "driver: pinned rows, accounts and log records" test_driver_pins;
-    t "driver: a record's samples are its execution's" test_record_samples_are_the_statements;
-    t "driver: an LKG serves only its own catalog" test_lkg_stays_on_its_catalog ]
+    t "driver: an LKG serves only its own catalog" test_lkg_stays_on_its_catalog;
+    t "lambda: grouped v1 log fits like execution order"
+      test_grouped_log_fits_like_execution_order;
+    t "driver: a record's samples are its execution's" test_record_samples_are_the_statements ]
