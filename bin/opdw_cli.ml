@@ -936,10 +936,10 @@ let planstore nodes sf all query sql file seed budget jobs runs
   let store = Option.get (Opdw.Driver.store d) in
   let availability = float_of_int !matched /. float_of_int !answered in
   let stmt_id stmt =
-    (* map the store's statement key (normalized SQL) back to a query id *)
+    (* map the store's statement key (the trimmed SQL) back to a query id *)
     match
       List.find_opt
-        (fun (_, text) -> Opdw.Driver.statement_key text = stmt)
+        (fun (_, text) -> Opdw.Plancache.statement_key text = stmt)
         targets
     with
     | Some (id, _) -> id

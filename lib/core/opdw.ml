@@ -93,7 +93,10 @@ type compiled_tail = {
   c_baseline : Pdwopt.Pplan.t option;
 }
 
-type cache = compiled_tail Plancache.t
+(* what a statement entry keeps of a statement's front end *)
+type front = Sqlfront.Ast.query * Algebra.Algebrizer.result * Algebra.Relop.t
+
+type cache = (compiled_tail, front) Plancache.t
 
 let cache ?capacity () : cache = Plancache.create ?capacity ()
 
@@ -451,7 +454,8 @@ let place shell (e : explored) : result =
 (** Run the full optimization pipeline on a SQL string: {!place} after
     {!explore}. Pass an enabled [obs] context to collect the per-stage
     span tree and counters; pass a [cache] to skip everything after
-    normalization on repeated queries. *)
+    normalization on a repeated tree, and the front end as well on a
+    repeated text. *)
 let optimize ?(obs = Obs.null) ?(options : options option) ?(cache : cache option)
     ?(check = true) ?(token = Governor.none) ?(pool = Par.sequential)
     (shell : Catalog.Shell_db.t) (sql : string) : result =
@@ -472,43 +476,57 @@ let optimize ?(obs = Obs.null) ?(options : options option) ?(cache : cache optio
       token
   in
   Obs.with_span obs "pipeline" @@ fun () ->
-  let ((opts, query, algebrized, normalized) as fr) = front obs opts shell sql in
   (* everything below normalization is a pure function of (normalized tree,
      knobs, statistics) — exactly what the plan-cache fingerprint keys on *)
-  let compile_tail () =
-    place_tail obs check token pool shell (explore_front obs token shell fr)
-  in
-  let tail, degraded, fingerprint =
-    match cache with
-    | None ->
-      let tail, degraded = compile_tail () in
-      (tail, degraded, None)
-    | Some c ->
-      let fp =
-        Obs.with_span obs "plancache" @@ fun () ->
-        Plancache.fingerprint ~shell opts normalized
-      in
-      (match Plancache.find c fp with
-       | Some tail ->
-         Obs.add obs "plancache.hit" 1;
-         (tail, None, Some fp)
-       | None ->
-         Obs.add obs "plancache.miss" 1;
-         (* [compile_tail] runs the check stage before this point, so an
-            invalid plan raises and is never admitted to the cache *)
-         let tail, degraded = compile_tail () in
-         (match degraded with
-          | None ->
-            if Plancache.add c fp tail then Obs.add obs "plancache.evict" 1
-          | Some _ ->
-            (* never cache a degraded plan: a truncated-search result must
-               not be served to a caller with a full budget (or to this
-               caller again once pressure subsides) *)
-            ignore (Plancache.note_degraded c fp);
-            Obs.add obs "plancache.evictions_degraded" 1);
-         (tail, degraded, Some fp))
-  in
-  assemble obs ~query ~algebrized ~normalized tail degraded fingerprint
+  let compile_tail fr = place_tail obs check token pool shell (explore_front obs token shell fr) in
+  match cache with
+  | None ->
+    let ((_, query, algebrized, normalized) as fr) = front obs opts shell sql in
+    let tail, degraded = compile_tail fr in
+    assemble obs ~query ~algebrized ~normalized tail degraded None
+  | Some c ->
+    let statement = Plancache.statement ~shell opts sql in
+    (match Plancache.find_statement c statement with
+     | Some ((query, algebrized, normalized), fp, tail) ->
+       (* this text was served with these knobs and statistics, and its
+          tail is still cached: no front end and no fingerprint *)
+       Obs.add obs "plancache.hit" 1;
+       assemble obs ~query ~algebrized ~normalized tail None (Some fp)
+     | None ->
+       (* a cached front is never compiled again (the enumeration may
+          allocate into its registry), so without a usable statement
+          entry the front end runs fresh *)
+       let ((opts, query, algebrized, normalized) as fr) = front obs opts shell sql in
+       let fp =
+         Obs.with_span obs "plancache" @@ fun () ->
+         Plancache.fingerprint ~shell opts normalized
+       in
+       (* filed only beside a non-degraded tail just admitted or hit *)
+       let file_statement () =
+         if Plancache.add_statement c statement ~fingerprint:fp (query, algebrized, normalized)
+         then Obs.add obs "plancache.evict" 1
+       in
+       (match Plancache.find c fp with
+        | Some tail ->
+          Obs.add obs "plancache.hit" 1;
+          file_statement ();
+          assemble obs ~query ~algebrized ~normalized tail None (Some fp)
+        | None ->
+          Obs.add obs "plancache.miss" 1;
+          (* [compile_tail] runs the check stage before this point, so an
+             invalid plan raises and is never admitted to the cache *)
+          let tail, degraded = compile_tail fr in
+          (match degraded with
+           | None ->
+             if Plancache.add c fp tail then Obs.add obs "plancache.evict" 1;
+             file_statement ()
+           | Some _ ->
+             (* never cache a degraded plan: a truncated-search result must
+                not be served to a caller with a full budget (or to this
+                caller again once pressure subsides) *)
+             ignore (Plancache.note_degraded c fp);
+             Obs.add obs "plancache.evictions_degraded" 1);
+          assemble obs ~query ~algebrized ~normalized tail degraded (Some fp)))
 
 (** The chosen distributed plan. *)
 let plan r = r.pdw.Pdwopt.Optimizer.plan
@@ -708,10 +726,6 @@ module Driver = struct
       (Obs.with_span obs "fault.replan" @@ fun () ->
        Engine.Appliance.decommission ~obs (app t) ~node:failure.Fault.node)
 
-  (* the trimmed text, unfolded: a literal's case is part of the
-     statement, and only the lexer knows where literals are *)
-  let statement_key sql = String.trim sql
-
   type served = {
     res : result;
     rows : Engine.Local.rset;
@@ -851,7 +865,7 @@ module Driver = struct
     attempt 0
 
   let run ?(obs = Obs.null) ?observe (t : t) (sql : string) : outcome =
-    let key = statement_key sql in
+    let key = Plancache.statement_key sql in
     let admitted =
       Governor.Gate.try_admit ~obs t.gate @@ fun () ->
       match Governor.Breaker.check ~obs t.breaker key with

@@ -78,8 +78,10 @@ type result = {
   baseline_plan : Pdwopt.Pplan.t option;
       (** the §3.2 strawman: the best serial plan, parallelized greedily *)
   fingerprint : string option;
-      (** the plan-cache key this result was filed under (when [optimize]
-          was given a cache) — {!run} evicts it if the appliance rejects
+      (** the tree fingerprint of the plan-cache tail this result was
+          filed under or served from (when [optimize] was given a cache;
+          the same bytes whether the lookup went through the statement
+          entry or the tree) — {!run} evicts it if the appliance rejects
           the plan *)
   degraded : degradation option;
       (** [Some _] when governor pressure truncated optimization; degraded
@@ -98,14 +100,25 @@ type compiled_tail = {
   c_baseline : Pdwopt.Pplan.t option;
 }
 
-(** A plan cache usable across queries (and across domains — operations
-    are mutex-guarded). Keyed by {!Plancache.fingerprint}: the shell's
-    node count and statistics version, then the [options] (hints applied)
-    and the normalized tree as [Marshal] bytes. *)
-type cache = compiled_tail Plancache.t
+(** What a statement entry keeps of a statement's front end: the parsed
+    query, the algebrizer's result and the normalized tree. *)
+type front
 
-(** [cache ()] builds an empty plan cache (default capacity 128 entries,
-    LRU eviction). *)
+(** A plan cache usable across queries (and across domains — operations
+    are mutex-guarded), with two kinds of entry. A tail entry is keyed by
+    {!Plancache.fingerprint}: the shell's node count and statistics
+    version, then the [options] (hints applied) and the normalized tree
+    as [Marshal] bytes, so texts that normalize alike share a plan. A
+    statement entry is keyed by {!Plancache.statement}: the same node
+    count and version, then the [options] as passed to {!optimize} and
+    the {!Plancache.statement_key} of the text; it holds that text's
+    {!front} and the fingerprint of its tail, and is served only while
+    that tail is in the same cache. Each cache keeps its own entries:
+    nothing is shared between caches. *)
+type cache = (compiled_tail, front) Plancache.t
+
+(** [cache ()] builds an empty plan cache (default capacity 128 entries
+    of either kind, LRU eviction across both). *)
 val cache : ?capacity:int -> unit -> cache
 
 (** A statement after the explore half of the pipeline: everything the
@@ -165,9 +178,14 @@ val place : Catalog.Shell_db.t -> explored -> result
     compiled plans. The fingerprint is the normalized tree, [options] and
     [shell]'s node count and [stats_version]; every catalog change
     (statistics, a calibration, a derived shell after a decommission or a
-    topology move) raises the version, so stale plans miss. Reports
+    topology move) raises the version, so stale plans miss. A repeated
+    text skips everything after normalization and the front end too: its
+    statement entry (same [options], node count and version) returns the
+    earlier front and fingerprint, and the tail under that fingerprint,
+    with no [parse], [algebrize], [normalize] or [plancache] span. A
+    statement whose tail is gone runs the front end fresh. Reports
     [plancache.hit] / [plancache.miss] / [plancache.evict] counters into
-    [obs].
+    [obs]; each call counts exactly one hit or one miss.
 
     [check] (default [true]) runs the {!Check} static analyzer over the
     chosen plan and its DSQL steps (a [check] stage after [dsql_generate])
@@ -313,11 +331,6 @@ module Driver : sig
       and {!install} the survivors. Raises {!Fault.Exhausted} when no node
       would survive or [replans] reached [max_replans]. *)
   val replan : ?obs:Obs.t -> t -> replans:int -> Fault.failure -> unit
-
-  (** The per-statement key of the plan store, the circuit breaker and
-      the workload log: the SQL text trimmed, and otherwise unchanged,
-      so replaying it runs exactly the statement that ran. *)
-  val statement_key : string -> string
 
   (** A statement that returned rows. *)
   type served = {

@@ -67,14 +67,22 @@ end
 
 module Op_key = Full_key (struct type t = op end)
 
-module Ops = Hashtbl.Make (Op_key)
+(* The interning table's key: an operator beside its full hash, computed
+   once on lookup, so a table resize rehashes ints, not whole predicates. *)
+module Ops = Hashtbl.Make (struct
+    type t = int * op
+
+    let equal ((h, a) : t) (h', b) = h = h' && Op_key.equal a b
+
+    let hash ((h, _) : t) = h
+  end)
 
 type t = {
   reg : Registry.t;
   shell : Catalog.Shell_db.t;
   mutable groups : group array;     (** index = gid; grows *)
   mutable ngroups : int;
-  ops : int Ops.t;                   (** op -> oid, by structural equality *)
+  ops : int Ops.t;                   (** (hash, op) -> oid, by structural equality *)
   dedup : int Dedup.t;
       (** (oid, canonical child ids) -> owning group *)
   mutable root : int;
@@ -170,16 +178,17 @@ let width_of_cols t cols =
    the integer [oid], never on the operator itself. [intern] and
    [add_expr] are the only writers of [ops], [dedup] and [oid]s. *)
 let intern t op =
-  match Ops.find_opt t.ops op with
+  let key = (Op_key.hash op, op) in
+  match Ops.find_opt t.ops key with
   | Some oid -> oid
   | None ->
     let oid = Ops.length t.ops in
-    Ops.add t.ops op oid;
+    Ops.add t.ops key oid;
     oid
 
 (** The oid [op] was interned under, if any expression carries it: two
     expressions hold equal operators exactly when their oids are equal. *)
-let oid_of t op = Ops.find_opt t.ops op
+let oid_of t op = Ops.find_opt t.ops (Op_key.hash op, op)
 
 (** Add an expression to group [gid]: [oid] must be [intern t op] and
     [children] canonical. No merging or property derivation: the XML

@@ -341,6 +341,227 @@ let test_literals_key_apart () =
   Alcotest.(check bool) "2 and 2.0 key apart" false
     (fst (serve ~cache (quantity "2")) = fst (serve ~cache (quantity "2.0")))
 
+(* -- statement entries: a repeated text skips the front end -- *)
+
+(* one optimize call through [cache]: the result, the name of every span
+   it opened, and its plancache.hit and plancache.miss counts *)
+let traced ?options ?token ~cache shell sql =
+  let opened = ref [] in
+  let sink = function
+    | Obs.Span_open path -> opened := List.nth path (List.length path - 1) :: !opened
+    | _ -> ()
+  in
+  let obs = Obs.create ~sink () in
+  let r = Opdw.optimize ~obs ?options ?token ~cache shell sql in
+  ( r, List.rev !opened,
+    int_of_float (Obs.counter obs "plancache.hit"),
+    int_of_float (Obs.counter obs "plancache.miss") )
+
+let front_spans = [ "parse"; "algebrize"; "normalize"; "plancache" ]
+
+let ran_front spans = List.exists (fun s -> List.mem s spans) front_spans
+
+let explain_dsql (r : Opdw.result) = (Opdw.explain r, Dsql.Generate.to_string r.Opdw.dsql)
+
+let test_statement_hit_equals_fresh () =
+  let shell = (Lazy.force w).Opdw.Workload.shell in
+  let cache = Opdw.cache () in
+  List.iter
+    (fun (q : Tpch.Queries.t) ->
+       let sql = q.Tpch.Queries.sql and id = q.Tpch.Queries.id in
+       ignore (Opdw.optimize ~cache shell sql);
+       let hit, spans, hits, misses = traced ~cache shell sql in
+       Alcotest.(check bool) (id ^ ": served by its statement entry") false (ran_front spans);
+       Alcotest.(check (pair int int)) (id ^ ": one hit, no miss") (1, 0) (hits, misses);
+       let fresh = Opdw.optimize ~cache:(Opdw.cache ()) shell sql in
+       Alcotest.(check (pair string string)) (id ^ ": explain and DSQL")
+         (explain_dsql fresh) (explain_dsql hit);
+       Alcotest.(check (option string)) (id ^ ": fingerprint") fresh.Opdw.fingerprint
+         hit.Opdw.fingerprint;
+       Alcotest.(check (list (pair string int))) (id ^ ": output columns")
+         (Opdw.output_columns fresh) (Opdw.output_columns hit))
+    Tpch.Queries.all;
+  let s = Opdw.Plancache.stats cache in
+  Alcotest.(check (pair int int)) "25 hits, 25 misses" (25, 25)
+    (s.Opdw.Plancache.hits, s.Opdw.Plancache.misses)
+
+let group_sql = "SELECT c_nationkey, COUNT(*) AS c FROM customer GROUP BY c_nationkey"
+
+let test_repeat_records_no_front_span () =
+  let shell = (Lazy.force w).Opdw.Workload.shell in
+  let cache = Opdw.cache () in
+  let _, first, hits, misses = traced ~cache shell group_sql in
+  List.iter
+    (fun s -> Alcotest.(check bool) ("first compile opens " ^ s) true (List.mem s first))
+    front_spans;
+  Alcotest.(check (pair int int)) "first: one miss" (0, 1) (hits, misses);
+  for round = 2 to 3 do
+    let _, spans, hits, misses = traced ~cache shell group_sql in
+    List.iter
+      (fun s ->
+         Alcotest.(check bool) (Printf.sprintf "round %d opens no %s span" round s) false
+           (List.mem s spans))
+      front_spans;
+    Alcotest.(check (pair int int)) (Printf.sprintf "round %d: exactly one hit" round) (1, 0)
+      (hits, misses)
+  done
+
+(* a variant text misses the statement key, runs the front end, and hits
+   the tree-keyed tail its normalized tree shares; its own alias names
+   the output column *)
+let test_variant_hits_the_tail () =
+  let shell = (Lazy.force w).Opdw.Workload.shell in
+  let cache = Opdw.cache () in
+  let base = Opdw.optimize ~cache shell group_sql in
+  let variant = "select  c_nationkey,   count(*) as customers\n  from customer group by c_nationkey" in
+  let r, spans, hits, misses = traced ~cache shell variant in
+  Alcotest.(check bool) "the variant runs the front end" true (List.mem "parse" spans);
+  Alcotest.(check bool) "but compiles nothing" false (List.mem "serial_optimize" spans);
+  Alcotest.(check (pair int int)) "a tail hit" (1, 0) (hits, misses);
+  Alcotest.(check (option string)) "the same tail" base.Opdw.fingerprint r.Opdw.fingerprint;
+  Alcotest.(check (list string)) "its own column names" [ "c_nationkey"; "customers" ]
+    (List.map fst (Opdw.output_columns r));
+  Alcotest.(check (list string)) "the original keeps its names" [ "c_nationkey"; "c" ]
+    (List.map fst (Opdw.output_columns (Opdw.optimize ~cache shell group_sql)));
+  let r', spans, _, _ = traced ~cache shell variant in
+  Alcotest.(check bool) "the variant now has its own entry" false (ran_front spans);
+  Alcotest.(check (list string)) "still its own names" [ "c_nationkey"; "customers" ]
+    (List.map fst (Opdw.output_columns r'))
+
+(* an invalid-plan eviction and a degraded compile each leave the text to
+   compile fresh: the statement entry is never trusted without its tail *)
+let test_evicted_or_degraded_compiles_fresh () =
+  let wl = Lazy.force w in
+  let shell = wl.Opdw.Workload.shell and app = wl.Opdw.Workload.app in
+  let sql = "SELECT o_custkey, COUNT(*) AS c FROM orders GROUP BY o_custkey" in
+  let cache = Opdw.cache () in
+  ignore (Opdw.optimize ~cache shell sql);
+  let r, spans, _, _ = traced ~cache shell sql in
+  Alcotest.(check bool) "a statement hit" false (ran_front spans);
+  let bad_plan =
+    Test_check.mutate_first
+      (fun n ->
+         match n.Pdwopt.Pplan.op with
+         | Pdwopt.Pplan.Move _ -> Some (List.hd n.Pdwopt.Pplan.children)
+         | _ -> None)
+      (Opdw.plan r)
+  in
+  let bad = { r with Opdw.pdw = { r.Opdw.pdw with Pdwopt.Optimizer.plan = bad_plan } } in
+  Engine.Appliance.reset_account app;
+  (match Opdw.run ~cache app bad with
+   | _ -> Alcotest.fail "corrupt plan passed the appliance gate"
+   | exception Check.Invalid _ -> ());
+  let _, spans, hits, misses = traced ~cache shell sql in
+  Alcotest.(check bool) "after the eviction: the front end runs" true (List.mem "parse" spans);
+  Alcotest.(check bool) "and the tail compiles" true (List.mem "serial_optimize" spans);
+  Alcotest.(check (pair int int)) "a miss" (0, 1) (hits, misses);
+  let _, spans, _, _ = traced ~cache shell sql in
+  Alcotest.(check bool) "then a statement hit again" false (ran_front spans);
+  (* a compile degraded by an expired token is not admitted, and leaves
+     no statement entry behind *)
+  let cache = Opdw.cache () in
+  let token = Governor.create () in
+  Governor.add_deadline token ~clock:(fun () -> 1.0) ~deadline:0.5;
+  let r, _, _, _ = traced ~token ~cache shell sql in
+  Alcotest.(check bool) "degraded" true (r.Opdw.degraded <> None);
+  Alcotest.(check int) "nothing admitted" 0 (Opdw.Plancache.stats cache).Opdw.Plancache.size;
+  let r, spans, hits, misses = traced ~cache shell sql in
+  Alcotest.(check bool) "after a degraded compile: fresh" true
+    (List.mem "parse" spans && List.mem "serial_optimize" spans);
+  Alcotest.(check (pair int int)) "a miss again" (0, 1) (hits, misses);
+  Alcotest.(check bool) "full plan" true (r.Opdw.degraded = None);
+  (* under a memo budget every compile degrades: each one runs fresh *)
+  let options =
+    { (Opdw.default_options ~node_count:4) with
+      Opdw.governor = { Governor.no_limits with Governor.max_memo_groups = Some 4 } }
+  in
+  let join_sql = "SELECT c_custkey, o_orderdate FROM orders, customer WHERE o_custkey = c_custkey" in
+  for round = 1 to 2 do
+    let r, spans, hits, misses = traced ~options ~cache shell join_sql in
+    Alcotest.(check bool) (Printf.sprintf "budget round %d degraded" round) true
+      (r.Opdw.degraded = Some Opdw.Anytime);
+    Alcotest.(check bool) (Printf.sprintf "budget round %d runs the front end" round) true
+      (List.mem "parse" spans);
+    Alcotest.(check (pair int int)) (Printf.sprintf "budget round %d misses" round) (0, 1)
+      (hits, misses)
+  done
+
+let test_stats_version_bump_misses () =
+  let wl = Opdw.Workload.tpch ~node_count:3 ~sf:0.001 () in
+  let shell = wl.Opdw.Workload.shell in
+  let cache = Opdw.cache () in
+  let before = Opdw.optimize ~cache shell group_sql in
+  let _, spans, _, _ = traced ~cache shell group_sql in
+  Alcotest.(check bool) "a statement hit" false (ran_front spans);
+  let customer = Catalog.Shell_db.find_exn shell "customer" in
+  Catalog.Shell_db.set_stats shell "customer" customer.Catalog.Shell_db.stats;
+  let r, spans, hits, misses = traced ~cache shell group_sql in
+  Alcotest.(check bool) "after the bump: fresh" true
+    (List.mem "parse" spans && List.mem "serial_optimize" spans);
+  Alcotest.(check (pair int int)) "a miss" (0, 1) (hits, misses);
+  Alcotest.(check bool) "a new fingerprint" false (before.Opdw.fingerprint = r.Opdw.fingerprint)
+
+(* equal workloads built apart share keys but not caches: each cache
+   compiles the statement once and serves only what it compiled *)
+let test_caches_never_share () =
+  let a = Opdw.Workload.tpch ~node_count:3 ~sf:0.001 ()
+  and b = Opdw.Workload.tpch ~node_count:3 ~sf:0.001 () in
+  let ca = Opdw.cache () and cb = Opdw.cache () in
+  let serve cache (wl : Opdw.Workload.t) = traced ~cache wl.Opdw.Workload.shell group_sql in
+  let ra, _, _, _ = serve ca a in
+  let rb, spans, hits, misses = serve cb b in
+  Alcotest.(check bool) "b compiles its own" true
+    (List.mem "parse" spans && List.mem "serial_optimize" spans);
+  Alcotest.(check (pair int int)) "b misses" (0, 1) (hits, misses);
+  Alcotest.(check (option string)) "equal keys" ra.Opdw.fingerprint rb.Opdw.fingerprint;
+  List.iter
+    (fun (name, cache, (wl : Opdw.Workload.t), (first : Opdw.result)) ->
+       let r, spans, _, _ = serve cache wl in
+       Alcotest.(check bool) (name ^ ": a statement hit") false (ran_front spans);
+       Alcotest.(check bool) (name ^ ": its own plan") true
+         (r.Opdw.memo.Memo.shell == wl.Opdw.Workload.shell && r.Opdw.memo == first.Opdw.memo);
+       Alcotest.(check bool) (name ^ ": its own front") true
+         (r.Opdw.algebrized == first.Opdw.algebrized))
+    [ ("a", ca, a, ra); ("b", cb, b, rb) ];
+  List.iter
+    (fun (name, cache) ->
+       let s = Opdw.Plancache.stats cache in
+       Alcotest.(check (pair int int)) (name ^ ": one hit, one miss") (1, 1)
+         (s.Opdw.Plancache.hits, s.Opdw.Plancache.misses))
+    [ ("a", ca); ("b", cb) ]
+
+(* statement entries share the capacity and the LRU order with tails; a
+   statement entry goes before the tail it names, never evicts it, and is
+   served only while that tail is present *)
+let test_statement_entries_lru () =
+  let c = Opdw.Plancache.create ~capacity:2 () in
+  ignore (Opdw.Plancache.add c "a" 1);
+  Alcotest.(check bool) "room for the statement" false
+    (Opdw.Plancache.add_statement c "s" ~fingerprint:"a" "front");
+  Alcotest.(check (option (triple string string int))) "served with its tail"
+    (Some ("front", "a", 1)) (Opdw.Plancache.find_statement c "s");
+  Alcotest.(check bool) "a new tail evicts" true (Opdw.Plancache.add c "b" 2);
+  Alcotest.(check (option (triple string string int))) "the statement went first" None
+    (Opdw.Plancache.find_statement c "s");
+  Alcotest.(check (option int)) "its tail stayed" (Some 1) (Opdw.Plancache.find c "a");
+  ignore (Opdw.Plancache.add_statement c "t" ~fingerprint:"b" "front b");
+  Alcotest.(check (option int)) "the statement never evicts its own tail" (Some 2)
+    (Opdw.Plancache.find c "b");
+  ignore (Opdw.Plancache.remove_invalid c "b");
+  Alcotest.(check (option (triple string string int))) "no tail, no statement hit" None
+    (Opdw.Plancache.find_statement c "t");
+  let s = Opdw.Plancache.stats c in
+  Alcotest.(check (pair int int)) "statement lookups count hits only" (3, 0)
+    (s.Opdw.Plancache.hits, s.Opdw.Plancache.misses);
+  let one = Opdw.Plancache.create ~capacity:1 () in
+  ignore (Opdw.Plancache.add one "a" 1);
+  Alcotest.(check bool) "capacity 1: nothing to evict" false
+    (Opdw.Plancache.add_statement one "s" ~fingerprint:"a" "front");
+  Alcotest.(check (option (triple string string int))) "capacity 1: not filed" None
+    (Opdw.Plancache.find_statement one "s");
+  Alcotest.(check (option int)) "capacity 1: the tail still hits" (Some 1)
+    (Opdw.Plancache.find one "a")
+
 let suite =
   [ Alcotest.test_case "LRU eviction order" `Quick test_lru_eviction;
     Alcotest.test_case "add refreshes existing key" `Quick test_add_refresh;
@@ -356,4 +577,18 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cache_hit_equals_fresh;
     QCheck_alcotest.to_alcotest prop_parallel_execution_identical;
     Alcotest.test_case "literals that print alike key apart" `Quick
-      test_literals_key_apart ]
+      test_literals_key_apart;
+    Alcotest.test_case "statement hit == fresh optimize: 25 bundled statements" `Quick
+      test_statement_hit_equals_fresh;
+    Alcotest.test_case "a repeat opens no front-end span, one hit" `Quick
+      test_repeat_records_no_front_span;
+    Alcotest.test_case "a variant text hits the tail with its own names" `Quick
+      test_variant_hits_the_tail;
+    Alcotest.test_case "after an eviction or a degraded compile: fresh" `Quick
+      test_evicted_or_degraded_compiles_fresh;
+    Alcotest.test_case "a stats_version bump misses the statement" `Quick
+      test_stats_version_bump_misses;
+    Alcotest.test_case "equal workloads' caches never share entries" `Quick
+      test_caches_never_share;
+    Alcotest.test_case "statement entries: shared capacity, evicted before their tail"
+      `Quick test_statement_entries_lru ]

@@ -75,7 +75,7 @@ let test_place_seed_collocated () =
          key_sets)
     bundled
 
-let key = Opdw.Driver.statement_key
+let key = Opdw.Plancache.statement_key
 
 let test_statement_key_literals () =
   let sql case =
