@@ -223,40 +223,51 @@ let e4 () =
 (* E5 (sec. 3.3.3): cost calibration                                   *)
 (* ------------------------------------------------------------------ *)
 
-let calibrate_lambdas ~nodes =
+(* The targeted DMS runs (E5, E6, E12) move hand-built rows on a scratch
+   appliance that holds no table: a move reads only its input stream.
+   [rows] are dealt round-robin over the nodes for a hashed stream (the
+   volumes do not depend on the key) and form one payload otherwise. *)
+let dealt_stream app ~layout dist rows =
+  let rs rows = Engine.Rset.Rows { Engine.Local.layout; rows } in
+  let payloads =
+    match dist with
+    | Dms.Distprop.Hashed _ ->
+      let nodes = app.Engine.Appliance.nodes in
+      let parts = Array.make nodes [] in
+      List.iteri (fun i r -> parts.(i mod nodes) <- r :: parts.(i mod nodes)) rows;
+      Array.map rs parts
+    | Dms.Distprop.Replicated | Dms.Distprop.Single_node -> [| rs rows |]
+  in
+  Engine.Appliance.stream app ~layout dist payloads
+
+let scratch_appliance ~nodes = Engine.Appliance.create (Catalog.Shell_db.create ~node_count:nodes)
+
+(* E5 and E6's calibration set-up: 8 nodes, rows of an int key [k] and a
+   64-byte pad (72 bytes a row) *)
+let cal_nodes = 8
+let cal_k, cal_pad = (0, 1)
+let cal_cols = [ cal_k; cal_pad ]
+
+let cal_stream app dist n =
+  dealt_stream app ~layout:cal_cols dist
+    (List.init n (fun i -> [| Catalog.Value.Int i; Catalog.Value.String (String.make 64 'x') |]))
+
+let calibrate_lambdas () =
   (* targeted performance tests: run each DMS operation over a sweep of
      sizes on a scratch appliance and fit lambda per component *)
-  let sh = Catalog.Shell_db.create ~node_count:nodes in
-  let schema =
-    Catalog.Schema.make "cal"
-      [ Catalog.Schema.column "k" Catalog.Types.Tint;
-        Catalog.Schema.column ~width:64 "pad" Catalog.Types.Tstring ]
+  let app = scratch_appliance ~nodes:cal_nodes in
+  let move kind dist n =
+    ignore (Engine.Appliance.run_move app kind ~cols:cal_cols (cal_stream app dist n))
   in
-  ignore (Catalog.Shell_db.add_table sh schema (Catalog.Distribution.Hash_partitioned [ "k" ]));
-  let app = Engine.Appliance.create sh in
-  let reg = Algebra.Registry.create () in
-  let ck = Algebra.Registry.fresh reg ~name:"k" ~ty:Catalog.Types.Tint ~width:8.
-      (Algebra.Registry.Derived "k") in
-  let cp = Algebra.Registry.fresh reg ~name:"pad" ~ty:Catalog.Types.Tstring ~width:64.
-      (Algebra.Registry.Derived "pad") in
+  let hashed = Dms.Distprop.Hashed [ cal_k ] in
   List.iter
     (fun n ->
-       let rows = List.init n (fun i -> [| Catalog.Value.Int i; Catalog.Value.String (String.make 64 'x') |]) in
-       let rs rows = Engine.Rset.Rows { Engine.Local.layout = [ ck; cp ]; rows } in
-       let parts = Array.make nodes [] in
-       List.iteri (fun i r -> parts.(i mod nodes) <- r :: parts.(i mod nodes)) rows;
-       let mk dist = { Engine.Appliance.layout = [ ck; cp ]; per_node = Array.map rs parts;
-                       control = rs rows; dist } in
-       let hashed = mk (Dms.Distprop.Hashed [ ck ]) in
-       let repl = { (mk Dms.Distprop.Replicated) with
-                    Engine.Appliance.per_node = Array.make nodes (rs rows) } in
-       let single = mk Dms.Distprop.Single_node in
-       ignore (Engine.Appliance.run_move app (Dms.Op.Shuffle [ ck ]) ~cols:[ ck; cp ] hashed);
-       ignore (Engine.Appliance.run_move app Dms.Op.Broadcast ~cols:[ ck; cp ] hashed);
-       ignore (Engine.Appliance.run_move app Dms.Op.Partition_move ~cols:[ ck; cp ] hashed);
-       ignore (Engine.Appliance.run_move app (Dms.Op.Trim [ ck ]) ~cols:[ ck; cp ] repl);
-       ignore (Engine.Appliance.run_move app Dms.Op.Replicated_broadcast ~cols:[ ck; cp ] single);
-       ignore (Engine.Appliance.run_move app Dms.Op.Remote_copy ~cols:[ ck; cp ] hashed))
+       move (Dms.Op.Shuffle [ cal_k ]) hashed n;
+       move Dms.Op.Broadcast hashed n;
+       move Dms.Op.Partition_move hashed n;
+       move (Dms.Op.Trim [ cal_k ]) Dms.Distprop.Replicated n;
+       move Dms.Op.Replicated_broadcast Dms.Distprop.Single_node n;
+       move Dms.Op.Remote_copy hashed n)
     [ 500; 2000; 8000; 32000 ];
   (* the account's samples are newest first; E5's records pin the fit in
      that order *)
@@ -264,7 +275,7 @@ let calibrate_lambdas ~nodes =
 
 let e5 () =
   section "E5" "Sec. 3.3.3: cost calibration (fitting lambda per component)";
-  let lambdas, fits = calibrate_lambdas ~nodes:8 in
+  let lambdas, fits = calibrate_lambdas () in
   Printf.printf "%-16s %-14s %-18s\n" "component" "lambda (s/B)" "rel. RMS residual";
   List.iter
     (fun (f : Dms.Calibrate.fit) ->
@@ -286,55 +297,29 @@ let e5 () =
 
 let e6 lambdas =
   section "E6" "Fig. 5: DMS cost model vs simulated runtime, all 7 operations";
-  let nodes = 8 in
-  let sh = Catalog.Shell_db.create ~node_count:nodes in
-  let schema =
-    Catalog.Schema.make "cal"
-      [ Catalog.Schema.column "k" Catalog.Types.Tint;
-        Catalog.Schema.column ~width:64 "pad" Catalog.Types.Tstring ]
-  in
-  ignore (Catalog.Shell_db.add_table sh schema (Catalog.Distribution.Hash_partitioned [ "k" ]));
-  let app = Engine.Appliance.create sh in
-  let reg = Algebra.Registry.create () in
-  let ck = Algebra.Registry.fresh reg ~name:"k" ~ty:Catalog.Types.Tint ~width:8.
-      (Algebra.Registry.Derived "k") in
-  let cp = Algebra.Registry.fresh reg ~name:"pad" ~ty:Catalog.Types.Tstring ~width:64.
-      (Algebra.Registry.Derived "pad") in
+  let app = scratch_appliance ~nodes:cal_nodes in
   let width = 72. in
   Printf.printf "%-22s %-10s %-14s %-14s %-8s\n" "operation" "rows" "model (s)" "simulated (s)"
     "ratio";
   List.iter
     (fun (kind, input_dist, n) ->
-       let rows = List.init n (fun i -> [| Catalog.Value.Int i; Catalog.Value.String (String.make 64 'x') |]) in
-       let rs rows = Engine.Rset.Rows { Engine.Local.layout = [ ck; cp ]; rows } in
-       let parts = Array.make nodes [] in
-       List.iteri (fun i r -> parts.(i mod nodes) <- r :: parts.(i mod nodes)) rows;
-       let stream =
-         match input_dist with
-         | `Hashed -> { Engine.Appliance.layout = [ ck; cp ]; per_node = Array.map rs parts;
-                        control = rs []; dist = Dms.Distprop.Hashed [ ck ] }
-         | `Replicated -> { Engine.Appliance.layout = [ ck; cp ];
-                            per_node = Array.make nodes (rs rows); control = rs [];
-                            dist = Dms.Distprop.Replicated }
-         | `Single -> { Engine.Appliance.layout = [ ck; cp ];
-                        per_node = Array.make nodes (rs []);
-                        control = rs rows; dist = Dms.Distprop.Single_node }
-       in
        Engine.Appliance.reset_account app;
-       ignore (Engine.Appliance.run_move app kind ~cols:[ ck; cp ] stream);
+       ignore (Engine.Appliance.run_move app kind ~cols:cal_cols (cal_stream app input_dist n));
        let sim = app.Engine.Appliance.account.Engine.Appliance.dms_time in
        let model =
-         (Dms.Cost.cost ~lambdas kind ~nodes ~rows:(float_of_int n) ~width).Dms.Cost.c_total
+         (Dms.Cost.cost ~lambdas kind ~nodes:cal_nodes ~rows:(float_of_int n) ~width)
+           .Dms.Cost.c_total
        in
        rowf "%-22s %-10d %-14.4g %-14.4g %-8.2f\n" (Dms.Op.name kind) n model sim
          (model /. Float.max 1e-12 sim))
-    [ (Dms.Op.Shuffle [ ck ], `Hashed, 20000);
-      (Dms.Op.Partition_move, `Hashed, 20000);
-      (Dms.Op.Broadcast, `Hashed, 5000);
-      (Dms.Op.Trim [ ck ], `Replicated, 20000);
-      (Dms.Op.Control_node_move, `Single, 5000);
-      (Dms.Op.Replicated_broadcast, `Single, 5000);
-      (Dms.Op.Remote_copy, `Hashed, 20000) ];
+    (let hashed = Dms.Distprop.Hashed [ cal_k ] in
+     [ (Dms.Op.Shuffle [ cal_k ], hashed, 20000);
+       (Dms.Op.Partition_move, hashed, 20000);
+       (Dms.Op.Broadcast, hashed, 5000);
+       (Dms.Op.Trim [ cal_k ], Dms.Distprop.Replicated, 20000);
+       (Dms.Op.Control_node_move, Dms.Distprop.Single_node, 5000);
+       (Dms.Op.Replicated_broadcast, Dms.Distprop.Single_node, 5000);
+       (Dms.Op.Remote_copy, hashed, 20000) ]);
   Printf.printf "\nratios near 1.0 validate C_DMS = max(source, target) with linear\n";
   Printf.printf "per-component costs; deviations come from per-row/fixed overheads.\n"
 
@@ -706,22 +691,8 @@ let e11 () =
 let e12 () =
   section "E12" "Sec. 3.3.1: the uniformity assumption under data skew";
   let nodes = 8 in
-  let sh = Catalog.Shell_db.create ~node_count:nodes in
-  let schema =
-    Catalog.Schema.make "skewt"
-      [ Catalog.Schema.column "k" Catalog.Types.Tint;
-        Catalog.Schema.column "g" Catalog.Types.Tint;
-        Catalog.Schema.column ~width:64 "pad" Catalog.Types.Tstring ]
-  in
-  ignore (Catalog.Shell_db.add_table sh schema (Catalog.Distribution.Hash_partitioned [ "k" ]));
-  let app = Engine.Appliance.create sh in
-  let reg = Algebra.Registry.create () in
-  let ck = Algebra.Registry.fresh reg ~name:"k" ~ty:Catalog.Types.Tint ~width:8.
-      (Algebra.Registry.Derived "k") in
-  let cg = Algebra.Registry.fresh reg ~name:"g" ~ty:Catalog.Types.Tint ~width:8.
-      (Algebra.Registry.Derived "g") in
-  let cp = Algebra.Registry.fresh reg ~name:"pad" ~ty:Catalog.Types.Tstring ~width:64.
-      (Algebra.Registry.Derived "pad") in
+  let app = scratch_appliance ~nodes in
+  let ck, cg, cp = (0, 1, 2) in
   let n = 40_000 in
   Printf.printf "%-24s %-14s %-14s %-8s\n" "shuffle-key distribution" "model (s)"
     "simulated (s)" "ratio";
@@ -733,12 +704,8 @@ let e12 () =
              [| Catalog.Value.Int i; Catalog.Value.Int (gen_g i);
                 Catalog.Value.String (String.make 64 'x') |])
        in
-       let parts = Array.make nodes [] in
-       List.iteri (fun i r -> parts.(i mod nodes) <- r :: parts.(i mod nodes)) rows;
-       let rs rows = Engine.Rset.Rows { Engine.Local.layout = [ ck; cg; cp ]; rows } in
        let stream =
-         { Engine.Appliance.layout = [ ck; cg; cp ]; per_node = Array.map rs parts;
-           control = rs []; dist = Dms.Distprop.Hashed [ ck ] }
+         dealt_stream app ~layout:[ ck; cg; cp ] (Dms.Distprop.Hashed [ ck ]) rows
        in
        Engine.Appliance.reset_account app;
        ignore (Engine.Appliance.run_move app (Dms.Op.Shuffle [ cg ]) ~cols:[ ck; cg; cp ] stream);
@@ -1362,7 +1329,7 @@ let by_id = function
   | "E3" -> e3 ()
   | "E4" -> e4 ()
   | "E5" -> ignore (e5 ())
-  | "E6" -> e6 (calibrate_lambdas ~nodes:8 |> fst)
+  | "E6" -> e6 (calibrate_lambdas () |> fst)
   | "E7" -> e7 ()
   | "E8" -> e8 ()
   | "E9" -> e9 ()

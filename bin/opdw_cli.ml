@@ -190,16 +190,6 @@ let fault_rate_t =
          ~doc:"Per-site fault probability per step attempt (chaos mode); node \
                crashes fire at P/8.")
 
-let elastic_t =
-  Arg.(value & flag
-       & info [ "elastic" ]
-         ~doc:"Serve chaos-style (node crashes decommission + replan on the \
-               survivors, every plan keyed under the current topology epoch) \
-               and print the topology summary line: epoch, live nodes and \
-               harvested workload records (see the $(b,topology) \
-               subcommand). Faults fire only with $(b,--chaos) or \
-               $(b,--fault-schedule).")
-
 let fault_schedule_t =
   Arg.(value & opt (some string) None
        & info [ "fault-schedule" ] ~docv:"FILE"
@@ -216,7 +206,7 @@ let feedback_t =
                observed cost, fall back to the LKG plan automatically when a \
                recompiled plan's fingerprint is quarantined after repeated \
                regressions, and print the feedback summary line. Composes \
-               with $(b,--chaos) / $(b,--elastic) and the governor flags.")
+               with $(b,--chaos) and the governor flags.")
 
 let feedback_log_t =
   Arg.(value & opt (some string) None
@@ -383,7 +373,7 @@ let compare_engines_run ~nodes ~sf ~options ~check ~pool text =
   if not (rows_ok && sim_ok) then exit 1
 
 let run nodes sf query sql file seed budget limit jobs no_cache check assert_bounds
-    repeat chaos elastic fault_seed fault_rate fault_schedule feedback feedback_log
+    repeat chaos fault_seed fault_rate fault_schedule feedback feedback_log
     deadline_ms sim_deadline_ms memo_budget max_concurrent queue_limit breaker
     engine compare_engines profile debug =
   let w = setup ~engine ~nodes ~sf () in
@@ -402,15 +392,14 @@ let run nodes sf query sql file seed budget limit jobs no_cache check assert_bou
   Engine.Appliance.set_check app check;
   (* one driver, every flag a policy on it: admission gate, breaker and
      deadlines always; the plan store with --feedback; the fault plan
-     (crash -> decommission + replan) with --chaos / --elastic *)
+     (crash -> decommission + replan) with --chaos *)
   let fault =
-    if not (chaos || elastic) then None
+    if not chaos then None
     else
       Some
         (match fault_schedule with
          | Some f -> Fault.load_schedule f
-         | None ->
-           Fault.seeded ~seed:fault_seed ~rate:(if chaos then fault_rate else 0.) ())
+         | None -> Fault.seeded ~seed:fault_seed ~rate:fault_rate ())
   in
   let log = load_log feedback_log in
   let d =
@@ -483,11 +472,6 @@ let run nodes sf query sql file seed budget limit jobs no_cache check assert_bou
     | cs ->
       List.iter (fun (k, v) -> Printf.printf "  %-28s %.6g\n" k v) cs
   end;
-  if elastic then
-    Printf.printf
-      "elastic: topology epoch %d; %d/%d nodes alive; %d workload record(s) harvested\n"
-      (Opdw.Driver.epoch d) (Opdw.Driver.nodes d) nodes
-      (Opdw.Feedback.Log.length (Opdw.Driver.log d));
   (match Opdw.Driver.store d, s.Opdw.Driver.store_outcome with
    | Some store, Some outcome ->
      Printf.printf
@@ -534,7 +518,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Optimize and execute a query on a generated TPC-H appliance.")
     Term.(const run $ nodes_t $ sf_t $ query_t $ sql_t $ file_t $ seed_t $ budget_t $ limit
           $ jobs_t $ no_cache_t $ check_t $ assert_bounds_t $ repeat $ chaos_t
-          $ elastic_t $ fault_seed_t $ fault_rate_t $ fault_schedule_t $ feedback_t
+          $ fault_seed_t $ fault_rate_t $ fault_schedule_t $ feedback_t
           $ feedback_log_t $ deadline_ms_t $ sim_deadline_ms_t $ memo_budget_t
           $ max_concurrent_t $ queue_limit_t $ breaker_t $ engine_t
           $ compare_engines_t $ profile_t $ debug_t)

@@ -117,8 +117,6 @@ let create ?(hw = default_hw) ?(pool = Par.sequential) ?(check = true)
     per process, shared across appliances). *)
 let set_pool t pool = t.pool <- pool
 
-let engine t = t.engine
-
 (** Enable/disable the {!Check} execution gate (see the [check] field). *)
 let set_check t check = t.check <- check
 
@@ -183,24 +181,37 @@ let table_contents (t : t) (name : string) : Rset.t option =
          (Rset.concat ~layout:(Rset.layout first)
             (List.init t.nodes (fun i -> node_rset t i name))))
 
-let node_batch t node name = Rset.to_batch (node_rset t node name)
-
 (* -- distributed streams -- *)
 
+(* [parts] follows [dist]: one payload per compute node when hashed, the
+   same payload in every node's slot when replicated, one payload (on the
+   control node) when single-node *)
 type dstream = {
   layout : int list;
-  per_node : Rset.t array;   (** length = t.nodes; unused when on control *)
-  control : Rset.t;          (** payload resident on the control node *)
   dist : Dms.Distprop.t;
+  parts : Rset.t array;
 }
+
+let stream (t : t) ~(layout : int list) (dist : Dms.Distprop.t) (payloads : Rset.t array) :
+  dstream =
+  let parts =
+    match dist, payloads with
+    | Dms.Distprop.Hashed _, _ when Array.length payloads = t.nodes -> payloads
+    | Dms.Distprop.Replicated, [| rs |] -> Array.make t.nodes rs
+    | Dms.Distprop.Single_node, [| _ |] -> payloads
+    | _ ->
+      invalid_arg
+        (Printf.sprintf "Appliance.stream: %d payloads for a %s stream on %d nodes"
+           (Array.length payloads) (Dms.Distprop.short_string dist) t.nodes)
+  in
+  { layout; dist; parts }
 
 (** The full logical contents of a stream, as the payloads that hold
     them, in order: one per node for a hashed stream, one copy otherwise. *)
 let stream_parts (d : dstream) : Rset.t list =
   match d.dist with
-  | Dms.Distprop.Single_node -> [ d.control ]
-  | Dms.Distprop.Replicated -> if Array.length d.per_node = 0 then [] else [ d.per_node.(0) ]
-  | Dms.Distprop.Hashed _ -> Array.to_list d.per_node
+  | Dms.Distprop.Hashed _ -> Array.to_list d.parts
+  | Dms.Distprop.Replicated | Dms.Distprop.Single_node -> [ d.parts.(0) ]
 
 let stream_rows (d : dstream) : rows = Rset.client_rows (stream_parts d)
 
@@ -370,11 +381,13 @@ let project_stream (d : dstream) (cols : int list) : dstream =
   if cols = d.layout then d
   else begin
     let proj rs = Rset.project (Rset.with_layout rs d.layout) cols in
-    { d with layout = cols; per_node = Array.map proj d.per_node;
-      control = proj d.control }
+    let parts =
+      match d.dist with
+      | Dms.Distprop.Replicated -> Array.make (Array.length d.parts) (proj d.parts.(0))
+      | Dms.Distprop.Hashed _ | Dms.Distprop.Single_node -> Array.map proj d.parts
+    in
+    { d with layout = cols; parts }
   end
-
-let empty_rs (layout : int list) = Rset.Rows { Local.layout = layout; rows = [] }
 
 (** Execute one DMS operation on a stream (routing + accounting). *)
 let run_move_inner ~obs (t : t) (kind : Dms.Op.kind) ~(cols : int list) (input : dstream) :
@@ -384,88 +397,67 @@ let run_move_inner ~obs (t : t) (kind : Dms.Op.kind) ~(cols : int list) (input :
   let vol = Rset.vol in
   let zero = (0., 0.) in
   let concat parts = Rset.concat ~layout:cols parts in
+  (* [Dms.Op.output_dist] admits each move only on the input shapes it
+     reads: every source below is a slot [input.dist] fills *)
   match kind with
   | Dms.Op.Shuffle hash_cols ->
-    let sources =
-      match input.dist with
-      | Dms.Distprop.Single_node -> [ input.control ]
-      | _ -> Array.to_list input.per_node
-    in
+    (* a hashed input's nodes, or the control node's one payload *)
+    let sources = Array.to_list (Array.map (fun s -> Rset.with_layout s cols) input.parts) in
     (* each source partitions independently; destination shards append the
        sources' contributions in source order (same row order as the row
        engine's single cons-and-reverse pass over all sources) *)
-    let kpos =
-      match sources with
-      | [] -> [||]
-      | s :: _ -> Rset.positions (Rset.with_layout s cols) hash_cols
-    in
-    let out =
-      Rset.shuffle (List.map (fun s -> Rset.with_layout s cols) sources) ~layout:cols ~kpos
-        ~parts:n
-    in
+    let kpos = Rset.positions (List.hd sources) hash_cols in
+    let out = Rset.shuffle sources ~layout:cols ~kpos ~parts:n in
     account_move ~obs t ~opname:(Dms.Op.name kind) ~hashed:true
       ~per_node_read:(List.map vol sources)
       ~per_node_net:(List.map vol sources)
       ~per_node_write:(Array.to_list (Array.map vol out));
-    { layout = cols; per_node = out; control = empty_rs cols;
-      dist = Dms.Distprop.Hashed hash_cols }
+    { layout = cols; dist = Dms.Distprop.Hashed hash_cols; parts = out }
   | Dms.Op.Partition_move ->
-    let all = concat (Array.to_list input.per_node) in
+    let all = concat (Array.to_list input.parts) in
     account_move ~obs t ~opname:(Dms.Op.name kind) ~hashed:false
-      ~per_node_read:(Array.to_list (Array.map vol input.per_node))
-      ~per_node_net:(Array.to_list (Array.map vol input.per_node))
+      ~per_node_read:(Array.to_list (Array.map vol input.parts))
+      ~per_node_net:(Array.to_list (Array.map vol input.parts))
       ~per_node_write:[ vol all ];
-    { layout = cols; per_node = Array.make n (empty_rs cols); control = all;
-      dist = Dms.Distprop.Single_node }
+    { layout = cols; dist = Dms.Distprop.Single_node; parts = [| all |] }
   | Dms.Op.Control_node_move | Dms.Op.Replicated_broadcast ->
-    let rs = input.control in
+    let rs = input.parts.(0) in
     account_move ~obs t ~opname:(Dms.Op.name kind) ~hashed:false
       ~per_node_read:[ vol rs ]
       ~per_node_net:[ vol rs ]
       ~per_node_write:(List.init n (fun _ -> vol rs));
-    { layout = cols; per_node = Array.make n rs; control = empty_rs cols;
-      dist = Dms.Distprop.Replicated }
+    { layout = cols; dist = Dms.Distprop.Replicated; parts = Array.make n rs }
   | Dms.Op.Broadcast ->
-    let all = concat (Array.to_list input.per_node) in
+    let all = concat (Array.to_list input.parts) in
     account_move ~obs t ~opname:(Dms.Op.name kind) ~hashed:false
-      ~per_node_read:(Array.to_list (Array.map vol input.per_node))
+      ~per_node_read:(Array.to_list (Array.map vol input.parts))
       ~per_node_net:[ vol all ]
       ~per_node_write:(List.init n (fun _ -> vol all));
-    { layout = cols; per_node = Array.make n all; control = empty_rs cols;
-      dist = Dms.Distprop.Replicated }
+    { layout = cols; dist = Dms.Distprop.Replicated; parts = Array.make n all }
   | Dms.Op.Trim hash_cols ->
     let out =
-      Array.init n (fun i ->
-          if Array.length input.per_node > 0 then begin
-            let rs = Rset.with_layout input.per_node.(i) cols in
-            Rset.trim rs ~kpos:(Rset.positions rs hash_cols) ~node:i ~parts:n
-          end
-          else empty_rs cols)
+      Array.mapi
+        (fun i rs ->
+           let rs = Rset.with_layout rs cols in
+           Rset.trim rs ~kpos:(Rset.positions rs hash_cols) ~node:i ~parts:n)
+        input.parts
     in
     account_move ~obs t ~opname:(Dms.Op.name kind) ~hashed:true
-      ~per_node_read:(Array.to_list (Array.map vol input.per_node))
+      ~per_node_read:(Array.to_list (Array.map vol input.parts))
       ~per_node_net:[ zero ]
       ~per_node_write:(Array.to_list (Array.map vol out));
-    { layout = cols; per_node = out; control = empty_rs cols;
-      dist = Dms.Distprop.Hashed hash_cols }
+    { layout = cols; dist = Dms.Distprop.Hashed hash_cols; parts = out }
   | Dms.Op.Remote_copy ->
-    let all =
+    let all, reads =
       match input.dist with
       | Dms.Distprop.Replicated ->
-        if Array.length input.per_node > 0 then
-          Rset.with_layout input.per_node.(0) cols
-        else empty_rs cols
-      | _ -> concat (Array.to_list input.per_node)
-    in
-    let reads =
-      match input.dist with
-      | Dms.Distprop.Replicated -> [ vol all ]
-      | _ -> Array.to_list (Array.map vol input.per_node)
+        let all = Rset.with_layout input.parts.(0) cols in
+        (all, [ vol all ])
+      | _ -> (concat (Array.to_list input.parts), Array.to_list (Array.map vol input.parts))
     in
     account_move ~obs t ~opname:(Dms.Op.name kind) ~hashed:false ~per_node_read:reads
       ~per_node_net:reads ~per_node_write:[ vol all ];
-    { layout = cols; per_node = Array.make n (empty_rs cols); control = all;
-      dist = Dms.Distprop.Single_node }
+    { layout = cols; dist = Dms.Distprop.Single_node; parts = [| all |] }
 
 (** {!run_move_inner} plus, at [draw], the DMS injection sites: a
     transfer can fail mid-move, or the destination temp-table write can
@@ -488,20 +480,22 @@ let serial_step_time t (op : Memo.Physop.t) (out_rows : float) (in_rows : float 
   let work = Serialopt.Cost.local_cost op ~out:out_rows ~inputs:in_rows in
   work *. t.hw.serial_unit
 
-(* run one shard of a serial step on the selected engine; [stats] (when
-   observability is on) is private to this shard, so the pool fan-out stays
-   race-free and merging happens in the caller domain *)
-let shard_exec (t : t) ~(node : int) ?stats ?need (op : Memo.Physop.t)
+(* the one reader of [t.engine] on the execution path: run one operator
+   of one shard on the selected engine; [stats] (when observability is
+   on) is private to this shard, so the pool fan-out stays race-free and
+   merging happens in the caller domain *)
+let shard_exec (t : t) ?stats ?need ~(read_table : string -> Rset.t) (op : Memo.Physop.t)
     (inputs : Rset.t list) : Rset.t =
   match t.engine with
   | Rset.Row ->
     Rset.Rows
-      (Local.exec_op ?stats ~read_table:(fun name -> node_table t node name) op
-         (List.map Rset.to_local inputs))
+      (Local.exec_op ?stats
+         ~read_table:(fun name -> (Rset.to_local (read_table name)).Local.rows)
+         op (List.map Rset.to_local inputs))
   | Rset.Columnar ->
     Rset.Cols
-      (Batch.exec_op ?stats ?need ~read_table:(fun name -> node_batch t node name) op
-         (List.map Rset.to_batch inputs))
+      (Batch.exec_op ?stats ?need ~read_table:(fun name -> Rset.to_batch (read_table name))
+         op (List.map Rset.to_batch inputs))
 
 (* merge per-shard executor stats into the Obs counters (caller domain) *)
 let note_exec_stats ~obs (stats : Local.exec_stats list) =
@@ -523,17 +517,14 @@ let run_serial ?(obs = Obs.null) ?need (t : t) (d : draw) (op : Memo.Physop.t)
       List.map
         (fun c ->
            match c.dist with
-           | Dms.Distprop.Single_node -> Rset.with_layout c.control c.layout
-           | Dms.Distprop.Replicated ->
-             if Array.length c.per_node > 0 then
-               Rset.with_layout c.per_node.(0) c.layout
-             else empty_rs c.layout
+           | Dms.Distprop.Single_node | Dms.Distprop.Replicated ->
+             Rset.with_layout c.parts.(0) c.layout
            | Dms.Distprop.Hashed _ ->
              raise (Local.Exec_error "mixed control/distributed serial step"))
         children
     in
     let stats = if Obs.enabled obs then Some (Local.fresh_stats ()) else None in
-    let r = shard_exec t ~node:0 ?stats ?need op inputs in
+    let r = shard_exec t ?stats ?need ~read_table:(node_rset t 0) op inputs in
     (match stats with Some s -> note_exec_stats ~obs [ s ] | None -> ());
     let step =
       serial_step_time t op
@@ -546,8 +537,7 @@ let run_serial ?(obs = Obs.null) ?need (t : t) (d : draw) (op : Memo.Physop.t)
       Obs.addf obs (Printf.sprintf "engine.serial.%s.node_seconds" (Memo.Physop.name op)) step
     end;
     inject_point ~obs t d Fault.Control_transient;
-    { layout = Rset.layout r; per_node = Array.make t.nodes (empty_rs []);
-      control = r; dist = Dms.Distprop.Single_node }
+    { layout = Rset.layout r; dist = Dms.Distprop.Single_node; parts = [| r |] }
   end
   else begin
     crash_point ~obs t d;
@@ -561,15 +551,10 @@ let run_serial ?(obs = Obs.null) ?need (t : t) (d : draw) (op : Memo.Physop.t)
       Par.parallel_map t.pool
         (fun node ->
            let inputs =
-             List.map
-               (fun c ->
-                  if Array.length c.per_node > 0 then
-                    Rset.with_layout c.per_node.(node) c.layout
-                  else empty_rs c.layout)
-               children
+             List.map (fun c -> Rset.with_layout c.parts.(node) c.layout) children
            in
            let stats = if want_stats then Some (Local.fresh_stats ()) else None in
-           let r = shard_exec t ~node ?stats ?need op inputs in
+           let r = shard_exec t ?stats ?need ~read_table:(node_rset t node) op inputs in
            let step =
              serial_step_time t op
                (float_of_int (Rset.count r))
@@ -601,9 +586,8 @@ let run_serial ?(obs = Obs.null) ?need (t : t) (d : draw) (op : Memo.Physop.t)
       Obs.addf obs (Printf.sprintf "engine.serial.%s.node_seconds" (Memo.Physop.name op))
         !max_step
     end;
-    let layout = Rset.layout outs.(0) in
-    { layout; per_node = outs; control = empty_rs layout;
-      dist = Dms.Distprop.Hashed [] (* refined by caller *) }
+    { layout = Rset.layout outs.(0); dist = Dms.Distprop.Hashed [] (* refined by caller *);
+      parts = outs }
   end
 
 (* -- full distributed plan execution -- *)
@@ -636,16 +620,23 @@ let child_need (op : Memo.Physop.t) (need : Col_set.t option) (k : int) :
     else plus p
   | Memo.Physop.Union_op | Memo.Physop.Table_scan _ | Memo.Physop.Const_empty _ -> None
 
-(* An executed operator's observed global row count. It follows the
-   distribution: a hashed stream's rows sum across nodes, a replicated
-   stream counts one copy, a control-resident stream counts the control
-   payload. *)
+(* An executed operator's observed global row count: the rows of the
+   stream's logical contents (a hashed stream's rows sum across nodes, a
+   replicated stream counts one copy). *)
 let observed_rows (d : dstream) =
   match d.dist with
-  | Dms.Distprop.Single_node -> float_of_int (Rset.count d.control)
-  | Dms.Distprop.Replicated -> float_of_int (Rset.count d.per_node.(0))
   | Dms.Distprop.Hashed _ ->
-    Array.fold_left (fun a r -> a +. float_of_int (Rset.count r)) 0. d.per_node
+    Array.fold_left (fun a r -> a +. float_of_int (Rset.count r)) 0. d.parts
+  | Dms.Distprop.Replicated | Dms.Distprop.Single_node -> float_of_int (Rset.count d.parts.(0))
+
+(* a serial step's stream under the distribution the plan gives it; a
+   child-less step placed on the control node (an empty constant) ran on
+   every node like any scan, and keeps node 0's payload *)
+let with_dist (d : dstream) (dist : Dms.Distprop.t) =
+  match dist with
+  | Dms.Distprop.Single_node when Array.length d.parts > 1 ->
+    { d with dist; parts = [| d.parts.(0) |] }
+  | _ -> { d with dist }
 
 (** Execute a PDW plan on the appliance. Returns the final client result
     (rows + layout); accounting accumulates in [t.account]. The statement's
@@ -689,7 +680,7 @@ let run_pplan ?(obs = Obs.null) ?(token = Governor.none) ?fault ?observe (t : t)
         Obs.with_span obs ("engine.op." ^ Memo.Physop.name op) @@ fun () ->
         step (fun draw -> run_serial ~obs ?need t draw op children)
       in
-      observed p { d with dist = p.Pdwopt.Pplan.dist }
+      observed p (with_dist d p.Pdwopt.Pplan.dist)
     | Pdwopt.Pplan.Move { kind; cols }, [ c ] ->
       let child = exec_node (Some (Col_set.of_list cols)) c in
       observed p (step (fun draw -> run_move ~obs ~draw t kind ~cols child))

@@ -68,8 +68,6 @@ val create :
     per process, shared across appliances). *)
 val set_pool : t -> Par.t -> unit
 
-val engine : t -> Rset.engine
-
 (** Enable/disable the {!Check} execution gate (on by default). *)
 val set_check : t -> bool -> unit
 
@@ -92,11 +90,12 @@ val load_table : t -> string -> rows -> unit
 (** Load a table from a column-major payload (columnar storage). *)
 val load_table_cols : t -> string -> Catalog.Column.table -> unit
 
+(** One node's shard as stored (row- or column-major, as it was loaded).
+    Raises {!Local.Exec_error} for a table never loaded. *)
+val node_rset : t -> int -> string -> Rset.t
+
 (** One node's shard as rows (converting if stored columnar). *)
 val node_table : t -> int -> string -> rows
-
-(** One node's shard as a columnar batch (converting if stored row-major). *)
-val node_batch : t -> int -> string -> Batch.t
 
 (** The whole logical contents of a table as one payload: node 0's copy of
     a replicated table, a hash-distributed table's shards concatenated in
@@ -105,14 +104,36 @@ val node_batch : t -> int -> string -> Batch.t
     feedback re-sampler all use it. *)
 val table_contents : t -> string -> Rset.t option
 
-(** A distributed intermediate result: one payload per compute node, or a
-    single payload on the control node, per its distribution property. *)
+(** A distributed intermediate result (paper §2.1, §2.4): its payloads
+    sit where its distribution property says.
+    - [Hashed _]: [parts] holds one payload per compute node;
+    - [Replicated]: every compute node's slot holds the same payload;
+    - [Single_node]: [parts] holds the one payload on the control node.
+
+    Every DMS move reads only the slots its input distribution fills
+    ({!Dms.Op.output_dist}), so no slot is ever a placeholder. *)
 type dstream = {
   layout : int list;
-  per_node : Rset.t array;   (** length = [nodes]; unused when on control *)
-  control : Rset.t;          (** payload resident on the control node *)
   dist : Dms.Distprop.t;
+  parts : Rset.t array;
 }
+
+(** [stream t ~layout dist payloads] is the stream of [dist] over
+    [payloads]: one per compute node for a hashed stream, otherwise one
+    (shared by every node when replicated). Raises [Invalid_argument] for
+    any other count. *)
+val stream : t -> layout:int list -> Dms.Distprop.t -> Rset.t array -> dstream
+
+(** [shard_exec t ~read_table op inputs] runs one operator of one shard
+    on the appliance's engine (the one place the engine choice is read
+    on the execution path): [read_table] supplies the shard's base
+    tables, [inputs] the operator's children, converted to the engine's
+    representation as needed. [stats] collects executor counters; [need]
+    names the columns the consumer reads (the columnar engine skips the
+    rest). *)
+val shard_exec :
+  t -> ?stats:Local.exec_stats -> ?need:Algebra.Registry.Col_set.t ->
+  read_table:(string -> Rset.t) -> Memo.Physop.t -> Rset.t list -> Rset.t
 
 (** Where a fault draw lands: the plan, the appliance's replan epoch, and
     the injectable step and attempt being executed. {!with_recovery} hands

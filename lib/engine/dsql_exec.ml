@@ -14,17 +14,10 @@ open Algebra
 
 type rows = Catalog.Value.t array list
 
-(** Where a temp table's payload lives (row- or column-major, matching
-    the appliance's engine). *)
-type placement =
-  | On_nodes of Rset.t array     (** one shard per compute node *)
-  | On_control of Rset.t
-  | Replicated_everywhere of Rset.t
-
 type state = {
   app : Appliance.t;
   scratch : Catalog.Shell_db.t;      (** base schemas + temp schemas *)
-  temps : (string, placement) Hashtbl.t;
+  temps : (string, Appliance.dstream) Hashtbl.t;
   plan_reg : Registry.t;             (** the registry of the DSQL plan *)
 }
 
@@ -66,20 +59,10 @@ let physop_of (op : Relop.op) : Memo.Physop.t =
   | Relop.Union_all -> Memo.Physop.Union_op
   | Relop.Empty cols -> Memo.Physop.Const_empty cols
 
-let rec exec_logical ~read_table (t : Relop.t) : Local.rset =
-  let children = List.map (exec_logical ~read_table) t.Relop.children in
-  Local.exec_op ~read_table (physop_of t.Relop.op) children
-
-(* the same tree on the columnar engine *)
-let rec exec_logical_b ~read_table (t : Relop.t) : Batch.t =
-  let children = List.map (exec_logical_b ~read_table) t.Relop.children in
-  Batch.exec_op ~read_table (physop_of t.Relop.op) children
-
 (* parse + algebrize + normalize a generated statement *)
 let compile st sql =
   let r = Algebrizer.of_sql st.scratch sql in
-  let tree = Normalize.normalize r.Algebrizer.reg st.scratch r.Algebrizer.tree in
-  (r, tree)
+  Normalize.normalize r.Algebrizer.reg st.scratch r.Algebrizer.tree
 
 (* does a compiled tree reference any control-resident temp? *)
 let rec referenced_tables (t : Relop.t) =
@@ -92,8 +75,8 @@ let uses_control_temp st tree =
   List.exists
     (fun name ->
        match Hashtbl.find_opt st.temps name with
-       | Some (On_control _) -> true
-       | _ -> false)
+       | Some d -> d.Appliance.dist = Dms.Distprop.Single_node
+       | None -> false)
     (referenced_tables tree)
 
 (* every referenced relation holds a full copy on every node, so the
@@ -102,61 +85,45 @@ let all_replicated st tree =
   List.for_all
     (fun name ->
        match Hashtbl.find_opt st.temps name with
-       | Some (Replicated_everywhere _) -> true
-       | Some _ -> false
+       | Some d -> d.Appliance.dist = Dms.Distprop.Replicated
        | None ->
          (match Catalog.Shell_db.find st.app.Appliance.shell name with
           | Some tbl -> Catalog.Distribution.is_replicated tbl.Catalog.Shell_db.dist
           | None -> false))
     (referenced_tables tree)
 
-(* per-node temp-table payload; None = base table (read from the
-   appliance). An empty result keeps the temp's arity so the columnar
+(* one node's table reader: temps from state, base shards from the
+   appliance. The control node's SQL Server holds replicated tables only;
+   a temp it does not hold reads empty, keeping its arity so the columnar
    engine's scans still type-check *)
-let temp_payload st ~node ~control name : Rset.t option =
+let reader st ~node ~control name : Rset.t =
   match Hashtbl.find_opt st.temps (String.lowercase_ascii name) with
-  | Some (On_nodes shards) ->
-    Some (if control then Rset.empty_like shards.(0) else shards.(node))
-  | Some (On_control rs) -> Some (if control then rs else Rset.empty_like rs)
-  | Some (Replicated_everywhere rs) -> Some rs
-  | None -> None
+  | None -> Appliance.node_rset st.app (if control then 0 else node) name
+  | Some d ->
+    (match d.Appliance.dist with
+     | Dms.Distprop.Hashed _ -> if control then Rset.empty_like d.parts.(0) else d.parts.(node)
+     | Dms.Distprop.Single_node ->
+       if control then d.parts.(0) else Rset.empty_like d.parts.(0)
+     | Dms.Distprop.Replicated -> d.parts.(node))
 
-(* per-node table readers: base shards from the appliance, temps from
-   state. The control node's SQL Server holds replicated tables only. *)
-let reader_for st ~node ~control name : rows =
-  match temp_payload st ~node ~control name with
-  | Some rs -> (Rset.to_local rs).Local.rows
-  | None -> Appliance.node_table st.app (if control then 0 else node) name
+(* execute a compiled tree on one node's data, one operator at a time
+   through the appliance's engine *)
+let rec exec_tree st ~node ~control (tree : Relop.t) : Rset.t =
+  let children = List.map (exec_tree st ~node ~control) tree.Relop.children in
+  Appliance.shard_exec st.app ~read_table:(reader st ~node ~control)
+    (physop_of tree.Relop.op) children
 
-let reader_for_b st ~node ~control name : Batch.t =
-  match temp_payload st ~node ~control name with
-  | Some rs -> Rset.to_batch rs
-  | None -> Appliance.node_batch st.app (if control then 0 else node) name
-
-(* execute a compiled tree on one node's data, on the appliance's engine *)
-let exec_tree st ~node ~control (tree : Relop.t) : Rset.t =
-  match Appliance.engine st.app with
-  | Rset.Row ->
-    Rset.Rows (exec_logical ~read_table:(reader_for st ~node ~control) tree)
-  | Rset.Columnar ->
-    Rset.Cols (exec_logical_b ~read_table:(reader_for_b st ~node ~control) tree)
-
-type stmt_result =
-  | Per_node of Rset.t array     (** one result per compute node *)
-  | Replicated_result of Rset.t  (** identical on every node *)
-  | Control_result of Rset.t     (** ran on the control node *)
-
-(* execute a statement where its input data lives *)
-let run_statement st sql ~on_control : stmt_result =
-  let _, tree = compile st sql in
+(* execute a compiled tree where its input data lives, as the payloads
+   {!Appliance.stream} takes: on the control node, once when every input
+   is replicated, or on every compute node *)
+let run_tree st ~on_control (tree : Relop.t) : Dms.Distprop.t * Rset.t array =
   if on_control || uses_control_temp st tree then
-    Control_result (exec_tree st ~node:0 ~control:true tree)
+    (Dms.Distprop.Single_node, [| exec_tree st ~node:0 ~control:true tree |])
   else if all_replicated st tree then
-    Replicated_result (exec_tree st ~node:0 ~control:false tree)
+    (Dms.Distprop.Replicated, [| exec_tree st ~node:0 ~control:false tree |])
   else
-    Per_node
-      (Array.init st.app.Appliance.nodes (fun node ->
-           exec_tree st ~node ~control:false tree))
+    ( Dms.Distprop.Hashed [],
+      Array.init st.app.Appliance.nodes (fun node -> exec_tree st ~node ~control:false tree) )
 
 (** Execute a full DSQL plan against the appliance, its steps drawing
     faults from [fault]; returns the client result set. *)
@@ -181,11 +148,11 @@ let run ?fault (app : Appliance.t) (plan : Dsql.Generate.plan) : Local.rset =
            | Dms.Op.Control_node_move | Dms.Op.Replicated_broadcast -> true
            | _ -> false
          in
-         let stmt = run_statement st source_sql ~on_control:single_source in
-         (* build a dstream for the DMS runtime; the layout ids come from
-            the step's declared temp schema *)
+         let tree = compile st source_sql in
+         let dist, payloads = run_tree st ~on_control:single_source tree in
+         (* the stream the DMS runtime moves; the layout ids come from the
+            step's declared temp schema *)
          let layout = List.map fst cols in
-         let nil = Rset.Rows { Local.layout; rows = [] } in
          let remap (rs : Rset.t) : Rset.t =
            (* generated SELECTs emit the moved columns in declared order *)
            let w = List.length (Rset.layout rs) in
@@ -196,41 +163,16 @@ let run ?fault (app : Appliance.t) (plan : Dsql.Generate.plan) : Local.rset =
                      w (List.length layout)));
            Rset.with_layout rs layout
          in
-         let stream =
-           match stmt with
-           | Control_result c ->
-             { Appliance.layout; per_node = Array.make app.Appliance.nodes nil;
-               control = remap c; dist = Dms.Distprop.Single_node }
-           | Replicated_result r ->
-             { Appliance.layout;
-               per_node = Array.make app.Appliance.nodes (remap r);
-               control = nil;
-               dist = Dms.Distprop.Replicated }
-           | Per_node per_node ->
-             { Appliance.layout;
-               per_node = Array.map remap per_node;
-               control = nil;
-               dist = Dms.Distprop.Hashed [] }
-         in
+         let stream = Appliance.stream app ~layout dist (Array.map remap payloads) in
          let out = Appliance.run_move ~draw app kind ~cols:layout stream in
-         let placement =
-           match out.Appliance.dist with
-           | Dms.Distprop.Single_node -> On_control out.Appliance.control
-           | Dms.Distprop.Replicated ->
-             Replicated_everywhere
-               (if Array.length out.Appliance.per_node > 0 then out.Appliance.per_node.(0)
-                else nil)
-           | Dms.Distprop.Hashed _ -> On_nodes out.Appliance.per_node
-         in
-         Hashtbl.replace st.temps (String.lowercase_ascii temp_table) placement;
+         Hashtbl.replace st.temps temp_key out;
          register_temp st temp_table cols
        | Dsql.Generate.Return_step { sql; _ } ->
          (* execute per node, gather, then apply the statement's global
             ORDER BY / TOP on the gathered rows; one recovery unit — the
             gather is pure, so a control-node transient just recomputes *)
          Appliance.with_recovery ?fault app @@ fun d ->
-         let r, tree = compile st sql in
-         ignore r;
+         let tree = compile st sql in
          let sort_spec =
            match tree.Relop.op with
            | Relop.Sort { keys; limit } -> Some (keys, limit)
@@ -241,21 +183,10 @@ let run ?fault (app : Appliance.t) (plan : Dsql.Generate.plan) : Local.rset =
            | Some _, [ c ] -> c
            | _ -> tree
          in
+         let _, payloads = run_tree st ~on_control:false body in
          let gathered =
-           Rset.to_local
-             (if uses_control_temp st body then
-                exec_tree st ~node:0 ~control:true body
-              else if all_replicated st body then
-                exec_tree st ~node:0 ~control:false body
-              else begin
-                let parts =
-                  List.init app.Appliance.nodes (fun node ->
-                      exec_tree st ~node ~control:false body)
-                in
-                match parts with
-                | [] -> Rset.Rows { Local.layout = []; rows = [] }
-                | first :: _ -> Rset.concat ~layout:(Rset.layout first) parts
-              end)
+           { Local.layout = Rset.layout payloads.(0);
+             rows = Rset.client_rows (Array.to_list payloads) }
          in
          Appliance.inject_point app d Fault.Control_transient;
          let final =

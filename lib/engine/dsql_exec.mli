@@ -6,24 +6,20 @@
     schemas of previously materialized temp tables, executed on every node
     holding input data, and the resulting rows are routed by the DMS
     runtime into the destination temp table. The final Return step's SQL
-    produces the client result. Temp payloads keep the appliance's engine
-    representation (row or columnar) end to end. *)
+    produces the client result. A temp table is the DMS runtime's own
+    {!Appliance.dstream}, and every operator of a step runs through
+    {!Appliance.shard_exec}, so payloads keep the appliance's engine
+    representation end to end. *)
 
 open Algebra
 
 type rows = Catalog.Value.t array list
 
-(** Where a temp table's payload lives (row- or column-major, matching
-    the appliance's engine). *)
-type placement =
-  | On_nodes of Rset.t array     (** one shard per compute node *)
-  | On_control of Rset.t
-  | Replicated_everywhere of Rset.t
-
 type state = {
   app : Appliance.t;
   scratch : Catalog.Shell_db.t;      (** base schemas + temp schemas *)
-  temps : (string, placement) Hashtbl.t;
+  temps : (string, Appliance.dstream) Hashtbl.t;
+      (** materialized temp tables, by lower-cased name *)
   plan_reg : Registry.t;
 }
 

@@ -13,21 +13,10 @@ module Value = Catalog.Value
 
 type engine = Row | Columnar
 
-let engine_name = function Row -> "row" | Columnar -> "columnar"
-
-let engine_of_string = function
-  | "row" -> Some Row
-  | "columnar" | "col" -> Some Columnar
-  | _ -> None
-
 type t =
   | Rows of Local.rset
   | Cols of Batch.t
 
-(** Placeholder for unused stream slots (never read as data). *)
-let nil = Rows { Local.layout = []; rows = [] }
-
-let of_local r = Rows r
 let of_batch b = Cols b
 
 let to_local = function Rows r -> r | Cols b -> Batch.to_rset b
@@ -143,28 +132,28 @@ let client_rows (parts : t list) : Local.rows =
        | Cols b, _ -> Batch.rows_onto b acc)
     parts []
 
-(** Concatenate shards (in order) into one result set with [layout]. Any
-    row payload forces a row result; all-columnar concatenates columns. *)
+(* The shards of one stream all come from one engine, so the
+   concatenations below take their representation from the first shard. *)
+
+(** Concatenate shards [parts] (in order) into one result set with
+    [layout]. *)
 let concat ~(layout : int list) (parts : t list) : t =
-  let all_cols = List.for_all (function Cols _ -> true | Rows _ -> false) parts in
-  if all_cols && parts <> [] then begin
+  match parts with
+  | Cols _ :: _ ->
     let b = Batch.concat_list (List.map to_batch parts) in
     Cols { b with Batch.layout = Array.of_list layout }
-  end
-  else
-    Rows
-      { Local.layout;
-        rows = List.concat_map (fun p -> (to_local p).Local.rows) parts }
+  | _ ->
+    Rows { Local.layout; rows = List.concat_map (fun p -> (to_local p).Local.rows) parts }
 
 (** Hash-partition every source into [parts] shards with [layout]: shard
     [p] is the concatenation, in source order, of each source's [p]-th
     {!partition} shard. *)
 let shuffle (sources : t list) ~(layout : int list) ~(kpos : int array) ~(parts : int) :
   t array =
-  let batches = List.filter_map (function Cols b -> Some b | Rows _ -> None) sources in
-  if batches <> [] && List.length batches = List.length sources then
-    Array.map of_batch (Batch.shuffle batches ~kpos ~parts ~layout:(Array.of_list layout))
-  else begin
+  match sources with
+  | Cols _ :: _ ->
+    Array.map of_batch
+      (Batch.shuffle (List.map to_batch sources) ~kpos ~parts ~layout:(Array.of_list layout))
+  | _ ->
     let per_source = List.map (partition ~kpos ~parts) sources in
     Array.init parts (fun p -> concat ~layout (List.map (fun ps -> ps.(p)) per_source))
-  end

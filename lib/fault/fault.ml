@@ -159,17 +159,16 @@ let sm64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let draw ~seed ~site ~epoch ~step ~node ~attempt =
+let uniform ~seed (coords : int list) =
   let mix acc v =
     sm64 (Int64.add (Int64.mul acc 0x9e3779b97f4a7c15L) (Int64.of_int v))
   in
-  let h =
-    List.fold_left mix
-      (sm64 (Int64.of_int seed))
-      [ site_index site; epoch; step; node; attempt ]
-  in
+  let h = List.fold_left mix (sm64 (Int64.of_int seed)) coords in
   (* top 53 bits -> uniform float in [0, 1) *)
   Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.
+
+let draw ~seed ~site ~epoch ~step ~node ~attempt =
+  uniform ~seed [ site_index site; epoch; step; node; attempt ]
 
 let event_matches ~site ~epoch ~step ~node ~attempt e =
   e.e_site = site && e.e_step = step && e.e_epoch = epoch

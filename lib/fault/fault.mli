@@ -92,6 +92,12 @@ val parse_schedule : string -> event list
     re-raised with [file] prefixed to the message. *)
 val load_schedule : string -> plan
 
+(** [uniform ~seed coords] — a uniform float in [\[0, 1)]: a splitmix64
+    hash of [seed] folded with [coords]. Pure, so a draw cannot depend on
+    domain scheduling or [--jobs]. Every probabilistic decision of the
+    fault plane is one such draw, and so is each pick of a storm driver. *)
+val uniform : seed:int -> int list -> float
+
 (** [fires plan ~site ~epoch ~step ~node ~attempt] — does a fault fire at
     this point? Pure: same arguments, same answer. Pass [node = -1] for
     sites not tied to a compute node. *)

@@ -3,8 +3,8 @@
 
     Three pieces:
 
-    - {!Zipf}: a deterministic skewed workload source (pure splitmix64
-      draws, like the fault plane's) for storm drivers;
+    - {!Zipf}: a deterministic skewed workload source (the fault plane's
+      pure splitmix64 draws) for storm drivers;
     - {!Advisor}: replays the harvested workload ({!Feedback.Log}) against
       candidate distribution-key assignments and proposes the set that
       minimizes the occurrence-weighted modelled DMS cost under the λ
@@ -19,21 +19,10 @@
 (* -- deterministic skewed workload source -- *)
 
 module Zipf = struct
-  (* splitmix64 finalizer, the same construction as the fault plane's
-     (which does not export its hash): every pick is a pure function of
-     (seed, index), so a storm sequence is identical at any [--jobs] *)
-  let sm64 z =
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
-    Int64.logxor z (Int64.shift_right_logical z 31)
-
-  (** Uniform float in [0, 1) for storm position [i]. *)
-  let draw ~seed ~i =
-    let h =
-      sm64 (Int64.add (Int64.mul (sm64 (Int64.of_int seed)) 0x9e3779b97f4a7c15L)
-              (Int64.of_int i))
-    in
-    Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.
+  (** Uniform float in [0, 1) for storm position [i]: the fault plane's
+      splitmix64 draw, so a storm sequence is a pure function of (seed,
+      index) and identical at any [--jobs]. *)
+  let draw ~seed ~i = Fault.uniform ~seed [ i ]
 
   (** Zipf-distributed rank in [0, n): rank [k] has weight [1/(k+1)^s].
       Smaller ranks are the workload's head. *)

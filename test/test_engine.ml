@@ -182,11 +182,10 @@ let test_load_partitions_disjoint () =
          l)
     per_node
 
-let dstream_of app layout rows_per_node dist =
-  ignore app;
+(* [payloads]: one row list per node for a hashed stream, one otherwise *)
+let dstream_of app layout payloads dist =
   let rs rows = Engine.Rset.Rows { Engine.Local.layout; rows } in
-  { Engine.Appliance.layout; per_node = Array.map rs rows_per_node;
-    control = rs []; dist }
+  Engine.Appliance.stream app ~layout dist (Array.map rs payloads)
 
 let shard_rows rs = (Engine.Rset.to_local rs).Engine.Local.rows
 
@@ -199,7 +198,7 @@ let test_shuffle_routes_consistently () =
   in
   let out = Engine.Appliance.run_move app (Dms.Op.Shuffle [ ca ]) ~cols:[ ca; cb ] input in
   Alcotest.(check int) "all 40 rows survive" 40
-    (Array.fold_left (fun a rs -> a + Engine.Rset.count rs) 0 out.Engine.Appliance.per_node);
+    (Array.fold_left (fun a rs -> a + Engine.Rset.count rs) 0 out.Engine.Appliance.parts);
   Array.iteri
     (fun node rs ->
        List.iter
@@ -207,7 +206,7 @@ let test_shuffle_routes_consistently () =
             Alcotest.(check int) "routed by hash" node
               (Engine.Appliance.route_hash [ row.(0) ] mod 4))
          (shard_rows rs))
-    out.Engine.Appliance.per_node
+    out.Engine.Appliance.parts
 
 let test_broadcast_replicates () =
   let app, _ = mini_appliance () in
@@ -219,18 +218,18 @@ let test_broadcast_replicates () =
   let out = Engine.Appliance.run_move app Dms.Op.Broadcast ~cols:[ ca ] input in
   Array.iter
     (fun rs -> Alcotest.(check int) "full copy everywhere" 4 (Engine.Rset.count rs))
-    out.Engine.Appliance.per_node
+    out.Engine.Appliance.parts
 
 let test_trim_keeps_own () =
   let app, _ = mini_appliance () in
   let full = List.init 20 (fun i -> [| Value.Int i |]) in
   let input =
-    dstream_of app [ ca ] (Array.make 4 full) Dms.Distprop.Replicated
+    dstream_of app [ ca ] [| full |] Dms.Distprop.Replicated
   in
   let before_net = app.Engine.Appliance.account.Engine.Appliance.bytes_moved in
   let out = Engine.Appliance.run_move app (Dms.Op.Trim [ ca ]) ~cols:[ ca ] input in
   Alcotest.(check int) "exactly one copy survives" 20
-    (Array.fold_left (fun a rs -> a + Engine.Rset.count rs) 0 out.Engine.Appliance.per_node);
+    (Array.fold_left (fun a rs -> a + Engine.Rset.count rs) 0 out.Engine.Appliance.parts);
   Alcotest.(check (float 0.)) "no network traffic" before_net
     app.Engine.Appliance.account.Engine.Appliance.bytes_moved
 
@@ -242,7 +241,8 @@ let test_partition_move_gathers () =
       (Dms.Distprop.Hashed [ ca ])
   in
   let out = Engine.Appliance.run_move app Dms.Op.Partition_move ~cols:[ ca ] input in
-  Alcotest.(check int) "all on control" 4 (Engine.Rset.count out.Engine.Appliance.control);
+  Alcotest.(check int) "one control payload" 1 (Array.length out.Engine.Appliance.parts);
+  Alcotest.(check int) "all on control" 4 (Engine.Rset.count out.Engine.Appliance.parts.(0));
   Alcotest.(check bool) "single node dist" true
     (out.Engine.Appliance.dist = Dms.Distprop.Single_node)
 
@@ -274,6 +274,27 @@ let test_accounting_advances () =
        (fun (s : Dms.Calibrate.sample) -> s.Dms.Calibrate.component = Dms.Calibrate.Reader_hash)
        a.Engine.Appliance.samples)
 
+(* the constructor holds a stream to its distribution's shape: one
+   payload per node when hashed, one otherwise (shared when replicated) *)
+let test_stream_shapes () =
+  let app, _ = mini_appliance () in
+  let one = [| [ [| Value.Int 1 |] ] |] in
+  let repl = dstream_of app [ ca ] one Dms.Distprop.Replicated in
+  Alcotest.(check int) "a slot per node" 4 (Array.length repl.Engine.Appliance.parts);
+  Alcotest.(check bool) "one shared payload" true
+    (Array.for_all (fun p -> p == repl.Engine.Appliance.parts.(0)) repl.Engine.Appliance.parts);
+  let rejects payloads dist =
+    match dstream_of app [ ca ] payloads dist with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "hashed needs a payload per node" true
+    (rejects one (Dms.Distprop.Hashed [ ca ]));
+  Alcotest.(check bool) "single-node holds one payload" true
+    (rejects (Array.make 4 []) Dms.Distprop.Single_node);
+  Alcotest.(check bool) "replicated takes one payload" true
+    (rejects (Array.make 4 []) Dms.Distprop.Replicated)
+
 let suite =
   [ t "filter" test_filter;
     t "filter treats UNKNOWN as false" test_filter_null_is_false;
@@ -294,4 +315,5 @@ let suite =
     t "trim keeps own rows, no network" test_trim_keeps_own;
     t "partition move gathers" test_partition_move_gathers;
     t "moves project to carried columns" test_move_projects_columns;
-    t "accounting advances" test_accounting_advances ]
+    t "accounting advances" test_accounting_advances;
+    t "streams hold their distribution's shape" test_stream_shapes ]
