@@ -259,7 +259,7 @@ let to_values (c : t) : Value.t array =
 let gather ?n (c : t) (idx : int array) : t =
   let m = match n with Some n -> n | None -> Array.length idx in
   (* the masked copy: source nulls and [-1] indices both give NULL *)
-  let masked_ints tag data nulls =
+  let masked_ints tag (data : ints) nulls =
     let d = make_ints m in
     let mask = Bytes.make m '\000' in
     let any = ref false in
@@ -272,7 +272,7 @@ let gather ?n (c : t) (idx : int array) : t =
     done;
     Ints { tag; data = d; nulls = (if !any then Some mask else None) }
   in
-  let masked_floats data nulls =
+  let masked_floats (data : floats) nulls =
     let d = make_floats m in
     let mask = Bytes.make m '\000' in
     let any = ref false in

@@ -408,31 +408,32 @@ let run_move_inner ~obs (t : t) (kind : Dms.Op.kind) ~(cols : int list) (input :
        engine's single cons-and-reverse pass over all sources) *)
     let kpos = Rset.positions (List.hd sources) hash_cols in
     let out = Rset.shuffle sources ~layout:cols ~kpos ~parts:n in
+    let vols = List.map vol sources in
     account_move ~obs t ~opname:(Dms.Op.name kind) ~hashed:true
-      ~per_node_read:(List.map vol sources)
-      ~per_node_net:(List.map vol sources)
+      ~per_node_read:vols ~per_node_net:vols
       ~per_node_write:(Array.to_list (Array.map vol out));
     { layout = cols; dist = Dms.Distprop.Hashed hash_cols; parts = out }
   | Dms.Op.Partition_move ->
     let all = concat (Array.to_list input.parts) in
+    let vols = Array.to_list (Array.map vol input.parts) in
     account_move ~obs t ~opname:(Dms.Op.name kind) ~hashed:false
-      ~per_node_read:(Array.to_list (Array.map vol input.parts))
-      ~per_node_net:(Array.to_list (Array.map vol input.parts))
+      ~per_node_read:vols ~per_node_net:vols
       ~per_node_write:[ vol all ];
     { layout = cols; dist = Dms.Distprop.Single_node; parts = [| all |] }
   | Dms.Op.Control_node_move | Dms.Op.Replicated_broadcast ->
     let rs = input.parts.(0) in
+    let v = vol rs in
     account_move ~obs t ~opname:(Dms.Op.name kind) ~hashed:false
-      ~per_node_read:[ vol rs ]
-      ~per_node_net:[ vol rs ]
-      ~per_node_write:(List.init n (fun _ -> vol rs));
+      ~per_node_read:[ v ] ~per_node_net:[ v ]
+      ~per_node_write:(List.init n (fun _ -> v));
     { layout = cols; dist = Dms.Distprop.Replicated; parts = Array.make n rs }
   | Dms.Op.Broadcast ->
     let all = concat (Array.to_list input.parts) in
+    let v = vol all in
     account_move ~obs t ~opname:(Dms.Op.name kind) ~hashed:false
       ~per_node_read:(Array.to_list (Array.map vol input.parts))
-      ~per_node_net:[ vol all ]
-      ~per_node_write:(List.init n (fun _ -> vol all));
+      ~per_node_net:[ v ]
+      ~per_node_write:(List.init n (fun _ -> v));
     { layout = cols; dist = Dms.Distprop.Replicated; parts = Array.make n all }
   | Dms.Op.Trim hash_cols ->
     let out =

@@ -1207,18 +1207,32 @@ and func (b : t) (fn : Expr.func) (args : Expr.t list) : selection -> Column.t =
       let cols = List.map (fun f -> f s) fargs in
       per_cell s.n cols
 
-(* -- typed keys: hash and equality resolved once per operator -- *)
+(* -- typed keys: hash vectors and per-column equality -- *)
 
-(* One key column pair, resolved once per operator: a hash of a cell on
-   each side ([ha] over side a's rows, [hb] over side b's) and an equality
-   over (a-row, b-row) with {!Catalog.Value.equal} semantics, so equal
-   cells hash alike. A NULL equals only a NULL, which is how grouping
-   treats it; joins drop null keys before they hash. Same-tag int pairs
-   and float pairs read their unboxed buffers; every other pair (boxed
-   strings, type-mixed columns, Int against Float) goes through
-   {!Column.get}, {!Catalog.Value.hash} and {!Catalog.Value.equal}, the
-   row engine's own key semantics. *)
-type keycol = { ha : int -> int; hb : int -> int; eq : int -> int -> bool }
+(* One key column pair, its representation resolved once per operator:
+   side a (the probe side, or the grouped input) and side b (the build
+   side, or the grouped input again). Equality has {!Catalog.Value.equal}
+   semantics and equal cells hash alike. A NULL equals only a NULL, which
+   is how grouping treats it; joins drop null keys before they compare.
+   Same-tag int pairs and float pairs read their unboxed buffers, boxed
+   pairs compare strings with [String.equal]; every other pair (type-mixed
+   columns, Int against Float or Date) goes through {!Column.get},
+   {!Catalog.Value.hash} and {!Catalog.Value.equal}, the row engine's own
+   key semantics. *)
+type kpair =
+  | K_ints of Column.ints * Bytes.t option * Column.ints * Bytes.t option
+  | K_floats of Column.floats * Bytes.t option * Column.floats * Bytes.t option
+  | K_boxed of Value.t array * Value.t array
+  | K_mixed of Column.t * Column.t
+
+let kpair (ca : Column.t) (cb : Column.t) : kpair =
+  match ca, cb with
+  | Column.Ints { tag = ta; data = xa; nulls = na },
+    Column.Ints { tag = tb; data = xb; nulls = nb } when ta = tb -> K_ints (xa, na, xb, nb)
+  | Column.Floats { data = xa; nulls = na }, Column.Floats { data = xb; nulls = nb } ->
+    K_floats (xa, na, xb, nb)
+  | Column.Boxed a, Column.Boxed b -> K_boxed (a, b)
+  | _ -> K_mixed (ca, cb)
 
 let null_hash = 17
 
@@ -1228,64 +1242,103 @@ let float_hash x =
   else if Float.is_nan x then 1
   else Int64.to_int (Int64.bits_of_float x)
 
-let keycol (ca : Column.t) (cb : Column.t) : keycol =
-  match ca, cb with
-  | Column.Ints { tag = ta; data = xa; nulls = na },
-    Column.Ints { tag = tb; data = xb; nulls = nb } when ta = tb ->
-    let h x nulls i =
-      if Column.null_bit nulls i then null_hash else Bigarray.Array1.unsafe_get x i
-    in
-    { ha = h xa na; hb = h xb nb;
-      eq = (fun i j ->
-          let ni = Column.null_bit na i and nj = Column.null_bit nb j in
-          if ni || nj then ni && nj
-          else Bigarray.Array1.unsafe_get xa i = Bigarray.Array1.unsafe_get xb j) }
-  | Column.Floats { data = xa; nulls = na }, Column.Floats { data = xb; nulls = nb } ->
-    let h x nulls i =
-      if Column.null_bit nulls i then null_hash
-      else float_hash (Bigarray.Array1.unsafe_get x i)
-    in
-    { ha = h xa na; hb = h xb nb;
-      eq = (fun i j ->
-          let ni = Column.null_bit na i and nj = Column.null_bit nb j in
-          if ni || nj then ni && nj
-          else Float.equal (Bigarray.Array1.unsafe_get xa i) (Bigarray.Array1.unsafe_get xb j)) }
-  | _ ->
-    { ha = (fun i -> Value.hash (Column.get ca i));
-      hb = (fun j -> Value.hash (Column.get cb j));
-      eq = (fun i j -> Value.equal (Column.get ca i) (Column.get cb j)) }
+(* Per-domain key scratch: the row hashes and the "some key cell is NULL"
+   flags of one side's visible rows. A join copies the build side's
+   hashes out before it hashes the probe side, and grouping never nests. *)
+let hv_key = int_buf_key ()
+let knull_key : Bytes.t ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref Bytes.empty)
 
-(* A multi-column key: per-column hashes folded as the row engine's
-   [Local.Key.hash] does, and every column equal. *)
-let key_of (kc : keycol array) : keycol =
-  match kc with
-  | [| k |] -> k
-  | _ ->
-    let n = Array.length kc in
-    let fold side i =
-      let h = ref 17 in
-      for c = 0 to n - 1 do
-        let k = Array.unsafe_get kc c in
-        h := (!h * 31) + (if side then k.ha i else k.hb i)
-      done;
-      !h
-    in
-    { ha = fold true; hb = fold false;
-      eq = (fun i j ->
-          let c = ref 0 in
-          while !c < n && (Array.unsafe_get kc !c).eq i j do incr c done;
-          !c = n) }
+(* [hash_rows kp ~a s]: the key hash of each visible row [s.ix.(k)] at
+   [hv.(k)], one typed loop per key column of side a (else side b), the
+   per-column hashes folded as the row engine's [Local.Key.hash] does;
+   [nul.[k]] marks a row with a NULL key cell, and [any] says whether
+   there is one. No key column: every row hashes alike. *)
+let hash_rows (kp : kpair array) ~a (s : selection) : int array * Bytes.t * bool =
+  let n = s.n and ix = s.ix in
+  let hv = scratch hv_key n in
+  let nr = Domain.DLS.get knull_key in
+  if Bytes.length !nr < n then nr := Bytes.create (max n (2 * Bytes.length !nr));
+  let nul = !nr in
+  Array.fill hv 0 n 17;
+  Bytes.fill nul 0 n '\000';
+  let any = ref false in
+  let mix k h = Array.unsafe_set hv k ((Array.unsafe_get hv k * 31) + h) in
+  let null_at k = Bytes.unsafe_set nul k '\001'; any := true; mix k null_hash in
+  Array.iter
+    (fun p ->
+       match p with
+       | K_ints (xa, na, xb, nb) ->
+         let x, nulls = if a then (xa, na) else (xb, nb) in
+         (match nulls with
+          | None ->
+            for k = 0 to n - 1 do
+              mix k (Bigarray.Array1.unsafe_get x (Array.unsafe_get ix k))
+            done
+          | Some m ->
+            for k = 0 to n - 1 do
+              let i = Array.unsafe_get ix k in
+              if Bytes.unsafe_get m i <> '\000' then null_at k
+              else mix k (Bigarray.Array1.unsafe_get x i)
+            done)
+       | K_floats (xa, na, xb, nb) ->
+         let x, nulls = if a then (xa, na) else (xb, nb) in
+         (match nulls with
+          | None ->
+            for k = 0 to n - 1 do
+              mix k (float_hash (Bigarray.Array1.unsafe_get x (Array.unsafe_get ix k)))
+            done
+          | Some m ->
+            for k = 0 to n - 1 do
+              let i = Array.unsafe_get ix k in
+              if Bytes.unsafe_get m i <> '\000' then null_at k
+              else mix k (float_hash (Bigarray.Array1.unsafe_get x i))
+            done)
+       | K_boxed (va, vb) ->
+         let v = if a then va else vb in
+         for k = 0 to n - 1 do
+           match Array.unsafe_get v (Array.unsafe_get ix k) with
+           | Value.String str -> mix k (Hashtbl.hash str)
+           | Value.Null -> null_at k
+           | c -> mix k (Value.hash c)
+         done
+       | K_mixed (ca, cb) ->
+         let c = if a then ca else cb in
+         for k = 0 to n - 1 do
+           match Column.get c (Array.unsafe_get ix k) with
+           | Value.Null -> null_at k
+           | v -> mix k (Value.hash v)
+         done)
+    kp;
+  (hv, nul, !any)
+
+(* side a's row [i] against side b's row [j], column by column *)
+let keys_equal (kp : kpair array) i j =
+  let n = Array.length kp in
+  let c = ref 0 in
+  while
+    !c < n
+    && (match Array.unsafe_get kp !c with
+        | K_ints (xa, na, xb, nb) ->
+          let ni = Column.null_bit na i and nj = Column.null_bit nb j in
+          if ni || nj then ni && nj
+          else Bigarray.Array1.unsafe_get xa i = Bigarray.Array1.unsafe_get xb j
+        | K_floats (xa, na, xb, nb) ->
+          let ni = Column.null_bit na i and nj = Column.null_bit nb j in
+          if ni || nj then ni && nj
+          else Float.equal (Bigarray.Array1.unsafe_get xa i) (Bigarray.Array1.unsafe_get xb j)
+        | K_boxed (va, vb) ->
+          (match Array.unsafe_get va i, Array.unsafe_get vb j with
+           | Value.String x, Value.String y -> String.equal x y
+           | x, y -> Value.equal x y)
+        | K_mixed (ca, cb) -> Value.equal (Column.get ca i) (Column.get cb j))
+  do
+    incr c
+  done;
+  !c = n
 
 let bucket h mask =
   let h = h * 0x9E3779B1 in
   (h lxor (h lsr 29)) land mask
-
-let any_null (cols : Column.t array) i =
-  let c = ref 0 in
-  while !c < Array.length cols && not (Column.is_null (Array.unsafe_get cols !c) i) do
-    incr c
-  done;
-  !c < Array.length cols
 
 (* Positions of the layout's columns that a join's consumers read ([need],
    [None]: all). Only those are gathered into the join output, its one
@@ -1304,6 +1357,7 @@ let keep_cols (need : Registry.Col_set.t option) (layout : int array) : int arra
    returns, and joins never nest on a domain. *)
 let head_key = int_buf_key ()
 let next_key = int_buf_key ()
+let bhash_key = int_buf_key ()
 let ivec_key () : Ivec.t Domain.DLS.key = Domain.DLS.new_key (fun () -> Ivec.create ())
 let li_key = ivec_key ()
 let rj_key = ivec_key ()
@@ -1378,7 +1432,7 @@ let hash_join_b ?need ~(kind : Relop.join_kind) ~(pred : Expr.t) (l : t) (r : t)
     | _ -> None
   in
   (* with no equi pair the key is empty: one bucket, every row equal *)
-  let key = key_of (Array.map2 keycol lkcols rkcols) in
+  let kp = Array.map2 kpair lkcols rkcols in
   (* candidate chains over the build rows, keyed by row index: [head] per
      bucket and [next] per underlying row, no table node or boxed key per
      row. A hash join chains most-recent-first, the order of the row
@@ -1390,8 +1444,12 @@ let hash_join_b ?need ~(kind : Relop.join_kind) ~(pred : Expr.t) (l : t) (r : t)
   let head = scratch head_key !sz in
   Array.fill head 0 !sz (-1);
   let next = scratch next_key (max 1 r.rows) in
+  (* each chained build row's key hash, beside [next] *)
+  let bh = scratch bhash_key (max 1 r.rows) in
+  let chained = ref 0 in
   (match direct with
    | Some (_, xb) ->
+     chained := rs.n;
      for jk = 0 to rs.n - 1 do
        let j = Array.unsafe_get rs.ix jk in
        let h = bucket (Bigarray.Array1.unsafe_get xb j) mask in
@@ -1399,42 +1457,66 @@ let hash_join_b ?need ~(kind : Relop.join_kind) ~(pred : Expr.t) (l : t) (r : t)
        Array.unsafe_set head h j
      done
    | None ->
+     let hv, nul, any = hash_rows kp ~a:false rs in
      let add jk =
-       let j = Array.unsafe_get rs.ix jk in
-       if not (any_null rkcols j) then begin
-         let h = bucket (key.hb j) mask in
+       if not (any && Bytes.unsafe_get nul jk <> '\000') then begin
+         let j = Array.unsafe_get rs.ix jk and hj = Array.unsafe_get hv jk in
+         incr chained;
+         Array.unsafe_set bh j hj;
+         let h = bucket hj mask in
          Array.unsafe_set next j (Array.unsafe_get head h);
          Array.unsafe_set head h j
        end
      in
      if equi = [] then for jk = rs.n - 1 downto 0 do add jk done
      else for jk = 0 to rs.n - 1 do add jk done);
-  (* [start i]: probe row [i]'s chain; [first i j]: the first entry at or
-     after chain entry [j] whose key equals row [i]'s *)
-  let start, first =
+  (* the probe rows' hashes, only when some build row is chained *)
+  let phv, pnul, pany =
+    if !chained = 0 || Option.is_some direct then ([||], Bytes.empty, false)
+    else hash_rows kp ~a:true ls
+  in
+  (* [start ik]: the chain of the [ik]-th visible probe row; [first ik j]:
+     the first entry at or after chain entry [j] whose key equals that
+     row's, its stored hash compared first *)
+  let start ik =
     match direct with
-    | Some (xa, xb) ->
-      ( (fun i -> Array.unsafe_get head (bucket (Bigarray.Array1.unsafe_get xa i) mask)),
-        fun i j ->
-          let x = Bigarray.Array1.unsafe_get xa i in
-          let j = ref j in
-          while !j >= 0 && Bigarray.Array1.unsafe_get xb !j <> x do
-            j := Array.unsafe_get next !j
-          done;
-          !j )
+    | Some (xa, _) ->
+      Array.unsafe_get head
+        (bucket (Bigarray.Array1.unsafe_get xa (Array.unsafe_get ls.ix ik)) mask)
     | None ->
-      ( (fun i -> if any_null lkcols i then -1 else Array.unsafe_get head (bucket (key.ha i) mask)),
-        fun i j ->
-          let j = ref j in
-          while !j >= 0 && not (key.eq i !j) do j := Array.unsafe_get next !j done;
-          !j )
+      if pany && Bytes.unsafe_get pnul ik <> '\000' then -1
+      else Array.unsafe_get head (bucket (Array.unsafe_get phv ik) mask)
+  in
+  let first ik j =
+    let i = Array.unsafe_get ls.ix ik in
+    let j = ref j in
+    (match direct with
+     | Some (xa, xb) ->
+       let x = Bigarray.Array1.unsafe_get xa i in
+       while !j >= 0 && Bigarray.Array1.unsafe_get xb !j <> x do
+         j := Array.unsafe_get next !j
+       done
+     | None ->
+       let h = Array.unsafe_get phv ik in
+       while !j >= 0 && not (Array.unsafe_get bh !j = h && keys_equal kp i !j) do
+         j := Array.unsafe_get next !j
+       done);
+    !j
   in
   let li = fresh_ivec li_key and rj = fresh_ivec rj_key in
   (match rest with
+   | _ when !chained = 0 ->
+     (* no build row can match: no probe row is hashed and the residual
+        never runs, as in the row engine *)
+     (match kind with
+      | Relop.Anti_semi -> for ik = 0 to ls.n - 1 do Ivec.push li ls.ix.(ik) done
+      | Relop.Left_outer ->
+        for ik = 0 to ls.n - 1 do Ivec.push li ls.ix.(ik); Ivec.push rj (-1) done
+      | Relop.Inner | Relop.Cross | Relop.Semi -> ())
    | [] ->
      for ik = 0 to ls.n - 1 do
        let i = Array.unsafe_get ls.ix ik in
-       let j = first i (start i) in
+       let j = first ik (start ik) in
        match kind with
        | Relop.Semi -> if j >= 0 then Ivec.push li i
        | Relop.Anti_semi -> if j < 0 then Ivec.push li i
@@ -1446,7 +1528,7 @@ let hash_join_b ?need ~(kind : Relop.join_kind) ~(pred : Expr.t) (l : t) (r : t)
          while !j >= 0 do
            Ivec.push li i;
            Ivec.push rj !j;
-           j := first i (Array.unsafe_get next !j)
+           j := first ik (Array.unsafe_get next !j)
          done
      done
    | _ when equi = [] && (kind = Relop.Semi || kind = Relop.Anti_semi) ->
@@ -1460,14 +1542,14 @@ let hash_join_b ?need ~(kind : Relop.join_kind) ~(pred : Expr.t) (l : t) (r : t)
      let cl = fresh_ivec cand_l_key and cr = fresh_ivec cand_r_key in
      for ik = 0 to ls.n - 1 do
        let i = Array.unsafe_get ls.ix ik in
-       let j = ref (first i (start i)) and size = ref 1 and matched = ref false in
+       let j = ref (first ik (start ik)) and size = ref 1 and matched = ref false in
        while (not !matched) && !j >= 0 do
          cl.Ivec.len <- 0;
          cr.Ivec.len <- 0;
          while !j >= 0 && cl.Ivec.len < !size do
            Ivec.push cl i;
            Ivec.push cr !j;
-           j := first i (Array.unsafe_get next !j)
+           j := first ik (Array.unsafe_get next !j)
          done;
          let m = cl.Ivec.len in
          (matched :=
@@ -1494,12 +1576,13 @@ let hash_join_b ?need ~(kind : Relop.join_kind) ~(pred : Expr.t) (l : t) (r : t)
        cl.Ivec.len <- 0;
        cr.Ivec.len <- 0;
        while !ik < ls.n && cl.Ivec.len < residual_block do
-         let i = Array.unsafe_get ls.ix !ik in
-         let j = ref (first i (start i)) in
+         let ik0 = !ik in
+         let i = Array.unsafe_get ls.ix ik0 in
+         let j = ref (first ik0 (start ik0)) in
          while !j >= 0 do
            Ivec.push cl i;
            Ivec.push cr !j;
-           j := first i (Array.unsafe_get next !j)
+           j := first ik0 (Array.unsafe_get next !j)
          done;
          incr ik
        done;
@@ -1567,16 +1650,15 @@ let run_aggregate_b ~(keys : int list) ~(aggs : Expr.agg_def list) (b : t) : t =
        group's representative row: [heads] per bucket, [gnext] per group,
        no boxed key per row. Buckets double (and re-chain) as groups
        arrive, keeping chains short without sizing for the input. *)
-    let key = key_of (Array.map (fun p -> keycol b.cols.(p) b.cols.(p)) kpos) in
     let heads = ref (Array.make 64 (-1)) in
     let gnext = Ivec.create () and ghash = Ivec.create () in
     (* a new group for row [i] (its [k]-th visible row), chained at bucket [bk] *)
-    let add k i hv bk =
+    let add k i h bk =
       let hd = !heads in
       let g = !ngroups in
       incr ngroups;
       Ivec.push reps i;
-      Ivec.push ghash hv;
+      Ivec.push ghash h;
       Ivec.push gnext hd.(bk);
       hd.(bk) <- g;
       Array.unsafe_set gid k g;
@@ -1609,15 +1691,23 @@ let run_aggregate_b ~(keys : int list) ~(aggs : Expr.agg_def list) (b : t) : t =
           done;
           if !g >= 0 then Array.unsafe_set gid k !g else add k i x bk
       | _ ->
+        (* NULL key cells hash alike and equal each other: one group *)
+        let kp = Array.map (fun p -> kpair b.cols.(p) b.cols.(p)) kpos in
+        let hv, _, _ = hash_rows kp ~a:true (selection b) in
         fun k i ->
-          let hv = key.ha i in
+          let h = Array.unsafe_get hv k in
           let hd = !heads in
-          let bk = bucket hv (Array.length hd - 1) in
+          let bk = bucket h (Array.length hd - 1) in
           let g = ref (Array.unsafe_get hd bk) in
-          while !g >= 0 && not (key.eq i (Array.unsafe_get reps.Ivec.a !g)) do
+          while
+            !g >= 0
+            && not
+                 (Array.unsafe_get ghash.Ivec.a !g = h
+                  && keys_equal kp i (Array.unsafe_get reps.Ivec.a !g))
+          do
             g := Array.unsafe_get gnext.Ivec.a !g
           done;
-          if !g >= 0 then Array.unsafe_set gid k !g else add k i hv bk
+          if !g >= 0 then Array.unsafe_set gid k !g else add k i h bk
     in
     (match b.sel with
      | None -> for k = 0 to m - 1 do visit k k done

@@ -593,6 +593,154 @@ let test_jobs_independence () =
   Alcotest.(check (list string)) "rows at jobs 1 = jobs 4" rows1 rows4;
   Alcotest.(check (float 0.)) "sim clock at jobs 1 = jobs 4" sim1 sim4
 
+(* An empty build side (no rows, nothing selected, or only NULL keys)
+   matches no probe row, so the residual never runs, as in the row engine:
+   a residual that raises on any pair must not raise. *)
+let test_join_empty_build () =
+  let raising =
+    [ ("LIKE on a build date", Expr.Like (Expr.Col 201, "a%", false));
+      ("LIKE on an int literal", Expr.Like (Expr.Lit (Value.Int 1), "a%", false)) ]
+  in
+  let eq a b = Expr.Bin (Expr.Eq, Expr.Col a, Expr.Col b) in
+  let left =
+    Engine.Batch.of_rset
+      (rset [ 100; 101; 102 ]
+         [ [| Value.Int 1; Value.Date 9000; Value.Int 3 |];
+           [| Value.Null; Value.Date 9001; Value.Int 4 |];
+           [| Value.Int 2; Value.Date 9000; Value.Null |] ])
+  in
+  let build rows = Engine.Batch.of_rset (rset [ 200; 201; 202 ] rows) in
+  let full =
+    build [ [| Value.Int 1; Value.Date 9000; Value.Int 3 |];
+            [| Value.Int 2; Value.Date 9001; Value.Int 4 |] ]
+  in
+  let null_keys =
+    build [ [| Value.Null; Value.Null; Value.Int 3 |];
+            [| Value.Null; Value.Null; Value.Int 4 |] ]
+  in
+  let sides =
+    [ ("no rows", build [], true);
+      ("nothing selected", { full with Engine.Batch.sel = Some [||] }, true);
+      ("NULL keys only", null_keys, false) ]
+  in
+  List.iter
+    (fun (smsg, r, keyless) ->
+       List.iter
+         (fun (rmsg, res) ->
+            let preds =
+              Expr.Bin (Expr.And, Expr.Bin (Expr.And, eq 100 200, eq 101 201), res)
+              :: (if keyless then [ res ] else [])
+            in
+            List.iter
+              (fun pred ->
+                 List.iter
+                   (fun kind ->
+                      let op = Physop.Hash_join { kind; pred } in
+                      let row () =
+                        Engine.Local.exec_op ~read_table:no_tables op
+                          [ Engine.Batch.to_rset left; Engine.Batch.to_rset r ]
+                      in
+                      let col () =
+                        Engine.Batch.to_rset
+                          (Engine.Batch.exec_op ~read_table:no_tables op [ left; r ])
+                      in
+                      let msg = Printf.sprintf "%s, %s, %s" smsg rmsg (Physop.name op) in
+                      match outcome row, outcome col with
+                      | Ok a, Ok b -> Alcotest.(check bool) msg true (same_outcome (Ok a) (Ok b))
+                      | _ -> Alcotest.failf "%s: type error" msg)
+                   [ Algebra.Relop.Inner; Algebra.Relop.Left_outer; Algebra.Relop.Semi;
+                     Algebra.Relop.Anti_semi; Algebra.Relop.Cross ])
+              preds)
+         raising)
+    sides
+
+(* random key columns for joins and grouping: ints, dates, floats (0.,
+   -0., nan, and 2.0 beside the int 2), strings (empty, one character,
+   repeated), each typed or stored boxed, with NULLs; [kinds] fixes each
+   key column's kind, so two sides that draw different kinds make a
+   type-mixed pair *)
+let gen_key_side rng ~base ~kinds ~null_keys =
+  let int k = Random.State.int rng k in
+  let rows = if int 6 = 0 then 0 else int 12 in
+  let floats = [| 0.; -0.; Float.nan; 2.0; 1.5 |] in
+  let strings = [| ""; "a"; "a"; "ab" |] in
+  let nullable = int 2 = 0 in
+  let cell kind =
+    if null_keys || (nullable && int 6 = 0) then Value.Null
+    else
+      match kind with
+      | 0 -> Value.Int (int 4)
+      | 1 -> Value.Date (9000 + int 3)
+      | 2 -> Value.Float floats.(int (Array.length floats))
+      | _ -> Value.String strings.(int (Array.length strings))
+  in
+  let keys =
+    Array.map
+      (fun kind ->
+         let vs = Array.init rows (fun _ -> cell kind) in
+         if int 4 = 0 then Column.Boxed vs else Column.of_values vs)
+      kinds
+  in
+  let payload = Column.of_values (Array.init rows (fun _ -> Value.Int (int 6))) in
+  let w = Array.length kinds in
+  let sel =
+    if int 2 = 0 then None
+    else Some (Array.of_list (List.filter (fun _ -> int 3 > 0) (List.init rows Fun.id)))
+  in
+  { Engine.Batch.layout = Array.init (w + 1) (fun c -> base + c);
+    cols = Array.append keys [| payload |]; rows; sel }
+
+let prop_join_group_keys =
+  let kinds =
+    [| Algebra.Relop.Inner; Algebra.Relop.Left_outer; Algebra.Relop.Semi;
+       Algebra.Relop.Anti_semi; Algebra.Relop.Cross |]
+  in
+  QCheck.Test.make ~name:"columnar join and grouping keys == row engine" ~count:1000
+    (QCheck.make
+       ~print:(fun (l, r, kc, res, k) ->
+           Printf.sprintf "%s\n%s\nkeys %d residual %d kind %d" (show_batch l) (show_batch r)
+             kc res k)
+       (fun rng ->
+          let int k = Random.State.int rng k in
+          let kc = 1 + int 3 in
+          let lk = Array.init kc (fun _ -> int 4) in
+          let rk = Array.map (fun k -> if int 2 = 0 then k else int 4) lk in
+          let l = gen_key_side rng ~base:300 ~kinds:lk ~null_keys:false in
+          let r = gen_key_side rng ~base:400 ~kinds:rk ~null_keys:(int 8 = 0) in
+          (l, r, kc, int 3, int (Array.length kinds))))
+    (fun (l, r, kc, res, k) ->
+       let eq a b = Expr.Bin (Expr.Eq, Expr.Col a, Expr.Col b) in
+       let keys = List.init kc (fun c -> eq (300 + c) (400 + c)) in
+       let pl = Expr.Col (300 + kc) and pr = Expr.Col (400 + kc) in
+       (* 0: keys only; 1: a residual over the payloads; 2: the residual
+          of [prop_join] that raises on some pairs (LIKE on a key cell) *)
+       let residual =
+         match res with
+         | 0 -> []
+         | 1 -> [ Expr.Bin (Expr.Le, pl, pr) ]
+         | _ ->
+           [ Expr.Bin (Expr.Or, Expr.Bin (Expr.Lt, pl, pr),
+                       Expr.Bin (Expr.And, Expr.Bin (Expr.Lt, pr, Expr.Lit (Value.Int 3)),
+                                 Expr.Like (Expr.Col 400, "a%", false))) ]
+       in
+       let pred = List.fold_left (fun a b -> Expr.Bin (Expr.And, a, b)) (List.hd keys)
+           (List.tl keys @ residual) in
+       let aggs =
+         [ agg 90 Expr.Sum (Some pl); agg 91 Expr.Count (Some (Expr.Col 300));
+           agg 92 Expr.Min (Some (Expr.Col 300)); agg 93 Expr.Avg (Some pl) ]
+       in
+       let group = Physop.Hash_agg { keys = List.init kc (fun c -> 300 + c); aggs } in
+       let join = Physop.Hash_join { kind = kinds.(k); pred } in
+       let agree op inputs =
+         let row () =
+           Engine.Local.exec_op ~read_table:no_tables op (List.map Engine.Batch.to_rset inputs)
+         in
+         let col () = Engine.Batch.to_rset (Engine.Batch.exec_op ~read_table:no_tables op inputs) in
+         same_outcome (outcome row) (outcome col)
+         || QCheck.Test.fail_reportf "%s disagrees" (Physop.name op)
+       in
+       agree join [ l; r ] && agree group [ l ])
+
 let suite =
   [ Alcotest.test_case "column builders round-trip values" `Quick test_builder_roundtrip;
     Alcotest.test_case "column builders pick typed layouts" `Quick test_builder_typed_layout;
@@ -609,4 +757,7 @@ let suite =
     Alcotest.test_case "columnar sim clock is --jobs independent" `Quick
       test_jobs_independence;
     QCheck_alcotest.to_alcotest prop_compiled_kernels;
-    QCheck_alcotest.to_alcotest prop_join ]
+    QCheck_alcotest.to_alcotest prop_join;
+    Alcotest.test_case "joins: an empty build side runs no residual" `Quick
+      test_join_empty_build;
+    QCheck_alcotest.to_alcotest prop_join_group_keys ]
