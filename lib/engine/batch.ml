@@ -1252,61 +1252,68 @@ let knull_key : Bytes.t ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref B
    [hv.(k)], one typed loop per key column of side a (else side b), the
    per-column hashes folded as the row engine's [Local.Key.hash] does;
    [nul.[k]] marks a row with a NULL key cell, and [any] says whether
-   there is one. No key column: every row hashes alike. *)
+   there is one ([nul] is only cleared, and only meaningful, when [any]).
+   The first key column sets each hash, so no pass fills the vector
+   first. No key column: every row hashes alike. *)
 let hash_rows (kp : kpair array) ~a (s : selection) : int array * Bytes.t * bool =
   let n = s.n and ix = s.ix in
   let hv = scratch hv_key n in
   let nr = Domain.DLS.get knull_key in
   if Bytes.length !nr < n then nr := Bytes.create (max n (2 * Bytes.length !nr));
   let nul = !nr in
-  Array.fill hv 0 n 17;
-  Bytes.fill nul 0 n '\000';
+  if Array.length kp = 0 then Array.fill hv 0 n 17;
   let any = ref false in
-  let mix k h = Array.unsafe_set hv k ((Array.unsafe_get hv k * 31) + h) in
-  let null_at k = Bytes.unsafe_set nul k '\001'; any := true; mix k null_hash in
-  Array.iter
-    (fun p ->
+  (* fold key column [ci]'s hash [h] into row [k]'s *)
+  let[@inline] mix ci k h =
+    Array.unsafe_set hv k (((if ci = 0 then 17 else Array.unsafe_get hv k) * 31) + h)
+  in
+  let null_at ci k =
+    if not !any then begin Bytes.fill nul 0 n '\000'; any := true end;
+    Bytes.unsafe_set nul k '\001';
+    mix ci k null_hash
+  in
+  Array.iteri
+    (fun ci p ->
        match p with
        | K_ints (xa, na, xb, nb) ->
          let x, nulls = if a then (xa, na) else (xb, nb) in
          (match nulls with
           | None ->
             for k = 0 to n - 1 do
-              mix k (Bigarray.Array1.unsafe_get x (Array.unsafe_get ix k))
+              mix ci k (Bigarray.Array1.unsafe_get x (Array.unsafe_get ix k))
             done
           | Some m ->
             for k = 0 to n - 1 do
               let i = Array.unsafe_get ix k in
-              if Bytes.unsafe_get m i <> '\000' then null_at k
-              else mix k (Bigarray.Array1.unsafe_get x i)
+              if Bytes.unsafe_get m i <> '\000' then null_at ci k
+              else mix ci k (Bigarray.Array1.unsafe_get x i)
             done)
        | K_floats (xa, na, xb, nb) ->
          let x, nulls = if a then (xa, na) else (xb, nb) in
          (match nulls with
           | None ->
             for k = 0 to n - 1 do
-              mix k (float_hash (Bigarray.Array1.unsafe_get x (Array.unsafe_get ix k)))
+              mix ci k (float_hash (Bigarray.Array1.unsafe_get x (Array.unsafe_get ix k)))
             done
           | Some m ->
             for k = 0 to n - 1 do
               let i = Array.unsafe_get ix k in
-              if Bytes.unsafe_get m i <> '\000' then null_at k
-              else mix k (float_hash (Bigarray.Array1.unsafe_get x i))
+              if Bytes.unsafe_get m i <> '\000' then null_at ci k
+              else mix ci k (float_hash (Bigarray.Array1.unsafe_get x i))
             done)
        | K_boxed (va, vb) ->
          let v = if a then va else vb in
          for k = 0 to n - 1 do
            match Array.unsafe_get v (Array.unsafe_get ix k) with
-           | Value.String str -> mix k (Hashtbl.hash str)
-           | Value.Null -> null_at k
-           | c -> mix k (Value.hash c)
+           | Value.Null -> null_at ci k
+           | v -> mix ci k (Value.hash v)
          done
        | K_mixed (ca, cb) ->
-         let c = if a then ca else cb in
+         let col = if a then ca else cb in
          for k = 0 to n - 1 do
-           match Column.get c (Array.unsafe_get ix k) with
-           | Value.Null -> null_at k
-           | v -> mix k (Value.hash v)
+           match Column.get col (Array.unsafe_get ix k) with
+           | Value.Null -> null_at ci k
+           | v -> mix ci k (Value.hash v)
          done)
     kp;
   (hv, nul, !any)
@@ -1424,15 +1431,11 @@ let hash_join_b ?need ~(kind : Relop.join_kind) ~(pred : Expr.t) (l : t) (r : t)
          | _, None -> true)
       (Expr.conjuncts pred)
   in
-  (* a single null-free key of one int tag reads its buffers directly *)
-  let direct =
-    match lkcols, rkcols with
-    | [| Column.Ints { tag = ta; data = xa; nulls = None } |],
-      [| Column.Ints { tag = tb; data = xb; nulls = None } |] when ta = tb -> Some (xa, xb)
-    | _ -> None
-  in
   (* with no equi pair the key is empty: one bucket, every row equal *)
   let kp = Array.map2 kpair lkcols rkcols in
+  (* one same-tag int key hashes to [17 * 31 + x], one hash per value, and
+     NULL keys are neither chained nor probed: equal hashes are equal keys *)
+  let exact = match kp with [| K_ints _ |] -> true | _ -> false in
   (* candidate chains over the build rows, keyed by row index: [head] per
      bucket and [next] per underlying row, no table node or boxed key per
      row. A hash join chains most-recent-first, the order of the row
@@ -1447,60 +1450,37 @@ let hash_join_b ?need ~(kind : Relop.join_kind) ~(pred : Expr.t) (l : t) (r : t)
   (* each chained build row's key hash, beside [next] *)
   let bh = scratch bhash_key (max 1 r.rows) in
   let chained = ref 0 in
-  (match direct with
-   | Some (_, xb) ->
-     chained := rs.n;
-     for jk = 0 to rs.n - 1 do
-       let j = Array.unsafe_get rs.ix jk in
-       let h = bucket (Bigarray.Array1.unsafe_get xb j) mask in
+  (let hv, nul, any = hash_rows kp ~a:false rs in
+   let add jk =
+     if not (any && Bytes.unsafe_get nul jk <> '\000') then begin
+       let j = Array.unsafe_get rs.ix jk and hj = Array.unsafe_get hv jk in
+       incr chained;
+       Array.unsafe_set bh j hj;
+       let h = bucket hj mask in
        Array.unsafe_set next j (Array.unsafe_get head h);
        Array.unsafe_set head h j
-     done
-   | None ->
-     let hv, nul, any = hash_rows kp ~a:false rs in
-     let add jk =
-       if not (any && Bytes.unsafe_get nul jk <> '\000') then begin
-         let j = Array.unsafe_get rs.ix jk and hj = Array.unsafe_get hv jk in
-         incr chained;
-         Array.unsafe_set bh j hj;
-         let h = bucket hj mask in
-         Array.unsafe_set next j (Array.unsafe_get head h);
-         Array.unsafe_set head h j
-       end
-     in
-     if equi = [] then for jk = rs.n - 1 downto 0 do add jk done
-     else for jk = 0 to rs.n - 1 do add jk done);
+     end
+   in
+   if equi = [] then for jk = rs.n - 1 downto 0 do add jk done
+   else for jk = 0 to rs.n - 1 do add jk done);
   (* the probe rows' hashes, only when some build row is chained *)
   let phv, pnul, pany =
-    if !chained = 0 || Option.is_some direct then ([||], Bytes.empty, false)
+    if !chained = 0 then ([||], Bytes.empty, false)
     else hash_rows kp ~a:true ls
   in
   (* [start ik]: the chain of the [ik]-th visible probe row; [first ik j]:
      the first entry at or after chain entry [j] whose key equals that
      row's, its stored hash compared first *)
   let start ik =
-    match direct with
-    | Some (xa, _) ->
-      Array.unsafe_get head
-        (bucket (Bigarray.Array1.unsafe_get xa (Array.unsafe_get ls.ix ik)) mask)
-    | None ->
-      if pany && Bytes.unsafe_get pnul ik <> '\000' then -1
-      else Array.unsafe_get head (bucket (Array.unsafe_get phv ik) mask)
+    if pany && Bytes.unsafe_get pnul ik <> '\000' then -1
+    else Array.unsafe_get head (bucket (Array.unsafe_get phv ik) mask)
   in
   let first ik j =
-    let i = Array.unsafe_get ls.ix ik in
+    let i = Array.unsafe_get ls.ix ik and h = Array.unsafe_get phv ik in
     let j = ref j in
-    (match direct with
-     | Some (xa, xb) ->
-       let x = Bigarray.Array1.unsafe_get xa i in
-       while !j >= 0 && Bigarray.Array1.unsafe_get xb !j <> x do
-         j := Array.unsafe_get next !j
-       done
-     | None ->
-       let h = Array.unsafe_get phv ik in
-       while !j >= 0 && not (Array.unsafe_get bh !j = h && keys_equal kp i !j) do
-         j := Array.unsafe_get next !j
-       done);
+    while !j >= 0 && not (Array.unsafe_get bh !j = h && (exact || keys_equal kp i !j)) do
+      j := Array.unsafe_get next !j
+    done;
     !j
   in
   let li = fresh_ivec li_key and rj = fresh_ivec rj_key in
